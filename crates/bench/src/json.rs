@@ -1,19 +1,13 @@
-//! A minimal JSON value type for the wallclock harness.
+//! A minimal JSON reader for checking `graphlint --json` output.
 //!
 //! The workspace has no serde (external dependencies are vendored shims),
-//! and the `BENCH_*.json` schema is small and flat, so a hand-rolled
-//! writer plus a recursive-descent parser is the whole story. The parser
-//! exists for the `--validate` mode of the wallclock binary and for tests:
-//! it accepts exactly the JSON this module's writer emits (objects,
-//! arrays, strings, finite numbers, booleans, null) — no exotic escapes
-//! beyond the standard set, no surrogate-pair decoding (`\uXXXX` is kept
-//! as the replacement character for non-BMP halves; the harness never
-//! writes any).
+//! and the lint report schema is small and flat, so a recursive-descent
+//! parser plus [`validate_lint_json`] is the whole story. The parser
+//! accepts objects, arrays, strings, finite numbers, booleans and null —
+//! no surrogate-pair decoding (`\uXXXX` is kept as the replacement
+//! character for non-BMP halves; `nabbitc-lint` never writes any).
 
-use std::fmt::Write as _;
-
-/// A JSON value. Object keys keep insertion order (a `Vec`, not a map) so
-/// emitted files are stable and diffable.
+/// A JSON value. Object keys keep document order (a `Vec`, not a map).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -25,11 +19,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// Convenience: an object from key/value pairs.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
     /// Looks up a key in an object; `None` for missing keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -61,91 +50,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Serializes with two-space indentation and a trailing newline.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                // JSON has no Infinity/NaN; a harness bug must not emit an
-                // unparseable file.
-                if n.is_finite() {
-                    if *n == n.trunc() && n.abs() < 1e15 {
-                        let _ = write!(out, "{}", *n as i64);
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    push_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn push_indent(out: &mut String, levels: usize) {
-    for _ in 0..levels {
-        out.push_str("  ");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses a JSON document. Errors carry a byte offset and a short message.
@@ -333,118 +237,6 @@ impl Parser<'_> {
     }
 }
 
-/// Validates a `BENCH_<workload>.json` document against the schema the
-/// wallclock harness emits (see the README's Observability section).
-/// Returns the list of problems; empty means valid.
-///
-/// Required shape:
-/// * top-level `schema_version` (number), `trace_schema_version` (number),
-///   `workload` (string), `scale` (string), `results` (non-empty array);
-/// * every `results` entry has numeric `p`, `serial_s`, and a non-empty
-///   `modes` array;
-/// * every mode entry has a `mode` string plus numeric `seconds` and
-///   `measured_speedup`, and numeric `predicted_speedup` unless the mode
-///   is `serial` (the baseline predicts nothing);
-/// * a `trace` object whose counters (`p`, `nodes`, `events_recorded`,
-///   `events_dropped`, `execs`, `steal_attempts`, `steal_successes`,
-///   `batch_steals`, `batch_stolen_tasks`, `arena_hits`, `arena_misses`)
-///   are all numeric — the traced run at the widest sweep point.
-pub fn validate_bench_json(doc: &Json) -> Vec<String> {
-    let mut problems = Vec::new();
-    let need_num =
-        |v: Option<&Json>, what: &str, problems: &mut Vec<String>| match v.and_then(Json::as_num) {
-            Some(n) if n.is_finite() => Some(n),
-            Some(_) => {
-                problems.push(format!("{what} is not finite"));
-                None
-            }
-            None => {
-                problems.push(format!("{what} missing or not a number"));
-                None
-            }
-        };
-
-    need_num(doc.get("schema_version"), "schema_version", &mut problems);
-    need_num(
-        doc.get("trace_schema_version"),
-        "trace_schema_version",
-        &mut problems,
-    );
-    if doc.get("workload").and_then(Json::as_str).is_none() {
-        problems.push("workload missing or not a string".to_string());
-    }
-    if doc.get("scale").and_then(Json::as_str).is_none() {
-        problems.push("scale missing or not a string".to_string());
-    }
-
-    let results = match doc.get("results").and_then(Json::as_arr) {
-        Some([]) | None => {
-            problems.push("results missing or empty".to_string());
-            return problems;
-        }
-        Some(r) => r,
-    };
-
-    for (i, entry) in results.iter().enumerate() {
-        let at = format!("results[{i}]");
-        need_num(entry.get("p"), &format!("{at}.p"), &mut problems);
-        need_num(
-            entry.get("serial_s"),
-            &format!("{at}.serial_s"),
-            &mut problems,
-        );
-        let modes = match entry.get("modes").and_then(Json::as_arr) {
-            Some([]) | None => {
-                problems.push(format!("{at}.modes missing or empty"));
-                continue;
-            }
-            Some(m) => m,
-        };
-        for (j, mode) in modes.iter().enumerate() {
-            let at = format!("{at}.modes[{j}]");
-            let name = mode.get("mode").and_then(Json::as_str);
-            if name.is_none() {
-                problems.push(format!("{at}.mode missing or not a string"));
-            }
-            need_num(mode.get("seconds"), &format!("{at}.seconds"), &mut problems);
-            need_num(
-                mode.get("measured_speedup"),
-                &format!("{at}.measured_speedup"),
-                &mut problems,
-            );
-            if name != Some("serial") {
-                need_num(
-                    mode.get("predicted_speedup"),
-                    &format!("{at}.predicted_speedup"),
-                    &mut problems,
-                );
-            }
-        }
-    }
-
-    match doc.get("trace") {
-        None => problems.push("trace missing".to_string()),
-        Some(trace) => {
-            for key in [
-                "p",
-                "nodes",
-                "events_recorded",
-                "events_dropped",
-                "execs",
-                "steal_attempts",
-                "steal_successes",
-                "batch_steals",
-                "batch_stolen_tasks",
-                "arena_hits",
-                "arena_misses",
-            ] {
-                need_num(trace.get(key), &format!("trace.{key}"), &mut problems);
-            }
-        }
-    }
-    problems
-}
-
 /// Validates one lint report document (`nabbitc_lint::LintReport::to_json`
 /// output — also each element of `graphlint --json`'s array). Returns the
 /// problems found; empty = valid.
@@ -545,35 +337,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_through_pretty_and_parse() {
-        let doc = Json::obj(vec![
-            ("name", Json::Str("heat \"2d\"\n".to_string())),
-            ("n", Json::Num(42.0)),
-            ("half", Json::Num(0.5)),
-            ("neg", Json::Num(-3.25)),
-            ("ok", Json::Bool(true)),
-            ("nothing", Json::Null),
-            (
-                "list",
-                Json::Arr(vec![
-                    Json::Num(1.0),
-                    Json::Str("two".into()),
-                    Json::Arr(vec![]),
-                ]),
-            ),
-            ("empty", Json::Obj(vec![])),
-        ]);
-        let text = doc.pretty();
-        let back = parse(&text).expect("must parse");
-        assert_eq!(back, doc);
-    }
-
-    #[test]
-    fn integers_print_without_decimal_point() {
-        assert_eq!(Json::Num(3.0).pretty(), "3\n");
-        assert_eq!(Json::Num(0.25).pretty(), "0.25\n");
-        // Non-finite values degrade to null rather than corrupting the file.
-        assert_eq!(Json::Num(f64::NAN).pretty(), "null\n");
+    fn parses_every_value_kind() {
+        let doc = parse(
+            r#"{"name": "heat \"2d\"\n", "n": 42, "half": 0.5, "neg": -3.25, "ok": true,
+                "nothing": null, "list": [1, "two", []], "empty": {}}"#,
+        )
+        .expect("must parse");
+        assert_eq!(
+            doc.get("name").and_then(Json::as_str),
+            Some("heat \"2d\"\n")
+        );
+        assert_eq!(doc.get("n").and_then(Json::as_num), Some(42.0));
+        assert_eq!(doc.get("half").and_then(Json::as_num), Some(0.5));
+        assert_eq!(doc.get("neg").and_then(Json::as_num), Some(-3.25));
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("nothing"), Some(&Json::Null));
+        assert_eq!(
+            doc.get("list").and_then(Json::as_arr),
+            Some(&[Json::Num(1.0), Json::Str("two".into()), Json::Arr(vec![])][..])
+        );
+        assert_eq!(doc.get("empty"), Some(&Json::Obj(vec![])));
+        assert_eq!(doc.get("missing"), None);
     }
 
     #[test]
@@ -582,58 +366,6 @@ mod tests {
             let err = parse(bad).expect_err(bad);
             assert!(err.contains("json parse error at byte"), "{bad}: {err}");
         }
-    }
-
-    #[test]
-    fn validator_accepts_the_emitted_schema() {
-        let doc = sample_doc(true);
-        assert_eq!(validate_bench_json(&doc), Vec::<String>::new());
-    }
-
-    #[test]
-    fn validator_names_missing_keys() {
-        let doc = sample_doc(false);
-        let problems = validate_bench_json(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("predicted_speedup")),
-            "{problems:?}"
-        );
-
-        let empty = Json::Obj(vec![]);
-        let problems = validate_bench_json(&empty);
-        for needle in ["schema_version", "workload", "results"] {
-            assert!(problems.iter().any(|p| p.contains(needle)), "{problems:?}");
-        }
-
-        // Dropping the trace section, or one of its hot-path counters,
-        // gets named too.
-        let mut doc = sample_doc(true);
-        if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "trace");
-        }
-        let problems = validate_bench_json(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("trace missing")),
-            "{problems:?}"
-        );
-
-        let mut doc = sample_doc(true);
-        if let Json::Obj(fields) = &mut doc {
-            for (key, value) in fields.iter_mut() {
-                if key == "trace" {
-                    if let Json::Obj(trace) = value {
-                        trace.retain(|(k, _)| k != "batch_stolen_tasks");
-                    }
-                }
-            }
-        }
-        let problems = validate_bench_json(&doc);
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("trace.batch_stolen_tasks")),
-            "{problems:?}"
-        );
     }
 
     #[test]
@@ -658,30 +390,13 @@ mod tests {
 
         // A diagnostic with a non-NL code, an unknown severity, and a
         // declared count that disagrees with the tally all get named.
-        let mut doc = sample_lint_doc();
-        if let Json::Obj(fields) = &mut doc {
-            for (key, value) in fields.iter_mut() {
-                match key.as_str() {
-                    "counts" => {
-                        *value = Json::obj(vec![
-                            ("error", Json::Num(3.0)),
-                            ("warn", Json::Num(0.0)),
-                            ("info", Json::Num(0.0)),
-                        ]);
-                    }
-                    "diagnostics" => {
-                        *value = Json::Arr(vec![Json::obj(vec![
-                            ("code", Json::Str("XX999".into())),
-                            ("severity", Json::Str("fatal".into())),
-                            ("message", Json::Str("m".into())),
-                            ("nodes", Json::Arr(vec![Json::Str("one".into())])),
-                            ("colors", Json::Arr(vec![])),
-                        ])]);
-                    }
-                    _ => {}
-                }
-            }
-        }
+        let doc = parse(
+            r#"{"schema_version": 1, "target": "sw", "coloring": "recursive-bisection",
+                "workers": 20, "counts": {"error": 3, "warn": 0, "info": 0},
+                "diagnostics": [{"code": "XX999", "severity": "fatal", "message": "m",
+                                 "nodes": ["one"], "colors": []}]}"#,
+        )
+        .expect("sample parses");
         let problems = validate_lint_json(&doc);
         for needle in [
             "not an NL code",
@@ -694,80 +409,13 @@ mod tests {
     }
 
     fn sample_lint_doc() -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::Num(1.0)),
-            ("target", Json::Str("sw".into())),
-            ("coloring", Json::Str("recursive-bisection".into())),
-            ("workers", Json::Num(20.0)),
-            (
-                "counts",
-                Json::obj(vec![
-                    ("error", Json::Num(0.0)),
-                    ("warn", Json::Num(1.0)),
-                    ("info", Json::Num(0.0)),
-                ]),
-            ),
-            (
-                "diagnostics",
-                Json::Arr(vec![Json::obj(vec![
-                    ("code", Json::Str("NL003".into())),
-                    ("severity", Json::Str("warn".into())),
-                    ("message", Json::Str("level 19 executes serially".into())),
-                    ("nodes", Json::Arr(vec![Json::Num(19.0), Json::Num(178.0)])),
-                    ("colors", Json::Arr(vec![Json::Num(19.0)])),
-                ])]),
-            ),
-        ])
-    }
-
-    fn sample_doc(with_predicted: bool) -> Json {
-        let mut static_mode = vec![
-            ("mode", Json::Str("static".into())),
-            ("seconds", Json::Num(0.5)),
-            ("measured_speedup", Json::Num(2.0)),
-        ];
-        if with_predicted {
-            static_mode.push(("predicted_speedup", Json::Num(2.2)));
-        }
-        Json::obj(vec![
-            ("schema_version", Json::Num(1.0)),
-            ("trace_schema_version", Json::Num(1.0)),
-            ("workload", Json::Str("heat".into())),
-            ("scale", Json::Str("Tiny".into())),
-            (
-                "results",
-                Json::Arr(vec![Json::obj(vec![
-                    ("p", Json::Num(2.0)),
-                    ("serial_s", Json::Num(1.0)),
-                    (
-                        "modes",
-                        Json::Arr(vec![
-                            Json::obj(vec![
-                                ("mode", Json::Str("serial".into())),
-                                ("seconds", Json::Num(1.0)),
-                                ("measured_speedup", Json::Num(1.0)),
-                            ]),
-                            Json::obj(static_mode),
-                        ]),
-                    ),
-                ])]),
-            ),
-            (
-                "trace",
-                Json::obj(vec![
-                    ("p", Json::Num(2.0)),
-                    ("nodes", Json::Num(16.0)),
-                    ("events_recorded", Json::Num(40.0)),
-                    ("events_dropped", Json::Num(0.0)),
-                    ("execs", Json::Num(17.0)),
-                    ("steal_attempts", Json::Num(3.0)),
-                    ("steal_successes", Json::Num(1.0)),
-                    ("batch_steals", Json::Num(1.0)),
-                    ("batch_stolen_tasks", Json::Num(2.0)),
-                    ("arena_hits", Json::Num(10.0)),
-                    ("arena_misses", Json::Num(7.0)),
-                ]),
-            ),
-        ])
+        parse(
+            r#"{"schema_version": 1, "target": "sw", "coloring": "recursive-bisection",
+                "workers": 20, "counts": {"error": 0, "warn": 1, "info": 0},
+                "diagnostics": [{"code": "NL003", "severity": "warn",
+                                 "message": "level 19 executes serially",
+                                 "nodes": [19, 178], "colors": [19]}]}"#,
+        )
+        .expect("sample parses")
     }
 }

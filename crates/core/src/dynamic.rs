@@ -27,11 +27,12 @@
 //! the pool steals by color.
 
 use crate::join::JoinCounter;
-use crate::metrics::{RemoteAccessReport, RemoteCounters};
+use crate::metrics::RemoteCounters;
+use crate::report::RunReport;
 use crate::spawn::{spawn_colors, ColoredItem};
 use nabbitc_color::{Color, ColorSet};
 use nabbitc_runtime::sync::{AtomicU64, Mutex, Ordering, RwLock};
-use nabbitc_runtime::{Pool, PoolStats, WorkerContext};
+use nabbitc_runtime::{Pool, WorkerContext};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -122,19 +123,6 @@ impl<K: Eq + Hash + Clone> NodeTable<K> {
     }
 }
 
-/// Result of a dynamic execution.
-#[derive(Debug)]
-pub struct DynamicReport {
-    /// Wall-clock time.
-    pub elapsed: std::time::Duration,
-    /// Nodes discovered and executed.
-    pub nodes_executed: u64,
-    /// Remote-access accounting (§V-B).
-    pub remote: RemoteAccessReport,
-    /// Scheduler statistics.
-    pub stats: PoolStats,
-}
-
 struct DynState<S: TaskSpec> {
     spec: Arc<S>,
     table: NodeTable<S::Key>,
@@ -182,7 +170,11 @@ impl<S: TaskSpec> DynamicExecutor<S> {
 
     /// Executes the computation rooted at `sink`: everything the sink
     /// transitively depends on runs exactly once, in dependence order.
-    pub fn execute(&self, sink: S::Key) -> DynamicReport {
+    ///
+    /// As with [`StaticExecutor::execute`](crate::StaticExecutor::execute),
+    /// the returned [`RunReport`] covers this run only: statistics and (on
+    /// a traced pool) the event rings are reset on entry.
+    pub fn execute(&self, sink: S::Key) -> RunReport {
         let workers = self.pool.workers();
         let state: Arc<DynState<S>> = Arc::new(DynState {
             spec: self.spec.clone(),
@@ -194,6 +186,7 @@ impl<S: TaskSpec> DynamicExecutor<S> {
         });
 
         self.pool.reset_stats();
+        self.pool.reset_trace();
         let started = Instant::now();
         {
             let st = state.clone();
@@ -218,7 +211,7 @@ impl<S: TaskSpec> DynamicExecutor<S> {
         let nodes_executed = state.executed.load(Ordering::SeqCst);
         debug_assert_eq!(nodes_executed as usize, state.table.len());
 
-        DynamicReport {
+        RunReport {
             elapsed,
             nodes_executed,
             remote: state
@@ -227,6 +220,11 @@ impl<S: TaskSpec> DynamicExecutor<S> {
                 .map(|r| r.report())
                 .unwrap_or_default(),
             stats: self.pool.stats(),
+            runtime_trace: self
+                .pool
+                .tracing_enabled()
+                .then(|| self.pool.trace_snapshot()),
+            ..RunReport::default()
         }
     }
 }
@@ -475,6 +473,34 @@ mod tests {
             let order = run_pascal(8, 40);
             check_order(&order);
         }
+    }
+
+    #[test]
+    fn consecutive_runs_on_a_traced_pool_report_only_their_own_events() {
+        // One worker makes the task structure deterministic, so a second
+        // identical run must report exactly the first run's exec count —
+        // not both runs' (the rings are reset on entry, as the stats are).
+        let pool = Arc::new(Pool::new(
+            PoolConfig::nabbitc(1).with_trace(nabbitc_runtime::TraceConfig::enabled()),
+        ));
+        let execs = |report: &RunReport| -> u64 {
+            let trace = report.runtime_trace.as_ref().expect("pool traces");
+            trace.summaries().iter().map(|s| s.execs).sum()
+        };
+        let run = || {
+            let spec = Arc::new(Pascal {
+                n: 10,
+                computed: PlMutex::new(Vec::new()),
+                colors: 1,
+            });
+            DynamicExecutor::new(pool.clone(), spec).execute((10, 5))
+        };
+        let first = run();
+        let second = run();
+        assert!(execs(&first) > 0);
+        assert_eq!(execs(&second), execs(&first));
+        assert_eq!(execs(&second), second.stats.total_tasks());
+        assert_eq!(second.nodes_executed, first.nodes_executed);
     }
 
     #[test]

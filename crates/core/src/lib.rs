@@ -50,7 +50,7 @@ pub mod static_exec;
 
 pub use auto::AutoColoredSpec;
 pub use coloring::ColoringMode;
-pub use dynamic::{DynamicExecutor, DynamicReport, TaskSpec};
+pub use dynamic::{DynamicExecutor, TaskSpec};
 pub use join::JoinCounter;
 pub use metrics::{RemoteAccessReport, RemoteCounters};
 pub use report::RunReport;

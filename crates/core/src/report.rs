@@ -18,16 +18,21 @@ use std::time::Duration;
 
 /// Everything one executor run produced, in one place.
 ///
-/// Returned by [`StaticExecutor::execute`](crate::StaticExecutor::execute)
-/// and both autocolored entry points. Fields that a given entry point
-/// cannot populate are `None` / empty defaults: a plain `execute` has no
-/// coloring phase and no selection; a run on an untraced pool has no
-/// runtime trace.
+/// Returned by [`StaticExecutor::execute`](crate::StaticExecutor::execute),
+/// both autocolored entry points and
+/// [`DynamicExecutor::execute`](crate::DynamicExecutor::execute). Fields
+/// that a given entry point cannot populate are `None` / empty defaults: a
+/// plain `execute` has no coloring phase and no selection; an on-demand
+/// run has no per-node [`Trace`]; a run on an untraced pool has no runtime
+/// trace.
 #[derive(Debug, Default)]
 pub struct RunReport {
     /// Wall-clock execution time (the threaded run itself, excluding any
     /// coloring phase).
     pub elapsed: Duration,
+    /// Nodes executed (for [`DynamicExecutor`](crate::DynamicExecutor):
+    /// discovered and executed).
+    pub nodes_executed: u64,
     /// Wall-clock time spent inferring and applying colors before the run
     /// (`None` when the graph's own colors were used).
     pub coloring_elapsed: Option<Duration>,

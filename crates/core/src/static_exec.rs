@@ -175,7 +175,8 @@ impl StaticExecutor {
             }),
         });
 
-        // Executed-node counter defends against double execution in debug.
+        // Executed-node counter: reported, and defends against double
+        // execution in debug.
         let executed = Arc::new(AtomicU64::new(0));
 
         self.pool.reset_stats();
@@ -205,7 +206,8 @@ impl StaticExecutor {
         }
         let elapsed = started.elapsed();
 
-        debug_assert_eq!(executed.load(Ordering::SeqCst), n as u64);
+        let nodes_executed = executed.load(Ordering::SeqCst);
+        debug_assert_eq!(nodes_executed, n as u64);
 
         let state = Arc::try_unwrap(state)
             .unwrap_or_else(|_| panic!("executor state leaked past job completion"));
@@ -217,6 +219,7 @@ impl StaticExecutor {
         };
         RunReport {
             elapsed,
+            nodes_executed,
             coloring_elapsed: None,
             remote: state
                 .remote

@@ -6,13 +6,14 @@
 //! 1. **Per-site ordering audit** ([`scan_workspace`] + [`audit`]):
 //!    every atomic operation site must match an entry in the committed
 //!    policy table ([`crate::policy::POLICY`]) and use one of its allowed
-//!    ordering sequences. Harness code (the model checker, the bench
-//!    scaffolding) is covered by an explicit per-file allowlist
+//!    ordering sequences. Harness code (the model checker) is covered
+//!    by an explicit per-file allowlist
 //!    ([`crate::policy::SCAN_ALLOWLIST`]) instead — its sites are still
 //!    discovered and counted, but not policy-matched. The audit is
 //!    strict in both directions: an unknown site fails (new atomics must
-//!    be justified before they land) and a policy entry matching no site
-//!    fails (the table cannot rot).
+//!    be justified before they land), and a policy entry matching no site
+//!    or an allowlist prefix covering no site ([`audit_allowlist`]) fails
+//!    (neither table can rot).
 //! 2. **Publication-pair audit** ([`audit_pairs`]): every policy entry
 //!    with Acquire semantics must name, in its `pairs_with` field, the
 //!    release-capable entry (or entries) it synchronizes with, and every
@@ -406,6 +407,26 @@ pub fn audit(
         }
     }
     problems
+}
+
+/// Stale-allowlist check, the [`audit`] counterpart for
+/// [`crate::policy::SCAN_ALLOWLIST`]: a prefix under which the scan found
+/// no atomic site exempts nothing today and would silently exempt
+/// whatever lands there later, so it is reported.
+pub fn audit_allowlist(
+    sites: &[AtomicSite],
+    allowlist: &[crate::policy::AllowlistEntry],
+) -> Vec<String> {
+    allowlist
+        .iter()
+        .filter(|a| !sites.iter().any(|s| s.file.starts_with(a.prefix)))
+        .map(|a| {
+            format!(
+                "stale allowlist entry: prefix {:?} covers no scanned atomic site",
+                a.prefix
+            )
+        })
+        .collect()
 }
 
 /// Renders the `pairs_with` key of a policy entry

@@ -35,15 +35,15 @@
 //!
 //! | pass | check |
 //! |------|-------|
-//! | [`atomics::audit`] | every site matches a [`policy::POLICY`] entry and uses an allowed `Ordering` sequence (harness files: [`policy::SCAN_ALLOWLIST`]) |
+//! | [`atomics::audit`] | every site matches a [`policy::POLICY`] entry and uses an allowed `Ordering` sequence (harness files: [`policy::SCAN_ALLOWLIST`], itself checked for stale prefixes by [`atomics::audit_allowlist`]) |
 //! | [`atomics::audit_pairs`] | every Acquire entry names its release-capable partner(s); every Release entry is named by someone |
 //! | [`atomics::audit_facade`] | no direct `std::sync::atomic` / `parking_lot` outside the `nabbitc_runtime::sync` facade ([`policy::FACADE_EXEMPT`]) |
 //! | [`atomics::audit_safety`] | every `unsafe` in non-test code carries a `SAFETY` / `# Safety` justification |
 //!
-//! Unknown sites, ordering downgrades, stale policy entries, orphaned
-//! Release stores, facade escapes, and undocumented `unsafe` all fail —
-//! including the seeded `nabbitc_weak_pop` fence weakening and the
-//! seeded `nabbitc_weak_join` counter relaxation, which the audit
+//! Unknown sites, ordering downgrades, stale policy or allowlist entries,
+//! orphaned Release stores, facade escapes, and undocumented `unsafe` all
+//! fail — including the seeded `nabbitc_weak_pop` fence weakening and
+//! the seeded `nabbitc_weak_join` counter relaxation, which the audit
 //! catches without ever building the weakened binaries.
 
 pub mod atomics;
@@ -52,8 +52,8 @@ pub mod graph;
 pub mod policy;
 
 pub use atomics::{
-    audit, audit_facade, audit_pairs, audit_safety, scan_workspace, AtomicOp, AtomicOrdering,
-    AtomicSite, SourceFile, WorkspaceScan,
+    audit, audit_allowlist, audit_facade, audit_pairs, audit_safety, scan_workspace, AtomicOp,
+    AtomicOrdering, AtomicSite, SourceFile, WorkspaceScan,
 };
 pub use diag::{Diagnostic, LintReport, Severity, LINT_SCHEMA_VERSION};
 pub use graph::{diagnose_build_errors, lint_graph, LintConfig};

@@ -17,9 +17,9 @@
 //! Entries are keyed `(file, function, receiver symbol, operation)`,
 //! where `file` is the crate-qualified key the workspace scan produces
 //! (`"runtime/deque.rs"`, `"core/join.rs"`). Harness files (the model
-//! checker, the bench scaffolding) are covered by [`SCAN_ALLOWLIST`]
-//! instead of per-site entries, and the facade-conformance pass's
-//! justified exceptions live in [`FACADE_EXEMPT`].
+//! checker) are covered by [`SCAN_ALLOWLIST`] instead of per-site
+//! entries, and the facade-conformance pass's justified exceptions live
+//! in [`FACADE_EXEMPT`].
 //! Sites that are textually repeated with the same meaning (e.g. the
 //! three `bottom.store(Relaxed)` writes in `pop`) share one entry.
 //! Where one key legitimately uses two orderings (the seqlock `seq`
@@ -1319,7 +1319,8 @@ pub static POLICY: &[PolicyEntry] = &[
         "executed",
         AtomicOp::Load,
         SC,
-        "quiescence debug_assert after the pool job barrier; SeqCst keeps it exact",
+        "post-run accounting read (reported, and debug_asserted) after the pool job barrier; \
+         SeqCst keeps it exact",
     ),
     entry(
         "core/static_exec.rs",
@@ -1375,19 +1376,14 @@ pub struct AllowlistEntry {
 }
 
 /// Harness code whose atomics are not shipped runtime code. Everything
-/// else — every crate under `crates/` — must be covered by [`POLICY`].
-pub static SCAN_ALLOWLIST: &[AllowlistEntry] = &[
-    AllowlistEntry {
-        prefix: "check/",
-        why: "model-check harness: loom-instrumented scenario code whose orderings are \
-              verified dynamically by exhaustive interleaving, not by this table",
-    },
-    AllowlistEntry {
-        prefix: "bench/",
-        why: "bench scaffolding: completion counters in timing harnesses, not shipped \
-              runtime code",
-    },
-];
+/// else — every crate under `crates/` — must be covered by [`POLICY`]. A
+/// prefix covering no scanned site fails
+/// [`crate::atomics::audit_allowlist`], so this list cannot rot either.
+pub static SCAN_ALLOWLIST: &[AllowlistEntry] = &[AllowlistEntry {
+    prefix: "check/",
+    why: "model-check harness: loom-instrumented scenario code whose orderings are \
+          verified dynamically by exhaustive interleaving, not by this table",
+}];
 
 /// One justified direct `std::sync::atomic` / `parking_lot` reference
 /// outside the `nabbitc_runtime::sync` facade.

@@ -6,14 +6,14 @@
 //! `nabbitc_runtime::sync` facade, require SAFETY comments on every
 //! `unsafe`, and verify the audit's teeth — the seeded `nabbitc_weak_pop`
 //! and `nabbitc_weak_join` downgrades must be caught *statically*, and
-//! unknown sites / downgrades / stale entries / orphaned Releases /
-//! facade escapes must all fail.
+//! unknown sites / downgrades / stale policy or allowlist entries /
+//! orphaned Releases / facade escapes must all fail.
 
 use nabbitc_lint::atomics::scan_source;
 use nabbitc_lint::policy::PolicyEntry;
 use nabbitc_lint::{
-    audit, audit_facade, audit_pairs, audit_safety, scan_workspace, AtomicOp, AtomicOrdering,
-    SourceFile, POLICY,
+    audit, audit_allowlist, audit_facade, audit_pairs, audit_safety, scan_workspace,
+    AllowlistEntry, AtomicOp, AtomicOrdering, SourceFile, POLICY, SCAN_ALLOWLIST,
 };
 
 /// Floor on the number of sites the workspace scanner must find. If a
@@ -30,7 +30,8 @@ fn workspace_atomics_pass_the_committed_policy() {
         "scanner found only {} sites (expected >= {MIN_SITES}); did it go blind?",
         scan.sites.len()
     );
-    let problems = audit(&scan.sites, POLICY, &[]);
+    let mut problems = audit(&scan.sites, POLICY, &[]);
+    problems.extend(audit_allowlist(&scan.sites, SCAN_ALLOWLIST));
     assert!(
         problems.is_empty(),
         "atomics audit failed:\n  {}",
@@ -42,7 +43,7 @@ fn workspace_atomics_pass_the_committed_policy() {
 /// new atomic cannot land without a policy review: adding or removing a
 /// site changes this number, and whoever does it must update the pin —
 /// and, for policy-audited files, the policy table — in the same change.
-const GOLDEN_SITE_COUNT: usize = 176;
+const GOLDEN_SITE_COUNT: usize = 171;
 
 #[test]
 fn workspace_site_count_is_pinned() {
@@ -57,13 +58,12 @@ fn workspace_site_count_is_pinned() {
         scan.sites.len(),
         GOLDEN_SITE_COUNT,
         "workspace atomic-site count changed (runtime/={}, core/={}, parfor/={}, \
-         check/={}, bench/={}): review the new/removed sites, update the policy \
-         table if needed, then re-pin GOLDEN_SITE_COUNT",
+         check/={}): review the new/removed sites, update the policy table if \
+         needed, then re-pin GOLDEN_SITE_COUNT",
         by_crate("runtime/"),
         by_crate("core/"),
         by_crate("parfor/"),
         by_crate("check/"),
-        by_crate("bench/"),
     );
 }
 
@@ -76,14 +76,12 @@ fn workspace_scan_spans_runtime_core_and_parfor() {
             "no atomic sites under {prefix}; discovery or refactor went wrong"
         );
     }
-    // Harness crates are discovered and counted too (allowlisted from
+    // The harness crate is discovered and counted too (allowlisted from
     // policy matching, not from discovery).
-    for prefix in ["check/", "bench/"] {
-        assert!(
-            scan.sites.iter().any(|s| s.file.starts_with(prefix)),
-            "no atomic sites under allowlisted {prefix}; discovery went wrong"
-        );
-    }
+    assert!(
+        scan.sites.iter().any(|s| s.file.starts_with("check/")),
+        "no atomic sites under allowlisted check/; discovery went wrong"
+    );
     // Crates with no atomics at all are still discovered as files.
     assert!(
         scan.files.iter().any(|f| f.key.starts_with("color/")),
@@ -236,6 +234,24 @@ fn allowlisted_harness_sites_are_exempt_from_policy_matching() {
     assert_eq!(sites.len(), 1, "site must still be discovered and counted");
     // No policy entries exist for it, and none are required.
     assert!(audit(&sites, &[], &[]).is_empty());
+}
+
+#[test]
+fn stale_allowlist_prefixes_fail() {
+    // The bench crate has no atomic site, so against the real scan a
+    // `bench/` entry exempts nothing and must be reported — and only it.
+    let scan = scan_workspace().expect("scan workspace sources");
+    let mut with_bench = SCAN_ALLOWLIST.to_vec();
+    with_bench.push(AllowlistEntry {
+        prefix: "bench/",
+        why: "test",
+    });
+    let problems = audit_allowlist(&scan.sites, &with_bench);
+    assert_eq!(problems.len(), 1, "{problems:?}");
+    assert!(
+        problems[0].contains("stale allowlist entry") && problems[0].contains("\"bench/\""),
+        "{problems:?}"
+    );
 }
 
 #[test]
@@ -405,9 +421,7 @@ fn policy_is_internally_consistent() {
         // No policy entries for allowlisted files: those are exempt,
         // entries there would be unreachable.
         assert!(
-            !nabbitc_lint::SCAN_ALLOWLIST
-                .iter()
-                .any(|a| e.file.starts_with(a.prefix)),
+            !SCAN_ALLOWLIST.iter().any(|a| e.file.starts_with(a.prefix)),
             "policy entry {} is inside an allowlisted prefix",
             e.file
         );
@@ -425,7 +439,7 @@ fn policy_is_internally_consistent() {
             );
         }
     }
-    for a in nabbitc_lint::SCAN_ALLOWLIST {
+    for a in SCAN_ALLOWLIST {
         assert!(!a.why.is_empty(), "{}: missing allowlist reason", a.prefix);
     }
     for e in nabbitc_lint::FACADE_EXEMPT {

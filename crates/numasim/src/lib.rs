@@ -24,12 +24,11 @@
 //! Everything is seeded and deterministic: same inputs → same makespan,
 //! same steal counts, same remote-access percentages.
 
-pub mod cost;
 pub mod ompsim;
 pub mod result;
 pub mod wsim;
 
-pub use cost::CostModel;
+pub use nabbitc_cost::CostModel;
 pub use ompsim::{simulate_omp, LoopNest, OmpSchedule, Phase};
 pub use result::{CoreStats, SimRemote, SimResult};
 pub use wsim::{simulate_ws, WsConfig};
@@ -74,23 +73,6 @@ pub fn serial_ticks(graph: &TaskGraph, cost: &CostModel) -> u64 {
         .sum()
 }
 
-/// Simulator-predicted speedup of `graph` under `cfg`: [`serial_ticks`]
-/// over the simulated work-stealing makespan, both priced by `cfg.cost`.
-/// This is the number the wall-clock bench harness records next to each
-/// measured speedup so estimator drift is a tracked quantity — the
-/// simulator's prediction for the graph the executor actually ran.
-pub fn predicted_speedup(graph: &TaskGraph, cfg: &WsConfig) -> f64 {
-    let serial = serial_ticks(graph, &cfg.cost);
-    simulate_ws(graph, cfg).speedup(serial)
-}
-
-/// As [`predicted_speedup`], under an alternative coloring (the
-/// [`simulate_ws_recolored`] pipeline — data re-homed to `colors`).
-pub fn predicted_speedup_recolored(graph: &TaskGraph, colors: &[Color], cfg: &WsConfig) -> f64 {
-    let serial = serial_ticks(graph, &cfg.cost);
-    simulate_ws_recolored(graph, colors, cfg).speedup(serial)
-}
-
 /// Serial time of a loop nest (same convention).
 pub fn serial_ticks_loops(nest: &LoopNest, cost: &CostModel) -> u64 {
     nest.phases
@@ -120,23 +102,6 @@ mod recolor_tests {
         assert_eq!(a.remote, b.remote);
         // The original graph is untouched.
         assert_eq!(g.color(0), Color(0));
-    }
-
-    #[test]
-    fn predicted_speedup_is_sane_and_consistent() {
-        let g = generate::iterated_stencil(6, 24, 5, 4);
-        // Serial machine: predicted speedup collapses to ~1.
-        let s1 = predicted_speedup(&g, &WsConfig::nabbitc(1));
-        assert!((0.5..=1.01).contains(&s1), "serial speedup {s1}");
-        // Parallel machine: faster than serial, bounded by core count.
-        let cfg = WsConfig::nabbitc(4);
-        let s4 = predicted_speedup(&g, &cfg);
-        assert!(s4 > 1.0, "p=4 speedup {s4}");
-        assert!(s4 <= 4.0 + 1e-9, "p=4 speedup {s4} exceeds core count");
-        // The recolored variant agrees with the underlying pipeline.
-        let colors: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
-        let via_recolored = predicted_speedup_recolored(&g, &colors, &cfg);
-        assert!(via_recolored > 1.0);
     }
 
     #[test]

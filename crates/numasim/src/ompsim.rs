@@ -12,8 +12,8 @@
 //! * `Guided` hands out `max(remaining / P, 1)`-sized chunks to whichever
 //!   thread is free first — dynamic load balance, no locality control.
 
-use crate::cost::CostModel;
 use crate::result::{CoreStats, SimRemote, SimResult};
+use nabbitc_cost::CostModel;
 use nabbitc_graph::NodeAccess;
 use nabbitc_runtime::NumaTopology;
 use std::cmp::Reverse;

@@ -12,9 +12,9 @@
 //! comes from the [`CostModel`]. Same graph + same config ⇒ identical
 //! result, which makes the figure harnesses reproducible.
 
-use crate::cost::CostModel;
 use crate::result::{CoreStats, SimRemote, SimResult};
 use nabbitc_color::{Color, ColorSet};
+use nabbitc_cost::CostModel;
 use nabbitc_graph::{NodeId, TaskGraph};
 use nabbitc_runtime::rng::XorShift64;
 use nabbitc_runtime::{NumaTopology, StealPolicy};

@@ -590,9 +590,10 @@ impl std::fmt::Display for InvalidColoring {
 
 impl std::error::Error for InvalidColoring {}
 
-/// Strict variant of [`estimate_makespan_colored`]: rejects any assignment
-/// containing an invalid or out-of-range color instead of absorbing it
-/// into the overflow worker.
+/// Strict variant of [`estimate_makespan_colored_on`]: rejects any
+/// assignment containing an invalid or out-of-range color instead of
+/// absorbing it into the overflow worker; valid assignments score exactly
+/// as the lenient estimator does under `topo`.
 ///
 /// The lenient estimator's overflow worker exists so *diagnostic* sweeps
 /// can score broken colorings; it is the wrong tool for *selection*.
@@ -601,21 +602,8 @@ impl std::error::Error for InvalidColoring {}
 /// emits out-of-range colors can win a meta-selection with a makespan no
 /// real machine will reproduce. Selection paths (`AutoSelect` in
 /// `nabbitc-autocolor`) use this entry and disqualify offending
-/// candidates instead.
-pub fn estimate_makespan_colored_strict(
-    g: &TaskGraph,
-    colors: &[Color],
-    workers: usize,
-    cost: &CostModel,
-) -> Result<u64, InvalidColoring> {
-    assert!(workers > 0, "need at least one worker");
-    estimate_makespan_colored_strict_on(g, colors, workers, cost, &Topology::per_worker(workers))
-}
-
-/// Domain-aware variant of [`estimate_makespan_colored_strict`]: the same
-/// validity check, scored with [`estimate_makespan_colored_on`] under
-/// `topo`. This is what `AutoSelect` scores candidates with when given a
-/// machine topology.
+/// candidates instead; without a machine topology they pass
+/// [`Topology::per_worker`].
 pub fn estimate_makespan_colored_strict_on(
     g: &TaskGraph,
     colors: &[Color],
@@ -639,25 +627,6 @@ pub fn estimate_makespan_colored_strict_on(
     // Every color is a real worker, so the lenient estimator's overflow
     // worker is unreachable and the two estimates coincide.
     Ok(estimate_makespan_colored_on(g, colors, workers, cost, topo))
-}
-
-/// [`estimate_makespan_colored`] over the graph's own colors
-/// (per-worker-domain pricing; see [`estimate_makespan_on`]).
-pub fn estimate_makespan(g: &TaskGraph, workers: usize, cost: &CostModel) -> u64 {
-    assert!(workers > 0, "need at least one worker");
-    estimate_makespan_on(g, workers, cost, &Topology::per_worker(workers))
-}
-
-/// [`estimate_makespan_colored_on`] over the graph's own colors.
-pub fn estimate_makespan_on(
-    g: &TaskGraph,
-    workers: usize,
-    cost: &CostModel,
-    topo: &Topology,
-) -> u64 {
-    assert!(workers > 0, "need at least one worker");
-    let colors: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
-    estimate_makespan_colored_on(g, &colors, workers, cost, topo)
 }
 
 /// Checks whether the sink is reachable from every node and every node is
@@ -887,6 +856,12 @@ mod tests {
         }
     }
 
+    /// The per-worker estimate of `g` under its own colors.
+    fn estimate_own(g: &TaskGraph, workers: usize, cost: &CostModel) -> u64 {
+        let colors: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
+        estimate_makespan_colored(g, &colors, workers, cost)
+    }
+
     /// [`work_only`] plus a cross-edge hand-off latency of `lat` ticks.
     fn work_and_latency(lat: u64) -> CostModel {
         CostModel {
@@ -899,7 +874,7 @@ mod tests {
     fn makespan_estimate_chain_is_serial() {
         let g = chain(&[5, 7, 3]);
         // Monochrome chain: no cross edges, one worker does everything.
-        assert_eq!(estimate_makespan(&g, 4, &work_and_latency(100)), 15);
+        assert_eq!(estimate_own(&g, 4, &work_and_latency(100)), 15);
     }
 
     #[test]
@@ -916,16 +891,16 @@ mod tests {
         b.add_edge(2, 3);
         let g = b.build().unwrap();
         // No latency: 1 + max(10, 10) + 1 = 12 (branches overlap).
-        assert_eq!(estimate_makespan(&g, 2, &work_only()), 12);
+        assert_eq!(estimate_own(&g, 2, &work_only()), 12);
         // Latency 5: node 2 starts at 1+5, node 3 waits for 2's finish +5.
         assert_eq!(
-            estimate_makespan(&g, 2, &work_and_latency(5)),
+            estimate_own(&g, 2, &work_and_latency(5)),
             1 + 5 + 10 + 5 + 1
         );
         // One worker (monochrome): branches serialize.
         let mut mono = g.clone();
         mono.recolor(|_, _| Color(0));
-        assert_eq!(estimate_makespan(&mono, 1, &work_only()), 22);
+        assert_eq!(estimate_own(&mono, 1, &work_only()), 22);
     }
 
     #[test]
@@ -1093,7 +1068,7 @@ mod tests {
         by_level.recolor(|u, _| Color::from((lv[u as usize] as usize / 8) % 2));
         let cost = CostModel::default();
         assert!(
-            estimate_makespan(&by_row, 2, &cost) < estimate_makespan(&by_level, 2, &cost),
+            estimate_own(&by_row, 2, &cost) < estimate_own(&by_level, 2, &cost),
             "row blocking must beat level blocking"
         );
     }
@@ -1104,12 +1079,12 @@ mod tests {
         g.recolor(|_, _| Color::INVALID);
         // Both nodes share the overflow worker; same-color edges (both
         // invalid) carry no cross charge.
-        assert_eq!(estimate_makespan(&g, 4, &work_and_latency(100)), 2);
+        assert_eq!(estimate_own(&g, 4, &work_and_latency(100)), 2);
         // Two *distinct* out-of-range colors still alias to the one
         // overflow worker: serialized, but no transfer charge either.
         let mut g = chain(&[1, 1]);
         g.recolor(|u, _| if u == 0 { Color(5) } else { Color(6) });
-        assert_eq!(estimate_makespan(&g, 4, &work_and_latency(100)), 2);
+        assert_eq!(estimate_own(&g, 4, &work_and_latency(100)), 2);
     }
 
     #[test]
@@ -1117,8 +1092,9 @@ mod tests {
         let g = chain(&[5, 7, 3]);
         let colors: Vec<Color> = vec![Color(0), Color(1), Color(0)];
         let cost = CostModel::default();
-        let strict = estimate_makespan_colored_strict(&g, &colors, 2, &cost)
-            .expect("valid coloring accepted");
+        let strict =
+            estimate_makespan_colored_strict_on(&g, &colors, 2, &cost, &Topology::per_worker(2))
+                .expect("valid coloring accepted");
         assert_eq!(strict, estimate_makespan_colored(&g, &colors, 2, &cost));
     }
 
@@ -1128,7 +1104,8 @@ mod tests {
         let cost = CostModel::default();
         // INVALID color.
         let colors = vec![Color(0), Color::INVALID, Color(0)];
-        let err = estimate_makespan_colored_strict(&g, &colors, 2, &cost)
+        let topo = Topology::per_worker(2);
+        let err = estimate_makespan_colored_strict_on(&g, &colors, 2, &cost, &topo)
             .expect_err("INVALID must be rejected");
         assert_eq!(err.node, 1);
         assert_eq!(err.color, Color::INVALID);
@@ -1136,7 +1113,7 @@ mod tests {
         // Valid color, but no worker owns it: the lenient estimator would
         // score this on a phantom extra worker; strict refuses.
         let colors = vec![Color(0), Color(1), Color(7)];
-        let err = estimate_makespan_colored_strict(&g, &colors, 2, &cost)
+        let err = estimate_makespan_colored_strict_on(&g, &colors, 2, &cost, &topo)
             .expect_err("out-of-range must be rejected");
         assert_eq!((err.node, err.color), (2, Color(7)));
         assert!(err.to_string().contains("color c7"), "{err}");
@@ -1154,21 +1131,9 @@ mod tests {
         type Entry<'a> = (&'a str, Box<dyn Fn() + 'a>);
         let entries: Vec<Entry<'_>> = vec![
             (
-                "estimate_makespan",
-                Box::new(|| {
-                    estimate_makespan(&g, 0, &cost);
-                }),
-            ),
-            (
                 "estimate_makespan_colored",
                 Box::new(|| {
                     estimate_makespan_colored(&g, &colors, 0, &cost);
-                }),
-            ),
-            (
-                "estimate_makespan_colored_strict",
-                Box::new(|| {
-                    let _ = estimate_makespan_colored_strict(&g, &colors, 0, &cost);
                 }),
             ),
             (
@@ -1187,12 +1152,6 @@ mod tests {
                         &cost,
                         &Topology::paper_machine(),
                     );
-                }),
-            ),
-            (
-                "estimate_makespan_on",
-                Box::new(|| {
-                    estimate_makespan_on(&g, 0, &cost, &Topology::paper_machine());
                 }),
             ),
             (
@@ -1237,7 +1196,7 @@ mod tests {
             ..CostModel::default()
         };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            estimate_makespan(&g, 2, &bad);
+            estimate_own(&g, 2, &bad);
         }))
         .expect_err("NaN bandwidth term must be rejected");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();

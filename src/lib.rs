@@ -119,8 +119,9 @@
 //! 10-worker Xeon: `NumaTopology::paper_machine().truncated(p).cost_view()`),
 //! two colors in the same domain exchange bytes at **local** bandwidth,
 //! and only cross-domain edges pay the premium. The domain-aware
-//! estimator variants (`estimate_makespan_colored_on` and friends) price
-//! exactly what the simulator charges through `domain_of_color`;
+//! estimators (`estimate_makespan_colored_on` and its strict, selection-
+//! grade form `estimate_makespan_colored_strict_on`) price exactly what
+//! the simulator charges through `domain_of_color`;
 //! `AutoSelect::with_topology` scores with them and domain-packs the
 //! winner (`autocolor::pack_domains`). Without a topology, every worker
 //! is its own domain — the conservative default.
@@ -149,8 +150,11 @@
 //!
 //! ## Observability
 //!
-//! Every executor run returns one [`RunReport`](core::RunReport):
-//! execution wall-clock (`elapsed`), coloring wall-clock
+//! Every executor run — [`StaticExecutor`](core::StaticExecutor)'s
+//! `execute*` and [`DynamicExecutor::execute`](core::DynamicExecutor::execute)
+//! alike — returns one [`RunReport`](core::RunReport): execution
+//! wall-clock (`elapsed`), nodes executed (`nodes_executed`), coloring
+//! wall-clock
 //! (`coloring_elapsed`, autocolored paths only), the §V-B remote-access
 //! percentages (`remote`), per-worker scheduler counters (`stats`), the
 //! per-node execution trace (`trace`, behind
@@ -195,14 +199,15 @@
 //! assert!(chrome_json.starts_with("{\"traceEvents\":["));
 //! ```
 //!
-//! **Wall-clock benchmarks.** `cargo run --release -p nabbitc-bench --bin
-//! wallclock` sweeps the real executor (serial / static / auto /
-//! on-demand × P) over the workload registry and writes one versioned
-//! `BENCH_<workload>.json` per workload at the repo root, recording
-//! measured speedup next to the NUMA simulator's predicted speedup (the
-//! estimator-drift trajectory). `wallclock --validate` re-parses the
-//! emitted files and checks the schema; see the README's Observability
-//! section for the key-by-key schema.
+//! **Speed is measured in one place.** The standalone `benchmark/`
+//! package (`cargo run --release --manifest-path benchmark/Cargo.toml --
+//! --all`) runs the real executors on real threads over five workloads,
+//! verifies every output, records the host, and prints measured speedup
+//! over the serial walk, the NUMA simulator's prediction
+//! (`numasim.pred_over_measured`) and a per-layer budget by metric name;
+//! `BENCHMARK.json` is its machine-readable summary and
+//! `benchmark/README.md` the long form. The `nabbitc-bench` bins
+//! regenerate the paper's figures and tables on the simulated machine.
 
 pub use nabbitc_autocolor as autocolor;
 pub use nabbitc_color as color;
