@@ -39,14 +39,22 @@
 //!    ([`MakespanGain`]) through the same pluggable KL machinery the
 //!    bisection uses — moves that reduce remote-byte traffic are taken
 //!    only when they do not re-concentrate a level (wide-level quotas are
-//!    enforced as a veto).
+//!    enforced as a veto). [`refine_kway`] prices candidate moves from a
+//!    per-node connectivity table instead of walking neighbours, so the
+//!    refinement costs one pass over the edges however many sweeps it
+//!    runs (see [`crate::refine`]).
+//!
+//! The sweep and the gain read edge bytes from one
+//! [`EdgeTraffic`] view each — the same per-node
+//! vectors the estimator scores the result with — so the whole assigner
+//! is O(E·workers) in the sweep plus O(E) in the refinement.
 
 use crate::refine::{refine_kway, MakespanGain};
 use crate::{balance_limit, node_weight, ColorAssigner};
 use nabbitc_color::Color;
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::analysis::level_profile;
-use nabbitc_graph::{NodeId, TaskGraph};
+use nabbitc_graph::{EdgeTraffic, NodeId, TaskGraph};
 
 /// Level-by-level critical-path-aware partitioner (see module docs).
 #[derive(Clone, Debug)]
@@ -126,15 +134,14 @@ impl ColorAssigner for CpLevelAware {
         let limit = balance_limit(graph, workers);
         let slack = self.level_slack.max(1.0);
         let latency = self.cost.cross_edge_latency();
-        // Hoisted footprints (summing access lists once, not per edge).
-        let fp: Vec<u64> = graph.nodes().map(|u| graph.footprint(u)).collect();
+        let traffic = EdgeTraffic::of(graph);
         // Per-node execution ticks with every byte local — the cross-edge
         // remote excess is added per candidate color below.
         let ticks: Vec<u64> = graph
             .nodes()
             .map(|u| {
                 self.cost
-                    .node_ticks(graph.work(u), fp[u as usize], 0)
+                    .node_ticks(graph.work(u), graph.footprint(u), 0)
                     .max(1)
             })
             .collect();
@@ -200,12 +207,11 @@ impl ColorAssigner for CpLevelAware {
                 }
 
                 pred_info.clear();
-                pred_info.extend(preds.iter().map(|&p| {
-                    // `TaskGraph::edge_traffic` over the hoisted footprints.
-                    let produced = fp[p as usize] / graph.out_degree(p).max(1) as u64;
-                    let consumed = fp[u as usize] / graph.in_degree(u).max(1) as u64;
-                    (part[p as usize], finish[p as usize], produced.min(consumed))
-                }));
+                pred_info.extend(
+                    preds
+                        .iter()
+                        .map(|&p| (part[p as usize], finish[p as usize], traffic.traffic(p, u))),
+                );
 
                 // Earliest finish time over the admissible colors. The
                 // candidate set is nonempty: the globally least-loaded

@@ -22,7 +22,7 @@
 
 use nabbitc_color::Color;
 use nabbitc_cost::Topology;
-use nabbitc_graph::TaskGraph;
+use nabbitc_graph::{EdgeTraffic, TaskGraph};
 
 /// Symmetric color-to-color traffic matrix: entry `[a * workers + b]` is
 /// the total [`TaskGraph::edge_traffic`] bytes moving between colors `a`
@@ -36,12 +36,13 @@ pub fn color_traffic_matrix(graph: &TaskGraph, colors: &[Color], workers: usize)
         crate::assignment_is_valid(colors, workers),
         "domain packing requires a valid assignment"
     );
+    let traffic = EdgeTraffic::of(graph);
     let mut t = vec![0u64; workers * workers];
     for u in graph.nodes() {
         let cu = colors[u as usize].index();
         for &p in graph.predecessors(u) {
             let cp = colors[p as usize].index();
-            let bytes = graph.edge_traffic(p, u);
+            let bytes = traffic.traffic(p, u);
             t[cp * workers + cu] += bytes;
             if cp != cu {
                 t[cu * workers + cp] += bytes;
@@ -63,13 +64,14 @@ pub fn inter_domain_traffic(graph: &TaskGraph, colors: &[Color], topo: &Topology
             .all(|c| c.is_valid() && c.index() < topo.cores()),
         "inter-domain traffic requires a valid assignment within the topology"
     );
+    let traffic = EdgeTraffic::of(graph);
     let mut total = 0u64;
     for u in graph.nodes() {
         let cu = colors[u as usize].index();
         for &p in graph.predecessors(u) {
             let cp = colors[p as usize].index();
             if !topo.same_domain(cp, cu) {
-                total += graph.edge_traffic(p, u);
+                total += traffic.traffic(p, u);
             }
         }
     }

@@ -63,7 +63,10 @@
 //! the makespan-estimate gain ([`refine::MakespanGain`] — cross-edge
 //! penalty plus per-level concentration), and
 //! [`RecursiveBisection::assign_with_gain`] accepts any side-local
-//! objective (see its contract).
+//! objective (see its contract). The k-way sweep
+//! ([`refine::refine_kway`]) prices moves from an incrementally
+//! maintained per-node connectivity table, so its cost is one walk over
+//! the edges plus the neighbourhoods of the nodes it actually moves.
 //!
 //! A coloring is *scheduling metadata only* until it is applied:
 //! [`apply_assignment`] recolors the graph **and** re-homes every node's
@@ -108,7 +111,9 @@ pub use bisect::RecursiveBisection;
 pub use cplevel::CpLevelAware;
 pub use domains::{inter_domain_traffic, pack_domains};
 pub use online::{DynamicAffinity, OnlineAssigner};
-pub use select::{prefilter_skips, AutoSelect, CandidateOutcome, GraphShape, SelectionReport};
+pub use select::{
+    prefilter_skips, AutoSelect, CandidateOutcome, CandidateTime, GraphShape, SelectionReport,
+};
 
 use nabbitc_color::Color;
 use nabbitc_graph::{NodeId, TaskGraph};

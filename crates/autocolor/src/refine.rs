@@ -16,26 +16,104 @@
 //!   ([`estimate_makespan_colored`](nabbitc_graph::analysis::estimate_makespan_colored)),
 //!   in the [`CostModel`]'s tick units: the **bandwidth** term (each
 //!   cross-color edge costs [`CostModel::remote_excess`] over its
-//!   [`edge traffic`](nabbitc_graph::TaskGraph::edge_traffic) — the exact
+//!   [`edge traffic`](nabbitc_graph::EdgeTraffic) — the exact
 //!   delta of the estimator's remote-byte charge) plus a per-level
 //!   concentration term (the exact delta of the smooth sum-of-squares
 //!   surrogate for each level's max-per-color completion time, which
 //!   stands in for the estimator's non-differentiable latency/stall
 //!   terms). A move gains by moving fewer remote bytes *or* by spreading
 //!   a dependency level across colors — never by piling a level up.
+//!
+//! # The connectivity table
+//!
+//! A gain is the sum of an edge term — the cost of the edges the move
+//! heals minus the cost of those it cuts — and a node term. Evaluated
+//! from the definition ([`MoveGain::gain`]), the edge term walks every
+//! neighbour of the node for every candidate destination; on a graph
+//! with hundreds of edges per node that walk is the whole cost of a
+//! refinement, paid again on every pass, to commit a few hundred moves.
+//!
+//! [`refine_kway`] therefore keeps, Fiduccia–Mattheyses style, what the
+//! walk would find: for every node, a row with one entry per part its
+//! neighbours occupy — how many of them are there, and what its edges to
+//! them cost in total. A row has `min(deg, k)` slots, so the table is
+//! O(E) whatever the part count. It is filled in one walk over the
+//! edges; afterwards a node's candidates are the parts in its row, a
+//! candidate's edge term is the row summed over the destination's group
+//! of parts minus the row summed over the source's (a group is a NUMA
+//! domain under [`MakespanGain::with_topology`], a single part
+//! otherwise), a node whose row holds only its own part is skipped, and
+//! a committed move updates the rows of the moved node's neighbours only
+//! — the invariant is stated on the private `Refiner` and checked against
+//! the definition, move by move, by the proptests below. A call costs
+//! one edge walk to set up, one read of the table per sweep and the
+//! neighbours' rows per move; [`RefineStats::edge_visits`] counts the
+//! adjacency entries it touched, and a test pins that the count does not
+//! grow with the number of passes.
+//!
+//! **Candidate order is part of the result.** The sweep takes the *first*
+//! best candidate, and the candidates of the neighbour walk come in the
+//! order the node's predecessors, then successors, first mention them.
+//! With more than two parts equal gains are common (equal footprints,
+//! unit edge costs), so proposing candidates in part order instead
+//! changes which of two equally good parts wins — and, a few moves
+//! later, the assignment and its simulated makespan. The table proposes
+//! in row order because that is what it has, remembers which candidates
+//! tie for the best gain, and only then walks the node's neighbours up
+//! to the first one in a tied part. Assignments are bit-for-bit those of
+//! the neighbour walk (`tests/makespan_regression.rs` pins their hashes).
+//!
+//! [`RecursiveBisection`](crate::RecursiveBisection)'s two-way sweep is
+//! side-local — its parts are the two sides of the subproblem in hand and
+//! most neighbours are out of scope — and evaluates [`MoveGain::gain`]
+//! directly.
 
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::analysis::LevelProfile;
-use nabbitc_graph::{NodeId, TaskGraph};
+use nabbitc_graph::{EdgeTraffic, NodeId, TaskGraph};
 
 /// The gain function of a refinement move: what moving node `u` from part
 /// `from` to part `to` is worth (higher is better; only positive-gain
 /// moves are taken).
+///
+/// An objective is given by its parts — what a cut edge costs
+/// ([`edge_cost`](Self::edge_cost)), which parts exchange data for free
+/// ([`group_of`](Self::group_of)) and what the move is worth apart from
+/// its edges ([`node_gain`](Self::node_gain)). [`gain`](Self::gain)
+/// assembles them by walking `u`'s neighbours; [`refine_kway`] assembles
+/// the same sum from its per-node connectivity table without the walk.
 pub trait MoveGain {
-    /// Gain of moving `u` from `from` to `to`. `part_of(v)` is a
-    /// neighbor's current part, or `None` when `v` is outside the
-    /// refinement's scope (e.g. other subsets of the bisection recursion);
-    /// out-of-scope neighbors must be ignored.
+    /// What cutting the dependence edge `producer -> consumer` costs
+    /// (≥ 0, and the same value every time it is asked).
+    fn edge_cost(&self, graph: &TaskGraph, producer: NodeId, consumer: NodeId) -> i64;
+
+    /// Parts of one group exchange data for free: an edge is cut only
+    /// when its endpoints' parts are in different groups. A group is
+    /// named by an index below the number of parts. Defaults to every
+    /// part being its own group.
+    fn group_of(&self, part: usize) -> usize {
+        part
+    }
+
+    /// The part of a move's gain that does not come from `u`'s edges.
+    /// Defaults to none.
+    fn node_gain(&self, _u: NodeId, _from: usize, _to: usize) -> i64 {
+        0
+    }
+
+    /// Gain of moving `u` from `from` to `to`, from the definition: each
+    /// neighbour edge's cost before the move minus after, plus
+    /// [`node_gain`](Self::node_gain). An edge is cut only when it
+    /// crosses groups, so a neighbour contributes exactly when its group
+    /// matches the destination's (the edge turns internal: save its
+    /// cost) or the source's (the edge turns cut: pay it); every other
+    /// neighbour is cut both ways and cancels, and a move within one
+    /// group has no edge term at all. `part_of(v)` is a neighbour's
+    /// current part, or `None` when `v` is outside the refinement's
+    /// scope (e.g. other subsets of the bisection recursion), in which
+    /// case it is ignored.
+    ///
+    /// Not meant to be overridden: [`refine_kway`] never calls it.
     fn gain(
         &self,
         graph: &TaskGraph,
@@ -43,7 +121,29 @@ pub trait MoveGain {
         from: usize,
         to: usize,
         part_of: &dyn Fn(NodeId) -> Option<usize>,
-    ) -> i64;
+    ) -> i64 {
+        let (g_from, g_to) = (self.group_of(from), self.group_of(to));
+        let mut edge = 0i64;
+        if g_from != g_to {
+            let mut side = |v: NodeId, cost: i64| {
+                if let Some(c) = part_of(v) {
+                    let gc = self.group_of(c);
+                    if gc == g_to {
+                        edge += cost;
+                    } else if gc == g_from {
+                        edge -= cost;
+                    }
+                }
+            };
+            for &p in graph.predecessors(u) {
+                side(p, self.edge_cost(graph, p, u));
+            }
+            for &s in graph.successors(u) {
+                side(s, self.edge_cost(graph, u, s));
+            }
+        }
+        edge + self.node_gain(u, from, to)
+    }
 
     /// Whether the move is admissible at all, independent of its gain —
     /// objectives with hard constraints (e.g. wide-level quotas) veto
@@ -54,6 +154,12 @@ pub trait MoveGain {
 
     /// Invoked after a move commits, for gains that maintain state.
     fn commit(&mut self, _graph: &TaskGraph, _u: NodeId, _from: usize, _to: usize) {}
+
+    /// How many parts the gain's own per-part state covers, if it keeps
+    /// any; [`refine_kway`] refuses a `loads` of another length.
+    fn parts(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Classic KL/FM edge-cut gain: neighbors already in `to` become internal
@@ -63,27 +169,9 @@ pub trait MoveGain {
 pub struct EdgeCutGain;
 
 impl MoveGain for EdgeCutGain {
-    fn gain(
-        &self,
-        graph: &TaskGraph,
-        u: NodeId,
-        from: usize,
-        to: usize,
-        part_of: &dyn Fn(NodeId) -> Option<usize>,
-    ) -> i64 {
-        let mut gain = 0i64;
-        for &v in graph
-            .predecessors(u)
-            .iter()
-            .chain(graph.successors(u).iter())
-        {
-            match part_of(v) {
-                Some(p) if p == to => gain += 1,
-                Some(p) if p == from => gain -= 1,
-                _ => {}
-            }
-        }
-        gain
+    #[inline]
+    fn edge_cost(&self, _graph: &TaskGraph, _producer: NodeId, _consumer: NodeId) -> i64 {
+        1
     }
 }
 
@@ -118,12 +206,14 @@ pub struct MakespanGain {
     /// Per-node tick weight: `node_ticks(work, footprint, 0)`, floored at
     /// one tick.
     weight: Vec<u64>,
-    /// Per-node footprint, hoisted once — `TaskGraph::footprint` sums the
-    /// access list, and [`edge_cost`](Self::edge_cost) sits in the
-    /// refinement's inner loop.
-    footprint: Vec<u64>,
+    /// [`CostModel::remote_excess`] of every node's out-share and
+    /// in-share of the edge-traffic model ([`EdgeTraffic`]). The excess
+    /// never decreases with the bytes, so the smaller of an edge's two
+    /// priced shares is the price of its traffic (the smaller share) —
+    /// per-node vectors, and no float arithmetic per edge.
+    out_excess: Vec<i64>,
+    in_excess: Vec<i64>,
     workers: usize,
-    cost: CostModel,
     /// Worker→domain mapping pricing the cut term (per-worker by default).
     topo: Topology,
     /// Optional hard cap on any color's share of a level's tick-weight
@@ -133,7 +223,9 @@ pub struct MakespanGain {
 
 impl MakespanGain {
     /// Builds the gain state for `graph` under the initial assignment
-    /// `part` (values `< workers`), pricing nodes and edges with `cost`.
+    /// `part`, pricing nodes and edges with `cost`. Panics unless `part`
+    /// and `profile` have one entry per node and every part is
+    /// `< workers`.
     pub fn new(
         graph: &TaskGraph,
         profile: &LevelProfile,
@@ -141,27 +233,38 @@ impl MakespanGain {
         workers: usize,
         cost: &CostModel,
     ) -> Self {
+        assert!(workers > 0, "need at least one worker");
         cost.assert_valid();
-        let footprint: Vec<u64> = graph.nodes().map(|u| graph.footprint(u)).collect();
+        let n = graph.node_count();
+        assert_eq!(part.len(), n, "part: one entry per node");
+        assert_eq!(profile.level_of.len(), n, "profile: one level per node");
+        if let Some(u) = part.iter().position(|&p| p >= workers) {
+            panic!(
+                "part: node {u} is in part {}, but there are {workers} workers",
+                part[u]
+            );
+        }
+        let traffic = EdgeTraffic::of(graph);
         let weight: Vec<u64> = graph
             .nodes()
-            .map(|u| {
-                cost.node_ticks(graph.work(u), footprint[u as usize], 0)
-                    .max(1)
-            })
+            .map(|u| cost.node_ticks(graph.work(u), graph.footprint(u), 0).max(1))
             .collect();
         let mut level_loads = vec![0u64; profile.level_count() * workers];
         for u in graph.nodes() {
             let l = profile.level_of[u as usize] as usize;
             level_loads[l * workers + part[u as usize]] += weight[u as usize];
         }
+        let priced = |bytes: u64| cost.remote_excess(bytes) as i64;
         MakespanGain {
             level_of: profile.level_of.clone(),
             level_loads,
             weight,
-            footprint,
+            out_excess: graph
+                .nodes()
+                .map(|u| priced(traffic.out_share(u)))
+                .collect(),
+            in_excess: graph.nodes().map(|u| priced(traffic.in_share(u))).collect(),
             workers,
-            cost: cost.clone(),
             topo: Topology::per_worker(workers),
             level_quota: Vec::new(),
         }
@@ -187,8 +290,15 @@ impl MakespanGain {
     /// color's share of level `l`'s tick-weight above `quota[l]` (0
     /// leaves the level uncapped). This is how
     /// [`CpLevelAware`](crate::CpLevelAware) guarantees its level sweep's
-    /// spread survives refinement.
+    /// spread survives refinement. Panics unless `quota` is empty (no
+    /// quota at all) or has one entry per level.
     pub fn with_level_quota(mut self, quota: Vec<u64>) -> Self {
+        let levels = self.level_loads.len() / self.workers;
+        assert!(
+            quota.is_empty() || quota.len() == levels,
+            "quota: {} entries for {levels} levels",
+            quota.len()
+        );
         self.level_quota = quota;
         self
     }
@@ -197,64 +307,30 @@ impl MakespanGain {
     pub fn level_load(&self, u: NodeId, c: usize) -> u64 {
         self.level_loads[self.level_of[u as usize] as usize * self.workers + c]
     }
-
-    /// What cutting the edge between `producer` and `consumer` costs, in
-    /// ticks: the remote-byte excess of the edge's traffic
-    /// ([`TaskGraph::edge_traffic`], over the hoisted footprints).
-    fn edge_cost(&self, graph: &TaskGraph, producer: NodeId, consumer: NodeId) -> i64 {
-        let produced = self.footprint[producer as usize] / graph.out_degree(producer).max(1) as u64;
-        let consumed = self.footprint[consumer as usize] / graph.in_degree(consumer).max(1) as u64;
-        self.cost.remote_excess(produced.min(consumed)) as i64
-    }
 }
 
 impl MoveGain for MakespanGain {
-    fn gain(
-        &self,
-        graph: &TaskGraph,
-        u: NodeId,
-        from: usize,
-        to: usize,
-        part_of: &dyn Fn(NodeId) -> Option<usize>,
-    ) -> i64 {
-        // Byte-weighted edge-cut delta: each neighbor edge's remote cost
-        // before the move minus after. An edge is priced only when it
-        // crosses domains, so a neighbor contributes exactly when its
-        // domain matches the destination's (the edge turns local: save
-        // its cost) or the source's (the edge turns remote: pay it);
-        // every other neighbor is remote both ways and cancels, and a
-        // move within one domain has no edge term at all. With per-worker
-        // domains this is the classic from/to-only KL delta.
-        let d_from = self.topo.domain_of(from);
-        let d_to = self.topo.domain_of(to);
-        let mut edge = 0i64;
-        if d_from != d_to {
-            for &p in graph.predecessors(u) {
-                if let Some(c) = part_of(p) {
-                    let dc = self.topo.domain_of(c);
-                    if dc == d_to {
-                        edge += self.edge_cost(graph, p, u);
-                    } else if dc == d_from {
-                        edge -= self.edge_cost(graph, p, u);
-                    }
-                }
-            }
-            for &s in graph.successors(u) {
-                if let Some(c) = part_of(s) {
-                    let dc = self.topo.domain_of(c);
-                    if dc == d_to {
-                        edge += self.edge_cost(graph, u, s);
-                    } else if dc == d_from {
-                        edge -= self.edge_cost(graph, u, s);
-                    }
-                }
-            }
-        }
-        let w = self.weight[u as usize] as i64;
-        // Exact delta of the level's sum-of-squares concentration,
-        // divided by 2w (positive = improvement): m_from − m_to − w.
-        let spread = self.level_load(u, from) as i64 - self.level_load(u, to) as i64 - w;
-        edge + spread
+    /// The remote-byte excess of the edge's traffic, in ticks — the exact
+    /// delta of the estimator's bandwidth charge when the edge is cut.
+    #[inline]
+    fn edge_cost(&self, _graph: &TaskGraph, producer: NodeId, consumer: NodeId) -> i64 {
+        self.out_excess[producer as usize].min(self.in_excess[consumer as usize])
+    }
+
+    /// A part's NUMA domain: with per-worker domains every cross-color
+    /// edge is cut (the classic from/to-only KL delta).
+    #[inline]
+    fn group_of(&self, part: usize) -> usize {
+        self.topo.domain_of(part)
+    }
+
+    /// Exact delta of the level's sum-of-squares concentration, divided
+    /// by 2w (positive = improvement): m_from − m_to − w.
+    #[inline]
+    fn node_gain(&self, u: NodeId, from: usize, to: usize) -> i64 {
+        self.level_load(u, from) as i64
+            - self.level_load(u, to) as i64
+            - self.weight[u as usize] as i64
     }
 
     fn allow(&self, _graph: &TaskGraph, u: NodeId, _from: usize, to: usize) -> bool {
@@ -270,14 +346,324 @@ impl MoveGain for MakespanGain {
         self.level_loads[l + from] -= self.weight[u as usize];
         self.level_loads[l + to] += self.weight[u as usize];
     }
+
+    fn parts(&self) -> Option<usize> {
+        Some(self.workers)
+    }
 }
 
-/// Greedy k-way refinement: up to `passes` sweeps over all nodes; each
-/// node considers moving to each distinct part among its neighbors and
-/// takes the best strictly-positive-gain move that the gain's
-/// [`MoveGain::allow`] admits and that keeps the destination's load
-/// within `max_load`. `loads` is kept in sync. Returns the number of
-/// moves made.
+/// What a [`refine_kway`] call did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RefineStats {
+    /// Moves committed, over all passes.
+    pub moves: usize,
+    /// Adjacency entries touched: one per edge while the connectivity
+    /// table is set up, the moved node's neighbours at each commit, and
+    /// the entries walked to break a gain tie. Bounded by
+    /// `E + 2·Σ deg(u)` over the committed moves — the sweeps themselves
+    /// touch none, so the count does not grow with `passes`.
+    pub edge_visits: u64,
+}
+
+/// One entry of a node's row of the connectivity table: what the node
+/// sees of one part. Sixteen bytes: the table has up to `2E` of them.
+#[derive(Clone, Copy)]
+struct Link {
+    /// Summed [`MoveGain::edge_cost`] of the node's edges to its
+    /// neighbours in `part`.
+    cut: i64,
+    /// How many neighbours those are.
+    count: u32,
+    /// The part, meaningful while `count > 0` (a slot with no neighbours
+    /// left is free for the next part that shows up).
+    part: u32,
+}
+
+impl Link {
+    #[inline]
+    fn part(&self) -> usize {
+        self.part as usize
+    }
+}
+
+/// The state of one [`refine_kway`] call: the partition under refinement
+/// and, for every node, its connectivity to each part it touches.
+///
+/// Node `u`'s row is `links[row[u]..row[u + 1]]`: `min(deg(u), k)` slots,
+/// enough for every part its neighbours can occupy at once, so the table
+/// is O(E) however many parts there are.
+///
+/// **Invariant** (restored by [`commit`](Self::commit) after every move):
+/// for every node `u` and part `p`, `u` has `c > 0` neighbours in `p`
+/// exactly when one slot of its row reads `(p, c, Σ edge_cost of u's
+/// edges to them)`; every other slot has `count == 0` and `cut == 0`.
+///
+/// A node's candidate destinations are then the parts of its live slots,
+/// a node with a single live slot for its own part has nowhere to go, a
+/// move's edge term is `Σ cut` over the slots in the destination's group
+/// minus `Σ cut` over the slots in the source's group
+/// ([`MoveGain::group_of`]), and a commit touches one or two slots in
+/// each row of the moved node's neighbours.
+struct Refiner<'a> {
+    graph: &'a TaskGraph,
+    part: &'a mut [usize],
+    weight: &'a [u64],
+    loads: &'a mut [u64],
+    gain: &'a mut dyn MoveGain,
+    /// Part → group ([`MoveGain::group_of`]).
+    group: Vec<usize>,
+    row: Vec<usize>,
+    links: Vec<Link>,
+    /// Scratch: the open row's `cut` summed per group; zero between rows.
+    group_cut: Vec<i64>,
+    /// Scratch: the parts sharing the best gain of the node in hand.
+    tied: Vec<usize>,
+    stats: RefineStats,
+}
+
+impl<'a> Refiner<'a> {
+    /// Checks the arguments' shapes and builds the table in one walk over
+    /// the edges.
+    fn new(
+        graph: &'a TaskGraph,
+        part: &'a mut [usize],
+        weight: &'a [u64],
+        loads: &'a mut [u64],
+        gain: &'a mut dyn MoveGain,
+    ) -> Self {
+        let n = graph.node_count();
+        let k = loads.len();
+        assert_eq!(part.len(), n, "part: one entry per node");
+        assert_eq!(weight.len(), n, "weight: one entry per node");
+        if let Some(parts) = gain.parts() {
+            assert_eq!(k, parts, "loads: one entry per part of the gain");
+        }
+        if let Some(u) = part.iter().position(|&p| p >= k) {
+            panic!(
+                "part: node {u} is in part {}, but loads has {k} entries",
+                part[u]
+            );
+        }
+        let group: Vec<usize> = (0..k).map(|p| gain.group_of(p)).collect();
+        assert!(
+            group.iter().all(|&g| g < k),
+            "gain: group indices must be below the part count {k}"
+        );
+        let mut row = Vec::with_capacity(n + 1);
+        row.push(0usize);
+        for u in graph.nodes() {
+            let degree = graph.in_degree(u) + graph.out_degree(u);
+            row.push(row[u as usize] + degree.min(k));
+        }
+        assert!(
+            k <= u32::MAX as usize,
+            "loads: more parts than a u32 counts"
+        );
+        let free = Link {
+            cut: 0,
+            count: 0,
+            part: u32::MAX,
+        };
+        let mut refiner = Refiner {
+            graph,
+            part,
+            weight,
+            loads,
+            gain,
+            group_cut: vec![0; k],
+            group,
+            links: vec![free; row[n]],
+            row,
+            tied: Vec::new(),
+            stats: RefineStats::default(),
+        };
+        for u in graph.nodes() {
+            for &s in graph.successors(u) {
+                let c = refiner.gain.edge_cost(graph, u, s);
+                refiner.link(u, refiner.part[s as usize], c);
+                refiner.link(s, refiner.part[u as usize], c);
+            }
+        }
+        refiner.stats.edge_visits = graph.edge_count() as u64;
+        refiner
+    }
+
+    /// Records that `u` gained a neighbour in part `p` over an edge
+    /// costing `c`.
+    fn link(&mut self, u: NodeId, p: usize, c: i64) {
+        let row = &mut self.links[self.row[u as usize]..self.row[u as usize + 1]];
+        // The live slot for `p`, or else a free one: a row has a slot per
+        // part its neighbours can occupy at once, and the neighbour
+        // arriving in a part no slot is live for is not yet counted.
+        let mut free = None;
+        let mut slot = None;
+        for (i, l) in row.iter().enumerate() {
+            if l.count == 0 {
+                free = free.or(Some(i));
+            } else if l.part() == p {
+                slot = Some(i);
+                break;
+            }
+        }
+        let slot = &mut row[slot
+            .or(free)
+            .expect("a row holds every part its neighbours occupy")];
+        slot.part = p as u32;
+        slot.count += 1;
+        slot.cut += c;
+    }
+
+    /// Records that `u` lost a neighbour in part `p` over an edge costing
+    /// `c`.
+    fn unlink(&mut self, u: NodeId, p: usize, c: i64) {
+        let row = &mut self.links[self.row[u as usize]..self.row[u as usize + 1]];
+        let slot = row
+            .iter_mut()
+            .find(|l| l.count > 0 && l.part() == p)
+            .expect("a neighbour's part has a live slot");
+        slot.count -= 1;
+        slot.cut -= c;
+    }
+
+    /// Sums `u`'s row per group into the scratch [`gain`](Self::gain)
+    /// reads; returns whether `u` has a neighbour outside its own part.
+    fn open(&mut self, u: NodeId) -> bool {
+        let from = self.part[u as usize];
+        let mut foreign = false;
+        for l in &self.links[self.row[u as usize]..self.row[u as usize + 1]] {
+            if l.count > 0 {
+                self.group_cut[self.group[l.part()]] += l.cut;
+                foreign |= l.part() != from;
+            }
+        }
+        foreign
+    }
+
+    /// Zeroes the scratch [`open`](Self::open) filled.
+    fn close(&mut self, u: NodeId) {
+        for l in &self.links[self.row[u as usize]..self.row[u as usize + 1]] {
+            if l.count > 0 {
+                self.group_cut[self.group[l.part()]] = 0;
+            }
+        }
+    }
+
+    /// Gain of moving `u`, whose row is [`open`](Self::open), from its
+    /// part to `to`: two lookups plus the gain's node term. Equal groups
+    /// subtract to zero — a move inside a group cuts and heals nothing.
+    #[inline]
+    fn gain(&self, u: NodeId, to: usize) -> i64 {
+        let from = self.part[u as usize];
+        self.group_cut[self.group[to]] - self.group_cut[self.group[from]]
+            + self.gain.node_gain(u, from, to)
+    }
+
+    /// The destination the sweep picks for `u`, whose row is open: the
+    /// best strictly positive gain among the admissible parts of its
+    /// neighbours.
+    fn best_move(&mut self, u: NodeId, max_load: u64) -> Option<usize> {
+        let graph = self.graph;
+        let from = self.part[u as usize];
+        let w = self.weight[u as usize];
+        let mut best: Option<(usize, i64)> = None;
+        self.tied.clear();
+        for l in &self.links[self.row[u as usize]..self.row[u as usize + 1]] {
+            let to = l.part();
+            if l.count == 0
+                || to == from
+                || self.loads[to] + w > max_load
+                || !self.gain.allow(graph, u, from, to)
+            {
+                continue;
+            }
+            let g = self.gain(u, to);
+            if g <= 0 {
+                continue;
+            }
+            match best {
+                Some((_, b)) if g < b => {}
+                Some((_, b)) if g == b => self.tied.push(to),
+                _ => {
+                    best = Some((to, g));
+                    self.tied.clear();
+                    self.tied.push(to);
+                }
+            }
+        }
+        let (mut to, _) = best?;
+        if self.tied.len() > 1 {
+            // Equal gains go to the part met first along u's
+            // predecessors, then successors — the order a neighbour walk
+            // would have proposed them in.
+            let neighbours = graph.predecessors(u).iter().chain(graph.successors(u));
+            for (i, &v) in neighbours.enumerate() {
+                let p = self.part[v as usize];
+                if self.tied.contains(&p) {
+                    to = p;
+                    self.stats.edge_visits += i as u64 + 1;
+                    break;
+                }
+            }
+        }
+        Some(to)
+    }
+
+    /// Moves `u` to part `to` and restores the invariant: only `u`'s
+    /// neighbours see a neighbour change part.
+    fn commit(&mut self, u: NodeId, to: usize) {
+        let graph = self.graph;
+        let from = self.part[u as usize];
+        let preds = graph.predecessors(u).iter().map(|&p| (p, p, u));
+        let succs = graph.successors(u).iter().map(|&s| (s, u, s));
+        for (v, producer, consumer) in preds.chain(succs) {
+            let c = self.gain.edge_cost(graph, producer, consumer);
+            self.unlink(v, from, c);
+            self.link(v, to, c);
+        }
+        self.stats.edge_visits += (graph.in_degree(u) + graph.out_degree(u)) as u64;
+        let w = self.weight[u as usize];
+        self.part[u as usize] = to;
+        self.loads[from] -= w;
+        self.loads[to] += w;
+        self.gain.commit(graph, u, from, to);
+        self.stats.moves += 1;
+    }
+
+    /// One greedy sweep over all nodes; returns the number of moves.
+    fn sweep(&mut self, max_load: u64) -> usize {
+        let before = self.stats.moves;
+        for u in self.graph.nodes() {
+            // A node whose neighbours all share its part has nowhere to go.
+            let to = if self.open(u) {
+                self.best_move(u, max_load)
+            } else {
+                None
+            };
+            self.close(u);
+            if let Some(to) = to {
+                self.commit(u, to);
+            }
+        }
+        self.stats.moves - before
+    }
+}
+
+/// Greedy k-way refinement of `part` into `loads.len()` parts: up to
+/// `passes` sweeps over all nodes; each node considers moving to each
+/// distinct part among its neighbors and takes the best
+/// strictly-positive-gain move that the gain's [`MoveGain::allow`] admits
+/// and that keeps the destination's load within `max_load` (equal gains:
+/// the part met first along the node's predecessors, then successors).
+/// `loads` is kept in sync.
+///
+/// The cost is one walk over the edges to set up a per-node connectivity
+/// table of O(E) slots, one read of the table per sweep (`min(deg, k)`
+/// slots per node), and the neighbours' rows per committed move — see
+/// [`RefineStats::edge_visits`].
+///
+/// Panics unless `part` and `weight` have one entry per node, every part
+/// is `< loads.len()`, and `loads.len()` is the part count the gain was
+/// built for ([`MoveGain::parts`]).
 pub fn refine_kway(
     graph: &TaskGraph,
     part: &mut [usize],
@@ -286,50 +672,14 @@ pub fn refine_kway(
     max_load: u64,
     passes: usize,
     gain: &mut dyn MoveGain,
-) -> usize {
-    let mut total_moves = 0usize;
-    let mut cands: Vec<usize> = Vec::new();
+) -> RefineStats {
+    let mut refiner = Refiner::new(graph, part, weight, loads, gain);
     for _ in 0..passes {
-        let mut moved = 0usize;
-        for u in graph.nodes() {
-            let from = part[u as usize];
-            let w = weight[u as usize];
-            cands.clear();
-            for &v in graph
-                .predecessors(u)
-                .iter()
-                .chain(graph.successors(u).iter())
-            {
-                let p = part[v as usize];
-                if p != from && !cands.contains(&p) {
-                    cands.push(p);
-                }
-            }
-            let mut best: Option<(usize, i64)> = None;
-            for &to in &cands {
-                if loads[to] + w > max_load || !gain.allow(graph, u, from, to) {
-                    continue;
-                }
-                let part_ref: &[usize] = part;
-                let g = gain.gain(graph, u, from, to, &|v| Some(part_ref[v as usize]));
-                if g > 0 && best.map(|(_, b)| g > b).unwrap_or(true) {
-                    best = Some((to, g));
-                }
-            }
-            if let Some((to, _)) = best {
-                part[u as usize] = to;
-                loads[from] -= w;
-                loads[to] += w;
-                gain.commit(graph, u, from, to);
-                moved += 1;
-            }
-        }
-        total_moves += moved;
-        if moved == 0 {
+        if refiner.sweep(max_load) == 0 {
             break;
         }
     }
-    total_moves
+    refiner.stats
 }
 
 #[cfg(test)]
@@ -370,7 +720,7 @@ mod tests {
             loads[part[u as usize]] += weight[u as usize];
         }
         let before = edge_cut(&apply(&g, &part));
-        let moves = refine_kway(
+        let stats = refine_kway(
             &g,
             &mut part,
             &weight,
@@ -380,7 +730,7 @@ mod tests {
             &mut EdgeCutGain,
         );
         let after = edge_cut(&apply(&g, &part));
-        assert!(moves > 0);
+        assert!(stats.moves > 0);
         assert!(after < before, "cut {after} !< {before}");
         // Loads stayed consistent.
         let mut check = [0u64; 2];
@@ -398,21 +748,14 @@ mod tests {
         // Cap: part 1 is already at the cap, so nothing may move into it.
         let mut part: Vec<usize> = (0..10).map(|u| usize::from(u >= 5)).collect();
         let mut loads = [5u64, 5];
-        let moves = refine_kway(&g, &mut part, &weight, &mut loads, 5, 4, &mut EdgeCutGain);
-        assert_eq!(moves, 0, "cap must block every move");
+        let stats = refine_kway(&g, &mut part, &weight, &mut loads, 5, 4, &mut EdgeCutGain);
+        assert_eq!(stats.moves, 0, "cap must block every move");
 
         // Veto: same setup with room, but the gain's allow() rejects all.
         struct VetoAll;
         impl MoveGain for VetoAll {
-            fn gain(
-                &self,
-                graph: &TaskGraph,
-                u: NodeId,
-                from: usize,
-                to: usize,
-                part_of: &dyn Fn(NodeId) -> Option<usize>,
-            ) -> i64 {
-                EdgeCutGain.gain(graph, u, from, to, part_of)
+            fn edge_cost(&self, graph: &TaskGraph, producer: NodeId, consumer: NodeId) -> i64 {
+                EdgeCutGain.edge_cost(graph, producer, consumer)
             }
             fn allow(&self, _: &TaskGraph, _: NodeId, _: usize, _: usize) -> bool {
                 false
@@ -420,7 +763,7 @@ mod tests {
         }
         let mut part: Vec<usize> = (0..10).map(|u| u % 2).collect();
         let mut loads = [5u64, 5];
-        let moves = refine_kway(
+        let stats = refine_kway(
             &g,
             &mut part,
             &weight,
@@ -429,7 +772,7 @@ mod tests {
             4,
             &mut VetoAll,
         );
-        assert_eq!(moves, 0, "veto must block every move");
+        assert_eq!(stats.moves, 0, "veto must block every move");
     }
 
     /// Two independent nodes (512 bytes, work 10) funneled into one sink
@@ -538,5 +881,380 @@ mod tests {
         mg.commit(&g, 1, 0, 1);
         assert_eq!(mg.level_load(0, 0), w);
         assert_eq!(mg.level_load(0, 1), w);
+    }
+
+    // ---- shape assertions: bad arguments fail at entry, by name ----
+
+    /// A valid 2-part refinement input over a 6-node chain.
+    fn chain_input() -> (TaskGraph, Vec<usize>, Vec<u64>, Vec<u64>) {
+        let g = generate::chain(6, 1, 1);
+        (g, vec![0, 0, 0, 1, 1, 1], vec![1; 6], vec![3, 3])
+    }
+
+    #[test]
+    #[should_panic(expected = "part: one entry per node")]
+    fn makespan_gain_rejects_a_short_part() {
+        let g = fork_with_bytes();
+        MakespanGain::new(&g, &level_profile(&g), &[0, 0], 2, &CostModel::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "part: node 1 is in part 2, but there are 2 workers")]
+    fn makespan_gain_rejects_an_out_of_range_part() {
+        let g = fork_with_bytes();
+        MakespanGain::new(&g, &level_profile(&g), &[0, 2, 0], 2, &CostModel::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "quota: 1 entries for 2 levels")]
+    fn makespan_gain_rejects_a_short_quota() {
+        let g = fork_with_bytes();
+        let _ = MakespanGain::new(&g, &level_profile(&g), &[0, 0, 0], 2, &CostModel::default())
+            .with_level_quota(vec![7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "part: one entry per node")]
+    fn refine_kway_rejects_a_short_part() {
+        let (g, mut part, weight, mut loads) = chain_input();
+        part.pop();
+        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut EdgeCutGain);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight: one entry per node")]
+    fn refine_kway_rejects_a_short_weight() {
+        let (g, mut part, mut weight, mut loads) = chain_input();
+        weight.pop();
+        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut EdgeCutGain);
+    }
+
+    #[test]
+    #[should_panic(expected = "part: node 5 is in part 2, but loads has 2 entries")]
+    fn refine_kway_rejects_a_part_without_a_load() {
+        let (g, mut part, weight, mut loads) = chain_input();
+        part[5] = 2;
+        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut EdgeCutGain);
+    }
+
+    #[test]
+    #[should_panic(expected = "loads: one entry per part of the gain")]
+    fn refine_kway_rejects_loads_of_another_part_count_than_the_gain() {
+        // Three load slots against a gain built for two workers: a move
+        // into part 2 would index the next level's row of the gain.
+        let (g, mut part, weight, _) = chain_input();
+        let mut gain = MakespanGain::new(&g, &level_profile(&g), &part, 2, &CostModel::default());
+        let mut loads = vec![3u64, 3, 0];
+        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut gain);
+    }
+
+    // ---- the table against the definition ----
+
+    /// The parent of the table-driven sweep, kept as the reference: walk
+    /// every node's neighbours to list candidate parts in first-met order
+    /// and again for every candidate's gain.
+    fn reference_refine(
+        graph: &TaskGraph,
+        part: &mut [usize],
+        weight: &[u64],
+        loads: &mut [u64],
+        max_load: u64,
+        passes: usize,
+        gain: &mut dyn MoveGain,
+    ) -> usize {
+        let mut total_moves = 0usize;
+        let mut cands: Vec<usize> = Vec::new();
+        for _ in 0..passes {
+            let mut moved = 0usize;
+            for u in graph.nodes() {
+                let from = part[u as usize];
+                let w = weight[u as usize];
+                cands.clear();
+                for &v in graph.predecessors(u).iter().chain(graph.successors(u)) {
+                    let p = part[v as usize];
+                    if p != from && !cands.contains(&p) {
+                        cands.push(p);
+                    }
+                }
+                let mut best: Option<(usize, i64)> = None;
+                for &to in &cands {
+                    if loads[to] + w > max_load || !gain.allow(graph, u, from, to) {
+                        continue;
+                    }
+                    let part_ref: &[usize] = part;
+                    let g = gain.gain(graph, u, from, to, &|v| Some(part_ref[v as usize]));
+                    if g > 0 && best.map(|(_, b)| g > b).unwrap_or(true) {
+                        best = Some((to, g));
+                    }
+                }
+                if let Some((to, _)) = best {
+                    part[u as usize] = to;
+                    loads[from] -= w;
+                    loads[to] += w;
+                    gain.commit(graph, u, from, to);
+                    moved += 1;
+                }
+            }
+            total_moves += moved;
+            if moved == 0 {
+                break;
+            }
+        }
+        total_moves
+    }
+
+    /// [`MakespanGain`]'s gain written out from its definition, with no
+    /// state carried between calls: the remote-byte excess of every edge
+    /// the move heals or cuts, plus the level-concentration delta over a
+    /// fresh count of the level's tick-weights.
+    fn definition_gain(
+        g: &TaskGraph,
+        level_of: &[u32],
+        part: &[usize],
+        cost: &CostModel,
+        topo: &Topology,
+        u: NodeId,
+        to: usize,
+    ) -> i64 {
+        let from = part[u as usize];
+        let mut edge = 0i64;
+        let preds = g.predecessors(u).iter().map(|&p| (p, g.edge_traffic(p, u)));
+        let succs = g.successors(u).iter().map(|&s| (s, g.edge_traffic(u, s)));
+        for (v, bytes) in preds.chain(succs) {
+            let excess = cost.remote_excess(bytes) as i64;
+            let before = !topo.same_domain(part[v as usize], from);
+            let after = !topo.same_domain(part[v as usize], to);
+            edge += excess * (i64::from(before) - i64::from(after));
+        }
+        let tick = |v: NodeId| cost.node_ticks(g.work(v), g.footprint(v), 0).max(1) as i64;
+        let level_load = |c: usize| -> i64 {
+            g.nodes()
+                .filter(|&v| level_of[v as usize] == level_of[u as usize] && part[v as usize] == c)
+                .map(tick)
+                .sum()
+        };
+        edge + level_load(from) - level_load(to) - tick(u)
+    }
+
+    /// The graph, part count and topology one proptest case runs on.
+    fn case(
+        shape: usize,
+        a: usize,
+        b: usize,
+        k_index: usize,
+        domains: usize,
+        seed: u64,
+    ) -> (TaskGraph, usize, Topology) {
+        let g = match shape {
+            0 => generate::layered_random(a, b, 4, (1, 300), 1, seed),
+            _ => generate::wavefront(a, b, 1 + seed % 50, 1),
+        };
+        let k = [2usize, 3, 5, 8][k_index];
+        let topo = match domains {
+            0 => Topology::per_worker(k),
+            _ => Topology::new(2, k.div_ceil(2)),
+        };
+        (g, k, topo)
+    }
+
+    fn recount(part: &[usize], weight: &[u64], k: usize) -> Vec<u64> {
+        let mut loads = vec![0u64; k];
+        for (u, &p) in part.iter().enumerate() {
+            loads[p] += weight[u];
+        }
+        loads
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn table_gains_equal_the_definition_after_any_moves(
+            shape in 0usize..2,
+            a in 2usize..7,
+            b in 2usize..8,
+            k_index in 0usize..4,
+            domains in 0usize..2,
+            seed in 0u64..10_000,
+            moves in proptest::collection::vec(0usize..1_000_000, 0..24),
+        ) {
+            let (g, k, topo) = case(shape, a, b, k_index, domains, seed);
+            let n = g.node_count();
+            let profile = level_profile(&g);
+            let cost = CostModel::default();
+            let weight: Vec<u64> = g.nodes().map(|u| crate::node_weight(&g, u)).collect();
+            let mut part: Vec<usize> = (0..n).map(|u| (u * 7 + seed as usize) % k).collect();
+            let mut loads = recount(&part, &weight, k);
+            let mut gain =
+                MakespanGain::new(&g, &profile, &part, k, &cost).with_topology(topo.clone());
+            let mut refiner = Refiner::new(&g, &mut part, &weight, &mut loads, &mut gain);
+            for r in moves {
+                let (u, to) = ((r % n) as NodeId, (r / n) % k);
+                if to != refiner.part[u as usize] {
+                    refiner.commit(u, to);
+                }
+            }
+            let part_now: Vec<usize> = refiner.part.to_vec();
+            let part: &[usize] = &part_now;
+            for u in g.nodes() {
+                let from = part[u as usize];
+                for to in (0..k).filter(|&to| to != from) {
+                    refiner.open(u);
+                    let table = refiner.gain(u, to);
+                    refiner.close(u);
+                    let defined = definition_gain(&g, &profile.level_of, part, &cost, &topo, u, to);
+                    prop_assert!(
+                        table == defined,
+                        "node {} to part {}: table {} != definition {}",
+                        u,
+                        to,
+                        table,
+                        defined
+                    );
+                    prop_assert_eq!(
+                        table,
+                        refiner.gain.gain(&g, u, from, to, &|v| Some(part[v as usize]))
+                    );
+                }
+                // The live slots are the neighbours, part by part.
+                let row = &refiner.links[refiner.row[u as usize]..refiner.row[u as usize + 1]];
+                for p in 0..k {
+                    let live = row.iter().filter(|l| l.count > 0 && l.part() == p);
+                    let neighbours = g.predecessors(u).iter().chain(g.successors(u));
+                    prop_assert_eq!(
+                        live.map(|l| l.count as usize).collect::<Vec<_>>(),
+                        Some(neighbours.filter(|&&v| part[v as usize] == p).count())
+                            .filter(|&c| c > 0)
+                            .into_iter()
+                            .collect::<Vec<_>>()
+                    );
+                }
+                prop_assert!(row.iter().all(|l| l.count > 0 || l.cut == 0));
+            }
+            prop_assert_eq!(&*refiner.loads, &recount(part, &weight, k)[..]);
+        }
+
+        #[test]
+        fn refine_kway_equals_the_reference_sweep(
+            shape in 0usize..2,
+            a in 2usize..7,
+            b in 2usize..8,
+            k_index in 0usize..4,
+            domains in 0usize..2,
+            seed in 0u64..10_000,
+            capped in 0usize..2,
+        ) {
+            let (g, k, topo) = case(shape, a, b, k_index, domains, seed);
+            let n = g.node_count();
+            let profile = level_profile(&g);
+            let cost = CostModel::default();
+            let weight: Vec<u64> = g.nodes().map(|u| crate::node_weight(&g, u)).collect();
+            let start: Vec<usize> = (0..n).map(|u| (u * 7 + seed as usize) % k).collect();
+            let max_load = match capped {
+                0 => u64::MAX,
+                _ => crate::balance_limit(&g, k),
+            };
+            // The makespan gain (equal footprints: plenty of tied gains)
+            // and the unit edge-cut gain, where nearly every gain ties.
+            let make_gain = |unit: bool, part: &[usize]| -> Box<dyn MoveGain> {
+                if unit {
+                    return Box::new(EdgeCutGain);
+                }
+                let gain = MakespanGain::new(&g, &profile, part, k, &cost);
+                Box::new(gain.with_topology(topo.clone()))
+            };
+            for unit in [false, true] {
+                let (mut part, mut loads) = (start.clone(), recount(&start, &weight, k));
+                let mut gain = make_gain(unit, &part);
+                let stats =
+                    refine_kway(&g, &mut part, &weight, &mut loads, max_load, 4, gain.as_mut());
+                let (mut ref_part, mut ref_loads) = (start.clone(), recount(&start, &weight, k));
+                let mut gain = make_gain(unit, &ref_part);
+                let ref_moves = reference_refine(
+                    &g, &mut ref_part, &weight, &mut ref_loads, max_load, 4, gain.as_mut(),
+                );
+                prop_assert_eq!(&loads, &recount(&part, &weight, k));
+                prop_assert_eq!((part, loads, stats.moves), (ref_part, ref_loads, ref_moves));
+            }
+        }
+    }
+
+    // ---- the cost of a call does not grow with its passes ----
+
+    /// Forwards to a [`MakespanGain`] and records which nodes moved.
+    struct Recording {
+        inner: MakespanGain,
+        moved: Vec<NodeId>,
+    }
+
+    impl MoveGain for Recording {
+        fn edge_cost(&self, graph: &TaskGraph, producer: NodeId, consumer: NodeId) -> i64 {
+            self.inner.edge_cost(graph, producer, consumer)
+        }
+        fn group_of(&self, part: usize) -> usize {
+            self.inner.group_of(part)
+        }
+        fn node_gain(&self, u: NodeId, from: usize, to: usize) -> i64 {
+            self.inner.node_gain(u, from, to)
+        }
+        fn commit(&mut self, graph: &TaskGraph, u: NodeId, from: usize, to: usize) {
+            self.inner.commit(graph, u, from, to);
+            self.moved.push(u);
+        }
+        fn parts(&self) -> Option<usize> {
+            self.inner.parts()
+        }
+    }
+
+    #[test]
+    fn edge_visits_are_one_setup_walk_plus_the_moved_nodes_neighbourhoods() {
+        // Dense layers (every node draws up to 256 of the 256 nodes above
+        // it): walking neighbours per candidate per pass, as the sweep
+        // used to, costs ≈ passes · (candidates + 1) · 2E here. The table
+        // walks the edges once, then only around the moves it commits —
+        // however many passes it is given.
+        let g = generate::layered_random(5, 256, 256, (1, 300), 1, 42);
+        let e = g.edge_count() as u64;
+        assert!(e >= 100 * 4 * 256, "mean in-degree {} < 100", e / (4 * 256));
+        let degree = |u: NodeId| (g.in_degree(u) + g.out_degree(u)) as u64;
+        let profile = level_profile(&g);
+        let weight: Vec<u64> = g.nodes().map(|u| crate::node_weight(&g, u)).collect();
+        for k in [2usize, 8] {
+            let mut visits = Vec::new();
+            for passes in [2usize, 16] {
+                let mut part: Vec<usize> = g.nodes().map(|u| u as usize % k).collect();
+                let mut loads = recount(&part, &weight, k);
+                let mut gain = Recording {
+                    inner: MakespanGain::new(&g, &profile, &part, k, &CostModel::default()),
+                    moved: Vec::new(),
+                };
+                let stats = refine_kway(
+                    &g,
+                    &mut part,
+                    &weight,
+                    &mut loads,
+                    u64::MAX,
+                    passes,
+                    &mut gain,
+                );
+                assert!(stats.moves > 0, "k={k}: nothing to refine");
+                assert_eq!(stats.moves, gain.moved.len());
+                let around_moves: u64 = gain.moved.iter().map(|&u| degree(u)).sum();
+                // One commit walk per move, at most one tie-break walk.
+                assert!(
+                    stats.edge_visits <= e + 2 * around_moves,
+                    "k={k} passes={passes}: {} adjacency visits for {e} edges and \
+                     {around_moves} around {} moves",
+                    stats.edge_visits,
+                    stats.moves
+                );
+                visits.push((stats.edge_visits, around_moves));
+            }
+            // More passes cost only what their extra moves cost.
+            let ((few, few_moves), (many, many_moves)) = (visits[0], visits[1]);
+            assert!(many - few <= 2 * (many_moves - few_moves), "k={k}");
+        }
     }
 }

@@ -42,8 +42,8 @@
 //!    ([`SelectionReport::packed_estimate`]).
 //!
 //! [`AutoSelect::select`] additionally returns a [`SelectionReport`] with
-//! every candidate's outcome, which the bench harnesses print next to the
-//! "auto" row. The estimator is trusted here because `nabbitc-numasim`
+//! every candidate's outcome and wall time ([`CandidateTime`]), which the
+//! bench harnesses print next to the "auto" row. The estimator is trusted here because `nabbitc-numasim`
 //! cross-checks that the selected assignment's *simulated* makespan stays
 //! within tolerance of the best portfolio member on the three structural
 //! families (wavefront, stencil, irregular dataflow) — see the
@@ -55,6 +55,10 @@ use nabbitc_color::Color;
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::analysis::{estimate_makespan_colored_strict_on, InvalidColoring};
 use nabbitc_graph::TaskGraph;
+use std::time::Instant;
+
+/// One member's scored assignment, or why it was disqualified.
+type Scored = Result<(Vec<Color>, u64), InvalidColoring>;
 
 /// A portfolio member: any [`ColorAssigner`] that can be shared with the
 /// scoped evaluation threads.
@@ -94,11 +98,24 @@ pub enum CandidateOutcome {
     Rejected(InvalidColoring),
 }
 
+/// Wall time one portfolio member cost a selection, on its own thread
+/// (members run concurrently, so these do not add up to
+/// [`SelectionReport::elapsed`]; the largest `assign + score` is the
+/// selection's long pole).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CandidateTime {
+    /// The member's [`ColorAssigner::assign`] call.
+    pub assign: std::time::Duration,
+    /// Scoring its assignment with the strict makespan estimator.
+    pub score: std::time::Duration,
+}
+
 /// Per-candidate record of one [`AutoSelect::select`] run, for benches
 /// and debugging ("why did auto pick that?").
 ///
-/// Equality ignores [`elapsed`](Self::elapsed) (wall-clock noise): two
-/// reports are equal when they record the same selection decisions.
+/// Equality ignores [`elapsed`](Self::elapsed) and
+/// [`times`](Self::times) (wall-clock noise): two reports are equal when
+/// they record the same selection decisions.
 #[derive(Debug, Clone)]
 pub struct SelectionReport {
     /// Machine size the selection targeted.
@@ -113,6 +130,9 @@ pub struct SelectionReport {
     /// `(candidate name, outcome)` in portfolio order. When `fallback` is
     /// set, one extra trailing entry records the fallback assigner.
     pub candidates: Vec<(&'static str, CandidateOutcome)>,
+    /// What each entry of `candidates` cost, index for index (zero for a
+    /// member that never ran).
+    pub times: Vec<CandidateTime>,
     /// Index into `candidates` of the winner; `None` only for the
     /// degenerate machines (`workers == 1`) where no candidate ran.
     pub chosen: Option<usize>,
@@ -307,7 +327,7 @@ impl AutoSelect {
     /// `workers == 0`.
     pub fn select(&self, graph: &TaskGraph, workers: usize) -> (Vec<Color>, SelectionReport) {
         assert!(workers > 0, "need at least one worker");
-        let selection_started = std::time::Instant::now();
+        let selection_started = Instant::now();
         self.cost.assert_valid();
         let topo = self
             .topology
@@ -333,6 +353,7 @@ impl AutoSelect {
                     .iter()
                     .map(|c| (c.name(), CandidateOutcome::Skipped))
                     .collect(),
+                times: vec![CandidateTime::default(); self.candidates.len()],
                 chosen: None,
                 fallback: false,
                 packed_estimate: None,
@@ -359,20 +380,25 @@ impl AutoSelect {
         // One scoped thread per candidate in a round: `assign` dominates
         // the cost and the candidates are independent. Panics inside a
         // candidate are re-thrown on the caller's thread.
-        let evaluate = |indices: &[usize]| -> Vec<Result<(Vec<Color>, u64), InvalidColoring>> {
+        let score = |assigner: &dyn ColorAssigner| -> (Scored, CandidateTime) {
+            let started = Instant::now();
+            let colors = assigner.assign(graph, workers);
+            let assign = started.elapsed();
+            let est =
+                estimate_makespan_colored_strict_on(graph, &colors, workers, &self.cost, &topo);
+            let time = CandidateTime {
+                assign,
+                score: started.elapsed() - assign,
+            };
+            (est.map(|est| (colors, est)), time)
+        };
+        let evaluate = |indices: &[usize]| -> Vec<(Scored, CandidateTime)> {
             std::thread::scope(|s| {
                 let handles: Vec<_> = indices
                     .iter()
                     .map(|&i| {
-                        let cand = &self.candidates[i];
-                        let topo = &topo;
-                        s.spawn(move || {
-                            let colors = cand.assign(graph, workers);
-                            estimate_makespan_colored_strict_on(
-                                graph, &colors, workers, &self.cost, topo,
-                            )
-                            .map(|est| (colors, est))
-                        })
+                        let (cand, score) = (&self.candidates[i], &score);
+                        s.spawn(move || score(cand.as_ref()))
                     })
                     .collect();
                 handles
@@ -387,9 +413,11 @@ impl AutoSelect {
             .iter()
             .map(|c| (c.name(), CandidateOutcome::Skipped))
             .collect();
+        let mut times = vec![CandidateTime::default(); self.candidates.len()];
         let mut best: Option<(u64, usize, Vec<Color>)> = None; // (estimate, index, colors)
         let mut ingest = |indices: &[usize], best: &mut Option<(u64, usize, Vec<Color>)>| {
-            for (&i, eval) in indices.iter().zip(evaluate(indices)) {
+            for (&i, (eval, time)) in indices.iter().zip(evaluate(indices)) {
+                times[i] = time;
                 match eval {
                     Ok((colors, est)) => {
                         outcomes[i].1 = CandidateOutcome::Estimated(est);
@@ -418,11 +446,11 @@ impl AutoSelect {
             // Rather than aborting the caller, degrade to the one
             // assigner that cannot be invalid — BlockContiguous emits
             // in-range colors by construction — and record the fallback.
-            let colors = BlockContiguous.assign(graph, workers);
-            let est =
-                estimate_makespan_colored_strict_on(graph, &colors, workers, &self.cost, &topo)
-                    .expect("BlockContiguous emits in-range colors by construction");
+            let (scored, time) = score(&BlockContiguous);
+            let (colors, est) =
+                scored.expect("BlockContiguous emits in-range colors by construction");
             outcomes.push((BlockContiguous.name(), CandidateOutcome::Estimated(est)));
+            times.push(time);
             best = Some((est, outcomes.len() - 1, colors));
             fallback = true;
         }
@@ -451,6 +479,7 @@ impl AutoSelect {
             topology: topo,
             shape,
             candidates: outcomes,
+            times,
             chosen: Some(chosen),
             fallback,
             packed_estimate,
@@ -483,6 +512,7 @@ mod tests {
     use crate::{assignment_is_valid, assignment_loads, balance_limit};
     use nabbitc_graph::analysis::estimate_makespan_colored;
     use nabbitc_graph::generate;
+    use std::time::Duration;
 
     /// Strict estimates of every default-portfolio member, bypassing the
     /// meta-machinery — the reference `select` must argmin against.
@@ -700,6 +730,27 @@ mod tests {
             .without_prefilter()
             .with_cost_model(heavy);
         assert!(!sel.prefilter);
+    }
+
+    #[test]
+    fn times_parallel_the_candidates_and_do_not_enter_equality() {
+        // Deep wavefront: bisection is pre-filtered and must report zero
+        // time; everything that ran took some.
+        let g = generate::wavefront(24, 24, 8, 1);
+        let (_c, rep) = AutoSelect::default().select(&g, 8);
+        assert_eq!(rep.times.len(), rep.candidates.len());
+        for ((name, outcome), time) in rep.candidates.iter().zip(&rep.times) {
+            let ran = !matches!(outcome, CandidateOutcome::Skipped);
+            assert_eq!(time.assign + time.score > Duration::ZERO, ran, "{name}");
+            assert!(time.assign + time.score <= rep.elapsed, "{name}");
+        }
+        let mut other = rep.clone();
+        other.times[1].assign += Duration::from_secs(1);
+        assert_eq!(rep, other, "wall times are not a selection decision");
+        // The fallback entry is timed like any other.
+        let (_c, rep) = AutoSelect::new(vec![Box::new(AlwaysInvalid)]).select(&g, 2);
+        assert!(rep.fallback);
+        assert_eq!(rep.times.len(), rep.candidates.len());
     }
 
     #[test]

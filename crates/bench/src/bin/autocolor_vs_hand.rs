@@ -185,15 +185,18 @@ fn main() {
                     id.name(),
                 );
             }
-            for (name, outcome) in &selection.candidates {
+            for ((name, outcome), time) in selection.candidates.iter().zip(&selection.times) {
                 let verdict = match outcome {
                     CandidateOutcome::Estimated(e) => format!("est {e}"),
                     CandidateOutcome::Skipped => "skipped (shape pre-filter)".to_string(),
                     CandidateOutcome::Rejected(err) => format!("rejected: {err}"),
                 };
                 eprintln!(
-                    "autocolor_vs_hand: {} P={p} auto candidate {name}: {verdict}{}",
+                    "autocolor_vs_hand: {} P={p} auto candidate {name}: {verdict} \
+                     (assign {:.2?}, score {:.2?}){}",
                     id.name(),
+                    time.assign,
+                    time.score,
                     if *name == selection.chosen_name() {
                         "  <- chosen"
                     } else {

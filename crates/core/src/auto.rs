@@ -93,7 +93,7 @@ impl StaticExecutor {
         K: Fn(NodeId, usize) + Send + Sync + 'static,
     {
         let coloring_started = Instant::now();
-        let mut select = AutoSelect::default().with_cost_model(self.options().cost.clone());
+        let mut select = AutoSelect::with_default_portfolio(self.options().cost.clone());
         if let Some(topo) = &self.options().topology {
             select = select.with_topology(topo.clone());
         }

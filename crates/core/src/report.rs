@@ -48,8 +48,10 @@ pub struct RunReport {
     /// when the pool was built with tracing enabled
     /// ([`TraceConfig`](nabbitc_runtime::TraceConfig)), `None` otherwise.
     pub runtime_trace: Option<RuntimeTrace>,
-    /// Which autocolor candidate won, the fallback flag, and the scoring
-    /// cost — populated by
+    /// Which autocolor candidate won, the fallback flag, the scoring
+    /// cost, and each candidate's own `assign` and scoring wall time
+    /// (`SelectionReport::times`: which member was the selection's long
+    /// pole) — populated by
     /// [`execute_auto`](crate::StaticExecutor::execute_auto) only.
     pub selection: Option<SelectionReport>,
     /// Pre-flight schedule lint findings over the executed coloring —

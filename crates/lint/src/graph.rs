@@ -18,7 +18,7 @@ use crate::diag::{Diagnostic, Severity};
 use nabbitc_autocolor::{balance_limit, node_weight};
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::analysis::{level_profile, GraphShape};
-use nabbitc_graph::{GraphError, NodeId, TaskGraph};
+use nabbitc_graph::{EdgeTraffic, GraphError, NodeId, TaskGraph};
 
 /// How many node/color samples a diagnostic carries at most. The message
 /// always states the full count; the samples exist to anchor the finding.
@@ -363,10 +363,11 @@ fn lint_cross_domain_hot_edges(
     if topo.domains() < 2 || g.node_count() == 0 {
         return;
     }
+    let traffic = EdgeTraffic::of(g);
     let mut edges: Vec<(u64, NodeId, NodeId)> = Vec::new();
     for u in g.nodes() {
         for &v in g.successors(u) {
-            let t = g.edge_traffic(u, v);
+            let t = traffic.traffic(u, v);
             if t > 0 {
                 edges.push((t, u, v));
             }

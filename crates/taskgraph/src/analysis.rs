@@ -12,7 +12,7 @@
 //! of the forced first colored steal. `tests/theory_bound.rs` checks the
 //! simulated schedulers against this bound with fitted constants.
 
-use crate::{NodeId, TaskGraph};
+use crate::{EdgeTraffic, NodeId, TaskGraph};
 use nabbitc_color::{Color, ColorSet};
 use nabbitc_cost::{CostModel, Topology};
 use std::collections::HashMap;
@@ -520,15 +520,7 @@ pub fn estimate_makespan_colored_on(
             usize::MAX
         }
     };
-    // Hoisted footprints: `footprint()` sums a node's access list, and
-    // the edge-traffic lookups below would otherwise re-sum both
-    // endpoints per edge (keeping the estimate O(V + E) as documented).
-    let fp: Vec<u64> = g.nodes().map(|u| g.footprint(u)).collect();
-    let traffic = |p: NodeId, u: NodeId| -> u64 {
-        let produced = fp[p as usize] / g.out_degree(p).max(1) as u64;
-        let consumed = fp[u as usize] / g.in_degree(u).max(1) as u64;
-        produced.min(consumed)
-    };
+    let traffic = EdgeTraffic::of(g);
     let mut free = vec![0u64; workers + 1];
     let mut finish = vec![0u64; g.node_count()];
     let mut makespan = 0u64;
@@ -548,14 +540,14 @@ pub fn estimate_makespan_colored_on(
             if pw != w {
                 t += latency;
                 if domain_of(pw) != d {
-                    remote_bytes += traffic(p, u);
+                    remote_bytes += traffic.traffic(p, u);
                 }
             }
             ready = ready.max(t);
         }
-        // edge_traffic caps inbound at the footprint, so this never
+        // The traffic model caps inbound at the footprint, so this never
         // underflows: local + remote = footprint(u).
-        let local_bytes = fp[u as usize] - remote_bytes;
+        let local_bytes = g.footprint(u) - remote_bytes;
         let start = ready.max(free[w]);
         let end = start + cost.node_ticks(g.work(u), local_bytes, remote_bytes).max(1);
         finish[u as usize] = end;

@@ -345,10 +345,15 @@ impl TaskGraph {
     /// simulator. The cap guarantees `Σ_p edge_traffic(p, u) ≤
     /// footprint(u)`, so a node's inbound traffic never exceeds the bytes
     /// it actually touches.
+    ///
+    /// One-edge convenience over [`EdgeTraffic`], which defines the model:
+    /// each call sums both endpoints' access lists, so anything that
+    /// walks edges builds the view once and calls
+    /// [`EdgeTraffic::traffic`] instead.
     pub fn edge_traffic(&self, p: NodeId, u: NodeId) -> u64 {
-        let produced = self.footprint(p) / self.out_degree(p).max(1) as u64;
-        let consumed = self.footprint(u) / self.in_degree(u).max(1) as u64;
-        produced.min(consumed)
+        NodeShares::of(self, p)
+            .out_share
+            .min(NodeShares::of(self, u).in_share)
     }
 
     /// Re-homes every node's accesses under its *current* color using the
@@ -366,6 +371,7 @@ impl TaskGraph {
     /// [`localize_accesses`](Self::localize_accesses), which models a
     /// placement with no inter-node reads at all.
     pub fn rehome_edge_traffic(&mut self) {
+        let traffic = EdgeTraffic::of(self);
         let n = self.node_count();
         let mut rehomed: Vec<Vec<NodeAccess>> = Vec::with_capacity(n);
         for u in 0..n as NodeId {
@@ -381,11 +387,11 @@ impl TaskGraph {
             };
             let mut inbound = 0u64;
             for &p in self.predecessors(u) {
-                let b = self.edge_traffic(p, u);
+                let b = traffic.traffic(p, u);
                 inbound += b;
                 push(self.color[p as usize], b);
             }
-            // The cap in edge_traffic guarantees inbound ≤ footprint.
+            // The cap in the traffic model guarantees inbound ≤ footprint.
             push(self.color[u as usize], self.footprint(u) - inbound);
             rehomed.push(acc);
         }
@@ -439,6 +445,83 @@ impl TaskGraph {
             return Err(GraphError::Cycle(on_cycle));
         }
         Ok(order)
+    }
+}
+
+/// One node's terms of the edge-traffic model: the share of its
+/// footprint each consumer reads, and the share each producer fills. The
+/// only place the model's formula is written down.
+struct NodeShares {
+    out_share: u64,
+    in_share: u64,
+}
+
+impl NodeShares {
+    fn of(g: &TaskGraph, u: NodeId) -> Self {
+        let footprint = g.footprint(u);
+        NodeShares {
+            out_share: footprint / g.out_degree(u).max(1) as u64,
+            in_share: footprint / g.in_degree(u).max(1) as u64,
+        }
+    }
+}
+
+/// Per-node view of the edge-traffic model ([`TaskGraph::edge_traffic`]),
+/// built once in O(V + accesses) so that edge walks — the makespan
+/// estimators, the autocolor sweep and refinement gain,
+/// [`TaskGraph::rehome_edge_traffic`], the traffic matrices and the
+/// hot-edge lint — price an edge with two loads and a `min` instead of
+/// re-summing both endpoints' access lists.
+///
+/// Two per-node vectors, deliberately not a per-edge array: the
+/// per-edge value is `min(out_share[p], in_share[u])`, and on a
+/// million-edge graph an 8-byte-per-edge table would cost as much memory
+/// as the graph's own adjacency. (A node's footprint itself is needed
+/// once per node, not per edge: [`TaskGraph::footprint`] serves that.)
+///
+/// The view is a snapshot: it depends on footprints and degrees only
+/// (both invariant under recoloring and re-homing), not on colors.
+#[derive(Clone, Debug)]
+pub struct EdgeTraffic {
+    out_share: Vec<u64>,
+    in_share: Vec<u64>,
+}
+
+impl EdgeTraffic {
+    /// Builds the view of `g`.
+    pub fn of(g: &TaskGraph) -> Self {
+        let (out_share, in_share) = g
+            .nodes()
+            .map(|u| NodeShares::of(g, u))
+            .map(|s| (s.out_share, s.in_share))
+            .unzip();
+        EdgeTraffic {
+            out_share,
+            in_share,
+        }
+    }
+
+    /// The bytes each consumer of `u` reads of it: `u`'s footprint split
+    /// evenly over its out-edges.
+    #[inline]
+    pub fn out_share(&self, u: NodeId) -> u64 {
+        self.out_share[u as usize]
+    }
+
+    /// The bytes each producer of `u` fills of it: `u`'s footprint split
+    /// evenly over its in-edges.
+    #[inline]
+    pub fn in_share(&self, u: NodeId) -> u64 {
+        self.in_share[u as usize]
+    }
+
+    /// Bytes travelling along the dependence edge `p -> u`
+    /// ([`TaskGraph::edge_traffic`]): the producer's out-share, capped by
+    /// the consumer's in-share. `p -> u` must be an edge of the graph the
+    /// view was built from for the value to mean anything.
+    #[inline]
+    pub fn traffic(&self, p: NodeId, u: NodeId) -> u64 {
+        self.out_share(p).min(self.in_share(u))
     }
 }
 
@@ -663,6 +746,31 @@ mod tests {
                 .map(|&p| g.edge_traffic(p, u))
                 .sum();
             assert!(inbound <= g.footprint(u), "node {u}");
+        }
+    }
+
+    #[test]
+    fn edge_traffic_view_agrees_with_the_one_edge_form_after_rehoming() {
+        // Re-homing splits every access list by owner; the view sums them
+        // once per node and must price every edge as the per-edge
+        // convenience does, before and after.
+        let mut b = GraphBuilder::new();
+        for (i, bytes) in [600u64, 90, 600, 7, 0].into_iter().enumerate() {
+            b.add_simple_node(1, Color(i as u16 % 3), bytes);
+        }
+        for (p, u) in [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (3, 4)] {
+            b.add_edge(p, u);
+        }
+        let mut g = b.build().unwrap();
+        let before = EdgeTraffic::of(&g);
+        g.rehome_edge_traffic();
+        g.rehome_edge_traffic(); // idempotent on footprints and degrees
+        let after = EdgeTraffic::of(&g);
+        for u in g.nodes() {
+            for &p in g.predecessors(u) {
+                assert_eq!(after.traffic(p, u), g.edge_traffic(p, u), "{p}->{u}");
+                assert_eq!(after.traffic(p, u), before.traffic(p, u), "{p}->{u}");
+            }
         }
     }
 

@@ -7,6 +7,9 @@
 //!   locality [`Color`], and a memory-access footprint used by the NUMA
 //!   simulator and the remote-access accounting;
 //! * [`GraphBuilder`] — a mutable builder with cycle detection;
+//! * [`EdgeTraffic`] — the per-node view of the edge-traffic model (bytes
+//!   a dependence edge moves), the one definition every cost consumer
+//!   prices edges through;
 //! * [`analysis`] — exact work `T1`, span `T∞`, longest path node count `M`,
 //!   and maximum degree `d`, the quantities in the paper's Theorem 1;
 //! * [`generate`] — seeded generators (chains, diamonds, layered random
@@ -23,4 +26,4 @@ mod graph;
 pub mod serial;
 pub mod trace;
 
-pub use graph::{GraphBuilder, GraphError, NodeAccess, NodeId, TaskGraph};
+pub use graph::{EdgeTraffic, GraphBuilder, GraphError, NodeAccess, NodeId, TaskGraph};

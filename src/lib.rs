@@ -103,8 +103,9 @@
 //! `nabbitc-cost`. A node costs `node_overhead + work·work_tick +
 //! bytes·(local_byte or remote_byte)` ticks; a cross-color dependence
 //! edge costs its **byte traffic**
-//! ([`TaskGraph::edge_traffic`](graph::TaskGraph::edge_traffic), the
-//! producer's output split among its consumers) at the remote-vs-local
+//! ([`EdgeTraffic`](graph::EdgeTraffic), the producer's output split
+//! among its consumers — one per-node view every edge walk shares) at the
+//! remote-vs-local
 //! byte premium ([`CostModel::remote_excess`](cost::CostModel::remote_excess))
 //! on the consumer's execution, plus one steal hand-off
 //! ([`CostModel::cross_edge_latency`](cost::CostModel::cross_edge_latency))

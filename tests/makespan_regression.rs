@@ -251,3 +251,67 @@ fn auto_select_never_worse_than_best_portfolio_member() {
         }
     }
 }
+
+/// 64-bit FNV-1a over the color vector (two little-endian bytes per
+/// node).
+fn color_hash(colors: &[Color]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for c in colors {
+        for b in c.0.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn assignments_pinned_bit_for_bit() {
+    // The makespan pins above carry headroom, so a changed tie-break in
+    // the sweep or the refinement can hide inside it. These pin the
+    // assignments themselves (Scale::Small): any change to a single
+    // node's color fails here and must be re-pinned on purpose, next to
+    // the `results/autocolor_vs_hand.md` rows it moves.
+    const UK: BenchId = BenchId::PageUk2002;
+    const PINS: [(BenchId, usize, u64, u64); 9] = [
+        // (bench, P, CpLevelAware::default(), AutoSelect::default())
+        (BenchId::Heat, 2, 0x38fc33812afd9fec, 0x79cad85661051125),
+        (BenchId::Heat, 8, 0xcb243c5f6e1fc325, 0xe3d63f5c143c1d25),
+        (BenchId::Heat, 20, 0xc8ca400a98847e95, 0x78bd6e25cc82d125),
+        (BenchId::Sw, 2, 0x507e83c8e1738ee4, 0x507e83c8e1738ee4),
+        (BenchId::Sw, 8, 0xcdb0778436ad8f0b, 0xcdb0778436ad8f0b),
+        (BenchId::Sw, 20, 0xb5aa31db68039881, 0xb5aa31db68039881),
+        (UK, 2, 0x10f75b934b2b03d4, 0x10f75b934b2b03d4),
+        (UK, 8, 0x72346b40b5b02dea, 0x72346b40b5b02dea),
+        (UK, 20, 0x80ebf00eb50768c7, 0x80ebf00eb50768c7),
+    ];
+    for (id, p, cp_pin, auto_pin) in PINS {
+        let bare = registry::build_uncolored(id, Scale::Small, p);
+        let cp = color_hash(&CpLevelAware::default().assign(&bare.graph, p));
+        let auto = color_hash(&AutoSelect::default().assign(&bare.graph, p));
+        println!("{} P={p}: cp={cp:#018x} auto={auto:#018x}", id.name());
+        assert_eq!(cp, cp_pin, "{} P={p}: cp-level-aware assignment", id.name());
+        assert_eq!(auto, auto_pin, "{} P={p}: auto assignment", id.name());
+    }
+    // AutoSelect scoring (and packing) for the machine the simulator runs.
+    const TOPO_PINS: [(BenchId, u64); 3] = [
+        (BenchId::Heat, 0x78bd6e25cc82d125),
+        (BenchId::Sw, 0x58f219d29e9744eb),
+        (UK, 0xc3b592347d04d0bb),
+    ];
+    for (id, pin) in TOPO_PINS {
+        let p = 20;
+        let bare = registry::build_uncolored(id, Scale::Small, p);
+        let topo = NumaTopology::paper_machine().truncated(p).cost_view();
+        let auto = AutoSelect::default()
+            .with_topology(topo)
+            .assign(&bare.graph, p);
+        let auto = color_hash(&auto);
+        println!("{} P={p} paper topology: auto={auto:#018x}", id.name());
+        assert_eq!(
+            auto,
+            pin,
+            "{} P={p}: domain-aware auto assignment",
+            id.name()
+        );
+    }
+}
