@@ -22,7 +22,7 @@
 //!    dependence — and executing there costs the node's own ticks plus
 //!    [`CostModel::remote_excess`] over the byte traffic of its
 //!    cross-color in-edges, exactly the terms of
-//!    [`estimate_makespan_colored`](nabbitc_graph::analysis::estimate_makespan_colored).
+//!    [`estimate_makespan_colored_strict_on`](nabbitc_graph::analysis::estimate_makespan_colored_strict_on).
 //!    Chains therefore inherit their predecessor's color (crossing costs
 //!    latency and bandwidth), while a color that is busy — because a
 //!    level is piling onto it — loses to an idle one, which is what
@@ -328,7 +328,9 @@ impl ColorAssigner for CpLevelAware {
 mod tests {
     use super::*;
     use crate::{assignment_is_valid, assignment_loads, RecursiveBisection};
-    use nabbitc_graph::analysis::{estimate_makespan_colored, level_profile, level_serialization};
+    use nabbitc_graph::analysis::{
+        estimate_makespan_colored_strict_on, level_profile, level_serialization,
+    };
     use nabbitc_graph::generate;
 
     #[test]
@@ -377,8 +379,9 @@ mod tests {
         for p in [4usize, 8] {
             let cp = CpLevelAware::default().assign(&g, p);
             let rb = RecursiveBisection::default().assign(&g, p);
-            let m_cp = estimate_makespan_colored(&g, &cp, p, &cost);
-            let m_rb = estimate_makespan_colored(&g, &rb, p, &cost);
+            let topo = Topology::per_worker(p);
+            let m_cp = estimate_makespan_colored_strict_on(&g, &cp, p, &cost, &topo).unwrap();
+            let m_rb = estimate_makespan_colored_strict_on(&g, &rb, p, &cost, &topo).unwrap();
             assert!(
                 m_cp < m_rb,
                 "p={p}: cp-level-aware {m_cp} not below bisection {m_rb}"

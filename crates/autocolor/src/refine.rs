@@ -13,7 +13,7 @@
 //!   dependency levels onto one color.
 //! * [`MakespanGain`] — the differential of the bandwidth-aware makespan
 //!   estimator
-//!   ([`estimate_makespan_colored`](nabbitc_graph::analysis::estimate_makespan_colored)),
+//!   ([`estimate_makespan_colored_strict_on`](nabbitc_graph::analysis::estimate_makespan_colored_strict_on)),
 //!   in the [`CostModel`]'s tick units: the **bandwidth** term (each
 //!   cross-color edge costs [`CostModel::remote_excess`] over its
 //!   [`edge traffic`](nabbitc_graph::EdgeTraffic) — the exact

@@ -27,12 +27,12 @@
 //!    and under a real machine topology
 //!    ([`with_topology`](AutoSelect::with_topology)) the bandwidth term
 //!    applies only to *cross-domain* edges. An assignment that fails
-//!    validity is *disqualified*, not absorbed into the lenient
-//!    estimator's phantom overflow worker (which would score a buggy
-//!    assigner on a `workers + 1`-worker machine and could let it win
-//!    the selection). If *every* candidate is disqualified, selection
-//!    falls back to [`BlockContiguous`] — valid by construction — and
-//!    records the fallback in the report instead of aborting.
+//!    validity is *disqualified*: scoring a color no worker owns would
+//!    price a buggy assigner on a larger machine than the real one and
+//!    could let it win the selection. If *every* candidate is
+//!    disqualified, selection falls back to [`BlockContiguous`] — valid
+//!    by construction — and records the fallback in the report instead
+//!    of aborting.
 //! 4. **Argmin.** The lowest estimate wins; ties break toward portfolio
 //!    order, keeping selection deterministic.
 //! 5. **Domain packing.** On a multi-core-per-domain topology the winner
@@ -68,8 +68,7 @@ pub use nabbitc_graph::analysis::GraphShape;
 
 /// Whether the pre-filter skips the candidate named `name` on `shape`.
 /// The rule is a conservative heuristic grounded in pinned results, not a
-/// theorem; candidates the rule does not recognize are never skipped, and
-/// [`AutoSelect::without_prefilter`] disables the pass entirely.
+/// theorem; candidates the rule does not recognize are never skipped.
 ///
 /// `recursive-bisection` is skipped on deep wavefront pipelines
 /// ([`GraphShape::deep_wavefront`]): the cut-minimal partition of such a
@@ -213,8 +212,6 @@ pub struct AutoSelect {
     /// machine (the paper's 8×10), where same-domain cut edges are free
     /// and the domain-packing post-pass runs on the winner.
     pub topology: Option<Topology>,
-    /// Whether the [`GraphShape`] pre-filter may skip candidates.
-    pub prefilter: bool,
     candidates: Vec<Candidate>,
     /// Whether `candidates` is the default portfolio, in which case
     /// [`with_cost_model`](Self::with_cost_model) rebuilds it so the
@@ -257,7 +254,6 @@ impl AutoSelect {
         AutoSelect {
             cost: CostModel::default(),
             topology: None,
-            prefilter: true,
             candidates,
             default_portfolio: false,
         }
@@ -274,7 +270,6 @@ impl AutoSelect {
         cost.assert_valid();
         if self.default_portfolio {
             let mut sel = AutoSelect::with_default_portfolio(cost);
-            sel.prefilter = self.prefilter;
             sel.topology = self.topology.clone();
             return sel;
         }
@@ -306,12 +301,6 @@ impl AutoSelect {
             topology: Some(topo),
             ..self
         }
-    }
-
-    /// Disables the shape pre-filter: every candidate runs and is scored.
-    pub fn without_prefilter(mut self) -> Self {
-        self.prefilter = false;
-        self
     }
 
     /// The portfolio, in tie-break order.
@@ -364,18 +353,12 @@ impl AutoSelect {
 
         // Pre-filter, but never down to an empty shortlist: if the rules
         // would drop everyone, selection degrades to exhaustive.
-        let shortlist: Vec<usize> = if self.prefilter {
-            let kept: Vec<usize> = (0..self.candidates.len())
-                .filter(|&i| !prefilter_skips(&shape, self.candidates[i].name()))
-                .collect();
-            if kept.is_empty() {
-                (0..self.candidates.len()).collect()
-            } else {
-                kept
-            }
-        } else {
-            (0..self.candidates.len()).collect()
-        };
+        let mut shortlist: Vec<usize> = (0..self.candidates.len())
+            .filter(|&i| !prefilter_skips(&shape, self.candidates[i].name()))
+            .collect();
+        if shortlist.is_empty() {
+            shortlist = (0..self.candidates.len()).collect();
+        }
 
         // One scoped thread per candidate in a round: `assign` dominates
         // the cost and the candidates are independent. Panics inside a
@@ -510,9 +493,15 @@ impl ColorAssigner for AutoSelect {
 mod tests {
     use super::*;
     use crate::{assignment_is_valid, assignment_loads, balance_limit};
-    use nabbitc_graph::analysis::estimate_makespan_colored;
     use nabbitc_graph::generate;
     use std::time::Duration;
+
+    /// The estimate of a valid `colors`, every worker its own domain.
+    fn estimate(g: &TaskGraph, colors: &[Color], workers: usize, cost: &CostModel) -> u64 {
+        let topo = Topology::per_worker(workers);
+        estimate_makespan_colored_strict_on(g, colors, workers, cost, &topo)
+            .expect("valid coloring")
+    }
 
     /// Strict estimates of every default-portfolio member, bypassing the
     /// meta-machinery — the reference `select` must argmin against.
@@ -522,12 +511,18 @@ mod tests {
             .iter()
             .map(|c| {
                 let colors = c.assign(g, workers);
-                (
-                    c.name().to_string(),
-                    estimate_makespan_colored(g, &colors, workers, cost),
-                )
+                (c.name().to_string(), estimate(g, &colors, workers, cost))
             })
             .collect()
+    }
+
+    /// The exhaustive winner: the first member with the lowest estimate.
+    fn best_member(g: &TaskGraph, workers: usize, cost: &CostModel) -> String {
+        let (name, _) = portfolio_estimates(g, workers, cost)
+            .into_iter()
+            .min_by_key(|(_, e)| *e)
+            .expect("nonempty portfolio");
+        name
     }
 
     #[test]
@@ -556,7 +551,7 @@ mod tests {
                 );
                 // The returned colors really are the chosen candidate's.
                 assert_eq!(
-                    estimate_makespan_colored(&g, &colors, p, &report.cost),
+                    estimate(&g, &colors, p, &report.cost),
                     report.chosen_estimate()
                 );
             }
@@ -566,14 +561,13 @@ mod tests {
     #[test]
     fn picks_level_aware_on_wavefronts() {
         // The fork AutoSelect exists to close (ROADMAP, PR 2): cp must
-        // win sw-shaped graphs even with the pre-filter off (i.e. by
-        // estimate, not by rb's disqualification). The complementary
+        // win sw-shaped graphs with every member scored (i.e. by
+        // estimate, not by rb's pre-filter skip). The complementary
         // claim — bisection wins the *real* heat stencil, whose cost
         // structure a uniform synthetic cannot reproduce — is pinned in
         // `tests/makespan_regression.rs` against the registry workload.
         let wf = generate::wavefront(24, 24, 8, 1);
-        let (_c, rep) = AutoSelect::default().without_prefilter().select(&wf, 8);
-        assert_eq!(rep.chosen_name(), "cp-level-aware", "{rep:?}");
+        assert_eq!(best_member(&wf, 8, &CostModel::default()), "cp-level-aware");
     }
 
     #[test]
@@ -595,8 +589,7 @@ mod tests {
             "{rep:?}"
         );
         // …and the filtered selection still returns the exhaustive winner.
-        let (_c2, exhaustive) = AutoSelect::default().without_prefilter().select(&wf, 8);
-        assert_eq!(rep.chosen_name(), exhaustive.chosen_name());
+        assert_eq!(rep.chosen_name(), best_member(&wf, 8, &rep.cost));
         assert!(assignment_is_valid(&colors, 8));
     }
 
@@ -622,9 +615,9 @@ mod tests {
     #[test]
     fn invalid_candidates_are_disqualified_not_scored() {
         /// A buggy assigner: colors everything for a machine twice the
-        /// requested size. Under the lenient estimator its phantom
-        /// overflow worker would make it look *faster* than any honest
-        /// candidate on an independent-task graph.
+        /// requested size. Scored as if those workers existed it would
+        /// look *faster* than any honest candidate on an
+        /// independent-task graph.
         struct DoubleWide;
         impl ColorAssigner for DoubleWide {
             fn name(&self) -> &'static str {
@@ -676,10 +669,7 @@ mod tests {
         ));
         // The returned colors are BlockContiguous's, at its estimate.
         assert_eq!(colors, BlockContiguous.assign(&g, 2));
-        assert_eq!(
-            rep.chosen_estimate(),
-            estimate_makespan_colored(&g, &colors, 2, &rep.cost)
-        );
+        assert_eq!(rep.chosen_estimate(), estimate(&g, &colors, 2, &rep.cost));
     }
 
     #[test]
@@ -726,10 +716,11 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.1.cost, heavy);
         // Builder state set before the re-pricing survives it.
+        let topo = Topology::new(2, 2);
         let sel = AutoSelect::default()
-            .without_prefilter()
+            .with_topology(topo.clone())
             .with_cost_model(heavy);
-        assert!(!sel.prefilter);
+        assert_eq!(sel.topology, Some(topo));
     }
 
     #[test]
@@ -766,7 +757,6 @@ mod tests {
 
     #[test]
     fn with_topology_scores_domain_aware_and_packs_the_winner() {
-        use nabbitc_graph::analysis::estimate_makespan_colored_on;
         let g = generate::iterated_stencil(8, 48, 5, 1);
         let p = 8;
         let topo = Topology::new(2, 4);
@@ -777,13 +767,13 @@ mod tests {
         // The reported estimate is the returned assignment's domain-aware
         // estimate, whether or not the packing pass fired.
         assert_eq!(
-            estimate_makespan_colored_on(&g, &colors, p, &rep.cost, &topo),
-            rep.chosen_estimate()
+            estimate_makespan_colored_strict_on(&g, &colors, p, &rep.cost, &topo),
+            Ok(rep.chosen_estimate())
         );
         // The domain-aware estimate is never above the per-worker one for
         // the same assignment: same-domain cuts only remove cost.
         assert!(
-            rep.chosen_estimate() <= estimate_makespan_colored(&g, &colors, p, &rep.cost),
+            rep.chosen_estimate() <= estimate(&g, &colors, p, &rep.cost),
             "{rep:?}"
         );
         // Default (no topology): the per-worker scoring, and no packing.
@@ -828,12 +818,8 @@ mod tests {
             inter_domain_traffic(&g, &colors, &topo) < inter_domain_traffic(&g, &raw, &topo),
             "packing must reduce inter-domain traffic"
         );
-        assert!(
-            rep.chosen_estimate() < {
-                use nabbitc_graph::analysis::estimate_makespan_colored_on;
-                estimate_makespan_colored_on(&g, &raw, 4, &rep.cost, &topo)
-            }
-        );
+        let raw_estimate = estimate_makespan_colored_strict_on(&g, &raw, 4, &rep.cost, &topo);
+        assert!(rep.chosen_estimate() < raw_estimate.expect("valid coloring"));
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn avg_speedup(
     for &seed in SEEDS.iter().take(3) {
         let cfg = WsConfig {
             cores: p,
-            topology: nabbitc_runtime::NumaTopology::paper_machine().truncated(p),
+            topology: nabbitc_cost::Topology::paper_machine().truncated(p),
             policy: policy.clone(),
             cost: cost.clone(),
             seed,

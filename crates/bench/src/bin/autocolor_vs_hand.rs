@@ -31,9 +31,10 @@
 //! `cargo run -p nabbitc-bench --bin autocolor_vs_hand --release`
 
 use nabbitc_autocolor::{all_strategies, AutoSelect, CandidateOutcome};
-use nabbitc_bench::{cost_from_env, f1, f2, paper_cost_topology, scale_from_env, Report};
+use nabbitc_bench::{cost_from_env, f1, f2, scale_from_env, Report};
 use nabbitc_color::Color;
 use nabbitc_core::report::format_selection;
+use nabbitc_cost::Topology;
 use nabbitc_graph::analysis::{
     color_balance, edge_cut, edge_cut_fraction, level_profile, level_serialization, LevelProfile,
 };
@@ -170,7 +171,7 @@ fn main() {
             // to the progress line).
             let (auto_colors, selection) = AutoSelect::default()
                 .with_cost_model(cost.clone())
-                .with_topology(paper_cost_topology(p))
+                .with_topology(Topology::paper_machine().truncated(p))
                 .select(&bare.graph, p);
             // The one-line selection summary (same formatting the unified
             // RunReport prints), before the per-candidate breakdown.

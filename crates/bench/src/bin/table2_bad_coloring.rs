@@ -14,8 +14,8 @@
 use nabbitc_autocolor::{AutoSelect, ColorAssigner};
 use nabbitc_bench::{f2, scale_from_env, Report, NUMA_CORES, SEEDS};
 use nabbitc_core::coloring::{apply_coloring, ColoringMode};
+use nabbitc_cost::Topology;
 use nabbitc_numasim::{simulate_ws, simulate_ws_recolored, WsConfig};
-use nabbitc_runtime::NumaTopology;
 use nabbitc_workloads::{registry, BenchId};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     rep.header(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
 
     for &p in NUMA_CORES.iter() {
-        let topo = NumaTopology::paper_machine().truncated(p);
+        let topo = Topology::paper_machine().truncated(p);
         let mut bad_cells = vec![p.to_string(), "bad".to_string()];
         let mut auto_cells = vec![p.to_string(), "auto".to_string()];
         for id in BenchId::all() {

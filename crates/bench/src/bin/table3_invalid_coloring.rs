@@ -7,8 +7,8 @@
 
 use nabbitc_bench::{f2, scale_from_env, Report, NUMA_CORES, SEEDS};
 use nabbitc_core::coloring::{apply_coloring, ColoringMode};
+use nabbitc_cost::Topology;
 use nabbitc_numasim::{simulate_ws, WsConfig};
-use nabbitc_runtime::NumaTopology;
 use nabbitc_workloads::{registry, BenchId};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     rep.header(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
 
     for &p in NUMA_CORES.iter() {
-        let topo = NumaTopology::paper_machine().truncated(p);
+        let topo = Topology::paper_machine().truncated(p);
         let mut cells = vec![p.to_string()];
         for id in BenchId::all() {
             let mut ratios = Vec::new();

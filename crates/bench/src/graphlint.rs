@@ -11,9 +11,9 @@
 //! NL003 (serialized wide level — the documented wavefront trap) while
 //! the `auto` coloring of every corpus workload lints clean.
 
-use crate::{paper_cost_topology, Report};
+use crate::Report;
 use nabbitc_autocolor::{all_strategies, apply_assignment, AutoSelect};
-use nabbitc_cost::CostModel;
+use nabbitc_cost::{CostModel, Topology};
 use nabbitc_lint::{lint_graph, LintConfig, LintReport, Severity};
 use nabbitc_workloads::{registry, BenchId, Scale};
 
@@ -48,7 +48,7 @@ pub fn lint_workload(
     coloring: &str,
     cost: &CostModel,
 ) -> LintReport {
-    let topo = paper_cost_topology(p);
+    let topo = Topology::paper_machine().truncated(p);
     let graph = match coloring {
         "hand" => registry::build(id, scale, p).graph,
         name if name == AutoSelect::NAME => {

@@ -5,10 +5,10 @@
 //! stdout and a CSV file under `results/`. See DESIGN.md's per-experiment
 //! index for the mapping.
 
+use nabbitc_cost::Topology;
 use nabbitc_numasim::{
     serial_ticks, simulate_omp, simulate_ws, CostModel, OmpSchedule, SimResult, WsConfig,
 };
-use nabbitc_runtime::NumaTopology;
 use nabbitc_workloads::{registry, BenchId, Scale};
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -77,14 +77,6 @@ pub fn cost_from_env() -> CostModel {
     }
 }
 
-/// The trimmed cost-topology view of the first `p` cores of the paper
-/// machine (8 NUMA domains × 10 workers) — what the harnesses hand to
-/// `AutoSelect::with_topology` so the selection prices the same machine
-/// `WsConfig::nabbitc(p)` simulates.
-pub fn paper_cost_topology(p: usize) -> nabbitc_cost::Topology {
-    NumaTopology::paper_machine().truncated(p).cost_view()
-}
-
 /// A scheduling strategy under comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
@@ -115,7 +107,7 @@ impl Strategy {
 /// result (makespan and counters averaged element-wise where meaningful).
 pub fn run_strategy(id: BenchId, scale: Scale, p: usize, strategy: Strategy) -> SimResult {
     let built = registry::build(id, scale, p);
-    let topo = NumaTopology::paper_machine().truncated(p);
+    let topo = Topology::paper_machine().truncated(p);
     let cost = CostModel::default();
     match strategy {
         Strategy::OmpStatic => simulate_omp(&built.loops, OmpSchedule::Static, p, &topo, &cost),
@@ -326,14 +318,6 @@ mod tests {
             );
         }
         std::env::remove_var(VAR);
-    }
-
-    #[test]
-    fn paper_cost_topology_tracks_the_truncated_machine() {
-        let t = paper_cost_topology(20);
-        assert_eq!((t.domains(), t.cores_per_domain()), (2, 10));
-        assert_eq!(paper_cost_topology(80).domains(), 8);
-        assert_eq!(paper_cost_topology(4).domains(), 1);
     }
 
     #[test]

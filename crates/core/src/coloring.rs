@@ -15,8 +15,8 @@
 //!   the colored-steal overhead.
 
 use nabbitc_color::Color;
+use nabbitc_cost::Topology;
 use nabbitc_graph::TaskGraph;
-use nabbitc_runtime::NumaTopology;
 
 /// How node colors relate to data placement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +42,7 @@ impl ColoringMode {
 
 /// Maps a correct color to its variant under `mode` for a machine with
 /// `workers` workers on `topology`.
-pub fn map_color(mode: ColoringMode, c: Color, topology: &NumaTopology, workers: usize) -> Color {
+pub fn map_color(mode: ColoringMode, c: Color, topology: &Topology, workers: usize) -> Color {
     match mode {
         ColoringMode::Correct => c,
         ColoringMode::Bad => {
@@ -67,7 +67,7 @@ pub fn map_color(mode: ColoringMode, c: Color, topology: &NumaTopology, workers:
 pub fn apply_coloring(
     graph: &mut TaskGraph,
     mode: ColoringMode,
-    topology: &NumaTopology,
+    topology: &Topology,
     workers: usize,
 ) {
     if mode == ColoringMode::Correct {
@@ -80,16 +80,17 @@ pub fn apply_coloring(
 mod tests {
     use super::*;
     use nabbitc_graph::generate;
+    use nabbitc_runtime::ColorDomains;
 
     #[test]
     fn correct_is_identity() {
-        let t = NumaTopology::new(2, 2);
+        let t = Topology::new(2, 2);
         assert_eq!(map_color(ColoringMode::Correct, Color(3), &t, 4), Color(3));
     }
 
     #[test]
     fn bad_moves_to_other_domain() {
-        let t = NumaTopology::new(2, 2); // domains {0,1},{2,3}
+        let t = Topology::new(2, 2); // domains {0,1},{2,3}
         for c in 0..4u16 {
             let bad = map_color(ColoringMode::Bad, Color(c), &t, 4);
             assert!(bad.is_valid());
@@ -105,14 +106,14 @@ mod tests {
     fn bad_is_identity_on_single_domain() {
         // With one domain the rotation stays in the same (only) domain —
         // locality-neutral, as the paper's 1-10 core runs are.
-        let t = NumaTopology::uma(4);
+        let t = Topology::uma(4);
         let bad = map_color(ColoringMode::Bad, Color(1), &t, 4);
         assert_eq!(t.domain_of_color(bad), Some(0));
     }
 
     #[test]
     fn invalid_is_invalid() {
-        let t = NumaTopology::new(2, 2);
+        let t = Topology::new(2, 2);
         assert_eq!(
             map_color(ColoringMode::Invalid, Color(0), &t, 4),
             Color::INVALID
@@ -121,7 +122,7 @@ mod tests {
 
     #[test]
     fn apply_recolors_all_nodes() {
-        let t = NumaTopology::new(2, 2);
+        let t = Topology::new(2, 2);
         let mut g = generate::independent(16, 1, 4);
         apply_coloring(&mut g, ColoringMode::Invalid, &t, 4);
         assert!(g.nodes().all(|u| g.color(u) == Color::INVALID));
@@ -129,7 +130,7 @@ mod tests {
 
     #[test]
     fn bad_preserves_validity() {
-        let t = NumaTopology::paper_machine();
+        let t = Topology::paper_machine();
         let mut g = generate::independent(160, 1, 80);
         apply_coloring(&mut g, ColoringMode::Bad, &t, 80);
         assert!(g.nodes().all(|u| g.color(u).is_valid()));

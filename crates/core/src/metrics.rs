@@ -14,8 +14,9 @@
 
 use crossbeam_utils::CachePadded;
 use nabbitc_color::Color;
+use nabbitc_cost::Topology;
 use nabbitc_runtime::sync::{AtomicU64, Ordering::Relaxed};
-use nabbitc_runtime::NumaTopology;
+use nabbitc_runtime::ColorDomains;
 
 /// Per-worker live counters.
 #[derive(Default)]
@@ -28,13 +29,13 @@ struct WorkerCounters {
 
 /// Concurrent remote-access counters for a pool of workers.
 pub struct RemoteCounters {
-    topology: NumaTopology,
+    topology: Topology,
     workers: Vec<WorkerCounters>,
 }
 
 impl RemoteCounters {
     /// Creates counters for `workers` workers on `topology`.
-    pub fn new(topology: NumaTopology, workers: usize) -> Self {
+    pub fn new(topology: Topology, workers: usize) -> Self {
         RemoteCounters {
             topology,
             workers: (0..workers).map(|_| WorkerCounters::default()).collect(),
@@ -122,7 +123,7 @@ mod tests {
     fn local_and_remote_counted() {
         // 2 domains x 2 cores: workers 0,1 in domain 0 (colors {0,1}),
         // workers 2,3 in domain 1 (colors {2,3}).
-        let t = NumaTopology::new(2, 2);
+        let t = Topology::new(2, 2);
         let c = RemoteCounters::new(t, 4);
         // Worker 0 executes a node of color 1 (local), preds colored 2,3
         // (both remote).
@@ -142,7 +143,7 @@ mod tests {
 
     #[test]
     fn uma_is_never_remote() {
-        let c = RemoteCounters::new(NumaTopology::uma(4), 4);
+        let c = RemoteCounters::new(Topology::uma(4), 4);
         for w in 0..4 {
             c.record_node(w, Color(((w + 1) % 4) as u16), [Color(0)]);
         }
@@ -151,7 +152,7 @@ mod tests {
 
     #[test]
     fn invalid_color_counts_remote() {
-        let c = RemoteCounters::new(NumaTopology::new(2, 2), 4);
+        let c = RemoteCounters::new(Topology::new(2, 2), 4);
         c.record_node(0, Color::INVALID, []);
         let r = c.report();
         assert_eq!(r.node_remote, 1);

@@ -27,13 +27,14 @@ use nabbitc_runtime::{Pool, WorkerContext};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Execution options.
-#[derive(Clone, Debug, Default)]
+/// Execution options. [`Default`] is what [`StaticExecutor::new`] runs
+/// with: no per-node trace, §V-B counting on, the default cost model, no
+/// topology, no lint gate.
+#[derive(Clone, Debug)]
 pub struct ExecOptions {
     /// Record a full execution trace (adds per-node clock reads + a lock).
     pub record_trace: bool,
-    /// Count remote accesses with the §V-B metric (cheap; on by default in
-    /// the benchmark harnesses).
+    /// Count remote accesses with the §V-B metric (cheap; on by default).
     pub count_remote: bool,
     /// Cost model used wherever this executor prices a schedule — today
     /// that is [`execute_auto`](StaticExecutor::execute_auto)'s
@@ -48,8 +49,8 @@ pub struct ExecOptions {
     /// and runs the domain-packing post-pass on the winner. `None` (the
     /// default) prices every worker as its own domain. Like `cost`, the
     /// threaded execution itself ignores it — use e.g.
-    /// `NumaTopology::paper_machine().truncated(p).cost_view()` to select
-    /// for the paper machine.
+    /// `Topology::paper_machine().truncated(p)` to select for the paper
+    /// machine.
     pub topology: Option<nabbitc_cost::Topology>,
     /// Pre-flight schedule linting for
     /// [`execute_auto`](StaticExecutor::execute_auto): with a gate other
@@ -61,6 +62,18 @@ pub struct ExecOptions {
     /// a hard stop on a degenerate schedule. Plain `execute` never lints
     /// — the caller's own coloring is taken as intended.
     pub lint: LintGate,
+}
+
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            record_trace: false,
+            count_remote: true,
+            cost: nabbitc_cost::CostModel::default(),
+            topology: None,
+            lint: LintGate::Off,
+        }
+    }
 }
 
 /// What [`execute_auto`](StaticExecutor::execute_auto) does with schedule
@@ -119,13 +132,7 @@ impl StaticExecutor {
     pub fn new(pool: Arc<Pool>) -> Self {
         StaticExecutor {
             pool,
-            options: ExecOptions {
-                record_trace: false,
-                count_remote: true,
-                cost: nabbitc_cost::CostModel::default(),
-                topology: None,
-                lint: LintGate::Off,
-            },
+            options: ExecOptions::default(),
         }
     }
 
@@ -312,7 +319,7 @@ fn process_node<K>(
 mod tests {
     use super::*;
     use nabbitc_graph::generate;
-    use nabbitc_runtime::{NumaTopology, PoolConfig, StealPolicy};
+    use nabbitc_runtime::{PoolConfig, StealPolicy, Topology};
     use std::sync::atomic::AtomicU32 as A32;
 
     fn run_and_check(graph: TaskGraph, pool: Pool) -> RunReport {
@@ -404,7 +411,7 @@ mod tests {
         // 2 domains x 2 cores; colors span domains, so a locality-oblivious
         // policy will incur remote accesses on most runs. We only assert the
         // metric is *counted* (total > 0) and bounded.
-        let topo = NumaTopology::new(2, 2);
+        let topo = Topology::new(2, 2);
         let pool = Pool::new(
             PoolConfig::nabbit(4)
                 .with_topology(topo)
@@ -413,6 +420,23 @@ mod tests {
         let report = run_and_check(generate::layered_random(10, 40, 3, (1, 3), 4, 9), pool);
         assert!(report.remote.total() > 0);
         assert!(report.remote.pct_remote() <= 100.0);
+    }
+
+    #[test]
+    fn remote_metric_survives_a_default_options_update() {
+        // `..ExecOptions::default()` must mean "as `new` runs it": naming
+        // one field may not switch §V-B counting off.
+        let topo = Topology::new(2, 2);
+        let pool = Arc::new(Pool::new(
+            PoolConfig::nabbitc(4).with_topology(topo.clone()),
+        ));
+        let exec = StaticExecutor::new(pool).with_options(ExecOptions {
+            topology: Some(topo),
+            ..ExecOptions::default()
+        });
+        let graph = Arc::new(generate::layered_random(10, 40, 3, (1, 3), 4, 9));
+        let report = exec.execute(&graph, Arc::new(|_u, _w| {}));
+        assert!(report.remote.total() > 0);
     }
 
     #[test]

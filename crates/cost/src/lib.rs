@@ -6,10 +6,10 @@
 //! * the NUMA work-stealing and OpenMP simulators (`nabbitc-numasim`)
 //!   charge every node `node_ticks(work, local, remote)` plus steal,
 //!   split, back-off, and barrier overheads;
-//! * the list-schedule makespan estimators
-//!   (`nabbitc-graph::analysis::estimate_makespan_colored*`) charge a
-//!   cross-color dependence edge as **remote-byte bandwidth on the
-//!   consumer** ([`CostModel::remote_excess`]) plus the steal
+//! * the list-schedule makespan estimator
+//!   (`nabbitc-graph::analysis::estimate_makespan_colored_strict_on`)
+//!   charges a cross-color dependence edge as **remote-byte bandwidth on
+//!   the consumer** ([`CostModel::remote_excess`]) plus the steal
 //!   hand-off latency ([`CostModel::cross_edge_latency`]);
 //! * the autocolor objectives (`nabbitc-autocolor`'s `MakespanGain`,
 //!   `CpLevelAware`, and the `AutoSelect` meta-assigner) optimize and
@@ -31,23 +31,24 @@
 //! the order of a few thousand cycles.
 //!
 //! Whether a byte is *local* or *remote* is a property of the machine, not
-//! of the model: [`Topology`] is the trimmed worker→domain view the cost
-//! consumers share (the paper machine groups 10 workers per NUMA domain,
-//! so a cut edge between two workers of the same domain moves its bytes at
-//! *local* bandwidth). [`Topology::per_worker`] — every worker its own
-//! domain — is the conservative default the estimators used before the
-//! domain-aware extension, and remains the default everywhere a topology
-//! is not supplied explicitly.
+//! of the model: [`Topology`] is the workspace's one machine description,
+//! shared by the worker pool, the executors' §V-B counters, the
+//! simulators and the cost consumers (the paper machine groups 10 workers
+//! per NUMA domain, so a cut edge between two workers of the same domain
+//! moves its bytes at *local* bandwidth). [`Topology::per_worker`] —
+//! every worker its own domain — is the conservative choice, and what
+//! every cost consumer uses when a topology is not supplied explicitly.
 
-/// A trimmed logical NUMA topology: `domains × cores_per_domain` workers,
-/// mapped to domains by contiguous blocks (worker ids in pinning order).
+/// A logical NUMA topology: `domains × cores_per_domain` workers, mapped
+/// to domains by contiguous blocks (worker ids in pinning order).
 ///
-/// This is the view the cost consumers — the makespan estimators in
+/// The worker pool is built on it, the simulators price accesses with
+/// it, and the cost consumers — the makespan estimator in
 /// `nabbitc-graph::analysis`, the autocolor objectives, and the domain
-/// packing pass — need to answer "is this worker pair remote?". The full
-/// color-aware topology (`nabbitc-runtime::NumaTopology`) carries the same
-/// mapping plus the §V-B color-set machinery and converts into this type
-/// via its `cost_view` method.
+/// packing pass — ask it "is this worker pair remote?". The questions
+/// that take a color (`is_remote`, `domain_of_color`, `domain_colors`)
+/// are the `nabbitc_runtime::ColorDomains` extension trait: this crate
+/// has no notion of colors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     domains: usize,
@@ -101,9 +102,9 @@ impl Topology {
         self.domains * self.cores_per_domain
     }
 
-    /// Domain of a worker id (contiguous block mapping; ids past the last
-    /// core clamp to the last domain, mirroring
-    /// `NumaTopology::domain_of_worker`).
+    /// Domain of a worker id (contiguous block mapping, as produced by
+    /// pinning threads in id order; ids past the last core clamp to the
+    /// last domain).
     #[inline]
     pub fn domain_of(&self, worker: usize) -> usize {
         (worker / self.cores_per_domain).min(self.domains - 1)
@@ -256,7 +257,7 @@ impl CostModel {
     /// reproduces the pre-domain-aware pricing.
     ///
     /// This is the one-edge form, for callers pricing edges
-    /// independently. The estimators and the `CpLevelAware` sweep
+    /// independently. The estimator and the `CpLevelAware` sweep
     /// instead *accumulate* a node's cross-domain bytes and price the
     /// total once through [`node_ticks`](Self::node_ticks) /
     /// [`remote_excess`](Self::remote_excess) (one rounding per node,
@@ -272,7 +273,7 @@ impl CostModel {
     }
 
     /// Latency of handing a task across workers — one steal probe plus
-    /// one entry transfer. The estimators charge this on the *ready time*
+    /// one entry transfer. The estimator charges this on the *ready time*
     /// of a cross-worker dependence (it delays the consumer but does not
     /// occupy it), in contrast to [`remote_excess`](Self::remote_excess),
     /// which occupies the consumer's core for the duration of the byte

@@ -44,7 +44,7 @@ use nabbitc_graph::TaskGraph;
 /// colors' regions. A cross-color dependence edge whose endpoints land in
 /// different NUMA domains therefore carries real remote-byte traffic —
 /// the same bandwidth term the makespan estimator
-/// (`nabbitc_graph::analysis::estimate_makespan_colored`) charges, priced
+/// (`nabbitc_graph::analysis::estimate_makespan_colored_strict_on`) charges, priced
 /// by the same [`CostModel`].
 ///
 /// This is the simulator-side entry point for the autocolor subsystem:
@@ -88,7 +88,15 @@ pub fn serial_ticks_loops(nest: &LoopNest, cost: &CostModel) -> u64 {
 #[cfg(test)]
 mod recolor_tests {
     use super::*;
+    use nabbitc_cost::Topology;
+    use nabbitc_graph::analysis::estimate_makespan_colored_strict_on;
     use nabbitc_graph::generate;
+
+    /// The makespan estimate of a valid coloring of `p` workers grouped
+    /// into domains by `topo`, priced like `cfg`'s simulation.
+    fn estimate(g: &TaskGraph, colors: &[Color], p: usize, cfg: &WsConfig, topo: &Topology) -> u64 {
+        estimate_makespan_colored_strict_on(g, colors, p, &cfg.cost, topo).expect("valid coloring")
+    }
 
     #[test]
     fn recolored_simulation_is_deterministic_and_complete() {
@@ -111,7 +119,6 @@ mod recolor_tests {
         // trustworthy if it orders colorings the same way this simulator
         // does. Row-blocking vs level-blocking on a wavefront is the
         // starkest case: level-blocking serializes the pipeline.
-        use nabbitc_graph::analysis::estimate_makespan_colored;
         let g = generate::wavefront(24, 24, 60, 1);
         let p = 8;
         let by_row: Vec<Color> = g
@@ -125,8 +132,9 @@ mod recolor_tests {
         let cfg = WsConfig::nabbitc(p);
         let sim_row = simulate_ws_recolored(&g, &by_row, &cfg).makespan;
         let sim_level = simulate_ws_recolored(&g, &by_level, &cfg).makespan;
-        let est_row = estimate_makespan_colored(&g, &by_row, p, &cfg.cost);
-        let est_level = estimate_makespan_colored(&g, &by_level, p, &cfg.cost);
+        let per_worker = Topology::per_worker(p);
+        let est_row = estimate(&g, &by_row, p, &cfg, &per_worker);
+        let est_level = estimate(&g, &by_level, p, &cfg, &per_worker);
         assert!(
             sim_row < sim_level,
             "simulator: row {sim_row} !< level {sim_level}"
@@ -139,7 +147,7 @@ mod recolor_tests {
 
     #[test]
     fn auto_select_pick_holds_up_in_the_simulator() {
-        // The meta-assigner trusts `estimate_makespan_colored` to rank
+        // The meta-assigner trusts the makespan estimator to rank
         // candidates; this is the simulator-side contract that the trust
         // is warranted: on each structural family (wavefront / stencil /
         // irregular dataflow), the coloring AutoSelect picks must
@@ -181,11 +189,9 @@ mod recolor_tests {
         // per-worker cut structure, same loads — differ only in how the
         // colors land on NUMA domains. The per-worker estimator is
         // permutation-invariant and cannot separate them; the simulator
-        // (which prices accesses through `NumaTopology::domain_of_color`)
-        // and the domain-aware estimator (which prices the same mapping
-        // through `cost_view()`) must both prefer the domain-friendly
-        // labeling.
-        use nabbitc_graph::analysis::{estimate_makespan_colored, estimate_makespan_colored_on};
+        // (which prices accesses through `ColorDomains::domain_of_color`)
+        // and the estimator under the same `Topology` must both prefer
+        // the domain-friendly labeling.
         let p = 20;
         let g = generate::iterated_stencil(10, p, 2, 1); // memory-bound
         let friendly: Vec<Color> = g.nodes().map(|u| Color::from(u as usize % p)).collect();
@@ -196,16 +202,16 @@ mod recolor_tests {
             .map(|c| Color::from((c.index() % 2) * 10 + c.index() / 2))
             .collect();
         let cfg = WsConfig::nabbitc(p);
-        let topo = cfg.topology.cost_view();
-        assert_eq!(topo.domains(), 2);
-        let est_pw_f = estimate_makespan_colored(&g, &friendly, p, &cfg.cost);
-        let est_pw_h = estimate_makespan_colored(&g, &hostile, p, &cfg.cost);
+        assert_eq!(cfg.topology.domains(), 2);
+        let per_worker = Topology::per_worker(p);
+        let est_pw_f = estimate(&g, &friendly, p, &cfg, &per_worker);
+        let est_pw_h = estimate(&g, &hostile, p, &cfg, &per_worker);
         assert_eq!(
             est_pw_f, est_pw_h,
             "per-worker estimates are permutation-invariant"
         );
-        let est_f = estimate_makespan_colored_on(&g, &friendly, p, &cfg.cost, &topo);
-        let est_h = estimate_makespan_colored_on(&g, &hostile, p, &cfg.cost, &topo);
+        let est_f = estimate(&g, &friendly, p, &cfg, &cfg.topology);
+        let est_h = estimate(&g, &hostile, p, &cfg, &cfg.topology);
         let sim_f = simulate_ws_recolored(&g, &friendly, &cfg).makespan;
         let sim_h = simulate_ws_recolored(&g, &hostile, &cfg).makespan;
         assert!(

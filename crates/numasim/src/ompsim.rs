@@ -13,9 +13,9 @@
 //!   thread is free first — dynamic load balance, no locality control.
 
 use crate::result::{CoreStats, SimRemote, SimResult};
-use nabbitc_cost::CostModel;
+use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::NodeAccess;
-use nabbitc_runtime::NumaTopology;
+use nabbitc_runtime::ColorDomains;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -73,11 +73,11 @@ pub fn static_range(n: usize, threads: usize, t: usize) -> std::ops::Range<usize
 fn iter_ticks(
     it: &IterDesc,
     core: usize,
-    topo: &NumaTopology,
+    topo: &Topology,
     cost: &CostModel,
     remote: &mut SimRemote,
 ) -> u64 {
-    let my_domain = topo.domain_of_worker(core);
+    let my_domain = topo.domain_of(core);
     let (mut local, mut remote_bytes) = (0u64, 0u64);
     for (k, a) in it.accesses.iter().enumerate() {
         remote.total += 1;
@@ -104,7 +104,7 @@ pub fn simulate_omp(
     nest: &LoopNest,
     schedule: OmpSchedule,
     cores: usize,
-    topology: &NumaTopology,
+    topology: &Topology,
     cost: &CostModel,
 ) -> SimResult {
     assert!(cores > 0, "need at least one core");
@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn static_first_touch_is_all_local() {
         let cores = 40;
-        let topo = NumaTopology::paper_machine().truncated(cores);
+        let topo = Topology::paper_machine().truncated(cores);
         let nest = first_touch_nest(5, 4000, cores, 4096);
         let r = simulate_omp(
             &nest,
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn guided_incurs_remote_accesses() {
         let cores = 40;
-        let topo = NumaTopology::paper_machine().truncated(cores);
+        let topo = Topology::paper_machine().truncated(cores);
         let nest = first_touch_nest(5, 4000, cores, 4096);
         let r = simulate_omp(
             &nest,
@@ -235,7 +235,7 @@ mod tests {
     fn static_balanced_beats_guided_on_regular_loop() {
         // Uniform work + first-touch data: static is optimal.
         let cores = 40;
-        let topo = NumaTopology::paper_machine().truncated(cores);
+        let topo = Topology::paper_machine().truncated(cores);
         let nest = first_touch_nest(3, 4000, cores, 4096);
         let cost = CostModel::default();
         let s = simulate_omp(&nest, OmpSchedule::Static, cores, &topo, &cost);
@@ -253,7 +253,7 @@ mod tests {
         // Heavily skewed iteration costs, data colored to one region so
         // locality cannot save static: load balance decides.
         let cores = 10;
-        let topo = NumaTopology::paper_machine().truncated(cores);
+        let topo = Topology::paper_machine().truncated(cores);
         let n = 1000;
         let nest = LoopNest {
             phases: vec![Phase {
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn barriers_accumulate() {
         let cores = 4;
-        let topo = NumaTopology::uma(cores);
+        let topo = Topology::uma(cores);
         let cost = CostModel::default();
         let one = simulate_omp(
             &first_touch_nest(1, 40, cores, 0),
@@ -302,7 +302,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let cores = 16;
-        let topo = NumaTopology::paper_machine().truncated(cores);
+        let topo = Topology::paper_machine().truncated(cores);
         let nest = first_touch_nest(3, 500, cores, 1024);
         let cost = CostModel::default();
         let a = simulate_omp(&nest, OmpSchedule::Guided, cores, &topo, &cost);
@@ -317,7 +317,7 @@ mod tests {
             &LoopNest::default(),
             OmpSchedule::Static,
             4,
-            &NumaTopology::uma(4),
+            &Topology::uma(4),
             &CostModel::default(),
         );
         assert_eq!(r.makespan, 0);
@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn more_cores_than_iterations() {
         let cores = 8;
-        let topo = NumaTopology::uma(cores);
+        let topo = Topology::uma(cores);
         let nest = first_touch_nest(1, 3, cores, 64);
         let r = simulate_omp(
             &nest,

@@ -14,10 +14,10 @@
 
 use crate::result::{CoreStats, SimRemote, SimResult};
 use nabbitc_color::{Color, ColorSet};
-use nabbitc_cost::CostModel;
+use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::{NodeId, TaskGraph};
 use nabbitc_runtime::rng::XorShift64;
-use nabbitc_runtime::{NumaTopology, StealPolicy};
+use nabbitc_runtime::{ColorDomains, StealPolicy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -26,9 +26,11 @@ use std::collections::{BinaryHeap, VecDeque};
 pub struct WsConfig {
     /// Simulated cores (= colors).
     pub cores: usize,
-    /// Machine topology (use [`NumaTopology::paper_machine`] + `truncated`
-    /// for the paper's 1–80 core sweeps).
-    pub topology: NumaTopology,
+    /// Machine topology (use [`Topology::paper_machine`] + `truncated`
+    /// for the paper's 1–80 core sweeps). The same value prices the
+    /// matching estimate: hand `&cfg.topology` to the makespan estimator
+    /// or to `AutoSelect::with_topology`.
+    pub topology: Topology,
     /// Steal policy: [`StealPolicy::nabbitc`] or [`StealPolicy::nabbit`].
     pub policy: StealPolicy,
     /// Cost model.
@@ -42,7 +44,7 @@ impl WsConfig {
     pub fn nabbitc(cores: usize) -> Self {
         WsConfig {
             cores,
-            topology: NumaTopology::paper_machine().truncated(cores),
+            topology: Topology::paper_machine().truncated(cores),
             policy: StealPolicy::nabbitc(),
             cost: CostModel::default(),
             seed: 0x5EED,
@@ -239,7 +241,7 @@ impl<'a> Sim<'a> {
     fn execute(&mut self, c: usize, t: u64, u: NodeId) {
         let g = self.graph;
         let topo = &self.cfg.topology;
-        let my_domain = topo.domain_of_worker(c);
+        let my_domain = topo.domain_of(c);
 
         // Price the node's accesses local/remote.
         let (mut local, mut remote_bytes) = (0u64, 0u64);
@@ -299,7 +301,7 @@ impl<'a> Sim<'a> {
         let my = if self.cfg.policy.match_domain {
             self.cfg
                 .topology
-                .domain_colors(self.cfg.topology.domain_of_worker(c))
+                .domain_colors(self.cfg.topology.domain_of(c))
         } else {
             ColorSet::singleton(Color::from(c))
         };
@@ -526,7 +528,7 @@ mod tests {
     fn uma_topology_no_remote() {
         let g = generate::iterated_stencil(5, 50, 100, 8);
         let mut cfg = WsConfig::nabbitc(8);
-        cfg.topology = NumaTopology::uma(8);
+        cfg.topology = Topology::uma(8);
         let r = simulate_ws(&g, &cfg);
         assert_eq!(r.remote.pct(), 0.0);
     }

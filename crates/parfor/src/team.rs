@@ -4,7 +4,7 @@ use crate::schedule::Schedule;
 use nabbitc_color::Color;
 use nabbitc_core::metrics::{RemoteAccessReport, RemoteCounters};
 use nabbitc_runtime::sync::{AtomicUsize, Ordering};
-use nabbitc_runtime::NumaTopology;
+use nabbitc_runtime::Topology;
 // Condvar has no loom shim; the team's park/wake protocol stays on
 // parking_lot and is allowlisted by the lint facade-conformance pass.
 use parking_lot::{Condvar, Mutex};
@@ -47,13 +47,13 @@ pub struct Team {
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
     size: usize,
-    topology: NumaTopology,
+    topology: Topology,
     submit_lock: Mutex<()>,
 }
 
 impl Team {
     /// Spawns a team of `size` threads on `topology`.
-    pub fn new(size: usize, topology: NumaTopology) -> Team {
+    pub fn new(size: usize, topology: Topology) -> Team {
         assert!(size > 0, "team needs at least one thread");
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -85,7 +85,7 @@ impl Team {
 
     /// Convenience: a UMA team (no remote accesses possible).
     pub fn uma(size: usize) -> Team {
-        Team::new(size, NumaTopology::uma(size.max(1)))
+        Team::new(size, Topology::uma(size.max(1)))
     }
 
     /// Number of threads.
@@ -94,7 +94,7 @@ impl Team {
     }
 
     /// The team topology.
-    pub fn topology(&self) -> &NumaTopology {
+    pub fn topology(&self) -> &Topology {
         &self.topology
     }
 
@@ -332,7 +332,7 @@ mod tests {
     fn static_with_matching_colors_has_zero_remote() {
         // 2 domains x 2 threads; color iteration i by its static owner:
         // first-touch locality => 0% remote, the OPENMPSTATIC property.
-        let team = Team::new(4, NumaTopology::new(2, 2));
+        let team = Team::new(4, Topology::new(2, 2));
         let n = 1000;
         let report = team.parallel_for_counted(
             n,
@@ -353,7 +353,7 @@ mod tests {
     fn guided_with_block_colors_incurs_remote() {
         // Guided scheduling ignores locality; with data block-colored to
         // domains, some iterations will (almost surely) run remotely.
-        let team = Team::new(4, NumaTopology::new(2, 2));
+        let team = Team::new(4, Topology::new(2, 2));
         let n = 100_000;
         let report = team.parallel_for_counted(
             n,

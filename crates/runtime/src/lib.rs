@@ -40,11 +40,14 @@ pub mod trace;
 
 pub use deque::{ColoredDeque, Steal};
 pub use injector::Injector;
+pub use nabbitc_cost::Topology;
 pub use policy::StealPolicy;
 pub use pool::{Pool, PoolConfig, SpawnBatch, WorkerContext};
 pub use stats::{PoolStats, WorkerStatsSnapshot};
 pub use task::Task;
-pub use topology::NumaTopology;
+// The name `benchmark/` uses for `Topology`; goes when that package is next edited.
+pub use nabbitc_cost::Topology as NumaTopology;
+pub use topology::ColorDomains;
 pub use trace::{
     RuntimeTrace, TraceConfig, TraceEventKind, TraceRecord, WorkerTrace, WorkerTraceSummary,
 };

@@ -2,7 +2,7 @@
 //!
 //! Workers are created once per [`Pool`] and pinned *logically*: worker `w`
 //! has color `w` and belongs to NUMA domain `w / cores_per_domain` of the
-//! configured [`NumaTopology`]. A job is submitted with [`Pool::run`]; the
+//! configured [`Topology`]. A job is submitted with [`Pool::run`]; the
 //! root task enters a one-shot injector, one worker picks it up (the paper:
 //! "one worker starts out with executing the root node and all other
 //! workers are stealing"), and everything else flows through spawns and
@@ -28,10 +28,11 @@ use crate::rng::XorShift64;
 use crate::stats::{PoolStats, WorkerStats};
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::task::Task;
-use crate::topology::NumaTopology;
+use crate::topology::ColorDomains;
 use crate::trace::{RuntimeTrace, TraceConfig, TraceEventKind, Tracer};
 use crossbeam_utils::Backoff;
 use nabbitc_color::{Color, ColorSet};
+use nabbitc_cost::Topology;
 // Condvar has no loom shim; the pool's parking protocol is exercised by
 // the model harness through the deque/injector API instead. Allowlisted
 // by the lint facade-conformance pass (FACADE_EXEMPT).
@@ -46,7 +47,7 @@ pub struct PoolConfig {
     /// Number of worker threads (= number of colors).
     pub workers: usize,
     /// Logical NUMA topology; workers map to domains in contiguous blocks.
-    pub topology: NumaTopology,
+    pub topology: Topology,
     /// Steal policy (NabbitC, Nabbit, or custom).
     pub policy: StealPolicy,
     /// Seed for per-worker victim-selection RNGs.
@@ -68,7 +69,7 @@ impl PoolConfig {
         assert!(workers > 0, "need at least one worker");
         PoolConfig {
             workers,
-            topology: NumaTopology::uma(workers),
+            topology: Topology::uma(workers),
             policy: StealPolicy::nabbitc(),
             seed: 0xC0FFEE,
             trace: TraceConfig::default(),
@@ -85,7 +86,7 @@ impl PoolConfig {
     }
 
     /// Sets the topology (builder style).
-    pub fn with_topology(mut self, t: NumaTopology) -> Self {
+    pub fn with_topology(mut self, t: Topology) -> Self {
         self.topology = t;
         self
     }
@@ -112,7 +113,7 @@ impl PoolConfig {
 struct PoolInner {
     deques: Vec<ColoredDeque<Task>>,
     stats: Vec<WorkerStats>,
-    topology: NumaTopology,
+    topology: Topology,
     policy: StealPolicy,
     workers: usize,
     /// Event rings, present only when tracing is enabled — the disabled
@@ -254,7 +255,7 @@ impl Pool {
     }
 
     /// The pool's topology.
-    pub fn topology(&self) -> &NumaTopology {
+    pub fn topology(&self) -> &Topology {
         &self.inner.topology
     }
 
@@ -331,7 +332,7 @@ impl Pool {
     /// worker is concurrently overwriting are skipped, not read torn.
     pub fn trace_snapshot(&self) -> RuntimeTrace {
         match &self.inner.tracer {
-            Some(t) => t.snapshot(|w| self.inner.topology.domain_of_worker(w)),
+            Some(t) => t.snapshot(|w| self.inner.topology.domain_of(w)),
             None => RuntimeTrace::default(),
         }
     }
@@ -394,7 +395,7 @@ impl<'a> WorkerContext<'a> {
 
     /// The pool topology.
     #[inline]
-    pub fn topology(&self) -> &NumaTopology {
+    pub fn topology(&self) -> &Topology {
         &self.inner.topology
     }
 
@@ -561,7 +562,7 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
     let accept = if inner.policy.match_domain {
         inner
             .topology
-            .domain_colors(inner.topology.domain_of_worker(worker))
+            .domain_colors(inner.topology.domain_of(worker))
     } else {
         ColorSet::singleton(Color::from(worker))
     };
@@ -780,7 +781,8 @@ fn steal_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as StdAtomicU64;
+    use std::sync::atomic::{AtomicBool as StdAtomicBool, AtomicU64 as StdAtomicU64};
+    use std::time::Duration;
 
     fn count_to(pool: &Pool, n: u64) -> u64 {
         let counter = Arc::new(StdAtomicU64::new(0));
@@ -874,7 +876,7 @@ mod tests {
 
     #[test]
     fn domain_matching_policy_completes() {
-        let topo = NumaTopology::new(2, 4);
+        let topo = Topology::new(2, 4);
         let pool = Pool::new(
             PoolConfig::nabbitc(8)
                 .with_topology(topo)
@@ -1006,26 +1008,32 @@ mod tests {
 
     #[test]
     fn batch_steal_counters_track_multi_task_steals() {
-        // Wide fanout from one root: thieves should land at least one
-        // multi-task batch over enough rounds. Single-CPU containers
-        // still interleave enough via preemption for this to hold with
-        // a root that publishes a large batch before executing anything.
+        // Wide fanout from one root, all of it on the root worker's
+        // deque. The steal window is a condition, not a duration: no task
+        // finishes until a second worker has started one, and that worker
+        // can only have got it by stealing from a deque still holding
+        // most of the batch — a steal-half of many tasks.
         let pool = Pool::new(PoolConfig::nabbitc(4));
         pool.reset_stats();
         for _ in 0..20 {
             let counter = Arc::new(StdAtomicU64::new(0));
+            let ran: Arc<Vec<StdAtomicBool>> =
+                Arc::new((0..4).map(|_| StdAtomicBool::new(false)).collect());
+            // Bounded per round, so a pool that cannot steal fails the
+            // assertion below instead of hanging.
+            let opened = Instant::now();
             let c = counter.clone();
             pool.run(ColorSet::all(4), move |ctx| {
                 let colors = ColorSet::all(4);
                 let mut batch = ctx.spawn_batch();
                 for _ in 0..256 {
-                    let c2 = c.clone();
-                    batch.add(colors, move |_| {
-                        // Spin long enough that the publishing worker is
-                        // preempted mid-job even on a single-CPU machine,
-                        // giving thieves a window at the full batch.
-                        for i in 0..5_000u64 {
-                            std::hint::black_box(i);
+                    let (c2, ran) = (c.clone(), ran.clone());
+                    batch.add(colors, move |ctx| {
+                        ran[ctx.worker_id()].store(true, Ordering::SeqCst);
+                        while ran.iter().filter(|r| r.load(Ordering::SeqCst)).count() < 2
+                            && opened.elapsed() < Duration::from_secs(2)
+                        {
+                            std::thread::yield_now();
                         }
                         c2.fetch_add(1, Ordering::SeqCst);
                     });

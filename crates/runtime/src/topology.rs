@@ -1,120 +1,55 @@
-//! Logical NUMA topology: workers → cores → domains.
+//! The §V-B locality rule, in colors.
 //!
 //! The evaluation machine in the paper is 8 NUMA domains × 10 cores. Worker
 //! threads are pinned, one per core, and each worker gets a unique color
 //! equal to its id. A *remote access* (§V-B) is an access to data whose
 //! color belongs to no worker in the accessing worker's domain.
 //!
-//! We model the topology logically (worker id → domain by contiguous
-//! blocks). On the container this library runs in, physical pinning is
-//! unavailable, but the remote-access *metric* and the scheduling policies
-//! depend only on the mapping, not on actual placement; the NUMA *cost*
-//! model lives in `nabbitc-numasim`.
+//! The worker→domain mapping itself is [`nabbitc_cost::Topology`], the
+//! workspace's one machine description; [`ColorDomains`] adds the three
+//! questions that take a [`Color`]. They live here rather than on the
+//! type because `nabbitc-cost` does not know about colors. On the
+//! container this library runs in, physical pinning is unavailable, but
+//! the remote-access *metric* and the scheduling policies depend only on
+//! the mapping, not on actual placement.
 
 use nabbitc_color::{Color, ColorSet};
+use nabbitc_cost::Topology;
 
-/// A logical NUMA topology: `domains × cores_per_domain` cores.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NumaTopology {
-    domains: usize,
-    cores_per_domain: usize,
-}
-
-impl NumaTopology {
-    /// Creates a topology. Panics if either dimension is zero.
-    pub fn new(domains: usize, cores_per_domain: usize) -> Self {
-        assert!(domains > 0 && cores_per_domain > 0, "degenerate topology");
-        NumaTopology {
-            domains,
-            cores_per_domain,
-        }
-    }
-
-    /// The paper's evaluation machine: 8 Xeon E7-8860 sockets × 10 cores.
-    pub fn paper_machine() -> Self {
-        NumaTopology::new(8, 10)
-    }
-
-    /// A single-domain topology of `cores` cores (UMA): no access is remote.
-    pub fn uma(cores: usize) -> Self {
-        NumaTopology::new(1, cores)
-    }
-
-    /// Total cores.
-    #[inline]
-    pub fn cores(&self) -> usize {
-        self.domains * self.cores_per_domain
-    }
-
-    /// Number of domains.
-    #[inline]
-    pub fn domains(&self) -> usize {
-        self.domains
-    }
-
-    /// Cores per domain.
-    #[inline]
-    pub fn cores_per_domain(&self) -> usize {
-        self.cores_per_domain
-    }
-
-    /// Domain of a worker/core id (contiguous block mapping, as produced by
-    /// pinning threads in id order).
-    #[inline]
-    pub fn domain_of_worker(&self, worker: usize) -> usize {
-        (worker / self.cores_per_domain).min(self.domains - 1)
-    }
-
-    /// Domain that owns data colored `c` (color = initializing worker id).
-    /// Invalid colors belong to no domain.
-    #[inline]
-    pub fn domain_of_color(&self, c: Color) -> Option<usize> {
-        if !c.is_valid() || (c.0 as usize) >= self.cores() {
-            return None;
-        }
-        Some(self.domain_of_worker(c.0 as usize))
-    }
+/// Color-typed queries on a [`Topology`] (color = initializing worker id).
+pub trait ColorDomains {
+    /// Domain that owns data colored `c`. Invalid colors and colors past
+    /// the last core belong to no domain.
+    fn domain_of_color(&self, c: Color) -> Option<usize>;
 
     /// The set of colors owned by workers in `domain`. Used by the §V-B
     /// metric: an access is *local* if its color is in the accessing
-    /// worker's domain color set.
-    pub fn domain_colors(&self, domain: usize) -> ColorSet {
-        assert!(domain < self.domains);
-        let lo = domain * self.cores_per_domain;
-        (lo..lo + self.cores_per_domain).map(Color::from).collect()
-    }
+    /// worker's domain color set. Panics if `domain` is out of range.
+    fn domain_colors(&self, domain: usize) -> ColorSet;
 
     /// Whether an access by `worker` to data colored `data_color` is remote
     /// (crosses NUMA domains). Accesses to invalid/unowned colors count as
     /// remote, matching the conservative reading of the paper's metric.
+    fn is_remote(&self, worker: usize, data_color: Color) -> bool;
+}
+
+impl ColorDomains for Topology {
     #[inline]
-    pub fn is_remote(&self, worker: usize, data_color: Color) -> bool {
-        match self.domain_of_color(data_color) {
-            Some(d) => d != self.domain_of_worker(worker),
-            None => true,
-        }
+    fn domain_of_color(&self, c: Color) -> Option<usize> {
+        (c.is_valid() && c.index() < self.cores()).then(|| self.domain_of(c.index()))
     }
 
-    /// The trimmed [`nabbitc_cost::Topology`] view of this topology — the
-    /// same worker→domain block mapping without the color-set machinery.
-    /// This is what the cost consumers (the domain-aware makespan
-    /// estimators, the autocolor objectives, and the domain packing pass)
-    /// take, so a simulation config's topology can price the matching
-    /// estimate: `estimate_makespan_colored_on(..., &cfg.topology.cost_view())`.
-    pub fn cost_view(&self) -> nabbitc_cost::Topology {
-        nabbitc_cost::Topology::new(self.domains, self.cores_per_domain)
+    fn domain_colors(&self, domain: usize) -> ColorSet {
+        assert!(domain < self.domains());
+        let lo = domain * self.cores_per_domain();
+        (lo..lo + self.cores_per_domain())
+            .map(Color::from)
+            .collect()
     }
 
-    /// Restricts the topology to the first `p` cores, preserving the domain
-    /// granularity — how the paper scales core counts (1–10 cores fit in one
-    /// domain, 20 cores span two domains, ...).
-    pub fn truncated(&self, p: usize) -> NumaTopology {
-        assert!(p > 0);
-        let domains = p.div_ceil(self.cores_per_domain).min(self.domains);
-        NumaTopology {
-            domains,
-            cores_per_domain: self.cores_per_domain,
-        }
+    #[inline]
+    fn is_remote(&self, worker: usize, data_color: Color) -> bool {
+        self.domain_of_color(data_color) != Some(self.domain_of(worker))
     }
 }
 
@@ -123,19 +58,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_machine_dims() {
-        let t = NumaTopology::paper_machine();
-        assert_eq!(t.cores(), 80);
-        assert_eq!(t.domains(), 8);
-        assert_eq!(t.domain_of_worker(0), 0);
-        assert_eq!(t.domain_of_worker(9), 0);
-        assert_eq!(t.domain_of_worker(10), 1);
-        assert_eq!(t.domain_of_worker(79), 7);
-    }
-
-    #[test]
     fn domain_colors_are_contiguous() {
-        let t = NumaTopology::new(2, 3);
+        let t = Topology::new(2, 3);
         let d0 = t.domain_colors(0);
         assert!(d0.contains(Color(0)) && d0.contains(Color(2)));
         assert!(!d0.contains(Color(3)));
@@ -145,7 +69,7 @@ mod tests {
 
     #[test]
     fn remote_detection() {
-        let t = NumaTopology::new(2, 2);
+        let t = Topology::new(2, 2);
         assert!(!t.is_remote(0, Color(1))); // same domain
         assert!(t.is_remote(0, Color(2))); // other domain
         assert!(t.is_remote(3, Color(0)));
@@ -156,7 +80,7 @@ mod tests {
 
     #[test]
     fn uma_has_no_remote() {
-        let t = NumaTopology::uma(8);
+        let t = Topology::uma(8);
         for w in 0..8 {
             for c in 0..8u16 {
                 assert!(!t.is_remote(w, Color(c)));
@@ -165,31 +89,26 @@ mod tests {
     }
 
     #[test]
-    fn truncation_matches_paper_scaling() {
-        let t = NumaTopology::paper_machine();
-        assert_eq!(t.truncated(10).domains(), 1);
-        assert_eq!(t.truncated(11).domains(), 2);
-        assert_eq!(t.truncated(20).domains(), 2);
-        assert_eq!(t.truncated(80).domains(), 8);
-        // 1-10 cores fit in one NUMA domain: no remote accesses (§V-B).
-        let one = t.truncated(4);
-        assert!(!one.is_remote(3, Color(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate")]
-    fn zero_domains_panics() {
-        NumaTopology::new(0, 4);
-    }
-
-    #[test]
-    fn cost_view_preserves_the_domain_mapping() {
-        let t = NumaTopology::paper_machine().truncated(20);
-        let v = t.cost_view();
-        assert_eq!(v.domains(), t.domains());
-        assert_eq!(v.cores_per_domain(), t.cores_per_domain());
-        for w in 0..t.cores() {
-            assert_eq!(v.domain_of(w), t.domain_of_worker(w));
+    fn color_queries_agree_with_the_worker_mapping() {
+        for d in 1..=4 {
+            for c in 1..=4 {
+                let t = Topology::new(d, c);
+                for w in 0..t.cores() {
+                    for x in 0..t.cores() {
+                        assert_eq!(t.is_remote(w, Color::from(x)), !t.same_domain(w, x));
+                    }
+                    assert!(t.is_remote(w, Color::INVALID));
+                    assert!(t.is_remote(w, Color::from(t.cores())));
+                    assert!(t.is_remote(w, Color::from(t.cores() + 7)));
+                }
+                for k in 0..d {
+                    let owned: ColorSet = (0..t.cores())
+                        .filter(|&x| t.domain_of(x) == k)
+                        .map(Color::from)
+                        .collect();
+                    assert_eq!(t.domain_colors(k), owned, "{d}x{c} domain {k}");
+                }
+            }
         }
     }
 }

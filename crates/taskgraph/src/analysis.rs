@@ -428,136 +428,7 @@ pub fn level_serialization(g: &TaskGraph, profile: &LevelProfile) -> LevelSerial
     }
 }
 
-/// Cheap bandwidth-aware list-schedule makespan estimate of a coloring.
-///
-/// Node `u` executes on the worker its color names (invalid or
-/// out-of-range colors share one overflow worker) and nodes are issued in
-/// topological order. A cross-worker dependence edge `p -> u` is charged
-/// with the two terms of the shared [`CostModel`]:
-///
-/// * **bandwidth** — the edge's byte traffic
-///   ([`TaskGraph::edge_traffic`]) is read *remotely* by the consumer, so
-///   [`CostModel::remote_excess`] ticks are added to `u`'s execution
-///   time. This occupies the consumer's worker — it cannot be hidden by a
-///   warm pipeline — which is what makes memory-bound colorings rank
-///   correctly (the price of a cut edge scales with the bytes it moves,
-///   not with a calibrated constant);
-/// * **latency** — [`CostModel::cross_edge_latency`] (one steal probe +
-///   one entry transfer) delays `u`'s *ready time* after `p` finishes but
-///   does not occupy the worker; a busy worker absorbs it.
-///
-/// Same-worker edges charge nothing; every node additionally pays
-/// [`CostModel::node_ticks`] over its work and (local) footprint, so the
-/// estimate and the NUMA simulator price nodes identically.
-///
-/// **Domains.** This entry prices every worker as its own NUMA domain
-/// ([`Topology::per_worker`]) — any cross-worker edge is remote. That is
-/// the conservative default and ranks identically to the domain-aware
-/// variant on 1-worker-per-domain machines; to price a machine that
-/// groups workers into domains (the paper's 8×10 Xeon), use
-/// [`estimate_makespan_colored_on`] with its topology, which charges the
-/// bandwidth term only on *cross-domain* edges.
-///
-/// This is the objective the makespan-aware refinement gain optimizes and
-/// the `AutoSelect` meta-assigner scores with: it is O(V + E),
-/// deterministic, and ranks colorings the same way the full work-stealing
-/// simulator does (pinned by the estimator-vs-simulator rank-agreement
-/// proptests in `tests/cost_model.rs` and the cross-checks in
-/// `nabbitc-numasim`).
-pub fn estimate_makespan_colored(
-    g: &TaskGraph,
-    colors: &[Color],
-    workers: usize,
-    cost: &CostModel,
-) -> u64 {
-    assert!(workers > 0, "need at least one worker");
-    estimate_makespan_colored_on(g, colors, workers, cost, &Topology::per_worker(workers))
-}
-
-/// Domain-aware variant of [`estimate_makespan_colored`]: workers are
-/// grouped into NUMA domains by `topo`, and a cut edge whose endpoints
-/// share a domain moves its bytes at *local* bandwidth —
-/// [`CostModel::remote_excess`] is charged only when
-/// [`Topology::domain_of`] differs for the two workers (the same rule the
-/// NUMA simulator applies through `NumaTopology::domain_of_color`). The
-/// steal hand-off latency ([`CostModel::cross_edge_latency`]) is still
-/// charged on every cross-*worker* edge: the task changes hands even when
-/// the data does not change domains.
-///
-/// With [`Topology::per_worker`] this is exactly
-/// [`estimate_makespan_colored`]. Panics unless `topo` covers every
-/// worker (`topo.cores() >= workers`); the overflow worker that absorbs
-/// invalid colors is treated as remote to every real domain.
-pub fn estimate_makespan_colored_on(
-    g: &TaskGraph,
-    colors: &[Color],
-    workers: usize,
-    cost: &CostModel,
-    topo: &Topology,
-) -> u64 {
-    assert!(workers > 0, "need at least one worker");
-    assert_eq!(colors.len(), g.node_count(), "one color per node");
-    assert!(
-        topo.cores() >= workers,
-        "topology with {} cores cannot place {workers} workers",
-        topo.cores()
-    );
-    cost.assert_valid();
-    let latency = cost.cross_edge_latency();
-    let worker_of = |c: Color| -> usize {
-        if c.is_valid() && c.index() < workers {
-            c.index()
-        } else {
-            workers // overflow worker
-        }
-    };
-    // The overflow worker lives in a phantom domain of its own, remote to
-    // every real worker (invalid placements must never look local).
-    let domain_of = |w: usize| -> usize {
-        if w < workers {
-            topo.domain_of(w)
-        } else {
-            usize::MAX
-        }
-    };
-    let traffic = EdgeTraffic::of(g);
-    let mut free = vec![0u64; workers + 1];
-    let mut finish = vec![0u64; g.node_count()];
-    let mut makespan = 0u64;
-    for &u in g.topo_order() {
-        let w = worker_of(colors[u as usize]);
-        let d = domain_of(w);
-        let mut ready = 0u64;
-        let mut remote_bytes = 0u64;
-        for &p in g.predecessors(u) {
-            let mut t = finish[p as usize];
-            // Charge by executing *worker*, not raw color: two distinct
-            // out-of-range colors share the overflow worker, so no
-            // transfer occurs between them. The hand-off latency applies
-            // to every cross-worker edge; the bandwidth term only when
-            // the edge also crosses domains.
-            let pw = worker_of(colors[p as usize]);
-            if pw != w {
-                t += latency;
-                if domain_of(pw) != d {
-                    remote_bytes += traffic.traffic(p, u);
-                }
-            }
-            ready = ready.max(t);
-        }
-        // The traffic model caps inbound at the footprint, so this never
-        // underflows: local + remote = footprint(u).
-        let local_bytes = g.footprint(u) - remote_bytes;
-        let start = ready.max(free[w]);
-        let end = start + cost.node_ticks(g.work(u), local_bytes, remote_bytes).max(1);
-        finish[u as usize] = end;
-        free[w] = end;
-        makespan = makespan.max(end);
-    }
-    makespan
-}
-
-/// An assignment handed to the strict makespan estimator named a color no
+/// An assignment handed to the makespan estimator named a color no
 /// worker owns: node `node` carries `color`, which is invalid or outside
 /// `0..workers`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -582,20 +453,51 @@ impl std::fmt::Display for InvalidColoring {
 
 impl std::error::Error for InvalidColoring {}
 
-/// Strict variant of [`estimate_makespan_colored_on`]: rejects any
-/// assignment containing an invalid or out-of-range color instead of
-/// absorbing it into the overflow worker; valid assignments score exactly
-/// as the lenient estimator does under `topo`.
+/// Cheap bandwidth-aware list-schedule makespan estimate of a coloring —
+/// the workspace's one makespan estimator.
 ///
-/// The lenient estimator's overflow worker exists so *diagnostic* sweeps
-/// can score broken colorings; it is the wrong tool for *selection*.
-/// Routing invalid colors to worker `workers` silently scores the
-/// assignment on a `workers + 1`-worker machine, so a buggy assigner that
-/// emits out-of-range colors can win a meta-selection with a makespan no
-/// real machine will reproduce. Selection paths (`AutoSelect` in
-/// `nabbitc-autocolor`) use this entry and disqualify offending
-/// candidates instead; without a machine topology they pass
-/// [`Topology::per_worker`].
+/// Node `u` executes on the worker its color names and nodes are issued
+/// in topological order. A cross-worker dependence edge `p -> u` is
+/// charged with the two terms of the shared [`CostModel`]:
+///
+/// * **bandwidth** — when the two workers sit in different NUMA domains
+///   of `topo` ([`Topology::domain_of`] differs — the same rule the NUMA
+///   simulator applies to colors), the edge's byte traffic
+///   ([`EdgeTraffic`]) is read *remotely* by the consumer, so
+///   [`CostModel::remote_excess`] ticks are added to `u`'s execution
+///   time. This occupies the consumer's worker — it cannot be hidden by a
+///   warm pipeline — which is what makes memory-bound colorings rank
+///   correctly (the price of a cut edge scales with the bytes it moves,
+///   not with a calibrated constant). A cut edge whose endpoints share a
+///   domain moves its bytes at *local* bandwidth;
+/// * **latency** — [`CostModel::cross_edge_latency`] (one steal probe +
+///   one entry transfer) delays `u`'s *ready time* after `p` finishes but
+///   does not occupy the worker; a busy worker absorbs it. It is charged
+///   on every cross-*worker* edge: the task changes hands even when the
+///   data does not change domains.
+///
+/// Same-worker edges charge nothing; every node additionally pays
+/// [`CostModel::node_ticks`] over its work and footprint, so the estimate
+/// and the NUMA simulator price nodes identically.
+///
+/// Callers without a machine description pass [`Topology::per_worker`] —
+/// every worker its own domain, any cross-worker edge remote — which
+/// ranks identically to a grouped topology on 1-worker-per-domain
+/// machines. Panics unless `topo` covers every worker
+/// (`topo.cores() >= workers`).
+///
+/// An assignment containing an invalid or out-of-range color is
+/// rejected, not scored: a makespan for a color no worker owns is one no
+/// real machine will reproduce, and a buggy assigner must not win a
+/// selection with it. `AutoSelect` in `nabbitc-autocolor` disqualifies
+/// such candidates.
+///
+/// This is the objective the makespan-aware refinement gain optimizes and
+/// the `AutoSelect` meta-assigner scores with: it is O(V + E),
+/// deterministic, and ranks colorings the same way the full work-stealing
+/// simulator does (pinned by the estimator-vs-simulator rank-agreement
+/// proptests in `tests/cost_model.rs` and the cross-checks in
+/// `nabbitc-numasim`).
 pub fn estimate_makespan_colored_strict_on(
     g: &TaskGraph,
     colors: &[Color],
@@ -616,9 +518,42 @@ pub fn estimate_makespan_colored_strict_on(
             });
         }
     }
-    // Every color is a real worker, so the lenient estimator's overflow
-    // worker is unreachable and the two estimates coincide.
-    Ok(estimate_makespan_colored_on(g, colors, workers, cost, topo))
+    assert!(
+        topo.cores() >= workers,
+        "topology with {} cores cannot place {workers} workers",
+        topo.cores()
+    );
+    let latency = cost.cross_edge_latency();
+    let traffic = EdgeTraffic::of(g);
+    let mut free = vec![0u64; workers];
+    let mut finish = vec![0u64; g.node_count()];
+    let mut makespan = 0u64;
+    for &u in g.topo_order() {
+        let w = colors[u as usize].index();
+        let d = topo.domain_of(w);
+        let mut ready = 0u64;
+        let mut remote_bytes = 0u64;
+        for &p in g.predecessors(u) {
+            let mut t = finish[p as usize];
+            let pw = colors[p as usize].index();
+            if pw != w {
+                t += latency;
+                if topo.domain_of(pw) != d {
+                    remote_bytes += traffic.traffic(p, u);
+                }
+            }
+            ready = ready.max(t);
+        }
+        // The traffic model caps inbound at the footprint, so this never
+        // underflows: local + remote = footprint(u).
+        let local_bytes = g.footprint(u) - remote_bytes;
+        let start = ready.max(free[w]);
+        let end = start + cost.node_ticks(g.work(u), local_bytes, remote_bytes).max(1);
+        finish[u as usize] = end;
+        free[w] = end;
+        makespan = makespan.max(end);
+    }
+    Ok(makespan)
 }
 
 /// Checks whether the sink is reachable from every node and every node is
@@ -848,10 +783,27 @@ mod tests {
         }
     }
 
+    /// The estimate of `colors` on `workers` workers grouped by `topo`;
+    /// panics on an invalid coloring.
+    fn estimate_on(
+        g: &TaskGraph,
+        colors: &[Color],
+        workers: usize,
+        cost: &CostModel,
+        topo: &Topology,
+    ) -> u64 {
+        estimate_makespan_colored_strict_on(g, colors, workers, cost, topo).expect("valid coloring")
+    }
+
+    /// [`estimate_on`] with every worker its own domain.
+    fn estimate(g: &TaskGraph, colors: &[Color], workers: usize, cost: &CostModel) -> u64 {
+        estimate_on(g, colors, workers, cost, &Topology::per_worker(workers))
+    }
+
     /// The per-worker estimate of `g` under its own colors.
     fn estimate_own(g: &TaskGraph, workers: usize, cost: &CostModel) -> u64 {
         let colors: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
-        estimate_makespan_colored(g, &colors, workers, cost)
+        estimate(g, &colors, workers, cost)
     }
 
     /// [`work_only`] plus a cross-edge hand-off latency of `lat` ticks.
@@ -909,13 +861,10 @@ mod tests {
         let mono: Vec<Color> = vec![Color(0), Color(0)];
         let split: Vec<Color> = vec![Color(0), Color(1)];
         // Monochrome: both nodes all-local: 2 × (1 + 1200).
-        assert_eq!(estimate_makespan_colored(&g, &mono, 2, &cost), 2 * 1201);
+        assert_eq!(estimate(&g, &mono, 2, &cost), 2 * 1201);
         // Split: same serial chain, but the consumer's 1200 bytes are now
         // remote: + (3 - 1) × 1200 on its execution time.
-        assert_eq!(
-            estimate_makespan_colored(&g, &split, 2, &cost),
-            2 * 1201 + 2 * 1200
-        );
+        assert_eq!(estimate(&g, &split, 2, &cost), 2 * 1201 + 2 * 1200);
     }
 
     #[test]
@@ -932,47 +881,21 @@ mod tests {
         let g = b.build().unwrap();
         let colors = vec![Color(0), Color(1)];
         let cost = work_and_latency(7);
-        let legacy = estimate_makespan_colored(&g, &colors, 4, &cost);
-        assert_eq!(legacy, 2 * 1201 + 2 * 1200 + 7);
-        // Per-worker topology reproduces the legacy entry exactly.
-        assert_eq!(
-            estimate_makespan_colored_on(&g, &colors, 4, &cost, &Topology::per_worker(4)),
-            legacy
-        );
+        let per_worker = estimate(&g, &colors, 4, &cost);
+        assert_eq!(per_worker, 2 * 1201 + 2 * 1200 + 7);
         // Same domain: the bandwidth term vanishes, the latency stays.
         let paired = Topology::new(2, 2);
-        assert_eq!(
-            estimate_makespan_colored_on(&g, &colors, 4, &cost, &paired),
-            2 * 1201 + 7
-        );
+        assert_eq!(estimate_on(&g, &colors, 4, &cost, &paired), 2 * 1201 + 7);
         // Cross domain (workers 0 and 2): full remote pricing again.
         let split = vec![Color(0), Color(2)];
         assert_eq!(
-            estimate_makespan_colored_on(&g, &split, 4, &cost, &paired),
+            estimate_on(&g, &split, 4, &cost, &paired),
             2 * 1201 + 2 * 1200 + 7
         );
         // UMA: nothing is ever remote.
         assert_eq!(
-            estimate_makespan_colored_on(&g, &split, 4, &cost, &Topology::uma(4)),
+            estimate_on(&g, &split, 4, &cost, &Topology::uma(4)),
             2 * 1201 + 7
-        );
-    }
-
-    #[test]
-    fn domain_aware_overflow_worker_is_remote_to_every_domain() {
-        // An out-of-range color lands on the overflow worker, which must
-        // never look local to a real domain — even on UMA, where every
-        // *real* pair is local.
-        let mut b = GraphBuilder::new();
-        b.add_simple_node(1, Color(0), 900);
-        b.add_simple_node(1, Color(9), 900); // out of range for 4 workers
-        b.add_edge(0, 1);
-        let g = b.build().unwrap();
-        let colors: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
-        let cost = work_only();
-        assert_eq!(
-            estimate_makespan_colored_on(&g, &colors, 4, &cost, &Topology::uma(4)),
-            2 * 901 + 2 * 900
         );
     }
 
@@ -982,11 +905,11 @@ mod tests {
         let colors = vec![Color(0), Color(1), Color(0)];
         let cost = CostModel::default();
         let topo = Topology::new(2, 2);
-        let strict = estimate_makespan_colored_strict_on(&g, &colors, 4, &cost, &topo)
-            .expect("valid coloring accepted");
+        // Zero-byte nodes: three node costs and two hand-offs, whatever
+        // the domains.
         assert_eq!(
-            strict,
-            estimate_makespan_colored_on(&g, &colors, 4, &cost, &topo)
+            estimate_makespan_colored_strict_on(&g, &colors, 4, &cost, &topo),
+            Ok(205 + 450 + 207 + 450 + 203)
         );
         let bad = vec![Color(0), Color::INVALID, Color(0)];
         let err = estimate_makespan_colored_strict_on(&g, &bad, 4, &cost, &topo)
@@ -999,7 +922,7 @@ mod tests {
     fn domain_aware_estimate_requires_a_covering_topology() {
         let g = chain(&[1, 1]);
         let colors = vec![Color(0), Color(1)];
-        estimate_makespan_colored_on(
+        let _ = estimate_makespan_colored_strict_on(
             &g,
             &colors,
             8,
@@ -1035,16 +958,10 @@ mod tests {
         };
         // Latency-only: worker 2 is busy until 1200; the consumer's ready
         // time (1 + 500) is absorbed entirely: 1200 + (1 + 600).
-        assert_eq!(
-            estimate_makespan_colored(&g, &colors, 3, &lat_only),
-            1200 + 601
-        );
+        assert_eq!(estimate(&g, &colors, 3, &lat_only), 1200 + 601);
         // Bandwidth-aware (no latency, remote 3x): the consumer's 600
         // inbound bytes cost 2x extra *on the worker*: nothing absorbs it.
-        assert_eq!(
-            estimate_makespan_colored(&g, &colors, 3, &work_only()),
-            1200 + 601 + 2 * 600
-        );
+        assert_eq!(estimate(&g, &colors, 3, &work_only()), 1200 + 601 + 2 * 600);
     }
 
     #[test]
@@ -1066,28 +983,14 @@ mod tests {
     }
 
     #[test]
-    fn makespan_estimate_invalid_colors_serialize_on_overflow_worker() {
-        let mut g = chain(&[1, 1]);
-        g.recolor(|_, _| Color::INVALID);
-        // Both nodes share the overflow worker; same-color edges (both
-        // invalid) carry no cross charge.
-        assert_eq!(estimate_own(&g, 4, &work_and_latency(100)), 2);
-        // Two *distinct* out-of-range colors still alias to the one
-        // overflow worker: serialized, but no transfer charge either.
-        let mut g = chain(&[1, 1]);
-        g.recolor(|u, _| if u == 0 { Color(5) } else { Color(6) });
-        assert_eq!(estimate_own(&g, 4, &work_and_latency(100)), 2);
-    }
-
-    #[test]
     fn strict_estimate_matches_lenient_on_valid_colorings() {
         let g = chain(&[5, 7, 3]);
         let colors: Vec<Color> = vec![Color(0), Color(1), Color(0)];
         let cost = CostModel::default();
-        let strict =
-            estimate_makespan_colored_strict_on(&g, &colors, 2, &cost, &Topology::per_worker(2))
-                .expect("valid coloring accepted");
-        assert_eq!(strict, estimate_makespan_colored(&g, &colors, 2, &cost));
+        assert_eq!(
+            estimate_makespan_colored_strict_on(&g, &colors, 2, &cost, &Topology::per_worker(2)),
+            Ok(205 + 450 + 207 + 450 + 203)
+        );
     }
 
     #[test]
@@ -1102,13 +1005,26 @@ mod tests {
         assert_eq!(err.node, 1);
         assert_eq!(err.color, Color::INVALID);
         assert_eq!(err.workers, 2);
-        // Valid color, but no worker owns it: the lenient estimator would
-        // score this on a phantom extra worker; strict refuses.
+        // Valid color, but no worker owns it: scoring it would price a
+        // machine one worker larger than the real one.
         let colors = vec![Color(0), Color(1), Color(7)];
         let err = estimate_makespan_colored_strict_on(&g, &colors, 2, &cost, &topo)
             .expect_err("out-of-range must be rejected");
         assert_eq!((err.node, err.color), (2, Color(7)));
         assert!(err.to_string().contains("color c7"), "{err}");
+        // Not even on UMA, where every real pair is local, nor when every
+        // node is off the machine: the first offender is named.
+        let g = chain(&[1, 1]);
+        for (colors, topo, node) in [
+            ([Color(0), Color(9)], Topology::uma(4), 1),
+            ([Color::INVALID; 2], Topology::per_worker(4), 0),
+            ([Color(5), Color(6)], Topology::per_worker(4), 0),
+        ] {
+            let err = estimate_makespan_colored_strict_on(&g, &colors, 4, &cost, &topo)
+                .expect_err("no worker owns the color");
+            let named = (node as NodeId, colors[node], 4);
+            assert_eq!((err.node, err.color, err.workers), named);
+        }
     }
 
     #[test]
@@ -1122,18 +1038,6 @@ mod tests {
         let colors: Vec<Color> = vec![Color(0), Color(0)];
         type Entry<'a> = (&'a str, Box<dyn Fn() + 'a>);
         let entries: Vec<Entry<'_>> = vec![
-            (
-                "estimate_makespan_colored",
-                Box::new(|| {
-                    estimate_makespan_colored(&g, &colors, 0, &cost);
-                }),
-            ),
-            (
-                "estimate_makespan_colored_on",
-                Box::new(|| {
-                    estimate_makespan_colored_on(&g, &colors, 0, &cost, &Topology::paper_machine());
-                }),
-            ),
             (
                 "estimate_makespan_colored_strict_on",
                 Box::new(|| {

@@ -340,7 +340,7 @@ impl TaskGraph {
     /// This is the workspace's shared *edge-traffic model* — the bytes a
     /// cross-color edge moves across domains, priced by
     /// `nabbitc_cost::CostModel::remote_excess` in the makespan
-    /// estimators, the autocolor refinement gain, and (through
+    /// estimator, the autocolor refinement gain, and (through
     /// [`rehome_edge_traffic`](Self::rehome_edge_traffic)) the NUMA
     /// simulator. The cap guarantees `Σ_p edge_traffic(p, u) ≤
     /// footprint(u)`, so a node's inbound traffic never exceeds the bytes
@@ -468,7 +468,7 @@ impl NodeShares {
 
 /// Per-node view of the edge-traffic model ([`TaskGraph::edge_traffic`]),
 /// built once in O(V + accesses) so that edge walks — the makespan
-/// estimators, the autocolor sweep and refinement gain,
+/// estimator, the autocolor sweep and refinement gain,
 /// [`TaskGraph::rehome_edge_traffic`], the traffic matrices and the
 /// hot-edge lint — price an edge with two loads and a `min` instead of
 /// re-summing both endpoints' access lists.

@@ -159,7 +159,7 @@ pub fn pagerank_parfor(pr: &PageRank, team: &Team, schedule: Schedule) -> OmpRun
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nabbitc_runtime::NumaTopology;
+    use nabbitc_runtime::Topology;
 
     #[test]
     fn heat_static_matches_serial() {
@@ -225,7 +225,7 @@ mod tests {
             steps: 6,
             blocks: 32,
         };
-        let team = Team::new(8, NumaTopology::new(2, 4));
+        let team = Team::new(8, Topology::new(2, 4));
         let st = heat_parfor(&p, &team, Schedule::Static);
         let gd = heat_parfor(&p, &team, Schedule::guided());
         assert_eq!(st.remote.pct_remote(), 0.0, "static must be fully local");

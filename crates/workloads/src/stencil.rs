@@ -103,7 +103,7 @@ pub fn loops(shape: &StencilShape, p: usize) -> LoopNest {
 
 /// Convenience: simulated OpenMP-static makespan for sanity tests.
 pub fn omp_static_ticks(shape: &StencilShape, p: usize) -> u64 {
-    let topo = nabbitc_runtime::NumaTopology::paper_machine().truncated(p);
+    let topo = nabbitc_runtime::Topology::paper_machine().truncated(p);
     nabbitc_numasim::simulate_omp(
         &loops(shape, p),
         OmpSchedule::Static,

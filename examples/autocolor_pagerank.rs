@@ -67,7 +67,7 @@ fn main() {
         .clamp(2, 8); // at least two workers, so colors actually compete
 
     // NUMA-shaped pool so remote accesses are meaningful: two domains.
-    let topo = NumaTopology::new(2, workers.div_ceil(2));
+    let topo = Topology::new(2, workers.div_ceil(2));
     let pool = Arc::new(Pool::new(PoolConfig::nabbitc(workers).with_topology(topo)));
     let exec = StaticExecutor::new(pool);
     let serial = pr.run_serial();

@@ -47,7 +47,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(4)
         .min(8);
-    let topo = NumaTopology::new(2, workers.div_ceil(2));
+    let topo = Topology::new(2, workers.div_ceil(2));
 
     // Task-graph NabbitC with trace recording for load-balance analysis.
     let pool = Arc::new(Pool::new(

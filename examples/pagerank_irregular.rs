@@ -75,7 +75,7 @@ fn main() {
     for p in [10usize, 20, 40, 80] {
         let graph = sim_pr.task_graph(p);
         let loops = sim_pr.loops(p);
-        let topo = NumaTopology::paper_machine().truncated(p);
+        let topo = Topology::paper_machine().truncated(p);
         let os = simulate_omp(&loops, OmpSchedule::Static, p, &topo, &cost);
         let og = simulate_omp(&loops, OmpSchedule::Guided, p, &topo, &cost);
         let nb = simulate_ws(&graph, &WsConfig::nabbit(p));

@@ -41,7 +41,7 @@ fn main() {
     );
 
     // Execute under NabbitC (colored steals) on a 2-domain machine model.
-    let topo = NumaTopology::new(2, 2);
+    let topo = Topology::new(2, 2);
     let pool = Arc::new(Pool::new(PoolConfig::nabbitc(workers).with_topology(topo)));
     let exec = StaticExecutor::new(pool);
     let executed = Arc::new(AtomicU64::new(0));

@@ -47,7 +47,7 @@ fn main() {
     for p in [10usize, 20, 40, 80] {
         let graph = sw::graph_from_shape(&shape, p);
         let loops = sw::loops_from_shape(&shape, p);
-        let topo = NumaTopology::paper_machine().truncated(p);
+        let topo = Topology::paper_machine().truncated(p);
         let omp = simulate_omp(&loops, OmpSchedule::Static, p, &topo, &cost);
         let nb = simulate_ws(&graph, &WsConfig::nabbit(p));
         let nc = simulate_ws(&graph, &WsConfig::nabbitc(p));

@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`color`] | `nabbitc-color` | [`Color`](color::Color), constant-time [`ColorSet`](color::ColorSet) |
-//! | [`cost`] | `nabbitc-cost` | the [`CostModel`](cost::CostModel) every layer prices schedules with — simulator, estimators, autocolor objectives |
+//! | [`cost`] | `nabbitc-cost` | the [`CostModel`](cost::CostModel) every layer prices schedules with — simulator, estimator, autocolor objectives — and [`Topology`](cost::Topology), the one machine description |
 //! | [`graph`] | `nabbitc-graph` | task graphs, generators, work/span + edge-cut analysis, trace validation |
 //! | [`autocolor`] | `nabbitc-autocolor` | automatic coloring: [`ColorAssigner`](autocolor::ColorAssigner) strategies from round-robin to recursive bisection, the [`AutoSelect`](autocolor::AutoSelect) meta-assigner that picks the best strategy per graph, plus online coloring for dynamic specs |
 //! | [`runtime`] | `nabbitc-runtime` | colored Chase–Lev deques, the worker pool, steal policies |
@@ -90,15 +90,17 @@
 //! println!("selected strategy: {}", selection.chosen_name());
 //! ```
 //!
-//! To pin one strategy instead (as the benches do when sweeping), pass it
-//! to `execute_autocolored` explicitly — e.g.
-//! [`RecursiveBisection`](autocolor::RecursiveBisection) for pure
-//! edge-cut minimization.
+//! To pin one strategy instead (as the benches do when sweeping), color
+//! the graph yourself and run it with `execute` — e.g.
+//! `exec.execute(&Arc::new(autocolor(&graph, &RecursiveBisection::default(), 2)), kernel)`
+//! for pure edge-cut minimization
+//! ([`autocolor`](autocolor::autocolor),
+//! [`RecursiveBisection`](autocolor::RecursiveBisection)).
 //!
 //! ### The cost model
 //!
 //! Everything that *prices* a schedule — the NUMA simulator, the
-//! makespan estimators in [`graph::analysis`], and the `AutoSelect`
+//! makespan estimator in [`graph::analysis`], and the `AutoSelect`
 //! scoring above — consumes the same [`CostModel`](cost::CostModel) from
 //! `nabbitc-cost`. A node costs `node_overhead + work·work_tick +
 //! bytes·(local_byte or remote_byte)` ticks; a cross-color dependence
@@ -115,17 +117,23 @@
 //! latency-bound wavefronts (where pipeline serialization dominates) rank
 //! correctly under the same model.
 //!
-//! Whether a cut edge's bytes are *remote* is a property of the machine:
-//! under a [`Topology`](cost::Topology) (the paper's 8-NUMA-domain ×
-//! 10-worker Xeon: `NumaTopology::paper_machine().truncated(p).cost_view()`),
-//! two colors in the same domain exchange bytes at **local** bandwidth,
-//! and only cross-domain edges pay the premium. The domain-aware
-//! estimators (`estimate_makespan_colored_on` and its strict, selection-
-//! grade form `estimate_makespan_colored_strict_on`) price exactly what
-//! the simulator charges through `domain_of_color`;
-//! `AutoSelect::with_topology` scores with them and domain-packs the
+//! Whether a cut edge's bytes are *remote* is a property of the machine,
+//! and there is one description of it: [`Topology`](cost::Topology)
+//! (the paper's 8-NUMA-domain × 10-worker Xeon is
+//! `Topology::paper_machine().truncated(p)`). Two colors in the same
+//! domain exchange bytes at **local** bandwidth, and only cross-domain
+//! edges pay the premium. The one makespan estimator,
+//! [`estimate_makespan_colored_strict_on`](graph::analysis::estimate_makespan_colored_strict_on),
+//! takes the topology and prices exactly what the simulator and the
+//! executor's §V-B counters charge through
+//! [`ColorDomains::is_remote`](runtime::ColorDomains) — the color-typed
+//! questions are an extension trait in `nabbitc-runtime`, because
+//! `nabbitc-cost` does not know about colors; a coloring that names a
+//! color no worker owns is an error, not a score.
+//! `AutoSelect::with_topology` scores with it and domain-packs the
 //! winner (`autocolor::pack_domains`). Without a topology, every worker
-//! is its own domain — the conservative default.
+//! is its own domain ([`Topology::per_worker`](cost::Topology::per_worker))
+//! — the conservative default.
 //!
 //! ```
 //! use nabbitc::cost::{CostModel, Topology};
@@ -143,9 +151,9 @@
 //! assert_eq!(heavy.cut_excess(&topo, 9, 10, 100), 700);
 //! ```
 //!
-//! Consumers take the model explicitly: `estimate_makespan_colored(&g,
-//! &colors, workers, &cost)` (or `estimate_makespan_colored_on(...,
-//! &topo)`), `WsConfig { cost, .. }` for the simulator,
+//! Consumers take the model explicitly:
+//! `estimate_makespan_colored_strict_on(&g, &colors, workers, &cost,
+//! &topo)`, `WsConfig { cost, topology, .. }` for the simulator,
 //! `AutoSelect::default().with_cost_model(cost).with_topology(topo)` (or
 //! `ExecOptions { cost, topology, .. }` through `execute_auto`).
 //!
@@ -156,7 +164,7 @@
 //! alike — returns one [`RunReport`](core::RunReport): execution
 //! wall-clock (`elapsed`), nodes executed (`nodes_executed`), coloring
 //! wall-clock
-//! (`coloring_elapsed`, autocolored paths only), the §V-B remote-access
+//! (`coloring_elapsed`, `execute_auto` only), the §V-B remote-access
 //! percentages (`remote`), per-worker scheduler counters (`stats`), the
 //! per-node execution trace (`trace`, behind
 //! [`ExecOptions::record_trace`](core::ExecOptions)), the runtime event
@@ -238,6 +246,6 @@ pub mod prelude {
     };
     pub use nabbitc_parfor::{Schedule, Team};
     pub use nabbitc_runtime::{
-        NumaTopology, Pool, PoolConfig, RuntimeTrace, StealPolicy, TraceConfig,
+        ColorDomains, Pool, PoolConfig, RuntimeTrace, StealPolicy, TraceConfig,
     };
 }

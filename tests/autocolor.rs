@@ -99,9 +99,9 @@ fn threaded_executor_runs_autocolored_benchmark_graph() {
     let counts: Arc<Vec<AtomicU32>> =
         Arc::new((0..graph.node_count()).map(|_| AtomicU32::new(0)).collect());
     let c2 = counts.clone();
-    let (report, recolored) = exec.execute_autocolored(
-        &graph,
-        &RecursiveBisection::default(),
+    let recolored = Arc::new(autocolor(&graph, &RecursiveBisection::default(), p));
+    let report = exec.execute(
+        &recolored,
         Arc::new(move |u, _w| {
             c2[u as usize].fetch_add(1, Ordering::SeqCst);
         }),

@@ -6,11 +6,24 @@
 //! `cargo test --release`); everything here is deterministic.
 
 use nabbitc::cost::CostModel;
-use nabbitc::graph::analysis::{estimate_makespan_colored, estimate_makespan_colored_on};
+use nabbitc::graph::analysis::estimate_makespan_colored_strict_on;
 use nabbitc::graph::{generate, TaskGraph};
 use nabbitc::numasim::{simulate_ws_recolored, WsConfig};
 use nabbitc::prelude::*;
 use proptest::prelude::*;
+
+/// The makespan estimate of a valid coloring under `cost`, every worker its
+/// own domain.
+fn estimate(g: &TaskGraph, colors: &[Color], workers: usize, cost: &CostModel) -> u64 {
+    let topo = Topology::per_worker(workers);
+    estimate_makespan_colored_strict_on(g, colors, workers, cost, &topo).expect("valid coloring")
+}
+
+/// The makespan estimate of a valid coloring on the machine `cfg` simulates.
+fn estimate_on(g: &TaskGraph, colors: &[Color], workers: usize, cfg: &WsConfig) -> u64 {
+    estimate_makespan_colored_strict_on(g, colors, workers, &cfg.cost, &cfg.topology)
+        .expect("valid coloring")
+}
 
 /// A simulator config whose topology gives every worker its own NUMA
 /// domain, matching the estimator's worker-granular remote model (the
@@ -18,7 +31,7 @@ use proptest::prelude::*;
 /// estimator deliberately does not model).
 fn per_worker_domains(p: usize) -> WsConfig {
     WsConfig {
-        topology: NumaTopology::new(p, 1),
+        topology: Topology::new(p, 1),
         ..WsConfig::nabbitc(p)
     }
 }
@@ -107,7 +120,7 @@ proptest! {
             .map(|colors| {
                 (
                     simulate_ws_recolored(&g, colors, &cfg).makespan,
-                    estimate_makespan_colored(&g, colors, p, &cfg.cost),
+                    estimate(&g, colors, p, &cfg.cost),
                 )
             })
             .collect();
@@ -156,7 +169,7 @@ proptest! {
         let p = 80;
         let g = generate::layered_random(layers, width, max_preds, (1, work_hi), 1, seed);
         let cfg = WsConfig::nabbitc(p); // the paper machine, untruncated
-        let topo = cfg.topology.cost_view();
+        let topo = &cfg.topology;
         prop_assert_eq!((topo.domains(), topo.cores_per_domain()), (8, 10));
         let blocked = blocked_colors(&g, p);
         // The same partition with domains interleaved: color c -> worker
@@ -172,7 +185,7 @@ proptest! {
             .map(|colors| {
                 (
                     simulate_ws_recolored(&g, colors, &cfg).makespan,
-                    estimate_makespan_colored_on(&g, colors, p, &cfg.cost, &topo),
+                    estimate_on(&g, colors, p, &cfg),
                 )
             })
             .collect();
@@ -247,8 +260,8 @@ fn per_worker_estimator_misranks_a_same_domain_heavy_coloring() {
     // The mis-rank this test pins: the per-worker-domain estimator
     // charges fine's intra-domain cuts at the remote premium and strictly
     // prefers the all-remote hostile coloring.
-    let est_pw_fine = estimate_makespan_colored(&g, &fine, p, &cfg.cost);
-    let est_pw_hostile = estimate_makespan_colored(&g, &hostile, p, &cfg.cost);
+    let est_pw_fine = estimate(&g, &fine, p, &cfg.cost);
+    let est_pw_hostile = estimate(&g, &hostile, p, &cfg.cost);
     assert!(
         est_pw_hostile < est_pw_fine,
         "the per-worker mis-ranking this test pins has vanished: \
@@ -257,9 +270,8 @@ fn per_worker_estimator_misranks_a_same_domain_heavy_coloring() {
 
     // The domain-aware estimator prices the same machine the simulator
     // runs and ranks like it, with no calibration.
-    let topo = cfg.topology.cost_view();
-    let est_fine = estimate_makespan_colored_on(&g, &fine, p, &cfg.cost, &topo);
-    let est_hostile = estimate_makespan_colored_on(&g, &hostile, p, &cfg.cost, &topo);
+    let est_fine = estimate_on(&g, &fine, p, &cfg);
+    let est_hostile = estimate_on(&g, &hostile, p, &cfg);
     assert!(
         est_fine < est_hostile,
         "domain-aware estimator must prefer fine: {est_fine} vs {est_hostile}"
@@ -284,8 +296,8 @@ fn domain_placement_is_invisible_to_the_per_worker_estimator() {
         .collect();
     let cfg = WsConfig::nabbitc(p);
     assert_eq!(
-        estimate_makespan_colored(&g, &friendly, p, &cfg.cost),
-        estimate_makespan_colored(&g, &interleaved, p, &cfg.cost),
+        estimate(&g, &friendly, p, &cfg.cost),
+        estimate(&g, &interleaved, p, &cfg.cost),
         "per-worker estimates are permutation-invariant"
     );
     let sim_f = simulate_ws_recolored(&g, &friendly, &cfg).makespan;
@@ -294,11 +306,7 @@ fn domain_placement_is_invisible_to_the_per_worker_estimator() {
         (sim_f as f64) * 1.05 < sim_i as f64,
         "simulator must clearly prefer the domain-friendly labeling: {sim_f} vs {sim_i}"
     );
-    let topo = cfg.topology.cost_view();
-    assert!(
-        estimate_makespan_colored_on(&g, &friendly, p, &cfg.cost, &topo)
-            < estimate_makespan_colored_on(&g, &interleaved, p, &cfg.cost, &topo)
-    );
+    assert!(estimate_on(&g, &friendly, p, &cfg) < estimate_on(&g, &interleaved, p, &cfg));
 }
 
 /// The regression the tentpole exists for (ROADMAP's resolved known
@@ -355,8 +363,8 @@ fn bandwidth_model_fixes_memory_bound_stencil_misranking() {
 
     // The bandwidth-aware model ranks like the simulator, with the
     // default (uncalibrated) cost model.
-    let new_blocked = estimate_makespan_colored(&g, &blocked, p, &cfg.cost);
-    let new_scattered = estimate_makespan_colored(&g, &scattered, p, &cfg.cost);
+    let new_blocked = estimate(&g, &blocked, p, &cfg.cost);
+    let new_scattered = estimate(&g, &scattered, p, &cfg.cost);
     assert!(
         new_blocked < new_scattered,
         "bandwidth-aware estimator must prefer blocked: {new_blocked} vs {new_scattered}"
@@ -376,8 +384,8 @@ fn heat_ranking_survives_without_calibration() {
     let cost = CostModel::default();
     let rb = RecursiveBisection::default().assign(&bare.graph, p);
     let cp = CpLevelAware::default().assign(&bare.graph, p);
-    let est_rb = estimate_makespan_colored(&bare.graph, &rb, p, &cost);
-    let est_cp = estimate_makespan_colored(&bare.graph, &cp, p, &cost);
+    let est_rb = estimate(&bare.graph, &rb, p, &cost);
+    let est_cp = estimate(&bare.graph, &cp, p, &cost);
     assert!(
         est_rb < est_cp,
         "estimator must rank bisection above level-spread on heat: {est_rb} vs {est_cp}"
@@ -401,9 +409,10 @@ fn cost_consumers_share_the_workers_contract() {
     type Entry<'a> = (&'a str, Box<dyn Fn() + 'a>);
     let entries: Vec<Entry<'_>> = vec![
         (
-            "estimate_makespan_colored",
+            "estimate_makespan_colored_strict_on",
             Box::new(|| {
-                estimate_makespan_colored(&g, &colors, 0, &cost);
+                let topo = Topology::paper_machine();
+                let _ = estimate_makespan_colored_strict_on(&g, &colors, 0, &cost, &topo);
             }),
         ),
         (
@@ -471,13 +480,12 @@ fn recolored_simulation_and_estimator_price_the_same_placement() {
         ..CostModel::default()
     };
     assert!(
-        estimate_makespan_colored(&g, &split, 2, &flat)
-            < estimate_makespan_colored(&g, &split, 2, &cfg.cost),
+        estimate(&g, &split, 2, &flat) < estimate(&g, &split, 2, &cfg.cost),
         "split estimate must carry a bandwidth term"
     );
     assert_eq!(
-        estimate_makespan_colored(&g, &mono, 2, &flat),
-        estimate_makespan_colored(&g, &mono, 2, &cfg.cost),
+        estimate(&g, &mono, 2, &flat),
+        estimate(&g, &mono, 2, &cfg.cost),
         "monochrome estimate must be bandwidth-free"
     );
 }

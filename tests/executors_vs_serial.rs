@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn traced_executor(workers: usize, policy: StealPolicy) -> StaticExecutor {
-    let topo = NumaTopology::new(2, workers.div_ceil(2).max(1));
+    let topo = Topology::new(2, workers.div_ceil(2).max(1));
     let pool = Arc::new(Pool::new(
         PoolConfig::nabbitc(workers)
             .with_topology(topo)

@@ -154,7 +154,7 @@ fn domain_aware_auto_select_never_simulates_worse_than_per_worker_scoring() {
     for id in [BenchId::Sw, BenchId::Heat, BenchId::PageUk2002] {
         for p in [20usize, 40] {
             let bare = registry::build_uncolored(id, Scale::Small, p);
-            let topo = NumaTopology::paper_machine().truncated(p).cost_view();
+            let topo = Topology::paper_machine().truncated(p);
             let (pw_colors, _) = AutoSelect::default().select(&bare.graph, p);
             let (dom_colors, dom_report) = AutoSelect::default()
                 .with_topology(topo)
@@ -193,7 +193,7 @@ fn domain_tuned_cp_level_aware_beats_per_worker_cp_on_sw() {
     // explicit use.)
     for p in [20usize, 40] {
         let bare = registry::build_uncolored(BenchId::Sw, Scale::Small, p);
-        let topo = NumaTopology::paper_machine().truncated(p).cost_view();
+        let topo = Topology::paper_machine().truncated(p);
         let pw = CpLevelAware::default().assign(&bare.graph, p);
         let dm = CpLevelAware::default()
             .with_topology(topo)
@@ -301,7 +301,7 @@ fn assignments_pinned_bit_for_bit() {
     for (id, pin) in TOPO_PINS {
         let p = 20;
         let bare = registry::build_uncolored(id, Scale::Small, p);
-        let topo = NumaTopology::paper_machine().truncated(p).cost_view();
+        let topo = Topology::paper_machine().truncated(p);
         let auto = AutoSelect::default()
             .with_topology(topo)
             .assign(&bare.graph, p);

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn run_counted(graph: Arc<TaskGraph>, policy: StealPolicy, workers: usize) -> f64 {
-    let topo = NumaTopology::new(2, workers.div_ceil(2).max(1));
+    let topo = Topology::new(2, workers.div_ceil(2).max(1));
     let pool = Arc::new(Pool::new(
         PoolConfig::nabbitc(workers)
             .with_topology(topo)
@@ -36,7 +36,7 @@ fn bad_and_invalid_colorings_still_execute_correctly() {
     // Tables II/III: adversarial colorings change performance, never
     // correctness.
     let workers = 6;
-    let topo = NumaTopology::new(2, 3);
+    let topo = Topology::new(2, 3);
     for mode in [ColoringMode::Bad, ColoringMode::Invalid] {
         let mut built = registry::build(BenchId::Heat, Scale::Small, workers);
         apply_coloring(&mut built.graph, mode, &topo, workers);
@@ -74,7 +74,7 @@ fn simulator_invalid_coloring_behaves_like_nabbit() {
     // Table III: invalid colors make every colored steal fail; performance
     // must be within noise of vanilla Nabbit.
     let p = 40;
-    let topo = NumaTopology::paper_machine().truncated(p);
+    let topo = Topology::paper_machine().truncated(p);
     let mut built = registry::build(BenchId::Heat, Scale::Small, p);
     let nb = simulate_ws(&built.graph, &WsConfig::nabbit(p));
     apply_coloring(&mut built.graph, ColoringMode::Invalid, &topo, p);
@@ -91,7 +91,7 @@ fn simulator_invalid_coloring_behaves_like_nabbit() {
 #[test]
 fn simulator_bad_coloring_no_better_than_correct() {
     let p = 40;
-    let topo = NumaTopology::paper_machine().truncated(p);
+    let topo = Topology::paper_machine().truncated(p);
     let correct = registry::build(BenchId::Heat, Scale::Small, p);
     let good = simulate_ws(&correct.graph, &WsConfig::nabbitc(p));
     let mut bad_graph = correct.graph.clone();
@@ -137,7 +137,7 @@ fn omp_static_dominates_on_regular_simulated() {
     // Fig. 6 regular panels: omp-static is the bar to clear.
     let p = 40;
     let built = registry::build(BenchId::Life, Scale::Small, p);
-    let topo = NumaTopology::paper_machine().truncated(p);
+    let topo = Topology::paper_machine().truncated(p);
     let cost = CostModel::default();
     let os = simulate_omp(&built.loops, OmpSchedule::Static, p, &topo, &cost);
     let nc = simulate_ws(&built.graph, &WsConfig::nabbitc(p));
@@ -162,7 +162,7 @@ fn nabbitc_wins_on_irregular_simulated() {
     // to one block per core, where there is nothing for locality to win.
     let p = 80;
     let built = registry::build(BenchId::PageUk2007, Scale::Medium, p);
-    let topo = NumaTopology::paper_machine().truncated(p);
+    let topo = Topology::paper_machine().truncated(p);
     let cost = CostModel::default();
     let os = simulate_omp(&built.loops, OmpSchedule::Static, p, &topo, &cost);
     let og = simulate_omp(&built.loops, OmpSchedule::Guided, p, &topo, &cost);

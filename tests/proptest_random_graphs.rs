@@ -133,7 +133,7 @@ proptest! {
                 })
                 .collect(),
         };
-        let topo = NumaTopology::paper_machine().truncated(cores);
+        let topo = Topology::paper_machine().truncated(cores);
         let cost = CostModel::default();
         for sched in [OmpSchedule::Static, OmpSchedule::Guided] {
             let r = simulate_omp(&nest, sched, cores, &topo, &cost);
