@@ -16,10 +16,12 @@
 //! The code under test is compiled with `--cfg nabbitc_check`, which
 //! swaps its atomics for the loom shim's instrumented TSO model through
 //! the `nabbitc_runtime::sync` facade — that covers the runtime's deque
-//! and injector *and* the `nabbitc-core` join-counter protocol
-//! (`model::run_join_protocol` checks the exactly-once enqueue of the
-//! dynamic executor's init-bias arbitration, W1/W2 in join-counter
-//! form). The `model` module (scenarios + checks) only exists under
+//! and injector *and* the `nabbitc-core` on-demand protocol
+//! (`model::run_successor_list` checks that the lock-free successor list
+//! decides every register ∥ close edge exactly once, and
+//! `model::run_join_protocol` the exactly-once enqueue of the dynamic
+//! executor's init-bias arbitration over that list — W1/W2 in
+//! successor-list and join-counter form). The `model` module (scenarios + checks) only exists under
 //! that cfg, which is why the table references it as plain text. The
 //! [`spec`] and [`lin`] modules are plain sequential code and are
 //! unit-tested in the ordinary tier-1 build as well.

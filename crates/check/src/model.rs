@@ -593,45 +593,111 @@ pub fn run_pending_protocol() {
     assert_eq!(effect.load(Ordering::Relaxed), 7);
 }
 
+/// The dynamic executor's successor registration
+/// (`nabbitc_core::join::SuccessorList`, driven here as the real type):
+/// one predecessor computes and then closes its list, notifying whatever
+/// it drained (`compute_and_notify`), while `registrants` successors each
+/// try to register one link on it (`init_node`'s `try_init_compute`). The
+/// invariant, per edge: *exactly one* of "enqueued, and later notified by
+/// the closer" and "saw the list closed, and counted the dependence
+/// satisfied" — an enqueued successor that is never notified is lost
+/// (W1), one that is notified twice, or notified although it was told
+/// "closed", computes twice (W2). Seeing "closed" must also make the
+/// predecessor's output visible. Under `--cfg nabbitc_weak_close` (close
+/// as a `load` followed by a `store` instead of one `swap`) a link pushed
+/// between the two is overwritten by the sentinel — enqueued, never
+/// notified — and the explorer must find it.
+pub fn run_successor_list(registrants: usize) {
+    use loom::sync::atomic::{AtomicUsize, Ordering};
+    use nabbitc_core::{Link, SuccessorList};
+
+    let list: Arc<SuccessorList<usize>> = Arc::new(SuccessorList::new());
+    let links: Arc<Vec<Link<usize>>> = Arc::new((0..registrants).map(Link::new).collect());
+    let output = Arc::new(AtomicUsize::new(0));
+
+    // The predecessor: compute, close, notify. It drains, so it co-owns
+    // the slots.
+    let closer = {
+        let (list, links, output) = (list.clone(), links.clone(), output.clone());
+        thread::spawn(move || {
+            let _slots = links;
+            output.store(7, Ordering::Relaxed);
+            let notified = list.close().collect::<Vec<usize>>();
+            // The task then retires from the pool's pending count
+            // (`pool.rs`: an AcqRel RMW). Some later operation of the
+            // closer is what lets the explorer run a registrant while a
+            // store made by `close` is still in the closer's buffer.
+            output.fetch_add(1, Ordering::AcqRel);
+            notified
+        })
+    };
+    let register = move |i: usize| {
+        // SAFETY: `links` is co-owned by every registrant (this closure)
+        // and by the closer, the one thread that drains; link `i` is
+        // registered by registrant `i` only.
+        let enqueued = unsafe { list.register(&links[i]) };
+        if !enqueued {
+            assert!(
+                output.load(Ordering::Relaxed) >= 7,
+                "successor {i} saw the list closed before the predecessor's output"
+            );
+        }
+        enqueued
+    };
+    // Registrants 1.. on their own threads, registrant 0 on the root.
+    let others: Vec<_> = (1..registrants)
+        .map(|i| {
+            let register = register.clone();
+            thread::spawn(move || register(i))
+        })
+        .collect();
+    let mut enqueued = vec![register(0)];
+    enqueued.extend(
+        others
+            .into_iter()
+            .map(|h| h.join().expect("registrant panicked")),
+    );
+    let notified = closer.join().expect("closer panicked");
+
+    for (i, &enq) in enqueued.iter().enumerate() {
+        let n = notified.iter().filter(|&&w| w == i).count();
+        assert!(
+            !(enq && n == 0),
+            "W1 violation: successor {i} was enqueued but never notified (lost)"
+        );
+        assert!(
+            n <= 1 && (enq || n == 0),
+            "W2 violation: successor {i} notified {n} times (enqueued: {enq})"
+        );
+    }
+}
+
 /// The dynamic executor's join-counter protocol
-/// (`nabbitc_core::join::JoinCounter`, the paper's readiness arbiter):
-/// the scanning worker arms the counter with a +1 init bias
-/// (`begin_scan`), registers with each of `preds` predecessors — or
-/// counts the already-computed ones as satisfied — under that
-/// predecessor's lock (the successor-list mutex of `dynamic.rs`), then
-/// releases bias + satisfied count in one RMW (`end_scan`). Each
-/// predecessor, after computing, notifies registered successors
-/// (`notify`). The invariant: across every interleaving, *exactly one*
-/// decrement reaches zero, so the node is enqueued exactly once — W1
-/// (never enqueued) and W2 (double compute) in join-counter form. Under
-/// `--cfg nabbitc_weak_join` (bias dropped, scan-side orderings
-/// Relaxed) a predecessor finishing between the consumer's registration
-/// and its `end_scan` zeroes the counter for the producer *and* leaves
-/// zero for `end_scan` to observe — both enqueue, and the explorer must
-/// find it.
+/// (`nabbitc_core::join::JoinCounter`, the paper's readiness arbiter)
+/// composed with the real successor registration
+/// ([`run_successor_list`]'s `SuccessorList`): the scanning worker arms
+/// the counter with a +1 init bias (`begin_scan`), registers with each of
+/// `preds` predecessors — or counts the already-computed ones as
+/// satisfied — then releases bias + satisfied count in one RMW
+/// (`end_scan`). Each predecessor, after computing, closes its list and
+/// notifies the successors it drained (`notify`). The invariant: across
+/// every interleaving, *exactly one* decrement reaches zero, so the node
+/// is enqueued exactly once — W1 (never enqueued) and W2 (double compute)
+/// in join-counter form. Under `--cfg nabbitc_weak_join` (bias dropped,
+/// scan-side orderings Relaxed) a predecessor finishing between the
+/// consumer's registration and its `end_scan` zeroes the counter for the
+/// producer *and* leaves zero for `end_scan` to observe — both enqueue,
+/// and the explorer must find it.
 pub fn run_join_protocol(preds: usize) {
     use loom::sync::atomic::{AtomicUsize, Ordering};
-    use loom::sync::Mutex;
-    use nabbitc_core::JoinCounter;
-
-    /// One predecessor's computed/registered record, guarded together
-    /// exactly like `dynamic.rs`'s status + successor list.
-    struct Pred {
-        computed: bool,
-        registered: bool,
-    }
+    use nabbitc_core::{JoinCounter, Link, SuccessorList};
 
     let join = Arc::new(JoinCounter::new());
-    let records: Arc<Vec<Mutex<Pred>>> = Arc::new(
-        (0..preds)
-            .map(|_| {
-                Mutex::new(Pred {
-                    computed: false,
-                    registered: false,
-                })
-            })
-            .collect(),
-    );
+    // One successor list per predecessor, and the consumer's registration
+    // slot for each.
+    let lists: Arc<Vec<SuccessorList<usize>>> =
+        Arc::new((0..preds).map(|_| SuccessorList::new()).collect());
+    let links: Arc<Vec<Link<usize>>> = Arc::new((0..preds).map(Link::new).collect());
     let enqueues = Arc::new(AtomicUsize::new(0));
 
     // Arm the counter *before* publishing interest anywhere, as
@@ -639,19 +705,19 @@ pub fn run_join_protocol(preds: usize) {
     // registration (below) is what makes a producer notify at all.
     join.begin_scan(preds);
 
-    // Producers: compute the predecessor, then drain-notify (the
-    // `compute_and_notify` waiter loop, one waiter).
+    // Producers: compute the predecessor, then close-and-notify (the
+    // `compute_and_notify` waiter loop, at most one waiter).
     let producers: Vec<_> = (0..preds)
         .map(|i| {
-            let (join, records, enqueues) = (join.clone(), records.clone(), enqueues.clone());
+            let (join, lists, enqueues) = (join.clone(), lists.clone(), enqueues.clone());
+            // Every thread that may drain a list co-owns the slots.
+            let links = links.clone();
             thread::spawn(move || {
-                let registered = {
-                    let mut p = records[i].lock();
-                    p.computed = true;
-                    p.registered
-                };
-                if registered && join.notify() {
-                    enqueues.fetch_add(1, Ordering::Relaxed);
+                let _slots = links;
+                for _waiter in lists[i].close() {
+                    if join.notify() {
+                        enqueues.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             })
         })
@@ -659,12 +725,12 @@ pub fn run_join_protocol(preds: usize) {
 
     // Consumer (the model's root thread): the predecessor scan.
     let mut satisfied: i64 = 0;
-    for rec in records.iter() {
-        let mut p = rec.lock();
-        if p.computed {
+    for (list, link) in lists.iter().zip(links.iter()) {
+        // SAFETY: `links` is co-owned by this thread and every producer —
+        // the only threads that drain — so it outlives every drain; each
+        // link is registered once, on its own predecessor's list.
+        if !unsafe { list.register(link) } {
             satisfied += 1;
-        } else {
-            p.registered = true;
         }
     }
     if join.end_scan(satisfied) {

@@ -12,7 +12,8 @@
     not(nabbitc_weak_pop),
     not(nabbitc_weak_batch),
     not(nabbitc_weak_push_batch),
-    not(nabbitc_weak_join)
+    not(nabbitc_weak_join),
+    not(nabbitc_weak_close)
 ))]
 
 use loom::model::{explore, Options};
@@ -20,7 +21,7 @@ use nabbitc_check::model::{
     check_accounting, check_batch_accounting, check_linearizable, run_batch_scenario,
     run_colored_batch_prefix, run_injector_progress, run_injector_racing_push, run_join_protocol,
     run_pending_protocol, run_push_batch_publication, run_scenario,
-    run_steal_batch_races_owner_pops, ScenarioCfg,
+    run_steal_batch_races_owner_pops, run_successor_list, ScenarioCfg,
 };
 use nabbitc_check::spec::Op;
 
@@ -295,6 +296,33 @@ fn join_counter_enqueues_exactly_once_two_preds() {
     if let Some(v) = report.violation {
         panic!(
             "join protocol violated after {} executions: {} (trail {:?})",
+            report.iterations, v.message, v.trail
+        );
+    }
+    assert!(report.completed > 0);
+}
+
+#[test]
+fn successor_list_decides_every_edge_exactly_once_one_registrant() {
+    // register ∥ close on the real `SuccessorList`: the successor is
+    // either drained by the close or told "closed", never both or neither.
+    let report = explore(Options::from_env(), || run_successor_list(1));
+    if let Some(v) = report.violation {
+        panic!(
+            "successor list violated after {} executions: {} (trail {:?})",
+            report.iterations, v.message, v.trail
+        );
+    }
+    assert!(report.completed > 0);
+}
+
+#[test]
+fn successor_list_decides_every_edge_exactly_once_two_registrants() {
+    // Two registrants also race each other's CAS on the head.
+    let report = explore(Options::from_env(), || run_successor_list(2));
+    if let Some(v) = report.violation {
+        panic!(
+            "successor list violated after {} executions: {} (trail {:?})",
             report.iterations, v.message, v.trail
         );
     }

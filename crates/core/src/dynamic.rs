@@ -22,19 +22,27 @@
 //! dependence runs `compute_and_notify`, which is what preserves the
 //! critical path.
 //!
+//! Registration takes no lock. A node's "computed" status *is* its
+//! successor list's head ([`SuccessorList`](crate::join::SuccessorList)):
+//! registering is one CAS that either pushes the waiter or finds the list
+//! closed, and completing is one swap that closes the list and takes every
+//! waiter pushed before it — the atomic "enqueue or already computed"
+//! decision the paper makes with a lock, on one word. Nodes are found
+//! through the color-partitioned node table of `store.rs`, which holds
+//! them in arenas for the length of the run; this module only ever
+//! handles them through that table's safe methods.
+//!
 //! All predecessor and successor batches flow through
 //! [`crate::spawn::spawn_colors`], making this NabbitC when
 //! the pool steals by color.
 
-use crate::join::JoinCounter;
-use crate::metrics::RemoteCounters;
+use crate::metrics::{RemoteCounters, WorkerCounts};
 use crate::report::RunReport;
 use crate::spawn::{spawn_colors, ColoredItem};
+use crate::store::{NodeRef, NodeTable};
 use nabbitc_color::{Color, ColorSet};
-use nabbitc_runtime::sync::{AtomicU64, Mutex, Ordering, RwLock};
 use nabbitc_runtime::{Pool, WorkerContext};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,98 +58,42 @@ pub trait TaskSpec: Send + Sync + 'static {
     fn predecessors(&self, key: &Self::Key) -> Vec<Self::Key>;
 
     /// The task's locality color (the paper's user-defined `color()`).
+    ///
+    /// Must be a pure function of the key for as long as the spec lives:
+    /// every call with equal keys returns the same color. The executor asks
+    /// once per dependence edge and files the node under its color, so a
+    /// key that changed color would be discovered — and computed — twice
+    /// (debug builds assert against it).
     fn color(&self, key: &Self::Key) -> Color;
 
     /// Performs the task. `worker` is the executing worker id.
     fn compute(&self, key: &Self::Key, worker: usize);
 }
 
-const CREATED: u8 = 0;
-const COMPUTED: u8 = 1;
-
-struct NodeState<K> {
-    key: K,
-    color: Color,
-    /// Join counter with +1 init bias; the decrement that reaches zero owns
-    /// the compute.
-    join: JoinCounter,
-    /// Status + successor list, guarded together so that registration can
-    /// atomically decide "enqueue" vs "already computed" (the paper's
-    /// atomicity choice that makes enqueueing race-free).
-    succ: Mutex<SuccList<K>>,
-}
-
-struct SuccList<K> {
-    status: u8,
-    waiting: Vec<Arc<NodeState<K>>>,
-}
-
-/// Sharded concurrent node table (key → node). The paper's "atomically
-/// attempt to create a predecessor with key pkey".
-struct NodeTable<K> {
-    shards: Vec<RwLock<HashMap<K, Arc<NodeState<K>>>>>,
-}
-
-impl<K: Eq + Hash + Clone> NodeTable<K> {
-    fn new() -> Self {
-        NodeTable {
-            shards: (0..64).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Arc<NodeState<K>>>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    /// Returns `(node, created_by_us)`.
-    fn get_or_create(&self, key: &K, color: Color) -> (Arc<NodeState<K>>, bool) {
-        let shard = self.shard(key);
-        if let Some(n) = shard.read().get(key) {
-            return (n.clone(), false);
-        }
-        let mut w = shard.write();
-        if let Some(n) = w.get(key) {
-            return (n.clone(), false);
-        }
-        let node = Arc::new(NodeState {
-            key: key.clone(),
-            color,
-            join: JoinCounter::new(),
-            succ: Mutex::new(SuccList {
-                status: CREATED,
-                waiting: Vec::new(),
-            }),
-        });
-        w.insert(key.clone(), node.clone());
-        (node, true)
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-}
-
 struct DynState<S: TaskSpec> {
     spec: Arc<S>,
     table: NodeTable<S::Key>,
     remote: Option<RemoteCounters>,
-    executed: AtomicU64,
+    executed: WorkerCounts,
 }
 
-enum Work<S: TaskSpec> {
+/// What remains to be done for a node.
+enum Phase {
     /// A node we created and must initialize (paper: `init_node_and_compute`).
-    Init(Arc<NodeState<S::Key>>),
+    Init,
     /// A node whose dependences were satisfied; compute it.
-    Compute(Arc<NodeState<S::Key>>),
+    Compute,
+}
+
+struct Work<S: TaskSpec> {
+    node: NodeRef<S::Key>,
+    color: Color,
+    phase: Phase,
 }
 
 impl<S: TaskSpec> ColoredItem for Work<S> {
     fn color(&self) -> Color {
-        match self {
-            Work::Init(n) | Work::Compute(n) => n.color,
-        }
+        self.color
     }
 }
 
@@ -174,6 +126,12 @@ impl<S: TaskSpec> DynamicExecutor<S> {
     /// As with [`StaticExecutor::execute`](crate::StaticExecutor::execute),
     /// the returned [`RunReport`] covers this run only: statistics and (on
     /// a traced pool) the event rings are reset on entry.
+    ///
+    /// # Panics
+    ///
+    /// If the job drains without the sink having been computed, which
+    /// means `predecessors()` describes a cycle (or answers differently
+    /// from call to call). The pool is unaffected and can run the next job.
     pub fn execute(&self, sink: S::Key) -> RunReport {
         let workers = self.pool.workers();
         let state: Arc<DynState<S>> = Arc::new(DynState {
@@ -182,34 +140,31 @@ impl<S: TaskSpec> DynamicExecutor<S> {
             remote: self
                 .count_remote
                 .then(|| RemoteCounters::new(self.pool.topology().clone(), workers)),
-            executed: AtomicU64::new(0),
+            executed: WorkerCounts::new(workers),
         });
+        let sink_color = self.spec.color(&sink);
+        let (sink_node, _) = state.table.get_or_create(&sink, sink_color);
 
         self.pool.reset_stats();
         self.pool.reset_trace();
         let started = Instant::now();
         {
             let st = state.clone();
-            let sink_color = self.spec.color(&sink);
-            let sink_key = sink.clone();
             self.pool.run(ColorSet::singleton(sink_color), move |ctx| {
-                let (node, created) = st.table.get_or_create(&sink_key, sink_color);
-                debug_assert!(created, "sink must be fresh");
-                init_node(&st, ctx, node);
+                init_node(&st, ctx, sink_node);
             });
         }
         let elapsed = started.elapsed();
         // The job only terminates when every spawned task finished; verify
         // the sink actually computed (the paper's completion criterion).
-        let (sink_node, created) = state.table.get_or_create(&sink, self.spec.color(&sink));
-        assert!(!created, "sink vanished from the node table");
-        assert_eq!(
-            sink_node.succ.lock().status,
-            COMPUTED,
-            "sink did not complete"
+        let discovered = state.table.len();
+        let nodes_executed = state.executed.total();
+        assert!(
+            state.table.node(sink_node).is_computed(),
+            "sink {sink:?} did not complete: {discovered} nodes discovered, {nodes_executed} \
+             computed — predecessors() is cyclic or inconsistent"
         );
-        let nodes_executed = state.executed.load(Ordering::SeqCst);
-        debug_assert_eq!(nodes_executed as usize, state.table.len());
+        debug_assert_eq!(nodes_executed as usize, discovered);
 
         RunReport {
             elapsed,
@@ -231,10 +186,26 @@ impl<S: TaskSpec> DynamicExecutor<S> {
 
 /// Dispatches a work item (used by the color-aware spawner).
 fn dispatch<S: TaskSpec>(state: &Arc<DynState<S>>, ctx: &mut WorkerContext<'_>, work: Work<S>) {
-    match work {
-        Work::Init(node) => init_node(state, ctx, node),
-        Work::Compute(node) => compute_and_notify(state, ctx, node),
+    match work.phase {
+        Phase::Init => init_node(state, ctx, work.node),
+        Phase::Compute => compute_and_notify(state, ctx, work.node),
     }
+}
+
+/// Runs a batch of two or more work items through the color-aware spawner.
+fn spawn_work<S: TaskSpec>(
+    state: &Arc<DynState<S>>,
+    ctx: &mut WorkerContext<'_>,
+    batch: Vec<Work<S>>,
+) {
+    let st = state.clone();
+    spawn_colors(
+        ctx,
+        batch,
+        Arc::new(move |ctx: &mut WorkerContext<'_>, w: Work<S>| {
+            dispatch(&st, ctx, w);
+        }),
+    );
 }
 
 /// The paper's `init_node_and_compute` (Fig. 4): discover predecessors,
@@ -242,78 +213,68 @@ fn dispatch<S: TaskSpec>(state: &Arc<DynState<S>>, ctx: &mut WorkerContext<'_>, 
 fn init_node<S: TaskSpec>(
     state: &Arc<DynState<S>>,
     ctx: &mut WorkerContext<'_>,
-    node: Arc<NodeState<S::Key>>,
+    mut node: NodeRef<S::Key>,
 ) {
+    let table = &state.table;
     // Chain-shaped graphs discover one new predecessor per node; iterate
     // on that case instead of recursing so discovery depth is unbounded.
-    let mut node = node;
+    // The batch buffer is shared by the iterations: following a chain pops
+    // its one item back out, and only a spawn gives the buffer away.
+    let mut batch: Vec<Work<S>> = Vec::new();
     loop {
-        let preds = state.spec.predecessors(&node.key);
+        let this = table.node(node);
+        debug_assert_eq!(
+            state.spec.color(&this.key),
+            this.color,
+            "TaskSpec::color must be a pure function of the key"
+        );
+        let preds = state.spec.predecessors(&this.key);
 
         // Bias +1 while scanning so the node cannot fire mid-scan; start
         // from the full predecessor count and decrement for each
         // already-computed one.
-        node.join.begin_scan(preds.len());
+        table.begin_scan(node, preds.len());
 
-        let mut to_init: Vec<Work<S>> = Vec::new();
         let mut satisfied: i64 = 0;
-
-        for pk in preds {
-            let pcolor = state.spec.color(&pk);
-            let (pred, created) = state.table.get_or_create(&pk, pcolor);
-            // Register interest (try_init_compute): under the successor
-            // lock, either the predecessor is already computed (dependence
-            // satisfied) or we enqueue ourselves.
-            let registered = {
-                let mut s = pred.succ.lock();
-                if s.status == COMPUTED {
-                    false
-                } else {
-                    s.waiting.push(node.clone());
-                    true
-                }
-            };
-            if !registered {
+        for (slot, pk) in preds.iter().enumerate() {
+            let color = state.spec.color(pk);
+            let (pred, created) = table.get_or_create(pk, color);
+            // Register interest (try_init_compute): in one CAS, either we
+            // are on the predecessor's successor list or it is already
+            // computed (dependence satisfied).
+            if !table.register(node, slot, pred) {
                 satisfied += 1;
             }
             if created {
-                to_init.push(Work::Init(pred));
+                batch.push(Work {
+                    node: pred,
+                    color,
+                    phase: Phase::Init,
+                });
             }
         }
 
         // Release satisfied dependences and the init bias; whoever reaches
-        // zero computes the node.
-        let self_ready = node.join.end_scan(satisfied);
-
-        // Spawn the predecessors we created, color-guided. If this node
-        // became ready, append it to the same batch so its compute also
-        // routes by color (with a single item spawn_colors degenerates to
-        // a direct call).
-        if self_ready {
-            to_init.push(Work::Compute(node.clone()));
+        // zero computes the node. If this node became ready, append it to
+        // the batch of predecessors we created so its compute also routes
+        // by color.
+        if this.join.end_scan(satisfied) {
+            batch.push(Work {
+                node,
+                color: this.color,
+                phase: Phase::Compute,
+            });
         }
-        match to_init.len() {
+        match batch.len() {
             0 => return,
-            1 => match to_init.pop().expect("len checked") {
-                Work::Init(n) => {
-                    node = n;
+            1 => {
+                let only = batch.pop().expect("len checked");
+                match only.phase {
+                    Phase::Init => node = only.node,
+                    Phase::Compute => return compute_and_notify(state, ctx, only.node),
                 }
-                Work::Compute(n) => {
-                    compute_and_notify(state, ctx, n);
-                    return;
-                }
-            },
-            _ => {
-                let st = state.clone();
-                spawn_colors(
-                    ctx,
-                    to_init,
-                    Arc::new(move |ctx: &mut WorkerContext<'_>, w: Work<S>| {
-                        dispatch(&st, ctx, w);
-                    }),
-                );
-                return;
             }
+            _ => return spawn_work(state, ctx, batch),
         }
     }
 }
@@ -323,68 +284,55 @@ fn init_node<S: TaskSpec>(
 fn compute_and_notify<S: TaskSpec>(
     state: &Arc<DynState<S>>,
     ctx: &mut WorkerContext<'_>,
-    start: Arc<NodeState<S::Key>>,
+    mut node: NodeRef<S::Key>,
 ) {
+    let table = &state.table;
     // Iterate instead of recursing for the single-ready-successor case so
-    // chain-shaped graphs cannot overflow the stack.
-    let mut node = start;
+    // chain-shaped graphs cannot overflow the stack (one buffer for all
+    // iterations, as in `init_node`).
+    let mut ready: Vec<Work<S>> = Vec::new();
     loop {
-        debug_assert_eq!(node.join.pending(), 0);
+        let this = table.node(node);
+        debug_assert_eq!(this.join.pending(), 0);
         let me = ctx.worker_id();
 
         if let Some(rc) = &state.remote {
-            let pred_colors: Vec<Color> = state
-                .spec
-                .predecessors(&node.key)
-                .iter()
-                .map(|k| state.spec.color(k))
-                .collect();
-            rc.record_node(me, node.color, pred_colors);
+            let preds = state.spec.predecessors(&this.key);
+            rc.record_node(me, this.color, preds.iter().map(|k| state.spec.color(k)));
         }
 
-        state.spec.compute(&node.key, me);
-        state.executed.fetch_add(1, Ordering::Relaxed);
+        state.spec.compute(&this.key, me);
+        state.executed.add(me);
 
-        // Publish COMPUTED and take the waiters atomically.
-        let waiting = {
-            let mut s = node.succ.lock();
-            s.status = COMPUTED;
-            std::mem::take(&mut s.waiting)
-        };
-
-        let mut ready: Vec<Work<S>> = Vec::new();
-        for w in waiting {
+        // Publish "computed" and take the waiters in one swap; the ones
+        // whose last dependence this was are ready. Registrations pile up
+        // newest first; release them in the order they arrived.
+        for waiter in table.complete(node) {
+            let w = table.node(waiter);
             if w.join.notify() {
-                ready.push(Work::Compute(w));
+                ready.push(Work {
+                    node: waiter,
+                    color: w.color,
+                    phase: Phase::Compute,
+                });
             }
         }
+        ready.reverse();
 
-        if ready.is_empty() {
-            return;
+        match ready.len() {
+            0 => return,
+            1 => node = ready.pop().expect("len checked").node,
+            _ => return spawn_work(state, ctx, ready),
         }
-        if ready.len() == 1 {
-            match ready.pop().expect("len checked") {
-                Work::Compute(n) => {
-                    node = n;
-                    continue;
-                }
-                Work::Init(n) => {
-                    init_node(state, ctx, n);
-                    return;
-                }
-            }
-        }
-        let st = state.clone();
-        spawn_colors(
-            ctx,
-            ready,
-            Arc::new(move |ctx: &mut WorkerContext<'_>, w: Work<S>| {
-                dispatch(&st, ctx, w);
-            }),
-        );
-        return;
     }
 }
+
+// The unit tests reach these through `use super::*`.
+#[cfg(test)]
+use {
+    nabbitc_runtime::sync::{AtomicU64, Ordering},
+    std::collections::HashMap,
+};
 
 #[cfg(test)]
 mod tests {

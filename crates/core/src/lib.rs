@@ -11,8 +11,9 @@
 //! Leiserson & Sukha (IPDPS'10): the computation is *specified* by a sink
 //! key plus a predecessor function; nodes are created lazily as they are
 //! discovered, racing threads arbitrate creation through a concurrent node
-//! table, and late arrivals enqueue themselves on a predecessor's successor
-//! list (the `try_init_compute` path of the paper's Figure 4).
+//! table laid out by color, and late arrivals enqueue themselves on a
+//! predecessor's lock-free successor list (the `try_init_compute` path of
+//! the paper's Figure 4; [`join`] holds the counter and the list).
 //!
 //! Both executors route every batch spawn through [`spawn`] —
 //! `gather_colors` + `spawn_colors`, the *morphing continuation* mechanism
@@ -47,11 +48,12 @@ pub mod metrics;
 pub mod report;
 pub mod spawn;
 pub mod static_exec;
+mod store;
 
 pub use auto::AutoColoredSpec;
 pub use coloring::ColoringMode;
 pub use dynamic::{DynamicExecutor, TaskSpec};
-pub use join::JoinCounter;
+pub use join::{JoinCounter, Link, SuccessorList};
 pub use metrics::{RemoteAccessReport, RemoteCounters};
 pub use report::RunReport;
 pub use static_exec::{ExecOptions, LintGate, StaticExecutor};

@@ -81,6 +81,33 @@ impl RemoteCounters {
     }
 }
 
+/// Nodes executed, counted per worker: each worker bumps a counter on its
+/// own cache line (one shared counter is a line every core writes once
+/// per node), and the total is read after the pool's job barrier. Both
+/// executors report [`RunReport::nodes_executed`](crate::RunReport) from
+/// this.
+pub(crate) struct WorkerCounts {
+    slots: Box<[CachePadded<AtomicU64>]>,
+}
+
+impl WorkerCounts {
+    pub(crate) fn new(workers: usize) -> Self {
+        WorkerCounts {
+            slots: (0..workers).map(|_| CachePadded::default()).collect(),
+        }
+    }
+
+    /// One more node executed by `worker`.
+    pub(crate) fn add(&self, worker: usize) {
+        self.slots[worker].fetch_add(1, Relaxed);
+    }
+
+    /// Sum over workers; exact once the job that counted has returned.
+    pub(crate) fn total(&self) -> u64 {
+        self.slots.iter().map(|slot| slot.load(Relaxed)).sum()
+    }
+}
+
 /// Aggregated remote-access counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RemoteAccessReport {

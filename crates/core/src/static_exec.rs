@@ -16,13 +16,13 @@
 //! paper's baseline which runs the same task graph under plain Cilk
 //! stealing).
 
-use crate::metrics::RemoteCounters;
+use crate::metrics::{RemoteCounters, WorkerCounts};
 use crate::report::RunReport;
 use crate::spawn::{spawn_colors, ColoredItem};
 use nabbitc_color::{Color, ColorSet};
 use nabbitc_graph::trace::{Trace, TraceEvent};
 use nabbitc_graph::{NodeId, TaskGraph};
-use nabbitc_runtime::sync::{AtomicU32, AtomicU64, Mutex, Ordering};
+use nabbitc_runtime::sync::{AtomicU32, Mutex, Ordering};
 use nabbitc_runtime::{Pool, WorkerContext};
 use std::sync::Arc;
 use std::time::Instant;
@@ -99,6 +99,9 @@ struct ExecState<K: ?Sized> {
     kernel: Arc<K>,
     remote: Option<RemoteCounters>,
     trace: Option<TraceState>,
+    /// Executed-node count: reported, and defends against double
+    /// execution in debug.
+    executed: WorkerCounts,
 }
 
 struct TraceState {
@@ -180,18 +183,14 @@ impl StaticExecutor {
                 origin: Instant::now(),
                 events: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             }),
+            executed: WorkerCounts::new(workers),
         });
-
-        // Executed-node counter: reported, and defends against double
-        // execution in debug.
-        let executed = Arc::new(AtomicU64::new(0));
 
         self.pool.reset_stats();
         self.pool.reset_trace();
         let started = Instant::now();
         {
             let state = state.clone();
-            let executed = executed.clone();
             let root_colors: ColorSet = graph.sources().iter().map(|&u| graph.color(u)).collect();
             self.pool.run(root_colors, move |ctx| {
                 let sources: Vec<Item> = state
@@ -201,19 +200,18 @@ impl StaticExecutor {
                     .map(|u| Item(u, state.graph.color(u)))
                     .collect();
                 let st = state.clone();
-                let ex = executed.clone();
                 spawn_colors(
                     ctx,
                     sources,
                     Arc::new(move |ctx: &mut WorkerContext<'_>, item: Item| {
-                        process_node(&st, &ex, ctx, item.0);
+                        process_node(&st, ctx, item.0);
                     }),
                 );
             });
         }
         let elapsed = started.elapsed();
 
-        let nodes_executed = executed.load(Ordering::SeqCst);
+        let nodes_executed = state.executed.total();
         debug_assert_eq!(nodes_executed, n as u64);
 
         let state = Arc::try_unwrap(state)
@@ -245,12 +243,8 @@ impl StaticExecutor {
     }
 }
 
-fn process_node<K>(
-    state: &Arc<ExecState<K>>,
-    executed: &Arc<AtomicU64>,
-    ctx: &mut WorkerContext<'_>,
-    mut u: NodeId,
-) where
+fn process_node<K>(state: &Arc<ExecState<K>>, ctx: &mut WorkerContext<'_>, mut u: NodeId)
+where
     K: Fn(NodeId, usize) + Send + Sync + 'static,
 {
     let g = &state.graph;
@@ -274,7 +268,7 @@ fn process_node<K>(
             .map(|t| t.origin.elapsed().as_nanos() as u64);
 
         (state.kernel)(u, me);
-        executed.fetch_add(1, Ordering::Relaxed);
+        state.executed.add(me);
 
         if let (Some(ts), Some(start)) = (&state.trace, start_ns) {
             let end = ts.origin.elapsed().as_nanos() as u64;
@@ -301,12 +295,11 @@ fn process_node<K>(
             }
             _ => {
                 let st = state.clone();
-                let ex = executed.clone();
                 spawn_colors(
                     ctx,
                     ready,
                     Arc::new(move |ctx: &mut WorkerContext<'_>, item: Item| {
-                        process_node(&st, &ex, ctx, item.0);
+                        process_node(&st, ctx, item.0);
                     }),
                 );
                 return;
@@ -320,7 +313,7 @@ mod tests {
     use super::*;
     use nabbitc_graph::generate;
     use nabbitc_runtime::{PoolConfig, StealPolicy, Topology};
-    use std::sync::atomic::AtomicU32 as A32;
+    use std::sync::atomic::{AtomicU32 as A32, AtomicU64};
 
     fn run_and_check(graph: TaskGraph, pool: Pool) -> RunReport {
         let graph = Arc::new(graph);

@@ -35,7 +35,10 @@
 //! equals one of the allowed sequences, so a downgrade (e.g. the seeded
 //! `nabbitc_weak_pop` canary turning the `SeqCst` pop fence into
 //! `Release`, or `nabbitc_weak_join` relaxing the join-counter scan) is
-//! caught statically, without building or running the weakened code.
+//! caught statically, without building or running the weakened code —
+//! as is a rewrite into operations the table has no row for
+//! (`nabbitc_weak_close` splitting the successor list's closing `swap`
+//! into a `load` and a `store`).
 //!
 //! The scanner is a purpose-built lexer, not a Rust parser: it masks
 //! comments, strings, and char literals, truncates each file at its test

@@ -42,9 +42,10 @@
 //!
 //! Unknown sites, ordering downgrades, stale policy or allowlist entries,
 //! orphaned Release stores, facade escapes, and undocumented `unsafe` all
-//! fail — including the seeded `nabbitc_weak_pop` fence weakening and
-//! the seeded `nabbitc_weak_join` counter relaxation, which the audit
-//! catches without ever building the weakened binaries.
+//! fail — including the seeded `nabbitc_weak_pop` fence weakening, the
+//! seeded `nabbitc_weak_join` counter relaxation and the seeded
+//! `nabbitc_weak_close` split of the successor list's closing swap,
+//! which the audit catches without ever building the weakened binaries.
 
 pub mod atomics;
 pub mod diag;

@@ -32,8 +32,8 @@
 //! correctness argument (Lê et al., "Correct and Efficient Work-Stealing
 //! for Weak Memory Models", PPoPP'13) for `deque.rs`, and the loom
 //! models in `crates/check` which exhaustively verify the deque,
-//! trace-buffer, pending-counter, and join-counter protocols under
-//! `--cfg nabbitc_check`.
+//! trace-buffer, pending-counter, join-counter and successor-list
+//! protocols under `--cfg nabbitc_check`.
 
 use crate::atomics::{AtomicOp, AtomicOrdering};
 
@@ -1177,24 +1177,6 @@ pub static POLICY: &[PolicyEntry] = &[
         REL,
         "publishes the cleared buffer state to subsequent readers",
     ),
-    // ------------------------------------------------------------ core/dynamic.rs
-    entry(
-        "core/dynamic.rs",
-        "execute",
-        "executed",
-        AtomicOp::Load,
-        SC,
-        "post-run accounting read after the pool job barrier; SeqCst keeps the quiescence \
-         count exact and costs nothing off the hot path",
-    ),
-    entry(
-        "core/dynamic.rs",
-        "compute_and_notify",
-        "executed",
-        AtomicOp::FetchAdd,
-        RLX,
-        "per-node completion counter read only after the job barrier; atomicity only",
-    ),
     // --------------------------------------------------------------- core/join.rs
     // The dynamic protocol's init-bias join counter (exactly-once enqueue
     // verified by run_join_protocol in crates/check; the nabbitc_weak_join
@@ -1246,6 +1228,79 @@ pub static POLICY: &[PolicyEntry] = &[
         AtomicOp::Load,
         SC,
         "diagnostics read (a computed node must show zero); off the hot path",
+    ),
+    // The lock-free successor list (one word holds "computed?" and the
+    // list head; exactly-once per edge verified by run_successor_list in
+    // crates/check; the nabbitc_weak_close canary splits close's swap into
+    // a load and a store, two sites with no row here, and must be rejected
+    // statically).
+    pentry(
+        "core/join.rs",
+        "register",
+        "head",
+        AtomicOp::Load,
+        ACQ,
+        &[
+            "core/join.rs::close::head.swap",
+            "core/join.rs::register::head.compare_exchange",
+        ],
+        "first read of the head: Acquire so that seeing the closed sentinel makes the \
+         computed predecessor's output visible (the closer's swap), and so that the link \
+         pushed by an earlier registrant is visible before it becomes this link's next",
+    ),
+    entry(
+        "core/join.rs",
+        "register",
+        "next",
+        AtomicOp::Store,
+        RLX,
+        "link slot written only by its owner before the publishing CAS; the CAS's Release \
+         is what makes it visible to the drain",
+    ),
+    pentry(
+        "core/join.rs",
+        "register",
+        "head",
+        AtomicOp::CompareExchange,
+        &[&[Release, Acquire]],
+        &[
+            "core/join.rs::close::head.swap",
+            "core/join.rs::register::head.compare_exchange",
+        ],
+        "publishes the link (waiter, next, and the waiter's armed join counter) to the \
+         closer's Acquire swap; on failure it is the next read of the head, hence Acquire \
+         for the same reasons as the first load",
+    ),
+    pentry(
+        "core/join.rs",
+        "close",
+        "head",
+        AtomicOp::Swap,
+        AR,
+        &["core/join.rs::register::head.compare_exchange"],
+        "one RMW decides every edge: Acquire takes the links registrants published, \
+         Release publishes the computed node's output to whoever sees the sentinel — the \
+         nabbitc_weak_close cfg replaces it with a load and a store (a registration \
+         between the two is lost), sites this table deliberately has no rows for",
+    ),
+    pentry(
+        "core/join.rs",
+        "is_closed",
+        "head",
+        AtomicOp::Load,
+        ACQ,
+        &["core/join.rs::close::head.swap"],
+        "status read (the sink check after the run, diagnostics); Acquire so that \
+         'computed' implies the node's output is visible",
+    ),
+    entry(
+        "core/join.rs",
+        "next",
+        "next",
+        AtomicOp::Load,
+        RLX,
+        "drain walk: the link was published by a Release CAS that the closing swap \
+         acquired, so its next pointer is already visible",
     ),
     // ------------------------------------------------------------ core/metrics.rs
     entry(
@@ -1312,24 +1367,25 @@ pub static POLICY: &[PolicyEntry] = &[
         RLX,
         "post-run aggregation over quiescent counters",
     ),
-    // -------------------------------------------------------- core/static_exec.rs
     entry(
-        "core/static_exec.rs",
-        "execute",
-        "executed",
-        AtomicOp::Load,
-        SC,
-        "post-run accounting read (reported, and debug_asserted) after the pool job barrier; \
-         SeqCst keeps it exact",
-    ),
-    entry(
-        "core/static_exec.rs",
-        "process_node",
-        "executed",
+        "core/metrics.rs",
+        "add",
+        "slots",
         AtomicOp::FetchAdd,
         RLX,
-        "completion counter read only after the job barrier; atomicity only",
+        "per-worker executed-node counter (both executors), written by its worker only \
+         and read after the job barrier; atomicity only",
     ),
+    entry(
+        "core/metrics.rs",
+        "total",
+        "slot",
+        AtomicOp::Load,
+        RLX,
+        "post-run sum over quiescent per-worker counters; the pool's job barrier orders \
+         every add before it",
+    ),
+    // -------------------------------------------------------- core/static_exec.rs
     pentry(
         "core/static_exec.rs",
         "process_node",

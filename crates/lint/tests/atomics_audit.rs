@@ -4,10 +4,10 @@
 //! `crates/*/src`, check every atomic site against the committed policy
 //! table, verify the declared publication pairs, enforce the
 //! `nabbitc_runtime::sync` facade, require SAFETY comments on every
-//! `unsafe`, and verify the audit's teeth — the seeded `nabbitc_weak_pop`
-//! and `nabbitc_weak_join` downgrades must be caught *statically*, and
-//! unknown sites / downgrades / stale policy or allowlist entries /
-//! orphaned Releases / facade escapes must all fail.
+//! `unsafe`, and verify the audit's teeth — the seeded `nabbitc_weak_pop`,
+//! `nabbitc_weak_join` and `nabbitc_weak_close` rewrites must be caught
+//! *statically*, and unknown sites / downgrades / stale policy or
+//! allowlist entries / orphaned Releases / facade escapes must all fail.
 
 use nabbitc_lint::atomics::scan_source;
 use nabbitc_lint::policy::PolicyEntry;
@@ -43,7 +43,7 @@ fn workspace_atomics_pass_the_committed_policy() {
 /// new atomic cannot land without a policy review: adding or removing a
 /// site changes this number, and whoever does it must update the pin —
 /// and, for policy-audited files, the policy table — in the same change.
-const GOLDEN_SITE_COUNT: usize = 171;
+const GOLDEN_SITE_COUNT: usize = 180;
 
 #[test]
 fn workspace_site_count_is_pinned() {
@@ -184,6 +184,49 @@ fn weak_join_canary_is_caught_statically() {
         "weak-join canary not fully flagged; problems were:\n  {}",
         problems.join("\n  ")
     );
+}
+
+#[test]
+fn weak_close_canary_is_caught_statically() {
+    let scan = scan_workspace().expect("scan workspace sources");
+    // The swap and its load + store replacement coexist in the source
+    // under opposite cfgs.
+    let close_sites: Vec<_> = scan
+        .sites
+        .iter()
+        .filter(|s| s.file == "core/join.rs" && s.func == "close")
+        .collect();
+    assert!(close_sites
+        .iter()
+        .any(|s| s.op == AtomicOp::Swap && s.cfg.as_deref() == Some("not(nabbitc_weak_close)")));
+    for op in [AtomicOp::Load, AtomicOp::Store] {
+        assert!(
+            close_sites
+                .iter()
+                .any(|s| s.op == op && s.cfg.as_deref() == Some("nabbitc_weak_close")),
+            "weak-close {} not found; sites: {close_sites:?}",
+            op.name()
+        );
+    }
+
+    // The default audit passes (weak sites inactive); the weakened
+    // configuration has a load and a store the policy has never heard of,
+    // and leaves the swap's row without a site.
+    assert!(audit(&scan.sites, POLICY, &[]).is_empty());
+    let problems = audit(&scan.sites, POLICY, &["nabbitc_weak_close"]);
+    let unknown = |op: &str| {
+        problems.iter().any(|p| {
+            p.contains("unknown atomic site") && p.contains("core/join.rs") && p.contains(op)
+        })
+    };
+    assert!(
+        unknown("load(Acquire)") && unknown("store(Release)"),
+        "weak-close canary not fully flagged; problems were:\n  {}",
+        problems.join("\n  ")
+    );
+    assert!(problems
+        .iter()
+        .any(|p| p.contains("stale policy entry") && p.contains("swap")));
 }
 
 #[test]
