@@ -46,8 +46,12 @@
 //!
 //! The sweep and the gain read edge bytes from one
 //! [`EdgeTraffic`] view each — the same per-node
-//! vectors the estimator scores the result with — so the whole assigner
-//! is O(E·workers) in the sweep plus O(E) in the refinement.
+//! vectors the estimator scores the result with. The sweep reads a
+//! node's predecessors once, folding them per color (latest finish,
+//! summed traffic), and prices each candidate color from those
+//! aggregates, so the whole assigner is `O(E + V·workers·min(deg,
+//! workers))` in the sweep plus O(E) in the refinement: no edge is read
+//! once per worker, which matters at the paper's 20–80 of them.
 
 use crate::refine::{refine_kway, MakespanGain};
 use crate::{balance_limit, node_weight, ColorAssigner};
@@ -108,12 +112,133 @@ impl CpLevelAware {
     }
 }
 
+/// What the sweep asks of a node's predecessors: read them once per node,
+/// then price each candidate color against what was read. The sweep is
+/// written against this seam so that the tests can run it over the
+/// definition — every predecessor walked again for every candidate color
+/// (`tests::PredWalk`) — and compare assignments.
+trait PredCosts {
+    fn new(workers: usize) -> Self;
+
+    /// Reads `u`'s predecessors and returns their weighted-majority color
+    /// — the finish-time tie-break (heavy parents pull harder: their data
+    /// is bigger). The vote is a *running* majority, so it depends on the
+    /// order the predecessors are met in: a color takes the lead only by
+    /// strictly exceeding the current leader's votes at the moment one of
+    /// its own predecessors is counted.
+    fn read(
+        &mut self,
+        graph: &TaskGraph,
+        u: NodeId,
+        part: &[usize],
+        finish: &[u64],
+        weight: &[u64],
+        traffic: &EdgeTraffic,
+    ) -> Option<usize>;
+
+    /// `(ready, remote_bytes)` of the node last [`read`](Self::read) on
+    /// color `c` — the estimator's two cross-edge terms: a predecessor on
+    /// another color delays the ready time by `latency`, and its bytes
+    /// are remote when that color is also in another NUMA domain.
+    fn price(&self, c: usize, latency: u64, topo: &Topology) -> (u64, u64);
+}
+
+/// What one color's predecessors of the node in hand add up to.
+#[derive(Clone, Copy, Default)]
+struct ColorPreds {
+    /// Summed node weight: the color's votes for the majority.
+    votes: u64,
+    /// Latest finish among them.
+    finish: u64,
+    /// Summed edge traffic from them.
+    bytes: u64,
+}
+
+/// The predecessors folded per color in one pass: a candidate is priced
+/// from at most `min(deg, workers)` aggregates instead of `deg`
+/// predecessors. `max` and `u64` sums do not depend on the order of their
+/// operands, so the prices are those of the per-predecessor walk.
+struct PredFold {
+    /// Indexed by color; stale outside `touched`.
+    by_color: Vec<ColorPreds>,
+    /// The colors the node's predecessors hold.
+    touched: Vec<usize>,
+    /// `seen[c] == u` once a predecessor of `u` was met on `c` (node ids
+    /// stamp the scratch, so nothing is cleared between nodes).
+    seen: Vec<NodeId>,
+}
+
+impl PredCosts for PredFold {
+    fn new(workers: usize) -> Self {
+        PredFold {
+            by_color: vec![ColorPreds::default(); workers],
+            touched: Vec::with_capacity(workers),
+            seen: vec![NodeId::MAX; workers],
+        }
+    }
+
+    fn read(
+        &mut self,
+        graph: &TaskGraph,
+        u: NodeId,
+        part: &[usize],
+        finish: &[u64],
+        weight: &[u64],
+        traffic: &EdgeTraffic,
+    ) -> Option<usize> {
+        self.touched.clear();
+        let mut majority: Option<usize> = None;
+        for &p in graph.predecessors(u) {
+            let c = part[p as usize];
+            if self.seen[c] != u {
+                self.seen[c] = u;
+                self.by_color[c] = ColorPreds::default();
+                self.touched.push(c);
+            }
+            let of_c = &mut self.by_color[c];
+            of_c.votes += weight[p as usize];
+            of_c.finish = of_c.finish.max(finish[p as usize]);
+            of_c.bytes += traffic.traffic(p, u);
+            let votes = of_c.votes;
+            if majority.is_none_or(|b| votes > self.by_color[b].votes) {
+                majority = Some(c);
+            }
+        }
+        majority
+    }
+
+    #[inline]
+    fn price(&self, c: usize, latency: u64, topo: &Topology) -> (u64, u64) {
+        let mut ready = 0u64;
+        let mut remote_bytes = 0u64;
+        for &pc in &self.touched {
+            let of_pc = &self.by_color[pc];
+            let mut t = of_pc.finish;
+            if pc != c {
+                t += latency;
+                if !topo.same_domain(pc, c) {
+                    remote_bytes += of_pc.bytes;
+                }
+            }
+            ready = ready.max(t);
+        }
+        (ready, remote_bytes)
+    }
+}
+
 impl ColorAssigner for CpLevelAware {
     fn name(&self) -> &'static str {
         "cp-level-aware"
     }
 
     fn assign(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
+        self.assign_pricing::<PredFold>(graph, workers)
+    }
+}
+
+impl CpLevelAware {
+    /// [`assign`](ColorAssigner::assign), reading predecessors through `P`.
+    fn assign_pricing<P: PredCosts>(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
         assert!(workers > 0, "need at least one worker");
         self.cost.assert_valid();
         let n = graph.node_count();
@@ -180,38 +305,15 @@ impl ColorAssigner for CpLevelAware {
         let mut part = vec![0usize; n];
         let mut loads = vec![0u64; workers]; // global, node-weight
         let mut level_loads = vec![0u64; workers]; // reset per level
-        let mut votes = vec![0u64; workers]; // scratch, reset per node
         let mut free = vec![0u64; workers]; // list-schedule worker clocks
         let mut finish = vec![0u64; n];
-        let mut pred_info: Vec<(usize, u64, u64)> = Vec::new(); // (part, finish, traffic)
+        let mut preds = P::new(workers);
         for (l, bucket) in buckets.iter().enumerate() {
             let q = quota[l];
             level_loads.fill(0);
             for &u in bucket {
                 let w = weight[u as usize];
-                let preds = graph.predecessors(u);
-
-                // Weighted predecessor-majority vote — the finish-time
-                // tiebreak (heavy parents pull harder: their data is
-                // bigger).
-                let mut majority: Option<usize> = None;
-                for &p in preds {
-                    let c = part[p as usize];
-                    votes[c] += weight[p as usize];
-                    if majority.map(|b| votes[c] > votes[b]).unwrap_or(true) {
-                        majority = Some(c);
-                    }
-                }
-                for &p in preds {
-                    votes[part[p as usize]] = 0;
-                }
-
-                pred_info.clear();
-                pred_info.extend(
-                    preds
-                        .iter()
-                        .map(|&p| (part[p as usize], finish[p as usize], traffic.traffic(p, u))),
-                );
+                let majority = preds.read(graph, u, &part, &finish, &weight, &traffic);
 
                 // Earliest finish time over the admissible colors. The
                 // candidate set is nonempty: the globally least-loaded
@@ -250,18 +352,7 @@ impl ColorAssigner for CpLevelAware {
                     // the ready time, remote-byte bandwidth on the
                     // execution time — the latter only when the edge also
                     // crosses NUMA domains.
-                    let mut ready = 0u64;
-                    let mut remote_bytes = 0u64;
-                    for &(pc, pf, traffic) in &pred_info {
-                        let mut t = pf;
-                        if pc != c {
-                            t += latency;
-                            if !topo.same_domain(pc, c) {
-                                remote_bytes += traffic;
-                            }
-                        }
-                        ready = ready.max(t);
-                    }
+                    let (ready, remote_bytes) = preds.price(c, latency, &topo);
                     let dur = ticks[u as usize] + self.cost.remote_excess(remote_bytes);
                     let fin = ready.max(free[c]) + dur;
                     let better = match chosen {
@@ -332,6 +423,107 @@ mod tests {
         estimate_makespan_colored_strict_on, level_profile, level_serialization,
     };
     use nabbitc_graph::generate;
+    use proptest::prelude::*;
+
+    /// The reference: list the predecessors once, then walk the whole
+    /// list again for every candidate color.
+    struct PredWalk {
+        votes: Vec<u64>,
+        /// `(part, finish, traffic)` per predecessor.
+        preds: Vec<(usize, u64, u64)>,
+    }
+
+    impl PredCosts for PredWalk {
+        fn new(workers: usize) -> Self {
+            PredWalk {
+                votes: vec![0; workers],
+                preds: Vec::new(),
+            }
+        }
+
+        fn read(
+            &mut self,
+            graph: &TaskGraph,
+            u: NodeId,
+            part: &[usize],
+            finish: &[u64],
+            weight: &[u64],
+            traffic: &EdgeTraffic,
+        ) -> Option<usize> {
+            let preds = graph.predecessors(u);
+            let mut majority: Option<usize> = None;
+            for &p in preds {
+                let c = part[p as usize];
+                self.votes[c] += weight[p as usize];
+                if majority
+                    .map(|b| self.votes[c] > self.votes[b])
+                    .unwrap_or(true)
+                {
+                    majority = Some(c);
+                }
+            }
+            for &p in preds {
+                self.votes[part[p as usize]] = 0;
+            }
+            self.preds.clear();
+            self.preds.extend(
+                preds
+                    .iter()
+                    .map(|&p| (part[p as usize], finish[p as usize], traffic.traffic(p, u))),
+            );
+            majority
+        }
+
+        fn price(&self, c: usize, latency: u64, topo: &Topology) -> (u64, u64) {
+            let mut ready = 0u64;
+            let mut remote_bytes = 0u64;
+            for &(pc, pf, traffic) in &self.preds {
+                let mut t = pf;
+                if pc != c {
+                    t += latency;
+                    if !topo.same_domain(pc, c) {
+                        remote_bytes += traffic;
+                    }
+                }
+                ready = ready.max(t);
+            }
+            (ready, remote_bytes)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn one_pass_sweep_assigns_what_the_per_candidate_walk_does(
+            shape in 0usize..3,
+            a in 2usize..9,
+            b in 2usize..12,
+            seed in 0u64..10_000,
+        ) {
+            let g = match shape {
+                0 => generate::layered_random(a, b, 4, (1, 300), 1, seed),
+                1 => generate::wavefront(a, b, 1 + seed % 50, 1),
+                _ => generate::iterated_stencil(a, b, 1 + seed % 50, 1),
+            };
+            // Two domains of four cores: where `same_domain(pc, c)` is
+            // not `pc == c`, so the remote-byte aggregate is its own term.
+            let assigners = [
+                CpLevelAware::default(),
+                CpLevelAware::default().with_topology(Topology::new(2, 4)),
+            ];
+            for (t, cp) in assigners.iter().enumerate() {
+                // The 2×4 machine has eight cores: twenty workers do not
+                // fit on it.
+                for p in [2usize, 3, 8, 20].into_iter().filter(|&p| t == 0 || p <= 8) {
+                    prop_assert!(
+                        cp.assign(&g, p) == cp.assign_pricing::<PredWalk>(&g, p),
+                        "p={} topology={:?}", p, cp.topology
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn valid_and_balanced_on_benchmark_shapes() {

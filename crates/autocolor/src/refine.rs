@@ -37,8 +37,10 @@
 //! walk would find: for every node, a row with one entry per part its
 //! neighbours occupy — how many of them are there, and what its edges to
 //! them cost in total. A row has `min(deg, k)` slots, so the table is
-//! O(E) whatever the part count. It is filled in one walk over the
-//! edges; afterwards a node's candidates are the parts in its row, a
+//! O(E) whatever the part count. It is filled a row at a time, each row
+//! summed per part over its node's neighbours and written once (an edge
+//! is priced from both of its ends, no slot is searched for);
+//! afterwards a node's candidates are the parts in its row, a
 //! candidate's edge term is the row summed over the destination's group
 //! of parts minus the row summed over the source's (a group is a NUMA
 //! domain under [`MakespanGain::with_topology`], a single part
@@ -357,9 +359,10 @@ impl MoveGain for MakespanGain {
 pub struct RefineStats {
     /// Moves committed, over all passes.
     pub moves: usize,
-    /// Adjacency entries touched: one per edge while the connectivity
-    /// table is set up, the moved node's neighbours at each commit, and
-    /// the entries walked to break a gain tie. Bounded by
+    /// Adjacency entries touched: one per edge for setting the
+    /// connectivity table up (which prices an edge from both of its
+    /// ends), the moved node's neighbours at each commit, and the
+    /// entries walked to break a gain tie. Bounded by
     /// `E + 2·Σ deg(u)` over the committed moves — the sweeps themselves
     /// touch none, so the count does not grow with `passes`.
     pub edge_visits: u64,
@@ -404,12 +407,12 @@ impl Link {
 /// minus `Σ cut` over the slots in the source's group
 /// ([`MoveGain::group_of`]), and a commit touches one or two slots in
 /// each row of the moved node's neighbours.
-struct Refiner<'a> {
+struct Refiner<'a, G: MoveGain + ?Sized> {
     graph: &'a TaskGraph,
     part: &'a mut [usize],
     weight: &'a [u64],
     loads: &'a mut [u64],
-    gain: &'a mut dyn MoveGain,
+    gain: &'a mut G,
     /// Part → group ([`MoveGain::group_of`]).
     group: Vec<usize>,
     row: Vec<usize>,
@@ -421,15 +424,15 @@ struct Refiner<'a> {
     stats: RefineStats,
 }
 
-impl<'a> Refiner<'a> {
-    /// Checks the arguments' shapes and builds the table in one walk over
-    /// the edges.
+impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
+    /// Checks the arguments' shapes and builds the table, one node's row
+    /// at a time from one walk over the node's neighbours.
     fn new(
         graph: &'a TaskGraph,
         part: &'a mut [usize],
         weight: &'a [u64],
         loads: &'a mut [u64],
-        gain: &'a mut dyn MoveGain,
+        gain: &'a mut G,
     ) -> Self {
         let n = graph.node_count();
         let k = loads.len();
@@ -477,11 +480,34 @@ impl<'a> Refiner<'a> {
             tied: Vec::new(),
             stats: RefineStats::default(),
         };
+        // A node's neighbours are summed per part in a scratch — `(count,
+        // cut)`, zero between nodes — and its row is written once, a slot
+        // per part in the order the neighbours (the predecessors, then
+        // the successors) first mention it: no slot is searched for
+        // while the table fills.
+        let mut seen = vec![(0u32, 0i64); k];
+        let mut mentioned: Vec<usize> = Vec::with_capacity(k);
         for u in graph.nodes() {
-            for &s in graph.successors(u) {
-                let c = refiner.gain.edge_cost(graph, u, s);
-                refiner.link(u, refiner.part[s as usize], c);
-                refiner.link(s, refiner.part[u as usize], c);
+            let preds = graph.predecessors(u).iter().map(|&p| (p, p, u));
+            let succs = graph.successors(u).iter().map(|&s| (s, u, s));
+            for (v, producer, consumer) in preds.chain(succs) {
+                let p = refiner.part[v as usize];
+                let (count, cut) = &mut seen[p];
+                if *count == 0 {
+                    mentioned.push(p);
+                }
+                *count += 1;
+                *cut += refiner.gain.edge_cost(graph, producer, consumer);
+            }
+            let row = &mut refiner.links[refiner.row[u as usize]..refiner.row[u as usize + 1]];
+            debug_assert!(mentioned.len() <= row.len());
+            for (slot, p) in row.iter_mut().zip(mentioned.drain(..)) {
+                let (count, cut) = std::mem::take(&mut seen[p]);
+                *slot = Link {
+                    cut,
+                    count,
+                    part: p as u32,
+                };
             }
         }
         refiner.stats.edge_visits = graph.edge_count() as u64;
@@ -664,14 +690,14 @@ impl<'a> Refiner<'a> {
 /// Panics unless `part` and `weight` have one entry per node, every part
 /// is `< loads.len()`, and `loads.len()` is the part count the gain was
 /// built for ([`MoveGain::parts`]).
-pub fn refine_kway(
+pub fn refine_kway<G: MoveGain + ?Sized>(
     graph: &TaskGraph,
     part: &mut [usize],
     weight: &[u64],
     loads: &mut [u64],
     max_load: u64,
     passes: usize,
-    gain: &mut dyn MoveGain,
+    gain: &mut G,
 ) -> RefineStats {
     let mut refiner = Refiner::new(graph, part, weight, loads, gain);
     for _ in 0..passes {

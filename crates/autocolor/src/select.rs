@@ -16,9 +16,15 @@
 //!    [`prefilter_skips`]); skipped candidates never pay their `assign`
 //!    cost. Unknown candidate names are never skipped, so custom
 //!    portfolios stay exact.
-//! 2. **Parallel candidacy.** Every surviving candidate runs `assign` on
-//!    its own scoped thread — the assigners are the expensive part, and
-//!    they are independent.
+//! 2. **Parallel candidacy, bounded by the machine.** The surviving
+//!    candidates are independent, so they run side by side — but on no
+//!    more threads than [`std::thread::available_parallelism`] reports,
+//!    and the calling thread runs its share of them instead of sleeping
+//!    in a `join`: the default two-member portfolio costs one spawned
+//!    thread on two or more CPUs and none on one, where the members run
+//!    one after the other in portfolio order. (The assigners are
+//!    memory-bound: more of them in flight than CPUs only stretches each
+//!    one.)
 //! 3. **Strict scoring.** Each assignment is scored with
 //!    [`estimate_makespan_colored_strict_on`] at the target worker count
 //!    under the selection's [`CostModel`] and worker→domain
@@ -50,7 +56,7 @@
 //! `auto_select_*` tests there and in `tests/makespan_regression.rs`.
 
 use crate::domains::pack_domains;
-use crate::{BfsLocality, BlockContiguous, ColorAssigner, CpLevelAware, RecursiveBisection};
+use crate::{BlockContiguous, ColorAssigner, CpLevelAware, RecursiveBisection};
 use nabbitc_color::Color;
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::analysis::{estimate_makespan_colored_strict_on, InvalidColoring};
@@ -97,10 +103,9 @@ pub enum CandidateOutcome {
     Rejected(InvalidColoring),
 }
 
-/// Wall time one portfolio member cost a selection, on its own thread
-/// (members run concurrently, so these do not add up to
-/// [`SelectionReport::elapsed`]; the largest `assign + score` is the
-/// selection's long pole).
+/// Wall time one portfolio member cost a selection, on the thread that
+/// ran it (see [`SelectionReport::times`] for how the members' times
+/// relate to [`SelectionReport::elapsed`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CandidateTime {
     /// The member's [`ColorAssigner::assign`] call.
@@ -130,7 +135,12 @@ pub struct SelectionReport {
     /// set, one extra trailing entry records the fallback assigner.
     pub candidates: Vec<(&'static str, CandidateOutcome)>,
     /// What each entry of `candidates` cost, index for index (zero for a
-    /// member that never ran).
+    /// member that never ran). Members run on at most
+    /// [`std::thread::available_parallelism`] threads, the caller's
+    /// included: with a CPU per member they overlap, so the times do not
+    /// add up to [`elapsed`](Self::elapsed) and the largest `assign +
+    /// score` is the selection's long pole; with fewer CPUs than members,
+    /// those sharing a thread run back to back and their times do add up.
     pub times: Vec<CandidateTime>,
     /// Index into `candidates` of the winner; `None` only for the
     /// degenerate machines (`workers == 1`) where no candidate ran.
@@ -193,8 +203,8 @@ impl SelectionReport {
 }
 
 /// The meta-assigner (see module docs): evaluates a portfolio of
-/// candidate assigners in parallel and returns the assignment with the
-/// lowest strict makespan estimate.
+/// candidate assigners — side by side where the machine has the CPUs —
+/// and returns the assignment with the lowest strict makespan estimate.
 pub struct AutoSelect {
     /// The cost model every candidate is scored with — node ticks over
     /// work and footprint, plus the two cross-color edge terms
@@ -220,10 +230,14 @@ pub struct AutoSelect {
 }
 
 impl Default for AutoSelect {
-    /// The default portfolio: both partitioning objectives
-    /// ([`RecursiveBisection`], [`CpLevelAware`]) plus the sweep
-    /// ([`BfsLocality`]) and id-blocking ([`BlockContiguous`]) heuristics
-    /// that win when node ids carry spatial meaning.
+    /// The default portfolio: the two partitioning objectives,
+    /// [`RecursiveBisection`] (edge-cut) and [`CpLevelAware`] (makespan).
+    /// [`BfsLocality`](crate::BfsLocality) and [`BlockContiguous`] are
+    /// not members: they never win — not in any row of
+    /// `results/autocolor_vs_hand.md`, not on any graph family the
+    /// selection tests use — and would cost every selection their
+    /// `assign` and estimate; the tests keep them as baselines the
+    /// two-member selection must never lose to.
     fn default() -> Self {
         AutoSelect::with_default_portfolio(CostModel::default())
     }
@@ -239,8 +253,6 @@ impl AutoSelect {
         let mut sel = AutoSelect::new(vec![
             Box::new(RecursiveBisection::default()),
             Box::new(CpLevelAware::default().with_cost_model(cost.clone())),
-            Box::new(BfsLocality::default()),
-            Box::new(BlockContiguous),
         ]);
         sel.cost = cost;
         sel.default_portfolio = true;
@@ -360,9 +372,12 @@ impl AutoSelect {
             shortlist = (0..self.candidates.len()).collect();
         }
 
-        // One scoped thread per candidate in a round: `assign` dominates
-        // the cost and the candidates are independent. Panics inside a
-        // candidate are re-thrown on the caller's thread.
+        // The members of a round are independent and `assign` dominates
+        // their cost, so they run side by side — on at most one thread
+        // per CPU, the caller's own included: the round is cut into that
+        // many contiguous runs, this thread takes the first and a scoped
+        // thread each of the others. Panics inside a candidate are
+        // re-thrown on the caller's thread.
         let score = |assigner: &dyn ColorAssigner| -> (Scored, CandidateTime) {
             let started = Instant::now();
             let colors = assigner.assign(graph, workers);
@@ -375,19 +390,26 @@ impl AutoSelect {
             };
             (est.map(|est| (colors, est)), time)
         };
+        let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
         let evaluate = |indices: &[usize]| -> Vec<(Scored, CandidateTime)> {
+            let run = |members: &[usize]| -> Vec<(Scored, CandidateTime)> {
+                let scored = members.iter().map(|&i| score(self.candidates[i].as_ref()));
+                scored.collect()
+            };
+            let mut runs = indices.chunks(indices.len().div_ceil(cpus).max(1));
+            let own = runs.next().unwrap_or_default();
             std::thread::scope(|s| {
-                let handles: Vec<_> = indices
-                    .iter()
-                    .map(|&i| {
-                        let (cand, score) = (&self.candidates[i], &score);
-                        s.spawn(move || score(cand.as_ref()))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
+                let run = &run;
+                let spawned: Vec<_> = runs.map(|members| s.spawn(move || run(members))).collect();
+                let mut results = run(own);
+                for handle in spawned {
+                    results.extend(
+                        handle
+                            .join()
+                            .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+                    );
+                }
+                results
             })
         };
 
@@ -492,8 +514,11 @@ impl ColorAssigner for AutoSelect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{assignment_is_valid, assignment_loads, balance_limit};
+    use crate::{assignment_is_valid, assignment_loads, balance_limit, BfsLocality};
     use nabbitc_graph::generate;
+    use std::collections::HashSet;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
     use std::time::Duration;
 
     /// The estimate of a valid `colors`, every worker its own domain.
@@ -503,12 +528,18 @@ mod tests {
             .expect("valid coloring")
     }
 
-    /// Strict estimates of every default-portfolio member, bypassing the
-    /// meta-machinery — the reference `select` must argmin against.
+    /// Strict estimates of the two portfolio members *and*, as
+    /// baselines, the two static heuristics left out of it, bypassing the
+    /// meta-machinery — the reference `select` must argmin against: the
+    /// two-member selection is never worse than the best of the four.
     fn portfolio_estimates(g: &TaskGraph, workers: usize, cost: &CostModel) -> Vec<(String, u64)> {
-        AutoSelect::default()
-            .candidates()
-            .iter()
+        let four: [Candidate; 4] = [
+            Box::new(RecursiveBisection::default()),
+            Box::new(CpLevelAware::default()),
+            Box::new(BfsLocality::default()),
+            Box::new(BlockContiguous),
+        ];
+        four.iter()
             .map(|c| {
                 let colors = c.assign(g, workers);
                 (c.name().to_string(), estimate(g, &colors, workers, cost))
@@ -820,6 +851,72 @@ mod tests {
         );
         let raw_estimate = estimate_makespan_colored_strict_on(&g, &raw, 4, &rep.cost, &topo);
         assert!(rep.chosen_estimate() < raw_estimate.expect("valid coloring"));
+    }
+
+    #[test]
+    fn default_portfolio_is_the_two_winners() {
+        let sel = AutoSelect::default();
+        let names: Vec<_> = sel.candidates().iter().map(|c| c.name()).collect();
+        assert_eq!(names, ["recursive-bisection", "cp-level-aware"]);
+        // Re-pricing rebuilds the same two.
+        let heavy = sel.with_cost_model(CostModel::default().with_remote_ratio(8.0));
+        let names: Vec<_> = heavy.candidates().iter().map(|c| c.name()).collect();
+        assert_eq!(names, ["recursive-bisection", "cp-level-aware"]);
+        // Id-blocking is not a member, but it is the all-invalid fallback.
+        let g = generate::chain(4, 1, 1);
+        let (_c, rep) = AutoSelect::new(vec![Box::new(AlwaysInvalid)]).select(&g, 2);
+        assert!(rep.fallback);
+        assert_eq!(rep.chosen_name(), "block-contiguous");
+    }
+
+    #[test]
+    fn select_runs_on_at_most_available_parallelism_threads() {
+        /// What the members of one selection saw of each other.
+        #[derive(Default)]
+        struct Seen {
+            running: usize,
+            max_running: usize,
+            threads: Vec<ThreadId>,
+        }
+        /// The bisection's colors, counting the `assign` calls in flight.
+        struct Counting(Arc<Mutex<Seen>>);
+        impl ColorAssigner for Counting {
+            fn name(&self) -> &'static str {
+                "counting"
+            }
+            fn assign(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
+                {
+                    let mut seen = self.0.lock().expect("no member panics");
+                    seen.running += 1;
+                    seen.max_running = seen.max_running.max(seen.running);
+                    seen.threads.push(std::thread::current().id());
+                }
+                // Long enough for a member on another thread to overlap.
+                let colors = RecursiveBisection::default().assign(graph, workers);
+                self.0.lock().expect("no member panics").running -= 1;
+                colors
+            }
+        }
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let g = generate::layered_random(12, 64, 8, (1, 300), 1, 5);
+        let members: Vec<Candidate> = (0..4)
+            .map(|_| Box::new(Counting(seen.clone())) as _)
+            .collect();
+        let (colors, rep) = AutoSelect::new(members).select(&g, 4);
+        assert!(assignment_is_valid(&colors, 4));
+        assert_eq!(rep.chosen, Some(0), "equal estimates: portfolio order");
+        let seen = seen.lock().expect("no member panicked");
+        let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(seen.threads.len(), 4, "every member ran");
+        assert!(
+            seen.max_running <= cpus,
+            "{} members in flight on {cpus} CPUs",
+            seen.max_running
+        );
+        let threads: HashSet<ThreadId> = seen.threads.iter().copied().collect();
+        assert!(threads.len() <= cpus, "{threads:?}");
+        // The caller runs members itself instead of sleeping in `join`.
+        assert!(seen.threads.contains(&std::thread::current().id()));
     }
 
     #[test]

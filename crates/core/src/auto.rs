@@ -4,7 +4,8 @@
 //!
 //! * [`StaticExecutor::execute_auto`] — **the default static path**: run
 //!   any pre-built [`TaskGraph`] under colors inferred by the
-//!   [`AutoSelect`] meta-assigner, which evaluates its whole portfolio
+//!   [`AutoSelect`] meta-assigner, which runs its two-member portfolio
+//!   (on no more threads than the machine has CPUs, this one included)
 //!   and keeps the per-graph winner (edge-cut partitioning on stencils,
 //!   level-aware partitioning on wavefronts) — no strategy choice needed
 //!   from the caller. To pin one strategy instead, color the graph with

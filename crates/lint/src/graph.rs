@@ -373,8 +373,16 @@ fn lint_cross_domain_hot_edges(
             }
         }
     }
-    edges.sort_by_key(|&(t, u, v)| (std::cmp::Reverse(t), u, v));
-    edges.truncate(config.hot_edge_top_k);
+    // Only the top k are read: partition them to the front, then order
+    // those. The key is total (an edge appears once), so the k kept and
+    // their order are those of a full sort.
+    let heaviest_first = |&(t, u, v): &(u64, NodeId, NodeId)| (std::cmp::Reverse(t), u, v);
+    let k = config.hot_edge_top_k;
+    if k < edges.len() {
+        edges.select_nth_unstable_by_key(k, heaviest_first);
+        edges.truncate(k);
+    }
+    edges.sort_by_key(heaviest_first);
     let total_work: u64 = g.nodes().map(|u| g.work(u)).sum();
     let share = (total_work / workers as u64).max(1);
     let threshold = (share as f64 * config.hot_edge_frac) as u64;

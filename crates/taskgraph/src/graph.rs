@@ -373,17 +373,22 @@ impl TaskGraph {
     pub fn rehome_edge_traffic(&mut self) {
         let traffic = EdgeTraffic::of(self);
         let n = self.node_count();
+        // Bytes per owner color of the node in hand (zero between
+        // nodes), and the owners in the order they first got any: a
+        // node's region list is written once, with no search per edge.
+        let colors = self.color.iter().map(|c| c.0 as usize + 1).max();
+        let mut owned = vec![0u64; colors.unwrap_or(0)];
+        let mut owners: Vec<Color> = Vec::new();
         let mut rehomed: Vec<Vec<NodeAccess>> = Vec::with_capacity(n);
         for u in 0..n as NodeId {
-            let mut acc: Vec<NodeAccess> = Vec::new();
             let mut push = |owner: Color, bytes: u64| {
                 if bytes == 0 {
                     return;
                 }
-                match acc.iter_mut().find(|a| a.owner == owner) {
-                    Some(a) => a.bytes += bytes,
-                    None => acc.push(NodeAccess { owner, bytes }),
+                if owned[owner.0 as usize] == 0 {
+                    owners.push(owner);
                 }
+                owned[owner.0 as usize] += bytes;
             };
             let mut inbound = 0u64;
             for &p in self.predecessors(u) {
@@ -393,7 +398,11 @@ impl TaskGraph {
             }
             // The cap in the traffic model guarantees inbound ≤ footprint.
             push(self.color[u as usize], self.footprint(u) - inbound);
-            rehomed.push(acc);
+            let regions = owners.drain(..).map(|owner| NodeAccess {
+                owner,
+                bytes: std::mem::take(&mut owned[owner.0 as usize]),
+            });
+            rehomed.push(regions.collect());
         }
         self.accesses = rehomed;
     }

@@ -55,10 +55,11 @@
 //!
 //! When nobody hand-colored the graph, let the autocolor subsystem do it.
 //! The **default path** is `execute_auto`: the
-//! [`AutoSelect`](autocolor::AutoSelect) meta-assigner runs its whole
-//! strategy portfolio, scores every candidate assignment with the
-//! makespan estimator for this pool's worker count, applies the winner
-//! (edge-cut bisection on stencils, level-aware partitioning on
+//! [`AutoSelect`](autocolor::AutoSelect) meta-assigner runs its
+//! two-member portfolio — edge-cut bisection and level-aware
+//! partitioning, on no more threads than the machine has CPUs — scores
+//! both assignments with the makespan estimator for this pool's worker
+//! count, applies the winner (bisection on stencils, level-aware on
 //! wavefronts — no single objective wins both), and re-homes the data
 //! accordingly. The returned report's
 //! [`selection`](core::RunReport::selection) field is the

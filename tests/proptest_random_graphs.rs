@@ -90,6 +90,74 @@ proptest! {
     }
 
     #[test]
+    fn rehomed_accesses_are_owners_in_first_appearance_order(
+        nodes in 2usize..40,
+        colors in 1u16..6,
+        max_preds in 0usize..6,
+        seed in 0u64..10_000,
+    ) {
+        // Any forward DAG; footprints include zero and odd sizes, and
+        // some colors are the one no worker has (Table III's coloring
+        // reaches `rehome_edge_traffic` through `simulate_ws_recolored`).
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |below: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        };
+        let mut b = GraphBuilder::new();
+        for u in 0..nodes {
+            // Node 0 is invalid in every case and precedes node 1 below,
+            // so a node whose predecessor carries `INVALID` always exists.
+            let color = match u == 0 || next(5) == 0 {
+                true => Color::INVALID,
+                false => Color(next(colors as u64) as u16),
+            };
+            b.add_simple_node(1, color, [0, 7, 64, 600, 4096][next(5) as usize]);
+        }
+        b.add_edge(0, 1);
+        for u in 2..nodes {
+            let mut preds: Vec<usize> = (0..max_preds).map(|_| next(u as u64) as usize).collect();
+            preds.sort_unstable();
+            preds.dedup();
+            for p in preds {
+                b.add_edge(p as NodeId, u as NodeId);
+            }
+        }
+        let mut g = b.build().expect("forward edges, no duplicates");
+        // The definition: predecessors' colors in adjacency order, then
+        // the node's own; an owner is listed where it first gets bytes.
+        let expected: Vec<Vec<NodeAccess>> = g
+            .nodes()
+            .map(|u| {
+                let mut acc: Vec<NodeAccess> = Vec::new();
+                let mut push = |owner: Color, bytes: u64| {
+                    if bytes == 0 {
+                        return;
+                    }
+                    match acc.iter_mut().find(|a| a.owner == owner) {
+                        Some(a) => a.bytes += bytes,
+                        None => acc.push(NodeAccess { owner, bytes }),
+                    }
+                };
+                let mut inbound = 0;
+                for &p in g.predecessors(u) {
+                    let bytes = g.edge_traffic(p, u);
+                    inbound += bytes;
+                    push(g.color(p), bytes);
+                }
+                push(g.color(u), g.footprint(u) - inbound);
+                acc
+            })
+            .collect();
+        g.rehome_edge_traffic();
+        for u in g.nodes() {
+            prop_assert_eq!(g.accesses(u), &expected[u as usize][..]);
+        }
+    }
+
+    #[test]
     fn nabbit_and_nabbitc_simulations_execute_same_set(
         layers in 2usize..8,
         width in 2usize..16,
