@@ -16,10 +16,10 @@
 //!    sweep; side A greedily absorbs a BFS region around the seed until it
 //!    reaches its weight target. BFS growth keeps A connected, which is
 //!    what makes the initial cut a perimeter rather than a shuffle.
-//! 3. **Refine.** Up to [`RecursiveBisection::refine_passes`] boundary
+//! 3. **Refine.** Up to four (`REFINE_PASSES`) boundary
 //!    sweeps move nodes with positive *gain* across the cut, and zero-gain
 //!    nodes when the move improves balance, never letting either side
-//!    drift more than `balance_tolerance` of the subproblem's weight past
+//!    drift more than 5 % (`BALANCE_TOLERANCE`) of the subproblem's weight past
 //!    its target. The gain function is pluggable
 //!    ([`MoveGain`]): [`ColorAssigner::assign`]
 //!    uses the KL/FM edge-cut gain
@@ -41,23 +41,14 @@ use nabbitc_color::Color;
 use nabbitc_graph::{NodeId, TaskGraph};
 
 /// Balanced `workers`-way partitioner (see module docs).
-#[derive(Clone, Copy, Debug)]
-pub struct RecursiveBisection {
-    /// Boundary-refinement sweeps per bisection level.
-    pub refine_passes: usize,
-    /// Allowed deviation from a side's weight target during refinement, as
-    /// a fraction of the subproblem's total weight.
-    pub balance_tolerance: f64,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RecursiveBisection {} // no knobs; built with `default()` like its siblings
 
-impl Default for RecursiveBisection {
-    fn default() -> Self {
-        RecursiveBisection {
-            refine_passes: 4,
-            balance_tolerance: 0.05,
-        }
-    }
-}
+/// Boundary-refinement sweeps per bisection level.
+const REFINE_PASSES: usize = 4;
+/// Allowed deviation from a side's weight target during refinement, as a
+/// fraction of the subproblem's total weight.
+const BALANCE_TOLERANCE: f64 = 0.05;
 
 impl ColorAssigner for RecursiveBisection {
     fn name(&self) -> &'static str {
@@ -245,8 +236,8 @@ impl RecursiveBisection {
 
         // KL/FM-style boundary refinement; the objective is whatever
         // `gain` scores (sides are parts 0 = B, 1 = A, subset-relative).
-        let tol = (total as f64 * self.balance_tolerance).ceil() as u64;
-        for _ in 0..self.refine_passes {
+        let tol = (total as f64 * BALANCE_TOLERANCE).ceil() as u64;
+        for _ in 0..REFINE_PASSES {
             let mut moved = 0usize;
             for &u in &nodes {
                 let w = ctx.weight[u as usize];

@@ -30,7 +30,7 @@
 //!    serializes. Finish ties break toward the weighted majority
 //!    predecessor color.
 //! 3. **Quotas and caps (hard constraints).** In a *wide* level (width ≥
-//!    workers) each color may take at most [`CpLevelAware::level_slack`]
+//!    workers) each color may take at most 1.1 (`LEVEL_SLACK`)
 //!    × its even share of the level's weight, clamped to strictly less
 //!    than the whole level — so no wide level can ever serialize. A
 //!    global cap at [`balance_limit`] keeps the 2×
@@ -61,12 +61,8 @@ use nabbitc_graph::analysis::level_profile;
 use nabbitc_graph::{EdgeTraffic, NodeId, TaskGraph};
 
 /// Level-by-level critical-path-aware partitioner (see module docs).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CpLevelAware {
-    /// Per-color share of a wide level's weight, as a multiple of the even
-    /// share `level_weight / workers`. Clamped below at 1.0; higher trades
-    /// level spread for locality.
-    pub level_slack: f64,
     /// Cost model pricing the internal list-schedule estimate (node
     /// ticks, cross-edge latency, and remote-byte bandwidth). Defaults to
     /// [`CostModel::default`]; see
@@ -76,20 +72,14 @@ pub struct CpLevelAware {
     /// refinement gain. `None` (the default) means every worker is its
     /// own domain; see [`with_topology`](Self::with_topology).
     pub topology: Option<Topology>,
-    /// Makespan-gain refinement sweeps after the level sweep (0 disables).
-    pub refine_passes: usize,
 }
 
-impl Default for CpLevelAware {
-    fn default() -> Self {
-        CpLevelAware {
-            level_slack: 1.1,
-            cost: CostModel::default(),
-            topology: None,
-            refine_passes: 2,
-        }
-    }
-}
+/// Per-color share of a wide level's weight, as a multiple of the even
+/// share `level_weight / workers`; higher trades level spread for
+/// locality.
+const LEVEL_SLACK: f64 = 1.1;
+/// Makespan-gain refinement sweeps after the level sweep.
+const REFINE_PASSES: usize = 2;
 
 impl CpLevelAware {
     /// Replaces the cost model (builder style). Panics on invalid
@@ -257,7 +247,6 @@ impl CpLevelAware {
         let profile = level_profile(graph);
         let weight: Vec<u64> = graph.nodes().map(|u| node_weight(graph, u)).collect();
         let limit = balance_limit(graph, workers);
-        let slack = self.level_slack.max(1.0);
         let latency = self.cost.cross_edge_latency();
         let traffic = EdgeTraffic::of(graph);
         // Per-node execution ticks with every byte local — the cross-edge
@@ -287,7 +276,7 @@ impl CpLevelAware {
         let quota: Vec<u64> = (0..profile.level_count())
             .map(|l| {
                 if profile.widths[l] >= workers {
-                    let even = ((lweights[l] as f64 / workers as f64) * slack).ceil() as u64;
+                    let even = ((lweights[l] as f64 / workers as f64) * LEVEL_SLACK).ceil() as u64;
                     even.min(lweights[l].saturating_sub(1)).max(1)
                 } else {
                     0
@@ -381,35 +370,33 @@ impl CpLevelAware {
         // wide level spread, the load cap keeps the balance bound). The
         // gain works in tick units, so its quotas are rebuilt over the
         // levels' tick-weights with the same slack-and-clamp rule.
-        if self.refine_passes > 0 {
-            let mut tick_lweights = vec![0u64; profile.level_count()];
-            for u in graph.nodes() {
-                tick_lweights[profile.level_of[u as usize] as usize] += ticks[u as usize];
-            }
-            let tick_quota: Vec<u64> = (0..profile.level_count())
-                .map(|l| {
-                    if profile.widths[l] >= workers {
-                        let even =
-                            ((tick_lweights[l] as f64 / workers as f64) * slack).ceil() as u64;
-                        even.min(tick_lweights[l].saturating_sub(1)).max(1)
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let mut gain = MakespanGain::new(graph, &profile, &part, workers, &self.cost)
-                .with_topology(topo.clone())
-                .with_level_quota(tick_quota);
-            refine_kway(
-                graph,
-                &mut part,
-                &weight,
-                &mut loads,
-                limit,
-                self.refine_passes,
-                &mut gain,
-            );
+        let mut tick_lweights = vec![0u64; profile.level_count()];
+        for u in graph.nodes() {
+            tick_lweights[profile.level_of[u as usize] as usize] += ticks[u as usize];
         }
+        let tick_quota: Vec<u64> = (0..profile.level_count())
+            .map(|l| {
+                if profile.widths[l] >= workers {
+                    let even =
+                        ((tick_lweights[l] as f64 / workers as f64) * LEVEL_SLACK).ceil() as u64;
+                    even.min(tick_lweights[l].saturating_sub(1)).max(1)
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let mut gain = MakespanGain::new(graph, &profile, &part, workers, &self.cost)
+            .with_topology(topo.clone())
+            .with_level_quota(tick_quota);
+        refine_kway(
+            graph,
+            &mut part,
+            &weight,
+            &mut loads,
+            limit,
+            REFINE_PASSES,
+            &mut gain,
+        );
 
         part.into_iter().map(Color::from).collect()
     }

@@ -113,9 +113,7 @@ pub use bisect::RecursiveBisection;
 pub use cplevel::CpLevelAware;
 pub use domains::{inter_domain_traffic, pack_domains};
 pub use online::{DynamicAffinity, OnlineAssigner};
-pub use select::{
-    prefilter_skips, AutoSelect, CandidateOutcome, CandidateTime, GraphShape, SelectionReport,
-};
+pub use select::{AutoSelect, CandidateOutcome, CandidateTime, GraphShape, SelectionReport};
 
 use nabbitc_color::Color;
 use nabbitc_graph::{NodeId, TaskGraph};

@@ -29,6 +29,10 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::RwLock;
 
+/// Per-color capacity as a multiple of the even share: tighter means
+/// better balance, looser means longer affinity chains.
+const CAP_SLACK: f64 = 1.2;
+
 /// Shared voting core: picks a color for one item given its predecessors'
 /// colors, current per-color loads, and a load cap for the preferred
 /// color.
@@ -64,7 +68,6 @@ fn vote(pred_colors: &[usize], loads: &[u64], item_load: u64, cap: u64) -> usize
 /// that `TaskSpec::color` is a pure function of the key.
 pub struct OnlineAssigner<K> {
     workers: usize,
-    cap_slack: f64,
     // RwLock, not Mutex: executors re-ask for already-colored keys on hot
     // paths (remote-access accounting resolves every predecessor's color
     // per node), and those repeat lookups take only the read lock.
@@ -82,19 +85,12 @@ struct OnlineState<K> {
 }
 
 impl<K: Eq + Hash + Clone> OnlineAssigner<K> {
-    /// An assigner for `workers` colors with the default 1.2 cap slack.
+    /// An assigner for `workers` colors. Any color's share of the keys
+    /// seen so far is bounded by 1.2 × `total/workers` (`CAP_SLACK`).
     pub fn new(workers: usize) -> Self {
-        Self::with_cap_slack(workers, 1.2)
-    }
-
-    /// `cap_slack` bounds any color's share of the keys seen so far to
-    /// `cap_slack × total/workers` (clamped below at 1.0): tighter means
-    /// better balance, looser means longer affinity chains.
-    pub fn with_cap_slack(workers: usize, cap_slack: f64) -> Self {
         assert!(workers > 0, "need at least one worker");
         OnlineAssigner {
             workers,
-            cap_slack: cap_slack.max(1.0),
             state: RwLock::new(OnlineState {
                 assigned: HashMap::new(),
                 hints: HashMap::new(),
@@ -145,7 +141,7 @@ impl<K: Eq + Hash + Clone> OnlineAssigner<K> {
         // one key seen, a strict share of ceil(2/workers)=1 would forbid
         // any color from ever taking a second key).
         let even = (st.total + 1).div_ceil(self.workers as u64);
-        let cap = ((even as f64 * self.cap_slack).ceil() as u64).max(even + 1);
+        let cap = ((even as f64 * CAP_SLACK).ceil() as u64).max(even + 1);
         let chosen = vote(&votes, &st.loads, 1, cap);
         let color = Color::from(chosen);
         st.assigned.insert(key.clone(), color);
@@ -179,17 +175,8 @@ impl<K: Eq + Hash + Clone> OnlineAssigner<K> {
 /// The online policy as a static [`ColorAssigner`]: replays the graph in
 /// topological order through the same predecessor-majority vote, with
 /// loads measured in node weight.
-#[derive(Clone, Copy, Debug)]
-pub struct DynamicAffinity {
-    /// Per-color capacity as a multiple of the even share (≥ 1.0).
-    pub cap_slack: f64,
-}
-
-impl Default for DynamicAffinity {
-    fn default() -> Self {
-        DynamicAffinity { cap_slack: 1.2 }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DynamicAffinity {} // no knobs; built with `default()` like its siblings
 
 impl ColorAssigner for DynamicAffinity {
     fn name(&self) -> &'static str {
@@ -199,7 +186,7 @@ impl ColorAssigner for DynamicAffinity {
     fn assign(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
         assert!(workers > 0, "need at least one worker");
         let total: u64 = graph.nodes().map(|u| node_weight(graph, u)).sum();
-        let cap = ((total as f64 / workers as f64) * self.cap_slack.max(1.0)).ceil() as u64;
+        let cap = ((total as f64 / workers as f64) * CAP_SLACK).ceil() as u64;
         let cap = cap.min(balance_limit(graph, workers));
         let mut colors = vec![Color(0); graph.node_count()];
         let mut loads = vec![0u64; workers];

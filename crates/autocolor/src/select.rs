@@ -13,7 +13,7 @@
 //!    [`level_profile`](nabbitc_graph::analysis::level_profile) pass
 //!    skips candidates whose objective is provably
 //!    inert or documented-losing on the graph's structure (see
-//!    [`prefilter_skips`]); skipped candidates never pay their `assign`
+//!    `prefilter_skips`); skipped candidates never pay their `assign`
 //!    cost. Unknown candidate names are never skipped, so custom
 //!    portfolios stay exact.
 //! 2. **Parallel candidacy, bounded by the machine.** The surviving
@@ -82,7 +82,7 @@ pub use nabbitc_graph::analysis::GraphShape;
 /// the failure mode `results/autocolor_vs_hand.md` pins on sw (0.45× hand
 /// at P=20 vs cp-level-aware's 1.48×) — so it cannot win the makespan
 /// there, and it is the portfolio's most expensive member to run.
-pub fn prefilter_skips(shape: &GraphShape, name: &str) -> bool {
+fn prefilter_skips(shape: &GraphShape, name: &str) -> bool {
     match name {
         "recursive-bisection" => shape.deep_wavefront(),
         _ => false,

@@ -19,9 +19,12 @@
 //! and injector *and* the `nabbitc-core` on-demand protocol
 //! (`model::run_successor_list` checks that the lock-free successor list
 //! decides every register ∥ close edge exactly once, and
-//! `model::run_join_protocol` the exactly-once enqueue of the dynamic
-//! executor's init-bias arbitration over that list — W1/W2 in
-//! successor-list and join-counter form). The `model` module (scenarios + checks) only exists under
+//! `model::run_join_protocol` the exactly-once enqueue of the join
+//! counter both executors decrement — armed by the dynamic executor's
+//! init-bias scan over that list, or born holding the in-degree as the
+//! static executor's is; either way the firing decrement must also see
+//! every predecessor's output — W1/W2 in successor-list and join-counter
+//! form). The `model` module (scenarios + checks) only exists under
 //! that cfg, which is why the table references it as plain text. The
 //! [`spec`] and [`lin`] modules are plain sequential code and are
 //! unit-tested in the ordinary tier-1 build as well.

@@ -672,51 +672,90 @@ pub fn run_successor_list(registrants: usize) {
     }
 }
 
-/// The dynamic executor's join-counter protocol
-/// (`nabbitc_core::join::JoinCounter`, the paper's readiness arbiter)
-/// composed with the real successor registration
-/// ([`run_successor_list`]'s `SuccessorList`): the scanning worker arms
-/// the counter with a +1 init bias (`begin_scan`), registers with each of
-/// `preds` predecessors — or counts the already-computed ones as
-/// satisfied — then releases bias + satisfied count in one RMW
-/// (`end_scan`). Each predecessor, after computing, closes its list and
-/// notifies the successors it drained (`notify`). The invariant: across
-/// every interleaving, *exactly one* decrement reaches zero, so the node
-/// is enqueued exactly once — W1 (never enqueued) and W2 (double compute)
-/// in join-counter form. Under `--cfg nabbitc_weak_join` (bias dropped,
-/// scan-side orderings Relaxed) a predecessor finishing between the
-/// consumer's registration and its `end_scan` zeroes the counter for the
-/// producer *and* leaves zero for `end_scan` to observe — both enqueue,
-/// and the explorer must find it.
-pub fn run_join_protocol(preds: usize) {
+/// The join-counter protocol (`nabbitc_core::join::JoinCounter`, the
+/// paper's readiness arbiter), in the two ways the executors arm it.
+///
+/// [`Arming::Scanned`] is the on-demand executor's, composed with the
+/// real successor registration ([`run_successor_list`]'s
+/// `SuccessorList`): the scanning worker arms the counter with a +1 init
+/// bias (`begin_scan`), registers with each of `preds` predecessors — or
+/// counts the already-computed ones as satisfied — then releases bias +
+/// satisfied count in one RMW (`end_scan`). Each predecessor, after
+/// computing, closes its list and notifies the successors it drained
+/// (`notify`). [`Arming::Armed`] is the pre-built-graph executor's: the
+/// counter is born holding `preds` (`JoinCounter::armed`), there is no
+/// scanner and no registration — a node's successors are the graph's —
+/// and each of the `preds` predecessors, after computing, notifies once.
+///
+/// The invariant either way: across every interleaving, *exactly one*
+/// decrement reaches zero, so the node is enqueued exactly once — W1
+/// (never enqueued) and W2 (double compute) in join-counter form — and
+/// the thread whose decrement it was sees every predecessor's output,
+/// written before that predecessor's own decrement. Under `--cfg
+/// nabbitc_weak_join` (bias dropped, scan-side orderings Relaxed) a
+/// predecessor finishing between the scanning consumer's registration
+/// and its `end_scan` zeroes the counter for the producer *and* leaves
+/// zero for `end_scan` to observe — both enqueue, and the explorer must
+/// find it.
+pub fn run_join_protocol(preds: usize, arming: Arming) {
     use loom::sync::atomic::{AtomicUsize, Ordering};
     use nabbitc_core::{JoinCounter, Link, SuccessorList};
 
-    let join = Arc::new(JoinCounter::new());
+    let scanned = arming == Arming::Scanned;
+    let join = Arc::new(if scanned {
+        JoinCounter::new()
+    } else {
+        JoinCounter::armed(preds)
+    });
     // One successor list per predecessor, and the consumer's registration
-    // slot for each.
+    // slot for each (the scanned arming only).
     let lists: Arc<Vec<SuccessorList<usize>>> =
         Arc::new((0..preds).map(|_| SuccessorList::new()).collect());
     let links: Arc<Vec<Link<usize>>> = Arc::new((0..preds).map(Link::new).collect());
+    let outputs: Arc<Vec<AtomicUsize>> =
+        Arc::new((0..preds).map(|_| AtomicUsize::new(0)).collect());
     let enqueues = Arc::new(AtomicUsize::new(0));
+
+    // What the owner of the zeroing decrement does: read what the node
+    // depends on, enqueue the node.
+    let fire = {
+        let (outputs, enqueues) = (outputs.clone(), enqueues.clone());
+        move || {
+            for (i, output) in outputs.iter().enumerate() {
+                assert_eq!(
+                    output.load(Ordering::Relaxed),
+                    1,
+                    "the firing decrement did not see predecessor {i}'s output"
+                );
+            }
+            enqueues.fetch_add(1, Ordering::Relaxed);
+        }
+    };
 
     // Arm the counter *before* publishing interest anywhere, as
     // `init_node` does — no `notify` can precede `begin_scan` because
     // registration (below) is what makes a producer notify at all.
-    join.begin_scan(preds);
+    if scanned {
+        join.begin_scan(preds);
+    }
 
-    // Producers: compute the predecessor, then close-and-notify (the
-    // `compute_and_notify` waiter loop, at most one waiter).
+    // Producers: compute the predecessor, then notify — through
+    // close-and-drain (the `compute_and_notify` waiter loop, at most one
+    // waiter) when the consumer registers, directly when the edge is the
+    // graph's.
     let producers: Vec<_> = (0..preds)
         .map(|i| {
-            let (join, lists, enqueues) = (join.clone(), lists.clone(), enqueues.clone());
+            let (join, lists, outputs, fire) =
+                (join.clone(), lists.clone(), outputs.clone(), fire.clone());
             // Every thread that may drain a list co-owns the slots.
             let links = links.clone();
             thread::spawn(move || {
                 let _slots = links;
-                for _waiter in lists[i].close() {
+                outputs[i].store(1, Ordering::Relaxed);
+                let waiters = if scanned { lists[i].close().count() } else { 1 };
+                for _waiter in 0..waiters {
                     if join.notify() {
-                        enqueues.fetch_add(1, Ordering::Relaxed);
+                        fire();
                     }
                 }
             })
@@ -724,17 +763,20 @@ pub fn run_join_protocol(preds: usize) {
         .collect();
 
     // Consumer (the model's root thread): the predecessor scan.
-    let mut satisfied: i64 = 0;
-    for (list, link) in lists.iter().zip(links.iter()) {
-        // SAFETY: `links` is co-owned by this thread and every producer —
-        // the only threads that drain — so it outlives every drain; each
-        // link is registered once, on its own predecessor's list.
-        if !unsafe { list.register(link) } {
-            satisfied += 1;
+    if scanned {
+        let mut satisfied: i64 = 0;
+        for (list, link) in lists.iter().zip(links.iter()) {
+            // SAFETY: `links` is co-owned by this thread and every
+            // producer — the only threads that drain — so it outlives
+            // every drain; each link is registered once, on its own
+            // predecessor's list.
+            if !unsafe { list.register(link) } {
+                satisfied += 1;
+            }
         }
-    }
-    if join.end_scan(satisfied) {
-        enqueues.fetch_add(1, Ordering::Relaxed);
+        if join.end_scan(satisfied) {
+            fire();
+        }
     }
 
     for p in producers {
@@ -747,6 +789,16 @@ pub fn run_join_protocol(preds: usize) {
         "W2 violation: join-counter node enqueued {n} times (double compute)"
     );
     assert_eq!(join.pending(), 0, "join counter nonzero after quiescence");
+}
+
+/// How [`run_join_protocol`]'s consumer gets its count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arming {
+    /// `begin_scan` … `end_scan` around a registration scan, with the +1
+    /// init bias (`DynamicExecutor`).
+    Scanned,
+    /// `JoinCounter::armed(preds)`: no scan, no bias (`StaticExecutor`).
+    Armed,
 }
 
 /// W5 scenario (progress through the injector): a task is pushed into

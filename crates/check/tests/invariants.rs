@@ -21,7 +21,7 @@ use nabbitc_check::model::{
     check_accounting, check_batch_accounting, check_linearizable, run_batch_scenario,
     run_colored_batch_prefix, run_injector_progress, run_injector_racing_push, run_join_protocol,
     run_pending_protocol, run_push_batch_publication, run_scenario,
-    run_steal_batch_races_owner_pops, run_successor_list, ScenarioCfg,
+    run_steal_batch_races_owner_pops, run_successor_list, Arming, ScenarioCfg,
 };
 use nabbitc_check::spec::Op;
 
@@ -278,7 +278,9 @@ fn join_counter_enqueues_exactly_once_one_pred() {
     // The dynamic protocol's init-bias arbitration: one predecessor
     // racing the scanning worker. Exactly one of `notify` / `end_scan`
     // may reach zero on every interleaving.
-    let report = explore(Options::from_env(), || run_join_protocol(1));
+    let report = explore(Options::from_env(), || {
+        run_join_protocol(1, Arming::Scanned)
+    });
     if let Some(v) = report.violation {
         panic!(
             "join protocol violated after {} executions: {} (trail {:?})",
@@ -292,7 +294,9 @@ fn join_counter_enqueues_exactly_once_one_pred() {
 fn join_counter_enqueues_exactly_once_two_preds() {
     // Two producers extend the AcqRel decrement chain (release sequence)
     // the firing decrement must synchronize with.
-    let report = explore(Options::from_env(), || run_join_protocol(2));
+    let report = explore(Options::from_env(), || {
+        run_join_protocol(2, Arming::Scanned)
+    });
     if let Some(v) = report.violation {
         panic!(
             "join protocol violated after {} executions: {} (trail {:?})",
@@ -300,6 +304,27 @@ fn join_counter_enqueues_exactly_once_two_preds() {
         );
     }
     assert!(report.completed > 0);
+}
+
+#[test]
+fn armed_join_counter_fires_exactly_once_and_sees_every_notifier() {
+    // The pre-built-graph executor's arming: the counter is born holding
+    // the in-degree, there is no scanner, and k predecessors each write
+    // their output and notify once. Exactly one notify reaches zero, and
+    // it observes every predecessor's write.
+    for preds in [2, 3] {
+        let report = explore(Options::from_env(), || {
+            run_join_protocol(preds, Arming::Armed)
+        });
+        if let Some(v) = report.violation {
+            panic!(
+                "armed join protocol ({preds} notifiers) violated after {} executions: {} \
+                 (trail {:?})",
+                report.iterations, v.message, v.trail
+            );
+        }
+        assert!(report.completed > 0);
+    }
 }
 
 #[test]

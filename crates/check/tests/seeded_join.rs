@@ -16,11 +16,13 @@
 #![cfg(all(nabbitc_check, nabbitc_weak_join))]
 
 use loom::model::{explore, Options};
-use nabbitc_check::model::run_join_protocol;
+use nabbitc_check::model::{run_join_protocol, Arming};
 
 #[test]
 fn weakened_join_counter_is_caught_as_w2_double_enqueue() {
-    let report = explore(Options::from_env(), || run_join_protocol(1));
+    let report = explore(Options::from_env(), || {
+        run_join_protocol(1, Arming::Scanned)
+    });
     let v = report
         .violation
         .expect("checker failed to detect the seeded weak-join bug");

@@ -137,15 +137,6 @@ impl<S: TaskSpec> AutoColoredSpec<S> {
         }
     }
 
-    /// As [`new`](Self::new), with an explicit load-cap slack (see
-    /// [`OnlineAssigner::with_cap_slack`]).
-    pub fn with_cap_slack(inner: Arc<S>, workers: usize, cap_slack: f64) -> Self {
-        AutoColoredSpec {
-            inner,
-            assigner: OnlineAssigner::with_cap_slack(workers, cap_slack),
-        }
-    }
-
     /// The wrapped spec.
     pub fn inner(&self) -> &Arc<S> {
         &self.inner

@@ -32,11 +32,18 @@
 //! them in arenas for the length of the run; this module only ever
 //! handles them through that table's safe methods.
 //!
+//! What this module owns is discovery — `init_node`: the predecessor
+//! scan, the init bias, registration. A node that became ready is handed
+//! to the `compute_and_notify` loop of `exec.rs`, the same loop
+//! [`StaticExecutor`](crate::StaticExecutor) runs, here over the hash
+//! table as its node store.
+//!
 //! All predecessor and successor batches flow through
 //! [`crate::spawn::spawn_colors`], making this NabbitC when
 //! the pool steals by color.
 
-use crate::metrics::{RemoteCounters, WorkerCounts};
+use crate::exec::{compute_and_notify, NodeStore, Ready, Run};
+use crate::metrics::RemoteCounters;
 use crate::report::RunReport;
 use crate::spawn::{spawn_colors, ColoredItem};
 use crate::store::{NodeRef, NodeTable};
@@ -44,7 +51,6 @@ use nabbitc_color::{Color, ColorSet};
 use nabbitc_runtime::{Pool, WorkerContext};
 use std::hash::Hash;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A dynamic task-graph computation, the Rust analogue of the paper's
 /// `DynamicNabbitNode` abstract class (Fig. 2): keys identify tasks,
@@ -70,30 +76,59 @@ pub trait TaskSpec: Send + Sync + 'static {
     fn compute(&self, key: &Self::Key, worker: usize);
 }
 
-struct DynState<S: TaskSpec> {
+/// The on-demand node store: nodes are created as they are discovered
+/// and found through the color-partitioned table.
+struct OnDemand<S: TaskSpec> {
     spec: Arc<S>,
     table: NodeTable<S::Key>,
-    remote: Option<RemoteCounters>,
-    executed: WorkerCounts,
 }
 
-/// What remains to be done for a node.
-enum Phase {
+impl<S: TaskSpec> NodeStore for OnDemand<S> {
+    type Node = NodeRef<S::Key>;
+
+    fn record_remote(&self, node: Self::Node, worker: usize, remote: &RemoteCounters) {
+        let this = self.table.node(node);
+        let preds = self.spec.predecessors(&this.key);
+        remote.record_node(worker, this.color, preds.iter().map(|k| self.spec.color(k)));
+    }
+
+    fn compute(&self, node: Self::Node, worker: usize) {
+        let this = self.table.node(node);
+        debug_assert_eq!(this.join.pending(), 0);
+        self.spec.compute(&this.key, worker);
+    }
+
+    fn complete(&self, node: Self::Node, ready: &mut Vec<Ready<Self::Node>>) {
+        // Publish "computed" and take the waiters in one swap; the ones
+        // whose last dependence this was are ready. Registrations pile up
+        // newest first; release them in the order they arrived.
+        for waiter in self.table.complete(node) {
+            let w = self.table.node(waiter);
+            if w.join.notify() {
+                ready.push(Ready {
+                    node: waiter,
+                    color: w.color,
+                });
+            }
+        }
+        ready.reverse();
+    }
+}
+
+/// One item of a discovery batch.
+enum Work<K> {
     /// A node we created and must initialize (paper: `init_node_and_compute`).
-    Init,
-    /// A node whose dependences were satisfied; compute it.
-    Compute,
+    Init(NodeRef<K>, Color),
+    /// The scanned node itself, found ready at the end of its scan.
+    Compute(Ready<NodeRef<K>>),
 }
 
-struct Work<S: TaskSpec> {
-    node: NodeRef<S::Key>,
-    color: Color,
-    phase: Phase,
-}
-
-impl<S: TaskSpec> ColoredItem for Work<S> {
+impl<K: Send + Sync + 'static> ColoredItem for Work<K> {
     fn color(&self) -> Color {
-        self.color
+        match self {
+            Work::Init(_, color) => *color,
+            Work::Compute(ready) => ready.color,
+        }
     }
 }
 
@@ -125,7 +160,8 @@ impl<S: TaskSpec> DynamicExecutor<S> {
     ///
     /// As with [`StaticExecutor::execute`](crate::StaticExecutor::execute),
     /// the returned [`RunReport`] covers this run only: statistics and (on
-    /// a traced pool) the event rings are reset on entry.
+    /// a traced pool) the event rings are reset on entry, as one unit with
+    /// the run and the snapshot.
     ///
     /// # Panics
     ///
@@ -133,102 +169,54 @@ impl<S: TaskSpec> DynamicExecutor<S> {
     /// means `predecessors()` describes a cycle (or answers differently
     /// from call to call). The pool is unaffected and can run the next job.
     pub fn execute(&self, sink: S::Key) -> RunReport {
-        let workers = self.pool.workers();
-        let state: Arc<DynState<S>> = Arc::new(DynState {
+        let store = OnDemand {
             spec: self.spec.clone(),
             table: NodeTable::new(),
-            remote: self
-                .count_remote
-                .then(|| RemoteCounters::new(self.pool.topology().clone(), workers)),
-            executed: WorkerCounts::new(workers),
-        });
+        };
         let sink_color = self.spec.color(&sink);
-        let (sink_node, _) = state.table.get_or_create(&sink, sink_color);
-
-        self.pool.reset_stats();
-        self.pool.reset_trace();
-        let started = Instant::now();
-        {
-            let st = state.clone();
-            self.pool.run(ColorSet::singleton(sink_color), move |ctx| {
-                init_node(&st, ctx, sink_node);
-            });
-        }
-        let elapsed = started.elapsed();
+        let (sink_node, _) = store.table.get_or_create(&sink, sink_color);
+        let (report, store) = Run::execute(
+            &self.pool,
+            store,
+            self.count_remote,
+            ColorSet::singleton(sink_color),
+            move |run, ctx| init_node(run, ctx, sink_node),
+        );
         // The job only terminates when every spawned task finished; verify
         // the sink actually computed (the paper's completion criterion).
-        let discovered = state.table.len();
-        let nodes_executed = state.executed.total();
+        let discovered = store.table.len();
+        let nodes_executed = report.nodes_executed;
         assert!(
-            state.table.node(sink_node).is_computed(),
+            store.table.node(sink_node).is_computed(),
             "sink {sink:?} did not complete: {discovered} nodes discovered, {nodes_executed} \
              computed — predecessors() is cyclic or inconsistent"
         );
         debug_assert_eq!(nodes_executed as usize, discovered);
-
-        RunReport {
-            elapsed,
-            nodes_executed,
-            remote: state
-                .remote
-                .as_ref()
-                .map(|r| r.report())
-                .unwrap_or_default(),
-            stats: self.pool.stats(),
-            runtime_trace: self
-                .pool
-                .tracing_enabled()
-                .then(|| self.pool.trace_snapshot()),
-            ..RunReport::default()
-        }
+        report
     }
-}
-
-/// Dispatches a work item (used by the color-aware spawner).
-fn dispatch<S: TaskSpec>(state: &Arc<DynState<S>>, ctx: &mut WorkerContext<'_>, work: Work<S>) {
-    match work.phase {
-        Phase::Init => init_node(state, ctx, work.node),
-        Phase::Compute => compute_and_notify(state, ctx, work.node),
-    }
-}
-
-/// Runs a batch of two or more work items through the color-aware spawner.
-fn spawn_work<S: TaskSpec>(
-    state: &Arc<DynState<S>>,
-    ctx: &mut WorkerContext<'_>,
-    batch: Vec<Work<S>>,
-) {
-    let st = state.clone();
-    spawn_colors(
-        ctx,
-        batch,
-        Arc::new(move |ctx: &mut WorkerContext<'_>, w: Work<S>| {
-            dispatch(&st, ctx, w);
-        }),
-    );
 }
 
 /// The paper's `init_node_and_compute` (Fig. 4): discover predecessors,
 /// create or register with each, then release the init bias.
 fn init_node<S: TaskSpec>(
-    state: &Arc<DynState<S>>,
+    run: &Arc<Run<OnDemand<S>>>,
     ctx: &mut WorkerContext<'_>,
     mut node: NodeRef<S::Key>,
 ) {
-    let table = &state.table;
+    let OnDemand { spec, table } = &run.store;
     // Chain-shaped graphs discover one new predecessor per node; iterate
     // on that case instead of recursing so discovery depth is unbounded.
     // The batch buffer is shared by the iterations: following a chain pops
     // its one item back out, and only a spawn gives the buffer away.
-    let mut batch: Vec<Work<S>> = Vec::new();
+    let mut batch: Vec<Work<S::Key>> = Vec::new();
     loop {
         let this = table.node(node);
         debug_assert_eq!(
-            state.spec.color(&this.key),
+            spec.color(&this.key),
             this.color,
             "TaskSpec::color must be a pure function of the key"
         );
-        let preds = state.spec.predecessors(&this.key);
+        let preds = spec.predecessors(&this.key);
 
         // Bias +1 while scanning so the node cannot fire mid-scan; start
         // from the full predecessor count and decrement for each
@@ -237,7 +225,7 @@ fn init_node<S: TaskSpec>(
 
         let mut satisfied: i64 = 0;
         for (slot, pk) in preds.iter().enumerate() {
-            let color = state.spec.color(pk);
+            let color = spec.color(pk);
             let (pred, created) = table.get_or_create(pk, color);
             // Register interest (try_init_compute): in one CAS, either we
             // are on the predecessor's successor list or it is already
@@ -246,11 +234,7 @@ fn init_node<S: TaskSpec>(
                 satisfied += 1;
             }
             if created {
-                batch.push(Work {
-                    node: pred,
-                    color,
-                    phase: Phase::Init,
-                });
+                batch.push(Work::Init(pred, color));
             }
         }
 
@@ -259,70 +243,25 @@ fn init_node<S: TaskSpec>(
         // the batch of predecessors we created so its compute also routes
         // by color.
         if this.join.end_scan(satisfied) {
-            batch.push(Work {
+            batch.push(Work::Compute(Ready {
                 node,
                 color: this.color,
-                phase: Phase::Compute,
-            });
+            }));
         }
         match batch.len() {
             0 => return,
-            1 => {
-                let only = batch.pop().expect("len checked");
-                match only.phase {
-                    Phase::Init => node = only.node,
-                    Phase::Compute => return compute_and_notify(state, ctx, only.node),
-                }
+            1 => match batch.pop().expect("len checked") {
+                Work::Init(pred, _) => node = pred,
+                Work::Compute(ready) => return compute_and_notify(run, ctx, ready.node),
+            },
+            _ => {
+                let run = run.clone();
+                let process = move |ctx: &mut WorkerContext<'_>, work| match work {
+                    Work::Init(pred, _) => init_node(&run, ctx, pred),
+                    Work::Compute(ready) => compute_and_notify(&run, ctx, ready.node),
+                };
+                return spawn_colors(ctx, batch, Arc::new(process));
             }
-            _ => return spawn_work(state, ctx, batch),
-        }
-    }
-}
-
-/// The paper's `compute_and_notify` (Fig. 4): run the task, mark computed,
-/// drain waiters, spawn the ones that became ready.
-fn compute_and_notify<S: TaskSpec>(
-    state: &Arc<DynState<S>>,
-    ctx: &mut WorkerContext<'_>,
-    mut node: NodeRef<S::Key>,
-) {
-    let table = &state.table;
-    // Iterate instead of recursing for the single-ready-successor case so
-    // chain-shaped graphs cannot overflow the stack (one buffer for all
-    // iterations, as in `init_node`).
-    let mut ready: Vec<Work<S>> = Vec::new();
-    loop {
-        let this = table.node(node);
-        debug_assert_eq!(this.join.pending(), 0);
-        let me = ctx.worker_id();
-
-        if let Some(rc) = &state.remote {
-            let preds = state.spec.predecessors(&this.key);
-            rc.record_node(me, this.color, preds.iter().map(|k| state.spec.color(k)));
-        }
-
-        state.spec.compute(&this.key, me);
-        state.executed.add(me);
-
-        // Publish "computed" and take the waiters in one swap; the ones
-        // whose last dependence this was are ready. Registrations pile up
-        // newest first; release them in the order they arrived.
-        for waiter in table.complete(node) {
-            let w = table.node(waiter);
-            if w.join.notify() {
-                ready.push(Work {
-                    node: waiter,
-                    color: w.color,
-                    phase: Phase::Compute,
-                });
-            }
-        }
-        ready.reverse();
-
-        match ready.len() {
-            0 => return,
-            1 => node = ready.pop().expect("len checked").node,
-            _ => return spawn_work(state, ctx, ready),
         }
     }
 }

@@ -1,14 +1,17 @@
-//! The dynamic protocol's join counter — the paper's readiness arbiter.
+//! The join counter — the paper's readiness arbiter, for both executors.
 //!
-//! A node's counter is initialized with a +1 *initialization bias* while
-//! its predecessor list is being scanned (`begin_scan`), so the node
-//! cannot fire mid-scan no matter how fast predecessors complete. Each
-//! completing predecessor decrements once (`notify`); the scanning
-//! worker releases the bias together with the already-satisfied
-//! dependences in one RMW (`end_scan`). Whichever decrement reaches zero
-//! owns the compute — exactly one of them can, which is the exactly-once
-//! enqueue guarantee the `nabbitc-check` join scenario verifies over all
-//! bounded interleavings.
+//! On the on-demand path a node's counter is initialized with a +1
+//! *initialization bias* while its predecessor list is being scanned
+//! (`begin_scan`), so the node cannot fire mid-scan no matter how fast
+//! predecessors complete. Each completing predecessor decrements once
+//! (`notify`); the scanning worker releases the bias together with the
+//! already-satisfied dependences in one RMW (`end_scan`). Whichever
+//! decrement reaches zero owns the compute — exactly one of them can,
+//! which is the exactly-once enqueue guarantee the `nabbitc-check` join
+//! scenario verifies over all bounded interleavings. On the pre-built
+//! path there is nothing to scan: the counter is born holding the
+//! in-degree (`armed`) and `notify` is its only operation — the same
+//! decrement chain without the scanner, checked by the same scenario.
 //!
 //! Orderings: the init store is `SeqCst` (it races nothing — the node is
 //! not yet published to any predecessor's successor list — but it seeds
@@ -74,6 +77,18 @@ impl JoinCounter {
     pub fn new() -> Self {
         JoinCounter {
             count: AtomicI64::new(0),
+        }
+    }
+
+    /// A counter for a node whose `preds` dependences are all known up
+    /// front (a pre-built graph): armed at construction, with no scan and
+    /// therefore no bias — only [`notify`](Self::notify) ever touches it,
+    /// once per dependence, and the one that reaches zero owns the
+    /// compute. A node with no dependences is born ready; it is its
+    /// creator that releases it.
+    pub fn armed(preds: usize) -> Self {
+        JoinCounter {
+            count: AtomicI64::new(preds as i64),
         }
     }
 
@@ -267,6 +282,17 @@ mod tests {
         assert!(!j.end_scan(0), "pred outstanding: scanner must not fire");
         assert!(j.notify(), "last dependence owns the compute");
         assert_eq!(j.pending(), 0);
+    }
+
+    #[test]
+    fn armed_counter_fires_on_the_last_of_its_notifies() {
+        let j = JoinCounter::armed(3);
+        assert_eq!(j.pending(), 3);
+        assert!(!j.notify());
+        assert!(!j.notify());
+        assert!(j.notify(), "the last dependence owns the compute");
+        assert_eq!(j.pending(), 0);
+        assert_eq!(JoinCounter::armed(0).pending(), 0, "a source is born ready");
     }
 
     #[test]

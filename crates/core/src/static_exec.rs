@@ -1,11 +1,14 @@
 //! Executor for pre-built task graphs.
 //!
-//! All nodes of a [`TaskGraph`] are known up front, so readiness is tracked
-//! with per-node atomic join counters instead of the dynamic node table:
-//! when a node finishes, it decrements each successor's counter and the
-//! worker that brings a counter to zero takes responsibility for spawning
-//! the successor (Nabbit's `compute_and_notify` restated as dataflow; see
-//! DESIGN.md "Reality substitutions").
+//! All nodes of a [`TaskGraph`] are known up front, so there is nothing to
+//! discover: the executor is the shared `compute_and_notify` loop of
+//! `exec.rs` over a *dense* node store — one [`JoinCounter`] per node,
+//! indexed by [`NodeId`] and armed with the node's in-degree before the
+//! job starts; a node's successor list is the graph's. When a node
+//! finishes, each successor's counter is notified and the worker that
+//! brings one to zero takes responsibility for the successor (Nabbit's
+//! `compute_and_notify` restated as dataflow; see DESIGN.md "Reality
+//! substitutions").
 //!
 //! Every batch of ready nodes — the sources at the start of the job, and
 //! each node's newly-ready successors — flows through
@@ -16,14 +19,14 @@
 //! paper's baseline which runs the same task graph under plain Cilk
 //! stealing).
 
-use crate::metrics::{RemoteCounters, WorkerCounts};
+use crate::exec::{spawn_ready, NodeStore, Ready, Run};
+use crate::join::JoinCounter;
+use crate::metrics::RemoteCounters;
 use crate::report::RunReport;
-use crate::spawn::{spawn_colors, ColoredItem};
-use nabbitc_color::{Color, ColorSet};
 use nabbitc_graph::trace::{Trace, TraceEvent};
 use nabbitc_graph::{NodeId, TaskGraph};
-use nabbitc_runtime::sync::{AtomicU32, Mutex, Ordering};
-use nabbitc_runtime::{Pool, WorkerContext};
+use nabbitc_runtime::sync::Mutex;
+use nabbitc_runtime::Pool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,15 +96,13 @@ pub enum LintGate {
     DenyWarnings,
 }
 
-struct ExecState<K: ?Sized> {
+/// The dense node store: a pre-built graph, every node already discovered.
+struct Dense<K> {
     graph: Arc<TaskGraph>,
-    join: Vec<AtomicU32>,
+    /// Per node, armed with its in-degree.
+    join: Vec<JoinCounter>,
     kernel: Arc<K>,
-    remote: Option<RemoteCounters>,
     trace: Option<TraceState>,
-    /// Executed-node count: reported, and defends against double
-    /// execution in debug.
-    executed: WorkerCounts,
 }
 
 struct TraceState {
@@ -109,14 +110,52 @@ struct TraceState {
     events: Vec<Mutex<Vec<TraceEvent>>>, // per worker
 }
 
-/// A work item: node id + its color (colors are read out of the graph once
-/// at batch construction).
-#[derive(Clone, Copy)]
-struct Item(NodeId, Color);
+impl<K> Dense<K> {
+    fn ready(&self, u: NodeId) -> Ready<NodeId> {
+        Ready {
+            node: u,
+            color: self.graph.color(u),
+        }
+    }
+}
 
-impl ColoredItem for Item {
-    fn color(&self) -> Color {
-        self.1
+impl<K> NodeStore for Dense<K>
+where
+    K: Fn(NodeId, usize) + Send + Sync + 'static,
+{
+    type Node = NodeId;
+
+    fn record_remote(&self, u: NodeId, worker: usize, remote: &RemoteCounters) {
+        let g = &self.graph;
+        remote.record_node(
+            worker,
+            g.color(u),
+            g.predecessors(u).iter().map(|&p| g.color(p)),
+        );
+    }
+
+    fn compute(&self, u: NodeId, worker: usize) {
+        debug_assert_eq!(self.join[u as usize].pending(), 0);
+        let Some(ts) = &self.trace else {
+            return (self.kernel)(u, worker);
+        };
+        let start = ts.origin.elapsed().as_nanos() as u64;
+        (self.kernel)(u, worker);
+        let end = ts.origin.elapsed().as_nanos() as u64;
+        ts.events[worker].lock().push(TraceEvent {
+            node: u,
+            worker,
+            start,
+            end,
+        });
+    }
+
+    fn complete(&self, u: NodeId, ready: &mut Vec<Ready<NodeId>>) {
+        for &s in self.graph.successors(u) {
+            if self.join[s as usize].notify() {
+                ready.push(self.ready(s));
+            }
+        }
     }
 }
 
@@ -162,149 +201,46 @@ impl StaticExecutor {
     /// The returned [`RunReport`] covers this run only: statistics are
     /// reset on entry, and when the pool was built with event tracing
     /// enabled, so are the event rings — `runtime_trace` is then the
-    /// run's own event stream.
+    /// run's own event stream. Reset, run and snapshot are one unit under
+    /// the pool's run guard, so this holds with other threads executing
+    /// on the same pool.
     pub fn execute<K>(&self, graph: &Arc<TaskGraph>, kernel: Arc<K>) -> RunReport
     where
         K: Fn(NodeId, usize) + Send + Sync + 'static,
     {
         let n = graph.node_count();
-        let workers = self.pool.workers();
-        let state = Arc::new(ExecState {
+        let store = Dense {
             graph: graph.clone(),
-            join: (0..n)
-                .map(|u| AtomicU32::new(graph.in_degree(u as NodeId) as u32))
+            join: (0..n as NodeId)
+                .map(|u| JoinCounter::armed(graph.in_degree(u)))
                 .collect(),
             kernel,
-            remote: self
-                .options
-                .count_remote
-                .then(|| RemoteCounters::new(self.pool.topology().clone(), workers)),
             trace: self.options.record_trace.then(|| TraceState {
                 origin: Instant::now(),
-                events: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+                events: (0..self.pool.workers())
+                    .map(|_| Mutex::new(Vec::new()))
+                    .collect(),
             }),
-            executed: WorkerCounts::new(workers),
-        });
-
-        self.pool.reset_stats();
-        self.pool.reset_trace();
-        let started = Instant::now();
-        {
-            let state = state.clone();
-            let root_colors: ColorSet = graph.sources().iter().map(|&u| graph.color(u)).collect();
-            self.pool.run(root_colors, move |ctx| {
-                let sources: Vec<Item> = state
-                    .graph
-                    .sources()
-                    .into_iter()
-                    .map(|u| Item(u, state.graph.color(u)))
-                    .collect();
-                let st = state.clone();
-                spawn_colors(
-                    ctx,
-                    sources,
-                    Arc::new(move |ctx: &mut WorkerContext<'_>, item: Item| {
-                        process_node(&st, ctx, item.0);
-                    }),
-                );
-            });
-        }
-        let elapsed = started.elapsed();
-
-        let nodes_executed = state.executed.total();
-        debug_assert_eq!(nodes_executed, n as u64);
-
-        let state = Arc::try_unwrap(state)
-            .unwrap_or_else(|_| panic!("executor state leaked past job completion"));
-        let trace = match state.trace {
-            Some(ts) => Trace {
-                events: ts.events.into_iter().flat_map(|m| m.into_inner()).collect(),
-            },
-            None => Trace::default(),
         };
-        RunReport {
-            elapsed,
-            nodes_executed,
-            coloring_elapsed: None,
-            remote: state
-                .remote
-                .as_ref()
-                .map(|r| r.report())
-                .unwrap_or_default(),
-            stats: self.pool.stats(),
-            trace,
-            runtime_trace: self
-                .pool
-                .tracing_enabled()
-                .then(|| self.pool.trace_snapshot()),
-            selection: None,
-            lint: None,
+        let sources: Vec<_> = graph
+            .sources()
+            .into_iter()
+            .map(|u| store.ready(u))
+            .collect();
+        let (mut report, store) = Run::execute(
+            &self.pool,
+            store,
+            self.options.count_remote,
+            sources.iter().map(|s| s.color).collect(),
+            move |run, ctx| spawn_ready(run, ctx, sources),
+        );
+        debug_assert_eq!(report.nodes_executed, n as u64);
+        if let Some(ts) = store.trace {
+            report.trace = Trace {
+                events: ts.events.into_iter().flat_map(|m| m.into_inner()).collect(),
+            };
         }
-    }
-}
-
-fn process_node<K>(state: &Arc<ExecState<K>>, ctx: &mut WorkerContext<'_>, mut u: NodeId)
-where
-    K: Fn(NodeId, usize) + Send + Sync + 'static,
-{
-    let g = &state.graph;
-    // A single ready successor is executed directly by the same worker
-    // (the paper's "recursively execute that node"); we iterate instead of
-    // recursing so chain-shaped graphs cannot overflow the stack.
-    loop {
-        let me = ctx.worker_id();
-
-        if let Some(rc) = &state.remote {
-            rc.record_node(
-                me,
-                g.color(u),
-                g.predecessors(u).iter().map(|&p| g.color(p)),
-            );
-        }
-
-        let start_ns = state
-            .trace
-            .as_ref()
-            .map(|t| t.origin.elapsed().as_nanos() as u64);
-
-        (state.kernel)(u, me);
-        state.executed.add(me);
-
-        if let (Some(ts), Some(start)) = (&state.trace, start_ns) {
-            let end = ts.origin.elapsed().as_nanos() as u64;
-            ts.events[me].lock().push(TraceEvent {
-                node: u,
-                worker: me,
-                start,
-                end,
-            });
-        }
-
-        // compute_and_notify: release successors; newly-ready ones are
-        // spawned through the color-aware path.
-        let mut ready: Vec<Item> = Vec::new();
-        for &s in g.successors(u) {
-            if state.join[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                ready.push(Item(s, g.color(s)));
-            }
-        }
-        match ready.len() {
-            0 => return,
-            1 => {
-                u = ready.pop().expect("len checked").0;
-            }
-            _ => {
-                let st = state.clone();
-                spawn_colors(
-                    ctx,
-                    ready,
-                    Arc::new(move |ctx: &mut WorkerContext<'_>, item: Item| {
-                        process_node(&st, ctx, item.0);
-                    }),
-                );
-                return;
-            }
-        }
+        report
     }
 }
 
@@ -313,7 +249,7 @@ mod tests {
     use super::*;
     use nabbitc_graph::generate;
     use nabbitc_runtime::{PoolConfig, StealPolicy, Topology};
-    use std::sync::atomic::{AtomicU32 as A32, AtomicU64};
+    use std::sync::atomic::{AtomicU32 as A32, AtomicU64, Ordering};
 
     fn run_and_check(graph: TaskGraph, pool: Pool) -> RunReport {
         let graph = Arc::new(graph);

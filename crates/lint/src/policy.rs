@@ -576,9 +576,13 @@ pub static POLICY: &[PolicyEntry] = &[
         RLX,
         "unique-id counter; only atomicity is needed, no ordering with other data",
     ),
+    // `quiesce` + `submit` are the one job body behind `run` and
+    // `run_measured`; the latter adds only calls to `reset_stats`,
+    // `reset_trace`, `stats` and `trace_snapshot`, whose sites have their
+    // own rows.
     entry(
         "runtime/pool.rs",
-        "run",
+        "quiesce",
         "active",
         AtomicOp::Load,
         SC,
@@ -587,7 +591,7 @@ pub static POLICY: &[PolicyEntry] = &[
     ),
     entry(
         "runtime/pool.rs",
-        "run",
+        "submit",
         "pending",
         AtomicOp::Load,
         SC,
@@ -595,7 +599,7 @@ pub static POLICY: &[PolicyEntry] = &[
     ),
     entry(
         "runtime/pool.rs",
-        "run",
+        "submit",
         "job_panicked",
         AtomicOp::Store,
         SC,
@@ -603,7 +607,7 @@ pub static POLICY: &[PolicyEntry] = &[
     ),
     entry(
         "runtime/pool.rs",
-        "run",
+        "submit",
         "pending",
         AtomicOp::Store,
         SC,
@@ -611,7 +615,7 @@ pub static POLICY: &[PolicyEntry] = &[
     ),
     entry(
         "runtime/pool.rs",
-        "run",
+        "submit",
         "job_start_ns",
         AtomicOp::Store,
         SC,
@@ -619,7 +623,7 @@ pub static POLICY: &[PolicyEntry] = &[
     ),
     entry(
         "runtime/pool.rs",
-        "run",
+        "submit",
         "epoch",
         AtomicOp::FetchAdd,
         SC,
@@ -628,7 +632,7 @@ pub static POLICY: &[PolicyEntry] = &[
     ),
     entry(
         "runtime/pool.rs",
-        "run",
+        "submit",
         "job_panicked",
         AtomicOp::Load,
         SC,
@@ -640,7 +644,8 @@ pub static POLICY: &[PolicyEntry] = &[
         "task_seq",
         AtomicOp::Store,
         RLX,
-        "test/bench reset while the pool is quiescent; atomicity only",
+        "reset while the pool is quiescent — by `run_measured` under the run guard after \
+         the last straggler left, or by a caller between jobs; atomicity only",
     ),
     entry(
         "runtime/pool.rs",
@@ -1178,10 +1183,10 @@ pub static POLICY: &[PolicyEntry] = &[
         "publishes the cleared buffer state to subsequent readers",
     ),
     // --------------------------------------------------------------- core/join.rs
-    // The dynamic protocol's init-bias join counter (exactly-once enqueue
-    // verified by run_join_protocol in crates/check; the nabbitc_weak_join
-    // canary drops the bias and relaxes the scan side, and must be
-    // rejected here statically).
+    // The join counter of both executors (exactly-once enqueue verified by
+    // run_join_protocol in crates/check, scanned and armed; the
+    // nabbitc_weak_join canary drops the scan's init bias and relaxes the
+    // scan side, and must be rejected here statically).
     entry(
         "core/join.rs",
         "begin_scan",
@@ -1217,9 +1222,12 @@ pub static POLICY: &[PolicyEntry] = &[
             "core/join.rs::begin_scan::count.store",
             "core/join.rs::notify::count.fetch_sub",
         ],
-        "per-predecessor decrement: Release publishes the predecessor's computed effects \
-         into the release sequence (including its own prior decrements, hence the self \
-         pair), Acquire on the firing decrement observes them all",
+        "per-predecessor decrement, the one successor-release site of both node stores \
+         (the on-demand table's drained waiters and the dense store's graph successors, \
+         whose counter is born armed with the in-degree and sees no other operation): \
+         Release publishes the predecessor's computed effects into the release sequence \
+         (including its own prior decrements, hence the self pair), Acquire on the firing \
+         decrement observes them all — run_join_protocol checks both armings",
     ),
     entry(
         "core/join.rs",
@@ -1384,19 +1392,6 @@ pub static POLICY: &[PolicyEntry] = &[
         RLX,
         "post-run sum over quiescent per-worker counters; the pool's job barrier orders \
          every add before it",
-    ),
-    // -------------------------------------------------------- core/static_exec.rs
-    pentry(
-        "core/static_exec.rs",
-        "process_node",
-        "join",
-        AtomicOp::FetchSub,
-        AR,
-        &["core/static_exec.rs::process_node::join.fetch_sub"],
-        "successor-readiness decrement: Release publishes this node's output writes into \
-         the counter's release sequence (its own prior decrements — hence the self pair), \
-         and the firing Acquire decrement synchronizes with every predecessor; the same \
-         shape run_join_protocol verifies for the dynamic counter",
     ),
     // ------------------------------------------------------------- parfor/team.rs
     entry(

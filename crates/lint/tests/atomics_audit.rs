@@ -43,6 +43,10 @@ fn workspace_atomics_pass_the_committed_policy() {
 /// new atomic cannot land without a policy review: adding or removing a
 /// site changes this number, and whoever does it must update the pin —
 /// and, for policy-audited files, the policy table — in the same change.
+///
+/// 180 = runtime/ 136 + core/ 24 + parfor/ 3 + check/ 17; the split is
+/// asserted too, so a site moving between crates under an unchanged
+/// total is reviewed like any other.
 const GOLDEN_SITE_COUNT: usize = 180;
 
 #[test]
@@ -65,6 +69,16 @@ fn workspace_site_count_is_pinned() {
         by_crate("parfor/"),
         by_crate("check/"),
     );
+    assert_eq!(
+        ["runtime/", "core/", "parfor/", "check/"].map(by_crate),
+        [136, 24, 3, 17],
+        "per-crate split moved under an unchanged total"
+    );
+    // Both executors decrement through `core/join.rs`: the pre-built
+    // path has no atomic of its own, and no policy row to go stale.
+    assert_eq!(by_crate("core/static_exec.rs"), 0);
+    assert_eq!(by_crate("core/exec.rs"), 0);
+    assert!(!POLICY.iter().any(|p| p.file == "core/static_exec.rs"));
 }
 
 #[test]

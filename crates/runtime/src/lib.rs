@@ -42,7 +42,7 @@ pub use deque::{ColoredDeque, Steal};
 pub use injector::Injector;
 pub use nabbitc_cost::Topology;
 pub use policy::StealPolicy;
-pub use pool::{Pool, PoolConfig, SpawnBatch, WorkerContext};
+pub use pool::{JobReport, Pool, PoolConfig, SpawnBatch, WorkerContext};
 pub use stats::{PoolStats, WorkerStatsSnapshot};
 pub use task::Task;
 // The name `benchmark/` uses for `Topology`; goes when that package is next edited.

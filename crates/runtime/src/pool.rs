@@ -39,7 +39,7 @@ use nabbitc_cost::Topology;
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Pool construction parameters.
 #[derive(Clone, Debug)]
@@ -188,6 +188,17 @@ fn singleton_color(colors: &ColorSet) -> Option<u16> {
     }
 }
 
+/// What [`Pool::run_measured`] observed of its one job.
+#[derive(Clone, Debug, Default)]
+pub struct JobReport {
+    /// Wall clock from taking the pool's run guard to the job's last task.
+    pub elapsed: Duration,
+    /// Per-worker statistics of this job alone.
+    pub stats: PoolStats,
+    /// This job's events, when the pool was built with tracing enabled.
+    pub trace: Option<RuntimeTrace>,
+}
+
 /// Handle to a running worker pool.
 ///
 /// Dropping the pool shuts the workers down and joins them.
@@ -266,22 +277,61 @@ impl Pool {
 
     /// Runs a job to completion: submits `root` (tagged with `colors` for
     /// colored steals) and blocks until every transitively spawned task has
-    /// finished. Panics if any task panicked.
+    /// finished. Panics if any task panicked. Statistics and trace rings
+    /// keep accumulating across jobs; see [`run_measured`](Self::run_measured)
+    /// for a job that is observed alone.
     pub fn run<F>(&self, colors: ColorSet, root: F)
     where
         F: FnOnce(&mut WorkerContext<'_>) + Send + 'static,
     {
         let _guard = self.run_guard.lock();
-        let inner = &self.inner;
+        self.quiesce();
+        self.submit(colors, root);
+    }
 
-        // Wait for stragglers from a previous job to leave the loop so the
-        // first-work stats of this job are attributed correctly.
-        {
-            let mut g = inner.done_lock.lock();
-            while inner.active.load(Ordering::SeqCst) > 0 {
-                inner.done_cv.wait(&mut g);
-            }
+    /// [`run`](Self::run) as one observed unit: under the same guard that
+    /// serializes jobs, clears the statistics and (on a traced pool) the
+    /// event rings, runs the job, and snapshots both — so the returned
+    /// [`JobReport`] describes this job and nothing else, however many
+    /// threads submit jobs to the pool. The resets happen after the
+    /// previous job's last worker has left its loop, which is the
+    /// "workers quiescent" [`reset_trace`](Self::reset_trace) asks for.
+    pub fn run_measured<F>(&self, colors: ColorSet, root: F) -> JobReport
+    where
+        F: FnOnce(&mut WorkerContext<'_>) + Send + 'static,
+    {
+        let _guard = self.run_guard.lock();
+        let started = Instant::now();
+        self.quiesce();
+        self.reset_stats();
+        self.reset_trace();
+        self.submit(colors, root);
+        JobReport {
+            elapsed: started.elapsed(),
+            stats: self.stats(),
+            trace: self.tracing_enabled().then(|| self.trace_snapshot()),
         }
+    }
+
+    /// Waits for stragglers from the previous job to leave the job loop,
+    /// so that what they still write (first-work waits, idle time, their
+    /// closing trace events) is attributed to that job. Caller holds
+    /// `run_guard`.
+    fn quiesce(&self) {
+        let inner = &self.inner;
+        let mut g = inner.done_lock.lock();
+        while inner.active.load(Ordering::SeqCst) > 0 {
+            inner.done_cv.wait(&mut g);
+        }
+    }
+
+    /// Publishes `root` as the next job and blocks until it has drained.
+    /// Caller holds `run_guard` and has [`quiesce`](Self::quiesce)d.
+    fn submit<F>(&self, colors: ColorSet, root: F)
+    where
+        F: FnOnce(&mut WorkerContext<'_>) + Send + 'static,
+    {
+        let inner = &self.inner;
         assert_eq!(inner.pending.load(Ordering::SeqCst), 0);
 
         inner.job_panicked.store(false, Ordering::SeqCst);
@@ -338,7 +388,9 @@ impl Pool {
     }
 
     /// Clears the event rings and the task-id allocator. Call only
-    /// between jobs (workers must be quiescent).
+    /// between jobs (workers must be quiescent) and only while no other
+    /// thread may submit one; [`run_measured`](Self::run_measured) is the
+    /// form that holds both by construction.
     pub fn reset_trace(&self) {
         if let Some(t) = &self.inner.tracer {
             t.reset();
@@ -782,9 +834,14 @@ fn steal_round(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool as StdAtomicBool, AtomicU64 as StdAtomicU64};
-    use std::time::Duration;
 
     fn count_to(pool: &Pool, n: u64) -> u64 {
+        count_to_with(pool, n, Arc::new(|_| {}))
+    }
+
+    /// Counts to `n` by binary fanout; `at_leaf` runs before each leaf
+    /// (at most four counts) on the worker that reached it.
+    fn count_to_with(pool: &Pool, n: u64, at_leaf: Arc<LeafHook>) -> u64 {
         let counter = Arc::new(StdAtomicU64::new(0));
         let c = counter.clone();
         let workers = pool.workers();
@@ -792,26 +849,29 @@ mod tests {
             fn fanout(
                 ctx: &mut WorkerContext<'_>,
                 c: Arc<StdAtomicU64>,
-                lo: u64,
-                hi: u64,
+                at_leaf: Arc<LeafHook>,
+                (lo, hi): (u64, u64),
                 colors: ColorSet,
             ) {
                 if hi - lo <= 4 {
+                    at_leaf(ctx);
                     for _ in lo..hi {
                         c.fetch_add(1, Ordering::SeqCst);
                     }
                 } else {
                     let mid = lo + (hi - lo) / 2;
-                    let c2 = c.clone();
-                    ctx.spawn(colors, move |ctx| fanout(ctx, c2, mid, hi, colors));
-                    fanout(ctx, c, lo, mid, colors);
+                    let (c2, hook) = (c.clone(), at_leaf.clone());
+                    ctx.spawn(colors, move |ctx| fanout(ctx, c2, hook, (mid, hi), colors));
+                    fanout(ctx, c, at_leaf, (lo, mid), colors);
                 }
             }
             let colors = ColorSet::all(ctx.workers());
-            fanout(ctx, c, 0, n, colors);
+            fanout(ctx, c, at_leaf, (0, n), colors);
         });
         counter.load(Ordering::SeqCst)
     }
+
+    type LeafHook = dyn Fn(&WorkerContext<'_>) + Send + Sync;
 
     #[test]
     fn single_worker_runs_job() {
@@ -857,9 +917,26 @@ mod tests {
 
     #[test]
     fn work_is_distributed() {
+        // The window is a condition, not a duration (on two cores the
+        // whole count can finish before four of eight threads get a
+        // turn): no leaf is counted until four workers have each reached
+        // one, and all but the root's got there by stealing. Bounded, so a
+        // pool that cannot distribute fails the assertions below instead
+        // of hanging.
+        const PARTICIPANTS: usize = 4;
         let pool = Pool::new(PoolConfig::nabbitc(8));
         pool.reset_stats();
-        assert_eq!(count_to(&pool, 400_000), 400_000);
+        let reached: Vec<StdAtomicBool> = (0..8).map(|_| StdAtomicBool::new(false)).collect();
+        let opened = Instant::now();
+        let hold = move |ctx: &WorkerContext<'_>| {
+            reached[ctx.worker_id()].store(true, Ordering::SeqCst);
+            while reached.iter().filter(|r| r.load(Ordering::SeqCst)).count() < PARTICIPANTS
+                && opened.elapsed() < Duration::from_secs(5)
+            {
+                std::thread::yield_now();
+            }
+        };
+        assert_eq!(count_to_with(&pool, 400_000, Arc::new(hold)), 400_000);
         let stats = pool.stats();
         assert_eq!(stats.workers.len(), 8, "stats should cover every worker");
         let participating = stats
@@ -868,7 +945,7 @@ mod tests {
             .filter(|w| w.tasks_executed > 0)
             .count();
         assert!(
-            participating >= 4,
+            participating >= PARTICIPANTS,
             "expected most workers to participate, got {participating}"
         );
         assert!(stats.total_successful_steals() > 0);
@@ -949,6 +1026,29 @@ mod tests {
         assert!(pool.stats().total_tasks() > 0);
         pool.reset_stats();
         assert_eq!(pool.stats().total_tasks(), 0);
+    }
+
+    #[test]
+    fn run_measured_reports_its_own_job_only() {
+        let pool = Pool::new(PoolConfig::nabbitc(1).with_trace(TraceConfig::enabled()));
+        count_to(&pool, 1000); // leaves counters and events behind
+        let job = pool.run_measured(ColorSet::all(1), |ctx| {
+            for _ in 0..7 {
+                ctx.spawn(ColorSet::all(1), |_| {});
+            }
+        });
+        assert_eq!(job.stats.total_tasks(), 8);
+        let trace = job.trace.expect("the pool traces");
+        assert_eq!(trace.summaries().iter().map(|s| s.execs).sum::<u64>(), 8);
+        // `run` keeps its meaning: nothing is reset, counters accumulate.
+        count_to(&pool, 4);
+        assert_eq!(pool.stats().total_tasks(), 9);
+
+        let untraced = Pool::new(PoolConfig::nabbitc(2));
+        assert!(untraced
+            .run_measured(ColorSet::all(2), |_| {})
+            .trace
+            .is_none());
     }
 
     #[test]

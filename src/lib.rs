@@ -16,7 +16,7 @@
 //! | [`graph`] | `nabbitc-graph` | task graphs, generators, work/span + edge-cut analysis, trace validation |
 //! | [`autocolor`] | `nabbitc-autocolor` | automatic coloring: [`ColorAssigner`](autocolor::ColorAssigner) strategies from round-robin to recursive bisection, the [`AutoSelect`](autocolor::AutoSelect) meta-assigner that picks the best strategy per graph, plus online coloring for dynamic specs |
 //! | [`runtime`] | `nabbitc-runtime` | colored Chase–Lev deques, the worker pool, steal policies |
-//! | [`core`] | `nabbitc-core` | Nabbit/NabbitC executors, morphing-continuation spawning, §V-B metrics |
+//! | [`core`] | `nabbitc-core` | Nabbit/NabbitC executors (one `compute_and_notify` core, two node stores), morphing-continuation spawning, §V-B metrics |
 //! | [`parfor`] | `nabbitc-parfor` | OpenMP-like static/guided/dynamic baselines |
 //! | [`numasim`] | `nabbitc-numasim` | deterministic 8×10-core NUMA simulator (regenerates the paper's figures) |
 //! | [`workloads`] | `nabbitc-workloads` | the Table I benchmark suite, runnable + simulated, with uncolored variants for autocolor |
@@ -171,7 +171,13 @@
 //! [`ExecOptions::record_trace`](core::ExecOptions)), the runtime event
 //! trace (`runtime_trace`, see below), and the autocolor
 //! [`SelectionReport`](autocolor::SelectionReport) (`selection`,
-//! `execute_auto` only).
+//! `execute_auto` only). Both executors are one `compute_and_notify`
+//! loop over two node stores (see [`core`]'s module map), and both make
+//! their report from a single
+//! [`Pool::run_measured`](runtime::Pool::run_measured) call — counters
+//! and rings reset, job run, both snapshotted under the pool's run guard
+//! — so a report describes its own run even when several threads execute
+//! on one pool.
 //!
 //! **Event tracing.** Build the pool with
 //! [`TraceConfig`](runtime::TraceConfig) enabled and every worker records

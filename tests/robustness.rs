@@ -89,3 +89,136 @@ fn a_predecessor_listed_twice_still_computes_every_node_once() {
         }
     }
 }
+
+/// A pre-built graph behind the on-demand protocol: a virtual root (key =
+/// node count) depends on every sink; bodies are empty.
+struct OnDemand(Arc<TaskGraph>);
+
+impl TaskSpec for OnDemand {
+    type Key = u32;
+    fn predecessors(&self, &k: &u32) -> Vec<u32> {
+        if k as usize == self.0.node_count() {
+            self.0.sinks()
+        } else {
+            self.0.predecessors(k).to_vec()
+        }
+    }
+    fn color(&self, &k: &u32) -> Color {
+        if k as usize == self.0.node_count() {
+            Color(0)
+        } else {
+            self.0.color(k)
+        }
+    }
+    fn compute(&self, _: &u32, _worker: usize) {}
+}
+
+/// What a run says about its own size, three ways: nodes the executor
+/// counted, tasks the pool counted, exec events the pool's trace holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Observed {
+    nodes: u64,
+    tasks: u64,
+    traced_execs: u64,
+}
+
+impl Observed {
+    fn of(report: &RunReport) -> Self {
+        let trace = report.runtime_trace.as_ref().expect("the pool traces");
+        Observed {
+            nodes: report.nodes_executed,
+            tasks: report.stats.total_tasks(),
+            traced_execs: trace.summaries().iter().map(|s| s.execs).sum(),
+        }
+    }
+}
+
+/// One worker, so the task structure of a run is deterministic.
+fn traced_single_worker_pool() -> Arc<Pool> {
+    Arc::new(Pool::new(
+        PoolConfig::nabbitc(1).with_trace(nabbitc::runtime::TraceConfig::enabled()),
+    ))
+}
+
+fn run_static(pool: &Arc<Pool>, graph: &Arc<TaskGraph>) -> Observed {
+    Observed::of(&StaticExecutor::new(pool.clone()).execute(graph, Arc::new(|_u, _w| {})))
+}
+
+fn run_on_demand(pool: &Arc<Pool>, graph: &Arc<TaskGraph>) -> Observed {
+    let sink = graph.node_count() as u32;
+    Observed::of(
+        &DynamicExecutor::new(pool.clone(), Arc::new(OnDemand(graph.clone()))).execute(sink),
+    )
+}
+
+#[test]
+fn single_worker_task_structure_is_pinned() {
+    // Tasks per run at W = 1 are a function of the release order alone
+    // (which batches had two or more ready nodes, how their colors
+    // split): recorded before the two executors were put on one loop, so
+    // "same release order, same task structure" is checked, not claimed.
+    use nabbitc::graph::generate;
+    for (name, graph, static_tasks, on_demand_tasks) in [
+        ("wavefront", generate::wavefront(16, 16, 1, 4), 16, 32),
+        ("stencil", generate::iterated_stencil(10, 32, 1, 4), 41, 41),
+    ] {
+        let graph = Arc::new(graph);
+        let nodes = graph.node_count() as u64;
+        let pool = traced_single_worker_pool();
+        for round in 0..3 {
+            let s = run_static(&pool, &graph);
+            assert_eq!(
+                (s.nodes, s.tasks),
+                (nodes, static_tasks),
+                "{name} static, round {round}"
+            );
+            assert_eq!(s.traced_execs, s.tasks, "{name} static, round {round}");
+            let d = run_on_demand(&pool, &graph);
+            assert_eq!(
+                (d.nodes, d.tasks),
+                (nodes + 1, on_demand_tasks),
+                "{name} on-demand, round {round}"
+            );
+            assert_eq!(d.traced_execs, d.tasks, "{name} on-demand, round {round}");
+        }
+    }
+}
+
+#[test]
+fn concurrent_executions_on_one_pool_each_report_their_own_run() {
+    // Two threads share one pool. Jobs serialize on the pool's run guard;
+    // so must everything a report is made of — the counter and ring
+    // resets on entry and the snapshots on exit — or one thread's reset
+    // lands in the other's run and one thread's tasks in the other's
+    // report.
+    use nabbitc::graph::generate;
+    const ROUNDS: usize = 25;
+    let graph = Arc::new(generate::iterated_stencil(10, 32, 1, 4));
+    let pool = traced_single_worker_pool();
+    let solo_static = run_static(&pool, &graph);
+    let solo_on_demand = run_on_demand(&pool, &graph);
+    assert_eq!(solo_static.nodes, graph.node_count() as u64);
+    assert_eq!(solo_static.traced_execs, solo_static.tasks);
+
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for thread in 0..2 {
+            let (pool, graph, start) = (&pool, &graph, &start);
+            s.spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    assert_eq!(
+                        run_static(pool, graph),
+                        solo_static,
+                        "static, thread {thread}, round {round}"
+                    );
+                    assert_eq!(
+                        run_on_demand(pool, graph),
+                        solo_on_demand,
+                        "on-demand, thread {thread}, round {round}"
+                    );
+                }
+            });
+        }
+    });
+}
