@@ -41,7 +41,8 @@ fn main() {
                 nc_cfg.seed = seed;
                 // The forced first colored steal can never succeed with
                 // invalid colors; bound it so the experiment terminates
-                // (see DESIGN.md on this necessary escape hatch).
+                // (the escape hatch `StealPolicy::first_steal_max_attempts`
+                // documents).
                 nc_cfg.policy.first_steal_max_attempts = 64;
                 let inv = simulate_ws(&inv_graph, &nc_cfg);
 

@@ -2,8 +2,8 @@
 //!
 //! Each binary regenerates one table or figure from the paper's evaluation
 //! (§V) on the simulated 8×10-core machine, printing a markdown table to
-//! stdout and a CSV file under `results/`. See DESIGN.md's per-experiment
-//! index for the mapping.
+//! stdout and a CSV file under `results/`. README.md § *Results* shows
+//! how one is regenerated and which outputs are committed.
 
 use nabbitc_cost::Topology;
 use nabbitc_numasim::{

@@ -13,13 +13,9 @@
 //! in-degree (`armed`) and `notify` is its only operation — the same
 //! decrement chain without the scanner, checked by the same scenario.
 //!
-//! Orderings: the init store is `SeqCst` (it races nothing — the node is
-//! not yet published to any predecessor's successor list — but it seeds
-//! the decrement chain every later `AcqRel` RMW extends). The decrements
-//! are `AcqRel`: each `Release` publishes the predecessor's computed
-//! effects into the RMW release sequence, and the final `Acquire`
-//! decrement (the one that fires) synchronizes with all of them, so the
-//! compute observes every predecessor's writes.
+//! Orderings: a `SeqCst` init store seeds a chain of `AcqRel`
+//! decrements, so the compute observes every predecessor's writes; each
+//! site's `// ORDERING` comment below gives its pairing and reason.
 //!
 //! Under `--cfg nabbitc_weak_join` (a seeded-bug canary, set via
 //! `RUSTFLAGS` like the runtime's `nabbitc_weak_pop`) the bias is
@@ -28,7 +24,7 @@
 //! *and* the scanner's `end_scan` still observes zero — both enqueue,
 //! the W2 double-compute the checker must catch. The same downgrade is
 //! rejected statically by the `nabbitc-lint` atomics audit, which checks
-//! this file's sites cfg-aware against the policy table.
+//! this file's sites cfg-aware against their `// ORDERING` annotations.
 //!
 //! # The successor list
 //!
@@ -45,18 +41,17 @@
 //! the registrant sees the sentinel — never both, never neither (W2 / W1
 //! in the `nabbitc-check` scenario's terms).
 //!
-//! Orderings: `register` reads the head with `Acquire` and publishes with
-//! a `Release` CAS (`Acquire` on failure, since the failed CAS is the
-//! next read of the head); `close` is an `AcqRel` swap. Seeing the
-//! sentinel therefore happens-after everything the closer did before
-//! `close` — the computed node's output — and the closer sees every
-//! drained link as its registrant wrote it.
+//! Orderings: an `Acquire` read and a `Release` CAS in `register`, an
+//! `AcqRel` swap in `close`. Seeing the sentinel therefore happens-after
+//! everything the closer did before `close` — the computed node's output
+//! — and the closer sees every drained link as its registrant wrote it;
+//! the per-site reasons are in the `// ORDERING` comments below.
 //!
 //! Under `--cfg nabbitc_weak_close` (the canary for this type) `close`
 //! becomes a `load` followed by a `store`: a link pushed between the two
 //! is overwritten by the sentinel and its waiter is never notified — the
-//! W1 lost successor the checker must catch, and two sites the atomics
-//! audit has no policy row for.
+//! W1 lost successor the checker must catch, and two sites no
+//! `// ORDERING` annotation covers.
 
 use nabbitc_runtime::sync::{AtomicI64, AtomicPtr, Ordering};
 
@@ -96,6 +91,11 @@ impl JoinCounter {
     /// full count plus the init bias that keeps the node from firing
     /// before [`end_scan`](Self::end_scan).
     pub fn begin_scan(&self, preds: usize) {
+        // ORDERING count.store: SeqCst — seeds preds+1 (the init bias) before
+        // the node is published to any predecessor's successor list; it races
+        // nothing but anchors the decrement chain — the nabbitc_weak_join cfg
+        // drops the bias and downgrades this to Relaxed, which this
+        // annotation rejects
         #[cfg(not(nabbitc_weak_join))]
         self.count.store(preds as i64 + 1, Ordering::SeqCst);
         #[cfg(nabbitc_weak_join)]
@@ -106,6 +106,11 @@ impl JoinCounter {
     /// bias in one decrement. Returns `true` iff this decrement brought
     /// the counter to zero — the caller owns the compute.
     pub fn end_scan(&self, satisfied: i64) -> bool {
+        // ORDERING count.fetch_sub: AcqRel; pairs notify::count.fetch_sub,
+        // begin_scan::count.store — releases the bias plus already-satisfied
+        // dependences in one RMW; Acquire on the firing decrement synchronizes
+        // with every predecessor's Release in the chain — the
+        // nabbitc_weak_join cfg downgrades this to Relaxed, rejected here
         #[cfg(not(nabbitc_weak_join))]
         let ready = self.count.fetch_sub(satisfied + 1, Ordering::AcqRel) == satisfied + 1;
         #[cfg(nabbitc_weak_join)]
@@ -116,11 +121,22 @@ impl JoinCounter {
     /// One dependence satisfied by a completing predecessor. Returns
     /// `true` iff this was the last one — the caller owns the compute.
     pub fn notify(&self) -> bool {
+        // ORDERING count.fetch_sub: AcqRel; pairs begin_scan::count.store,
+        // notify::count.fetch_sub — per-predecessor decrement, the one
+        // successor-release site of both node stores (the on-demand table's
+        // drained waiters and the dense store's graph successors, whose
+        // counter is born armed with the in-degree and sees no other
+        // operation): Release publishes the predecessor's computed effects
+        // into the release sequence (including its own prior decrements, hence
+        // the self pair), Acquire on the firing decrement observes them all —
+        // run_join_protocol checks both armings
         self.count.fetch_sub(1, Ordering::AcqRel) == 1
     }
 
     /// Current count (diagnostics; a computed node must read zero).
     pub fn pending(&self) -> i64 {
+        // ORDERING count.load: SeqCst — diagnostics read (a computed node must
+        // show zero); off the hot path
         self.count.load(Ordering::SeqCst)
     }
 }
@@ -187,12 +203,25 @@ impl<T> SuccessorList<T> {
     /// returned `true`.
     pub unsafe fn register(&self, link: &Link<T>) -> bool {
         let this = link as *const Link<T> as *mut Link<T>;
+        // ORDERING head.load: Acquire; pairs close::head.swap,
+        // register::head.compare_exchange — first read of the head: Acquire so
+        // that seeing the closed sentinel makes the computed predecessor's
+        // output visible (the closer's swap), and so that the link pushed by
+        // an earlier registrant is visible before it becomes this link's next
         let mut head = self.head.load(Ordering::Acquire);
         loop {
             if head == Self::closed() {
                 return false;
             }
+            // ORDERING next.store: Relaxed — link slot written only by its
+            // owner before the publishing CAS; the CAS's Release is what makes
+            // it visible to the drain
             link.next.store(head, Ordering::Relaxed);
+            // ORDERING head.compare_exchange: Release/Acquire; pairs
+            // close::head.swap, register::head.compare_exchange — publishes
+            // the link (waiter, next, and the waiter's armed join counter) to
+            // the closer's Acquire swap; on failure it is the next read of the
+            // head, hence Acquire for the same reasons as the first load
             match self
                 .head
                 .compare_exchange(head, this, Ordering::Release, Ordering::Acquire)
@@ -207,6 +236,12 @@ impl<T> SuccessorList<T> {
     /// close, newest first. Registrations from here on return `false`.
     /// Closing an already closed list yields nothing.
     pub fn close(&self) -> Drain<'_, T> {
+        // ORDERING head.swap: AcqRel; pairs register::head.compare_exchange —
+        // one RMW decides every edge: Acquire takes the links registrants
+        // published, Release publishes the computed node's output to whoever
+        // sees the sentinel — the nabbitc_weak_close cfg replaces it with a
+        // load and a store (a registration between the two is lost), sites
+        // deliberately left without an annotation
         #[cfg(not(nabbitc_weak_close))]
         let head = self.head.swap(Self::closed(), Ordering::AcqRel);
         #[cfg(nabbitc_weak_close)]
@@ -222,6 +257,9 @@ impl<T> SuccessorList<T> {
     /// Whether [`close`](Self::close) has happened; `true` also makes the
     /// closer's earlier writes visible.
     pub fn is_closed(&self) -> bool {
+        // ORDERING head.load: Acquire; pairs close::head.swap — status read
+        // (the sink check after the run, diagnostics); Acquire so that
+        // 'computed' implies the node's output is visible
         self.head.load(Ordering::Acquire) == Self::closed()
     }
 }
@@ -246,6 +284,9 @@ impl<T: Copy> Iterator for Drain<'_, T> {
         // through shared references. The `AcqRel` swap in `close`
         // synchronized with the `Release` CAS that published it.
         let link = unsafe { &*self.next };
+        // ORDERING next.load: Relaxed — drain walk: the link was published by
+        // a Release CAS that the closing swap acquired, so its next pointer is
+        // already visible
         self.next = link.next.load(Ordering::Relaxed);
         Some(link.waiter)
     }

@@ -51,8 +51,12 @@ impl RemoteCounters {
         pred_colors: impl IntoIterator<Item = Color>,
     ) {
         let c = &self.workers[worker];
+        // ORDERING node_total.fetch_add: Relaxed — NUMA-remoteness counter
+        // aggregated after the run; atomicity only
         c.node_total.fetch_add(1, Relaxed);
         if self.topology.is_remote(worker, node_color) {
+            // ORDERING node_remote.fetch_add: Relaxed — NUMA-remoteness
+            // counter aggregated after the run; atomicity only
             c.node_remote.fetch_add(1, Relaxed);
         }
         let (mut pt, mut pr) = (0u64, 0u64);
@@ -63,7 +67,11 @@ impl RemoteCounters {
             }
         }
         if pt > 0 {
+            // ORDERING pred_total.fetch_add: Relaxed — per-predecessor traffic
+            // counter aggregated after the run; atomicity only
             c.pred_total.fetch_add(pt, Relaxed);
+            // ORDERING pred_remote.fetch_add: Relaxed — per-predecessor
+            // traffic counter aggregated after the run; atomicity only
             c.pred_remote.fetch_add(pr, Relaxed);
         }
     }
@@ -72,9 +80,17 @@ impl RemoteCounters {
     pub fn report(&self) -> RemoteAccessReport {
         let mut r = RemoteAccessReport::default();
         for w in &self.workers {
+            // ORDERING node_total.load: Relaxed — post-run aggregation; the
+            // counters are quiescent once the job barrier passed
             r.node_total += w.node_total.load(Relaxed);
+            // ORDERING node_remote.load: Relaxed — post-run aggregation over
+            // quiescent counters
             r.node_remote += w.node_remote.load(Relaxed);
+            // ORDERING pred_total.load: Relaxed — post-run aggregation over
+            // quiescent counters
             r.pred_total += w.pred_total.load(Relaxed);
+            // ORDERING pred_remote.load: Relaxed — post-run aggregation over
+            // quiescent counters
             r.pred_remote += w.pred_remote.load(Relaxed);
         }
         r
@@ -99,11 +115,16 @@ impl WorkerCounts {
 
     /// One more node executed by `worker`.
     pub(crate) fn add(&self, worker: usize) {
+        // ORDERING slots.fetch_add: Relaxed — per-worker executed-node counter
+        // (both executors), written by its worker only and read after the job
+        // barrier; atomicity only
         self.slots[worker].fetch_add(1, Relaxed);
     }
 
     /// Sum over workers; exact once the job that counted has returned.
     pub(crate) fn total(&self) -> u64 {
+        // ORDERING slot.load: Relaxed — post-run sum over quiescent per-worker
+        // counters; the pool's job barrier orders every add before it
         self.slots.iter().map(|slot| slot.load(Relaxed)).sum()
     }
 }

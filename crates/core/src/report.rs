@@ -1,14 +1,11 @@
 //! The unified run report: every observable of one executor run in one
 //! struct.
 //!
-//! Before this module the pieces were scattered — wall clock on the old
-//! `StaticReport`, scheduler counters on
-//! [`PoolStats`], remote-access percentages on
-//! [`RemoteAccessReport`], and the autocolor
-//! [`SelectionReport`] dropped on the
-//! floor by `execute_auto`. [`RunReport`] aggregates all of them, plus the
-//! coloring wall-clock and the runtime event trace, so a harness can print
-//! or serialize one value per run.
+//! [`RunReport`] carries the wall clock, the scheduler counters
+//! ([`PoolStats`]), the remote-access percentages
+//! ([`RemoteAccessReport`]), the autocolor [`SelectionReport`] of
+//! `execute_auto`, the coloring wall-clock and the runtime event trace, so
+//! a harness can print or serialize one value per run.
 
 use crate::metrics::RemoteAccessReport;
 use nabbitc_autocolor::SelectionReport;
@@ -19,7 +16,7 @@ use std::time::Duration;
 /// Everything one executor run produced, in one place.
 ///
 /// Returned by [`StaticExecutor::execute`](crate::StaticExecutor::execute),
-/// both autocolored entry points and
+/// [`StaticExecutor::execute_auto`](crate::StaticExecutor::execute_auto) and
 /// [`DynamicExecutor::execute`](crate::DynamicExecutor::execute). Fields
 /// that a given entry point cannot populate are `None` / empty defaults: a
 /// plain `execute` has no coloring phase and no selection; an on-demand

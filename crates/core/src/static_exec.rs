@@ -7,8 +7,7 @@
 //! job starts; a node's successor list is the graph's. When a node
 //! finishes, each successor's counter is notified and the worker that
 //! brings one to zero takes responsibility for the successor (Nabbit's
-//! `compute_and_notify` restated as dataflow; see DESIGN.md "Reality
-//! substitutions").
+//! `compute_and_notify` restated as dataflow).
 //!
 //! Every batch of ready nodes — the sources at the start of the job, and
 //! each node's newly-ready successors — flows through

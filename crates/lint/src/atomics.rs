@@ -4,20 +4,20 @@
 //! four passes over them:
 //!
 //! 1. **Per-site ordering audit** ([`scan_workspace`] + [`audit`]):
-//!    every atomic operation site must match an entry in the committed
-//!    policy table ([`crate::policy::POLICY`]) and use one of its allowed
-//!    ordering sequences. Harness code (the model checker) is covered
-//!    by an explicit per-file allowlist
+//!    every atomic operation site must be covered by an `// ORDERING`
+//!    annotation in the function that owns it ([`Annotation`]) and use
+//!    one of the ordering sequences the annotation allows. Harness code
+//!    (the model checker) is covered by an explicit per-file allowlist
 //!    ([`crate::policy::SCAN_ALLOWLIST`]) instead — its sites are still
-//!    discovered and counted, but not policy-matched. The audit is
-//!    strict in both directions: an unknown site fails (new atomics must
-//!    be justified before they land), and a policy entry matching no site
-//!    or an allowlist prefix covering no site ([`audit_allowlist`]) fails
-//!    (neither table can rot).
-//! 2. **Publication-pair audit** ([`audit_pairs`]): every policy entry
-//!    with Acquire semantics must name, in its `pairs_with` field, the
-//!    release-capable entry (or entries) it synchronizes with, and every
-//!    entry with Release semantics must be named by someone — an
+//!    discovered and counted, but not matched. The audit is strict in
+//!    both directions: an unannotated site fails (new atomics must be
+//!    justified where they stand), and an annotation matching no site or
+//!    an allowlist prefix covering no site ([`audit_allowlist`]) fails
+//!    (neither can rot).
+//! 2. **Publication-pair audit** ([`audit_pairs`]): every annotation
+//!    with Acquire semantics must name, after `pairs`, the
+//!    release-capable annotation(s) it synchronizes with, and every
+//!    annotation with Release semantics must be named by someone — an
 //!    orphaned Release store is either dead publication or an
 //!    undocumented reader, and both deserve a failure.
 //! 3. **Facade conformance** ([`audit_facade`]): product code must reach
@@ -31,12 +31,39 @@
 //!    non-test code must have a `SAFETY`/`# Safety` justification on the
 //!    same or a nearby preceding line.
 //!
+//! # The `ORDERING` annotation
+//!
+//! A full-line `//` comment inside the function that owns the site:
+//!
+//! ```text
+//! // ORDERING bottom.load: Acquire; pairs push::fence.fence,
+//! // push_batch::fence.fence — synchronizes with the owner's push
+//! // publication so the observed range is consistent
+//! ```
+//!
+//! * `bottom.load` is the site key, `symbol.op`, within the enclosing
+//!   `fn` (a fence is `fence`); file and function come from where the
+//!   comment stands. Textually repeated sites and `#[cfg]` twins of one
+//!   key share the one annotation.
+//! * Then the allowed ordering sequence: one `Ordering` variant, or
+//!   `Success/Failure` for a `compare_exchange`. A key that legitimately
+//!   uses two orderings (the seqlock `seq`) lists alternatives with `|`;
+//!   the audit cannot tell a swap between listed alternatives, which is
+//!   acceptable where the protocol is separately model-checked.
+//! * Optionally `; pairs` and a comma-separated list of the Release-side
+//!   annotations this Acquire synchronizes with: `fn::symbol.op` in the
+//!   same file, `crate/file.rs::fn::symbol.op` elsewhere.
+//! * Then ` — ` and the reason, which may not be empty.
+//!
+//! The annotation runs on over the following `//` lines up to a blank
+//! `//`, the next annotation or the end of the comment block.
+//!
 //! A site passes the ordering audit only if its ordering *sequence*
 //! equals one of the allowed sequences, so a downgrade (e.g. the seeded
 //! `nabbitc_weak_pop` canary turning the `SeqCst` pop fence into
 //! `Release`, or `nabbitc_weak_join` relaxing the join-counter scan) is
 //! caught statically, without building or running the weakened code —
-//! as is a rewrite into operations the table has no row for
+//! as is a rewrite into operations no annotation covers
 //! (`nabbitc_weak_close` splitting the successor list's closing `swap`
 //! into a `load` and a `store`).
 //!
@@ -112,6 +139,11 @@ impl AtomicOp {
         Self::ALL.iter().find(|(op, _)| *op == self).unwrap().1
     }
 
+    /// The op spelled `s`, if the scanner recognizes it.
+    pub fn parse(s: &str) -> Option<AtomicOp> {
+        Self::ALL.iter().find(|(_, n)| *n == s).map(|(op, _)| *op)
+    }
+
     /// Number of `Ordering` arguments (`compare_exchange` takes success
     /// and failure orderings; everything else takes one).
     pub fn orderings(self) -> usize {
@@ -167,6 +199,54 @@ impl AtomicSite {
     }
 }
 
+/// One `// ORDERING` annotation: the reviewed orderings of one site key
+/// (`symbol.op` within a function), read from the comment that stands in
+/// that function. See the module docs for the grammar.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Annotation {
+    /// Crate-qualified key of the file the comment stands in.
+    pub file: String,
+    /// The `fn` enclosing the comment.
+    pub func: String,
+    /// Receiver field/variable, or `"fence"` for fences.
+    pub symbol: String,
+    /// The operation kind.
+    pub op: AtomicOp,
+    /// Allowed ordering sequences. A site passes iff its sequence equals
+    /// one of these exactly (so `compare_exchange` success/failure pairs
+    /// are checked together and downgrades of either fail).
+    pub allowed: Vec<Vec<AtomicOrdering>>,
+    /// Full keys (`"runtime/deque.rs::push::fence.fence"`) of the
+    /// release-capable annotations this site's Acquire side synchronizes
+    /// with. Verified by [`audit_pairs`].
+    pub pairs: Vec<String>,
+    /// The justification for the allowed orderings.
+    pub why: String,
+    /// 1-based source line of the `// ORDERING` comment.
+    pub line: usize,
+}
+
+impl Annotation {
+    /// The key other annotations name this one by in `pairs`
+    /// (`"runtime/deque.rs::push::fence.fence"`).
+    pub fn key(&self) -> String {
+        format!("{}::{}", self.file, self.site())
+    }
+
+    /// The comment's place and site, for failure messages.
+    fn describe(&self) -> String {
+        format!("{}:{} {}", self.file, self.line, self.site())
+    }
+
+    fn site(&self) -> String {
+        format!("{}::{}.{}", self.func, self.symbol, self.op.name())
+    }
+
+    fn has(&self, o: AtomicOrdering) -> bool {
+        self.allowed.iter().any(|seq| seq.contains(&o))
+    }
+}
+
 /// One discovered source file: its crate-qualified key and full text.
 /// Kept around so the facade and SAFETY passes run over exactly the set
 /// of files the ordering audit saw.
@@ -178,12 +258,14 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// Everything the workspace discovery found: the atomic sites and the
-/// files they came from.
+/// Everything the workspace discovery found: the atomic sites, their
+/// annotations and the files they came from.
 #[derive(Debug, Clone)]
 pub struct WorkspaceScan {
     /// Every atomic site in non-test code, across all crates.
     pub sites: Vec<AtomicSite>,
+    /// Every `// ORDERING` annotation in non-test code.
+    pub annotations: Vec<Annotation>,
     /// Every discovered `.rs` file under `crates/*/src`.
     pub files: Vec<SourceFile>,
 }
@@ -239,14 +321,23 @@ pub fn scan_crates_root(root: &Path) -> Result<WorkspaceScan, Vec<String>> {
         }
     }
     let mut sites = Vec::new();
+    let mut annotations = Vec::new();
     for f in &files {
         match scan_source(&f.key, &f.text) {
             Ok(s) => sites.extend(s),
             Err(e) => errors.push(e),
         }
+        match scan_annotations(&f.key, &f.text) {
+            Ok(a) => annotations.extend(a),
+            Err(e) => errors.push(e),
+        }
     }
     if errors.is_empty() {
-        Ok(WorkspaceScan { sites, files })
+        Ok(WorkspaceScan {
+            sites,
+            annotations,
+            files,
+        })
     } else {
         Err(errors)
     }
@@ -339,11 +430,145 @@ pub fn scan_source(file: &str, src: &str) -> Result<Vec<AtomicSite>, String> {
     Ok(sites)
 }
 
-/// Runs the per-site ordering audit: every active site must match a
-/// policy entry and use an allowed ordering sequence, and every policy
-/// entry must match at least one active site. Sites in files covered by
-/// [`crate::policy::SCAN_ALLOWLIST`] (harness code) are exempt from the
-/// match requirement. Returns the list of problems (empty = pass).
+/// Reads the `// ORDERING` annotations of one file's non-test code (the
+/// grammar is in the module docs). A comment that starts with `ORDERING`
+/// and a site key but does not parse — unknown op or ordering, wrong
+/// ordering count for the op, a malformed `pairs` clause, no reason — is
+/// an error, as is a second annotation for one key in one `fn`; prose
+/// that merely mentions the word is not an annotation.
+pub fn scan_annotations(file: &str, src: &str) -> Result<Vec<Annotation>, String> {
+    let src = truncate_at_test_module(src);
+    let masked = mask_non_code(src);
+    let line_starts = line_start_offsets(&masked);
+    let fns = fn_starts(&masked);
+    // The text of a full-line `//` comment (doc comments are not read).
+    let lines: Vec<Option<&str>> = src
+        .lines()
+        .zip(masked.lines())
+        .map(|(raw, code)| {
+            let text = raw.trim_start().strip_prefix("//")?;
+            let plain = code.trim().is_empty() && !text.starts_with(['/', '!']);
+            plain.then(|| text.trim())
+        })
+        .collect();
+    let mut out: Vec<Annotation> = Vec::new();
+    let mut i = 0;
+    while i < lines.len() {
+        let head = lines[i]
+            .and_then(|t| t.strip_prefix("ORDERING "))
+            .and_then(|t| t.split_once(':'))
+            .filter(|(key, _)| {
+                key.chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+            });
+        let Some((key, rest)) = head else {
+            i += 1;
+            continue;
+        };
+        let line = i + 1;
+        let mut body = rest.trim().to_string();
+        i += 1;
+        while let Some(Some(t)) = lines.get(i) {
+            if t.is_empty() || t.starts_with("ORDERING ") {
+                break;
+            }
+            body.push(' ');
+            body.push_str(t);
+            i += 1;
+        }
+        let func = enclosing_fn(&fns, line_starts[line - 1]);
+        let a = parse_annotation(file, func, line, key, &body)
+            .map_err(|e| format!("{file}:{line}: ORDERING {key}: {e}"))?;
+        if let Some(first) = out
+            .iter()
+            .find(|b| b.func == a.func && b.symbol == a.symbol && b.op == a.op)
+        {
+            return Err(format!(
+                "{file}:{line}: duplicate annotation for {}::{key} (first at line {})",
+                a.func, first.line
+            ));
+        }
+        out.push(a);
+    }
+    Ok(out)
+}
+
+/// Parses `key` and the joined comment text after its colon:
+/// `<seq> [| <seq>]... [; pairs <key>, ...] — <reason>`.
+fn parse_annotation(
+    file: &str,
+    func: String,
+    line: usize,
+    key: &str,
+    body: &str,
+) -> Result<Annotation, String> {
+    // A fence has no receiver: `fence` stands for `fence.fence`.
+    let (symbol, op) = key.split_once('.').unwrap_or((key, key));
+    let op = AtomicOp::parse(op).ok_or_else(|| format!("unknown operation `{op}`"))?;
+    let (head, why) = body.split_once(" — ").unwrap_or((body, ""));
+    if why.trim().is_empty() {
+        return Err("missing ` — reason`".to_string());
+    }
+    let (seqs, pairs) = match head.split_once(';') {
+        None => (head, ""),
+        Some((seqs, clause)) => (
+            seqs,
+            clause.trim().strip_prefix("pairs ").ok_or_else(|| {
+                format!("expected `pairs <site>, ...` after `;`, found `{clause}`")
+            })?,
+        ),
+    };
+    let mut allowed = Vec::new();
+    for seq in seqs.split('|') {
+        let seq: Vec<AtomicOrdering> = seq
+            .split('/')
+            .map(|o| {
+                AtomicOrdering::parse(o.trim()).ok_or_else(|| format!("unknown ordering `{o}`"))
+            })
+            .collect::<Result<_, _>>()?;
+        if seq.len() != op.orderings() {
+            return Err(format!(
+                "{} takes {} ordering(s), the annotation lists {}",
+                op.name(),
+                op.orderings(),
+                seq.len()
+            ));
+        }
+        allowed.push(seq);
+    }
+    let pairs = pairs
+        .split(',')
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .map(|p| match p.matches("::").count() {
+            1 => format!("{file}::{p}"),
+            _ => p.to_string(),
+        })
+        .collect();
+    Ok(Annotation {
+        file: file.to_string(),
+        func,
+        symbol: symbol.to_string(),
+        op,
+        allowed,
+        pairs,
+        why: why.trim().to_string(),
+        line,
+    })
+}
+
+fn allowlisted(file: &str) -> bool {
+    crate::policy::SCAN_ALLOWLIST
+        .iter()
+        .any(|a| file.starts_with(a.prefix))
+}
+
+/// Runs the per-site ordering audit: every active site must be covered
+/// by an annotation in its function and use an allowed ordering sequence,
+/// and every annotation must cover at least one active site. Sites in
+/// files covered by [`crate::policy::SCAN_ALLOWLIST`] (harness code) are
+/// exempt, and an annotation there is unreachable, which is reported.
+/// Returns the list of problems (empty = pass).
 ///
 /// `active_cfgs` is the set of enabled `--cfg` flags; sites guarded by a
 /// `#[cfg(...)]` that evaluates false are skipped, which is how the
@@ -351,61 +576,55 @@ pub fn scan_source(file: &str, src: &str) -> Result<Vec<AtomicSite>, String> {
 /// `"nabbitc_weak_pop"` active sees — and rejects — the `Release` one.
 pub fn audit(
     sites: &[AtomicSite],
-    policy: &[crate::policy::PolicyEntry],
+    annotations: &[Annotation],
     active_cfgs: &[&str],
 ) -> Vec<String> {
     let mut problems = Vec::new();
-    let active: Vec<&AtomicSite> = sites
-        .iter()
-        .filter(|s| cfg_active(s.cfg.as_deref(), active_cfgs))
-        .collect();
-    let mut matched = vec![false; policy.len()];
-    for site in &active {
-        let entry = policy.iter().enumerate().find(|(_, e)| {
-            e.file == site.file && e.func == site.func && e.symbol == site.symbol && e.op == site.op
+    let mut matched = vec![false; annotations.len()];
+    for site in sites {
+        if !cfg_active(site.cfg.as_deref(), active_cfgs) || allowlisted(&site.file) {
+            continue;
+        }
+        let found = annotations.iter().position(|a| {
+            a.file == site.file && a.func == site.func && a.symbol == site.symbol && a.op == site.op
         });
-        match entry {
-            None => {
-                let allowlisted = crate::policy::SCAN_ALLOWLIST
-                    .iter()
-                    .any(|a| site.file.starts_with(a.prefix));
-                if !allowlisted {
-                    problems.push(format!("unknown atomic site: {}", site.describe()));
-                }
-            }
-            Some((i, e)) => {
-                matched[i] = true;
-                let ok = e
-                    .allowed
-                    .iter()
-                    .any(|seq| seq == &site.orderings.as_slice());
-                if !ok {
-                    let allowed: Vec<String> = e
-                        .allowed
-                        .iter()
-                        .map(|seq| {
-                            let s: Vec<String> = seq.iter().map(|o| o.to_string()).collect();
-                            format!("({})", s.join(", "))
-                        })
-                        .collect();
-                    problems.push(format!(
-                        "ordering violation: {} — policy allows {} ({})",
-                        site.describe(),
-                        allowed.join(" or "),
-                        e.why
-                    ));
-                }
-            }
+        let Some(i) = found else {
+            problems.push(format!(
+                "unknown atomic site: {} has no ORDERING annotation in its function",
+                site.describe()
+            ));
+            continue;
+        };
+        matched[i] = true;
+        let a = &annotations[i];
+        if !a.allowed.contains(&site.orderings) {
+            let allowed: Vec<String> = a
+                .allowed
+                .iter()
+                .map(|seq| {
+                    let s: Vec<String> = seq.iter().map(|o| o.to_string()).collect();
+                    format!("({})", s.join(", "))
+                })
+                .collect();
+            problems.push(format!(
+                "ordering violation: {} — the annotation at line {} allows {} ({})",
+                site.describe(),
+                a.line,
+                allowed.join(" or "),
+                a.why
+            ));
         }
     }
-    for (i, e) in policy.iter().enumerate() {
-        if !matched[i] {
+    for (a, matched) in annotations.iter().zip(matched) {
+        if allowlisted(&a.file) {
             problems.push(format!(
-                "stale policy entry: {}::{} {}.{} matches no active site",
-                e.file,
-                e.func,
-                e.symbol,
-                e.op.name()
+                "unreachable annotation: {} stands in an allowlisted file",
+                a.describe()
+            ));
+        } else if !matched {
+            problems.push(format!(
+                "stale annotation: {} matches no active site",
+                a.describe()
             ));
         }
     }
@@ -432,73 +651,66 @@ pub fn audit_allowlist(
         .collect()
 }
 
-/// Renders the `pairs_with` key of a policy entry
-/// (`"runtime/deque.rs::push::fence.fence"`).
-fn pair_key(e: &crate::policy::PolicyEntry) -> String {
-    format!("{}::{}::{}.{}", e.file, e.func, e.symbol, e.op.name())
-}
-
-/// Publication-pair audit over the policy table itself.
+/// Publication-pair audit over the annotations themselves.
 ///
-/// * Every `pairs_with` reference must name an existing entry that can
+/// * Every `pairs` reference must name an existing annotation that can
 ///   actually perform a release (a non-`load` op allowing `Release`,
 ///   `AcqRel`, or `SeqCst`).
-/// * Every entry with Acquire semantics (`Acquire` or `AcqRel` in an
+/// * Every annotation with Acquire semantics (`Acquire` or `AcqRel` in an
 ///   allowed sequence) must declare its partner(s) — an Acquire that
 ///   synchronizes with nothing nameable is a smell worth a failure.
-/// * Every pure-Release entry (allows `Release`/`AcqRel`, no Acquire
-///   side of its own) must be *named by* some entry — an orphaned
+/// * Every pure-Release annotation (allows `Release`/`AcqRel`, no Acquire
+///   side of its own) must be *named by* some annotation — an orphaned
 ///   Release store is dead publication or an undocumented reader.
 ///
 /// `SeqCst`-only sites (the pool control plane) may pair but are not
 /// required to: their correctness argument is the single total order,
 /// not a specific release/acquire edge.
-pub fn audit_pairs(policy: &[crate::policy::PolicyEntry]) -> Vec<String> {
+pub fn audit_pairs(annotations: &[Annotation]) -> Vec<String> {
     use AtomicOrdering::{AcqRel, Acquire, Release, SeqCst};
-    let has = |e: &crate::policy::PolicyEntry, o: AtomicOrdering| {
-        e.allowed.iter().any(|seq| seq.contains(&o))
-    };
-    let release_capable = |e: &crate::policy::PolicyEntry| {
-        e.op != AtomicOp::Load && (has(e, Release) || has(e, AcqRel) || has(e, SeqCst))
-    };
     let mut problems = Vec::new();
-    let mut referenced: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for e in policy {
-        for p in e.pairs_with {
-            match policy.iter().find(|c| pair_key(c) == *p) {
+    let keys: Vec<String> = annotations.iter().map(Annotation::key).collect();
+    let mut referenced = vec![false; annotations.len()];
+    for a in annotations {
+        for p in &a.pairs {
+            match keys.iter().position(|k| k == p) {
                 None => problems.push(format!(
                     "publication pair: {} names nonexistent partner {p}",
-                    pair_key(e)
+                    a.describe()
                 )),
-                Some(partner) => {
-                    if !release_capable(partner) {
+                Some(i) => {
+                    let partner = &annotations[i];
+                    let release_capable = partner.op != AtomicOp::Load
+                        && (partner.has(Release) || partner.has(AcqRel) || partner.has(SeqCst));
+                    if !release_capable {
                         problems.push(format!(
                             "publication pair: {} names {p}, which can never perform a release \
                              ({} with no Release/AcqRel/SeqCst write)",
-                            pair_key(e),
+                            a.describe(),
                             partner.op.name()
                         ));
                     }
-                    referenced.insert((*p).to_string());
+                    referenced[i] = true;
                 }
             }
         }
     }
-    for e in policy {
-        let k = pair_key(e);
-        let acquire_side = has(e, Acquire) || has(e, AcqRel);
-        if acquire_side && e.pairs_with.is_empty() {
+    for (a, named) in annotations.iter().zip(referenced) {
+        let acquire_side = a.has(Acquire) || a.has(AcqRel);
+        if acquire_side && a.pairs.is_empty() {
             problems.push(format!(
-                "unpaired Acquire: {k} must name the Release site(s) it synchronizes with \
-                 in pairs_with"
+                "unpaired Acquire: {} must name the Release site(s) it synchronizes with \
+                 after `pairs`",
+                a.describe()
             ));
         }
         let pure_release =
-            !acquire_side && e.op != AtomicOp::Load && (has(e, Release) || has(e, AcqRel));
-        if pure_release && !referenced.contains(&k) {
+            !acquire_side && a.op != AtomicOp::Load && (a.has(Release) || a.has(AcqRel));
+        if pure_release && !named {
             problems.push(format!(
-                "orphaned Release: {k} is named by no Acquire site's pairs_with — dead \
-                 publication or an undocumented reader"
+                "orphaned Release: {} is named by no Acquire site's `pairs` — dead \
+                 publication or an undocumented reader",
+                a.describe()
             ));
         }
     }
@@ -517,10 +729,7 @@ pub fn audit_facade(files: &[SourceFile]) -> Vec<String> {
     let mut problems = Vec::new();
     let mut used = vec![false; crate::policy::FACADE_EXEMPT.len()];
     for f in files {
-        if crate::policy::SCAN_ALLOWLIST
-            .iter()
-            .any(|a| f.key.starts_with(a.prefix))
-        {
+        if allowlisted(&f.key) {
             continue;
         }
         let text = truncate_at_test_module(&f.text);
@@ -621,7 +830,7 @@ pub fn audit_safety(files: &[SourceFile]) -> Vec<String> {
 /// Evaluates a site's `#[cfg(...)]` guard against the active flag set.
 /// Supports the two forms the workspace uses: a bare flag name and
 /// `not(name)`. Anything else is treated as active (and will then fail
-/// as an unknown site unless the policy covers it).
+/// as an unknown site unless an annotation covers it).
 fn cfg_active(cfg: Option<&str>, active: &[&str]) -> bool {
     match cfg {
         None => true,
@@ -997,6 +1206,109 @@ fn pop() {
         assert!(!cfg_active(sites[0].cfg.as_deref(), &["weak"]));
         assert!(!cfg_active(sites[1].cfg.as_deref(), &[]));
         assert!(cfg_active(sites[1].cfg.as_deref(), &["weak"]));
+    }
+
+    #[test]
+    fn annotation_reader_parses_the_grammar() {
+        use AtomicOrdering::{Acquire, Relaxed, SeqCst};
+        let src = "\
+fn pop(&self) {
+    // ORDERING matters here: prose that starts with the word.
+    // ORDERING: a heading in prose, not a site key.
+    //
+    // ORDERING top.compare_exchange: SeqCst/Relaxed — last-task race
+    let _ = self.top.compare_exchange(t, t + 1, SeqCst, Relaxed);
+    // ORDERING seq.load: Acquire | Relaxed; pairs push::seq.store,
+    // core/join.rs::begin_scan::count.store — first read
+    // and re-check
+    //
+    // Prose after a blank comment line is not part of the reason.
+    let s = slot.seq.load(Acquire);
+    /// ORDERING doc.load: Relaxed — doc comments are not read
+    // ORDERING fence: SeqCst — store-load fence
+    // ORDERING bottom.store: Relaxed — the next annotation ends the last
+    fence(SeqCst);
+}
+";
+        let notes = scan_annotations("runtime/deque.rs", src).unwrap();
+        let keys: Vec<String> = notes.iter().map(|a| a.key()).collect();
+        assert_eq!(
+            keys,
+            [
+                "runtime/deque.rs::pop::top.compare_exchange",
+                "runtime/deque.rs::pop::seq.load",
+                "runtime/deque.rs::pop::fence.fence",
+                "runtime/deque.rs::pop::bottom.store",
+            ]
+        );
+        assert_eq!(notes[0].allowed, [[SeqCst, Relaxed]]);
+        assert_eq!(
+            (notes[0].line, notes[0].why.as_str()),
+            (5, "last-task race")
+        );
+        // `|` alternatives, a wrapped `pairs` list (same-file shorthand
+        // and a full key) and a wrapped reason.
+        assert_eq!(notes[1].allowed, [[Acquire], [Relaxed]]);
+        assert_eq!(
+            notes[1].pairs,
+            [
+                "runtime/deque.rs::push::seq.store",
+                "core/join.rs::begin_scan::count.store"
+            ]
+        );
+        assert_eq!(notes[1].why, "first read and re-check");
+        assert_eq!(
+            (notes[2].op, notes[2].why.as_str()),
+            (AtomicOp::Fence, "store-load fence")
+        );
+        assert_eq!(notes[3].allowed, [[Relaxed]]);
+        assert!(notes[3].pairs.is_empty());
+
+        for (bad, says) in [
+            (
+                "// ORDERING top.peek: Relaxed — x",
+                "unknown operation `peek`",
+            ),
+            (
+                "// ORDERING top.load: Sequential — x",
+                "unknown ordering `Sequential`",
+            ),
+            (
+                "// ORDERING top.load: Acquire; with push::fence.fence — x",
+                "expected `pairs",
+            ),
+        ] {
+            let err = scan_annotations("x.rs", &format!("fn f() {{\n{bad}\n}}")).unwrap_err();
+            assert!(err.starts_with("x.rs:2: ") && err.contains(says), "{err}");
+        }
+    }
+
+    #[test]
+    fn one_annotation_covers_both_cfg_twins() {
+        let src = "\
+fn pop() {
+    // ORDERING fence: SeqCst — store-load fence
+    #[cfg(not(weak))]
+    fence(Ordering::SeqCst);
+    #[cfg(weak)]
+    fence(Ordering::Release);
+}
+";
+        let sites = scan_source("x.rs", src).unwrap();
+        let notes = scan_annotations("x.rs", src).unwrap();
+        assert_eq!((sites.len(), notes.len()), (2, 1));
+        assert!(audit(&sites, &notes, &[]).is_empty());
+        let weak = audit(&sites, &notes, &["weak"]);
+        assert_eq!(weak.len(), 1, "{weak:?}");
+        assert!(
+            weak[0].contains("ordering violation: x.rs:6 pop::fence.fence(Release) cfg(weak)")
+                && weak[0].contains("line 2 allows (SeqCst)"),
+            "{weak:?}"
+        );
+        // The annotation belongs to the function it stands in.
+        let elsewhere = src.replace("fn pop() {\n", "fn pop() {\n}\nfn other() {\n");
+        let notes = scan_annotations("x.rs", &elsewhere).unwrap();
+        assert_eq!(notes[0].func, "other");
     }
 
     #[test]

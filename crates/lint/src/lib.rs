@@ -30,22 +30,25 @@
 //! # Workspace concurrency audit
 //!
 //! [`atomics::scan_workspace`] discovers every `.rs` file under
-//! `crates/*/src` and extracts every atomic operation site; four passes
-//! then run over the result:
+//! `crates/*/src` and extracts every atomic operation site and every
+//! `// ORDERING` annotation ([`atomics::Annotation`]: the allowed
+//! orderings, the `pairs` partners and the reason, written in the
+//! function that owns the site); four passes then run over the result:
 //!
 //! | pass | check |
 //! |------|-------|
-//! | [`atomics::audit`] | every site matches a [`policy::POLICY`] entry and uses an allowed `Ordering` sequence (harness files: [`policy::SCAN_ALLOWLIST`], itself checked for stale prefixes by [`atomics::audit_allowlist`]) |
-//! | [`atomics::audit_pairs`] | every Acquire entry names its release-capable partner(s); every Release entry is named by someone |
+//! | [`atomics::audit`] | every site is covered by an annotation in its function and uses an allowed `Ordering` sequence; every annotation covers a site (harness files: [`policy::SCAN_ALLOWLIST`], itself checked for stale prefixes by [`atomics::audit_allowlist`]) |
+//! | [`atomics::audit_pairs`] | every Acquire annotation names its release-capable partner(s); every Release annotation is named by someone |
 //! | [`atomics::audit_facade`] | no direct `std::sync::atomic` / `parking_lot` outside the `nabbitc_runtime::sync` facade ([`policy::FACADE_EXEMPT`]) |
 //! | [`atomics::audit_safety`] | every `unsafe` in non-test code carries a `SAFETY` / `# Safety` justification |
 //!
-//! Unknown sites, ordering downgrades, stale policy or allowlist entries,
-//! orphaned Release stores, facade escapes, and undocumented `unsafe` all
-//! fail — including the seeded `nabbitc_weak_pop` fence weakening, the
-//! seeded `nabbitc_weak_join` counter relaxation and the seeded
-//! `nabbitc_weak_close` split of the successor list's closing swap,
-//! which the audit catches without ever building the weakened binaries.
+//! Unannotated sites, ordering downgrades, stale annotations or allowlist
+//! entries, orphaned Release stores, facade escapes, and undocumented
+//! `unsafe` all fail — including the seeded `nabbitc_weak_pop` fence
+//! weakening, the seeded `nabbitc_weak_join` counter relaxation and the
+//! seeded `nabbitc_weak_close` split of the successor list's closing
+//! swap, which the audit catches without ever building the weakened
+//! binaries.
 
 pub mod atomics;
 pub mod diag;
@@ -53,11 +56,9 @@ pub mod graph;
 pub mod policy;
 
 pub use atomics::{
-    audit, audit_allowlist, audit_facade, audit_pairs, audit_safety, scan_workspace, AtomicOp,
-    AtomicOrdering, AtomicSite, SourceFile, WorkspaceScan,
+    audit, audit_allowlist, audit_facade, audit_pairs, audit_safety, scan_workspace, Annotation,
+    AtomicOp, AtomicOrdering, AtomicSite, SourceFile, WorkspaceScan,
 };
 pub use diag::{Diagnostic, LintReport, Severity, LINT_SCHEMA_VERSION};
 pub use graph::{diagnose_build_errors, lint_graph, LintConfig};
-pub use policy::{
-    AllowlistEntry, FacadeExemption, PolicyEntry, FACADE_EXEMPT, POLICY, SCAN_ALLOWLIST,
-};
+pub use policy::{AllowlistEntry, FacadeExemption, FACADE_EXEMPT, SCAN_ALLOWLIST};

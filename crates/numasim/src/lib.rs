@@ -2,10 +2,9 @@
 //!
 //! The paper's evaluation machine is an 80-core, 8-NUMA-domain Xeon E7;
 //! this workspace runs in a container with two dozen cores and no NUMA
-//! control, so the figures are regenerated on a simulated machine instead
-//! (see DESIGN.md, *Reality substitutions*). The simulator executes the
-//! *same task graphs* under the *same scheduling policies* as the threaded
-//! runtime:
+//! control, so the figures are regenerated on a simulated machine
+//! instead. The simulator executes the *same task graphs* under the *same
+//! scheduling policies* as the threaded runtime:
 //!
 //! * [`wsim`] — work-stealing simulation with per-core colored deques,
 //!   morphing-continuation batch splitting, the K-colored-attempts-then-

@@ -127,12 +127,21 @@ impl Team {
                 loop {
                     // Grab max(remaining/threads, min_chunk) at once.
                     let take = {
+                        // ORDERING counter.load: Relaxed — guided
+                        // self-scheduling reads the cursor only to size its
+                        // next chunk; the fetch_add below is the actual claim,
+                        // so a stale read can only mis-size
                         let cur = counter.load(Ordering::Relaxed);
                         if cur >= n {
                             break;
                         }
                         ((n - cur) / threads).max(min_chunk)
                     };
+                    // ORDERING counter.fetch_add: Relaxed — chunk-claim cursor
+                    // (two sites: guided + dynamic schedules); the claim needs
+                    // atomicity only — iteration data is published by the
+                    // team's mutex/condvar job handoff, not through this
+                    // counter
                     let lo = counter.fetch_add(take, Ordering::Relaxed);
                     if lo >= n {
                         break;

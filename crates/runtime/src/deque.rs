@@ -170,7 +170,11 @@ impl<T> ColoredDeque<T> {
 
     /// Approximate number of entries (racy; for stats/heuristics only).
     pub fn len(&self) -> usize {
+        // ORDERING bottom.load: Relaxed — advisory size for stats/heuristics;
+        // staleness is tolerated by design
         let b = self.bottom.load(Ordering::Relaxed);
+        // ORDERING top.load: Relaxed — advisory size for stats/heuristics;
+        // staleness is tolerated by design
         let t = self.top.load(Ordering::Relaxed);
         b.saturating_sub(t).max(0) as usize
     }
@@ -182,11 +186,19 @@ impl<T> ColoredDeque<T> {
 
     /// Owner: pushes a value tagged with `colors` at the bottom.
     pub fn push(&self, value: Box<T>, colors: ColorSet) {
+        // ORDERING bottom.load: Relaxed — bottom is owner-only; the owner
+        // reads its own last store
         let b = self.bottom.load(Ordering::Relaxed);
+        // ORDERING top.load: Acquire; pairs pop::top.compare_exchange,
+        // steal_impl::top.compare_exchange,
+        // steal_batch_impl::top.compare_exchange — reserves space against
+        // concurrent steals; Acquire synchronizes with thieves' top CAS
         let t = self.top.load(Ordering::Acquire);
         // SAFETY: only the owner swaps `buffer` (in `grow`), and we are the
         // owner — the pointer is the one we installed and stays valid until
         // we retire it ourselves.
+        // ORDERING buffer.load: Relaxed — buffer is replaced only by the owner
+        // itself (grow), so its own load needs no ordering
         let mut buf = unsafe { &*self.buffer.load(Ordering::Relaxed) };
 
         if b - t >= buf.cap() as isize {
@@ -197,10 +209,18 @@ impl<T> ColoredDeque<T> {
 
         let slot = buf.slot(b);
         for (w, v) in slot.colors.iter().zip(colors.to_words()) {
+            // ORDERING w.store: Relaxed — color-array slot write; published to
+            // thieves by the Release fence before the bottom store
             w.store(v, Ordering::Relaxed);
         }
+        // ORDERING ptr.store: Relaxed — task-slot write; published to thieves
+        // by the Release fence before the bottom store
         slot.ptr.store(Box::into_raw(value), Ordering::Relaxed);
+        // ORDERING fence: Release — publishes the slot writes before bottom is
+        // advanced (pairs with the thief's SeqCst fence)
         fence(Ordering::Release);
+        // ORDERING bottom.store: Relaxed — the preceding Release fence orders
+        // the slot data before this index publication
         self.bottom.store(b + 1, Ordering::Relaxed);
     }
 
@@ -214,9 +234,17 @@ impl<T> ColoredDeque<T> {
         if n == 0 {
             return;
         }
+        // ORDERING bottom.load: Relaxed — bottom is owner-only; the owner
+        // reads its own last store
         let b = self.bottom.load(Ordering::Relaxed);
+        // ORDERING top.load: Acquire; pairs pop::top.compare_exchange,
+        // steal_impl::top.compare_exchange,
+        // steal_batch_impl::top.compare_exchange — reserves space for the
+        // whole batch against concurrent steals; same edge as push
         let t = self.top.load(Ordering::Acquire);
         // SAFETY: owner-side buffer access, same argument as in `push`.
+        // ORDERING buffer.load: Relaxed — buffer is replaced only by the owner
+        // itself (grow); two sites (initial + post-grow reload)
         let mut buf = unsafe { &*self.buffer.load(Ordering::Relaxed) };
 
         while b - t + n > buf.cap() as isize {
@@ -236,38 +264,63 @@ impl<T> ColoredDeque<T> {
         for (i, (value, colors)) in values.into_iter().enumerate() {
             let slot = buf.slot(b + i as isize);
             for (w, v) in slot.colors.iter().zip(colors.to_words()) {
+                // ORDERING w.store: Relaxed — color-array writes for the whole
+                // batch; published by the single Release fence below
                 w.store(v, Ordering::Relaxed);
             }
+            // ORDERING ptr.store: Relaxed — task-slot writes for the whole
+            // batch; published by the single Release fence below
             slot.ptr.store(Box::into_raw(value), Ordering::Relaxed);
         }
+        // ORDERING fence: Release — one fence publishes all N slot writes
+        // before the single bottom advance — the point of batched spawn; the
+        // nabbitc_weak_push_batch cfg moves the bottom store before the slots
+        // and the seeded_push_batch model check proves that is caught as a W2
+        // double take
         fence(Ordering::Release);
+        // ORDERING bottom.store: Relaxed — single index publication for the
+        // batch; ordered after the slot writes by the Release fence
         #[cfg(not(nabbitc_weak_push_batch))]
         self.bottom.store(b + n, Ordering::Relaxed);
     }
 
     /// Owner: pops the most recently pushed value (LIFO end).
     pub fn pop(&self) -> Option<Box<T>> {
+        // ORDERING bottom.load: Relaxed — bottom is owner-only; the owner
+        // reads its own last store
         let b = self.bottom.load(Ordering::Relaxed) - 1;
         // SAFETY: owner-side buffer access, same argument as in `push`.
+        // ORDERING buffer.load: Relaxed — buffer is replaced only by the owner
+        // itself (grow)
         let buf = unsafe { &*self.buffer.load(Ordering::Relaxed) };
+        // ORDERING bottom.store: Relaxed — owner-only index update; ordering
+        // against thieves comes from the SeqCst fence and CAS
         self.bottom.store(b, Ordering::Relaxed);
-        // The load-bearing fence of Chase–Lev: it orders the `bottom`
-        // store above against the `top` load below. Weakening it to
-        // Release lets the store sit in the store buffer while the load
-        // reads a stale `top` — owner and thief can then both take the
-        // last element. `--cfg nabbitc_weak_pop` seeds exactly that bug
-        // so the model checker can prove it catches it (a W2 violation).
+        // ORDERING fence: SeqCst — the load-bearing store-load fence of
+        // Chase–Lev (PPoPP'13): the `bottom` store above must be visible
+        // before the `top` load below. Weakened to Release, the store can
+        // sit in the store buffer while the load reads a stale `top` — owner
+        // and thief can then both take the last element. `--cfg
+        // nabbitc_weak_pop` seeds exactly that bug: the model checker must
+        // catch it as a W2 violation, the lint audit as a downgrade.
         #[cfg(not(nabbitc_weak_pop))]
         fence(Ordering::SeqCst);
         #[cfg(nabbitc_weak_pop)]
         fence(Ordering::Release);
+        // ORDERING top.load: Relaxed — ordered after the bottom decrement by
+        // the SeqCst fence; no payload is read through it
         let t = self.top.load(Ordering::Relaxed);
 
         if t <= b {
             // Non-empty.
+            // ORDERING ptr.load: Relaxed — owner reads a slot it previously
+            // wrote; no inter-thread publication involved
             let ptr = buf.slot(b).ptr.load(Ordering::Relaxed);
             if t == b {
                 // Last element: race against thieves for it.
+                // ORDERING top.compare_exchange: SeqCst/Relaxed — last-task
+                // race with thieves; SeqCst keeps it in the fence's total
+                // order, failure is a pure retry so Relaxed suffices there
                 let won = self
                     .top
                     .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
@@ -309,8 +362,18 @@ impl<T> ColoredDeque<T> {
     }
 
     fn steal_impl(&self, accept: Option<ColorSet>) -> Steal<T> {
+        // ORDERING top.load: Acquire; pairs pop::top.compare_exchange,
+        // steal_impl::top.compare_exchange,
+        // steal_batch_impl::top.compare_exchange — thief's first read;
+        // synchronizes with the owner's CAS/publication of top
         let t = self.top.load(Ordering::Acquire);
+        // ORDERING fence: SeqCst — pairs with the pop fence: orders the top
+        // read before the bottom read in the single total order, closing the
+        // two-claimants window
         fence(Ordering::SeqCst);
+        // ORDERING bottom.load: Acquire; pairs push::fence.fence,
+        // push_batch::fence.fence — synchronizes with the owner's push
+        // publication so the observed range is consistent
         let b = self.bottom.load(Ordering::Acquire);
         if t >= b {
             return Steal::Empty;
@@ -319,12 +382,18 @@ impl<T> ColoredDeque<T> {
         // retired, but retired buffers are kept alive (in `retired`) until
         // the deque itself drops, so the dereference never dangles; the
         // CAS below invalidates any stale value read through it.
+        // ORDERING buffer.load: Acquire; pairs grow::buffer.swap —
+        // synchronizes with grow's Release swap so the thief sees
+        // fully-initialized storage
         let buf = unsafe { &*self.buffer.load(Ordering::Acquire) };
         let slot = buf.slot(t);
 
         if let Some(accept) = accept {
             let mut words = [0u64; COLOR_WORDS];
             for (w, a) in words.iter_mut().zip(slot.colors.iter()) {
+                // ORDERING a.load: Relaxed — color-array slot read; made
+                // visible by the push fence / buffer Acquire, value is
+                // re-validated by the CAS
                 *w = a.load(Ordering::Relaxed);
             }
             // A stale read here (slot recycled concurrently) either fails
@@ -335,7 +404,13 @@ impl<T> ColoredDeque<T> {
             }
         }
 
+        // ORDERING ptr.load: Relaxed — task-slot read; made visible by the
+        // push fence / buffer Acquire, ownership is only taken if the CAS
+        // succeeds
         let ptr = slot.ptr.load(Ordering::Relaxed);
+        // ORDERING top.compare_exchange: SeqCst/Relaxed — claims the task
+        // against owner and other thieves; SeqCst joins the fence order,
+        // failure is a pure retry so Relaxed suffices there
         if self
             .top
             .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
@@ -389,8 +464,22 @@ impl<T> ColoredDeque<T> {
         accept: Option<ColorSet>,
     ) -> (Steal<T>, usize) {
         debug_assert!(!std::ptr::eq(self, dest), "cannot steal into the victim");
+        // ORDERING top.load: Acquire; pairs pop::top.compare_exchange,
+        // steal_impl::top.compare_exchange,
+        // steal_batch_impl::top.compare_exchange — two sites: the initial
+        // index read and the per-claim revalidation; both synchronize with
+        // owner/thief top updates exactly like steal_impl's first read
         let mut t = self.top.load(Ordering::Acquire);
+        // ORDERING fence: SeqCst — two sites (initial + per-claim
+        // revalidation): same store-load pairing with the pop fence as
+        // steal_impl; re-running it before every chained claim is what makes
+        // batching sound against concurrent owner pops (see the
+        // nabbitc_weak_batch canary)
         fence(Ordering::SeqCst);
+        // ORDERING bottom.load: Acquire; pairs push::fence.fence,
+        // push_batch::fence.fence — two sites (initial + per-claim
+        // revalidation); synchronizes with the owner's push publication so
+        // each claim checks a current range, never the stale initial window
         let mut b = self.bottom.load(Ordering::Acquire);
         if t >= b {
             return (Steal::Empty, 0);
@@ -410,10 +499,15 @@ impl<T> ColoredDeque<T> {
             }
             // SAFETY: retired buffers outlive all thieves, exactly as in
             // `steal_impl`.
+            // ORDERING buffer.load: Acquire; pairs grow::buffer.swap — re-read
+            // per claim; synchronizes with grow's Release swap like steal_impl
             let buf = unsafe { &*self.buffer.load(Ordering::Acquire) };
             let slot = buf.slot(t);
             let mut words = [0u64; COLOR_WORDS];
             for (w, a) in words.iter_mut().zip(slot.colors.iter()) {
+                // ORDERING a.load: Relaxed — color-array slot read; made
+                // visible by the push fence / buffer Acquire, value is
+                // re-validated by the claiming CAS
                 *w = a.load(Ordering::Relaxed);
             }
             let colors = ColorSet::from_words(words);
@@ -427,7 +521,14 @@ impl<T> ColoredDeque<T> {
                     break;
                 }
             }
+            // ORDERING ptr.load: Relaxed — task-slot read; ownership is only
+            // taken if the claiming CAS succeeds
             let ptr = slot.ptr.load(Ordering::Relaxed);
+            // ORDERING top.compare_exchange: SeqCst/Relaxed — one CAS per
+            // claimed task — never a multi-task jump — so owner pops and other
+            // thieves contend on the same protocol as single steals; SeqCst
+            // joins the fence order, failure aborts the batch (pure retry) so
+            // Relaxed suffices there
             match self
                 .top
                 .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
@@ -465,17 +566,29 @@ impl<T> ColoredDeque<T> {
         // SAFETY: `grow` is only called by the owner, and only the owner
         // replaces `buffer`; the current pointer is live until we retire
         // it at the end of this function.
+        // ORDERING buffer.load: Relaxed — grow runs on the owner thread; it
+        // reads its own buffer pointer
         let old = unsafe { &*self.buffer.load(Ordering::Relaxed) };
         let new = Buffer::new(old.cap() * 2);
         for i in t..b {
             let os = old.slot(i);
             let ns = new.slot(i);
+            // ORDERING ptr.load: Relaxed — copying slots the owner itself
+            // wrote; publication happens at the buffer swap
+            // ORDERING ptr.store: Relaxed — filling the new buffer before it
+            // is published by the Release swap
             ns.ptr
                 .store(os.ptr.load(Ordering::Relaxed), Ordering::Relaxed);
             for (nw, ow) in ns.colors.iter().zip(os.colors.iter()) {
+                // ORDERING ow.load: Relaxed — copying color slots the owner
+                // itself wrote; published by the Release swap
+                // ORDERING nw.store: Relaxed — filling the new color array
+                // before it is published by the Release swap
                 nw.store(ow.load(Ordering::Relaxed), Ordering::Relaxed);
             }
         }
+        // ORDERING buffer.swap: Release — publishes the fully-copied buffer;
+        // pairs with the thief's Acquire buffer load
         let old_ptr = self.buffer.swap(Box::into_raw(new), Ordering::Release);
         self.retired.lock().push(old_ptr);
     }
@@ -493,6 +606,8 @@ impl<T> Drop for ColoredDeque<T> {
         // here; each was created by Box::into_raw and is freed exactly
         // once (retired entries are drained, preventing a double free).
         unsafe {
+            // ORDERING buffer.load: Relaxed — destructor runs with exclusive
+            // access (&mut self); no concurrent observers remain
             drop(Box::from_raw(self.buffer.load(Ordering::Relaxed)));
             for p in self.retired.lock().drain(..) {
                 drop(Box::from_raw(p));

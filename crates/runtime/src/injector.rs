@@ -51,6 +51,13 @@ impl<T> Injector<T> {
     pub fn push(&self, value: T) {
         let mut q = self.queue.lock();
         q.push_back(value);
+        // ORDERING len.store: Release — mutex-protected length mirror; Release
+        // (from SeqCst) pairs with the Acquire hint load so a non-empty hint
+        // implies the queue really held work at store time — every decision
+        // that matters re-checks under the lock, and a stale-empty hint is
+        // benign because the enqueuer wakes workers through the job condvar
+        // (run_injector_progress and run_injector_racing_push explore this
+        // exhaustively)
         self.len.store(q.len(), Ordering::Release);
     }
 
@@ -59,6 +66,8 @@ impl<T> Injector<T> {
     pub fn try_pop(&self) -> Option<T> {
         let mut q = self.queue.lock();
         let v = q.pop_front();
+        // ORDERING len.store: Release — length mirror update under the lock;
+        // Release for the same hint contract as push
         self.len.store(q.len(), Ordering::Release);
         v
     }
@@ -70,12 +79,19 @@ impl<T> Injector<T> {
         let mut q = self.queue.lock();
         let n = q.len().min(max);
         let out: Vec<T> = q.drain(..n).collect();
+        // ORDERING len.store: Release — one mirror update for the whole
+        // drained batch, under the lock; same hint contract
         self.len.store(q.len(), Ordering::Release);
         out
     }
 
     /// Lock-free length hint (exact once all concurrent ops retire).
     pub fn len(&self) -> usize {
+        // ORDERING len.load: Acquire; pairs push::len.store,
+        // try_pop::len.store, try_pop_batch::len.store — idle-path hint probe
+        // polled every worker round; Acquire (from SeqCst) pairs with the
+        // Release mirror stores — the hint-only contract above needs nothing
+        // stronger, and this load is hot enough to care
         self.len.load(Ordering::Acquire)
     }
 

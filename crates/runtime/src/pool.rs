@@ -169,6 +169,8 @@ impl PoolInner {
     #[inline]
     fn next_task_id(&self) -> u64 {
         if self.tracer.is_some() {
+            // ORDERING task_seq.fetch_add: Relaxed — unique-id counter; only
+            // atomicity is needed, no ordering with other data
             self.task_seq.fetch_add(1, Ordering::Relaxed) + 1
         } else {
             0
@@ -320,6 +322,9 @@ impl Pool {
     fn quiesce(&self) {
         let inner = &self.inner;
         let mut g = inner.done_lock.lock();
+        // ORDERING active.load: SeqCst — job-barrier handshake; the pool
+        // control plane uses SeqCst throughout as it is microseconds per job,
+        // not per task
         while inner.active.load(Ordering::SeqCst) > 0 {
             inner.done_cv.wait(&mut g);
         }
@@ -332,18 +337,29 @@ impl Pool {
         F: FnOnce(&mut WorkerContext<'_>) + Send + 'static,
     {
         let inner = &self.inner;
+        // ORDERING pending.load: SeqCst — job-barrier handshake (control
+        // plane, SeqCst by convention)
         assert_eq!(inner.pending.load(Ordering::SeqCst), 0);
 
+        // ORDERING job_panicked.store: SeqCst — clears the panic flag before
+        // publishing a new job (control plane, SeqCst)
         inner.job_panicked.store(false, Ordering::SeqCst);
+        // ORDERING pending.store: SeqCst — seeds the pending-task count before
+        // the epoch bump releases workers (control plane)
         inner.pending.store(1, Ordering::SeqCst);
         inner
             .injector
             .push(Task::new(colors, root).with_id(inner.next_task_id()));
+        // ORDERING job_start_ns.store: SeqCst — job start timestamp must be
+        // visible to workers when the epoch bump wakes them
         inner
             .job_start_ns
             .store(inner.origin.elapsed().as_nanos() as u64, Ordering::SeqCst);
         {
             let _g = inner.job_lock.lock();
+            // ORDERING epoch.fetch_add: SeqCst — the job-release edge: workers
+            // spin on epoch, and every job field stored above must be ordered
+            // before it (control plane, SeqCst)
             inner.epoch.fetch_add(1, Ordering::SeqCst);
             inner.job_cv.notify_all();
         }
@@ -353,6 +369,8 @@ impl Pool {
                 inner.done_cv.wait(&mut g);
             }
         }
+        // ORDERING job_panicked.load: SeqCst — reads the outcome after the
+        // completion barrier (control plane, SeqCst)
         if inner.job_panicked.load(Ordering::SeqCst) {
             panic!("a task panicked during Pool::run");
         }
@@ -394,6 +412,9 @@ impl Pool {
     pub fn reset_trace(&self) {
         if let Some(t) = &self.inner.tracer {
             t.reset();
+            // ORDERING task_seq.store: Relaxed — reset while the pool is
+            // quiescent — by `run_measured` under the run guard after the last
+            // straggler left, or by a caller between jobs; atomicity only
             self.inner.task_seq.store(0, Ordering::Relaxed);
         }
     }
@@ -401,6 +422,8 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
+        // ORDERING shutdown.store: SeqCst — shutdown edge observed by worker
+        // spin loops (control plane, SeqCst)
         self.inner.shutdown.store(true, Ordering::SeqCst);
         {
             let _g = self.inner.job_lock.lock();
@@ -464,13 +487,14 @@ impl<'a> WorkerContext<'a> {
             .record(self.worker, TraceEventKind::Spawn, false, &colors, id);
         let (task, hit) = self.arena.allocate(colors, id, f);
         note_arena(&self.inner.stats[self.worker], hit);
-        // Relaxed is enough: the counter is pure task accounting. The
-        // matching decrement for this task happens-after the increment —
-        // either program order (the owner pops it) or through the deque
-        // publication (`push`'s release fence / the thief's acquiring
-        // steal) — so `pending` can never dip to zero while this task is
-        // outstanding. Modeled exhaustively by `run_pending_protocol` in
-        // crates/check.
+        // ORDERING pending.fetch_add: Relaxed — per-spawn hot path, Relaxed
+        // (from SeqCst): the counter is pure task accounting, and the
+        // increment precedes the deque push, whose Release fence publishes
+        // it to whichever worker acquires the task (program order, when the
+        // owner pops it), so the matching decrement is ordered after it in
+        // pending's modification order — the counter can never spuriously
+        // hit zero mid-job (`run_pending_protocol` in crates/check checks
+        // this exhaustively)
         self.inner.pending.fetch_add(1, Ordering::Relaxed);
         self.inner.deques[self.worker].push(task, colors);
     }
@@ -543,8 +567,9 @@ impl Drop for SpawnBatch<'_, '_> {
         if n == 0 {
             return;
         }
-        // One accounting increment for the whole batch; Relaxed for the
-        // same reason as `WorkerContext::spawn`.
+        // ORDERING pending.fetch_add: Relaxed — SpawnBatch::drop counts the
+        // whole batch before its single push_batch publishes the tasks; same
+        // publish-before-decrement argument as `WorkerContext::spawn`
         self.ctx.inner.pending.fetch_add(n, Ordering::Relaxed);
         self.ctx.inner.deques[self.ctx.worker].push_batch(std::mem::take(&mut self.tasks));
     }
@@ -554,8 +579,13 @@ impl Drop for SpawnBatch<'_, '_> {
 #[inline]
 fn note_arena(stats: &WorkerStats, hit: bool) {
     if hit {
+        // ORDERING arena_hits.fetch_add: Relaxed — reporting-only arena
+        // counter mirrored from the worker-owned free list; read after the job
+        // barrier
         stats.arena_hits.fetch_add(1, Ordering::Relaxed);
     } else {
+        // ORDERING arena_misses.fetch_add: Relaxed — reporting-only arena
+        // counter; read after the job barrier
         stats.arena_misses.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -565,7 +595,12 @@ fn note_arena(stats: &WorkerStats, hit: bool) {
 #[inline]
 fn note_batch(stats: &WorkerStats, moved: usize) {
     if moved > 0 {
+        // ORDERING batch_steals.fetch_add: Relaxed — reporting-only batching
+        // counter with no cross-counter invariant (unlike the Release
+        // steal-success counters); read after the job barrier
         stats.batch_steals.fetch_add(1, Ordering::Relaxed);
+        // ORDERING batch_stolen_tasks.fetch_add: Relaxed — reporting-only
+        // batching counter; read after the job barrier
         stats
             .batch_stolen_tasks
             .fetch_add(moved as u64 + 1, Ordering::Relaxed);
@@ -578,6 +613,10 @@ fn worker_main(inner: Arc<PoolInner>, worker: usize, seed: u64) {
     loop {
         {
             let mut g = inner.job_lock.lock();
+            // ORDERING epoch.load: SeqCst — worker spin on the job-release
+            // edge (control plane, SeqCst)
+            // ORDERING shutdown.load: SeqCst — worker spin on the shutdown
+            // edge (control plane, SeqCst)
             while inner.epoch.load(Ordering::SeqCst) == seen_epoch
                 && !inner.shutdown.load(Ordering::SeqCst)
             {
@@ -588,8 +627,12 @@ fn worker_main(inner: Arc<PoolInner>, worker: usize, seed: u64) {
             return;
         }
         seen_epoch = inner.epoch.load(Ordering::SeqCst);
+        // ORDERING active.fetch_add: SeqCst — entering a job; the barrier in
+        // run() counts active workers (control plane, SeqCst)
         inner.active.fetch_add(1, Ordering::SeqCst);
         run_job_loop(&inner, worker, seed ^ seen_epoch, &mut arena);
+        // ORDERING active.fetch_sub: SeqCst — leaving a job; pairs with the
+        // barrier's active==0 check (control plane, SeqCst)
         inner.active.fetch_sub(1, Ordering::SeqCst);
         let _g = inner.done_lock.lock();
         inner.done_cv.notify_all();
@@ -619,6 +662,8 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
         ColorSet::singleton(Color::from(worker))
     };
     let stats = &inner.stats[worker];
+    // ORDERING job_start_ns.load: SeqCst — reads the job start timestamp
+    // published before the epoch bump (control plane)
     let job_start = inner.job_start_ns.load(Ordering::SeqCst);
     let mut acquired_any = false;
     let mut first_steal_pending = inner.policy.force_first_colored;
@@ -632,6 +677,8 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
         if !*acquired_any {
             *acquired_any = true;
             let now = inner.origin.elapsed().as_nanos() as u64;
+            // ORDERING first_work_wait_ns.store: Relaxed — per-worker latency
+            // statistic; read only after the job barrier
             stats
                 .first_work_wait_ns
                 .store(now.saturating_sub(job_start), Ordering::Relaxed);
@@ -672,12 +719,15 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
             }
         }
 
-        // Acquire pairs with the final task's AcqRel decrement in
-        // `execute`: observing 0 implies every task effect of this job is
-        // visible. A stale non-zero read only costs one more loop
-        // iteration; a stale zero is impossible within a job (the only
-        // writes of 0 belong to *finished* jobs, ordered before this
-        // job's `pending.store(1)` by the run/epoch handshake).
+        // ORDERING pending.load: Acquire; pairs execute::pending.fetch_sub —
+        // termination check, Acquire (from SeqCst): reading zero means
+        // reading the final decrement of the AcqRel fetch_sub release
+        // sequence, which synchronizes with every task's effects; a stale
+        // nonzero read just loops once more, and a stale zero is impossible
+        // within a job (the only writes of 0 belong to *finished* jobs,
+        // ordered before this job's `pending.store(1)` by the run/epoch
+        // handshake). Two sites (loop head and idle re-check);
+        // run_pending_protocol models the full handshake
         if inner.pending.load(Ordering::Acquire) == 0 {
             break;
         }
@@ -688,6 +738,8 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
         }
         let idle_started = Instant::now();
         let got = steal_round(inner, &mut ctx, &accept, &mut first_steal_pending);
+        // ORDERING idle_ns.fetch_add: Relaxed — per-worker idle-time
+        // statistic; read only after the job barrier
         stats
             .idle_ns
             .fetch_add(idle_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -723,6 +775,8 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
 }
 
 fn execute(inner: &PoolInner, ctx: &mut WorkerContext<'_>, mut task: Box<Task>) {
+    // ORDERING tasks_executed.fetch_add: Relaxed — per-worker counter; read
+    // only after the job barrier
     inner.stats[ctx.worker]
         .tasks_executed
         .fetch_add(1, Ordering::Relaxed);
@@ -731,15 +785,21 @@ fn execute(inner: &PoolInner, ctx: &mut WorkerContext<'_>, mut task: Box<Task>) 
     let result = catch_unwind(AssertUnwindSafe(|| task.run(ctx)));
     inner.record(ctx.worker, TraceEventKind::ExecEnd, false, &colors, id);
     if result.is_err() {
+        // ORDERING job_panicked.store: SeqCst — panic flag must be visible
+        // before the pending count reaches zero (control plane)
         inner.job_panicked.store(true, Ordering::SeqCst);
     }
     // Running the task vacated the shell; give it back to this worker's
     // free list (wherever the task was spawned) before signaling done.
     ctx.arena.recycle(task);
-    // AcqRel: the Release half publishes this task's effects to whoever
-    // observes the decrement (the joining `run` caller, or a worker's
-    // termination check); the Acquire half makes the *final* decrement
-    // a synchronization point that has seen every other task's effects.
+    // ORDERING pending.fetch_sub: AcqRel; pairs execute::pending.fetch_sub —
+    // task completion, AcqRel (from SeqCst): Release publishes this task's
+    // effects to whoever reads the counter down the release sequence (the
+    // joining `run` caller, or a worker's termination check), Acquire makes
+    // the *final* decrement a synchronization point that has seen every
+    // other task's effects and keeps later recycling ordered after the
+    // count; run()'s completion barrier still goes through the done mutex +
+    // condvar, not this counter alone
     if inner.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
         let _g = inner.done_lock.lock();
         inner.done_cv.notify_all();
@@ -773,19 +833,27 @@ fn steal_round(
         // Forced first colored steal: only colored attempts until one
         // succeeds (bounded by the policy's escape hatch).
         for _ in 0..64 {
+            // ORDERING pending.load: Acquire; pairs execute::pending.fetch_sub
+            // — early-out of the forced-steal loop; same release-sequence
+            // argument as the run_job_loop termination check
             if inner.pending.load(Ordering::Acquire) == 0 {
                 return None;
             }
+            // ORDERING first_steal_checks.fetch_add: Relaxed — steal-heuristic
+            // counter; read only after the job barrier
             let checks = stats.first_steal_checks.fetch_add(1, Ordering::Relaxed) + 1;
+            // ORDERING colored_steal_attempts.fetch_add: Relaxed — attempt
+            // counter; read only after the job barrier
             stats.colored_steal_attempts.fetch_add(1, Ordering::Relaxed);
             let v = pick(&mut ctx.rng);
             inner.record(me, TraceEventKind::StealAttempt, true, &none, v as u64);
             let (got, moved) = inner.deques[v].steal_batch_if(accept, &inner.deques[me]);
             if let Steal::Success(t) = got {
-                // Release pairs with the Acquire load in
+                // ORDERING colored_steals.fetch_add: Release — success
+                // counter; Release pairs with the Acquire load in
                 // `WorkerStats::snapshot`: a snapshot that sees this
-                // success also sees the attempt increment above, keeping
-                // mid-run snapshots at steals <= attempts.
+                // success also sees the attempt increment above, so
+                // steals <= attempts holds in any racy snapshot
                 stats.colored_steals.fetch_add(1, Ordering::Release);
                 note_batch(stats, moved);
                 inner.record(me, TraceEventKind::StealSuccess, true, &t.colors, v as u64);
@@ -817,11 +885,15 @@ fn steal_round(
         }
     }
 
+    // ORDERING random_steal_attempts.fetch_add: Relaxed — attempt counter;
+    // read only after the job barrier
     stats.random_steal_attempts.fetch_add(1, Ordering::Relaxed);
     let v = pick(&mut ctx.rng);
     inner.record(me, TraceEventKind::StealAttempt, false, &none, v as u64);
     let (got, moved) = inner.deques[v].steal_batch(&inner.deques[me]);
     if let Steal::Success(t) = got {
+        // ORDERING random_steals.fetch_add: Release — success counter; Release
+        // pairs with the Acquire load in WorkerStats::snapshot
         stats.random_steals.fetch_add(1, Ordering::Release);
         note_batch(stats, moved);
         inner.record(me, TraceEventKind::StealSuccess, false, &t.colors, v as u64);

@@ -38,44 +38,75 @@ pub(crate) struct WorkerStats {
 
 impl WorkerStats {
     pub(crate) fn reset(&self) {
+        // ORDERING tasks_executed.store: Relaxed — reset happens between jobs
+        // while workers are parked; atomicity only
         self.tasks_executed.store(0, Relaxed);
+        // ORDERING colored_steal_attempts.store: Relaxed — quiescent reset; atomicity only
         self.colored_steal_attempts.store(0, Relaxed);
+        // ORDERING colored_steals.store: Relaxed — quiescent reset; atomicity only
         self.colored_steals.store(0, Relaxed);
+        // ORDERING random_steal_attempts.store: Relaxed — quiescent reset; atomicity only
         self.random_steal_attempts.store(0, Relaxed);
+        // ORDERING random_steals.store: Relaxed — quiescent reset; atomicity only
         self.random_steals.store(0, Relaxed);
+        // ORDERING first_steal_checks.store: Relaxed — quiescent reset; atomicity only
         self.first_steal_checks.store(0, Relaxed);
+        // ORDERING first_work_wait_ns.store: Relaxed — quiescent reset; atomicity only
         self.first_work_wait_ns.store(0, Relaxed);
+        // ORDERING idle_ns.store: Relaxed — quiescent reset; atomicity only
         self.idle_ns.store(0, Relaxed);
+        // ORDERING batch_steals.store: Relaxed — quiescent reset; atomicity only
         self.batch_steals.store(0, Relaxed);
+        // ORDERING batch_stolen_tasks.store: Relaxed — quiescent reset; atomicity only
         self.batch_stolen_tasks.store(0, Relaxed);
+        // ORDERING arena_hits.store: Relaxed — quiescent reset; atomicity only
         self.arena_hits.store(0, Relaxed);
+        // ORDERING arena_misses.store: Relaxed — quiescent reset; atomicity only
         self.arena_misses.store(0, Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> WorkerStatsSnapshot {
-        // Success counters are loaded with Acquire *before* their attempt
-        // counters: each success increment is a Release that happens after
-        // its own attempt increment on the same worker thread, so any
-        // success this snapshot observes implies the matching attempt is
-        // visible too. Mid-run snapshots therefore always satisfy
-        // steals <= attempts, per kind.
+        // ORDERING colored_steals.load: Acquire; pairs
+        // runtime/pool.rs::steal_round::colored_steals.fetch_add — read before
+        // the attempt counters; Acquire pairs with the Release increments so a
+        // racy snapshot never shows steals > attempts: each success increment
+        // is a Release that happens after its own attempt increment on the
+        // same worker thread, so any success this snapshot observes implies
+        // the matching attempt is visible too, per kind
         let colored_steals = self.colored_steals.load(Acquire);
+        // ORDERING random_steals.load: Acquire; pairs
+        // runtime/pool.rs::steal_round::random_steals.fetch_add — read before
+        // the attempt counters; pairs with the Release increments
         let random_steals = self.random_steals.load(Acquire);
         WorkerStatsSnapshot {
+            // ORDERING tasks_executed.load: Relaxed — monotone counter;
+            // snapshot tolerates slight staleness
             tasks_executed: self.tasks_executed.load(Relaxed),
+            // ORDERING colored_steal_attempts.load: Relaxed — read after the
+            // Acquire on successes; may only overshoot, preserving the
+            // invariant
             colored_steal_attempts: self.colored_steal_attempts.load(Relaxed),
             colored_steals,
+            // ORDERING random_steal_attempts.load: Relaxed — read after the
+            // Acquire on successes; may only overshoot
             random_steal_attempts: self.random_steal_attempts.load(Relaxed),
             random_steals,
+            // ORDERING first_steal_checks.load: Relaxed — heuristic counter; staleness is fine
             first_steal_checks: self.first_steal_checks.load(Relaxed),
+            // ORDERING first_work_wait_ns.load: Relaxed — latency statistic
+            // written once per job before the barrier
             first_work_wait_ns: self.first_work_wait_ns.load(Relaxed),
+            // ORDERING idle_ns.load: Relaxed — idle-time statistic; staleness is fine
             idle_ns: self.idle_ns.load(Relaxed),
-            // Relaxed: the batch/arena counters are reporting-only and
-            // carry no cross-counter invariant a mid-run reader depends
-            // on (unlike steals <= attempts above).
+            // ORDERING batch_steals.load: Relaxed — reporting-only batching
+            // counter; no cross-counter invariant to preserve
             batch_steals: self.batch_steals.load(Relaxed),
+            // ORDERING batch_stolen_tasks.load: Relaxed — reporting-only
+            // batching counter; staleness is fine
             batch_stolen_tasks: self.batch_stolen_tasks.load(Relaxed),
+            // ORDERING arena_hits.load: Relaxed — reporting-only arena counter; staleness is fine
             arena_hits: self.arena_hits.load(Relaxed),
+            // ORDERING arena_misses.load: Relaxed — reporting-only arena counter; staleness is fine
             arena_misses: self.arena_misses.load(Relaxed),
         }
     }

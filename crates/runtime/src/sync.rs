@@ -15,9 +15,9 @@
 //! Everything with audited atomics goes through this module: the
 //! runtime's own `deque.rs`, `injector.rs`, `pool.rs`, `stats.rs` and
 //! `trace.rs`, plus the downstream `nabbitc-core` executors (the join
-//! counter and successor list in `core::join`, the node store's shard
-//! locks in `store.rs`, `static_exec.rs`'s join counters, metrics
-//! counters) and `nabbitc-parfor`'s chunk cursors. The `nabbitc-lint`
+//! counter and successor list in `core::join`, which both node stores
+//! decrement through, the on-demand store's shard locks in `store.rs`,
+//! metrics counters) and `nabbitc-parfor`'s chunk cursors. The `nabbitc-lint`
 //! facade-conformance pass rejects direct `std::sync::atomic` /
 //! `parking_lot` imports in audited files outside this module (condvar
 //! use, which has no loom shim, is the one allowlisted exemption).

@@ -210,23 +210,41 @@ impl EventRing {
         color: Option<u16>,
         arg: u64,
     ) {
+        // ORDERING head.load: Relaxed — single-writer cursor; the writer reads
+        // its own position
         let head = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(head as usize) & (self.slots.len() - 1)];
+        // ORDERING seq.load: Relaxed — writer reads its own slot sequence to
+        // compute the odd marker
         let seq = slot.seq.load(Ordering::Relaxed);
-        // Odd seq published before the data via the Release store below.
+        // ORDERING seq.store: Relaxed | Release — two sites: the odd
+        // write-in-progress marker is Relaxed (ordered by the Release fence
+        // that follows), the even publish is Release (pairs with the reader's
+        // Acquire)
         slot.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
+        // ORDERING fence: Release — orders the odd seq marker before the
+        // payload writes for racing readers
         fence(Ordering::Release);
+        // ORDERING ts.store: Relaxed — slot payload; guarded by the seqlock
+        // protocol, not by its own ordering
         slot.ts.store(ts_ns, Ordering::Relaxed);
+        // ORDERING payload.store: Relaxed — slot payload; guarded by the
+        // seqlock protocol
         slot.payload
             .store(pack_payload(kind, colored, color, arg), Ordering::Relaxed);
         // Even seq published after the data.
         slot.seq.store(seq.wrapping_add(2), Ordering::Release);
+        // ORDERING head.store: Release — publishes the advanced cursor; pairs
+        // with recorded()'s Acquire
         self.head.store(head + 1, Ordering::Release);
     }
 
     /// Events recorded so far (monotonic).
     #[doc(hidden)]
     pub fn recorded(&self) -> u64 {
+        // ORDERING head.load: Acquire; pairs push::head.store,
+        // reset::head.store — pairs with the writer's Release so the count
+        // never runs ahead of published slots
         self.head.load(Ordering::Acquire)
     }
 
@@ -244,13 +262,24 @@ impl EventRing {
             // Bounded retries: a continuously-overwriting owner means the
             // slot's window has passed; skip it.
             for _ in 0..4 {
+                // ORDERING seq.load: Acquire | Relaxed; pairs push::seq.store
+                // — two sites: the first read is Acquire (pairs with the even
+                // Release publish), the post-fence re-check is Relaxed (the
+                // Acquire fence before it orders the payload reads)
                 let s1 = slot.seq.load(Ordering::Acquire);
                 if s1 & 1 == 1 {
                     std::hint::spin_loop();
                     continue;
                 }
+                // ORDERING ts.load: Relaxed — payload read validated by the
+                // seq re-check; torn reads are discarded
                 let ts = slot.ts.load(Ordering::Relaxed);
+                // ORDERING payload.load: Relaxed — payload read validated by
+                // the seq re-check
                 let payload = slot.payload.load(Ordering::Relaxed);
+                // ORDERING fence: Acquire; pairs push::fence.fence — orders
+                // the payload reads before the seq re-check (reader half of
+                // the seqlock)
                 fence(Ordering::Acquire);
                 if slot.seq.load(Ordering::Relaxed) == s1 {
                     ok = Some((ts, payload));
@@ -283,6 +312,8 @@ impl EventRing {
     fn reset(&self) {
         // Owner quiescent by caller contract (between jobs); stale slots
         // are masked by head = 0.
+        // ORDERING head.store: Release — publishes the cleared buffer state to
+        // subsequent readers
         self.head.store(0, Ordering::Release);
     }
 }
@@ -432,12 +463,15 @@ impl RuntimeTrace {
     /// [Perfetto](https://ui.perfetto.dev). Exec begin/end pairs become
     /// duration (`B`/`E`) events, idle periods become `idle` duration
     /// events, everything else becomes thread-scoped instants; each
-    /// worker is one `tid`, its domain one `pid`.
+    /// worker is one `tid`, its domain one `pid`. An end whose begin the
+    /// ring overwrote (see [`WorkerTrace::dropped`]) is left out, so per
+    /// `tid` every `E` closes a `B` that is in the file.
     pub fn chrome_trace_json(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from("{\"traceEvents\":[");
         let mut first = true;
         for w in &self.workers {
+            let mut open = 0usize;
             for e in &w.events {
                 let (ph, name) = match e.kind {
                     TraceEventKind::ExecBegin => ("B", "task"),
@@ -446,6 +480,12 @@ impl RuntimeTrace {
                     TraceEventKind::IdleExit => ("E", "idle"),
                     k => ("i", k.name()),
                 };
+                match ph {
+                    "B" => open += 1,
+                    "E" if open == 0 => continue,
+                    "E" => open -= 1,
+                    _ => {}
+                }
                 if !first {
                     out.push(',');
                 }

@@ -358,3 +358,49 @@ fn tiny_ring_drops_oldest_but_keeps_counting() {
         "dropped must account for everything not retained"
     );
 }
+
+#[test]
+fn chrome_export_stays_balanced_after_ring_drops() {
+    // A chain on one worker records begin / spawn / end per task, so three
+    // consecutive lengths put the 16-slot window's first retained event
+    // at all three phases — one of them an `ExecEnd` whose `ExecBegin`
+    // was overwritten. The export must leave that end out.
+    let mut orphaned_ends = 0;
+    for length in 50..53 {
+        let pool = Pool::new(PoolConfig::nabbitc(1).with_trace(TraceConfig::with_capacity(16)));
+        let colors = ColorSet::all(1);
+        let counter = Arc::new(AtomicU64::new(0));
+        pool.run(colors, move |ctx: &mut WorkerContext<'_>| {
+            chain(ctx, length, colors, counter)
+        });
+        let trace = pool.trace_snapshot();
+        assert!(trace.total_dropped() > 0, "the ring must have wrapped");
+        let first = trace.workers[0]
+            .events
+            .iter()
+            .find(|e| matches!(e.kind, TraceEventKind::ExecBegin | TraceEventKind::ExecEnd));
+        if first.is_some_and(|e| e.kind == TraceEventKind::ExecEnd) {
+            orphaned_ends += 1;
+        }
+
+        let json = trace.chrome_trace_json();
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        // One worker, one `tid`: in file order the B/E depth of that
+        // thread never goes negative.
+        let mut depth = 0i64;
+        for event in json.split("{\"name\":").skip(1) {
+            assert!(event.contains("\"tid\":0"), "{event}");
+            if event.contains("\"ph\":\"B\"") {
+                depth += 1;
+            } else if event.contains("\"ph\":\"E\"") {
+                depth -= 1;
+                assert!(depth >= 0, "an E without its B in:\n{json}");
+            }
+        }
+    }
+    assert!(
+        orphaned_ends > 0,
+        "no retained window began with an orphaned end; the test lost its teeth"
+    );
+}

@@ -27,8 +27,7 @@
 //! are proprietary LAW datasets; [`webgraph`] generates seeded synthetic
 //! power-law graphs matching the properties that matter to the scheduler —
 //! per-block work imbalance and cross-block access structure — with
-//! twitter-like skew much heavier than the uk-like presets (DESIGN.md,
-//! *Reality substitutions*).
+//! twitter-like skew much heavier than the uk-like presets.
 //!
 //! [`registry`] exposes the whole suite to the figure/table harnesses;
 //! modules with a `Problem` type (heat, life, fdtd, sw, pagerank, cg, mg)
