@@ -9,9 +9,14 @@
 //! | W1 | no lost tasks | `model::check_accounting` |
 //! | W2 | no double execution | `model::check_accounting` |
 //! | W3 | LIFO local pops, FIFO steals | `model::check_accounting` + `tests/invariants.rs` |
-//! | W4 | operations linearizable | [`lin`] (Wing–Gong) via `model::check_linearizable` |
+//! | W4 | operations linearizable | [`lin`] (Wing–Gong) via `model::check_linearizable`; a steal-half call that claimed k entries is k steals |
 //! | W5 | progress: work left ⇒ someone runs | `model::run_injector_progress` |
 //! | W6 | steal attempts bounded per idle episode | `model::check_accounting` |
+//!
+//! W1–W4 and W6 come out of one scenario driver (`model::run_scenario`)
+//! whose thieves call `steal`, `steal_batch` or `steal_batch_if` — one
+//! claim loop in the deque, and the two steal-half forms are the only
+//! ones the pool calls — so what is checked is what ships.
 //!
 //! The code under test is compiled with `--cfg nabbitc_check`, which
 //! swaps its atomics for the loom shim's instrumented TSO model through

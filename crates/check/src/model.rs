@@ -4,7 +4,11 @@
 //! unbounded retry loops), so every execution terminates and the DFS
 //! tree is finite: the owner pushes `tasks` values (popping at a
 //! configured cadence), each thief makes a fixed number of steal
-//! attempts, then the owner joins everyone and drains the leftovers.
+//! attempts — through `steal`, `steal_batch` or `steal_batch_if`, which
+//! are one claim loop in the deque and, the last two, the pool's only
+//! steals — then the owner joins everyone and drains the leftovers. One
+//! driver (`drive`), one thief script (`thief`) and one accounting check
+//! serve every deque scenario.
 //! The explorer enumerates every interleaving of the visible operations
 //! within the preemption bound, including TSO store-buffer commit
 //! timing.
@@ -36,8 +40,14 @@ pub struct ScenarioCfg {
     pub pop_every: usize,
     /// Steal attempts per thief (the W6 idle-episode budget).
     pub steal_attempts: usize,
-    /// Thieves use the colored steal (`steal_if`) with a color every
-    /// entry carries, exercising the color-word reads on the steal path.
+    /// Thieves steal half (`steal_batch`, what the pool's random attempt
+    /// calls) instead of one entry (`steal`).
+    pub batch: bool,
+    /// Thieves steal half through the colored `steal_batch_if` (the
+    /// pool's colored attempt; needs `batch`, the deque has no colored
+    /// single steal), accepting color 0 — which every entry of
+    /// [`run_scenario`] carries, so the color-word check before each claim
+    /// always passes.
     pub colored: bool,
 }
 
@@ -46,11 +56,12 @@ pub struct ScenarioCfg {
 pub struct Outcome {
     /// Values the owner popped, in pop order (interleaved + final drain).
     pub popped: Vec<u64>,
-    /// Per thief: values stolen, in that thief's steal order.
+    /// Per thief: values claimed, in that thief's claim order.
     pub stolen: Vec<Vec<u64>>,
     /// Lost CAS races (`Steal::Retry`) summed over all thieves.
     pub retries: usize,
-    /// Clock-stamped operation records for the linearizability check.
+    /// Clock-stamped operation records for the linearizability check:
+    /// every push, every pop, every *claim* (see `thief`).
     pub history: Vec<Record>,
 }
 
@@ -61,87 +72,140 @@ fn record<R>(history: &mut Vec<Record>, op: Op, f: impl FnOnce() -> (Option<u64>
     out
 }
 
-/// Runs the scenario once; must be called inside a `loom` execution.
-pub fn run_scenario(cfg: &ScenarioCfg) -> Outcome {
-    let colors = ColorSet::all(2);
-    let deque: Arc<ColoredDeque<u64>> = Arc::new(ColoredDeque::new());
+fn owner_push(deque: &ColoredDeque<u64>, out: &mut Outcome, v: u64, colors: ColorSet) {
+    record(&mut out.history, Op::Push(v), || {
+        deque.push(Box::new(v), colors);
+        (None, ())
+    });
+}
 
+/// One owner pop; false when the deque was empty (or a thief won the
+/// last element).
+fn owner_pop(deque: &ColoredDeque<u64>, out: &mut Outcome) -> bool {
+    let popped = record(&mut out.history, Op::Pop, || {
+        let p = deque.pop();
+        (p.as_deref().copied(), p)
+    });
+    match popped {
+        Some(b) => {
+            out.popped.push(*b);
+            std::mem::forget(b);
+            true
+        }
+        None => false,
+    }
+}
+
+/// The one thief script: `attempts` calls of the entry point (`batch`,
+/// `accept`) selects, against a `dest` deque of the thief's own that it
+/// drains after every call, as the pool's worker drains its deque before
+/// stealing again. A single steal is a batch that moved nothing.
+///
+/// History: a call that claimed k entries is k `Op::Steal` records sharing
+/// the call's (invoke, return) interval — each claim is its own `top` CAS
+/// inside that interval. A call that claimed nothing leaves no record:
+/// Chase–Lev may report `Empty` from a stale `bottom` read long after a
+/// push completed (on TSO the push's plain `bottom` store can still sit in
+/// the owner's store buffer), so `Empty` is only a hint. This is the
+/// standard relaxed semantics — the pool treats it exactly that way,
+/// retrying and parking through the job condvar instead of trusting a
+/// single `Empty`.
+fn thief(
+    deque: &ColoredDeque<u64>,
+    batch: bool,
+    accept: Option<ColorSet>,
+    attempts: usize,
+) -> (Vec<u64>, Vec<Record>, usize) {
+    assert!(
+        batch || accept.is_none(),
+        "a colored steal is a batch steal"
+    );
+    let dest: ColoredDeque<u64> = ColoredDeque::new();
+    let (mut got, mut history, mut retries) = (Vec::new(), Vec::new(), 0usize);
+    for _ in 0..attempts {
+        let invoke = loom::clock();
+        let steal = match (&accept, batch) {
+            (Some(accept), _) => deque.steal_batch_if(accept, &dest).0,
+            (None, true) => deque.steal_batch(&dest).0,
+            (None, false) => deque.steal(),
+        };
+        let response = loom::clock();
+        let mut claimed = Vec::new();
+        match steal {
+            Steal::Success(b) => {
+                claimed.push(*b);
+                std::mem::forget(b);
+                // The moved entries come back LIFO through `pop`;
+                // reversing the drain restores the claim order.
+                while let Some(b) = dest.pop() {
+                    claimed.push(*b);
+                    std::mem::forget(b);
+                }
+                claimed[1..].reverse();
+            }
+            Steal::Retry => retries += 1,
+            Steal::Empty | Steal::ColorMismatch => {}
+        }
+        history.extend(
+            claimed
+                .iter()
+                .map(|&v| Record::new(Op::Steal, Some(v), invoke, response)),
+        );
+        got.extend(claimed);
+    }
+    (got, history, retries)
+}
+
+/// The one owner-versus-thieves driver. The owner pushes the first
+/// `preload` of its `1..=cfg.tasks` values (colored by `color_of`) before
+/// the thieves start, the rest against them, popping at `cfg.pop_every`'s
+/// cadence; then pops `pops` more times, still against them; then joins
+/// them and drains the leftovers. Must be called inside a `loom` execution.
+fn drive(
+    cfg: &ScenarioCfg,
+    color_of: impl Fn(u64) -> ColorSet,
+    preload: u64,
+    pops: usize,
+) -> Outcome {
+    let deque: Arc<ColoredDeque<u64>> = Arc::new(ColoredDeque::new());
+    let mut out = Outcome::default();
+    for v in 1..=preload {
+        owner_push(&deque, &mut out, v, color_of(v));
+    }
+
+    let accept = cfg.colored.then(|| ColorSet::singleton(Color(0)));
     let thieves: Vec<_> = (0..cfg.thieves)
         .map(|_| {
-            let deque = deque.clone();
-            let attempts = cfg.steal_attempts;
-            let colored = cfg.colored;
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                let mut hist = Vec::new();
-                let mut retries = 0usize;
-                for _ in 0..attempts {
-                    let steal = record(&mut hist, Op::Steal, || {
-                        let s = if colored {
-                            deque.steal_if(Color(0))
-                        } else {
-                            deque.steal()
-                        };
-                        let v = match &s {
-                            Steal::Success(b) => Some(**b),
-                            _ => None,
-                        };
-                        (v, s)
-                    });
-                    match steal {
-                        Steal::Success(b) => {
-                            got.push(*b);
-                            std::mem::forget(b);
-                        }
-                        Steal::Retry => retries += 1,
-                        Steal::Empty | Steal::ColorMismatch => {}
-                    }
-                }
-                (got, hist, retries)
-            })
+            let (deque, cfg) = (deque.clone(), *cfg);
+            thread::spawn(move || thief(&deque, cfg.batch, accept, cfg.steal_attempts))
         })
         .collect();
 
-    let mut out = Outcome::default();
-    for v in 1..=cfg.tasks {
-        record(&mut out.history, Op::Push(v), || {
-            deque.push(Box::new(v), colors);
-            (None, ())
-        });
+    for v in preload + 1..=cfg.tasks {
+        owner_push(&deque, &mut out, v, color_of(v));
         if cfg.pop_every > 0 && v % cfg.pop_every as u64 == 0 {
-            let popped = record(&mut out.history, Op::Pop, || {
-                let p = deque.pop();
-                (p.as_deref().copied(), p)
-            });
-            if let Some(b) = popped {
-                out.popped.push(*b);
-                std::mem::forget(b);
-            }
+            owner_pop(&deque, &mut out);
         }
+    }
+    for _ in 0..pops {
+        owner_pop(&deque, &mut out);
     }
 
     for t in thieves {
-        let (got, hist, retries) = t.join().expect("thief panicked");
+        let (got, history, retries) = t.join().expect("thief panicked");
         out.stolen.push(got);
-        out.history.extend(hist);
+        out.history.extend(history);
         out.retries += retries;
     }
-
     // Owner drains what is left (thieves are done: no concurrency here).
-    loop {
-        let popped = record(&mut out.history, Op::Pop, || {
-            let p = deque.pop();
-            (p.as_deref().copied(), p)
-        });
-        match popped {
-            Some(b) => {
-                out.popped.push(*b);
-                std::mem::forget(b);
-            }
-            None => break,
-        }
-    }
+    while owner_pop(&deque, &mut out) {}
     out
+}
+
+/// Runs the scenario once: every entry carries both colors, the owner
+/// pushes as the thieves steal.
+pub fn run_scenario(cfg: &ScenarioCfg) -> Outcome {
+    drive(cfg, |_| ColorSet::all(2), 0, 0)
 }
 
 /// Asserts W1, W2, W3 (thief side), and W6 on a completed execution.
@@ -166,158 +230,9 @@ pub fn check_accounting(cfg: &ScenarioCfg, out: &Outcome, preemption_bound: usiz
 
     // W3, thief side: steals linearize on the `top` CAS, which claims
     // strictly increasing indices holding values pushed in increasing
-    // order — so every thief's own steal sequence must be strictly
+    // order — so every thief's own claim sequence must be strictly
     // increasing (and, values being unique by W2, the per-thief
     // sequences interleave into one increasing global CAS order).
-    for (i, got) in out.stolen.iter().enumerate() {
-        for pair in got.windows(2) {
-            assert!(
-                pair[0] < pair[1],
-                "W3 violation: thief {i} stole {:?} out of FIFO order",
-                got
-            );
-        }
-    }
-
-    // W6: steal attempts are bounded per idle episode by construction
-    // (the fixed budget); the non-vacuous part is that lost CAS races
-    // cannot exceed the preemption bound — a `Retry` requires another
-    // thread to move `top` between the thief's read and CAS, which
-    // costs a preemption.
-    assert!(
-        out.retries <= preemption_bound,
-        "W6 violation: {} retries with preemption bound {}",
-        out.retries,
-        preemption_bound
-    );
-    for (i, got) in out.stolen.iter().enumerate() {
-        assert!(
-            got.len() <= cfg.steal_attempts,
-            "W6 violation: thief {i} exceeded its attempt budget"
-        );
-    }
-}
-
-/// Asserts W4: the recorded history linearizes against the sequential
-/// deque spec.
-///
-/// Failed steals are exempt: Chase–Lev `steal` may report `Empty` from a
-/// stale `bottom` read long after a push completed (on TSO the push's
-/// plain `bottom` store can still sit in the owner's store buffer), so
-/// `Empty` is only a hint. This is the standard relaxed semantics — the
-/// pool treats it exactly that way, retrying and parking through the job
-/// condvar instead of trusting a single `Empty`. Successful operations
-/// and owner pops (which read their own `bottom` and a monotonic `top`)
-/// must linearize strictly.
-pub fn check_linearizable(out: &Outcome) {
-    let strict: Vec<Record> = out
-        .history
-        .iter()
-        .filter(|r| !(r.op == Op::Steal && r.ret.is_none()))
-        .copied()
-        .collect();
-    assert!(
-        crate::lin::linearizable(&strict),
-        "W4 violation: history not linearizable: {:?}",
-        strict
-    );
-}
-
-/// Reconstructs a batch-stealing thief's claim order: the kept task came
-/// first, then the moved tasks — which the thief drains LIFO through
-/// `pop` on its own deque, so reversing the drain restores the strictly
-/// increasing claim order the W3 check expects.
-fn drain_batch_dest(dest: &ColoredDeque<u64>, got: &mut Vec<u64>) {
-    let mut drained = Vec::new();
-    while let Some(b) = dest.pop() {
-        drained.push(*b);
-        std::mem::forget(b);
-    }
-    drained.reverse();
-    got.extend(drained);
-}
-
-/// Steal-half variant of [`run_scenario`]: each thief owns a destination
-/// deque and calls `steal_batch` / `steal_batch_if`, draining the moved
-/// tasks after every attempt. No linearization history is recorded — the
-/// W4 spec models single-task steals — so pair this with
-/// [`check_batch_accounting`].
-pub fn run_batch_scenario(cfg: &ScenarioCfg) -> Outcome {
-    let colors = ColorSet::all(2);
-    let deque: Arc<ColoredDeque<u64>> = Arc::new(ColoredDeque::new());
-
-    let thieves: Vec<_> = (0..cfg.thieves)
-        .map(|_| {
-            let deque = deque.clone();
-            let attempts = cfg.steal_attempts;
-            let colored = cfg.colored;
-            thread::spawn(move || {
-                let dest: ColoredDeque<u64> = ColoredDeque::new();
-                let mut got = Vec::new();
-                let mut retries = 0usize;
-                for _ in 0..attempts {
-                    let (steal, _moved) = if colored {
-                        deque.steal_batch_if(&ColorSet::singleton(Color(0)), &dest)
-                    } else {
-                        deque.steal_batch(&dest)
-                    };
-                    match steal {
-                        Steal::Success(b) => {
-                            got.push(*b);
-                            std::mem::forget(b);
-                            drain_batch_dest(&dest, &mut got);
-                        }
-                        Steal::Retry => retries += 1,
-                        Steal::Empty | Steal::ColorMismatch => {}
-                    }
-                }
-                (got, retries)
-            })
-        })
-        .collect();
-
-    let mut out = Outcome::default();
-    for v in 1..=cfg.tasks {
-        deque.push(Box::new(v), colors);
-        if cfg.pop_every > 0 && v % cfg.pop_every as u64 == 0 {
-            if let Some(b) = deque.pop() {
-                out.popped.push(*b);
-                std::mem::forget(b);
-            }
-        }
-    }
-
-    for t in thieves {
-        let (got, retries) = t.join().expect("thief panicked");
-        out.stolen.push(got);
-        out.retries += retries;
-    }
-
-    while let Some(b) = deque.pop() {
-        out.popped.push(*b);
-        std::mem::forget(b);
-    }
-    out
-}
-
-/// W1/W2/W3 for batch steals. The per-attempt budget of the W6 check
-/// does not apply (one successful batch claims up to half the deque);
-/// the retry bound does — a batch `Retry` still requires another thread
-/// to move `top` between the thief's read and its first CAS.
-pub fn check_batch_accounting(cfg: &ScenarioCfg, out: &Outcome, preemption_bound: usize) {
-    let mut seen = vec![0u32; cfg.tasks as usize + 1];
-    for &v in out.popped.iter().chain(out.stolen.iter().flatten()) {
-        assert!(v >= 1 && v <= cfg.tasks, "value {v} was never pushed");
-        seen[v as usize] += 1;
-    }
-    for v in 1..=cfg.tasks as usize {
-        assert!(seen[v] != 0, "W1 violation: task {v} lost");
-        assert!(
-            seen[v] == 1,
-            "W2 violation: task {v} executed {} times",
-            seen[v]
-        );
-    }
     for (i, got) in out.stolen.iter().enumerate() {
         for pair in got.windows(2) {
             assert!(
@@ -327,11 +242,38 @@ pub fn check_batch_accounting(cfg: &ScenarioCfg, out: &Outcome, preemption_bound
             );
         }
     }
+
+    // W6: steal attempts are bounded per idle episode by construction
+    // (the fixed budget); the non-vacuous part is that lost CAS races
+    // cannot exceed the preemption bound — a `Retry` requires another
+    // thread to move `top` between the thief's read and its first CAS,
+    // which costs a preemption.
     assert!(
         out.retries <= preemption_bound,
         "W6 violation: {} retries with preemption bound {}",
         out.retries,
         preemption_bound
+    );
+    // One successful single steal claims one entry, so the attempt budget
+    // bounds the take; one successful batch claims up to half the deque.
+    if !cfg.batch {
+        for (i, got) in out.stolen.iter().enumerate() {
+            assert!(
+                got.len() <= cfg.steal_attempts,
+                "W6 violation: thief {i} exceeded its attempt budget"
+            );
+        }
+    }
+}
+
+/// Asserts W4: the recorded history — pushes, pops, and every claim a
+/// steal of either kind made — linearizes against the sequential deque
+/// spec.
+pub fn check_linearizable(out: &Outcome) {
+    assert!(
+        crate::lin::linearizable(&out.history),
+        "W4 violation: history not linearizable: {:?}",
+        out.history
     );
 }
 
@@ -345,59 +287,17 @@ pub fn check_batch_accounting(cfg: &ScenarioCfg, out: &Outcome, preemption_bound
 /// thief reads `t = 0, b = 4`, the owner pops values 4, 3, 2 (the last
 /// without a CAS since `top` still reads 0), then the thief's chained
 /// CASes claim indices 0 *and* 1 — value 2 is taken twice.
-pub fn run_steal_batch_races_owner_pops() {
-    let colors = ColorSet::all(2);
-    let deque: Arc<ColoredDeque<u64>> = Arc::new(ColoredDeque::new());
-    for v in 1..=4u64 {
-        deque.push(Box::new(v), colors);
-    }
-
-    let thief = {
-        let deque = deque.clone();
-        thread::spawn(move || {
-            let dest: ColoredDeque<u64> = ColoredDeque::new();
-            let mut got = Vec::new();
-            if let (Steal::Success(b), _) = deque.steal_batch(&dest) {
-                got.push(*b);
-                std::mem::forget(b);
-                drain_batch_dest(&dest, &mut got);
-            }
-            got
-        })
+pub fn run_steal_batch_races_owner_pops(preemption_bound: usize) {
+    let cfg = ScenarioCfg {
+        thieves: 1,
+        tasks: 4,
+        pop_every: 0,
+        steal_attempts: 1,
+        batch: true,
+        colored: false,
     };
-
-    let mut popped = Vec::new();
-    for _ in 0..3 {
-        if let Some(b) = deque.pop() {
-            popped.push(*b);
-            std::mem::forget(b);
-        }
-    }
-    let stolen = thief.join().expect("thief panicked");
-    while let Some(b) = deque.pop() {
-        popped.push(*b);
-        std::mem::forget(b);
-    }
-
-    let mut seen = [0u32; 5];
-    for &v in popped.iter().chain(stolen.iter()) {
-        assert!((1..=4).contains(&v), "value {v} was never pushed");
-        seen[v as usize] += 1;
-    }
-    for v in 1..=4usize {
-        assert!(seen[v] != 0, "W1 violation: task {v} lost");
-        assert!(
-            seen[v] == 1,
-            "W2 violation: task {v} executed {} times",
-            seen[v]
-        );
-    }
-    for pair in stolen.windows(2) {
-        assert!(
-            pair[0] < pair[1],
-            "W3 violation: batch claims {stolen:?} out of FIFO order"
-        );
-    }
+    let out = drive(&cfg, |_| ColorSet::all(2), 4, 3);
+    check_accounting(&cfg, &out, preemption_bound);
 }
 
 /// Colored steal-half takes only the matching prefix. The owner's deque
@@ -405,57 +305,24 @@ pub fn run_steal_batch_races_owner_pops() {
 /// at the `c1` entry, so in every interleaving with concurrent owner
 /// pops the thief can only ever claim values 1 and 2 — and every value
 /// is still taken exactly once.
-pub fn run_colored_batch_prefix() {
-    let c0 = ColorSet::singleton(Color(0));
-    let c1 = ColorSet::singleton(Color(1));
-    let deque: Arc<ColoredDeque<u64>> = Arc::new(ColoredDeque::new());
-    for (v, c) in [(1u64, c0), (2, c0), (3, c1), (4, c0)] {
-        deque.push(Box::new(v), c);
-    }
-
-    let thief = {
-        let deque = deque.clone();
-        thread::spawn(move || {
-            let dest: ColoredDeque<u64> = ColoredDeque::new();
-            let mut got = Vec::new();
-            for _ in 0..2 {
-                if let (Steal::Success(b), _) = deque.steal_batch_if(&c0, &dest) {
-                    got.push(*b);
-                    std::mem::forget(b);
-                    drain_batch_dest(&dest, &mut got);
-                }
-            }
-            got
-        })
+pub fn run_colored_batch_prefix(preemption_bound: usize) {
+    let cfg = ScenarioCfg {
+        thieves: 1,
+        tasks: 4,
+        pop_every: 0,
+        steal_attempts: 2,
+        batch: true,
+        colored: true,
     };
-
-    let mut popped = Vec::new();
-    for _ in 0..2 {
-        if let Some(b) = deque.pop() {
-            popped.push(*b);
-            std::mem::forget(b);
-        }
-    }
-    let stolen = thief.join().expect("thief panicked");
-    while let Some(b) = deque.pop() {
-        popped.push(*b);
-        std::mem::forget(b);
-    }
-
-    for &v in &stolen {
+    let color_of = |v| ColorSet::singleton(Color(u16::from(v == 3)));
+    let out = drive(&cfg, color_of, 4, 2);
+    for &v in &out.stolen[0] {
         assert!(
             v == 1 || v == 2,
             "colored batch steal claimed {v}, which is past the c1 barrier"
         );
     }
-    let mut seen = [0u32; 5];
-    for &v in popped.iter().chain(stolen.iter()) {
-        seen[v as usize] += 1;
-    }
-    for v in 1..=4usize {
-        assert!(seen[v] != 0, "W1 violation: task {v} lost");
-        assert!(seen[v] == 1, "W2 violation: task {v} taken twice");
-    }
+    check_accounting(&cfg, &out, preemption_bound);
 }
 
 /// `push_batch` must publish its slot writes before the `bottom` store.
@@ -480,16 +347,7 @@ pub fn run_push_batch_publication() {
 
     let thief = {
         let deque = deque.clone();
-        thread::spawn(move || {
-            let mut got = Vec::new();
-            for _ in 0..2 {
-                if let Steal::Success(b) = deque.steal() {
-                    got.push(*b);
-                    std::mem::forget(b);
-                }
-            }
-            got
-        })
+        thread::spawn(move || thief(&deque, false, None, 2).0)
     };
     deque.push_batch(vec![(Box::new(3u64), colors), (Box::new(4u64), colors)]);
     let stolen = thief.join().expect("thief panicked");

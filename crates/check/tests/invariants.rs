@@ -18,10 +18,9 @@
 
 use loom::model::{explore, Options};
 use nabbitc_check::model::{
-    check_accounting, check_batch_accounting, check_linearizable, run_batch_scenario,
-    run_colored_batch_prefix, run_injector_progress, run_injector_racing_push, run_join_protocol,
-    run_pending_protocol, run_push_batch_publication, run_scenario,
-    run_steal_batch_races_owner_pops, run_successor_list, Arming, ScenarioCfg,
+    check_accounting, check_linearizable, run_colored_batch_prefix, run_injector_progress,
+    run_injector_racing_push, run_join_protocol, run_pending_protocol, run_push_batch_publication,
+    run_scenario, run_steal_batch_races_owner_pops, run_successor_list, Arming, ScenarioCfg,
 };
 use nabbitc_check::spec::Op;
 
@@ -58,6 +57,7 @@ fn w1_w2_w4_two_thieves_race_for_three_tasks() {
             tasks: 3,
             pop_every: 0,
             steal_attempts: 2,
+            batch: false,
             colored: false,
         },
         true,
@@ -72,6 +72,7 @@ fn w1_w2_w4_owner_pops_race_a_thief() {
             tasks: 4,
             pop_every: 2,
             steal_attempts: 3,
+            batch: false,
             colored: false,
         },
         true,
@@ -90,6 +91,7 @@ fn w1_w2_growth_races_a_concurrent_thief() {
             tasks: 5,
             pop_every: 0,
             steal_attempts: 2,
+            batch: false,
             colored: false,
         },
         true,
@@ -98,15 +100,16 @@ fn w1_w2_growth_races_a_concurrent_thief() {
 
 #[test]
 fn w1_w2_colored_steal_path() {
-    // steal_if reads four color words before the claiming CAS; every
-    // entry carries color 0 here, so the color check always passes and
-    // the extra speculative loads run under all interleavings.
+    // steal_batch_if checks four color words before each claiming CAS;
+    // every entry carries color 0 here, so the check always passes and
+    // the claims race an owner popping at cadence 2.
     run_cfg(
         ScenarioCfg {
             thieves: 1,
             tasks: 3,
             pop_every: 2,
             steal_attempts: 2,
+            batch: true,
             colored: true,
         },
         false,
@@ -167,53 +170,41 @@ fn w5_injector_never_strands_work() {
     assert!(report.completed > 0);
 }
 
-fn run_batch_cfg(cfg: ScenarioCfg) {
-    let opts = Options::from_env();
-    let bound = opts.preemption_bound;
-    let report = explore(opts, || {
-        let out = run_batch_scenario(&cfg);
-        check_batch_accounting(&cfg, &out, bound);
-    });
-    if let Some(v) = report.violation {
-        panic!(
-            "invariant violated under batch {cfg:?} after {} executions:\n  {}\n  trail: {:?}",
-            report.iterations,
-            v.message,
-            v.trail.iter().map(|e| e.chosen).collect::<Vec<_>>()
-        );
-    }
-    assert!(report.completed > 0, "no complete execution explored");
-    eprintln!(
-        "batch {cfg:?}: {} executions ({} complete, {} pruned, capped: {})",
-        report.iterations, report.completed, report.pruned, report.capped
-    );
-}
-
 #[test]
 fn w1_w2_w3_batch_thief_races_live_pushes() {
     // steal_batch against an owner that is still pushing (and popping at
     // cadence 2): revalidation plus the claim-at-a-time CAS must keep
-    // every value exactly-once no matter where the stale window lands.
-    run_batch_cfg(ScenarioCfg {
-        thieves: 1,
-        tasks: 4,
-        pop_every: 2,
-        steal_attempts: 2,
-        colored: false,
-    });
+    // every value exactly-once no matter where the stale window lands —
+    // and W4: a batch of k claims linearizes as k steals inside the call.
+    run_cfg(
+        ScenarioCfg {
+            thieves: 1,
+            tasks: 4,
+            pop_every: 2,
+            steal_attempts: 2,
+            batch: true,
+            colored: false,
+        },
+        true,
+    );
 }
 
 #[test]
 fn w1_w2_w3_colored_batch_thief() {
     // steal_batch_if with a color every entry carries: the color-word
-    // reads before each claiming CAS run under all interleavings.
-    run_batch_cfg(ScenarioCfg {
-        thieves: 1,
-        tasks: 3,
-        pop_every: 0,
-        steal_attempts: 2,
-        colored: true,
-    });
+    // reads before each claiming CAS run under all interleavings, W4
+    // included.
+    run_cfg(
+        ScenarioCfg {
+            thieves: 1,
+            tasks: 3,
+            pop_every: 0,
+            steal_attempts: 2,
+            batch: true,
+            colored: true,
+        },
+        true,
+    );
 }
 
 #[test]
@@ -221,7 +212,9 @@ fn w2_batch_steal_revalidates_against_owner_pops() {
     // The exact shape the `nabbitc_weak_batch` canary breaks: one batch
     // steal racing three owner pops over four tasks. With
     // BATCH_REVALIDATE = true this must hold on every interleaving.
-    let report = explore(Options::from_env(), run_steal_batch_races_owner_pops);
+    let opts = Options::from_env();
+    let bound = opts.preemption_bound;
+    let report = explore(opts, || run_steal_batch_races_owner_pops(bound));
     if let Some(v) = report.violation {
         panic!(
             "batch revalidation failed after {} executions: {} (trail {:?})",
@@ -233,7 +226,9 @@ fn w2_batch_steal_revalidates_against_owner_pops() {
 
 #[test]
 fn colored_batch_takes_only_matching_prefix() {
-    let report = explore(Options::from_env(), run_colored_batch_prefix);
+    let opts = Options::from_env();
+    let bound = opts.preemption_bound;
+    let report = explore(opts, || run_colored_batch_prefix(bound));
     if let Some(v) = report.violation {
         panic!(
             "colored batch prefix violated after {} executions: {} (trail {:?})",

@@ -20,7 +20,9 @@ use nabbitc_check::model::run_steal_batch_races_owner_pops;
 
 #[test]
 fn skipped_batch_revalidation_is_caught_as_w2_double_execution() {
-    let report = explore(Options::from_env(), run_steal_batch_races_owner_pops);
+    let opts = Options::from_env();
+    let bound = opts.preemption_bound;
+    let report = explore(opts, || run_steal_batch_races_owner_pops(bound));
     let v = report
         .violation
         .expect("checker failed to detect the seeded weak-batch bug");

@@ -25,6 +25,7 @@ fn weakened_pop_fence_is_caught_as_w2_double_execution() {
         tasks: 2,
         pop_every: 2,
         steal_attempts: 2,
+        batch: false,
         colored: false,
     };
     let opts = Options::from_env();

@@ -162,7 +162,7 @@ pub struct AtomicSite {
     /// the crate's directory name under `crates/` plus the path relative
     /// to its `src/`.
     pub file: String,
-    /// Enclosing `fn` name (`"steal_impl"`), or `"<module>"` at file
+    /// Enclosing `fn` name (`"claim"`), or `"<module>"` at file
     /// scope.
     pub func: String,
     /// Receiver field/variable (`"top"`), or `"fence"` for fences.

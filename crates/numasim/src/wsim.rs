@@ -309,64 +309,65 @@ impl<'a> Sim<'a> {
 
         if self.first_pending[c] {
             // Forced first colored steal: one attempt per round.
-            now += cost.steal_check;
-            self.stats[c].colored_attempts += 1;
             self.first_checks[c] += 1;
-            let v = self.rngs[c].victim(p, c).expect("p >= 2 checked above");
-            if let Some(front) = self.deques[v].front() {
-                if front.colors().intersects(&my) {
-                    let entry = self.deques[v].pop_front().expect("peeked");
-                    self.stats[c].colored_steals += 1;
-                    self.first_pending[c] = false;
-                    now += cost.steal_transfer;
-                    self.stats[c].idle += now - t;
-                    // The stolen entry is in the thief's hands — process it
-                    // directly (it must not be stealable in flight, or two
-                    // idle cores can ping-pong it forever without either
-                    // resume firing).
-                    self.process(c, now, entry);
-                    return;
-                }
+            if self.steal_attempt(c, t, &mut now, Some(&my)) {
+                self.first_pending[c] = false;
+                return;
             }
             if self.first_checks[c] >= self.cfg.policy.first_steal_max_attempts {
                 self.first_pending[c] = false; // escape hatch (Table III)
             }
-            self.stats[c].idle += now - t;
-            self.schedule(now, c);
-            return;
-        }
-
-        for _ in 0..self.cfg.policy.colored_attempts {
-            now += cost.steal_check;
-            self.stats[c].colored_attempts += 1;
-            let v = self.rngs[c].victim(p, c).expect("p >= 2 checked above");
-            if let Some(front) = self.deques[v].front() {
-                if front.colors().intersects(&my) {
-                    let entry = self.deques[v].pop_front().expect("peeked");
-                    self.stats[c].colored_steals += 1;
-                    now += cost.steal_transfer;
-                    self.stats[c].idle += now - t;
-                    self.process(c, now, entry);
+        } else {
+            for _ in 0..self.cfg.policy.colored_attempts {
+                if self.steal_attempt(c, t, &mut now, Some(&my)) {
                     return;
                 }
             }
+            if self.steal_attempt(c, t, &mut now, None) {
+                return;
+            }
+            now += cost.idle_backoff;
         }
-
-        now += cost.steal_check;
-        self.stats[c].random_attempts += 1;
-        let v = self.rngs[c].victim(p, c).expect("p >= 2 checked above");
-        if !self.deques[v].is_empty() {
-            let entry = self.deques[v].pop_front().expect("non-empty");
-            self.stats[c].random_steals += 1;
-            now += cost.steal_transfer;
-            self.stats[c].idle += now - t;
-            self.process(c, now, entry);
-            return;
-        }
-
-        now += cost.idle_backoff;
         self.stats[c].idle += now - t;
         self.schedule(now, c);
+    }
+
+    /// One steal attempt by core `c` at a random victim, `*now` ticks into
+    /// a round that began at `t`: colored (the victim's oldest entry must
+    /// intersect `accept`) or unconditional. On success the entry is
+    /// processed and `true` returned; either way `*now` has moved on by
+    /// what the attempt cost.
+    fn steal_attempt(
+        &mut self,
+        c: usize,
+        t: u64,
+        now: &mut u64,
+        accept: Option<&ColorSet>,
+    ) -> bool {
+        let cost = &self.cfg.cost;
+        *now += cost.steal_check;
+        let stats = &mut self.stats[c];
+        let (attempts, steals) = match accept {
+            Some(_) => (&mut stats.colored_attempts, &mut stats.colored_steals),
+            None => (&mut stats.random_attempts, &mut stats.random_steals),
+        };
+        *attempts += 1;
+        let v = self.rngs[c]
+            .victim(self.cfg.cores, c)
+            .expect("cores >= 2 checked by steal_round");
+        let matches = |front: &Entry| accept.is_none_or(|a| front.colors().intersects(a));
+        if !self.deques[v].front().is_some_and(matches) {
+            return false;
+        }
+        let entry = self.deques[v].pop_front().expect("peeked");
+        *steals += 1;
+        *now += cost.steal_transfer;
+        stats.idle += *now - t;
+        // The stolen entry is in the thief's hands — process it directly
+        // (it must not be stealable in flight, or two idle cores can
+        // ping-pong it forever without either resume firing).
+        self.process(c, *now, entry);
+        true
     }
 }
 

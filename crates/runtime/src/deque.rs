@@ -16,7 +16,9 @@
 //! atomic — no torn reads anywhere:
 //!
 //! * `push`/`pop` are owner-only (single thread);
-//! * `steal`/`steal_if` may be called by any number of thieves;
+//! * `steal`/`steal_batch`/`steal_batch_if` may be called by any number of
+//!   thieves, and are one claim loop: `steal` claims at most one entry,
+//!   the batch forms up to half the victim's (steal-half);
 //! * a *colored* steal reads the top slot's color words and returns
 //!   [`Steal::ColorMismatch`] without touching `top` when the thief's color
 //!   is absent — a failed colored steal attempt, O(1), no interference with
@@ -26,7 +28,7 @@
 
 use crate::sync::{fence, AtomicIsize, AtomicPtr, AtomicU64, Mutex, Ordering};
 use crossbeam_utils::CachePadded;
-use nabbitc_color::{Color, ColorSet};
+use nabbitc_color::ColorSet;
 
 /// Result of a steal attempt.
 #[derive(Debug)]
@@ -60,7 +62,7 @@ const COLOR_WORDS: usize = 4;
 /// (and bounds the time the thief spends re-validating claims).
 pub const MAX_STEAL_BATCH: usize = 16;
 
-/// Gate on the per-claim revalidation inside `steal_batch_impl`. Claiming
+/// Gate on the per-claim revalidation inside `claim`. Claiming
 /// more than one element with the indices read *before the first CAS* is
 /// unsound: the owner may pop the deque down and, once `bottom` reaches
 /// the thief's stale window, take an element *without* a CAS (the `t < b`
@@ -118,7 +120,9 @@ impl<T> Buffer<T> {
 /// A work-stealing deque whose entries carry a [`ColorSet`].
 ///
 /// Owner operations: [`push`](Self::push), [`pop`](Self::pop).
-/// Thief operations: [`steal`](Self::steal), [`steal_if`](Self::steal_if).
+/// Thief operations: [`steal`](Self::steal),
+/// [`steal_batch`](Self::steal_batch),
+/// [`steal_batch_if`](Self::steal_batch_if).
 ///
 /// The owner side must be used from a single thread at a time; this is not
 /// enforced by the type system here because the pool stores all deques in
@@ -190,9 +194,8 @@ impl<T> ColoredDeque<T> {
         // reads its own last store
         let b = self.bottom.load(Ordering::Relaxed);
         // ORDERING top.load: Acquire; pairs pop::top.compare_exchange,
-        // steal_impl::top.compare_exchange,
-        // steal_batch_impl::top.compare_exchange — reserves space against
-        // concurrent steals; Acquire synchronizes with thieves' top CAS
+        // claim::top.compare_exchange — reserves space against concurrent
+        // steals; Acquire synchronizes with thieves' top CAS
         let t = self.top.load(Ordering::Acquire);
         // SAFETY: only the owner swaps `buffer` (in `grow`), and we are the
         // owner — the pointer is the one we installed and stays valid until
@@ -238,9 +241,8 @@ impl<T> ColoredDeque<T> {
         // reads its own last store
         let b = self.bottom.load(Ordering::Relaxed);
         // ORDERING top.load: Acquire; pairs pop::top.compare_exchange,
-        // steal_impl::top.compare_exchange,
-        // steal_batch_impl::top.compare_exchange — reserves space for the
-        // whole batch against concurrent steals; same edge as push
+        // claim::top.compare_exchange — reserves space for the whole batch
+        // against concurrent steals; same edge as push
         let t = self.top.load(Ordering::Acquire);
         // SAFETY: owner-side buffer access, same argument as in `push`.
         // ORDERING buffer.load: Relaxed — buffer is replaced only by the owner
@@ -340,91 +342,11 @@ impl<T> ColoredDeque<T> {
         }
     }
 
-    /// Thief: unconditional steal from the top (FIFO end).
+    /// Thief: steals the oldest entry (FIFO end), whatever its colors —
+    /// the claim loop with a limit of one, which has nothing to spill.
     pub fn steal(&self) -> Steal<T> {
-        self.steal_impl(None)
-    }
-
-    /// Thief: *colored* steal — succeed only if the top entry's color set
-    /// contains `color`. A mismatch leaves the deque untouched and costs
-    /// four relaxed loads plus the initial index loads.
-    pub fn steal_if(&self, color: Color) -> Steal<T> {
-        self.steal_impl(Some(ColorSet::singleton(color)))
-    }
-
-    /// Thief: colored steal with a *set* of acceptable colors — succeeds if
-    /// the top entry intersects `accept`. Used for domain-granularity
-    /// matching (the paper: "multiple nearby cores can have the same
-    /// color"; matching any color in the thief's NUMA domain keeps work
-    /// inside the domain).
-    pub fn steal_if_any(&self, accept: &ColorSet) -> Steal<T> {
-        self.steal_impl(Some(*accept))
-    }
-
-    fn steal_impl(&self, accept: Option<ColorSet>) -> Steal<T> {
-        // ORDERING top.load: Acquire; pairs pop::top.compare_exchange,
-        // steal_impl::top.compare_exchange,
-        // steal_batch_impl::top.compare_exchange — thief's first read;
-        // synchronizes with the owner's CAS/publication of top
-        let t = self.top.load(Ordering::Acquire);
-        // ORDERING fence: SeqCst — pairs with the pop fence: orders the top
-        // read before the bottom read in the single total order, closing the
-        // two-claimants window
-        fence(Ordering::SeqCst);
-        // ORDERING bottom.load: Acquire; pairs push::fence.fence,
-        // push_batch::fence.fence — synchronizes with the owner's push
-        // publication so the observed range is consistent
-        let b = self.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Steal::Empty;
-        }
-        // SAFETY: a thief may observe a buffer the owner has since
-        // retired, but retired buffers are kept alive (in `retired`) until
-        // the deque itself drops, so the dereference never dangles; the
-        // CAS below invalidates any stale value read through it.
-        // ORDERING buffer.load: Acquire; pairs grow::buffer.swap —
-        // synchronizes with grow's Release swap so the thief sees
-        // fully-initialized storage
-        let buf = unsafe { &*self.buffer.load(Ordering::Acquire) };
-        let slot = buf.slot(t);
-
-        if let Some(accept) = accept {
-            let mut words = [0u64; COLOR_WORDS];
-            for (w, a) in words.iter_mut().zip(slot.colors.iter()) {
-                // ORDERING a.load: Relaxed — color-array slot read; made
-                // visible by the push fence / buffer Acquire, value is
-                // re-validated by the CAS
-                *w = a.load(Ordering::Relaxed);
-            }
-            // A stale read here (slot recycled concurrently) either fails
-            // the check — a spurious mismatch, harmless — or passes it and
-            // is then invalidated by the CAS below.
-            if !ColorSet::from_words(words).intersects(&accept) {
-                return Steal::ColorMismatch;
-            }
-        }
-
-        // ORDERING ptr.load: Relaxed — task-slot read; made visible by the
-        // push fence / buffer Acquire, ownership is only taken if the CAS
-        // succeeds
-        let ptr = slot.ptr.load(Ordering::Relaxed);
-        // ORDERING top.compare_exchange: SeqCst/Relaxed — claims the task
-        // against owner and other thieves; SeqCst joins the fence order,
-        // failure is a pure retry so Relaxed suffices there
-        if self
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            // SAFETY: winning the CAS on `top` grants exclusive ownership
-            // of the value read from slot t: the slot cannot have been
-            // recycled while top == t (the owner only reuses a slot index
-            // after top has advanced past it, and growth copies preserve
-            // slot contents at unchanged indices).
-            Steal::Success(unsafe { Box::from_raw(ptr) })
-        } else {
-            Steal::Retry
-        }
+        let (got, _) = self.claim(None, 1, |_, _| unreachable!("nothing to spill"));
+        got
     }
 
     /// Thief: steal-half batching — claims up to half the victim's
@@ -437,43 +359,55 @@ impl<T> ColoredDeque<T> {
     /// The second element is the number of entries moved into `dest`
     /// (0 when only one entry was claimed or the steal failed).
     pub fn steal_batch(&self, dest: &ColoredDeque<T>) -> (Steal<T>, usize) {
-        self.steal_batch_impl(dest, None)
-    }
-
-    /// Thief: colored steal-half — like [`steal_batch`](Self::steal_batch)
-    /// but claims only the longest prefix whose every entry intersects
-    /// `accept`. The first non-matching entry stops the batch (it stays in
-    /// place for a matching thief); a mismatch on the very first entry is
-    /// a [`Steal::ColorMismatch`], exactly like [`steal_if_any`](Self::steal_if_any).
-    pub fn steal_batch_if(&self, accept: &ColorSet, dest: &ColoredDeque<T>) -> (Steal<T>, usize) {
-        self.steal_batch_impl(dest, Some(*accept))
-    }
-
-    /// The batch-steal protocol: elements are claimed **one CAS at a
-    /// time**, and before every claim after the first the thief re-runs
-    /// the full top/fence/bottom validation. Chaining CASes against the
-    /// *initially* read `bottom` would be unsound — the owner may have
-    /// popped the window down in the meantime and taken an element
-    /// without a CAS (see [`BATCH_REVALIDATE`]). The win over repeated
-    /// `steal` calls is fewer steal-loop round trips and the locality of
-    /// landing a coherent FIFO prefix in the thief's own deque, not fewer
-    /// synchronizing operations per element.
-    fn steal_batch_impl(
-        &self,
-        dest: &ColoredDeque<T>,
-        accept: Option<ColorSet>,
-    ) -> (Steal<T>, usize) {
         debug_assert!(!std::ptr::eq(self, dest), "cannot steal into the victim");
+        self.claim(None, MAX_STEAL_BATCH, |v, colors| dest.push(v, colors))
+    }
+
+    /// Thief: *colored* steal-half — like [`steal_batch`](Self::steal_batch)
+    /// but claims only the longest prefix whose every entry intersects
+    /// `accept`: the thief's own color, or every color of its NUMA domain
+    /// (the paper: "multiple nearby cores can have the same color"). The
+    /// first non-matching entry stops the batch (it stays in place for a
+    /// matching thief); a mismatch on the very first entry is a
+    /// [`Steal::ColorMismatch`] that leaves the deque untouched and costs
+    /// four relaxed loads plus the initial index loads.
+    pub fn steal_batch_if(&self, accept: &ColorSet, dest: &ColoredDeque<T>) -> (Steal<T>, usize) {
+        debug_assert!(!std::ptr::eq(self, dest), "cannot steal into the victim");
+        self.claim(Some(*accept), MAX_STEAL_BATCH, |v, colors| {
+            dest.push(v, colors)
+        })
+    }
+
+    /// The one thief-side protocol. Claims up to `limit` entries, never
+    /// more than half of what is visible (rounded up), and only while they
+    /// intersect `accept` when there is one; returns the oldest and hands
+    /// every later one to `spill` in claim order, counting them.
+    ///
+    /// Entries are claimed **one CAS at a time**, and before every claim
+    /// after the first the thief re-runs the full top/fence/bottom
+    /// validation. Chaining CASes against the *initially* read `bottom`
+    /// would be unsound — the owner may have popped the window down in the
+    /// meantime and taken an element without a CAS (see
+    /// [`BATCH_REVALIDATE`]). The win of a batch over repeated single
+    /// steals is fewer steal-loop round trips and the locality of landing
+    /// a coherent FIFO prefix in the thief's own deque, not fewer
+    /// synchronizing operations per element.
+    fn claim(
+        &self,
+        accept: Option<ColorSet>,
+        limit: usize,
+        mut spill: impl FnMut(Box<T>, ColorSet),
+    ) -> (Steal<T>, usize) {
         // ORDERING top.load: Acquire; pairs pop::top.compare_exchange,
-        // steal_impl::top.compare_exchange,
-        // steal_batch_impl::top.compare_exchange — two sites: the initial
-        // index read and the per-claim revalidation; both synchronize with
-        // owner/thief top updates exactly like steal_impl's first read
+        // claim::top.compare_exchange — two sites: the thief's first read
+        // and the per-claim revalidation; both synchronize with the owner's
+        // and other thieves' CAS/publication of top
         let mut t = self.top.load(Ordering::Acquire);
         // ORDERING fence: SeqCst — two sites (initial + per-claim
-        // revalidation): same store-load pairing with the pop fence as
-        // steal_impl; re-running it before every chained claim is what makes
-        // batching sound against concurrent owner pops (see the
+        // revalidation): pairs with the pop fence, ordering the top read
+        // before the bottom read in the single total order and so closing
+        // the two-claimants window; re-running it before every chained claim
+        // is what makes batching sound against concurrent owner pops (see the
         // nabbitc_weak_batch canary)
         fence(Ordering::SeqCst);
         // ORDERING bottom.load: Acquire; pairs push::fence.fence,
@@ -485,7 +419,7 @@ impl<T> ColoredDeque<T> {
             return (Steal::Empty, 0);
         }
         // Steal-half: half of what is visible now, rounded up, capped.
-        let goal = (((b - t + 1) / 2) as usize).min(MAX_STEAL_BATCH);
+        let goal = (((b - t + 1) / 2) as usize).min(limit);
         let mut first: Option<Box<T>> = None;
         let mut moved = 0usize;
         for i in 0..goal {
@@ -497,10 +431,14 @@ impl<T> ColoredDeque<T> {
             if t >= b {
                 break;
             }
-            // SAFETY: retired buffers outlive all thieves, exactly as in
-            // `steal_impl`.
+            // SAFETY: a thief may observe a buffer the owner has since
+            // retired, but retired buffers are kept alive (in `retired`)
+            // until the deque itself drops, so the dereference never
+            // dangles; the CAS below invalidates any stale value read
+            // through it.
             // ORDERING buffer.load: Acquire; pairs grow::buffer.swap — re-read
-            // per claim; synchronizes with grow's Release swap like steal_impl
+            // per claim; synchronizes with grow's Release swap so the thief
+            // sees fully-initialized storage
             let buf = unsafe { &*self.buffer.load(Ordering::Acquire) };
             let slot = buf.slot(t);
             let mut words = [0u64; COLOR_WORDS];
@@ -512,8 +450,10 @@ impl<T> ColoredDeque<T> {
             }
             let colors = ColorSet::from_words(words);
             if let Some(accept) = &accept {
-                // Stale color reads are harmless exactly as in
-                // `steal_impl`: a spurious mismatch just ends the batch.
+                // A stale read here (slot recycled concurrently) either
+                // fails the check — a spurious mismatch, which just ends
+                // the batch — or passes it and is then invalidated by the
+                // CAS below.
                 if !colors.intersects(accept) {
                     if first.is_none() {
                         return (Steal::ColorMismatch, 0);
@@ -521,26 +461,31 @@ impl<T> ColoredDeque<T> {
                     break;
                 }
             }
-            // ORDERING ptr.load: Relaxed — task-slot read; ownership is only
-            // taken if the claiming CAS succeeds
+            // ORDERING ptr.load: Relaxed — task-slot read; made visible by the
+            // push fence / buffer Acquire, ownership is only taken if the
+            // claiming CAS succeeds
             let ptr = slot.ptr.load(Ordering::Relaxed);
             // ORDERING top.compare_exchange: SeqCst/Relaxed — one CAS per
-            // claimed task — never a multi-task jump — so owner pops and other
-            // thieves contend on the same protocol as single steals; SeqCst
-            // joins the fence order, failure aborts the batch (pure retry) so
-            // Relaxed suffices there
+            // claimed task — never a multi-task jump — so the owner's
+            // last-element pop and other thieves contend on one protocol;
+            // SeqCst joins the fence order, failure aborts the batch (pure
+            // retry) so Relaxed suffices there
             match self
                 .top
                 .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
             {
                 Ok(_) => {
-                    // SAFETY: same claim as `steal_impl` — winning the
-                    // CAS on `top` at index t grants ownership of slot t.
+                    // SAFETY: winning the CAS on `top` grants exclusive
+                    // ownership of the value read from slot t: the slot
+                    // cannot have been recycled while top == t (the owner
+                    // only reuses a slot index after top has advanced past
+                    // it, and growth copies preserve slot contents at
+                    // unchanged indices).
                     let value = unsafe { Box::from_raw(ptr) };
                     if first.is_none() {
                         first = Some(value);
                     } else {
-                        dest.push(value, colors);
+                        spill(value, colors);
                         moved += 1;
                     }
                     t += 1;
@@ -619,11 +564,20 @@ impl<T> Drop for ColoredDeque<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nabbitc_color::Color;
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     use std::sync::Arc;
 
     fn set(colors: &[u16]) -> ColorSet {
         colors.iter().map(|&c| Color(c)).collect()
+    }
+
+    /// One colored steal by a thief of color `c`, on a deque where no two
+    /// neighbours share a color — so the batch is its first entry alone.
+    fn steal_colored(d: &ColoredDeque<u32>, c: Color) -> Steal<u32> {
+        let (got, moved) = d.steal_batch_if(&ColorSet::singleton(c), &ColoredDeque::new());
+        assert_eq!(moved, 0);
+        got
     }
 
     #[test]
@@ -648,59 +602,85 @@ mod tests {
     }
 
     #[test]
+    fn steal_takes_exactly_one_of_many() {
+        // Half of six is three, but `steal` is the claim loop with a
+        // limit of one: it takes the oldest and leaves the other five.
+        let d: ColoredDeque<u32> = ColoredDeque::new();
+        for i in 0..6 {
+            d.push(Box::new(i), set(&[0]));
+        }
+        assert_eq!(*d.steal().success().unwrap(), 0);
+        assert_eq!(d.len(), 5);
+        assert_eq!(*d.steal().success().unwrap(), 1);
+        assert_eq!(d.len(), 4);
+    }
+
+    #[test]
     fn colored_steal_checks_top_entry() {
         let d: ColoredDeque<u32> = ColoredDeque::new();
         d.push(Box::new(1), set(&[3])); // top (steal end)
         d.push(Box::new(2), set(&[5]));
-        assert!(matches!(d.steal_if(Color(5)), Steal::ColorMismatch));
-        assert_eq!(*d.steal_if(Color(3)).success().unwrap(), 1);
+        assert!(matches!(steal_colored(&d, Color(5)), Steal::ColorMismatch));
+        assert_eq!(d.len(), 2, "a mismatch leaves the deque untouched");
+        assert_eq!(*steal_colored(&d, Color(3)).success().unwrap(), 1);
         // Now entry colored {5} is on top.
-        assert!(matches!(d.steal_if(Color(3)), Steal::ColorMismatch));
-        assert_eq!(*d.steal_if(Color(5)).success().unwrap(), 2);
+        assert!(matches!(steal_colored(&d, Color(3)), Steal::ColorMismatch));
+        assert_eq!(*steal_colored(&d, Color(5)).success().unwrap(), 2);
     }
 
     #[test]
-    fn steal_if_any_matches_set() {
+    fn colored_steal_matches_any_color_of_the_set() {
         let d: ColoredDeque<u32> = ColoredDeque::new();
+        let dest: ColoredDeque<u32> = ColoredDeque::new();
         d.push(Box::new(1), set(&[4]));
         let accept: ColorSet = [Color(3), Color(4), Color(5)].into_iter().collect();
         let reject: ColorSet = [Color(0), Color(1)].into_iter().collect();
-        assert!(matches!(d.steal_if_any(&reject), Steal::ColorMismatch));
-        assert_eq!(*d.steal_if_any(&accept).success().unwrap(), 1);
+        assert!(matches!(
+            d.steal_batch_if(&reject, &dest).0,
+            Steal::ColorMismatch
+        ));
+        assert_eq!(*d.steal_batch_if(&accept, &dest).0.success().unwrap(), 1);
     }
 
     #[test]
     fn colored_steal_on_empty_is_empty() {
         let d: ColoredDeque<u32> = ColoredDeque::new();
-        assert!(matches!(d.steal_if(Color(0)), Steal::Empty));
+        assert!(matches!(steal_colored(&d, Color(0)), Steal::Empty));
     }
 
     #[test]
     fn invalid_color_never_matches() {
         let d: ColoredDeque<u32> = ColoredDeque::new();
         d.push(Box::new(1), ColorSet::all(8));
-        assert!(matches!(d.steal_if(Color::INVALID), Steal::ColorMismatch));
+        assert!(matches!(
+            steal_colored(&d, Color::INVALID),
+            Steal::ColorMismatch
+        ));
         // Entry tagged with the empty set (invalid node color) is
         // unstealable by any colored steal — the Table III setup.
         let d2: ColoredDeque<u32> = ColoredDeque::new();
         d2.push(Box::new(9), ColorSet::singleton(Color::INVALID));
-        assert!(matches!(d2.steal_if(Color(0)), Steal::ColorMismatch));
+        assert!(matches!(steal_colored(&d2, Color(0)), Steal::ColorMismatch));
         assert_eq!(*d2.steal().success().unwrap(), 9); // random steal still works
     }
 
     #[test]
     fn growth_preserves_entries_and_colors() {
         let d: ColoredDeque<u64> = ColoredDeque::new();
+        let dest: ColoredDeque<u64> = ColoredDeque::new();
         let n = 10_000u64; // forces several growths from MIN_CAP=64
         for i in 0..n {
             d.push(Box::new(i), set(&[(i % 13) as u16]));
         }
-        // Steal half from the top (FIFO: 0,1,2,...).
+        // Steal half from the top (FIFO: 0,1,2,...). Neighbours differ in
+        // color, so each colored batch is its first entry alone.
         for i in 0..n / 2 {
             // Color 100 never matches an entry (colors are i % 13): the
             // call must not yield the entry, only exercise the miss path.
-            assert!(d.steal_if(Color(100)).success().is_none());
-            assert_eq!(*d.steal_if(Color((i % 13) as u16)).success().unwrap(), i);
+            let miss = d.steal_batch_if(&set(&[100]), &dest).0;
+            assert!(miss.success().is_none());
+            let (got, moved) = d.steal_batch_if(&set(&[(i % 13) as u16]), &dest);
+            assert_eq!((*got.success().unwrap(), moved), (i, 0));
         }
         // Pop the rest from the bottom (LIFO: n-1, n-2, ...).
         for i in (n / 2..n).rev() {
@@ -823,16 +803,21 @@ mod tests {
                 let done = done.clone();
                 let taken = taken.clone();
                 std::thread::spawn(move || {
-                    let my = Color(tc as u16);
+                    let my = ColorSet::singleton(Color(tc as u16));
+                    let dest: ColoredDeque<usize> = ColoredDeque::new();
                     let mut violations = 0usize;
                     loop {
-                        match d.steal_if(my) {
+                        match d.steal_batch_if(&my, &dest).0 {
                             Steal::Success(v) => {
-                                // Item i was tagged with color i % THIEVES.
-                                if *v % THIEVES != tc {
-                                    violations += 1;
+                                // Item i was tagged with color i % THIEVES,
+                                // and so must whatever the batch moved be.
+                                let moved = std::iter::from_fn(|| dest.pop());
+                                for v in std::iter::once(v).chain(moved) {
+                                    if *v % THIEVES != tc {
+                                        violations += 1;
+                                    }
+                                    taken.fetch_add(1, Relaxed);
                                 }
-                                taken.fetch_add(1, Relaxed);
                             }
                             Steal::Empty => {
                                 if done.load(Relaxed) == 1 {
@@ -885,9 +870,9 @@ mod tests {
         ]);
         assert_eq!(d.len(), 4);
         // Thieves see the batch oldest-first, colors intact.
-        assert!(matches!(d.steal_if(Color(5)), Steal::ColorMismatch));
-        assert_eq!(*d.steal_if(Color(0)).success().unwrap(), 0);
-        assert_eq!(*d.steal_if(Color(1)).success().unwrap(), 1);
+        assert!(matches!(steal_colored(&d, Color(5)), Steal::ColorMismatch));
+        assert_eq!(*steal_colored(&d, Color(0)).success().unwrap(), 0);
+        assert_eq!(*steal_colored(&d, Color(1)).success().unwrap(), 1);
         // Owner pops the newest batch entry first.
         assert_eq!(*d.pop().unwrap(), 3);
         assert_eq!(*d.pop().unwrap(), 2);

@@ -25,7 +25,8 @@ pub struct StealPolicy {
     /// recovers plain randomized work stealing).
     pub force_first_colored: bool,
     /// Escape hatch for the forced first steal: after this many failed
-    /// colored attempts the worker falls back to the normal policy. The
+    /// colored attempts — per worker, per job; a reused pool starts every
+    /// job's count at zero — the worker falls back to the normal policy. The
     /// paper assumes "at least one node from each color connected to the
     /// root"; with an adversarial coloring (Table III: every colored steal
     /// fails) a literal forcing would spin forever, so a bound is required

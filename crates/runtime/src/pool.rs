@@ -17,11 +17,15 @@
 //! 3. if [`StealPolicy::force_first_colored`] is set, the worker's *first*
 //!    steal of the job must be a successful colored steal; the time spent
 //!    waiting is recorded (Figure 9) as are the checks performed (the `C`
-//!    term of Theorem 1). A configurable attempt bound keeps adversarial
-//!    colorings (Table III) from spinning forever.
+//!    term of Theorem 1). A configurable attempt bound — per worker, per
+//!    job — keeps adversarial colorings (Table III) from spinning forever.
+//!
+//! Every attempt of every kind is one routine (`steal_attempt`), and the
+//! deque operation under it — `steal_batch`/`steal_batch_if`, the claim
+//! loop `crates/check` explores — is the only one the pool steals through.
 
 use crate::arena::TaskArena;
-use crate::deque::{ColoredDeque, Steal};
+use crate::deque::ColoredDeque;
 use crate::injector::Injector;
 use crate::policy::StealPolicy;
 use crate::rng::XorShift64;
@@ -652,21 +656,24 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
         rng: XorShift64::new(seed),
         arena,
     };
-    // Colored steals accept the worker's own color, or — with
-    // domain-granularity matching — any color in its NUMA domain.
-    let accept = if inner.policy.match_domain {
-        inner
-            .topology
-            .domain_colors(inner.topology.domain_of(worker))
-    } else {
-        ColorSet::singleton(Color::from(worker))
+    let mut thief = Thief {
+        // Colored steals accept the worker's own color, or — with
+        // domain-granularity matching — any color in its NUMA domain.
+        accept: if inner.policy.match_domain {
+            inner
+                .topology
+                .domain_colors(inner.topology.domain_of(worker))
+        } else {
+            ColorSet::singleton(Color::from(worker))
+        },
+        first_steal_pending: inner.policy.force_first_colored,
+        first_checks: 0,
     };
     let stats = &inner.stats[worker];
     // ORDERING job_start_ns.load: SeqCst — reads the job start timestamp
     // published before the epoch bump (control plane)
     let job_start = inner.job_start_ns.load(Ordering::SeqCst);
     let mut acquired_any = false;
-    let mut first_steal_pending = inner.policy.force_first_colored;
     // Tracks the idle-enter/idle-exit trace pair: set on first entering
     // the steal loop, cleared when work is acquired again.
     let mut is_idle = false;
@@ -737,7 +744,7 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
             inner.record(worker, TraceEventKind::IdleEnter, false, &none, 0);
         }
         let idle_started = Instant::now();
-        let got = steal_round(inner, &mut ctx, &accept, &mut first_steal_pending);
+        let got = steal_round(inner, &mut ctx, &mut thief);
         // ORDERING idle_ns.fetch_add: Relaxed — per-worker idle-time
         // statistic; read only after the job barrier
         stats
@@ -806,32 +813,36 @@ fn execute(inner: &PoolInner, ctx: &mut WorkerContext<'_>, mut task: Box<Task>) 
     }
 }
 
+/// What one worker's thief carries through one job.
+struct Thief {
+    /// The colors a colored steal accepts.
+    accept: ColorSet,
+    /// The job's forced first colored steal is still outstanding.
+    first_steal_pending: bool,
+    /// Checks spent on it in *this* job, for the escape hatch — the
+    /// `first_steal_checks` statistic accumulates across jobs and can be
+    /// reset in the middle of one, so it cannot be the bound.
+    first_checks: u64,
+}
+
 /// One round of the §III steal policy. Returns quickly (bounded attempts)
 /// so the caller's termination check stays fresh.
 fn steal_round(
     inner: &PoolInner,
     ctx: &mut WorkerContext<'_>,
-    accept: &ColorSet,
-    first_steal_pending: &mut bool,
+    thief: &mut Thief,
 ) -> Option<Box<Task>> {
-    let workers = inner.workers;
-    // A 1-worker pool has nobody to steal from: every `victim` call below
-    // would be `None`, so bail before touching the stats. This guard is
+    // A 1-worker pool has nobody to steal from: `steal_attempt` would find
+    // no victim, so bail before touching the stats. This guard is
     // load-bearing in release builds — see `XorShift64::victim`.
-    if workers < 2 {
+    if inner.workers < 2 {
         return None;
     }
-    let me = ctx.worker;
-    let stats = &inner.stats[me];
-    // `workers >= 2` holds for the rest of this function, so every
-    // `victim` below returns `Some`.
-    let pick = |rng: &mut XorShift64| rng.victim(workers, me).expect("workers >= 2");
 
-    let none = ColorSet::empty();
-
-    if *first_steal_pending {
+    if thief.first_steal_pending {
         // Forced first colored steal: only colored attempts until one
         // succeeds (bounded by the policy's escape hatch).
+        let stats = &inner.stats[ctx.worker];
         for _ in 0..64 {
             // ORDERING pending.load: Acquire; pairs execute::pending.fetch_sub
             // — early-out of the forced-steal loop; same release-sequence
@@ -839,67 +850,72 @@ fn steal_round(
             if inner.pending.load(Ordering::Acquire) == 0 {
                 return None;
             }
-            // ORDERING first_steal_checks.fetch_add: Relaxed — steal-heuristic
-            // counter; read only after the job barrier
-            let checks = stats.first_steal_checks.fetch_add(1, Ordering::Relaxed) + 1;
-            // ORDERING colored_steal_attempts.fetch_add: Relaxed — attempt
-            // counter; read only after the job barrier
-            stats.colored_steal_attempts.fetch_add(1, Ordering::Relaxed);
-            let v = pick(&mut ctx.rng);
-            inner.record(me, TraceEventKind::StealAttempt, true, &none, v as u64);
-            let (got, moved) = inner.deques[v].steal_batch_if(accept, &inner.deques[me]);
-            if let Steal::Success(t) = got {
-                // ORDERING colored_steals.fetch_add: Release — success
-                // counter; Release pairs with the Acquire load in
-                // `WorkerStats::snapshot`: a snapshot that sees this
-                // success also sees the attempt increment above, so
-                // steals <= attempts holds in any racy snapshot
-                stats.colored_steals.fetch_add(1, Ordering::Release);
-                note_batch(stats, moved);
-                inner.record(me, TraceEventKind::StealSuccess, true, &t.colors, v as u64);
-                *first_steal_pending = false;
-                return Some(t);
+            thief.first_checks += 1;
+            // ORDERING first_steal_checks.fetch_add: Relaxed — Fig 9 counter;
+            // read only after the job barrier
+            stats.first_steal_checks.fetch_add(1, Ordering::Relaxed);
+            if let Some(task) = steal_attempt(inner, ctx, Some(&thief.accept)) {
+                thief.first_steal_pending = false;
+                return Some(task);
             }
-            if checks >= inner.policy.first_steal_max_attempts {
+            if thief.first_checks >= inner.policy.first_steal_max_attempts {
                 // Adversarial coloring (e.g. Table III): give up on the
                 // forcing so the computation can proceed.
-                *first_steal_pending = false;
+                thief.first_steal_pending = false;
                 break;
             }
         }
-        if *first_steal_pending {
+        if thief.first_steal_pending {
             return None; // keep forcing on the next round
         }
     }
 
     for _ in 0..inner.policy.colored_attempts {
-        stats.colored_steal_attempts.fetch_add(1, Ordering::Relaxed);
-        let v = pick(&mut ctx.rng);
-        inner.record(me, TraceEventKind::StealAttempt, true, &none, v as u64);
-        let (got, moved) = inner.deques[v].steal_batch_if(accept, &inner.deques[me]);
-        if let Steal::Success(t) = got {
-            stats.colored_steals.fetch_add(1, Ordering::Release);
-            note_batch(stats, moved);
-            inner.record(me, TraceEventKind::StealSuccess, true, &t.colors, v as u64);
-            return Some(t);
+        if let Some(task) = steal_attempt(inner, ctx, Some(&thief.accept)) {
+            return Some(task);
         }
     }
+    steal_attempt(inner, ctx, None)
+}
 
-    // ORDERING random_steal_attempts.fetch_add: Relaxed — attempt counter;
-    // read only after the job barrier
-    stats.random_steal_attempts.fetch_add(1, Ordering::Relaxed);
-    let v = pick(&mut ctx.rng);
-    inner.record(me, TraceEventKind::StealAttempt, false, &none, v as u64);
-    let (got, moved) = inner.deques[v].steal_batch(&inner.deques[me]);
-    if let Steal::Success(t) = got {
-        // ORDERING random_steals.fetch_add: Release — success counter; Release
-        // pairs with the Acquire load in WorkerStats::snapshot
-        stats.random_steals.fetch_add(1, Ordering::Release);
-        note_batch(stats, moved);
-        inner.record(me, TraceEventKind::StealSuccess, false, &t.colors, v as u64);
-        return Some(t);
-    }
-    None
+/// One steal attempt at a random victim: colored when there is a set to
+/// `accept`, unconditional otherwise. Counts it, traces it, and lands
+/// whatever the batch moved beyond the returned task in the thief's own
+/// deque. The caller has checked that the pool has a second worker.
+#[inline]
+fn steal_attempt(
+    inner: &PoolInner,
+    ctx: &mut WorkerContext<'_>,
+    accept: Option<&ColorSet>,
+) -> Option<Box<Task>> {
+    use TraceEventKind::{StealAttempt, StealSuccess};
+    let me = ctx.worker;
+    let stats = &inner.stats[me];
+    let colored = accept.is_some();
+    let (attempts, steals) = if colored {
+        (&stats.colored_steal_attempts, &stats.colored_steals)
+    } else {
+        (&stats.random_steal_attempts, &stats.random_steals)
+    };
+    // ORDERING attempts.fetch_add: Relaxed — attempt counter of the
+    // attempt's kind; read only after the job barrier
+    attempts.fetch_add(1, Ordering::Relaxed);
+    let v = ctx.rng.victim(inner.workers, me).expect("workers >= 2");
+    inner.record(me, StealAttempt, colored, &ColorSet::empty(), v as u64);
+    let (victim, own) = (&inner.deques[v], &inner.deques[me]);
+    let (got, moved) = match accept {
+        Some(accept) => victim.steal_batch_if(accept, own),
+        None => victim.steal_batch(own),
+    };
+    let task = got.success()?;
+    // ORDERING steals.fetch_add: Release — success counter of the attempt's
+    // kind; Release pairs with the Acquire loads in `WorkerStats::snapshot`:
+    // a snapshot that sees this success also sees the attempt increment
+    // above, so steals <= attempts holds per kind in any racy snapshot
+    steals.fetch_add(1, Ordering::Release);
+    note_batch(stats, moved);
+    inner.record(me, StealSuccess, colored, &task.colors, v as u64);
+    Some(task)
 }
 
 #[cfg(test)]
@@ -1055,6 +1071,60 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::SeqCst), 64);
+    }
+
+    #[test]
+    fn first_steal_escape_hatch_is_per_job() {
+        // Table III coloring on a reused pool: every task carries the empty
+        // color set, so no colored steal succeeds and a worker reaches a
+        // random steal only through the escape hatch — after exactly
+        // `first_steal_max_attempts` forced checks, in every job, whatever
+        // the `first_steal_checks` statistic has accumulated (`Pool::run`
+        // never resets it). The window is a condition: no task finishes
+        // until all three workers have started one, so in each job two of
+        // them got theirs by stealing — and of job 2's two, at most one
+        // can be the worker that held job 1's root and stole nothing then.
+        const MAX: u64 = 8;
+        let mut policy = StealPolicy::nabbitc();
+        policy.first_steal_max_attempts = MAX;
+        let pool = Pool::new(PoolConfig::nabbitc(3).with_policy(policy));
+        let mut before = pool.stats();
+        for job in 1..=2 {
+            let ran: Arc<Vec<StdAtomicBool>> =
+                Arc::new((0..3).map(|_| StdAtomicBool::new(false)).collect());
+            let opened = Instant::now();
+            pool.run(ColorSet::empty(), move |ctx| {
+                for _ in 0..64 {
+                    let ran = ran.clone();
+                    ctx.spawn(ColorSet::empty(), move |ctx| {
+                        ran[ctx.worker_id()].store(true, Ordering::SeqCst);
+                        while !ran.iter().all(|r| r.load(Ordering::SeqCst))
+                            && opened.elapsed() < Duration::from_secs(5)
+                        {
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+            });
+            // Stragglers still count their last check after `run` returns.
+            pool.quiesce();
+            let after = pool.stats();
+            let mut escaped = 0;
+            for (w, (a, b)) in after.workers.iter().zip(&before.workers).enumerate() {
+                assert_eq!(a.colored_steals, 0, "an empty color set matched");
+                let checks = a.first_steal_checks - b.first_steal_checks;
+                assert!(checks <= MAX, "job {job}: worker {w} forced {checks} times");
+                if a.random_steal_attempts > b.random_steal_attempts {
+                    escaped += 1;
+                    assert_eq!(
+                        checks, MAX,
+                        "job {job}: worker {w} left the forced first steal after {checks} checks"
+                    );
+                }
+            }
+            assert!(escaped >= 2, "job {job}: only {escaped} workers stole");
+            before = after;
+        }
     }
 
     #[test]

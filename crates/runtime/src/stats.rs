@@ -67,7 +67,7 @@ impl WorkerStats {
 
     pub(crate) fn snapshot(&self) -> WorkerStatsSnapshot {
         // ORDERING colored_steals.load: Acquire; pairs
-        // runtime/pool.rs::steal_round::colored_steals.fetch_add — read before
+        // runtime/pool.rs::steal_attempt::steals.fetch_add — read before
         // the attempt counters; Acquire pairs with the Release increments so a
         // racy snapshot never shows steals > attempts: each success increment
         // is a Release that happens after its own attempt increment on the
@@ -75,7 +75,7 @@ impl WorkerStats {
         // the matching attempt is visible too, per kind
         let colored_steals = self.colored_steals.load(Acquire);
         // ORDERING random_steals.load: Acquire; pairs
-        // runtime/pool.rs::steal_round::random_steals.fetch_add — read before
+        // runtime/pool.rs::steal_attempt::steals.fetch_add — read before
         // the attempt counters; pairs with the Release increments
         let random_steals = self.random_steals.load(Acquire);
         WorkerStatsSnapshot {
