@@ -17,7 +17,7 @@
 use crate::diag::{Diagnostic, Severity};
 use nabbitc_autocolor::{balance_limit, node_weight};
 use nabbitc_cost::{CostModel, Topology};
-use nabbitc_graph::analysis::{level_profile, GraphShape};
+use nabbitc_graph::analysis::{level_profile, GraphShape, LevelProfile};
 use nabbitc_graph::{EdgeTraffic, GraphError, NodeId, TaskGraph};
 
 /// How many node/color samples a diagnostic carries at most. The message
@@ -83,9 +83,10 @@ pub fn lint_graph(
 ) -> Vec<Diagnostic> {
     let workers = workers.max(1);
     let mut out = Vec::new();
+    let profile = level_profile(g);
     lint_invalid_colors(g, workers, &mut out);
     lint_dead_nodes(g, &mut out);
-    lint_serialized_wide_levels(g, workers, config, &mut out);
+    lint_serialized_wide_levels(g, &profile, workers, config, &mut out);
     lint_color_imbalance(g, workers, &mut out);
     if let Some(topo) = topology {
         lint_hub_overload(g, workers, topo, config, &mut out);
@@ -93,6 +94,7 @@ pub fn lint_graph(
     }
     lint_width_degeneracy(g, workers, config, &mut out);
     lint_absent_colors(g, workers, &mut out);
+    lint_colors_behind_the_front(g, &profile, workers, &mut out);
     out
 }
 
@@ -173,11 +175,11 @@ fn lint_dead_nodes(g: &TaskGraph, out: &mut Vec<Diagnostic>) {
 /// `RecursiveBisection`.
 fn lint_serialized_wide_levels(
     g: &TaskGraph,
+    profile: &LevelProfile,
     workers: usize,
     config: &LintConfig,
     out: &mut Vec<Diagnostic>,
 ) {
-    let profile = level_profile(g);
     let wide_min = ((workers as f64) * config.wide_level_factor).ceil() as usize;
     // Per-level dominant-color weight. Invalid colors share one overflow
     // bucket (index `workers`), matching `level_serialization`.
@@ -221,7 +223,7 @@ fn lint_serialized_wide_levels(
     }
     if let Some((level, color, frac)) = worst {
         let width = profile.widths[level];
-        let shape = GraphShape::from_profile(&profile, workers);
+        let shape = GraphShape::from_profile(profile, workers);
         let sample: Vec<u32> = g
             .nodes()
             .filter(|&u| profile.level_of[u as usize] as usize == level)
@@ -492,6 +494,69 @@ fn lint_absent_colors(g: &TaskGraph, workers: usize, out: &mut Vec<Diagnostic>) 
     }
 }
 
+/// NL010 (Warn): a worker color absent from the sources — its first node
+/// lies on a later level than the source front, which is the source level
+/// itself when that holds a node per worker and otherwise every level up
+/// to the first one that does (a single-source wavefront cannot show P
+/// colors before its P-th anti-diagonal, whatever the coloring). The
+/// paper's forced first colored steal assumes "at least one node from each
+/// color connected to the root": a worker whose color is behind the front
+/// can only decline what it finds until the frontier reaches its color or
+/// its patience (`StealPolicy::first_steal_max_declined`) runs out. Colors
+/// with no node at all are NL009's; graphs never P wide are NL007's.
+fn lint_colors_behind_the_front(
+    g: &TaskGraph,
+    profile: &LevelProfile,
+    workers: usize,
+    out: &mut Vec<Diagnostic>,
+) {
+    let Some(front) = profile.widths.iter().position(|&w| w >= workers) else {
+        return;
+    };
+    let mut first_level = vec![u32::MAX; workers];
+    for u in g.nodes() {
+        let c = g.color(u);
+        if c.is_valid() && c.index() < workers {
+            let first = &mut first_level[c.index()];
+            *first = (*first).min(profile.level_of[u as usize]);
+        }
+    }
+    let mut late: Vec<(u32, u16)> = (0..workers)
+        .filter(|&c| first_level[c] != u32::MAX && first_level[c] as usize > front)
+        .map(|c| (first_level[c], c as u16))
+        .collect();
+    if late.is_empty() {
+        return;
+    }
+    // Latest first: the worker that waits longest leads the message.
+    late.sort_by_key(|&(level, c)| (std::cmp::Reverse(level), c));
+    let count = late.len();
+    late.truncate(MAX_REFS);
+    let named: Vec<String> = late
+        .iter()
+        .map(|&(level, c)| format!("color {c} at level {level}"))
+        .collect();
+    let more = if count > MAX_REFS { ", ..." } else { "" };
+    let front_is = if front == 0 {
+        "the source level".to_string()
+    } else {
+        format!("level {front}, the first one {workers} wide")
+    };
+    out.push(
+        Diagnostic::new(
+            "NL010",
+            Severity::Warn,
+            format!(
+                "{count} of {workers} worker color(s) are absent from the sources: they first \
+                 appear after {front_is} ({}{more}); the forced first colored steal of \
+                 those workers cannot succeed before the frontier gets there",
+                named.join(", "),
+            ),
+        )
+        .with_colors(late.iter().map(|&(_, c)| c).collect()),
+    );
+}
+
 /// The worker a node's color maps to (invalid/out-of-range folds to 0,
 /// mirroring the runtime's fallback).
 fn worker_of(g: &TaskGraph, u: NodeId, workers: usize) -> usize {
@@ -698,6 +763,58 @@ mod tests {
         let diags = lint(&g, 2);
         let d = find(&diags, "NL009").expect("NL009");
         assert_eq!(d.colors, vec![1]);
+    }
+
+    #[test]
+    fn color_behind_the_source_front_warns() {
+        // A 6 x 6 wavefront in row blocks of three: color 1 first exists
+        // on level 3, two levels after the first level two workers wide.
+        let wavefront = |color_of: fn(usize, usize) -> u16| {
+            let mut b = GraphBuilder::new();
+            for i in 0..6 {
+                for j in 0..6 {
+                    b.add_simple_node(10, Color(color_of(i, j)), 0);
+                }
+            }
+            for i in 0..6u32 {
+                for j in 0..6u32 {
+                    if i > 0 {
+                        b.add_edge((i - 1) * 6 + j, i * 6 + j);
+                    }
+                    if j > 0 {
+                        b.add_edge(i * 6 + j - 1, i * 6 + j);
+                    }
+                }
+            }
+            b.build().unwrap()
+        };
+        let diags = lint(&wavefront(|i, _| (i / 3) as u16), 2);
+        let d = find(&diags, "NL010").expect("NL010");
+        assert_eq!(d.severity, Severity::Warn);
+        assert_eq!(d.colors, vec![1]);
+        assert!(d.message.contains("color 1 at level 3"), "{}", d.message);
+        assert!(d.message.contains("level 1, the first one 2 wide"));
+        // The same wavefront with each anti-diagonal spread over both
+        // colors shows color 1 on level 1: as early as a single source
+        // allows, so nothing to report.
+        assert!(find(&lint(&wavefront(|i, _| (i % 2) as u16), 2), "NL010").is_none());
+        // With a source per worker the front is the source level itself.
+        let mut b = GraphBuilder::new();
+        let (a, c) = (
+            b.add_simple_node(10, Color(0), 0),
+            b.add_simple_node(10, Color(0), 0),
+        );
+        let below = b.add_simple_node(10, Color(1), 0);
+        b.add_edge(a, below);
+        b.add_edge(c, below);
+        let diags = lint(&b.build().unwrap(), 2);
+        let d = find(&diags, "NL010").expect("NL010");
+        assert!(
+            d.message.contains("after the source level"),
+            "{}",
+            d.message
+        );
+        assert!(find(&lint(&clean_graph(), 2), "NL010").is_none());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! | NL007 | Warn     | max width below the worker count |
 //! | NL008 | Info     | max width far above the worker count |
 //! | NL009 | Warn     | worker color with no nodes |
+//! | NL010 | Warn     | worker color absent from the sources (first appears behind the source front: the forced first colored steal waits for the frontier) |
 //!
 //! Reports render human-readable ([`LintReport::render`]) and
 //! machine-readable ([`LintReport::to_json`], schema versioned by

@@ -19,6 +19,14 @@ pub struct CoreStats {
     pub random_steals: u64,
     /// Tick at which the core first acquired work.
     pub first_work: u64,
+    /// Probes made while the forced first colored steal was pending (the
+    /// `C` of Theorem 1), whatever they found.
+    pub first_steal_checks: u64,
+    /// Of those, probes that found a victim with work of another color
+    /// (what `first_steal_max_declined` is charged).
+    pub first_steal_declined: u64,
+    /// 1 if the core spent that budget and gave up forcing, else 0.
+    pub first_steal_escapes: u64,
 }
 
 impl CoreStats {

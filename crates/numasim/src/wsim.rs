@@ -6,7 +6,9 @@
 //! batch, and the first steals acquire large chunks near the root), owners
 //! pop LIFO while thieves take the oldest entry, colored steals check the
 //! top entry's color set, and the steal loop runs K colored attempts then
-//! one random attempt with a forced first colored steal.
+//! one random attempt with a forced first colored steal whose patience is
+//! charged as [`StealPolicy::first_steal_max_declined`] says — the one
+//! statement of the rule for this simulator and for the threaded pool.
 //!
 //! Simulated time advances through a deterministic event heap; every cost
 //! comes from the [`CostModel`]. Same graph + same config ⇒ identical
@@ -104,7 +106,6 @@ struct Sim<'a> {
     remote: SimRemote,
     rngs: Vec<XorShift64>,
     first_pending: Vec<bool>,
-    first_checks: Vec<u64>,
     acquired: Vec<bool>,
     executed_total: u64,
     makespan: u64,
@@ -131,7 +132,6 @@ pub fn simulate_ws(graph: &TaskGraph, cfg: &WsConfig) -> SimResult {
             .map(|c| XorShift64::new(cfg.seed ^ (0x9E37_79B9u64.wrapping_mul(c as u64 + 1))))
             .collect(),
         first_pending: vec![cfg.policy.force_first_colored && p > 1; p],
-        first_checks: vec![0; p],
         acquired: vec![false; p],
         executed_total: 0,
         makespan: 0,
@@ -308,22 +308,30 @@ impl<'a> Sim<'a> {
         let mut now = t;
 
         if self.first_pending[c] {
-            // Forced first colored steal: one attempt per round.
-            self.first_checks[c] += 1;
-            if self.steal_attempt(c, t, &mut now, Some(&my)) {
-                self.first_pending[c] = false;
-                return;
+            // Forced first colored steal: one attempt per round, and only
+            // a victim whose oldest entry is of another color costs
+            // patience — an empty victim is no evidence.
+            self.stats[c].first_steal_checks += 1;
+            match self.steal_attempt(c, t, &mut now, Some(&my)) {
+                Probe::Stolen => {
+                    self.first_pending[c] = false;
+                    return;
+                }
+                Probe::Declined => self.stats[c].first_steal_declined += 1,
+                Probe::Empty => {}
             }
-            if self.first_checks[c] >= self.cfg.policy.first_steal_max_attempts {
-                self.first_pending[c] = false; // escape hatch (Table III)
+            if self.stats[c].first_steal_declined >= self.cfg.policy.first_steal_max_declined {
+                // Escape hatch (Table III, a single-colored source).
+                self.first_pending[c] = false;
+                self.stats[c].first_steal_escapes += 1;
             }
         } else {
             for _ in 0..self.cfg.policy.colored_attempts {
-                if self.steal_attempt(c, t, &mut now, Some(&my)) {
+                if self.steal_attempt(c, t, &mut now, Some(&my)) == Probe::Stolen {
                     return;
                 }
             }
-            if self.steal_attempt(c, t, &mut now, None) {
+            if self.steal_attempt(c, t, &mut now, None) == Probe::Stolen {
                 return;
             }
             now += cost.idle_backoff;
@@ -335,15 +343,15 @@ impl<'a> Sim<'a> {
     /// One steal attempt by core `c` at a random victim, `*now` ticks into
     /// a round that began at `t`: colored (the victim's oldest entry must
     /// intersect `accept`) or unconditional. On success the entry is
-    /// processed and `true` returned; either way `*now` has moved on by
-    /// what the attempt cost.
+    /// processed; whatever the outcome, `*now` has moved on by what the
+    /// attempt cost.
     fn steal_attempt(
         &mut self,
         c: usize,
         t: u64,
         now: &mut u64,
         accept: Option<&ColorSet>,
-    ) -> bool {
+    ) -> Probe {
         let cost = &self.cfg.cost;
         *now += cost.steal_check;
         let stats = &mut self.stats[c];
@@ -355,9 +363,12 @@ impl<'a> Sim<'a> {
         let v = self.rngs[c]
             .victim(self.cfg.cores, c)
             .expect("cores >= 2 checked by steal_round");
-        let matches = |front: &Entry| accept.is_none_or(|a| front.colors().intersects(a));
-        if !self.deques[v].front().is_some_and(matches) {
-            return false;
+        match self.deques[v].front() {
+            None => return Probe::Empty,
+            Some(front) if accept.is_some_and(|a| !front.colors().intersects(a)) => {
+                return Probe::Declined
+            }
+            Some(_) => {}
         }
         let entry = self.deques[v].pop_front().expect("peeked");
         *steals += 1;
@@ -367,8 +378,20 @@ impl<'a> Sim<'a> {
         // (it must not be stealable in flight, or two idle cores can
         // ping-pong it forever without either resume firing).
         self.process(c, *now, entry);
-        true
+        Probe::Stolen
     }
+}
+
+/// What one steal attempt found at its victim (the simulator's
+/// `nabbitc_runtime::Steal`, without the races).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// The victim's oldest entry was taken and processed.
+    Stolen,
+    /// The victim had work, of no color the thief accepts; left in place.
+    Declined,
+    /// The victim's deque was empty.
+    Empty,
 }
 
 #[cfg(test)]
@@ -475,7 +498,7 @@ mod tests {
         let mut g = generate::iterated_stencil(6, 200, 200, cores);
         g.recolor(|_, _| Color::INVALID);
         let mut cfg = WsConfig::nabbitc(cores);
-        cfg.policy.first_steal_max_attempts = 200;
+        cfg.policy.first_steal_max_declined = 200;
         let r = simulate_ws(&g, &cfg);
         assert_eq!(total_executed(&r), g.node_count() as u64);
         assert_eq!(
@@ -484,6 +507,35 @@ mod tests {
             "no colored steal can succeed with invalid colors"
         );
         assert!(r.cores.iter().map(|c| c.random_steals).sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn forced_first_steal_is_charged_for_declined_work_only() {
+        // Every node is of color 0, so cores 1 and 2 can only decline what
+        // core 0 holds — and find nothing when they probe each other. Each
+        // leaves the forcing on its eighth declined probe, however many
+        // empty deques it looked into on the way.
+        let mut b = nabbitc_graph::GraphBuilder::new();
+        let source = b.add_simple_node(1_000, Color(0), 0);
+        for _ in 0..64 {
+            let leaf = b.add_simple_node(5_000, Color(0), 0);
+            b.add_edge(source, leaf);
+        }
+        let g = b.build().unwrap();
+        let mut cfg = WsConfig::nabbitc(3);
+        cfg.policy.first_steal_max_declined = 8;
+        let r = simulate_ws(&g, &cfg);
+        assert_eq!(total_executed(&r), 65);
+        for thief in &r.cores[1..] {
+            assert_eq!(thief.first_steal_declined, 8);
+            assert_eq!(thief.first_steal_escapes, 1);
+            assert!(thief.first_steal_checks >= 8);
+            assert!(thief.executed > 0, "an escaped core helps");
+        }
+        let (checks, declined) = r.cores[1..].iter().fold((0, 0), |(c, d), t| {
+            (c + t.first_steal_checks, d + t.first_steal_declined)
+        });
+        assert!(checks > declined, "no probe of an empty deque in {checks}");
     }
 
     #[test]

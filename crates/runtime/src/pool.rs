@@ -17,15 +17,24 @@
 //! 3. if [`StealPolicy::force_first_colored`] is set, the worker's *first*
 //!    steal of the job must be a successful colored steal; the time spent
 //!    waiting is recorded (Figure 9) as are the checks performed (the `C`
-//!    term of Theorem 1). A configurable attempt bound — per worker, per
-//!    job — keeps adversarial colorings (Table III) from spinning forever.
+//!    term of Theorem 1). The forcing has a patience,
+//!    [`StealPolicy::first_steal_max_declined`], per worker and per job,
+//!    and it is spent only on evidence: a probe that found stealable work
+//!    of another color and declined it (`Steal::ColorMismatch`) costs one,
+//!    a probe that found the victim empty costs nothing. A worker that
+//!    runs out gives up forcing for the rest of the job — Table III's
+//!    adversarial colorings, or a wavefront whose coloring keeps the
+//!    worker's color away from the source — and is counted in
+//!    `first_steal_escapes`.
 //!
 //! Every attempt of every kind is one routine (`steal_attempt`), and the
 //! deque operation under it — `steal_batch`/`steal_batch_if`, the claim
 //! loop `crates/check` explores — is the only one the pool steals through.
+//! A steal search is traced as one span: the `IdleExit` that closes an
+//! idle episode carries the episode's attempt and declined counts.
 
 use crate::arena::TaskArena;
-use crate::deque::ColoredDeque;
+use crate::deque::{ColoredDeque, Steal};
 use crate::injector::Injector;
 use crate::policy::StealPolicy;
 use crate::rng::XorShift64;
@@ -165,6 +174,29 @@ impl PoolInner {
                 colored,
                 singleton_color(colors),
                 arg,
+                0,
+            );
+        }
+    }
+
+    /// Closes `thief`'s open idle episode, if there is one: a single
+    /// `IdleExit` event that carries what the episode's steal search did
+    /// (attempts, and of those the probes that declined work of another
+    /// color), each saturating at the 32 bits the ring keeps.
+    #[inline]
+    fn close_idle(&self, worker: usize, thief: &mut Thief) {
+        let Some(search) = thief.idle.take() else {
+            return;
+        };
+        if let Some(tracer) = &self.tracer {
+            let keep = |n: u64| n.min(u32::MAX as u64);
+            tracer.ring(worker).push(
+                self.origin.elapsed().as_nanos() as u64,
+                TraceEventKind::IdleExit,
+                false,
+                None,
+                keep(search.attempts),
+                keep(search.declined),
             );
         }
     }
@@ -301,7 +333,12 @@ impl Pool {
     /// [`JobReport`] describes this job and nothing else, however many
     /// threads submit jobs to the pool. The resets happen after the
     /// previous job's last worker has left its loop, which is the
-    /// "workers quiescent" [`reset_trace`](Self::reset_trace) asks for.
+    /// "workers quiescent" [`reset_trace`](Self::reset_trace) asks for; the
+    /// snapshots happen after *this* job's last worker has left, because a
+    /// worker writes its first-work wait (all of the job, if it never got
+    /// work), its last idle time and the `IdleExit` closing its last steal
+    /// search on the way out — after the job's last task, which is where
+    /// `elapsed` stops.
     pub fn run_measured<F>(&self, colors: ColorSet, root: F) -> JobReport
     where
         F: FnOnce(&mut WorkerContext<'_>) + Send + 'static,
@@ -309,20 +346,22 @@ impl Pool {
         let _guard = self.run_guard.lock();
         let started = Instant::now();
         self.quiesce();
-        self.reset_stats();
+        self.clear_stats();
         self.reset_trace();
         self.submit(colors, root);
+        let elapsed = started.elapsed();
+        self.quiesce();
         JobReport {
-            elapsed: started.elapsed(),
+            elapsed,
             stats: self.stats(),
             trace: self.tracing_enabled().then(|| self.trace_snapshot()),
         }
     }
 
-    /// Waits for stragglers from the previous job to leave the job loop,
-    /// so that what they still write (first-work waits, idle time, their
-    /// closing trace events) is attributed to that job. Caller holds
-    /// `run_guard`.
+    /// Waits for stragglers of the last job to leave the job loop, so that
+    /// what they still write (first-work waits, idle time, their closing
+    /// trace events) is attributed to that job and read with it. Caller
+    /// holds `run_guard`.
     fn quiesce(&self) {
         let inner = &self.inner;
         let mut g = inner.done_lock.lock();
@@ -387,8 +426,20 @@ impl Pool {
         }
     }
 
-    /// Clears all statistics counters.
+    /// Clears all statistics counters — after the running job, if there
+    /// is one, and after its last worker has left the job loop: a
+    /// straggler's parting writes (see [`run_measured`](Self::run_measured))
+    /// land before the reset, not after it. Blocks for as long as a job
+    /// runs, so not to be called from inside a task.
     pub fn reset_stats(&self) {
+        let _guard = self.run_guard.lock();
+        self.quiesce();
+        self.clear_stats();
+    }
+
+    /// The reset itself. Caller holds `run_guard` and has
+    /// [`quiesce`](Self::quiesce)d.
+    fn clear_stats(&self) {
         for s in &self.inner.stats {
             s.reset();
         }
@@ -667,16 +718,14 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
             ColorSet::singleton(Color::from(worker))
         },
         first_steal_pending: inner.policy.force_first_colored,
-        first_checks: 0,
+        first_declined: 0,
+        idle: None,
     };
     let stats = &inner.stats[worker];
     // ORDERING job_start_ns.load: SeqCst — reads the job start timestamp
     // published before the epoch bump (control plane)
     let job_start = inner.job_start_ns.load(Ordering::SeqCst);
     let mut acquired_any = false;
-    // Tracks the idle-enter/idle-exit trace pair: set on first entering
-    // the steal loop, cleared when work is acquired again.
-    let mut is_idle = false;
     let backoff = Backoff::new();
     let none = ColorSet::empty();
 
@@ -706,10 +755,7 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
         if !inner.injector.is_empty() {
             let mut batch = inner.injector.try_pop_batch(INJECTOR_DRAIN_BATCH);
             if !batch.is_empty() {
-                if is_idle {
-                    is_idle = false;
-                    inner.record(worker, TraceEventKind::IdleExit, false, &none, 0);
-                }
+                inner.close_idle(worker, &mut thief);
                 record_first(&mut acquired_any);
                 backoff.reset();
                 let first = batch.remove(0);
@@ -739,8 +785,8 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
             break;
         }
 
-        if !is_idle {
-            is_idle = true;
+        if thief.idle.is_none() {
+            thief.idle = Some(StealSearch::default());
             inner.record(worker, TraceEventKind::IdleEnter, false, &none, 0);
         }
         let idle_started = Instant::now();
@@ -752,8 +798,7 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
             .fetch_add(idle_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         match got {
             Some(task) => {
-                is_idle = false;
-                inner.record(worker, TraceEventKind::IdleExit, false, &none, 0);
+                inner.close_idle(worker, &mut thief);
                 record_first(&mut acquired_any);
                 backoff.reset();
                 execute(inner, &mut ctx, task);
@@ -766,14 +811,15 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
             }
         }
     }
-    if is_idle {
-        // Close the open idle span so the Chrome export stays balanced.
-        inner.record(worker, TraceEventKind::IdleExit, false, &none, 0);
-    }
+    // Close the open idle span: the Chrome export stays balanced and the
+    // last search's attempts are counted.
+    inner.close_idle(worker, &mut thief);
 
     if !acquired_any {
         // Never got work: the whole job was waiting (counts fully as
-        // first-work wait, e.g. tiny jobs on large pools).
+        // first-work wait, e.g. tiny jobs on large pools). Written before
+        // `worker_main` takes this worker out of `active`, so whoever
+        // quiesces before reading — `run_measured` does — reads it.
         let now = inner.origin.elapsed().as_nanos() as u64;
         stats
             .first_work_wait_ns
@@ -819,10 +865,22 @@ struct Thief {
     accept: ColorSet,
     /// The job's forced first colored steal is still outstanding.
     first_steal_pending: bool,
-    /// Checks spent on it in *this* job, for the escape hatch — the
-    /// `first_steal_checks` statistic accumulates across jobs and can be
-    /// reset in the middle of one, so it cannot be the bound.
-    first_checks: u64,
+    /// What the forcing has spent of [`StealPolicy::first_steal_max_declined`]
+    /// in *this* job — the `first_steal_declined` statistic accumulates
+    /// across the jobs of [`Pool::run`], so it cannot be the bound.
+    first_declined: u64,
+    /// The open idle episode's steal search, `None` while the worker has
+    /// work.
+    idle: Option<StealSearch>,
+}
+
+/// What the steal search of one idle episode did (the payload of the
+/// `IdleExit` that closes it).
+#[derive(Default)]
+struct StealSearch {
+    attempts: u64,
+    /// Attempts that found stealable work of another color and left it.
+    declined: u64,
 }
 
 /// One round of the §III steal policy. Returns quickly (bounded attempts)
@@ -841,7 +899,7 @@ fn steal_round(
 
     if thief.first_steal_pending {
         // Forced first colored steal: only colored attempts until one
-        // succeeds (bounded by the policy's escape hatch).
+        // succeeds or the policy's patience with declined work runs out.
         let stats = &inner.stats[ctx.worker];
         for _ in 0..64 {
             // ORDERING pending.load: Acquire; pairs execute::pending.fetch_sub
@@ -850,18 +908,33 @@ fn steal_round(
             if inner.pending.load(Ordering::Acquire) == 0 {
                 return None;
             }
-            thief.first_checks += 1;
             // ORDERING first_steal_checks.fetch_add: Relaxed — Fig 9 counter;
             // read only after the job barrier
             stats.first_steal_checks.fetch_add(1, Ordering::Relaxed);
-            if let Some(task) = steal_attempt(inner, ctx, Some(&thief.accept)) {
-                thief.first_steal_pending = false;
-                return Some(task);
+            match steal_attempt(inner, ctx, thief, true) {
+                Steal::Success(task) => {
+                    thief.first_steal_pending = false;
+                    return Some(task);
+                }
+                Steal::ColorMismatch => {
+                    // The victim had work and the forcing turned it down:
+                    // the one outcome that costs patience.
+                    thief.first_declined += 1;
+                    // ORDERING first_steal_declined.fetch_add: Relaxed — Fig 9
+                    // companion counter; read only after the job barrier
+                    stats.first_steal_declined.fetch_add(1, Ordering::Relaxed);
+                }
+                // Nothing there to decline: no evidence, no charge.
+                Steal::Empty | Steal::Retry => {}
             }
-            if thief.first_checks >= inner.policy.first_steal_max_attempts {
-                // Adversarial coloring (e.g. Table III): give up on the
-                // forcing so the computation can proceed.
+            if thief.first_declined >= inner.policy.first_steal_max_declined {
+                // The coloring keeps this worker's color out of reach
+                // (Table III, a single-colored source): give up on the
+                // forcing so the worker can help.
                 thief.first_steal_pending = false;
+                // ORDERING first_steal_escapes.fetch_add: Relaxed — at most one
+                // per job; read only after the job barrier
+                stats.first_steal_escapes.fetch_add(1, Ordering::Relaxed);
                 break;
             }
         }
@@ -871,27 +944,29 @@ fn steal_round(
     }
 
     for _ in 0..inner.policy.colored_attempts {
-        if let Some(task) = steal_attempt(inner, ctx, Some(&thief.accept)) {
+        if let Steal::Success(task) = steal_attempt(inner, ctx, thief, true) {
             return Some(task);
         }
     }
-    steal_attempt(inner, ctx, None)
+    steal_attempt(inner, ctx, thief, false).success()
 }
 
-/// One steal attempt at a random victim: colored when there is a set to
-/// `accept`, unconditional otherwise. Counts it, traces it, and lands
-/// whatever the batch moved beyond the returned task in the thief's own
-/// deque. The caller has checked that the pool has a second worker.
+/// One steal attempt at a random victim: `colored` (the victim's oldest
+/// entry must carry one of `thief.accept`) or unconditional. Counts it —
+/// in the statistics and in the open idle episode — lands whatever the
+/// batch moved beyond the returned task in the thief's own deque, and
+/// hands the deque's outcome back: the forced first steal needs to tell
+/// work it declined from a victim that had none. The caller has checked
+/// that the pool has a second worker.
 #[inline]
 fn steal_attempt(
     inner: &PoolInner,
     ctx: &mut WorkerContext<'_>,
-    accept: Option<&ColorSet>,
-) -> Option<Box<Task>> {
-    use TraceEventKind::{StealAttempt, StealSuccess};
+    thief: &mut Thief,
+    colored: bool,
+) -> Steal<Task> {
     let me = ctx.worker;
     let stats = &inner.stats[me];
-    let colored = accept.is_some();
     let (attempts, steals) = if colored {
         (&stats.colored_steal_attempts, &stats.colored_steals)
     } else {
@@ -901,21 +976,33 @@ fn steal_attempt(
     // attempt's kind; read only after the job barrier
     attempts.fetch_add(1, Ordering::Relaxed);
     let v = ctx.rng.victim(inner.workers, me).expect("workers >= 2");
-    inner.record(me, StealAttempt, colored, &ColorSet::empty(), v as u64);
     let (victim, own) = (&inner.deques[v], &inner.deques[me]);
-    let (got, moved) = match accept {
-        Some(accept) => victim.steal_batch_if(accept, own),
-        None => victim.steal_batch(own),
+    let (got, moved) = if colored {
+        victim.steal_batch_if(&thief.accept, own)
+    } else {
+        victim.steal_batch(own)
     };
-    let task = got.success()?;
-    // ORDERING steals.fetch_add: Release — success counter of the attempt's
-    // kind; Release pairs with the Acquire loads in `WorkerStats::snapshot`:
-    // a snapshot that sees this success also sees the attempt increment
-    // above, so steals <= attempts holds per kind in any racy snapshot
-    steals.fetch_add(1, Ordering::Release);
-    note_batch(stats, moved);
-    inner.record(me, StealSuccess, colored, &task.colors, v as u64);
-    Some(task)
+    if let Some(search) = &mut thief.idle {
+        search.attempts += 1;
+        search.declined += matches!(got, Steal::ColorMismatch) as u64;
+    }
+    if let Steal::Success(task) = &got {
+        // ORDERING steals.fetch_add: Release — success counter of the
+        // attempt's kind; Release pairs with the Acquire loads in
+        // `WorkerStats::snapshot`: a snapshot that sees this success also
+        // sees the attempt increment above, so steals <= attempts holds per
+        // kind in any racy snapshot
+        steals.fetch_add(1, Ordering::Release);
+        note_batch(stats, moved);
+        inner.record(
+            me,
+            TraceEventKind::StealSuccess,
+            colored,
+            &task.colors,
+            v as u64,
+        );
+    }
+    got
 }
 
 #[cfg(test)]
@@ -1058,7 +1145,7 @@ mod tests {
         // all colored steals fail; the escape hatch + random steals must
         // still finish the job.
         let mut policy = StealPolicy::nabbitc();
-        policy.first_steal_max_attempts = 1000;
+        policy.first_steal_max_declined = 1000;
         let pool = Pool::new(PoolConfig::nabbitc(4).with_policy(policy));
         let counter = Arc::new(StdAtomicU64::new(0));
         let c = counter.clone();
@@ -1077,16 +1164,18 @@ mod tests {
     fn first_steal_escape_hatch_is_per_job() {
         // Table III coloring on a reused pool: every task carries the empty
         // color set, so no colored steal succeeds and a worker reaches a
-        // random steal only through the escape hatch — after exactly
-        // `first_steal_max_attempts` forced checks, in every job, whatever
-        // the `first_steal_checks` statistic has accumulated (`Pool::run`
-        // never resets it). The window is a condition: no task finishes
-        // until all three workers have started one, so in each job two of
-        // them got theirs by stealing — and of job 2's two, at most one
-        // can be the worker that held job 1's root and stole nothing then.
+        // random steal only through the escape hatch — after declining
+        // exactly `first_steal_max_declined` probes, in every job, whatever
+        // the statistics have accumulated (`Pool::run` never resets them).
+        // Probes that found a victim empty are forced checks too, but cost
+        // nothing: checks >= declined. The window is a condition: no task
+        // finishes until all three workers have started one, so in each
+        // job two of them got theirs by stealing — and of job 2's two, at
+        // most one can be the worker that held job 1's root and stole
+        // nothing then.
         const MAX: u64 = 8;
         let mut policy = StealPolicy::nabbitc();
-        policy.first_steal_max_attempts = MAX;
+        policy.first_steal_max_declined = MAX;
         let pool = Pool::new(PoolConfig::nabbitc(3).with_policy(policy));
         let mut before = pool.stats();
         for job in 1..=2 {
@@ -1113,12 +1202,26 @@ mod tests {
             for (w, (a, b)) in after.workers.iter().zip(&before.workers).enumerate() {
                 assert_eq!(a.colored_steals, 0, "an empty color set matched");
                 let checks = a.first_steal_checks - b.first_steal_checks;
-                assert!(checks <= MAX, "job {job}: worker {w} forced {checks} times");
-                if a.random_steal_attempts > b.random_steal_attempts {
+                let declined = a.first_steal_declined - b.first_steal_declined;
+                let escapes = a.first_steal_escapes - b.first_steal_escapes;
+                assert!(
+                    declined <= MAX && declined <= checks && escapes <= 1,
+                    "job {job}: worker {w} declined {declined} of {checks} checks, \
+                     escaped {escapes} times"
+                );
+                let stole_randomly = a.random_steal_attempts > b.random_steal_attempts;
+                assert_eq!(
+                    escapes == 1,
+                    stole_randomly,
+                    "job {job}: worker {w}: a random attempt needs the hatch, and the hatch \
+                     is followed by one"
+                );
+                if escapes == 1 {
                     escaped += 1;
                     assert_eq!(
-                        checks, MAX,
-                        "job {job}: worker {w} left the forced first steal after {checks} checks"
+                        declined, MAX,
+                        "job {job}: worker {w} left the forced first steal after declining \
+                         {declined} probes ({checks} checks)"
                     );
                 }
             }
@@ -1191,6 +1294,40 @@ mod tests {
             .run_measured(ColorSet::all(2), |_| {})
             .trace
             .is_none());
+    }
+
+    #[test]
+    fn a_worker_that_never_got_work_reports_the_job_as_its_first_work_wait() {
+        // One task and two workers: the second spends the whole job looking
+        // for work and says so on its way out — after the job's last task,
+        // which is when `submit` returns. `run_measured` reads the
+        // statistics once that worker has left the loop; read any earlier,
+        // its wait is still the reset value 0, the best Fig 9 reading for
+        // the worst case. The root holds until the other worker is in the
+        // job, so every round has such a worker.
+        let pool = Arc::new(Pool::new(PoolConfig::nabbitc(2)));
+        for round in 0..20 {
+            let (p, opened) = (pool.clone(), Instant::now());
+            let job = pool.run_measured(ColorSet::all(2), move |ctx| {
+                let other = 1 - ctx.worker_id();
+                while p.stats().workers[other].first_steal_checks == 0
+                    && opened.elapsed() < Duration::from_secs(5)
+                {
+                    std::thread::yield_now();
+                }
+            });
+            let looked_on = job
+                .stats
+                .workers
+                .iter()
+                .find(|w| w.tasks_executed == 0)
+                .expect("one task, two workers");
+            assert!(looked_on.first_steal_checks > 0, "round {round}");
+            assert!(
+                looked_on.first_work_wait_ns > 0 && looked_on.idle_ns > 0,
+                "round {round}: {looked_on:?}"
+            );
+        }
     }
 
     #[test]

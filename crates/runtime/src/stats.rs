@@ -2,7 +2,12 @@
 //!
 //! These counters regenerate the paper's Figure 8 (average successful
 //! steals per worker), Figure 9 (idle time from forcing the first colored
-//! steal), and the steal-overhead discussion in §V-C.
+//! steal), and the steal-overhead discussion in §V-C. The forced first
+//! steal is told in three: every probe it made (`first_steal_checks`, the
+//! `C` of Theorem 1), the probes that found work of another color and
+//! declined it (`first_steal_declined`, what the policy's patience is
+//! charged), and whether the worker ran out of that patience and gave up
+//! forcing (`first_steal_escapes`).
 
 use crate::sync::{
     AtomicU64,
@@ -19,8 +24,16 @@ pub(crate) struct WorkerStats {
     pub random_steal_attempts: CachePadded<AtomicU64>,
     pub random_steals: CachePadded<AtomicU64>,
     /// Colored checks made while satisfying the forced first steal (the
-    /// quantity `C` in Theorem 1).
+    /// quantity `C` in Theorem 1): every forced probe, whatever it found.
     pub first_steal_checks: CachePadded<AtomicU64>,
+    /// Of those checks, the ones that found stealable work of another
+    /// color and declined it — what
+    /// [`StealPolicy::first_steal_max_declined`](crate::StealPolicy::first_steal_max_declined)
+    /// is charged.
+    pub first_steal_declined: CachePadded<AtomicU64>,
+    /// Jobs in which this worker ran out of that patience and gave up
+    /// forcing (0 or 1 per job).
+    pub first_steal_escapes: CachePadded<AtomicU64>,
     /// Nanoseconds from job start until this worker first acquired work.
     pub first_work_wait_ns: CachePadded<AtomicU64>,
     /// Total nanoseconds spent in the steal loop (idle).
@@ -51,6 +64,10 @@ impl WorkerStats {
         self.random_steals.store(0, Relaxed);
         // ORDERING first_steal_checks.store: Relaxed — quiescent reset; atomicity only
         self.first_steal_checks.store(0, Relaxed);
+        // ORDERING first_steal_declined.store: Relaxed — quiescent reset; atomicity only
+        self.first_steal_declined.store(0, Relaxed);
+        // ORDERING first_steal_escapes.store: Relaxed — quiescent reset; atomicity only
+        self.first_steal_escapes.store(0, Relaxed);
         // ORDERING first_work_wait_ns.store: Relaxed — quiescent reset; atomicity only
         self.first_work_wait_ns.store(0, Relaxed);
         // ORDERING idle_ns.store: Relaxed — quiescent reset; atomicity only
@@ -93,6 +110,12 @@ impl WorkerStats {
             random_steals,
             // ORDERING first_steal_checks.load: Relaxed — heuristic counter; staleness is fine
             first_steal_checks: self.first_steal_checks.load(Relaxed),
+            // ORDERING first_steal_declined.load: Relaxed — Fig 9 companion
+            // counter; staleness is fine
+            first_steal_declined: self.first_steal_declined.load(Relaxed),
+            // ORDERING first_steal_escapes.load: Relaxed — written at most once
+            // per job; staleness is fine
+            first_steal_escapes: self.first_steal_escapes.load(Relaxed),
             // ORDERING first_work_wait_ns.load: Relaxed — latency statistic
             // written once per job before the barrier
             first_work_wait_ns: self.first_work_wait_ns.load(Relaxed),
@@ -127,6 +150,11 @@ pub struct WorkerStatsSnapshot {
     pub random_steals: u64,
     /// Checks performed while the forced first colored steal was pending.
     pub first_steal_checks: u64,
+    /// Of those, probes that found stealable work of another color and
+    /// declined it (what the escape hatch's budget is charged).
+    pub first_steal_declined: u64,
+    /// Jobs in which this worker spent that budget and gave up forcing.
+    pub first_steal_escapes: u64,
     /// Time from job start to first acquired work, nanoseconds.
     pub first_work_wait_ns: u64,
     /// Total idle (steal-loop) time, nanoseconds.

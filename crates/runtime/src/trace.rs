@@ -4,12 +4,16 @@
 //! because hardware counters were unavailable (§V-B); this module is the
 //! same idea taken further — a first-class software telemetry layer for
 //! the threaded pool. Each worker owns a fixed-capacity ring of
-//! timestamped events (spawn, exec begin/end, steal attempt/success, idle
-//! enter/exit). Recording is wait-free and allocation-free: one seqlock'd
-//! slot write per event, drop-oldest on overflow, nothing shared between
-//! workers. When tracing is disabled ([`TraceConfig::default`]) the pool
-//! carries no rings at all and every record site is a single
-//! `Option::None` branch.
+//! timestamped events (spawn, exec begin/end, steal success, idle
+//! enter/exit). A steal search is one span, not one event per probe: the
+//! idle-exit that closes an idle episode carries how many steal attempts
+//! the episode made and how many of them found work of another color and
+//! declined it, so a worker that probes four million times writes two
+//! events, and the attempt totals are read off the spans. Recording is
+//! wait-free and allocation-free: one seqlock'd slot write per event,
+//! drop-oldest on overflow, nothing shared between workers. When tracing
+//! is disabled ([`TraceConfig::default`]) the pool carries no rings at all
+//! and every record site is a single `Option::None` branch.
 //!
 //! Snapshots ([`crate::Pool::trace_snapshot`]) may be taken at any time —
 //! concurrently racing writers are detected per slot via the seqlock and
@@ -24,7 +28,7 @@ use crate::sync::{fence, AtomicU32, AtomicU64, Ordering};
 /// from it. Bumped whenever [`TraceRecord`] fields or the exported JSON
 /// keys change; stamped into every [`RuntimeTrace`] and its Chrome export
 /// so trace tooling can detect incompatible records.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Tracing configuration, carried on
 /// [`PoolConfig`](crate::pool::PoolConfig).
@@ -78,14 +82,14 @@ pub enum TraceEventKind {
     ExecBegin = 1,
     /// The task finished (`arg` = task id).
     ExecEnd = 2,
-    /// A steal attempt at victim `arg` (`colored` says which kind).
-    StealAttempt = 3,
-    /// The attempt at victim `arg` succeeded.
-    StealSuccess = 4,
+    /// A steal from victim `arg` succeeded (`colored` says which kind).
+    StealSuccess = 3,
     /// The worker ran out of local work and entered the steal loop.
-    IdleEnter = 5,
-    /// The worker acquired work again.
-    IdleExit = 6,
+    IdleEnter = 4,
+    /// The worker acquired work again, or the job ended: closes the idle
+    /// episode. `arg` = steal attempts the episode made, `aux` = how many
+    /// of them found stealable work of another color and declined it.
+    IdleExit = 5,
 }
 
 impl TraceEventKind {
@@ -95,10 +99,9 @@ impl TraceEventKind {
             0 => Spawn,
             1 => ExecBegin,
             2 => ExecEnd,
-            3 => StealAttempt,
-            4 => StealSuccess,
-            5 => IdleEnter,
-            6 => IdleExit,
+            3 => StealSuccess,
+            4 => IdleEnter,
+            5 => IdleExit,
             _ => return None,
         })
     }
@@ -110,7 +113,6 @@ impl TraceEventKind {
             Spawn => "spawn",
             ExecBegin => "exec-begin",
             ExecEnd => "exec-end",
-            StealAttempt => "steal-attempt",
             StealSuccess => "steal-success",
             IdleEnter => "idle-enter",
             IdleExit => "idle-exit",
@@ -133,21 +135,28 @@ pub struct TraceRecord {
     pub domain: usize,
     /// Event kind.
     pub kind: TraceEventKind,
-    /// For steal events: whether the attempt was colored (vs random).
+    /// For steal events: whether the steal was colored (vs random).
     pub colored: bool,
     /// The singleton color of the task involved, if it has exactly one
     /// (`None` for multi-color continuation batches and colorless events).
     pub color: Option<u16>,
     /// Task id for spawn/exec events, victim worker for steal events,
-    /// zero for idle events.
+    /// the episode's steal attempts for idle-exit, zero for idle-enter.
+    /// The ring keeps 32 bits.
     pub arg: u64,
+    /// Second argument: for idle-exit, the attempts of the episode that
+    /// found stealable work of another color and declined it; zero for
+    /// every other kind. The ring keeps 32 bits.
+    pub aux: u64,
 }
 
-/// One ring slot: a per-slot seqlock (odd = write in progress) over two
-/// packed words, so concurrent snapshotters can never observe a torn
-/// (timestamp, payload) pair — they skip the slot instead.
+/// One ring slot: a per-slot seqlock (odd = write in progress) over the
+/// timestamp, the packed payload and the second argument, so concurrent
+/// snapshotters can never observe a torn record — they skip the slot
+/// instead. `aux` fills the padding after `seq`: 24 bytes a slot.
 struct Slot {
     seq: AtomicU32,
+    aux: AtomicU32,
     ts: AtomicU64,
     /// `kind` in bits 56..64, flags in 48..56 (bit 0 = colored), color in
     /// 32..48, `arg` in 0..32.
@@ -191,6 +200,7 @@ impl EventRing {
             slots: (0..cap)
                 .map(|_| Slot {
                     seq: AtomicU32::new(0),
+                    aux: AtomicU32::new(0),
                     ts: AtomicU64::new(0),
                     payload: AtomicU64::new(0),
                 })
@@ -209,6 +219,7 @@ impl EventRing {
         colored: bool,
         color: Option<u16>,
         arg: u64,
+        aux: u64,
     ) {
         // ORDERING head.load: Relaxed — single-writer cursor; the writer reads
         // its own position
@@ -232,6 +243,9 @@ impl EventRing {
         // seqlock protocol
         slot.payload
             .store(pack_payload(kind, colored, color, arg), Ordering::Relaxed);
+        // ORDERING aux.store: Relaxed — slot payload; guarded by the seqlock
+        // protocol
+        slot.aux.store(aux as u32, Ordering::Relaxed);
         // Even seq published after the data.
         slot.seq.store(seq.wrapping_add(2), Ordering::Release);
         // ORDERING head.store: Release — publishes the advanced cursor; pairs
@@ -277,16 +291,21 @@ impl EventRing {
                 // ORDERING payload.load: Relaxed — payload read validated by
                 // the seq re-check
                 let payload = slot.payload.load(Ordering::Relaxed);
+                // ORDERING aux.load: Relaxed — payload read validated by the
+                // seq re-check
+                let aux = slot.aux.load(Ordering::Relaxed);
                 // ORDERING fence: Acquire; pairs push::fence.fence — orders
                 // the payload reads before the seq re-check (reader half of
                 // the seqlock)
                 fence(Ordering::Acquire);
                 if slot.seq.load(Ordering::Relaxed) == s1 {
-                    ok = Some((ts, payload));
+                    ok = Some((ts, payload, aux));
                     break;
                 }
             }
-            let Some((ts, payload)) = ok else { continue };
+            let Some((ts, payload, aux)) = ok else {
+                continue;
+            };
             let Some((kind, colored, color, arg)) = unpack_payload(payload) else {
                 continue; // never-written slot raced into the window
             };
@@ -298,6 +317,7 @@ impl EventRing {
                 colored,
                 color,
                 arg,
+                aux: aux as u64,
             });
         }
         WorkerTrace {
@@ -394,8 +414,14 @@ pub struct WorkerTraceSummary {
     pub spawns: u64,
     /// Tasks executed (exec-begin count).
     pub execs: u64,
-    /// Steal attempts (colored + random).
+    /// Steal attempts (colored + random), summed over the closed idle
+    /// episodes in the window — equal to the worker's
+    /// [`steal_attempts`](crate::WorkerStatsSnapshot::steal_attempts) when
+    /// nothing was dropped and no episode is open.
     pub steal_attempts: u64,
+    /// Of those, attempts that found stealable work of another color and
+    /// declined it.
+    pub steal_declined: u64,
     /// Successful steals.
     pub steal_successes: u64,
     /// Idle periods entered.
@@ -447,10 +473,12 @@ impl RuntimeTrace {
                                 s.busy_ns += e.ts_ns.saturating_sub(b);
                             }
                         }
-                        TraceEventKind::StealAttempt => s.steal_attempts += 1,
                         TraceEventKind::StealSuccess => s.steal_successes += 1,
                         TraceEventKind::IdleEnter => s.idle_periods += 1,
-                        TraceEventKind::IdleExit => {}
+                        TraceEventKind::IdleExit => {
+                            s.steal_attempts += e.arg;
+                            s.steal_declined += e.aux;
+                        }
                     }
                 }
                 s
@@ -461,8 +489,9 @@ impl RuntimeTrace {
     /// Exports the snapshot as Chrome `trace_event` JSON — load the
     /// returned string (saved to a file) in `chrome://tracing` or
     /// [Perfetto](https://ui.perfetto.dev). Exec begin/end pairs become
-    /// duration (`B`/`E`) events, idle periods become `idle` duration
-    /// events, everything else becomes thread-scoped instants; each
+    /// duration (`B`/`E`) events, idle episodes become `idle` duration
+    /// events whose end carries the episode's `attempts` and `declined`
+    /// counts, everything else becomes thread-scoped instants; each
     /// worker is one `tid`, its domain one `pid`. An end whose begin the
     /// ring overwrote (see [`WorkerTrace::dropped`]) is left out, so per
     /// `tid` every `E` closes a `B` that is in the file.
@@ -500,19 +529,17 @@ impl RuntimeTrace {
                 if ph == "i" {
                     out.push_str(",\"s\":\"t\"");
                 }
-                let _ = write!(out, ",\"args\":{{\"arg\":{}", e.arg);
-                if let Some(c) = e.color {
-                    let _ = write!(out, ",\"color\":{c}");
-                }
-                if matches!(
-                    e.kind,
-                    TraceEventKind::StealAttempt | TraceEventKind::StealSuccess
-                ) {
-                    let _ = write!(
-                        out,
-                        ",\"colored\":{}",
-                        if e.colored { "true" } else { "false" }
-                    );
+                out.push_str(",\"args\":{");
+                if e.kind == TraceEventKind::IdleExit {
+                    let _ = write!(out, "\"attempts\":{},\"declined\":{}", e.arg, e.aux);
+                } else {
+                    let _ = write!(out, "\"arg\":{}", e.arg);
+                    if let Some(c) = e.color {
+                        let _ = write!(out, ",\"color\":{c}");
+                    }
+                    if e.kind == TraceEventKind::StealSuccess {
+                        let _ = write!(out, ",\"colored\":{}", e.colored);
+                    }
                 }
                 out.push_str("}}");
             }
@@ -536,7 +563,6 @@ mod tests {
             TraceEventKind::Spawn,
             TraceEventKind::ExecBegin,
             TraceEventKind::ExecEnd,
-            TraceEventKind::StealAttempt,
             TraceEventKind::StealSuccess,
             TraceEventKind::IdleEnter,
             TraceEventKind::IdleExit,
@@ -555,7 +581,7 @@ mod tests {
     fn ring_records_in_order() {
         let ring = EventRing::new(64);
         for i in 0..10 {
-            ring.push(i, TraceEventKind::Spawn, false, Some(1), i);
+            ring.push(i, TraceEventKind::Spawn, false, Some(1), i, 0);
         }
         let w = ring.snapshot(3, 0);
         assert_eq!(w.recorded, 10);
@@ -569,7 +595,7 @@ mod tests {
     fn ring_drops_oldest_on_overflow() {
         let ring = EventRing::new(16); // min capacity
         for i in 0..40u64 {
-            ring.push(i, TraceEventKind::StealAttempt, true, None, i % 4);
+            ring.push(i, TraceEventKind::StealSuccess, true, None, i % 4, 0);
         }
         let w = ring.snapshot(0, 0);
         assert_eq!(w.recorded, 40);
@@ -600,7 +626,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    ring.push(i, TraceEventKind::Spawn, false, Some((i % 7) as u16), i);
+                    ring.push(i, TraceEventKind::Spawn, false, Some((i % 7) as u16), i, i);
                     i += 1;
                     if i.is_multiple_of(64) {
                         std::thread::yield_now();
@@ -613,6 +639,7 @@ mod tests {
             let snap = ring.snapshot(0, 0);
             for e in &snap.events {
                 assert_eq!(e.ts_ns, e.arg, "torn slot: {e:?}");
+                assert_eq!(e.aux, e.arg, "torn slot: {e:?}");
                 assert_eq!(e.color, Some((e.arg % 7) as u16), "torn slot: {e:?}");
             }
             std::thread::yield_now();
@@ -625,13 +652,14 @@ mod tests {
     #[test]
     fn summaries_aggregate_by_kind() {
         let ring = EventRing::new(64);
-        ring.push(0, TraceEventKind::IdleEnter, false, None, 0);
-        ring.push(5, TraceEventKind::StealAttempt, true, None, 1);
-        ring.push(6, TraceEventKind::StealSuccess, true, None, 1);
-        ring.push(7, TraceEventKind::IdleExit, false, None, 0);
-        ring.push(10, TraceEventKind::ExecBegin, false, Some(2), 42);
-        ring.push(30, TraceEventKind::ExecEnd, false, Some(2), 42);
-        ring.push(31, TraceEventKind::Spawn, false, Some(3), 43);
+        ring.push(0, TraceEventKind::IdleEnter, false, None, 0, 0);
+        ring.push(6, TraceEventKind::StealSuccess, true, None, 1, 0);
+        ring.push(7, TraceEventKind::IdleExit, false, None, 9, 4);
+        ring.push(8, TraceEventKind::IdleEnter, false, None, 0, 0);
+        ring.push(9, TraceEventKind::IdleExit, false, None, 3, 0);
+        ring.push(10, TraceEventKind::ExecBegin, false, Some(2), 42, 0);
+        ring.push(30, TraceEventKind::ExecEnd, false, Some(2), 42, 0);
+        ring.push(31, TraceEventKind::Spawn, false, Some(3), 43, 0);
         let trace = RuntimeTrace {
             schema_version: SCHEMA_VERSION,
             capacity: 64,
@@ -642,19 +670,23 @@ mod tests {
         assert_eq!(s[0].worker, 1);
         assert_eq!(s[0].spawns, 1);
         assert_eq!(s[0].execs, 1);
-        assert_eq!(s[0].steal_attempts, 1);
+        // Attempts and declined probes are read off the closed episodes.
+        assert_eq!(s[0].steal_attempts, 12);
+        assert_eq!(s[0].steal_declined, 4);
         assert_eq!(s[0].steal_successes, 1);
-        assert_eq!(s[0].idle_periods, 1);
+        assert_eq!(s[0].idle_periods, 2);
         assert_eq!(s[0].busy_ns, 20);
-        assert_eq!(trace.total_events(), 7);
+        assert_eq!(trace.total_events(), 8);
     }
 
     #[test]
     fn chrome_export_is_wellformed() {
         let ring = EventRing::new(16);
-        ring.push(100, TraceEventKind::ExecBegin, false, Some(1), 7);
-        ring.push(300, TraceEventKind::ExecEnd, false, Some(1), 7);
-        ring.push(400, TraceEventKind::StealAttempt, true, None, 2);
+        ring.push(100, TraceEventKind::ExecBegin, false, Some(1), 7, 0);
+        ring.push(300, TraceEventKind::ExecEnd, false, Some(1), 7, 0);
+        ring.push(400, TraceEventKind::IdleEnter, false, None, 0, 0);
+        ring.push(450, TraceEventKind::StealSuccess, true, None, 2, 0);
+        ring.push(460, TraceEventKind::IdleExit, false, None, 70_000, 65_536);
         let trace = RuntimeTrace {
             schema_version: SCHEMA_VERSION,
             capacity: 16,
@@ -664,8 +696,9 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"B\""));
         assert!(json.contains("\"ph\":\"E\""));
-        assert!(json.contains("\"name\":\"steal-attempt\""));
+        assert!(json.contains("\"name\":\"steal-success\""));
         assert!(json.contains("\"colored\":true"));
+        assert!(json.contains("\"args\":{\"attempts\":70000,\"declined\":65536}"));
         assert!(json.contains(&format!("\"schema_version\":{SCHEMA_VERSION}")));
         // Balanced braces/brackets (cheap well-formedness check; the bench
         // crate's real JSON parser validates the full grammar in its own

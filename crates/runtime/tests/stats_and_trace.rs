@@ -165,19 +165,29 @@ fn enabled_tracing_records_the_job() {
     assert_eq!(total_execs, 65);
     assert_eq!(total_execs, pool.stats().total_tasks());
 
-    // Steal events are per-worker-ordered and attempt-covered: within a
-    // ring, successes never outnumber prior attempts.
+    // A steal search is one span: a success lies inside an open idle
+    // episode and ends it, and the exit that closes the episode carries
+    // the attempts it took (at least the one that succeeded).
     for w in &trace.workers {
-        let mut attempts = 0u64;
-        let mut successes = 0u64;
+        let mut open = false;
+        let mut succeeded = false;
         for e in &w.events {
             match e.kind {
-                TraceEventKind::StealAttempt => attempts += 1,
-                TraceEventKind::StealSuccess => {
-                    successes += 1;
-                    assert!(successes <= attempts, "success before attempt in ring");
+                TraceEventKind::IdleEnter => {
+                    assert!(!open, "idle episodes do not nest");
+                    (open, succeeded) = (true, false);
                 }
-                _ => {}
+                TraceEventKind::StealSuccess => {
+                    assert!(open && !succeeded, "a success outside an idle episode");
+                    succeeded = true;
+                }
+                TraceEventKind::IdleExit => {
+                    assert!(open, "an exit without its enter");
+                    assert!(e.aux <= e.arg, "declined more probes than it made: {e:?}");
+                    assert!(!succeeded || e.arg >= 1, "a success in no attempts: {e:?}");
+                    open = false;
+                }
+                _ => assert!(!open, "{:?} inside an idle episode", e.kind),
             }
         }
     }
@@ -203,11 +213,54 @@ fn enabled_tracing_records_the_job() {
     assert!(max_id <= 5, "task ids must restart after reset_trace");
 }
 
+#[test]
+fn steal_search_spans_add_up_to_the_attempt_counters() {
+    // The trace has no per-attempt event: what a worker's steal searches
+    // did is carried by the `IdleExit` closing each idle episode, and over
+    // a job observed alone (`run_measured` reads both after the last worker
+    // has left the job loop) the spans add up to `PoolStats` exactly. The
+    // root holds until a leaf has run on the other worker, so the job has
+    // at least one successful search in it.
+    let pool = Pool::new(PoolConfig::nabbitc(2).with_trace(TraceConfig::enabled()));
+    let colors = ColorSet::all(2);
+    for _ in 0..5 {
+        let stolen = Arc::new(AtomicBool::new(false));
+        let opened = std::time::Instant::now();
+        let job = pool.run_measured(colors, move |ctx: &mut WorkerContext<'_>| {
+            let root = ctx.worker_id();
+            for _ in 0..64 {
+                let stolen = stolen.clone();
+                ctx.spawn(colors, move |ctx| {
+                    if ctx.worker_id() != root {
+                        stolen.store(true, Ordering::SeqCst);
+                    }
+                });
+            }
+            while !stolen.load(Ordering::SeqCst) && opened.elapsed().as_secs() < 5 {
+                std::thread::yield_now();
+            }
+        });
+        let trace = job.trace.expect("the pool traces");
+        assert_eq!(trace.total_dropped(), 0, "default capacity must not wrap");
+        assert!(job.stats.total_successful_steals() > 0);
+        for (s, w) in trace.summaries().iter().zip(&job.stats.workers) {
+            assert_eq!(s.steal_attempts, w.steal_attempts(), "worker {}", s.worker);
+            assert_eq!(s.steal_successes, w.successful_steals());
+            assert_eq!(s.execs, w.tasks_executed);
+            assert!(s.steal_declined <= s.steal_attempts);
+            assert!(s.steal_declined >= w.first_steal_declined);
+            let events = &trace.workers[s.worker].events;
+            let exits = events.iter().filter(|e| e.kind == TraceEventKind::IdleExit);
+            assert_eq!(exits.count() as u64, s.idle_periods, "an episode left open");
+        }
+    }
+}
+
 // Property tests for the seqlock ring protocol itself, across many
 // capacities and write volumes. Each pushed event encodes its sequence
-// number in both `ts` and `arg` (and `arg % 7` in `color`): any torn
-// read — a (ts, payload) pair mixing two writes — breaks at least one of
-// the equalities.
+// number in `ts`, `arg` and `aux` (and `arg % 7` in `color`): any torn
+// read — a record mixing two writes — breaks at least one of the
+// equalities.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -222,7 +275,7 @@ proptest! {
             let ring = ring.clone();
             std::thread::spawn(move || {
                 for i in 0..writes {
-                    ring.push(i, TraceEventKind::Spawn, false, Some((i % 7) as u16), i);
+                    ring.push(i, TraceEventKind::Spawn, false, Some((i % 7) as u16), i, i);
                     if i % 512 == 0 {
                         // Let the snapshotter overlap the write window on
                         // single-CPU machines too.
@@ -240,6 +293,7 @@ proptest! {
             let snap = ring.snapshot(0, 0);
             for e in &snap.events {
                 prop_assert!(e.ts_ns == e.arg, "torn slot (ts != arg): {:?}", e);
+                prop_assert!(e.aux == e.arg, "torn slot (aux != arg): {:?}", e);
                 prop_assert!(
                     e.color == Some((e.arg % 7) as u16),
                     "torn slot (color mismatch): {:?}",
@@ -264,7 +318,7 @@ proptest! {
         let ring = EventRing::new(capacity);
         let cap = capacity.max(16).next_power_of_two() as u64;
         for i in 0..writes {
-            ring.push(i, TraceEventKind::Spawn, false, None, i);
+            ring.push(i, TraceEventKind::Spawn, false, None, i, 0);
         }
         let snap = ring.snapshot(0, 0);
         let expect_len = writes.min(cap);

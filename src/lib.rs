@@ -181,9 +181,11 @@
 //!
 //! **Event tracing.** Build the pool with
 //! [`TraceConfig`](runtime::TraceConfig) enabled and every worker records
-//! timestamped spawn / exec-begin / exec-end / steal-attempt /
-//! steal-success / idle-enter / idle-exit events into a fixed-capacity
-//! lock-free ring (drop-oldest, no allocation on the hot path; with
+//! timestamped spawn / exec-begin / exec-end / steal-success /
+//! idle-enter / idle-exit events into a fixed-capacity lock-free ring —
+//! a steal search is one span, its idle-exit carrying the episode's
+//! attempt and declined counts — (drop-oldest, no allocation on the hot
+//! path; with
 //! tracing off — the default — the pool allocates no rings and each
 //! record site is one branch). Snapshots
 //! ([`Pool::trace_snapshot`](runtime::Pool::trace_snapshot)) aggregate

@@ -7,8 +7,9 @@ use nabbitc::core::coloring::{apply_coloring, ColoringMode};
 use nabbitc::core::StaticExecutor;
 use nabbitc::prelude::*;
 use nabbitc::workloads::{registry, BenchId, Scale};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn run_counted(graph: Arc<TaskGraph>, policy: StealPolicy, workers: usize) -> f64 {
     let topo = Topology::new(2, workers.div_ceil(2).max(1));
@@ -41,7 +42,7 @@ fn bad_and_invalid_colorings_still_execute_correctly() {
         let mut built = registry::build(BenchId::Heat, Scale::Small, workers);
         apply_coloring(&mut built.graph, mode, &topo, workers);
         let mut policy = StealPolicy::nabbitc();
-        policy.first_steal_max_attempts = 10_000; // keep the test quick
+        policy.first_steal_max_declined = 10_000; // keep the test quick
         run_counted(Arc::new(built.graph), policy, workers);
     }
 }
@@ -79,7 +80,7 @@ fn simulator_invalid_coloring_behaves_like_nabbit() {
     let nb = simulate_ws(&built.graph, &WsConfig::nabbit(p));
     apply_coloring(&mut built.graph, ColoringMode::Invalid, &topo, p);
     let mut cfg = WsConfig::nabbitc(p);
-    cfg.policy.first_steal_max_attempts = 100;
+    cfg.policy.first_steal_max_declined = 100;
     let inv = simulate_ws(&built.graph, &cfg);
     let ratio = nb.makespan as f64 / inv.makespan as f64;
     assert!(
@@ -227,5 +228,112 @@ fn fig9_first_steal_wait_grows_with_cores() {
     assert!(
         w80 > w10,
         "first-work wait should grow with core count: {w80} !> {w10}"
+    );
+}
+
+#[test]
+fn pool_and_simulator_leave_the_forced_steal_after_the_same_declined_count() {
+    // One rule, two implementations (`StealPolicy::first_steal_max_declined`
+    // states it): a source fanning out to 64 leaves, every color invalid,
+    // so no colored steal can succeed and both thieves of a 3-worker
+    // machine must escape — after exactly `BOUND` probes that found work
+    // and declined it, however many empty deques they looked into. Every
+    // window is a condition, bounded so that a pool that cannot meet it
+    // fails an assertion instead of hanging.
+    const BOUND: u64 = 8;
+    const EMPTY_PROBES: u64 = 64;
+    let hold_until = |done: &dyn Fn() -> bool| {
+        let opened = Instant::now();
+        while !done() && opened.elapsed() < Duration::from_secs(5) {
+            std::thread::yield_now();
+        }
+    };
+    let mut b = GraphBuilder::new();
+    let source = b.add_simple_node(1_000, Color::INVALID, 0);
+    for _ in 0..64 {
+        let leaf = b.add_simple_node(5_000, Color::INVALID, 0);
+        b.add_edge(source, leaf);
+    }
+    let graph = Arc::new(b.build().unwrap());
+    let mut policy = StealPolicy::nabbitc();
+    policy.first_steal_max_declined = BOUND;
+
+    // The pool. While the source runs, its worker's deque is empty (the
+    // root follows a single source inline) and so are the thieves': the
+    // source holds until each thief has probed `EMPTY_PROBES` times and
+    // records what that cost them. Then every leaf holds until both
+    // thieves have escaped, so there is declined work on some deque for
+    // as long as either still needs it.
+    let pool = Arc::new(Pool::new(
+        PoolConfig::nabbitc(3).with_policy(policy.clone()),
+    ));
+    let thieves_of = |stats: nabbitc::runtime::PoolStats, root: usize| {
+        let mut workers = stats.workers;
+        workers.remove(root);
+        workers
+    };
+    let declined_on_empty = Arc::new(AtomicU64::new(u64::MAX));
+    let root = Arc::new(AtomicUsize::new(usize::MAX));
+    let executed = Arc::new(AtomicU32::new(0));
+    let (p, d, r, e) = (
+        pool.clone(),
+        declined_on_empty.clone(),
+        root.clone(),
+        executed.clone(),
+    );
+    let report = StaticExecutor::new(pool.clone()).execute(
+        &graph,
+        Arc::new(move |u, w| {
+            if u == source {
+                r.store(w, Ordering::SeqCst);
+                hold_until(&|| {
+                    thieves_of(p.stats(), w)
+                        .iter()
+                        .all(|t| t.first_steal_checks >= EMPTY_PROBES)
+                });
+                let thieves = thieves_of(p.stats(), w);
+                let declined: u64 = thieves.iter().map(|t| t.first_steal_declined).sum();
+                d.store(declined, Ordering::SeqCst);
+            } else {
+                let root = r.load(Ordering::SeqCst);
+                hold_until(&|| {
+                    thieves_of(p.stats(), root)
+                        .iter()
+                        .all(|t| t.first_steal_escapes == 1)
+                });
+            }
+            e.fetch_add(1, Ordering::SeqCst);
+        }),
+    );
+    assert_eq!(executed.load(Ordering::SeqCst), 65);
+    assert_eq!(
+        declined_on_empty.load(Ordering::SeqCst),
+        0,
+        "a probe of an empty deque was charged"
+    );
+    let pool_thieves = thieves_of(report.stats, root.load(Ordering::SeqCst));
+
+    // The simulator, same graph and bound: core 0 has the root, cores 1
+    // and 2 probe it (declined) or each other (empty).
+    let mut cfg = WsConfig::nabbitc(3);
+    cfg.policy = policy;
+    let sim = simulate_ws(&graph, &cfg);
+    let sim_thieves = &sim.cores[1..];
+
+    for (real, simulated) in pool_thieves.iter().zip(sim_thieves) {
+        assert_eq!(real.first_steal_declined, BOUND, "{real:?}");
+        assert_eq!(real.first_steal_declined, simulated.first_steal_declined);
+        assert_eq!(
+            (real.first_steal_escapes, simulated.first_steal_escapes),
+            (1, 1)
+        );
+        assert_eq!((real.colored_steals, simulated.colored_steals), (0, 0));
+        assert!(real.first_steal_checks >= EMPTY_PROBES + BOUND, "{real:?}");
+        assert!(simulated.first_steal_checks >= BOUND);
+    }
+    let sim_checks: u64 = sim_thieves.iter().map(|t| t.first_steal_checks).sum();
+    assert!(
+        sim_checks > 2 * BOUND,
+        "the simulated thieves never probed an empty deque"
     );
 }
