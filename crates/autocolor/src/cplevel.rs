@@ -13,7 +13,9 @@
 //!
 //! 1. **Profile levels.** Nodes are grouped by earliest start time
 //!    ([`level_profile`]); a level's width is the parallelism available
-//!    at that point of an ideal schedule.
+//!    at that point of an ideal schedule. A caller that has the profile
+//!    already (`AutoSelect`, for its shape pre-filter) passes it in
+//!    through [`ColorAssigner::assign_profiled`].
 //! 2. **Sweep level by level** down the DAG, assigning each node the
 //!    color that finishes it earliest under a running list-schedule
 //!    estimate (the offline analogue of HEFT) priced by the shared
@@ -57,7 +59,7 @@ use crate::refine::{refine_kway, MakespanGain};
 use crate::{balance_limit, node_weight, ColorAssigner};
 use nabbitc_color::Color;
 use nabbitc_cost::{CostModel, Topology};
-use nabbitc_graph::analysis::level_profile;
+use nabbitc_graph::analysis::{level_profile, LevelProfile};
 use nabbitc_graph::{EdgeTraffic, NodeId, TaskGraph};
 
 /// Level-by-level critical-path-aware partitioner (see module docs).
@@ -222,14 +224,34 @@ impl ColorAssigner for CpLevelAware {
     }
 
     fn assign(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
-        self.assign_pricing::<PredFold>(graph, workers)
+        self.assign_profiled(graph, workers, &level_profile(graph))
+    }
+
+    fn assign_profiled(
+        &self,
+        graph: &TaskGraph,
+        workers: usize,
+        profile: &LevelProfile,
+    ) -> Vec<Color> {
+        self.assign_pricing::<PredFold>(graph, workers, profile)
     }
 }
 
 impl CpLevelAware {
-    /// [`assign`](ColorAssigner::assign), reading predecessors through `P`.
-    fn assign_pricing<P: PredCosts>(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
+    /// [`assign_profiled`](ColorAssigner::assign_profiled), reading
+    /// predecessors through `P`.
+    fn assign_pricing<P: PredCosts>(
+        &self,
+        graph: &TaskGraph,
+        workers: usize,
+        profile: &LevelProfile,
+    ) -> Vec<Color> {
         assert!(workers > 0, "need at least one worker");
+        assert_eq!(
+            profile.level_of.len(),
+            graph.node_count(),
+            "another graph's profile"
+        );
         self.cost.assert_valid();
         let n = graph.node_count();
         if workers == 1 {
@@ -244,7 +266,6 @@ impl CpLevelAware {
             "topology with {} cores cannot place {workers} workers",
             topo.cores()
         );
-        let profile = level_profile(graph);
         let weight: Vec<u64> = graph.nodes().map(|u| node_weight(graph, u)).collect();
         let limit = balance_limit(graph, workers);
         let latency = self.cost.cross_edge_latency();
@@ -385,7 +406,7 @@ impl CpLevelAware {
                 }
             })
             .collect();
-        let mut gain = MakespanGain::new(graph, &profile, &part, workers, &self.cost)
+        let mut gain = MakespanGain::new(graph, profile, &part, workers, &self.cost)
             .with_topology(topo.clone())
             .with_level_quota(tick_quota);
         refine_kway(
@@ -406,9 +427,7 @@ impl CpLevelAware {
 mod tests {
     use super::*;
     use crate::{assignment_is_valid, assignment_loads, RecursiveBisection};
-    use nabbitc_graph::analysis::{
-        estimate_makespan_colored_strict_on, level_profile, level_serialization,
-    };
+    use nabbitc_graph::analysis::{estimate_makespan_colored_strict_on, level_serialization};
     use nabbitc_graph::generate;
     use proptest::prelude::*;
 
@@ -503,9 +522,17 @@ mod tests {
                 // The 2×4 machine has eight cores: twenty workers do not
                 // fit on it.
                 for p in [2usize, 3, 8, 20].into_iter().filter(|&p| t == 0 || p <= 8) {
+                    let colors = cp.assign(&g, p);
                     prop_assert!(
-                        cp.assign(&g, p) == cp.assign_pricing::<PredWalk>(&g, p),
+                        colors == cp.assign_pricing::<PredWalk>(&g, p, &level_profile(&g)),
                         "p={} topology={:?}", p, cp.topology
+                    );
+                    // Handed the profile a selection took for its shape
+                    // pre-filter, the member assigns what it does alone.
+                    let alone = crate::AutoSelect::new(vec![Box::new(cp.clone())]);
+                    prop_assert!(
+                        alone.select(&g, p).0 == colors,
+                        "selected: p={} topology={:?}", p, cp.topology
                     );
                 }
             }

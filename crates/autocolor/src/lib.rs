@@ -70,16 +70,20 @@
 //! maintained per-node connectivity table, so its cost is one walk over
 //! the edges plus the neighbourhoods of the nodes it actually moves.
 //!
-//! A coloring is *scheduling metadata only* until it is applied:
-//! [`apply_assignment`] recolors the graph **and** re-homes every node's
-//! access list under the edge-traffic model
+//! A coloring is *scheduling metadata only* until it is applied, and
+//! applying it never copies the graph: [`TaskGraph::recolored`] lays the
+//! colors over the same shared structure as a new layer, and
+//! [`apply_assignment`] (in place) and [`autocolor`] (assign, then
+//! recolor) are that one call. The layer's colors are also its data
+//! placement under the edge-traffic model
 //! ([`TaskGraph::rehome_edge_traffic`]): the worker that owns a node
 //! first-touch initializes its data (the paper's "each worker initializes
 //! a unique region"), and the node's reads of its predecessors' outputs
 //! are placed at the predecessors' colors — so cross-color dependence
 //! edges carry real remote-byte traffic under the shared
-//! `nabbitc-cost::CostModel`. [`autocolor`] is the clone-and-apply
-//! convenience.
+//! `nabbitc-cost::CostModel`. The access lists that say so are derived
+//! from structure and colors when the NUMA simulator or the linter first
+//! reads them; an executor, which reads colors only, never builds them.
 //!
 //! Two invariants are tested per strategy and property-tested over random
 //! DAGs:
@@ -116,6 +120,7 @@ pub use online::{DynamicAffinity, OnlineAssigner};
 pub use select::{AutoSelect, CandidateOutcome, CandidateTime, GraphShape, SelectionReport};
 
 use nabbitc_color::Color;
+use nabbitc_graph::analysis::LevelProfile;
 use nabbitc_graph::{NodeId, TaskGraph};
 
 /// A strategy that infers one color per node of a task graph.
@@ -127,6 +132,21 @@ pub trait ColorAssigner {
     /// machine with `workers` workers. Every returned color must satisfy
     /// `color.index() < workers`.
     fn assign(&self, graph: &TaskGraph, workers: usize) -> Vec<Color>;
+
+    /// [`assign`](Self::assign) for a caller that already holds
+    /// `level_profile(graph)` — [`AutoSelect`] profiles the graph once for
+    /// its shape pre-filter and hands the profile to every member. Must
+    /// return exactly what `assign` does; the default ignores the profile,
+    /// and a strategy that would compute its own ([`CpLevelAware`])
+    /// overrides this to use the one passed in.
+    fn assign_profiled(
+        &self,
+        graph: &TaskGraph,
+        workers: usize,
+        _profile: &LevelProfile,
+    ) -> Vec<Color> {
+        self.assign(graph, workers)
+    }
 }
 
 /// The load-balance weight of a node: its computational work plus a
@@ -168,30 +188,25 @@ pub fn assignment_loads(graph: &TaskGraph, colors: &[Color], workers: usize) -> 
     loads
 }
 
-/// Applies an assignment to a graph in place: sets every node's color and
-/// re-homes its accesses under the edge-traffic model
-/// ([`TaskGraph::rehome_edge_traffic`]) — each node's data is first-touch
-/// placed at its new color, and its reads of predecessor outputs are
-/// priced at the predecessors' colors, the same placement the NUMA
-/// simulator and the bandwidth-aware makespan estimator charge. Panics if
-/// the assignment is invalid.
+/// Applies an assignment to a graph in place ([`TaskGraph::recolored`],
+/// assigned back): sets every node's color and re-homes its accesses
+/// under the edge-traffic model ([`TaskGraph::rehome_edge_traffic`]) —
+/// each node's data is first-touch placed at its new color, and its reads
+/// of predecessor outputs are priced at the predecessors' colors, the
+/// same placement the NUMA simulator and the bandwidth-aware makespan
+/// estimator charge. Panics, leaving `graph` as it was, if `colors` is
+/// not one valid color per node.
 pub fn apply_assignment(graph: &mut TaskGraph, colors: &[Color]) {
-    assert_eq!(colors.len(), graph.node_count(), "one color per node");
-    assert!(
-        colors.iter().all(|c| c.is_valid()),
-        "assignments must use valid colors"
-    );
-    graph.recolor(|u, _| colors[u as usize]);
-    graph.rehome_edge_traffic();
+    *graph = graph.recolored(colors);
 }
 
-/// Clone-and-apply convenience: runs `assigner` and returns a recolored
-/// copy of `graph` with data re-homed to the inferred colors.
+/// Assign-and-recolor convenience: runs `assigner` and returns `graph`
+/// under the inferred colors, data re-homed to them — a new coloring
+/// layer over `graph`'s own structure
+/// ([`shares_structure_with`](TaskGraph::shares_structure_with)), not a
+/// copy of it.
 pub fn autocolor(graph: &TaskGraph, assigner: &dyn ColorAssigner, workers: usize) -> TaskGraph {
-    let colors = assigner.assign(graph, workers);
-    let mut out = graph.clone();
-    apply_assignment(&mut out, &colors);
-    out
+    graph.recolored(&assigner.assign(graph, workers))
 }
 
 /// Every static strategy (including [`DynamicAffinity`]'s offline replay
@@ -248,9 +263,36 @@ mod tests {
     fn autocolor_leaves_original_untouched() {
         let g = generate::chain(10, 1, 4);
         let before: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
-        let _ = autocolor(&g, &RoundRobin, 3);
+        let colored = autocolor(&g, &RoundRobin, 3);
         let after: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
         assert_eq!(before, after);
+        assert!(
+            colored.shares_structure_with(&g),
+            "autocolor copied the graph"
+        );
+    }
+
+    #[test]
+    fn apply_assignment_rejects_a_bad_vector_before_touching_the_graph() {
+        let panic_message = |g: &mut TaskGraph, colors: &[Color]| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                apply_assignment(g, colors)
+            }))
+            .expect_err("a bad assignment must be refused");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let mut g = generate::chain(4, 1, 4);
+        let before: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
+        let short = panic_message(&mut g, &[Color(0); 3]);
+        assert!(
+            short.contains("3 colors") && short.contains("4 nodes"),
+            "{short}"
+        );
+        let invalid = [Color(1), Color(0), Color::INVALID, Color::INVALID];
+        let msg = panic_message(&mut g, &invalid);
+        assert!(msg.contains("node 2"), "names the first offender: {msg}");
+        let after: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
+        assert_eq!(before, after, "a refused assignment left its mark");
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! beats color-oblivious stealing *across* workload shapes needs an entry
 //! point that picks per graph. [`AutoSelect`] is that entry point:
 //!
-//! 1. **Shape pre-filter.** A [`GraphShape`] summary built from one
-//!    [`level_profile`](nabbitc_graph::analysis::level_profile) pass
-//!    skips candidates whose objective is provably
-//!    inert or documented-losing on the graph's structure (see
-//!    `prefilter_skips`); skipped candidates never pay their `assign`
-//!    cost. Unknown candidate names are never skipped, so custom
-//!    portfolios stay exact.
+//! 1. **Shape pre-filter.** One [`level_profile`] pass per selection:
+//!    the [`GraphShape`] summary built from it skips candidates whose
+//!    objective is provably inert or documented-losing on the graph's
+//!    structure (see `prefilter_skips`), and the same profile is handed
+//!    to the members that run ([`ColorAssigner::assign_profiled`]), so
+//!    the level-aware member does not profile the levels a second time.
+//!    Skipped candidates never pay their `assign` cost. Unknown candidate
+//!    names are never skipped, so custom portfolios stay exact.
 //! 2. **Parallel candidacy, bounded by the machine.** The surviving
 //!    candidates are independent, so they run side by side — but on no
 //!    more threads than [`std::thread::available_parallelism`] reports,
@@ -59,7 +60,9 @@ use crate::domains::pack_domains;
 use crate::{BlockContiguous, ColorAssigner, CpLevelAware, RecursiveBisection};
 use nabbitc_color::Color;
 use nabbitc_cost::{CostModel, Topology};
-use nabbitc_graph::analysis::{estimate_makespan_colored_strict_on, InvalidColoring};
+use nabbitc_graph::analysis::{
+    estimate_makespan_colored_strict_on, level_profile, InvalidColoring,
+};
 use nabbitc_graph::TaskGraph;
 use std::time::Instant;
 
@@ -108,7 +111,7 @@ pub enum CandidateOutcome {
 /// relate to [`SelectionReport::elapsed`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CandidateTime {
-    /// The member's [`ColorAssigner::assign`] call.
+    /// The member's [`ColorAssigner::assign_profiled`] call.
     pub assign: std::time::Duration,
     /// Scoring its assignment with the strict makespan estimator.
     pub score: std::time::Duration,
@@ -339,7 +342,8 @@ impl AutoSelect {
             "topology with {} cores cannot place {workers} workers",
             topo.cores()
         );
-        let shape = GraphShape::of(graph, workers);
+        let profile = level_profile(graph);
+        let shape = GraphShape::from_profile(&profile, workers);
 
         // Degenerate machine: every assigner returns the monochrome
         // assignment, so there is nothing to select between.
@@ -380,7 +384,7 @@ impl AutoSelect {
         // re-thrown on the caller's thread.
         let score = |assigner: &dyn ColorAssigner| -> (Scored, CandidateTime) {
             let started = Instant::now();
-            let colors = assigner.assign(graph, workers);
+            let colors = assigner.assign_profiled(graph, workers, &profile);
             let assign = started.elapsed();
             let est =
                 estimate_makespan_colored_strict_on(graph, &colors, workers, &self.cost, &topo);

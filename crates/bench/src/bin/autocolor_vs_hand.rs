@@ -62,16 +62,13 @@ fn row_for(
     hand_makespan: u64,
     cost: &CostModel,
 ) {
-    // One clone carries both the metrics and the simulation: recolor +
-    // re-home once, then simulate directly (same pipeline as
-    // `simulate_ws_recolored`, without a second copy of the graph).
-    let mut colored = graph.clone();
-    colored.recolor(|u, _| colors[u as usize]);
+    // One coloring layer carries both the metrics and the simulation
+    // (the pipeline of `simulate_ws_recolored`).
+    let colored = graph.recolored(colors);
     let cut = edge_cut(&colored);
     let cut_pct = 100.0 * edge_cut_fraction(&colored);
     let balance = color_balance(&colored, p).imbalance();
     let lvl_ser = level_serialization(&colored, profile).weighted_mean;
-    colored.rehome_edge_traffic();
     let cfg = WsConfig {
         cost: cost.clone(),
         ..WsConfig::nabbitc(p)

@@ -12,7 +12,7 @@
 //! the `auto` coloring of every corpus workload lints clean.
 
 use crate::Report;
-use nabbitc_autocolor::{all_strategies, apply_assignment, AutoSelect};
+use nabbitc_autocolor::{all_strategies, autocolor, AutoSelect};
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_lint::{lint_graph, LintConfig, LintReport, Severity};
 use nabbitc_workloads::{registry, BenchId, Scale};
@@ -57,9 +57,7 @@ pub fn lint_workload(
                 .with_cost_model(cost.clone())
                 .with_topology(topo.clone())
                 .select(&bare.graph, p);
-            let mut g = bare.graph;
-            apply_assignment(&mut g, &colors);
-            g
+            bare.graph.recolored(&colors)
         }
         name => {
             let strategy = all_strategies()
@@ -72,10 +70,7 @@ pub fn lint_workload(
                     )
                 });
             let bare = registry::build_uncolored(id, scale, p);
-            let colors = strategy.assign(&bare.graph, p);
-            let mut g = bare.graph;
-            apply_assignment(&mut g, &colors);
-            g
+            autocolor(&bare.graph, strategy.as_ref(), p)
         }
     };
     let diags = lint_graph(&graph, p, cost, Some(&topo), &LintConfig::default());

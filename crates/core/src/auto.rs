@@ -8,7 +8,11 @@
 //!   (on no more threads than the machine has CPUs, this one included)
 //!   and keeps the per-graph winner (edge-cut partitioning on stencils,
 //!   level-aware partitioning on wavefronts) — no strategy choice needed
-//!   from the caller. To pin one strategy instead, color the graph with
+//!   from the caller. The winning colors are laid over the caller's graph
+//!   as a new coloring layer ([`TaskGraph::recolored`]): nothing of the
+//!   graph is copied, and the access lists the colors imply are never
+//!   built unless someone reads them (the executor does not). To pin one
+//!   strategy instead, color the graph with
 //!   [`autocolor`](nabbitc_autocolor::autocolor) and hand it to
 //!   [`execute`](StaticExecutor::execute);
 //! * [`AutoColoredSpec`] — wrap any [`TaskSpec`] so its `color()` is
@@ -27,7 +31,7 @@
 use crate::dynamic::TaskSpec;
 use crate::report::RunReport;
 use crate::static_exec::StaticExecutor;
-use nabbitc_autocolor::{apply_assignment, AutoSelect, OnlineAssigner};
+use nabbitc_autocolor::{AutoSelect, OnlineAssigner};
 use nabbitc_color::Color;
 use nabbitc_graph::{NodeId, TaskGraph};
 use std::sync::Arc;
@@ -49,13 +53,19 @@ impl StaticExecutor {
     /// the paper's 8×10 NUMA topology, where same-domain cut edges are
     /// priced at local bandwidth and the winner is domain-packed).
     ///
-    /// Returns the execution report and the recolored graph (reuse it
-    /// when executing repeatedly — selection is the expensive part). The
-    /// report's [`selection`](RunReport::selection) says which candidate
-    /// won and why (including the fallback flag and the selection's own
+    /// Returns the execution report and the recolored graph — `graph`'s
+    /// own structure under the winning colors
+    /// ([`shares_structure_with`](TaskGraph::shares_structure_with)), a
+    /// valid simulator and linter input; reuse it when executing
+    /// repeatedly, selection is the expensive part. The report's
+    /// [`selection`](RunReport::selection) says which candidate won and
+    /// why (including the fallback flag and the selection's own
     /// wall-clock cost), and
-    /// [`coloring_elapsed`](RunReport::coloring_elapsed) covers the whole
-    /// coloring phase (selection plus applying the winner).
+    /// [`coloring_elapsed`](RunReport::coloring_elapsed) is the time
+    /// before the first node could run: selection, laying the winner
+    /// over the graph, and the [`ExecOptions::lint`](crate::ExecOptions)
+    /// pre-flight when a gate is on — so that
+    /// [`total_elapsed`](RunReport::total_elapsed) is the whole call.
     pub fn execute_auto<K>(&self, graph: &TaskGraph, kernel: Arc<K>) -> (RunReport, Arc<TaskGraph>)
     where
         K: Fn(NodeId, usize) + Send + Sync + 'static,
@@ -66,11 +76,9 @@ impl StaticExecutor {
             select = select.with_topology(topo.clone());
         }
         let (colors, selection) = select.select(graph, self.pool().workers());
-        let mut recolored = graph.clone();
-        apply_assignment(&mut recolored, &colors);
-        let recolored = Arc::new(recolored);
-        let coloring_elapsed = coloring_started.elapsed();
+        let recolored = Arc::new(graph.recolored(&colors));
         let lint = self.preflight_lint(&recolored, selection.chosen_name());
+        let coloring_elapsed = coloring_started.elapsed();
         let mut report = self.execute(&recolored, kernel);
         report.coloring_elapsed = Some(coloring_elapsed);
         report.selection = Some(selection);
@@ -256,7 +264,9 @@ mod tests {
         assert!(report.coloring_elapsed.expect("coloring timed") >= selection.elapsed);
         assert!(report.selection_summary().is_some());
         assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-        // The graph actually carries the winning candidate's colors.
+        // The graph actually carries the winning candidate's colors —
+        // laid over the caller's structure, not over a copy of it.
+        assert!(recolored.shares_structure_with(&graph));
         let colors: Vec<Color> = recolored.nodes().map(|u| recolored.color(u)).collect();
         assert!(colors.iter().all(|c| c.is_valid() && c.index() < workers));
         assert_eq!(
@@ -351,6 +361,57 @@ mod tests {
             "lint runs against the portfolio winner's coloring"
         );
         assert!(!lint.has_errors(), "a sane auto schedule has no errors");
+    }
+
+    #[test]
+    fn lint_gate_time_is_part_of_the_coloring_phase() {
+        use crate::static_exec::LintGate;
+        use std::time::{Duration, Instant};
+        // 12 k nodes, 30 k edges: the pre-flight lint takes milliseconds,
+        // everything `execute_auto` does outside its two clocks (building
+        // the join counters, the report) microseconds.
+        let workers = 2;
+        let graph = Arc::new(generate::layered_random(60, 200, 4, (1, 50), 1, 3));
+        let pool = Arc::new(Pool::new(PoolConfig::nabbitc(workers)));
+        let exec = StaticExecutor::new(pool).with_options(ExecOptions {
+            lint: LintGate::Report,
+            ..ExecOptions::default()
+        });
+        let called = Instant::now();
+        let (report, recolored) = exec.execute_auto(&graph, Arc::new(|_u: NodeId, _w: usize| {}));
+        let wall = called.elapsed();
+        assert!(report.lint.is_some());
+        // What the lint costs on its own: the fastest of three, so that a
+        // descheduled run cannot loosen the bound below.
+        let opts = exec.options();
+        let lint_alone = (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                let _ = nabbitc_lint::lint_graph(
+                    &recolored,
+                    workers,
+                    &opts.cost,
+                    opts.topology.as_ref(),
+                    &nabbitc_lint::LintConfig::default(),
+                );
+                started.elapsed()
+            })
+            .min()
+            .expect("three runs");
+        assert!(lint_alone > Duration::from_millis(1), "{lint_alone:?}");
+        let selection = report.selection.as_ref().expect("execute_auto selects");
+        let coloring = report.coloring_elapsed.expect("coloring timed");
+        assert!(
+            coloring >= selection.elapsed + lint_alone / 2,
+            "coloring {coloring:?} leaves out a {lint_alone:?} lint after a {:?} selection",
+            selection.elapsed
+        );
+        // The report accounts for the whole call.
+        let unaccounted = wall.saturating_sub(report.total_elapsed());
+        assert!(
+            unaccounted < lint_alone / 2,
+            "{unaccounted:?} of a {wall:?} call in neither clock (the lint alone: {lint_alone:?})"
+        );
     }
 
     #[test]

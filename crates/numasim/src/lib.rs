@@ -49,17 +49,11 @@ use nabbitc_graph::TaskGraph;
 /// This is the simulator-side entry point for the autocolor subsystem:
 /// hand coloring and inferred colorings run through the identical
 /// pipeline, so their makespans and remote-access rates are directly
-/// comparable.
+/// comparable. The recoloring is a layer over `graph`
+/// ([`TaskGraph::recolored`], which also states what `colors` must be),
+/// not a copy of it.
 pub fn simulate_ws_recolored(graph: &TaskGraph, colors: &[Color], cfg: &WsConfig) -> SimResult {
-    assert_eq!(
-        colors.len(),
-        graph.node_count(),
-        "one color per node required"
-    );
-    let mut g = graph.clone();
-    g.recolor(|u, _| colors[u as usize]);
-    g.rehome_edge_traffic();
-    simulate_ws(&g, cfg)
+    simulate_ws(&graph.recolored(colors), cfg)
 }
 
 /// Serial execution time of a graph under a cost model: one core, all data

@@ -1,6 +1,37 @@
 //! CSR task-graph representation and builder.
+//!
+//! A [`TaskGraph`] is two things, and only one of them is ever copied:
+//!
+//! * the **structure** — per-node work and footprint, the successor and
+//!   predecessor CSR and the topological order. It is fixed by
+//!   [`GraphBuilder::build`], immutable from then on and held behind one
+//!   `Arc`: every clone and every recoloring of a graph reads the same
+//!   arrays ([`TaskGraph::shares_structure_with`]). Everything that prices
+//!   or profiles a graph without looking at colors — [`EdgeTraffic`],
+//!   [`level_profile`](crate::analysis::level_profile),
+//!   [`TaskGraph::footprint`] — depends on the structure alone and is
+//!   therefore invariant under recoloring, re-homing and localizing;
+//! * the **coloring layer** — one [`Color`] per node (the paper's
+//!   `color()` method of a node: a hint laid over an unchanged graph) and
+//!   the per-node access lists that say where the node's bytes live. A
+//!   layer is private to its `TaskGraph`: [`recolor`](TaskGraph::recolor),
+//!   [`strip_colors`](TaskGraph::strip_colors) and
+//!   [`localize_accesses`](TaskGraph::localize_accesses) on one clone
+//!   leave every other clone as it was.
+//!
+//! Access lists come in two kinds. *Given* lists — the builder's, or the
+//! one-region lists of [`localize_accesses`](TaskGraph::localize_accesses)
+//! — are stored. The lists of an *edge-traffic-homed* graph
+//! ([`TaskGraph::recolored`], [`TaskGraph::rehome_edge_traffic`]) are a
+//! function of structure and colors, so recoloring stores nothing: they
+//! are built by the first [`TaskGraph::accesses`] read (once, also under
+//! concurrent readers) and belong to that (structure, colors) pair only —
+//! the next re-homing drops them. The executors read colors and never
+//! accesses, so a graph that is colored, run and dropped never pays for
+//! lists only the NUMA simulator and the linter look at.
 
 use nabbitc_color::Color;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a node in a [`TaskGraph`].
 pub type NodeId = u32;
@@ -64,6 +95,8 @@ pub struct GraphBuilder {
     work: Vec<u64>,
     color: Vec<Color>,
     accesses: Vec<Vec<NodeAccess>>,
+    /// Total bytes of each access list, summed while the list is in hand.
+    footprint: Vec<u64>,
     edges: Vec<(NodeId, NodeId)>,
 }
 
@@ -79,6 +112,7 @@ impl GraphBuilder {
             work: Vec::with_capacity(nodes),
             color: Vec::with_capacity(nodes),
             accesses: Vec::with_capacity(nodes),
+            footprint: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
         }
     }
@@ -92,6 +126,7 @@ impl GraphBuilder {
         let id = self.work.len() as NodeId;
         self.work.push(work);
         self.color.push(color);
+        self.footprint.push(accesses.iter().map(|a| a.bytes).sum());
         self.accesses.push(accesses);
         id
     }
@@ -201,32 +236,30 @@ impl GraphBuilder {
             pred_cur[v as usize] += 1;
         }
 
-        let g = TaskGraph {
+        let mut structure = Structure {
             work: self.work,
-            color: self.color,
-            accesses: self.accesses,
+            footprint: self.footprint,
             succ_off,
             succ_adj,
             pred_off,
             pred_adj,
             topo: Vec::new(),
         };
-        let topo = g.compute_topo_order()?;
-        Ok(TaskGraph { topo, ..g })
+        structure.topo = structure.compute_topo_order()?;
+        Ok(TaskGraph {
+            structure: Arc::new(structure),
+            color: self.color,
+            accesses: OnceLock::from(Arc::new(self.accesses)),
+        })
     }
 }
 
-/// An immutable task graph in CSR form.
-///
-/// Nodes are identified by dense [`NodeId`]s. Both predecessor and successor
-/// adjacency are stored so that executors can walk dependences in either
-/// direction (Nabbit explores predecessors on demand and notifies
-/// successors).
-#[derive(Clone)]
-pub struct TaskGraph {
+/// What a coloring cannot change (see the module docs): built once,
+/// shared by every clone and recoloring of the graph.
+struct Structure {
     work: Vec<u64>,
-    color: Vec<Color>,
-    accesses: Vec<Vec<NodeAccess>>,
+    /// Total bytes each node touches, however its lists split them.
+    footprint: Vec<u64>,
     succ_off: Vec<u32>,
     succ_adj: Vec<NodeId>,
     pred_off: Vec<u32>,
@@ -234,23 +267,89 @@ pub struct TaskGraph {
     topo: Vec<NodeId>,
 }
 
+impl Structure {
+    #[inline]
+    fn successors(&self, u: NodeId) -> &[NodeId] {
+        let (a, b) = (self.succ_off[u as usize], self.succ_off[u as usize + 1]);
+        &self.succ_adj[a as usize..b as usize]
+    }
+
+    #[inline]
+    fn predecessors(&self, u: NodeId) -> &[NodeId] {
+        let (a, b) = (self.pred_off[u as usize], self.pred_off[u as usize + 1]);
+        &self.pred_adj[a as usize..b as usize]
+    }
+
+    fn compute_topo_order(&self) -> Result<Vec<NodeId>, GraphError> {
+        let n = self.work.len();
+        let mut indeg: Vec<u32> = (0..n as NodeId)
+            .map(|u| self.predecessors(u).len() as u32)
+            .collect();
+        let mut queue: Vec<NodeId> = (0..n as NodeId)
+            .filter(|&u| indeg[u as usize] == 0)
+            .collect();
+        let mut order = Vec::with_capacity(n);
+        let mut head = 0;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            order.push(u);
+            for &v in self.successors(u) {
+                indeg[v as usize] -= 1;
+                if indeg[v as usize] == 0 {
+                    queue.push(v);
+                }
+            }
+        }
+        if order.len() != n {
+            let on_cycle = (0..n as NodeId)
+                .find(|&u| indeg[u as usize] > 0)
+                .expect("cycle implies a node with positive residual indegree");
+            return Err(GraphError::Cycle(on_cycle));
+        }
+        Ok(order)
+    }
+}
+
+/// Every node's access list, indexed by [`NodeId`].
+type AccessLists = Vec<Vec<NodeAccess>>;
+
+/// A task graph in CSR form: one immutable, shared structure under one
+/// coloring layer (see the module docs).
+///
+/// Nodes are identified by dense [`NodeId`]s. Both predecessor and successor
+/// adjacency are stored so that executors can walk dependences in either
+/// direction (Nabbit explores predecessors on demand and notifies
+/// successors). `clone` copies the colors and takes a reference to
+/// everything else.
+#[derive(Clone)]
+pub struct TaskGraph {
+    structure: Arc<Structure>,
+    color: Vec<Color>,
+    /// The access lists. Unset means edge-traffic-homed under the current
+    /// colors and not read yet ([`Self::edge_traffic_homed`] fills it); once
+    /// set, the lists stay what they are until the next re-homing or
+    /// localizing, whatever the colors do.
+    accesses: OnceLock<Arc<AccessLists>>,
+}
+
 impl TaskGraph {
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.work.len()
+        self.structure.work.len()
     }
 
     /// Number of edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.succ_adj.len()
+        self.structure.succ_adj.len()
     }
 
     /// Work `W(u)` of a node.
     #[inline]
     pub fn work(&self, u: NodeId) -> u64 {
-        self.work[u as usize]
+        self.structure.work[u as usize]
     }
 
     /// Locality color of a node.
@@ -259,24 +358,29 @@ impl TaskGraph {
         self.color[u as usize]
     }
 
-    /// Memory accesses of a node.
+    /// Memory accesses of a node. On an edge-traffic-homed graph the
+    /// first call builds every node's list (O(V + E), once per coloring,
+    /// safe under concurrent readers); later calls are a load.
     #[inline]
     pub fn accesses(&self, u: NodeId) -> &[NodeAccess] {
-        &self.accesses[u as usize]
+        &self.access_lists()[u as usize]
+    }
+
+    fn access_lists(&self) -> &Arc<AccessLists> {
+        self.accesses
+            .get_or_init(|| Arc::new(self.edge_traffic_homed()))
     }
 
     /// Successors of `u` (nodes that depend on `u`).
     #[inline]
     pub fn successors(&self, u: NodeId) -> &[NodeId] {
-        let (a, b) = (self.succ_off[u as usize], self.succ_off[u as usize + 1]);
-        &self.succ_adj[a as usize..b as usize]
+        self.structure.successors(u)
     }
 
     /// Predecessors of `u` (nodes `u` depends on).
     #[inline]
     pub fn predecessors(&self, u: NodeId) -> &[NodeId] {
-        let (a, b) = (self.pred_off[u as usize], self.pred_off[u as usize + 1]);
-        &self.pred_adj[a as usize..b as usize]
+        self.structure.predecessors(u)
     }
 
     /// In-degree of `u`.
@@ -309,27 +413,67 @@ impl TaskGraph {
     /// A topological order of the nodes (computed once at build time).
     #[inline]
     pub fn topo_order(&self) -> &[NodeId] {
-        &self.topo
+        &self.structure.topo
+    }
+
+    /// Whether `self` and `other` are layers over one structure: clones or
+    /// recolorings of the same built graph, reading the same CSR arrays.
+    pub fn shares_structure_with(&self, other: &TaskGraph) -> bool {
+        Arc::ptr_eq(&self.structure, &other.structure)
     }
 
     /// Overrides every node's color. Used by the bad/invalid coloring
-    /// experiments (Tables II and III) without rebuilding the graph.
+    /// experiments (Tables II and III) without rebuilding the graph: only
+    /// the scheduling hint changes, the data stays where it is — the
+    /// access lists read after the call are the ones read before it (an
+    /// edge-traffic-homed graph's are built under the old colors first).
     pub fn recolor(&mut self, mut f: impl FnMut(NodeId, Color) -> Color) {
+        self.access_lists();
         for u in 0..self.color.len() {
             self.color[u] = f(u as NodeId, self.color[u]);
         }
     }
 
-    /// Total bytes touched by a node.
+    /// This graph under another coloring: a new layer over the same
+    /// structure whose colors are `colors` and whose data is re-homed to
+    /// them under the edge-traffic model — what a clone followed by
+    /// [`recolor`](Self::recolor) and
+    /// [`rehome_edge_traffic`](Self::rehome_edge_traffic) yields, for the
+    /// price of copying `colors` (the lists are built if and when they
+    /// are read). `self` is untouched.
+    ///
+    /// Colors become data placement here, so all of them must name a
+    /// region: panics, before anything is built, if `colors` is not one
+    /// color per node or holds [`Color::INVALID`].
+    pub fn recolored(&self, colors: &[Color]) -> TaskGraph {
+        assert_eq!(
+            colors.len(),
+            self.node_count(),
+            "one color per node: {} colors for a graph of {} nodes",
+            colors.len(),
+            self.node_count()
+        );
+        if let Some(u) = colors.iter().position(|c| !c.is_valid()) {
+            panic!("assignments must use valid colors: node {u} is assigned Color::INVALID");
+        }
+        TaskGraph {
+            structure: self.structure.clone(),
+            color: colors.to_vec(),
+            accesses: OnceLock::new(),
+        }
+    }
+
+    /// Total bytes touched by a node, however its access list splits them.
+    #[inline]
     pub fn footprint(&self, u: NodeId) -> u64 {
-        self.accesses[u as usize].iter().map(|a| a.bytes).sum()
+        self.structure.footprint[u as usize]
     }
 
     /// Erases all coloring information: every node becomes `Color(0)` and
     /// its accesses are re-homed there — the canonical "user handed us an
     /// uncolored graph" form consumed by the autocolor assigners.
     pub fn strip_colors(&mut self) {
-        self.recolor(|_, _| Color(0));
+        self.color.fill(Color(0));
         self.localize_accesses();
     }
 
@@ -346,10 +490,8 @@ impl TaskGraph {
     /// footprint(u)`, so a node's inbound traffic never exceeds the bytes
     /// it actually touches.
     ///
-    /// One-edge convenience over [`EdgeTraffic`], which defines the model:
-    /// each call sums both endpoints' access lists, so anything that
-    /// walks edges builds the view once and calls
-    /// [`EdgeTraffic::traffic`] instead.
+    /// One-edge convenience over [`EdgeTraffic`], which defines the model
+    /// and is what anything that walks edges builds once instead.
     pub fn edge_traffic(&self, p: NodeId, u: NodeId) -> u64 {
         NodeShares::of(self, p)
             .out_share
@@ -370,7 +512,19 @@ impl TaskGraph {
     /// charges — simulator and estimator price the same model. Compare
     /// [`localize_accesses`](Self::localize_accesses), which models a
     /// placement with no inter-node reads at all.
+    ///
+    /// The call itself only drops the lists held so far; the re-homed
+    /// ones — a region per owner color, predecessors' colors in adjacency
+    /// order and then the node's own, each listed where it first gets
+    /// bytes — are built by the first [`accesses`](Self::accesses) read.
     pub fn rehome_edge_traffic(&mut self) {
+        self.accesses = OnceLock::new();
+    }
+
+    /// The access lists of this graph read as one whose colors are its
+    /// data placement ([`rehome_edge_traffic`](Self::rehome_edge_traffic)
+    /// states the model and the order of a list's entries).
+    fn edge_traffic_homed(&self) -> AccessLists {
         let traffic = EdgeTraffic::of(self);
         let n = self.node_count();
         // Bytes per owner color of the node in hand (zero between
@@ -379,7 +533,7 @@ impl TaskGraph {
         let colors = self.color.iter().map(|c| c.0 as usize + 1).max();
         let mut owned = vec![0u64; colors.unwrap_or(0)];
         let mut owners: Vec<Color> = Vec::new();
-        let mut rehomed: Vec<Vec<NodeAccess>> = Vec::with_capacity(n);
+        let mut rehomed = AccessLists::with_capacity(n);
         for u in 0..n as NodeId {
             let mut push = |owner: Color, bytes: u64| {
                 if bytes == 0 {
@@ -404,7 +558,7 @@ impl TaskGraph {
             });
             rehomed.push(regions.collect());
         }
-        self.accesses = rehomed;
+        rehomed
     }
 
     /// Re-homes every node's accesses to the node's *current* color,
@@ -417,43 +571,16 @@ impl TaskGraph {
     /// *simulations* use [`rehome_edge_traffic`](Self::rehome_edge_traffic)
     /// instead, which keeps dependence edges carrying byte traffic.
     pub fn localize_accesses(&mut self) {
-        for u in 0..self.accesses.len() {
-            let bytes: u64 = self.accesses[u].iter().map(|a| a.bytes).sum();
-            let owner = self.color[u];
-            self.accesses[u] = if bytes > 0 {
-                vec![NodeAccess { owner, bytes }]
-            } else {
-                Vec::new()
-            };
-        }
-    }
-
-    fn compute_topo_order(&self) -> Result<Vec<NodeId>, GraphError> {
-        let n = self.node_count();
-        let mut indeg: Vec<u32> = (0..n).map(|u| self.in_degree(u as NodeId) as u32).collect();
-        let mut queue: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&u| indeg[u as usize] == 0)
+        let lists = (0..self.node_count())
+            .map(|u| match self.structure.footprint[u] {
+                0 => Vec::new(),
+                bytes => vec![NodeAccess {
+                    owner: self.color[u],
+                    bytes,
+                }],
+            })
             .collect();
-        let mut order = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            order.push(u);
-            for &v in self.successors(u) {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        if order.len() != n {
-            let on_cycle = (0..n as NodeId)
-                .find(|&u| indeg[u as usize] > 0)
-                .expect("cycle implies a node with positive residual indegree");
-            return Err(GraphError::Cycle(on_cycle));
-        }
-        Ok(order)
+        self.accesses = OnceLock::from(Arc::new(lists));
     }
 }
 
@@ -476,11 +603,11 @@ impl NodeShares {
 }
 
 /// Per-node view of the edge-traffic model ([`TaskGraph::edge_traffic`]),
-/// built once in O(V + accesses) so that edge walks — the makespan
+/// built once in O(V) so that edge walks — the makespan
 /// estimator, the autocolor sweep and refinement gain,
 /// [`TaskGraph::rehome_edge_traffic`], the traffic matrices and the
 /// hot-edge lint — price an edge with two loads and a `min` instead of
-/// re-summing both endpoints' access lists.
+/// two divisions.
 ///
 /// Two per-node vectors, deliberately not a per-edge array: the
 /// per-edge value is `min(out_share[p], in_share[u])`, and on a
@@ -488,8 +615,9 @@ impl NodeShares {
 /// as the graph's own adjacency. (A node's footprint itself is needed
 /// once per node, not per edge: [`TaskGraph::footprint`] serves that.)
 ///
-/// The view is a snapshot: it depends on footprints and degrees only
-/// (both invariant under recoloring and re-homing), not on colors.
+/// The view depends on the graph's structure only (footprints and
+/// degrees), not on its coloring layer: one view serves every recoloring
+/// of a graph.
 #[derive(Clone, Debug)]
 pub struct EdgeTraffic {
     out_share: Vec<u64>,
@@ -696,6 +824,136 @@ mod tests {
         g.recolor(|_, c| Color(c.0 + 10));
         assert_eq!(g.color(0), Color(10));
         assert_eq!(g.color(3), Color(13));
+    }
+
+    /// Every node's colors and access lists, as a reader sees them.
+    fn layer(g: &TaskGraph) -> Vec<(Color, Vec<NodeAccess>)> {
+        g.nodes()
+            .map(|u| (g.color(u), g.accesses(u).to_vec()))
+            .collect()
+    }
+
+    fn panic_message(f: impl FnOnce() -> TaskGraph) -> String {
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must be refused");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn recoloring_builds_no_lists_and_the_first_read_builds_them_once() {
+        let g = diamond();
+        let colors = [Color(1), Color(0), Color(1), Color(0)];
+        let mut rehomed = g.clone();
+        rehomed.rehome_edge_traffic();
+        let recolored = Arc::new(g.recolored(&colors));
+        assert!(rehomed.accesses.get().is_none(), "re-homing built lists");
+        assert!(recolored.accesses.get().is_none(), "recoloring built lists");
+        assert!(g.accesses.get().is_some(), "the builder's lists are given");
+
+        // Two first readers at once: one build, both see it.
+        let barrier = std::sync::Barrier::new(2);
+        let read = || {
+            barrier.wait();
+            recolored.accesses(3).as_ptr() as usize
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(read);
+            (read(), other.join().expect("reader panicked"))
+        });
+        assert_eq!(a, b, "two readers, two sets of lists");
+        let built = Arc::as_ptr(recolored.accesses.get().expect("read above"));
+        assert_eq!(recolored.accesses(3).as_ptr() as usize, a);
+        assert_eq!(Arc::as_ptr(recolored.access_lists()), built, "rebuilt");
+        // A clone of a read layer takes the lists along.
+        let clone = TaskGraph::clone(&recolored);
+        assert_eq!(Arc::as_ptr(clone.access_lists()), built);
+        // What was built is what the parent design stored at recolor time.
+        assert_eq!(
+            recolored.accesses(3),
+            &[
+                NodeAccess {
+                    owner: Color(0),
+                    bytes: 32
+                },
+                NodeAccess {
+                    owner: Color(1),
+                    bytes: 32
+                }
+            ]
+        );
+    }
+
+    #[test]
+    fn recolored_refuses_a_bad_color_vector_naming_what_is_wrong() {
+        let g = diamond();
+        let msg = panic_message(|| g.recolored(&[Color(0); 5]));
+        assert!(msg.contains("5 colors") && msg.contains("4 nodes"), "{msg}");
+        let msg = panic_message(|| g.recolored(&[]));
+        assert!(msg.contains("0 colors") && msg.contains("4 nodes"), "{msg}");
+        let msg =
+            panic_message(|| g.recolored(&[Color(0), Color::INVALID, Color(1), Color::INVALID]));
+        assert!(msg.contains("node 1"), "first offender: {msg}");
+    }
+
+    #[test]
+    fn layers_over_one_structure_never_see_each_others_changes() {
+        let g = diamond();
+        let given = layer(&g);
+        let base = g.recolored(&[Color(1), Color(0), Color(1), Color(0)]);
+        // `unread` stays unread until the end: its lists are built after
+        // every other layer has changed, from its own colors.
+        let unread = base.clone();
+        let expected = layer(&base);
+        assert_ne!(expected, given);
+
+        let mut recolored = base.clone();
+        recolored.recolor(|_, c| Color(c.0 + 4));
+        let mut stripped = base.clone();
+        stripped.strip_colors();
+        let mut localized = base.clone();
+        localized.localize_accesses();
+        let mut rehomed = base.clone();
+        rehomed.recolor(|u, _| Color(u as u16));
+        rehomed.rehome_edge_traffic();
+        let again = base.recolored(&[Color(2); 4]);
+
+        for other in [&recolored, &stripped, &localized, &rehomed, &again, &unread] {
+            assert!(other.shares_structure_with(&g));
+        }
+        assert_eq!(layer(&g), given, "the input moved");
+        assert_eq!(
+            layer(&base),
+            expected,
+            "a clone's change reached its origin"
+        );
+        assert_eq!(
+            layer(&unread),
+            expected,
+            "a clone's change reached a sibling"
+        );
+        // Each change did what it says, on its own layer: `recolor` moves
+        // hints and leaves data, the others move data with the colors.
+        for u in g.nodes() {
+            assert_eq!(recolored.color(u), Color(base.color(u).0 + 4));
+            assert_eq!(recolored.accesses(u), base.accesses(u));
+            assert_eq!(stripped.color(u), Color(0));
+            assert!(stripped.accesses(u).iter().all(|a| a.owner == Color(0)));
+            assert_eq!(localized.color(u), base.color(u));
+            assert_eq!(
+                localized.accesses(u),
+                &[NodeAccess {
+                    owner: base.color(u),
+                    bytes: 64
+                }]
+            );
+        }
+        // In place or as a new layer, re-homing is one path.
+        let by_id: Vec<Color> = g.nodes().map(|u| Color(u as u16)).collect();
+        assert_eq!(layer(&rehomed), layer(&g.recolored(&by_id)));
+        assert!(
+            !diamond().shares_structure_with(&g),
+            "two builds, one structure"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example autocolor_pagerank`
 
-use nabbitc::autocolor::{apply_assignment, RecursiveBisection, RoundRobin};
+use nabbitc::autocolor::{autocolor, RecursiveBisection, RoundRobin};
 use nabbitc::core::RemoteAccessReport;
 use nabbitc::graph::analysis::{edge_cut, edge_cut_fraction};
 use nabbitc::graph::TaskGraph;
@@ -99,10 +99,8 @@ fn main() {
         &RecursiveBisection::default() as &dyn ColorAssigner,
         &RoundRobin,
     ] {
-        let colors = strategy.assign(&bare, workers);
-        let mut recolored = bare.clone();
-        apply_assignment(&mut recolored, &colors);
-        let recolored = Arc::new(recolored);
+        // A coloring layer over `bare`'s own structure, not a copy of it.
+        let recolored = Arc::new(autocolor(&bare, strategy, workers));
         let report = exec.execute(&recolored, Arc::new(|_u, _w| {})).remote;
         print_row(strategy.name(), &recolored, &report, None);
     }
