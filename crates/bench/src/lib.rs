@@ -106,13 +106,14 @@ impl Strategy {
 /// seed-averaging the work-stealing strategies. Returns the averaged
 /// result (makespan and counters averaged element-wise where meaningful).
 pub fn run_strategy(id: BenchId, scale: Scale, p: usize, strategy: Strategy) -> SimResult {
-    let built = registry::build(id, scale, p);
     let topo = Topology::paper_machine().truncated(p);
     let cost = CostModel::default();
+    let omp = |schedule| simulate_omp(&registry::loops(id, scale, p), schedule, p, &topo, &cost);
     match strategy {
-        Strategy::OmpStatic => simulate_omp(&built.loops, OmpSchedule::Static, p, &topo, &cost),
-        Strategy::OmpGuided => simulate_omp(&built.loops, OmpSchedule::Guided, p, &topo, &cost),
+        Strategy::OmpStatic => omp(OmpSchedule::Static),
+        Strategy::OmpGuided => omp(OmpSchedule::Guided),
         Strategy::Nabbit | Strategy::NabbitC => {
+            let built = registry::build(id, scale, p);
             let mut acc: Option<SimResult> = None;
             for &seed in SEEDS.iter() {
                 let mut cfg = if strategy == Strategy::Nabbit {

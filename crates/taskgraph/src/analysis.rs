@@ -16,6 +16,7 @@ use crate::{EdgeTraffic, NodeId, TaskGraph};
 use nabbitc_color::{Color, ColorSet};
 use nabbitc_cost::{CostModel, Topology};
 use std::collections::HashMap;
+use std::hint::select_unpredictable;
 
 /// Summary of the Theorem 1 quantities for a graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -525,24 +526,25 @@ pub fn estimate_makespan_colored_strict_on(
     );
     let latency = cost.cross_edge_latency();
     let traffic = EdgeTraffic::of(g);
+    let domain: Vec<usize> = (0..workers).map(|w| topo.domain_of(w)).collect();
     let mut free = vec![0u64; workers];
     let mut finish = vec![0u64; g.node_count()];
     let mut makespan = 0u64;
     for &u in g.topo_order() {
         let w = colors[u as usize].index();
-        let d = topo.domain_of(w);
+        let d = domain[w];
         let mut ready = 0u64;
         let mut remote_bytes = 0u64;
+        // Whether an edge is cut is data, not control flow: an autocolored
+        // graph cuts edges at random, so a branch on it mispredicts.
+        // Same worker implies same domain, so the domain test needs no
+        // cut test in front of it.
         for &p in g.predecessors(u) {
-            let mut t = finish[p as usize];
             let pw = colors[p as usize].index();
-            if pw != w {
-                t += latency;
-                if topo.domain_of(pw) != d {
-                    remote_bytes += traffic.traffic(p, u);
-                }
-            }
-            ready = ready.max(t);
+            let delay = select_unpredictable(pw != w, latency, 0);
+            let remote = select_unpredictable(domain[pw] != d, traffic.traffic(p, u), 0);
+            ready = ready.max(finish[p as usize] + delay);
+            remote_bytes += remote;
         }
         // The traffic model caps inbound at the footprint, so this never
         // underflows: local + remote = footprint(u).

@@ -160,13 +160,18 @@ impl GraphBuilder {
     /// ([`GraphError::InvalidNode`], in edge order, `pred` before
     /// `succ`), then every duplicated edge
     /// ([`GraphError::DuplicateEdge`], in sorted edge order, reported
-    /// once per duplicated pair). An empty vector means
-    /// [`build`](Self::build) can only fail with [`GraphError::Cycle`]
-    /// (acyclicity needs the finished CSR and is checked by `build`).
+    /// once per duplicated pair, edges with an out-of-range endpoint
+    /// included). An empty vector means [`build`](Self::build) can only
+    /// fail with [`GraphError::Cycle`] (acyclicity needs the finished CSR
+    /// and is checked by `build`).
     ///
     /// `build` fails with exactly the first entry of this list whenever
     /// it is non-empty, so collecting front ends (`graphlint`) and the
-    /// fail-fast builder always agree on error priority.
+    /// fail-fast builder always agree on error priority. Both find
+    /// duplicates with the one detector `build` runs on its CSR, so this
+    /// costs O(V + E) and copies no edge list. Out-of-range endpoints get
+    /// rows of their own past the last node, numbered in id order (a
+    /// binary search each, on the error path only).
     pub fn check(&self) -> Vec<GraphError> {
         let mut errors = Vec::new();
         let n = self.work.len();
@@ -178,46 +183,82 @@ impl GraphBuilder {
         if self.edges.len() > u32::MAX as usize {
             errors.push(GraphError::TooManyEdges(self.edges.len()));
         }
+        let mut unknown = Vec::new();
         for &(u, v) in &self.edges {
-            if u as usize >= n {
-                errors.push(GraphError::InvalidNode(u));
-            }
-            if v as usize >= n {
-                errors.push(GraphError::InvalidNode(v));
-            }
-        }
-
-        // Duplicate-edge detection via sort; equal pairs are adjacent
-        // after sorting, so the `last` comparison reports each duplicated
-        // pair once no matter how many copies were added.
-        let mut sorted = self.edges.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                let dup = GraphError::DuplicateEdge(w[0].0, w[0].1);
-                if errors.last() != Some(&dup) {
-                    errors.push(dup);
+            for end in [u, v] {
+                if end as usize >= n {
+                    errors.push(GraphError::InvalidNode(end));
+                    unknown.push(end);
                 }
             }
         }
+
+        // Rows (and columns) in id order: nodes first, then the unknown
+        // ids, so row order is sorted edge order.
+        unknown.sort_unstable();
+        unknown.dedup();
+        let row = |id: NodeId| {
+            if (id as usize) < n {
+                id as usize
+            } else {
+                n + unknown.binary_search(&id).expect("collected above")
+            }
+        };
+        let rows = n + unknown.len();
+        let mut off = vec![0usize; rows + 1];
+        for &(u, _) in &self.edges {
+            off[row(u) + 1] += 1;
+        }
+        for r in 0..rows {
+            off[r + 1] += off[r];
+        }
+        let mut adj = vec![0 as NodeId; self.edges.len()];
+        let mut cur = off.clone();
+        for &(u, v) in &self.edges {
+            adj[cur[row(u)]] = row(v) as NodeId;
+            cur[row(u)] += 1;
+        }
+        let id = |r: NodeId| {
+            if (r as usize) < n {
+                r
+            } else {
+                unknown[r as usize - n]
+            }
+        };
+        let duplicates = duplicate_edges((0..rows).map(|r| &adj[off[r]..off[r + 1]]), rows);
+        errors.extend(
+            duplicates
+                .into_iter()
+                .map(|(u, v)| GraphError::DuplicateEdge(id(u), id(v))),
+        );
         errors
     }
 
     /// Finalizes the graph, checking edge validity and acyclicity.
     ///
     /// Fails with the first error [`check`](Self::check) collects; use
-    /// `check` to see all of them at once.
+    /// `check` to see all of them at once. Validation rides on the CSR
+    /// being built, O(V + E) in all: endpoints are checked in the pass
+    /// that counts degrees, duplicates by the detector `check` shares,
+    /// run over the finished successor rows.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
-        if let Some(first) = self.check().into_iter().next() {
-            return Err(first);
-        }
         let n = self.work.len();
+        let m = self.edges.len();
+        if n == 0 {
+            return Err(GraphError::Empty);
+        }
+        if m > u32::MAX as usize {
+            return Err(GraphError::TooManyEdges(m));
+        }
 
         // CSR for successors and predecessors.
-        let m = self.edges.len();
         let mut succ_off = vec![0u32; n + 1];
         let mut pred_off = vec![0u32; n + 1];
         for &(u, v) in &self.edges {
+            if u.max(v) as usize >= n {
+                let first = if u as usize >= n { u } else { v };
+                return Err(GraphError::InvalidNode(first));
+            }
             succ_off[u as usize + 1] += 1;
             pred_off[v as usize + 1] += 1;
         }
@@ -245,6 +286,10 @@ impl GraphBuilder {
             pred_adj,
             topo: Vec::new(),
         };
+        let rows = (0..n as NodeId).map(|u| structure.successors(u));
+        if let Some(&(u, v)) = duplicate_edges(rows, n).first() {
+            return Err(GraphError::DuplicateEdge(u, v));
+        }
         structure.topo = structure.compute_topo_order()?;
         Ok(TaskGraph {
             structure: Arc::new(structure),
@@ -252,6 +297,34 @@ impl GraphBuilder {
             accesses: OnceLock::from(Arc::new(self.accesses)),
         })
     }
+}
+
+/// The one duplicate-edge detector, behind [`GraphBuilder::check`] and
+/// [`GraphBuilder::build`]: every `(row, column)` pair `rows` holds more
+/// than once, once per pair, in sorted order. Row `r` is the `r`-th item
+/// of `rows`, and every column is below `columns`.
+///
+/// O(rows + columns + E) with no copy of the pairs: a row stamps each
+/// column it holds with its own index, so a column already carrying the
+/// stamp is a repeat. Only the repeats found are sorted.
+fn duplicate_edges<'a>(
+    rows: impl Iterator<Item = &'a [NodeId]>,
+    columns: usize,
+) -> Vec<(NodeId, NodeId)> {
+    // The first stamp is no row's: row u32::MAX would need every u32 id.
+    let mut stamp = vec![NodeId::MAX; columns];
+    let mut repeats = Vec::new();
+    for (r, row) in rows.enumerate() {
+        let r = r as NodeId;
+        for &c in row {
+            if std::mem::replace(&mut stamp[c as usize], r) == r {
+                repeats.push((r, c));
+            }
+        }
+    }
+    repeats.sort_unstable();
+    repeats.dedup();
+    repeats
 }
 
 /// What a coloring cannot change (see the module docs): built once,
@@ -1122,5 +1195,172 @@ mod tests {
         );
         let g = b.build().unwrap();
         assert_eq!(g.footprint(0), 128);
+    }
+
+    /// `check` with duplicates found by sorting a copy of the edge list:
+    /// the reference `check` must equal entry for entry.
+    fn check_by_sorting(b: &GraphBuilder) -> Vec<GraphError> {
+        let mut errors = Vec::new();
+        let n = b.work.len();
+        if n == 0 {
+            errors.push(GraphError::Empty);
+        }
+        if b.edges.len() > u32::MAX as usize {
+            errors.push(GraphError::TooManyEdges(b.edges.len()));
+        }
+        for &(u, v) in &b.edges {
+            if u as usize >= n {
+                errors.push(GraphError::InvalidNode(u));
+            }
+            if v as usize >= n {
+                errors.push(GraphError::InvalidNode(v));
+            }
+        }
+        let mut sorted = b.edges.clone();
+        sorted.sort_unstable();
+        for w in sorted.windows(2) {
+            if w[0] == w[1] {
+                let dup = GraphError::DuplicateEdge(w[0].0, w[0].1);
+                if errors.last() != Some(&dup) {
+                    errors.push(dup);
+                }
+            }
+        }
+        errors
+    }
+
+    /// The CSR arrays and topological order of a built structure.
+    type Csr = [Vec<NodeId>; 5];
+
+    fn csr(s: &Structure) -> Csr {
+        [
+            s.succ_off.clone(),
+            s.succ_adj.clone(),
+            s.pred_off.clone(),
+            s.pred_adj.clone(),
+            s.topo.clone(),
+        ]
+    }
+
+    /// `build` over the sort-based check: fail with its first entry, else
+    /// fill the CSR edge by edge and order it topologically.
+    fn build_by_sorting(b: &GraphBuilder) -> Result<Csr, GraphError> {
+        if let Some(first) = check_by_sorting(b).into_iter().next() {
+            return Err(first);
+        }
+        let n = b.work.len();
+        let mut succ: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut pred: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for &(u, v) in &b.edges {
+            succ[u as usize].push(v);
+            pred[v as usize].push(u);
+        }
+        let offsets = |rows: &[Vec<NodeId>]| {
+            std::iter::once(0)
+                .chain(rows.iter().scan(0, |off, row| {
+                    *off += row.len() as u32;
+                    Some(*off)
+                }))
+                .collect()
+        };
+        let mut s = Structure {
+            work: b.work.clone(),
+            footprint: b.footprint.clone(),
+            succ_off: offsets(&succ),
+            succ_adj: succ.concat(),
+            pred_off: offsets(&pred),
+            pred_adj: pred.concat(),
+            topo: Vec::new(),
+        };
+        s.topo = s.compute_topo_order()?;
+        Ok(csr(&s))
+    }
+
+    /// A random builder of 0–40 nodes. About one builder in three each
+    /// may have edges with an endpoint past the last node or near
+    /// `u32::MAX`; backward edges and self-loops (cycles; the others are
+    /// kept forward); edges added two or three times, invalid ones
+    /// included, the copies scattered; and edges grouped by either
+    /// endpoint instead of shuffled.
+    fn random_builder(rng: &mut rand::rngs::StdRng) -> GraphBuilder {
+        use rand::Rng;
+        let n = rng.gen_range(0..=40u32);
+        let mut flaw = || rng.gen_range(0..3u32) == 0;
+        let (invalid, cyclic, repeated) = (flaw(), flaw(), flaw());
+        let mut b = GraphBuilder::new();
+        for _ in 0..n {
+            b.add_simple_node(1, Color(0), 8);
+        }
+        let end = |rng: &mut rand::rngs::StdRng| {
+            if n > 0 && !(invalid && rng.gen_range(0..8u32) == 0) {
+                rng.gen_range(0..n)
+            } else if rng.gen_bool(0.5) {
+                n + rng.gen_range(0..3u32)
+            } else {
+                u32::MAX - rng.gen_range(0..2u32)
+            }
+        };
+        let mut edges = Vec::new();
+        for _ in 0..rng.gen_range(0..=2 * n + 4) {
+            let (mut u, mut v) = (end(rng), end(rng));
+            if !cyclic && u.max(v) < n {
+                if u == v {
+                    continue;
+                }
+                (u, v) = (u.min(v), u.max(v));
+            }
+            let copies = if repeated {
+                [1, 1, 2, 3][rng.gen_range(0..4usize)]
+            } else {
+                1
+            };
+            edges.extend(std::iter::repeat_n((u, v), copies));
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.gen_range(0..=i));
+        }
+        // Some builders add their edges grouped by one endpoint.
+        match rng.gen_range(0..3u32) {
+            0 => edges.sort_by_key(|&(u, _)| u),
+            1 => edges.sort_by_key(|&(_, v)| v),
+            _ => {}
+        }
+        for (u, v) in edges {
+            b.add_edge(u, v);
+        }
+        b
+    }
+
+    #[test]
+    fn linear_check_and_build_match_the_sort_based_reference() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0dd_ed9e);
+        // Built; and failed with a cycle, no nodes, an invalid endpoint, a
+        // duplicate; and checks listing a duplicate with an invalid end.
+        let mut seen = [0usize; 6];
+        for case in 0..4000 {
+            let b = random_builder(&mut rng);
+            let expected = check_by_sorting(&b);
+            assert_eq!(b.check(), expected, "case {case}: edges {:?}", b.edges);
+            let reference = build_by_sorting(&b);
+            let built = b.clone().build().map(|g| csr(&g.structure));
+            assert_eq!(built, reference, "case {case}: edges {:?}", b.edges);
+            seen[match reference {
+                Ok(_) => 0,
+                Err(GraphError::Cycle(_)) => 1,
+                Err(GraphError::Empty) => 2,
+                Err(GraphError::InvalidNode(_)) => 3,
+                Err(GraphError::DuplicateEdge(..)) => 4,
+                Err(GraphError::TooManyEdges(_)) => unreachable!("at most 252 edges"),
+            }] += 1;
+            let n = b.node_count() as NodeId;
+            let invalid_duplicate =
+                |e: &GraphError| matches!(*e, GraphError::DuplicateEdge(u, v) if u.max(v) >= n);
+            seen[5] += usize::from(expected.iter().any(invalid_duplicate));
+        }
+        assert!(
+            seen.iter().all(|&k| k >= 50),
+            "a kind went untested: {seen:?}"
+        );
     }
 }

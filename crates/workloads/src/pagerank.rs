@@ -13,6 +13,11 @@
 //! writes are block-disjoint (no atomics) and the dependence structure is
 //! exactly "`(t, b)` waits for `(t-1, b')` for every block `b'` with edges
 //! into `b`".
+//!
+//! [`PageRank::task_graph`] builds the graph only; [`PageRank::loops`]
+//! builds the OpenMP loop nest of the same computation, on request. Each
+//! summarizes the block dependences in one pass over the in-edges and
+//! works out every block's task once for all iterations.
 
 use crate::util::{block_owner, block_range, SharedBuffer};
 use crate::webgraph::{self, WebGraph, WebGraphParams};
@@ -37,6 +42,7 @@ pub struct PageRank {
 
 /// Per-block dependence summary: distinct in-neighbor blocks and edge
 /// counts from each.
+#[derive(Debug, PartialEq)]
 struct BlockDeps {
     /// For each block: sorted `(source_block, edges)` pairs.
     incoming: Vec<Vec<(usize, u32)>>,
@@ -105,81 +111,128 @@ impl PageRank {
         }
     }
 
+    /// One pass over the in-edges. Blocks are contiguous vertex ranges,
+    /// so each block's in-edges are one slice of the transposed CSR and
+    /// the blocks are visited in order: each block's in-neighbour blocks
+    /// are counted into dense per-block counters, and every reader list is
+    /// appended to in increasing block order — sorted and duplicate-free
+    /// as it is built.
     fn deps(&self) -> BlockDeps {
-        let mut incoming: Vec<std::collections::BTreeMap<usize, u32>> =
-            (0..self.blocks).map(|_| Default::default()).collect();
-        let mut readers: Vec<std::collections::BTreeSet<usize>> =
-            (0..self.blocks).map(|_| Default::default()).collect();
+        // Most edges of a local web graph come from the block they enter:
+        // counted over a few lanes per source block, a run of them is not
+        // one chain of dependent increments.
+        const LANES: usize = 4;
+        let web = &self.web;
+        let block: Vec<u32> = (0..web.nv).map(|v| self.block_of(v) as u32).collect();
+        let mut incoming = vec![Vec::new(); self.blocks];
+        let mut readers = vec![Vec::new(); self.blocks];
         let mut verts = vec![0usize; self.blocks];
         let mut in_edges = vec![0u64; self.blocks];
-        for v in 0..self.web.nv {
-            let b = self.block_of(v);
-            verts[b] += 1;
-            for &s in self.web.in_neighbors(v) {
-                let sb = self.block_of(s as usize);
-                *incoming[b].entry(sb).or_insert(0) += 1;
-                in_edges[b] += 1;
+        // Edges into the block in hand from each block; the last block
+        // each block was counted for; the blocks counted for this one.
+        let mut count = vec![0u32; self.blocks * LANES];
+        let mut counted_for = vec![usize::MAX; self.blocks];
+        let mut sources: Vec<usize> = Vec::new();
+        let mut first = 0;
+        for b in 0..self.blocks {
+            let end = first
+                + block[first..]
+                    .iter()
+                    .take_while(|&&vb| vb as usize == b)
+                    .count();
+            let ins = &web.in_adj[web.in_off[first] as usize..web.in_off[end] as usize];
+            verts[b] = end - first;
+            in_edges[b] = ins.len() as u64;
+            first = end;
+            for (i, &s) in ins.iter().enumerate() {
+                let sb = block[s as usize] as usize;
+                if counted_for[sb] != b {
+                    counted_for[sb] = b;
+                    sources.push(sb);
+                }
+                count[sb * LANES + i % LANES] += 1;
+            }
+            sources.sort_unstable();
+            for &sb in &sources {
+                let lanes = &mut count[sb * LANES..][..LANES];
+                incoming[b].push((sb, lanes.iter().sum()));
+                lanes.fill(0);
                 // Task (t, b) reads rank[sb]: block sb's next writer must
                 // wait for it.
-                readers[sb].insert(b);
+                readers[sb].push(b);
             }
+            sources.clear();
         }
         BlockDeps {
-            incoming: incoming
-                .into_iter()
-                .map(|m| m.into_iter().collect())
-                .collect(),
-            readers: readers
-                .into_iter()
-                .map(|s| s.into_iter().collect())
-                .collect(),
+            incoming,
+            readers,
             verts,
             in_edges,
         }
     }
 
+    /// Work and memory accesses of block `b`'s task in every iteration,
+    /// colored for `p` workers.
+    fn block_task(&self, deps: &BlockDeps, b: usize, p: usize) -> IterDesc {
+        let own = Color::from(block_owner(b, self.blocks, p));
+        // The input block is "accessed regularly" (paper §V): its
+        // rank/next arrays plus its in-adjacency lists all live in
+        // the block's own region.
+        let mut accesses = vec![NodeAccess {
+            owner: own,
+            bytes: (deps.verts[b] * 16) as u64 + deps.in_edges[b] * 6,
+        }];
+        for &(sb, edges) in &deps.incoming[b] {
+            if sb != b {
+                accesses.push(NodeAccess {
+                    owner: Color::from(block_owner(sb, self.blocks, p)),
+                    bytes: edges as u64 * 8,
+                });
+            }
+        }
+        IterDesc {
+            // Work ∝ edges scanned + vertices updated.
+            work: deps.in_edges[b] * 2 + deps.verts[b] as u64,
+            accesses,
+        }
+    }
+
     /// Task graph for `p` workers: `iters × blocks` nodes, colored by the
     /// block owner ("we color each task based on the block of pages it
-    /// takes as input").
+    /// takes as input"). Each block's task and predecessor blocks are
+    /// worked out once and repeated per iteration.
     pub fn task_graph(&self, p: usize) -> TaskGraph {
         let deps = self.deps();
+        let tasks: Vec<IterDesc> = (0..self.blocks)
+            .map(|b| self.block_task(&deps, b, p))
+            .collect();
+        // True dependences (read rank of in-neighbor blocks),
+        // anti-dependences (previous iteration's readers of this block
+        // must finish before we overwrite it — the WAR hazard of double
+        // buffering), and the block itself.
+        let preds: Vec<Vec<usize>> = (0..self.blocks)
+            .map(|b| {
+                let mut preds: Vec<usize> = deps.incoming[b].iter().map(|&(sb, _)| sb).collect();
+                preds.extend(&deps.readers[b]);
+                preds.push(b);
+                preds.sort_unstable();
+                preds.dedup();
+                preds
+            })
+            .collect();
         let n = self.iters * self.blocks;
-        let mut gb = GraphBuilder::with_capacity(n, n * 8);
+        let m = self.iters.saturating_sub(1) * preds.iter().map(Vec::len).sum::<usize>();
+        let mut gb = GraphBuilder::with_capacity(n, m);
         for _t in 0..self.iters {
-            for b in 0..self.blocks {
+            for (b, task) in tasks.iter().enumerate() {
                 let own = Color::from(block_owner(b, self.blocks, p));
-                // The input block is "accessed regularly" (paper §V): its
-                // rank/next arrays plus its in-adjacency lists all live in
-                // the block's own region.
-                let mut acc = vec![NodeAccess {
-                    owner: own,
-                    bytes: (deps.verts[b] * 16) as u64 + deps.in_edges[b] * 6,
-                }];
-                for &(sb, edges) in &deps.incoming[b] {
-                    if sb != b {
-                        acc.push(NodeAccess {
-                            owner: Color::from(block_owner(sb, self.blocks, p)),
-                            bytes: edges as u64 * 8,
-                        });
-                    }
-                }
-                // Work ∝ edges scanned + vertices updated.
-                gb.add_node(deps.in_edges[b] * 2 + deps.verts[b] as u64, own, acc);
+                gb.add_node(task.work, own, task.accesses.clone());
             }
         }
         let id = |t: usize, b: usize| (t * self.blocks + b) as NodeId;
         for t in 1..self.iters {
-            for b in 0..self.blocks {
-                // True dependences (read rank of in-neighbor blocks),
-                // anti-dependences (previous iteration's readers of this
-                // block must finish before we overwrite it — the WAR
-                // hazard of double buffering), and the block itself.
-                let mut preds: Vec<usize> = deps.incoming[b].iter().map(|&(sb, _)| sb).collect();
-                preds.extend(deps.readers[b].iter().copied());
-                preds.push(b);
-                preds.sort_unstable();
-                preds.dedup();
-                for sb in preds {
+            for (b, preds) in preds.iter().enumerate() {
+                for &sb in preds {
                     gb.add_edge(id(t - 1, sb), id(t, b));
                 }
             }
@@ -193,25 +246,7 @@ impl PageRank {
         let deps = self.deps();
         let phase = Phase {
             iters: (0..self.blocks)
-                .map(|b| {
-                    let own = Color::from(block_owner(b, self.blocks, p));
-                    let mut acc = vec![NodeAccess {
-                        owner: own,
-                        bytes: (deps.verts[b] * 16) as u64 + deps.in_edges[b] * 6,
-                    }];
-                    for &(sb, edges) in &deps.incoming[b] {
-                        if sb != b {
-                            acc.push(NodeAccess {
-                                owner: Color::from(block_owner(sb, self.blocks, p)),
-                                bytes: edges as u64 * 8,
-                            });
-                        }
-                    }
-                    IterDesc {
-                        work: deps.in_edges[b] * 2 + deps.verts[b] as u64,
-                        accesses: acc,
-                    }
-                })
+                .map(|b| self.block_task(&deps, b, p))
                 .collect(),
         };
         LoopNest {
@@ -361,5 +396,112 @@ mod tests {
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().min().unwrap();
         assert!(max - min <= 1);
+    }
+
+    /// The dependence summary as ordered maps and sets build it, one
+    /// insertion per in-edge: what the dense pass must reproduce.
+    fn deps_by_btree(pr: &PageRank) -> BlockDeps {
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut incoming: Vec<BTreeMap<usize, u32>> = vec![BTreeMap::new(); pr.blocks];
+        let mut readers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); pr.blocks];
+        let mut verts = vec![0usize; pr.blocks];
+        let mut in_edges = vec![0u64; pr.blocks];
+        for v in 0..pr.web.nv {
+            let b = pr.block_of(v);
+            verts[b] += 1;
+            for &s in pr.web.in_neighbors(v) {
+                let sb = pr.block_of(s as usize);
+                *incoming[b].entry(sb).or_insert(0) += 1;
+                in_edges[b] += 1;
+                readers[sb].insert(b);
+            }
+        }
+        BlockDeps {
+            incoming: incoming
+                .into_iter()
+                .map(|m| m.into_iter().collect())
+                .collect(),
+            readers: readers
+                .into_iter()
+                .map(|s| s.into_iter().collect())
+                .collect(),
+            verts,
+            in_edges,
+        }
+    }
+
+    #[test]
+    fn dense_deps_match_the_ordered_map_reference() {
+        let params = |nv, locality, seed| WebGraphParams {
+            nv,
+            locality,
+            seed,
+            ..WebGraphParams::uk2002()
+        };
+        let twitter = WebGraphParams {
+            nv: 20_000,
+            ..WebGraphParams::twitter2010()
+        };
+        assert_eq!(twitter.locality, 0.25);
+        let instances = [
+            PageRank::small(),
+            PageRank::new(&params(20_000, 0.97, 2002), 80, 3),
+            PageRank::new(&twitter, 410, 3),
+            // Fewer vertices than blocks: the `base == 0` branch of
+            // `block_of`, with trailing blocks that own no vertex.
+            PageRank::new(&params(30, 0.5, 30), 50, 3),
+        ];
+        for pr in &instances {
+            assert_eq!(
+                pr.deps(),
+                deps_by_btree(pr),
+                "nv {} blocks {}",
+                pr.web.nv,
+                pr.blocks
+            );
+        }
+        assert!(instances[3].web.nv / instances[3].blocks == 0);
+    }
+
+    /// FNV-1a over everything a built graph holds, each value fed as a
+    /// little-endian u64: the node count; per node its work, color,
+    /// predecessors, successors and accesses as (owner, bytes); then the
+    /// topological order.
+    fn fnv(g: &TaskGraph) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(g.node_count() as u64);
+        for u in g.nodes() {
+            eat(g.work(u));
+            eat(u64::from(g.color(u).0));
+            g.predecessors(u).iter().for_each(|&p| eat(u64::from(p)));
+            g.successors(u).iter().for_each(|&s| eat(u64::from(s)));
+            for a in g.accesses(u) {
+                eat(u64::from(a.owner.0));
+                eat(a.bytes);
+            }
+        }
+        g.topo_order().iter().for_each(|&u| eat(u64::from(u)));
+        h
+    }
+
+    #[test]
+    fn the_benchmark_input_graph_is_pinned() {
+        for (seed, pinned) in [(1, 0x246a_3d6f_48c8_b8e0u64), (7, 0x2fbb_919a_913f_0c4d)] {
+            let pr = PageRank::new(
+                &WebGraphParams {
+                    seed,
+                    ..WebGraphParams::uk2007()
+                },
+                1050,
+                10,
+            );
+            let hash = fnv(&pr.task_graph(2));
+            assert_eq!(hash, pinned, "seed {seed}: {hash:#018x}");
+        }
     }
 }

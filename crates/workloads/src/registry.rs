@@ -1,5 +1,10 @@
 //! Benchmark registry: Table I's ten benchmarks behind one interface, for
 //! the figure/table harnesses.
+//!
+//! [`build`] makes a benchmark's task graph and nothing else; [`loops`]
+//! makes the OpenMP loop nest of the same computation, for the callers
+//! that simulate OpenMP schedules. Each builds its input once (a PageRank
+//! web graph included), so a caller pays only for the form it reads.
 
 use crate::{cg, fdtd, heat, life, mg, pagerank, sw};
 use nabbitc_graph::TaskGraph;
@@ -73,15 +78,14 @@ impl BenchId {
     }
 }
 
-/// A built benchmark: task graph + OpenMP loop nest for a given worker
-/// count.
+/// A built benchmark: its task graph for a given worker count. The
+/// OpenMP loop nest of the same computation is built on request by
+/// [`loops`].
 pub struct Built {
     /// Benchmark id.
     pub id: BenchId,
     /// Task graph (colored for `p` workers).
     pub graph: TaskGraph,
-    /// OpenMP loop nest.
-    pub loops: LoopNest,
 }
 
 /// Problem scale: divisors applied to the paper's Table I sizes so sweeps
@@ -111,30 +115,42 @@ impl Scale {
     }
 }
 
-/// Builds benchmark `id` at `scale` for `p` workers. PageRank instances
-/// scale their web graphs by the same divisor.
+/// Builds benchmark `id`'s task graph at `scale` for `p` workers.
+/// PageRank instances scale their web graphs by the same divisor.
 pub fn build(id: BenchId, scale: Scale, p: usize) -> Built {
     let d = scale.divisor();
-    let (graph, loops) = match id {
-        BenchId::Cg => (cg::graph(d, p), cg::loops(d, p)),
-        BenchId::Mg => (mg::graph(d, p), mg::loops(d, p)),
-        BenchId::Heat => (heat::graph(d, p), heat::loops(d, p)),
-        BenchId::Fdtd => (fdtd::graph(d, p), fdtd::loops(d, p)),
-        BenchId::Life => (life::graph(d, p), life::loops(d, p)),
+    let graph = match id {
+        BenchId::Cg => cg::graph(d, p),
+        BenchId::Mg => mg::graph(d, p),
+        BenchId::Heat => heat::graph(d, p),
+        BenchId::Fdtd => fdtd::graph(d, p),
+        BenchId::Life => life::graph(d, p),
         BenchId::PageUk2002 | BenchId::PageTwitter2010 | BenchId::PageUk2007 => {
-            let pr = build_pagerank_for(id, scale, p);
-            (pr.task_graph(p), pr.loops(p))
+            build_pagerank_for(id, scale, p).task_graph(p)
         }
-        BenchId::Sw => {
-            let s = sw::shape_sw(d);
-            (sw::graph_from_shape(&s, p), sw::loops_from_shape(&s, p))
-        }
-        BenchId::Swn2 => {
-            let s = sw::shape_swn2(d);
-            (sw::graph_from_shape(&s, p), sw::loops_from_shape(&s, p))
-        }
+        BenchId::Sw => sw::graph_from_shape(&sw::shape_sw(d), p),
+        BenchId::Swn2 => sw::graph_from_shape(&sw::shape_swn2(d), p),
     };
-    Built { id, graph, loops }
+    Built { id, graph }
+}
+
+/// Builds benchmark `id`'s OpenMP loop nest at `scale` for `p` workers:
+/// the computation [`build`]'s graph describes, as barrier-separated
+/// parallel loops, for the callers that simulate OpenMP schedules.
+pub fn loops(id: BenchId, scale: Scale, p: usize) -> LoopNest {
+    let d = scale.divisor();
+    match id {
+        BenchId::Cg => cg::loops(d, p),
+        BenchId::Mg => mg::loops(d, p),
+        BenchId::Heat => heat::loops(d, p),
+        BenchId::Fdtd => fdtd::loops(d, p),
+        BenchId::Life => life::loops(d, p),
+        BenchId::PageUk2002 | BenchId::PageTwitter2010 | BenchId::PageUk2007 => {
+            build_pagerank_for(id, scale, p).loops(p)
+        }
+        BenchId::Sw => sw::loops_from_shape(&sw::shape_sw(d), p),
+        BenchId::Swn2 => sw::loops_from_shape(&sw::shape_swn2(d), p),
+    }
 }
 
 /// Builds benchmark `id` with the hand coloring *erased*: every node is
@@ -190,7 +206,8 @@ mod tests {
                 "{} has dead work",
                 id.name()
             );
-            let total_loop_iters: usize = b.loops.phases.iter().map(|p| p.iters.len()).sum();
+            let loops = loops(id, Scale::Small, 8);
+            let total_loop_iters: usize = loops.phases.iter().map(|p| p.iters.len()).sum();
             assert!(total_loop_iters > 0, "{} loop nest empty", id.name());
         }
     }
