@@ -491,7 +491,10 @@ mod tests {
 
     #[test]
     fn the_benchmark_input_graph_is_pinned() {
-        for (seed, pinned) in [(1, 0x246a_3d6f_48c8_b8e0u64), (7, 0x2fbb_919a_913f_0c4d)] {
+        for (seed, web_pinned, pinned) in [
+            (1, 0xbb6d_e8b2_47c3_8dbau64, 0x246a_3d6f_48c8_b8e0u64),
+            (7, 0xcb1a_34a1_bb34_2b60, 0x2fbb_919a_913f_0c4d),
+        ] {
             let pr = PageRank::new(
                 &WebGraphParams {
                     seed,
@@ -500,6 +503,8 @@ mod tests {
                 1050,
                 10,
             );
+            let web_hash = webgraph::tests::fnv(&pr.web);
+            assert_eq!(web_hash, web_pinned, "seed {seed}: web {web_hash:#018x}");
             let hash = fnv(&pr.task_graph(2));
             assert_eq!(hash, pinned, "seed {seed}: {hash:#018x}");
         }

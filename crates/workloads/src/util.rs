@@ -115,26 +115,87 @@ impl<T> SharedBuffer<T> {
 /// Deterministic discrete power-law sampler over `0..n`: value `k` has
 /// probability ∝ `(k+1)^-alpha`. Implemented by inverse-transform on the
 /// continuous Pareto and clamping; small `alpha` → heavy tail.
+///
+/// The inverse CDF is a `powf` per draw, so [`PowerLaw::new`] caches it in
+/// a table of 4096 equal buckets over `u ∈ [0, 1)` (16 KiB, L1-resident).
+/// A bucket holds a sample only when every `u` in it provably maps to
+/// that sample: the closed form is monotone in `u`, so it suffices that
+/// the `powf` values at the bucket's two edges, each widened outwards by
+/// a relative margin of 1e-9, land in the same integer interval (or both
+/// at the cap `n - 1`). `powf` errs by at most an ulp or so (≈ 2e-16
+/// relative), far inside the margin, so the table never disagrees with
+/// the formula it caches. Undecided buckets, where the sample changes
+/// inside the bucket, and every `u` outside `[0, 1)` (NaN included) fall
+/// back to the closed form. Most draws of a head-heavy law land in
+/// decided buckets: the web-graph generator's near-link law (n = 512,
+/// α = 1.8) falls back on ≈ 4 % of uniform draws.
 pub struct PowerLaw {
     n: usize,
     exponent: f64,
+    table: Box<[u32; PowerLaw::BUCKETS]>,
 }
 
 impl PowerLaw {
+    /// Buckets of the sample table.
+    const BUCKETS: usize = 4096;
+    /// Relative widening of each bucket edge's `powf` value before the
+    /// bucket is decided.
+    const MARGIN: f64 = 1e-9;
+    /// Table entry of a bucket the closed form answers.
+    const FALLBACK: u32 = u32::MAX;
+
     /// Creates a sampler over `0..n` with tail exponent `alpha > 1`.
     pub fn new(n: usize, alpha: f64) -> Self {
         assert!(n > 0 && alpha > 1.0, "need n > 0 and alpha > 1");
-        PowerLaw {
+        let mut law = PowerLaw {
             n,
             exponent: 1.0 / (1.0 - alpha),
+            table: Box::new([Self::FALLBACK; Self::BUCKETS]),
+        };
+        // powf at bucket edge i / BUCKETS, clamped as the closed form
+        // clamps; the exponent is negative, so it falls as i grows.
+        let mut left = law.power(0.0);
+        for i in 0..Self::BUCKETS {
+            let right = law.power((i + 1) as f64 / Self::BUCKETS as f64);
+            let hi = law.cap(left * (1.0 + Self::MARGIN) - 1.0);
+            let lo = law.cap(right * (1.0 - Self::MARGIN) - 1.0);
+            if lo == hi && lo < Self::FALLBACK as usize {
+                law.table[i] = lo as u32;
+            }
+            left = right;
         }
+        law
     }
 
-    /// Samples with the uniform `u ∈ (0, 1)`.
+    /// Samples with the uniform `u ∈ [0, 1)`; any other `u` is clamped
+    /// into `[1e-12, 1 - 1e-12]` as the closed form does.
+    #[inline]
     pub fn sample(&self, u: f64) -> usize {
-        let u = u.clamp(1e-12, 1.0 - 1e-12);
-        // Inverse CDF of continuous power law on [1, ∞), shifted to 0-base.
-        let x = u.powf(self.exponent) - 1.0;
+        // The range test comes first so that NaN, which an `as` cast would
+        // saturate to bucket 0, never indexes the table. The index is
+        // exact: scaling by a power of two only moves the exponent.
+        if (0.0..1.0).contains(&u) {
+            let entry = self.table[(u * Self::BUCKETS as f64) as usize];
+            if entry != Self::FALLBACK {
+                return entry as usize;
+            }
+        }
+        self.closed_form(u)
+    }
+
+    /// Inverse CDF of the continuous power law on [1, ∞), shifted to
+    /// 0-base and capped at `n - 1`.
+    fn closed_form(&self, u: f64) -> usize {
+        self.cap(self.power(u) - 1.0)
+    }
+
+    fn power(&self, u: f64) -> f64 {
+        u.clamp(1e-12, 1.0 - 1e-12).powf(self.exponent)
+    }
+
+    /// The sample for `x = power(u) - 1`: monotone in `x`, with negatives
+    /// and NaN at 0.
+    fn cap(&self, x: f64) -> usize {
         (x as usize).min(self.n - 1)
     }
 }
@@ -209,6 +270,69 @@ mod tests {
         let us: Vec<f64> = (0..50_000).map(|_| rng.gen()).collect();
         let big = |pl: &PowerLaw| us.iter().filter(|&&u| pl.sample(u) > 1000).count();
         assert!(big(&pl_heavy_tail) > 10 * big(&pl_light_tail).max(1));
+    }
+
+    #[test]
+    fn table_equals_the_closed_form() {
+        let mut rng = StdRng::seed_from_u64(4096);
+        let random: Vec<f64> = (0..100_000).map(|_| rng.gen()).collect();
+        let specials = [
+            0.0,
+            1e-13,
+            1e-12,
+            1.0 - 1e-12,
+            1.0 - f64::EPSILON / 2.0, // the largest f64 below 1
+            1.0,
+            1.5,
+            -0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // Every bucket edge and its two neighbouring f64 values.
+        let edges = (0..=PowerLaw::BUCKETS).flat_map(|i| {
+            let b = (i as f64 / PowerLaw::BUCKETS as f64).to_bits();
+            [b.wrapping_sub(1), b, b + 1].map(f64::from_bits)
+        });
+        let us: Vec<f64> = edges.chain(specials).chain(random).collect();
+        // Includes every law the web-graph presets build: degrees (n
+        // 45 000 / 102 500 / 262 500 at α 2.4 / 1.7 / 2.4), hubs (16 at
+        // α 2.2 / 1.8) and near links (87 / 200 / 512 at α 1.8).
+        let ns = [
+            1,
+            2,
+            3,
+            16,
+            87,
+            200,
+            512,
+            1000,
+            45_000,
+            102_500,
+            262_500,
+            1 << 22,
+        ];
+        for n in ns {
+            for alpha in [1.05, 1.5, 1.7, 1.8, 2.2, 2.4, 3.0, 8.0] {
+                let pl = PowerLaw::new(n, alpha);
+                for &u in &us {
+                    assert_eq!(pl.sample(u), pl.closed_form(u), "n {n} α {alpha} u {u:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_answers_most_near_link_draws() {
+        let pl = PowerLaw::new(512, 1.8);
+        let decided = pl
+            .table
+            .iter()
+            .filter(|&&e| e != PowerLaw::FALLBACK)
+            .count();
+        // Buckets are equally likely under a uniform draw.
+        let share = decided as f64 / PowerLaw::BUCKETS as f64;
+        assert!(share >= 0.9, "table answers {share:.3} of draws");
     }
 
     #[test]

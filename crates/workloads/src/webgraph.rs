@@ -12,7 +12,13 @@
 //! * `target_alpha` — skew of target-vertex popularity (preferential-
 //!   attachment-like in-degree concentration).
 //!
-//! Generation is seeded and deterministic.
+//! Generation is seeded and deterministic. The draw layout is the
+//! invariant every optimisation of [`generate`] keeps: one stream, first
+//! `nv` draws for the out-degrees, then exactly three draws per edge in
+//! source order — the locality test, then either the near offset and its
+//! direction or the hub and the position inside it. Moving one draw
+//! changes every graph after it, which the preset pins in this module's
+//! tests and in `pagerank`'s would catch.
 
 use crate::util::PowerLaw;
 use rand::rngs::StdRng;
@@ -166,6 +172,16 @@ pub fn generate(params: &WebGraphParams) -> WebGraph {
     let hub_stride = nv / HUBS;
     // Near links: offsets concentrated within a small id window.
     let near_law = PowerLaw::new((nv / 512).max(2), 1.8);
+    // `x mod nv` for `x < 2·nv`, without a division. Every wraparound
+    // below qualifies: v < nv, and an offset is at most max(nv/512, 2) ≤ nv.
+    let wrap = |x: usize| {
+        debug_assert!(x < 2 * nv);
+        if x >= nv {
+            x - nv
+        } else {
+            x
+        }
+    };
     let mut out_off = Vec::with_capacity(nv + 1);
     let mut out_adj: Vec<u32> = Vec::with_capacity(want + nv);
     out_off.push(0u32);
@@ -175,18 +191,19 @@ pub fn generate(params: &WebGraphParams) -> WebGraph {
                 // Local link: small signed offset from the source.
                 let off = near_law.sample(rng.gen()) + 1;
                 if rng.gen::<bool>() {
-                    ((v + off) % nv) as u32
+                    wrap(v + off)
                 } else {
-                    ((v + nv - off % nv) % nv) as u32
+                    wrap(v + nv - wrap(off))
                 }
             } else {
+                // At most 15·(nv/16) + nv/64 - 1 < nv: no wraparound.
                 let hub = hub_law.sample(rng.gen());
-                ((hub * hub_stride + rng.gen_range(0..hub_width)) % nv) as u32
+                hub * hub_stride + rng.gen_range(0..hub_width)
             };
-            if t as usize == v {
-                t = (t + 1) % nv as u32; // no self loops
+            if t == v {
+                t = wrap(t + 1); // no self loops
             }
-            out_adj.push(t);
+            out_adj.push(t as u32);
         }
         out_off.push(out_adj.len() as u32);
     }
@@ -219,8 +236,49 @@ pub fn generate(params: &WebGraphParams) -> WebGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// FNV-1a over the graph, each value fed as a little-endian u64: the
+    /// vertex count, then `out_off`, `out_adj`, `in_off` and `in_adj`.
+    pub(crate) fn fnv(g: &WebGraph) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(g.nv as u64);
+        for values in [&g.out_off, &g.out_adj, &g.in_off, &g.in_adj] {
+            values.iter().for_each(|&x| eat(u64::from(x)));
+        }
+        h
+    }
+
+    /// Every preset at seeds 1 and 7 and at its own seed: the degree
+    /// draws, then three draws per edge, must not move. uk2007 at seeds 1
+    /// and 7 is the benchmark's input, pinned where `pagerank`'s tests
+    /// generate it anyway.
+    #[test]
+    fn the_preset_graphs_are_pinned() {
+        let pins: [(WebGraphParams, u64, u64); 7] = [
+            (WebGraphParams::uk2002(), 1, 0x1f82_0ce2_bda6_e73e),
+            (WebGraphParams::uk2002(), 7, 0x220a_7c5d_58f8_b1b9),
+            (WebGraphParams::uk2002(), 0x0002_2002, 0x3751_8e7f_66e1_9dda),
+            (WebGraphParams::twitter2010(), 1, 0x3f57_a9ac_e2c1_db07),
+            (WebGraphParams::twitter2010(), 7, 0x1f2e_0f5b_f81c_58f0),
+            (
+                WebGraphParams::twitter2010(),
+                0x0020_2010,
+                0xc08f_61d7_5776_4661,
+            ),
+            (WebGraphParams::uk2007(), 0x2007_0005, 0xec13_b036_5f6b_8d6b),
+        ];
+        for (preset, seed, pin) in pins {
+            let hash = fnv(&generate(&WebGraphParams { seed, ..preset }));
+            assert_eq!(hash, pin, "nv {} seed {seed:#x}: {hash:#018x}", preset.nv);
+        }
+    }
 
     #[test]
     fn deterministic() {

@@ -170,20 +170,25 @@ pub trait SampleUniform: Copy + PartialOrd {
 macro_rules! impl_sample_uniform {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            // The draw is `next_u64() mod span`. The implemented types are
+            // at most 64 bits wide, so every span fits in a u64 except the
+            // full-width inclusive one, 2^64, where the draw is the raw
+            // word itself.
             #[inline]
             fn sample_half_open<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "gen_range: empty range");
-                let span = (hi as u128).wrapping_sub(lo as u128) as u128;
-                lo.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                let span = hi as u64 - lo as u64;
+                lo.wrapping_add((rng.next_u64() % span) as $t)
             }
             #[inline]
             fn sample_inclusive<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 assert!(lo <= hi, "gen_range: empty inclusive range");
-                // u128 arithmetic: even a full-width 64-bit range gives a
-                // nonzero span of 2^64 (the implemented types are <= 64
-                // bits), so no zero-span case exists.
-                let span = (hi as u128) - (lo as u128) + 1;
-                lo.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                let x = rng.next_u64();
+                let r = match (hi as u64 - lo as u64).checked_add(1) {
+                    Some(span) => x % span,
+                    None => x,
+                };
+                lo.wrapping_add(r as $t)
             }
         }
     )*};
@@ -259,6 +264,43 @@ mod tests {
             let w: u64 = rng.gen_range(5..=5);
             assert_eq!(w, 5);
         }
+    }
+
+    /// `gen_range` against `lo + (next_u64() mod span)` computed in u128,
+    /// on the same stream.
+    #[test]
+    fn gen_range_equals_the_u128_formula() {
+        const DRAWS: usize = 100_000;
+        let spans: [u128; 7] = [
+            1,
+            2,
+            3,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            u64::MAX as u128 - 1,
+        ];
+        let check = |lo: u64, span: u128, inclusive: bool| {
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut raw = rng.clone();
+            for _ in 0..DRAWS {
+                let got: u64 = if inclusive {
+                    rng.gen_range(lo..=(lo as u128 + span - 1) as u64)
+                } else {
+                    rng.gen_range(lo..(lo as u128 + span) as u64)
+                };
+                let want = (lo as u128 + raw.next_u64() as u128 % span) as u64;
+                assert_eq!(got, want, "lo {lo} span {span} inclusive {inclusive}");
+            }
+        };
+        for span in spans {
+            let top = (u64::MAX as u128 - span) as u64;
+            for lo in [0, 5.min(top), top] {
+                check(lo, span, false);
+                check(lo, span, true);
+            }
+        }
+        check(0, 1 << 64, true);
     }
 
     #[test]
