@@ -327,3 +327,70 @@ fn assignments_pinned_bit_for_bit() {
         );
     }
 }
+
+#[test]
+fn recursive_bisection_assignments_pinned_bit_for_bit() {
+    // `AutoSelect` picks the bisection only on heat, so the pins above
+    // reach it there alone; these pin its own assignment on all three
+    // families (Scale::Small).
+    const UK: BenchId = BenchId::PageUk2002;
+    const PINS: [(BenchId, usize, u64); 9] = [
+        (BenchId::Heat, 2, 0x79cad85661051125),
+        (BenchId::Heat, 8, 0xe3d63f5c143c1d25),
+        (BenchId::Heat, 20, 0x78bd6e25cc82d125),
+        (BenchId::Sw, 2, 0x84276da22609a28d),
+        (BenchId::Sw, 8, 0x03bc9aa0f502ed55),
+        (BenchId::Sw, 20, 0x7ddf2d00688a5b45),
+        (UK, 2, 0xf1e4aace3d9d88a5),
+        (UK, 8, 0x8a6523d3ba8b8055),
+        (UK, 20, 0xb53e4d256697b4b5),
+    ];
+    for (id, p, pin) in PINS {
+        let bare = registry::build_uncolored(id, Scale::Small, p);
+        let rb = color_hash(&RecursiveBisection::default().assign(&bare.graph, p));
+        println!("{} P={p}: rb={rb:#018x}", id.name());
+        assert_eq!(
+            rb,
+            pin,
+            "{} P={p}: recursive-bisection assignment",
+            id.name()
+        );
+    }
+}
+
+#[test]
+fn pagerank_auto_selection_pinned_bit_for_bit() {
+    // The benchmark's `pagerank-auto` input at seed 1: the uk-2007-like
+    // web graph, 1050 blocks × 10 iterations, built for two workers with
+    // its hand colors stripped. Both members' assignments, the selection
+    // and its estimate are pinned.
+    use nabbitc::workloads::pagerank::PageRank;
+    use nabbitc::workloads::webgraph::{self, WebGraphParams};
+    let p = 2;
+    let web = webgraph::generate(&WebGraphParams {
+        seed: 1,
+        ..WebGraphParams::uk2007()
+    });
+    let pr = PageRank {
+        web,
+        blocks: 1050,
+        iters: 10,
+    };
+    let mut graph = pr.task_graph(p);
+    graph.strip_colors();
+    let rb = color_hash(&RecursiveBisection::default().assign(&graph, p));
+    let cp = color_hash(&CpLevelAware::default().assign(&graph, p));
+    let (colors, report) = AutoSelect::default()
+        .with_topology(Topology::per_worker(p))
+        .select(&graph, p);
+    let auto = color_hash(&colors);
+    println!(
+        "pagerank-auto: rb={rb:#018x} cp={cp:#018x} auto={auto:#018x} ({}, {})",
+        report.chosen_name(),
+        report.chosen_estimate()
+    );
+    assert_eq!(rb, 0x2df4edd9d2eea3dd, "recursive-bisection assignment");
+    assert_eq!(cp, 0xdf8bcf49487449dc, "cp-level-aware assignment");
+    assert_eq!(auto, 0xdf8bcf49487449dc, "auto assignment");
+    assert_eq!(report.chosen_estimate(), 238_162_590);
+}
