@@ -20,22 +20,18 @@
 //!    sweeps move nodes with positive *gain* across the cut, and zero-gain
 //!    nodes when the move improves balance, never letting either side
 //!    drift more than 5 % (`BALANCE_TOLERANCE`) of the subproblem's weight past
-//!    its target. The gain function is pluggable
-//!    ([`MoveGain`]): [`ColorAssigner::assign`]
-//!    uses the KL/FM edge-cut gain
-//!    ([`EdgeCutGain`]), and
-//!    [`RecursiveBisection::assign_with_gain`] accepts any *side-local*
-//!    objective (see its docs for the contract). The same [`MoveGain`]
-//!    abstraction drives [`CpLevelAware`](crate::CpLevelAware)'s k-way
-//!    refinement with the makespan-estimate gain
-//!    ([`MakespanGain`](crate::refine::MakespanGain)) — one engine, two
-//!    objectives, no duplicated sweep code.
+//!    its target. The gain is the classic KL/FM edge-cut one, counted
+//!    side-locally: +1 per neighbour in the subproblem already on the
+//!    destination side (the edge turns internal), −1 per one left on the
+//!    source side (the edge turns cut); neighbours outside the
+//!    subproblem are ignored. [`CpLevelAware`](crate::CpLevelAware)'s
+//!    k-way refinement is the other engine, under the makespan-estimate
+//!    gain ([`refine_kway`](crate::refine::refine_kway)).
 //! 4. **Recurse**, then **rebalance**: a final global pass moves nodes off
 //!    any color that exceeds [`balance_limit`],
 //!    choosing the node that hurts the cut least, so the 2× balance bound
 //!    holds unconditionally — even on adversarial weight distributions.
 
-use crate::refine::{EdgeCutGain, MoveGain};
 use crate::{balance_limit, node_weight, ColorAssigner};
 use nabbitc_color::Color;
 use nabbitc_graph::{NodeId, TaskGraph};
@@ -56,32 +52,6 @@ impl ColorAssigner for RecursiveBisection {
     }
 
     fn assign(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
-        self.assign_with_gain(graph, workers, &mut EdgeCutGain)
-    }
-}
-
-impl RecursiveBisection {
-    /// [`ColorAssigner::assign`] with an explicit refinement objective:
-    /// every boundary sweep scores candidate moves through `gain` instead
-    /// of the default [`EdgeCutGain`]. The seeding, balance, and
-    /// rebalancing machinery is identical — only what a move is *worth*
-    /// changes.
-    ///
-    /// **Contract:** the recursion evaluates each bisection with
-    /// *side-local* part indices — `from`/`to` are always 0 (side B) or 1
-    /// (side A) of the current subproblem, never final color indices, and
-    /// neighbors outside the subproblem report `None`. The gain must
-    /// therefore be side-local and stateless across subproblems, like
-    /// [`EdgeCutGain`]. Gains that track global per-color state (e.g.
-    /// [`MakespanGain`](crate::refine::MakespanGain), which is built over
-    /// a complete k-way assignment) belong to
-    /// [`refine_kway`](crate::refine::refine_kway), not here.
-    pub fn assign_with_gain(
-        &self,
-        graph: &TaskGraph,
-        workers: usize,
-        gain: &mut dyn MoveGain,
-    ) -> Vec<Color> {
         assert!(workers > 0, "need at least one worker");
         let n = graph.node_count();
         let mut ctx = Ctx {
@@ -95,7 +65,7 @@ impl RecursiveBisection {
             side: vec![false; n],
         };
         let all: Vec<NodeId> = graph.nodes().collect();
-        self.subdivide(&mut ctx, all, 0, workers, gain);
+        self.subdivide(&mut ctx, all, 0, workers);
         rebalance(graph, &mut ctx.part, &ctx.weight, workers);
         ctx.part.into_iter().map(Color::from).collect()
     }
@@ -155,14 +125,7 @@ impl Ctx<'_> {
 }
 
 impl RecursiveBisection {
-    fn subdivide(
-        &self,
-        ctx: &mut Ctx<'_>,
-        nodes: Vec<NodeId>,
-        lo: usize,
-        hi: usize,
-        gain: &mut dyn MoveGain,
-    ) {
+    fn subdivide(&self, ctx: &mut Ctx<'_>, nodes: Vec<NodeId>, lo: usize, hi: usize) {
         debug_assert!(lo < hi);
         if hi - lo == 1 {
             for &u in &nodes {
@@ -234,24 +197,18 @@ impl RecursiveBisection {
             }
         }
 
-        // KL/FM-style boundary refinement; the objective is whatever
-        // `gain` scores (sides are parts 0 = B, 1 = A, subset-relative).
+        // KL/FM-style boundary refinement under the side-local edge-cut
+        // gain.
         let tol = (total as f64 * BALANCE_TOLERANCE).ceil() as u64;
         for _ in 0..REFINE_PASSES {
             let mut moved = 0usize;
             for &u in &nodes {
                 let w = ctx.weight[u as usize];
                 let on_a = ctx.side[u as usize];
-                let (from, to) = (usize::from(on_a), usize::from(!on_a));
-                if !gain.allow(ctx.graph, u, from, to) {
-                    continue;
-                }
-                let g = {
-                    let (mark, mark_gen, side) = (&ctx.mark, ctx.mark_gen, &ctx.side);
-                    gain.gain(ctx.graph, u, from, to, &|v| {
-                        (mark[v as usize] == mark_gen).then(|| usize::from(side[v as usize]))
-                    })
-                };
+                let g: i64 = ctx
+                    .neighbors(u)
+                    .map(|v| if ctx.side[v as usize] == on_a { -1 } else { 1 })
+                    .sum();
                 if g < 0 {
                     continue;
                 }
@@ -266,7 +223,6 @@ impl RecursiveBisection {
                 if improves && balance_ok {
                     ctx.side[u as usize] = !on_a;
                     weight_a = new_weight_a;
-                    gain.commit(ctx.graph, u, from, to);
                     moved += 1;
                 }
             }
@@ -293,12 +249,12 @@ impl RecursiveBisection {
                 }
                 acc += ctx.weight[u as usize];
             }
-            self.subdivide(ctx, a, lo, mid, gain);
-            self.subdivide(ctx, b, mid, hi, gain);
+            self.subdivide(ctx, a, lo, mid);
+            self.subdivide(ctx, b, mid, hi);
             return;
         }
-        self.subdivide(ctx, side_a, lo, mid, gain);
-        self.subdivide(ctx, side_b, mid, hi, gain);
+        self.subdivide(ctx, side_a, lo, mid);
+        self.subdivide(ctx, side_b, mid, hi);
     }
 }
 

@@ -38,13 +38,18 @@
 //!    global cap at [`balance_limit`] keeps the 2×
 //!    greedy bound unconditionally.
 //! 4. **Refine** with the bandwidth-aware makespan-estimate gain
-//!    ([`MakespanGain`]) through the same pluggable KL machinery the
-//!    bisection uses — moves that reduce remote-byte traffic are taken
+//!    ([`MakespanGain`]) — moves that reduce remote-byte traffic are taken
 //!    only when they do not re-concentrate a level (wide-level quotas are
 //!    enforced as a veto). [`refine_kway`] prices candidate moves from a
 //!    per-node connectivity table instead of walking neighbours, so the
 //!    refinement costs one pass over the edges however many sweeps it
 //!    runs (see [`crate::refine`]).
+//!
+//! Every color is priced as a worker of its own NUMA domain: a
+//! predecessor's bytes are remote exactly when its color differs from
+//! the candidate's. The machine's real domains are
+//! [`AutoSelect`](crate::AutoSelect)'s to score and pack for; the sweep
+//! and the refinement work on the colors alone.
 //!
 //! The sweep and the gain read edge bytes from one
 //! [`EdgeTraffic`] view each — the same per-node
@@ -58,7 +63,7 @@
 use crate::refine::{refine_kway, MakespanGain};
 use crate::{balance_limit, node_weight, ColorAssigner};
 use nabbitc_color::Color;
-use nabbitc_cost::{CostModel, Topology};
+use nabbitc_cost::CostModel;
 use nabbitc_graph::analysis::{level_profile, LevelProfile};
 use nabbitc_graph::{EdgeTraffic, NodeId, TaskGraph};
 
@@ -70,10 +75,6 @@ pub struct CpLevelAware {
     /// [`CostModel::default`]; see
     /// [`with_cost_model`](Self::with_cost_model).
     pub cost: CostModel,
-    /// Worker→domain mapping pricing the sweep's remote-byte term and the
-    /// refinement gain. `None` (the default) means every worker is its
-    /// own domain; see [`with_topology`](Self::with_topology).
-    pub topology: Option<Topology>,
 }
 
 /// Per-color share of a wide level's weight, as a multiple of the even
@@ -89,17 +90,6 @@ impl CpLevelAware {
     pub fn with_cost_model(mut self, cost: CostModel) -> Self {
         cost.assert_valid();
         self.cost = cost;
-        self
-    }
-
-    /// Targets a machine topology (builder style): the earliest-finish
-    /// sweep charges a predecessor's byte traffic as remote only when the
-    /// candidate color's NUMA domain differs from the predecessor's, and
-    /// the refinement gain prices cut edges the same way — so chains may
-    /// cross colors freely *within* a domain, keeping the spread benefit
-    /// without the (nonexistent) bandwidth price.
-    pub fn with_topology(mut self, topo: Topology) -> Self {
-        self.topology = Some(topo);
         self
     }
 }
@@ -131,8 +121,8 @@ trait PredCosts {
     /// `(ready, remote_bytes)` of the node last [`read`](Self::read) on
     /// color `c` — the estimator's two cross-edge terms: a predecessor on
     /// another color delays the ready time by `latency`, and its bytes
-    /// are remote when that color is also in another NUMA domain.
-    fn price(&self, c: usize, latency: u64, topo: &Topology) -> (u64, u64);
+    /// are remote.
+    fn price(&self, c: usize, latency: u64) -> (u64, u64);
 }
 
 /// What one color's predecessors of the node in hand add up to.
@@ -200,7 +190,7 @@ impl PredCosts for PredFold {
     }
 
     #[inline]
-    fn price(&self, c: usize, latency: u64, topo: &Topology) -> (u64, u64) {
+    fn price(&self, c: usize, latency: u64) -> (u64, u64) {
         let mut ready = 0u64;
         let mut remote_bytes = 0u64;
         for &pc in &self.touched {
@@ -208,9 +198,7 @@ impl PredCosts for PredFold {
             let mut t = of_pc.finish;
             if pc != c {
                 t += latency;
-                if !topo.same_domain(pc, c) {
-                    remote_bytes += of_pc.bytes;
-                }
+                remote_bytes += of_pc.bytes;
             }
             ready = ready.max(t);
         }
@@ -257,15 +245,6 @@ impl CpLevelAware {
         if workers == 1 {
             return vec![Color(0); n];
         }
-        let topo = self
-            .topology
-            .clone()
-            .unwrap_or_else(|| Topology::per_worker(workers));
-        assert!(
-            topo.cores() >= workers,
-            "topology with {} cores cannot place {workers} workers",
-            topo.cores()
-        );
         let weight: Vec<u64> = graph.nodes().map(|u| node_weight(graph, u)).collect();
         let limit = balance_limit(graph, workers);
         let latency = self.cost.cross_edge_latency();
@@ -360,9 +339,8 @@ impl CpLevelAware {
                     }
                     // The estimator's two cross-edge terms: latency on
                     // the ready time, remote-byte bandwidth on the
-                    // execution time — the latter only when the edge also
-                    // crosses NUMA domains.
-                    let (ready, remote_bytes) = preds.price(c, latency, &topo);
+                    // execution time.
+                    let (ready, remote_bytes) = preds.price(c, latency);
                     let dur = ticks[u as usize] + self.cost.remote_excess(remote_bytes);
                     let fin = ready.max(free[c]) + dur;
                     let better = match chosen {
@@ -407,7 +385,6 @@ impl CpLevelAware {
             })
             .collect();
         let mut gain = MakespanGain::new(graph, profile, &part, workers, &self.cost)
-            .with_topology(topo.clone())
             .with_level_quota(tick_quota);
         refine_kway(
             graph,
@@ -427,6 +404,7 @@ impl CpLevelAware {
 mod tests {
     use super::*;
     use crate::{assignment_is_valid, assignment_loads, RecursiveBisection};
+    use nabbitc_cost::Topology;
     use nabbitc_graph::analysis::{estimate_makespan_colored_strict_on, level_serialization};
     use nabbitc_graph::generate;
     use proptest::prelude::*;
@@ -480,16 +458,14 @@ mod tests {
             majority
         }
 
-        fn price(&self, c: usize, latency: u64, topo: &Topology) -> (u64, u64) {
+        fn price(&self, c: usize, latency: u64) -> (u64, u64) {
             let mut ready = 0u64;
             let mut remote_bytes = 0u64;
             for &(pc, pf, traffic) in &self.preds {
                 let mut t = pf;
                 if pc != c {
                     t += latency;
-                    if !topo.same_domain(pc, c) {
-                        remote_bytes += traffic;
-                    }
+                    remote_bytes += traffic;
                 }
                 ready = ready.max(t);
             }
@@ -512,29 +488,17 @@ mod tests {
                 1 => generate::wavefront(a, b, 1 + seed % 50, 1),
                 _ => generate::iterated_stencil(a, b, 1 + seed % 50, 1),
             };
-            // Two domains of four cores: where `same_domain(pc, c)` is
-            // not `pc == c`, so the remote-byte aggregate is its own term.
-            let assigners = [
-                CpLevelAware::default(),
-                CpLevelAware::default().with_topology(Topology::new(2, 4)),
-            ];
-            for (t, cp) in assigners.iter().enumerate() {
-                // The 2×4 machine has eight cores: twenty workers do not
-                // fit on it.
-                for p in [2usize, 3, 8, 20].into_iter().filter(|&p| t == 0 || p <= 8) {
-                    let colors = cp.assign(&g, p);
-                    prop_assert!(
-                        colors == cp.assign_pricing::<PredWalk>(&g, p, &level_profile(&g)),
-                        "p={} topology={:?}", p, cp.topology
-                    );
-                    // Handed the profile a selection took for its shape
-                    // pre-filter, the member assigns what it does alone.
-                    let alone = crate::AutoSelect::new(vec![Box::new(cp.clone())]);
-                    prop_assert!(
-                        alone.select(&g, p).0 == colors,
-                        "selected: p={} topology={:?}", p, cp.topology
-                    );
-                }
+            let cp = CpLevelAware::default();
+            for p in [2usize, 3, 8, 20] {
+                let colors = cp.assign(&g, p);
+                prop_assert!(
+                    colors == cp.assign_pricing::<PredWalk>(&g, p, &level_profile(&g)),
+                    "p={}", p
+                );
+                // Handed the profile a selection took for its shape
+                // pre-filter, the member assigns what it does alone.
+                let alone = crate::AutoSelect::new(vec![Box::new(cp.clone())]);
+                prop_assert!(alone.select(&g, p).0 == colors, "selected: p={}", p);
             }
         }
     }
@@ -630,26 +594,6 @@ mod tests {
         assert!(assignment_is_valid(&colors, 4));
         let max = *assignment_loads(&g, &colors, 4).iter().max().unwrap();
         assert!(max <= balance_limit(&g, 4));
-    }
-
-    #[test]
-    fn topology_aware_assignments_stay_valid_and_balanced() {
-        // A real domain topology must not disturb the hard guarantees —
-        // validity, the 2x balance bound, and wide-level spread.
-        let g = generate::wavefront(20, 20, 2, 1);
-        let topo = Topology::paper_machine().truncated(20);
-        let cp = CpLevelAware::default().with_topology(topo.clone());
-        for p in [4usize, 10, 20] {
-            let colors = cp.assign(&g, p);
-            assert!(assignment_is_valid(&colors, p), "p={p}");
-            let max = *assignment_loads(&g, &colors, p).iter().max().unwrap();
-            assert!(max <= balance_limit(&g, p), "p={p}");
-        }
-        // Per-worker topology is exactly the default behaviour.
-        let pw = CpLevelAware::default()
-            .with_topology(Topology::per_worker(8))
-            .assign(&g, 8);
-        assert_eq!(pw, CpLevelAware::default().assign(&g, 8));
     }
 
     #[test]

@@ -45,30 +45,28 @@
 //!   disqualified, selection falls back to [`BlockContiguous`] (valid by
 //!   construction) and records the fallback instead of aborting.
 //!
-//! The whole stack is **NUMA-domain aware**: under a machine topology
-//! (`nabbitc_cost::Topology`, e.g. the paper's 8-domain × 10-worker
-//! Xeon), a cut edge whose endpoint colors share a domain moves its bytes
-//! at *local* bandwidth, so [`CpLevelAware`]'s sweep, the
-//! [`refine::MakespanGain`] refinement, and [`AutoSelect`]'s scoring all
-//! charge the remote-byte premium only on *cross-domain* edges (their
-//! `with_topology` builders; per-worker domains remain the default). On
-//! top of that, the [`domains`] module adds a **domain-packing
-//! post-pass** ([`pack_domains`]): since any permutation of the colors
-//! preserves validity, loads, and the cross-worker cut, it greedily
-//! relabels colors so the heaviest-communicating color pairs share a
-//! domain — `AutoSelect` runs it on the portfolio winner and keeps the
-//! permutation when the domain-aware estimate improves.
+//! **Selection is domain-aware; members price per worker.** Under a
+//! machine topology (`nabbitc_cost::Topology`, e.g. the paper's 8-domain
+//! × 10-worker Xeon) a cut edge whose endpoint colors share a domain
+//! moves its bytes at *local* bandwidth, and [`AutoSelect`]'s scoring
+//! charges the remote-byte premium only on *cross-domain* edges
+//! ([`AutoSelect::with_topology`]). Its **domain-packing post-pass**
+//! ([`pack_domains`], in [`domains`]) then relabels the winner's colors
+//! so the heaviest-communicating color pairs share a domain — any
+//! permutation preserves validity, loads and the cross-worker cut — and
+//! keeps the permutation when the domain-aware estimate improves. The
+//! members themselves see no topology: a color is a worker (§III), so
+//! [`CpLevelAware`]'s sweep and refinement charge every cross-color edge
+//! as remote.
 //!
-//! The partitioners share one KL/FM refinement engine with a *pluggable
-//! gain* ([`refine::MoveGain`]): [`RecursiveBisection`] refines with the
-//! classic edge-cut gain ([`refine::EdgeCutGain`]), [`CpLevelAware`] with
-//! the makespan-estimate gain ([`refine::MakespanGain`] — cross-edge
-//! penalty plus per-level concentration), and
-//! [`RecursiveBisection::assign_with_gain`] accepts any side-local
-//! objective (see its contract). The k-way sweep
-//! ([`refine::refine_kway`]) prices moves from an incrementally
-//! maintained per-node connectivity table, so its cost is one walk over
-//! the edges plus the neighbourhoods of the nodes it actually moves.
+//! **One refinement engine.** [`refine::refine_kway`] refines
+//! [`CpLevelAware`]'s assignment under the makespan-estimate gain
+//! ([`refine::MakespanGain`] — remote-byte traffic plus per-level
+//! concentration), pricing moves from an incrementally maintained
+//! per-node connectivity table, so its cost is one walk over the edges
+//! plus the neighbourhoods of the nodes it actually moves.
+//! [`RecursiveBisection`]'s two-way boundary sweep counts its side-local
+//! edge-cut gain inline.
 //!
 //! A coloring is *scheduling metadata only* until it is applied, and
 //! applying it never copies the graph: [`TaskGraph::recolored`] lays the

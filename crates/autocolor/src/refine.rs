@@ -1,37 +1,34 @@
-//! Pluggable KL/FM-style boundary refinement, shared by the partitioning
-//! assigners.
+//! KL/FM-style boundary refinement of a k-way assignment under the
+//! makespan estimate.
 //!
-//! [`RecursiveBisection`](crate::RecursiveBisection) and
-//! [`CpLevelAware`](crate::CpLevelAware) both polish an initial partition
-//! with greedy move sweeps; what differs is only the *gain function* —
-//! what a move is worth. [`MoveGain`] abstracts that, so the two
-//! objectives live side by side instead of being duplicated sweep loops:
+//! [`CpLevelAware`](crate::CpLevelAware) polishes its level sweep with
+//! greedy move sweeps ([`refine_kway`]) scored by one objective,
+//! [`MakespanGain`]: the differential of the bandwidth-aware makespan
+//! estimator
+//! ([`estimate_makespan_colored_strict_on`](nabbitc_graph::analysis::estimate_makespan_colored_strict_on)),
+//! in the [`CostModel`]'s tick units — the **bandwidth** term (each
+//! cross-color edge costs [`CostModel::remote_excess`] over its
+//! [`edge traffic`](nabbitc_graph::EdgeTraffic), the exact delta of the
+//! estimator's remote-byte charge) plus a per-level concentration term
+//! (the exact delta of the smooth sum-of-squares surrogate for each
+//! level's max-per-color completion time, which stands in for the
+//! estimator's non-differentiable latency/stall terms). A move gains by
+//! moving fewer remote bytes *or* by spreading a dependency level across
+//! colors — never by piling a level up.
 //!
-//! * [`EdgeCutGain`] — the classic KL/FM gain (edges made internal minus
-//!   edges made external). Optimal for remote-access volume, blind to the
-//!   level structure; on wavefront shapes it happily serializes whole
-//!   dependency levels onto one color.
-//! * [`MakespanGain`] — the differential of the bandwidth-aware makespan
-//!   estimator
-//!   ([`estimate_makespan_colored_strict_on`](nabbitc_graph::analysis::estimate_makespan_colored_strict_on)),
-//!   in the [`CostModel`]'s tick units: the **bandwidth** term (each
-//!   cross-color edge costs [`CostModel::remote_excess`] over its
-//!   [`edge traffic`](nabbitc_graph::EdgeTraffic) — the exact
-//!   delta of the estimator's remote-byte charge) plus a per-level
-//!   concentration term (the exact delta of the smooth sum-of-squares
-//!   surrogate for each level's max-per-color completion time, which
-//!   stands in for the estimator's non-differentiable latency/stall
-//!   terms). A move gains by moving fewer remote bytes *or* by spreading
-//!   a dependency level across colors — never by piling a level up.
+//! A part is a worker, priced as its own NUMA domain: a color *is* a
+//! worker id (§III), so every cross-color edge is a remote one.
+//! [`AutoSelect`](crate::AutoSelect) scores and domain-packs the result
+//! on the machine it is given; the members refine for the per-worker one.
 //!
 //! # The connectivity table
 //!
 //! A gain is the sum of an edge term — the cost of the edges the move
 //! heals minus the cost of those it cuts — and a node term. Evaluated
-//! from the definition ([`MoveGain::gain`]), the edge term walks every
-//! neighbour of the node for every candidate destination; on a graph
-//! with hundreds of edges per node that walk is the whole cost of a
-//! refinement, paid again on every pass, to commit a few hundred moves.
+//! from the definition, the edge term walks every neighbour of the node
+//! for every candidate destination; on a graph with hundreds of edges per
+//! node that walk is the whole cost of a refinement, paid again on every
+//! pass, to commit a few hundred moves.
 //!
 //! [`refine_kway`] therefore keeps, Fiduccia–Mattheyses style, what the
 //! walk would find: for every node, a row with one entry per part its
@@ -41,12 +38,10 @@
 //! summed per part over its node's neighbours and written once (an edge
 //! is priced from both of its ends, no slot is searched for);
 //! afterwards a node's candidates are the parts in its row, a
-//! candidate's edge term is the row summed over the destination's group
-//! of parts minus the row summed over the source's (a group is a NUMA
-//! domain under [`MakespanGain::with_topology`], a single part
-//! otherwise), a node whose row holds only its own part is skipped, and
-//! a committed move updates the rows of the moved node's neighbours only
-//! — the invariant is stated on the private `Refiner` and checked against
+//! candidate's edge term is its slot's cost minus the source part's, a
+//! node whose row holds only its own part has nowhere to go, and a
+//! committed move updates the rows of the moved node's neighbours only —
+//! the invariant is stated on the private `Refiner` and checked against
 //! the definition, move by move, by the proptests below. A call costs
 //! one edge walk to set up, one read of the table per sweep and the
 //! neighbours' rows per move; [`RefineStats::edge_visits`] counts the
@@ -67,119 +62,16 @@
 //!
 //! [`RecursiveBisection`](crate::RecursiveBisection)'s two-way sweep is
 //! side-local — its parts are the two sides of the subproblem in hand and
-//! most neighbours are out of scope — and evaluates [`MoveGain::gain`]
-//! directly.
+//! most neighbours are out of scope — and counts its edge-cut gain inline.
 
-use nabbitc_cost::{CostModel, Topology};
+use nabbitc_cost::CostModel;
 use nabbitc_graph::analysis::LevelProfile;
 use nabbitc_graph::{EdgeTraffic, NodeId, TaskGraph};
 
-/// The gain function of a refinement move: what moving node `u` from part
-/// `from` to part `to` is worth (higher is better; only positive-gain
-/// moves are taken).
-///
-/// An objective is given by its parts — what a cut edge costs
-/// ([`edge_cost`](Self::edge_cost)), which parts exchange data for free
-/// ([`group_of`](Self::group_of)) and what the move is worth apart from
-/// its edges ([`node_gain`](Self::node_gain)). [`gain`](Self::gain)
-/// assembles them by walking `u`'s neighbours; [`refine_kway`] assembles
-/// the same sum from its per-node connectivity table without the walk.
-pub trait MoveGain {
-    /// What cutting the dependence edge `producer -> consumer` costs
-    /// (≥ 0, and the same value every time it is asked).
-    fn edge_cost(&self, graph: &TaskGraph, producer: NodeId, consumer: NodeId) -> i64;
-
-    /// Parts of one group exchange data for free: an edge is cut only
-    /// when its endpoints' parts are in different groups. A group is
-    /// named by an index below the number of parts. Defaults to every
-    /// part being its own group.
-    fn group_of(&self, part: usize) -> usize {
-        part
-    }
-
-    /// The part of a move's gain that does not come from `u`'s edges.
-    /// Defaults to none.
-    fn node_gain(&self, _u: NodeId, _from: usize, _to: usize) -> i64 {
-        0
-    }
-
-    /// Gain of moving `u` from `from` to `to`, from the definition: each
-    /// neighbour edge's cost before the move minus after, plus
-    /// [`node_gain`](Self::node_gain). An edge is cut only when it
-    /// crosses groups, so a neighbour contributes exactly when its group
-    /// matches the destination's (the edge turns internal: save its
-    /// cost) or the source's (the edge turns cut: pay it); every other
-    /// neighbour is cut both ways and cancels, and a move within one
-    /// group has no edge term at all. `part_of(v)` is a neighbour's
-    /// current part, or `None` when `v` is outside the refinement's
-    /// scope (e.g. other subsets of the bisection recursion), in which
-    /// case it is ignored.
-    ///
-    /// Not meant to be overridden: [`refine_kway`] never calls it.
-    fn gain(
-        &self,
-        graph: &TaskGraph,
-        u: NodeId,
-        from: usize,
-        to: usize,
-        part_of: &dyn Fn(NodeId) -> Option<usize>,
-    ) -> i64 {
-        let (g_from, g_to) = (self.group_of(from), self.group_of(to));
-        let mut edge = 0i64;
-        if g_from != g_to {
-            let mut side = |v: NodeId, cost: i64| {
-                if let Some(c) = part_of(v) {
-                    let gc = self.group_of(c);
-                    if gc == g_to {
-                        edge += cost;
-                    } else if gc == g_from {
-                        edge -= cost;
-                    }
-                }
-            };
-            for &p in graph.predecessors(u) {
-                side(p, self.edge_cost(graph, p, u));
-            }
-            for &s in graph.successors(u) {
-                side(s, self.edge_cost(graph, u, s));
-            }
-        }
-        edge + self.node_gain(u, from, to)
-    }
-
-    /// Whether the move is admissible at all, independent of its gain —
-    /// objectives with hard constraints (e.g. wide-level quotas) veto
-    /// here. Defaults to "every move is allowed".
-    fn allow(&self, _graph: &TaskGraph, _u: NodeId, _from: usize, _to: usize) -> bool {
-        true
-    }
-
-    /// Invoked after a move commits, for gains that maintain state.
-    fn commit(&mut self, _graph: &TaskGraph, _u: NodeId, _from: usize, _to: usize) {}
-
-    /// How many parts the gain's own per-part state covers, if it keeps
-    /// any; [`refine_kway`] refuses a `loads` of another length.
-    fn parts(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// Classic KL/FM edge-cut gain: neighbors already in `to` become internal
-/// (+1 each), neighbors left behind in `from` become cut (−1 each); edges
-/// to any other part are cut before and after, so they cancel.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EdgeCutGain;
-
-impl MoveGain for EdgeCutGain {
-    #[inline]
-    fn edge_cost(&self, _graph: &TaskGraph, _producer: NodeId, _consumer: NodeId) -> i64 {
-        1
-    }
-}
-
 /// Bandwidth-aware makespan-estimate gain: cross-edge remote-byte delta
 /// plus the per-level concentration delta, both in the [`CostModel`]'s
-/// tick units (no hand-calibrated scale factor between them).
+/// tick units (no hand-calibrated scale factor between them). A move's
+/// gain is higher the better it is; only positive-gain moves are taken.
 ///
 /// The estimator charges (a) [`CostModel::remote_excess`] over an edge's
 /// byte traffic when its endpoints land on different workers and (b) per
@@ -193,14 +85,6 @@ impl MoveGain for EdgeCutGain {
 /// less-loaded one. The estimator's cross-edge *latency* charge enters
 /// its ready times through a `max`, so it has no additive per-edge
 /// differential; the spread term is its surrogate.
-///
-/// The gain is domain-aware: under a multi-core-per-domain [`Topology`]
-/// (see [`with_topology`](Self::with_topology)) a cut edge whose
-/// endpoints share a NUMA domain costs nothing in term (a), matching the
-/// domain-aware estimator — so refinement prefers moves that keep cut
-/// edges intra-domain over moves that merely keep them intra-color. The
-/// default topology is [`Topology::per_worker`], where every cross-color
-/// edge is remote (the pre-domain-aware behaviour).
 pub struct MakespanGain {
     level_of: Vec<u32>,
     /// `m[level * workers + color]`: tick-weight per (level, color).
@@ -216,10 +100,8 @@ pub struct MakespanGain {
     out_excess: Vec<i64>,
     in_excess: Vec<i64>,
     workers: usize,
-    /// Worker→domain mapping pricing the cut term (per-worker by default).
-    topo: Topology,
     /// Optional hard cap on any color's share of a level's tick-weight
-    /// (0 = uncapped level); enforced via [`MoveGain::allow`].
+    /// (0 = uncapped level); a move past it is not allowed.
     level_quota: Vec<u64>,
 }
 
@@ -267,25 +149,8 @@ impl MakespanGain {
                 .collect(),
             in_excess: graph.nodes().map(|u| priced(traffic.in_share(u))).collect(),
             workers,
-            topo: Topology::per_worker(workers),
             level_quota: Vec::new(),
         }
-    }
-
-    /// Prices the cut term under a machine topology: a cut edge whose
-    /// parts share a NUMA domain becomes free (its bytes move at local
-    /// bandwidth), so refinement moves that trade an intra-domain cut for
-    /// a cross-domain one are no longer seen as neutral. Panics unless
-    /// `topo` covers every worker.
-    pub fn with_topology(mut self, topo: Topology) -> Self {
-        assert!(
-            topo.cores() >= self.workers,
-            "topology with {} cores cannot place {} workers",
-            topo.cores(),
-            self.workers
-        );
-        self.topo = topo;
-        self
     }
 
     /// Adds a hard per-level quota in tick units: no move may push a
@@ -309,24 +174,17 @@ impl MakespanGain {
     pub fn level_load(&self, u: NodeId, c: usize) -> u64 {
         self.level_loads[self.level_of[u as usize] as usize * self.workers + c]
     }
-}
 
-impl MoveGain for MakespanGain {
-    /// The remote-byte excess of the edge's traffic, in ticks — the exact
-    /// delta of the estimator's bandwidth charge when the edge is cut.
+    /// What cutting the dependence edge `producer -> consumer` costs: the
+    /// remote-byte excess of its traffic, in ticks — the exact delta of
+    /// the estimator's bandwidth charge.
     #[inline]
-    fn edge_cost(&self, _graph: &TaskGraph, producer: NodeId, consumer: NodeId) -> i64 {
+    fn edge_cost(&self, producer: NodeId, consumer: NodeId) -> i64 {
         self.out_excess[producer as usize].min(self.in_excess[consumer as usize])
     }
 
-    /// A part's NUMA domain: with per-worker domains every cross-color
-    /// edge is cut (the classic from/to-only KL delta).
-    #[inline]
-    fn group_of(&self, part: usize) -> usize {
-        self.topo.domain_of(part)
-    }
-
-    /// Exact delta of the level's sum-of-squares concentration, divided
+    /// The part of a move's gain that does not come from `u`'s edges: the
+    /// exact delta of the level's sum-of-squares concentration, divided
     /// by 2w (positive = improvement): m_from − m_to − w.
     #[inline]
     fn node_gain(&self, u: NodeId, from: usize, to: usize) -> i64 {
@@ -335,7 +193,9 @@ impl MoveGain for MakespanGain {
             - self.weight[u as usize] as i64
     }
 
-    fn allow(&self, _graph: &TaskGraph, u: NodeId, _from: usize, to: usize) -> bool {
+    /// Whether moving `u` to `to` keeps `to` within the level quota,
+    /// whatever the move's gain.
+    fn allow(&self, u: NodeId, to: usize) -> bool {
         if self.level_quota.is_empty() {
             return true;
         }
@@ -343,14 +203,11 @@ impl MoveGain for MakespanGain {
         q == 0 || self.level_load(u, to) + self.weight[u as usize] <= q
     }
 
-    fn commit(&mut self, _graph: &TaskGraph, u: NodeId, from: usize, to: usize) {
+    /// Moves `u`'s weight from `from`'s share of its level to `to`'s.
+    fn commit(&mut self, u: NodeId, from: usize, to: usize) {
         let l = self.level_of[u as usize] as usize * self.workers;
         self.level_loads[l + from] -= self.weight[u as usize];
         self.level_loads[l + to] += self.weight[u as usize];
-    }
-
-    fn parts(&self) -> Option<usize> {
-        Some(self.workers)
     }
 }
 
@@ -372,7 +229,7 @@ pub struct RefineStats {
 /// sees of one part. Sixteen bytes: the table has up to `2E` of them.
 #[derive(Clone, Copy)]
 struct Link {
-    /// Summed [`MoveGain::edge_cost`] of the node's edges to its
+    /// Summed [`MakespanGain::edge_cost`] of the node's edges to its
     /// neighbours in `part`.
     cut: i64,
     /// How many neighbours those are.
@@ -403,28 +260,23 @@ impl Link {
 ///
 /// A node's candidate destinations are then the parts of its live slots,
 /// a node with a single live slot for its own part has nowhere to go, a
-/// move's edge term is `Σ cut` over the slots in the destination's group
-/// minus `Σ cut` over the slots in the source's group
-/// ([`MoveGain::group_of`]), and a commit touches one or two slots in
-/// each row of the moved node's neighbours.
-struct Refiner<'a, G: MoveGain + ?Sized> {
+/// move's edge term is the destination slot's `cut` minus the source
+/// slot's, and a commit touches one or two slots in each row of the
+/// moved node's neighbours.
+struct Refiner<'a> {
     graph: &'a TaskGraph,
     part: &'a mut [usize],
     weight: &'a [u64],
     loads: &'a mut [u64],
-    gain: &'a mut G,
-    /// Part → group ([`MoveGain::group_of`]).
-    group: Vec<usize>,
+    gain: &'a mut MakespanGain,
     row: Vec<usize>,
     links: Vec<Link>,
-    /// Scratch: the open row's `cut` summed per group; zero between rows.
-    group_cut: Vec<i64>,
     /// Scratch: the parts sharing the best gain of the node in hand.
     tied: Vec<usize>,
     stats: RefineStats,
 }
 
-impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
+impl<'a> Refiner<'a> {
     /// Checks the arguments' shapes and builds the table, one node's row
     /// at a time from one walk over the node's neighbours.
     fn new(
@@ -432,26 +284,19 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
         part: &'a mut [usize],
         weight: &'a [u64],
         loads: &'a mut [u64],
-        gain: &'a mut G,
+        gain: &'a mut MakespanGain,
     ) -> Self {
         let n = graph.node_count();
         let k = loads.len();
         assert_eq!(part.len(), n, "part: one entry per node");
         assert_eq!(weight.len(), n, "weight: one entry per node");
-        if let Some(parts) = gain.parts() {
-            assert_eq!(k, parts, "loads: one entry per part of the gain");
-        }
+        assert_eq!(k, gain.workers, "loads: one entry per part of the gain");
         if let Some(u) = part.iter().position(|&p| p >= k) {
             panic!(
                 "part: node {u} is in part {}, but loads has {k} entries",
                 part[u]
             );
         }
-        let group: Vec<usize> = (0..k).map(|p| gain.group_of(p)).collect();
-        assert!(
-            group.iter().all(|&g| g < k),
-            "gain: group indices must be below the part count {k}"
-        );
         let mut row = Vec::with_capacity(n + 1);
         row.push(0usize);
         for u in graph.nodes() {
@@ -473,8 +318,6 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
             weight,
             loads,
             gain,
-            group_cut: vec![0; k],
-            group,
             links: vec![free; row[n]],
             row,
             tied: Vec::new(),
@@ -497,7 +340,7 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
                     mentioned.push(p);
                 }
                 *count += 1;
-                *cut += refiner.gain.edge_cost(graph, producer, consumer);
+                *cut += refiner.gain.edge_cost(producer, consumer);
             }
             let row = &mut refiner.links[refiner.row[u as usize]..refiner.row[u as usize + 1]];
             debug_assert!(mentioned.len() <= row.len());
@@ -512,6 +355,12 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
         }
         refiner.stats.edge_visits = graph.edge_count() as u64;
         refiner
+    }
+
+    /// Node `u`'s row of the table.
+    #[inline]
+    fn row(&self, u: NodeId) -> &[Link] {
+        &self.links[self.row[u as usize]..self.row[u as usize + 1]]
     }
 
     /// Records that `u` gained a neighbour in part `p` over an edge
@@ -551,46 +400,19 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
         slot.cut -= c;
     }
 
-    /// Sums `u`'s row per group into the scratch [`gain`](Self::gain)
-    /// reads; returns whether `u` has a neighbour outside its own part.
-    fn open(&mut self, u: NodeId) -> bool {
-        let from = self.part[u as usize];
-        let mut foreign = false;
-        for l in &self.links[self.row[u as usize]..self.row[u as usize + 1]] {
-            if l.count > 0 {
-                self.group_cut[self.group[l.part()]] += l.cut;
-                foreign |= l.part() != from;
-            }
-        }
-        foreign
+    /// Summed edge cost of `u`'s edges to its neighbours in part `p`.
+    fn cut(&self, u: NodeId, p: usize) -> i64 {
+        let live = self.row(u).iter().find(|l| l.count > 0 && l.part() == p);
+        live.map_or(0, |l| l.cut)
     }
 
-    /// Zeroes the scratch [`open`](Self::open) filled.
-    fn close(&mut self, u: NodeId) {
-        for l in &self.links[self.row[u as usize]..self.row[u as usize + 1]] {
-            if l.count > 0 {
-                self.group_cut[self.group[l.part()]] = 0;
-            }
-        }
-    }
-
-    /// Gain of moving `u`, whose row is [`open`](Self::open), from its
-    /// part to `to`: two lookups plus the gain's node term. Equal groups
-    /// subtract to zero — a move inside a group cuts and heals nothing.
-    #[inline]
-    fn gain(&self, u: NodeId, to: usize) -> i64 {
-        let from = self.part[u as usize];
-        self.group_cut[self.group[to]] - self.group_cut[self.group[from]]
-            + self.gain.node_gain(u, from, to)
-    }
-
-    /// The destination the sweep picks for `u`, whose row is open: the
-    /// best strictly positive gain among the admissible parts of its
-    /// neighbours.
+    /// The destination the sweep picks for `u`: the best strictly
+    /// positive gain among the admissible parts of its neighbours.
     fn best_move(&mut self, u: NodeId, max_load: u64) -> Option<usize> {
         let graph = self.graph;
         let from = self.part[u as usize];
         let w = self.weight[u as usize];
+        let from_cut = self.cut(u, from);
         let mut best: Option<(usize, i64)> = None;
         self.tied.clear();
         for l in &self.links[self.row[u as usize]..self.row[u as usize + 1]] {
@@ -598,11 +420,11 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
             if l.count == 0
                 || to == from
                 || self.loads[to] + w > max_load
-                || !self.gain.allow(graph, u, from, to)
+                || !self.gain.allow(u, to)
             {
                 continue;
             }
-            let g = self.gain(u, to);
+            let g = l.cut - from_cut + self.gain.node_gain(u, from, to);
             if g <= 0 {
                 continue;
             }
@@ -642,7 +464,7 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
         let preds = graph.predecessors(u).iter().map(|&p| (p, p, u));
         let succs = graph.successors(u).iter().map(|&s| (s, u, s));
         for (v, producer, consumer) in preds.chain(succs) {
-            let c = self.gain.edge_cost(graph, producer, consumer);
+            let c = self.gain.edge_cost(producer, consumer);
             self.unlink(v, from, c);
             self.link(v, to, c);
         }
@@ -651,7 +473,7 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
         self.part[u as usize] = to;
         self.loads[from] -= w;
         self.loads[to] += w;
-        self.gain.commit(graph, u, from, to);
+        self.gain.commit(u, from, to);
         self.stats.moves += 1;
     }
 
@@ -659,14 +481,7 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
     fn sweep(&mut self, max_load: u64) -> usize {
         let before = self.stats.moves;
         for u in self.graph.nodes() {
-            // A node whose neighbours all share its part has nowhere to go.
-            let to = if self.open(u) {
-                self.best_move(u, max_load)
-            } else {
-                None
-            };
-            self.close(u);
-            if let Some(to) = to {
+            if let Some(to) = self.best_move(u, max_load) {
                 self.commit(u, to);
             }
         }
@@ -677,10 +492,10 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
 /// Greedy k-way refinement of `part` into `loads.len()` parts: up to
 /// `passes` sweeps over all nodes; each node considers moving to each
 /// distinct part among its neighbors and takes the best
-/// strictly-positive-gain move that the gain's [`MoveGain::allow`] admits
-/// and that keeps the destination's load within `max_load` (equal gains:
-/// the part met first along the node's predecessors, then successors).
-/// `loads` is kept in sync.
+/// strictly-positive-gain move that `gain`'s level quota admits and that
+/// keeps the destination's load within `max_load` (equal gains: the part
+/// met first along the node's predecessors, then successors). `loads` and
+/// `gain` are kept in sync.
 ///
 /// The cost is one walk over the edges to set up a per-node connectivity
 /// table of O(E) slots, one read of the table per sweep (`min(deg, k)`
@@ -688,16 +503,16 @@ impl<'a, G: MoveGain + ?Sized> Refiner<'a, G> {
 /// [`RefineStats::edge_visits`].
 ///
 /// Panics unless `part` and `weight` have one entry per node, every part
-/// is `< loads.len()`, and `loads.len()` is the part count the gain was
-/// built for ([`MoveGain::parts`]).
-pub fn refine_kway<G: MoveGain + ?Sized>(
+/// is `< loads.len()`, and `loads.len()` is the worker count `gain` was
+/// built for.
+pub fn refine_kway(
     graph: &TaskGraph,
     part: &mut [usize],
     weight: &[u64],
     loads: &mut [u64],
     max_load: u64,
     passes: usize,
-    gain: &mut G,
+    gain: &mut MakespanGain,
 ) -> RefineStats {
     let mut refiner = Refiner::new(graph, part, weight, loads, gain);
     for _ in 0..passes {
@@ -721,19 +536,44 @@ mod tests {
         g2
     }
 
-    #[test]
-    fn edge_cut_gain_counts_neighbor_sides() {
-        // Chain 0-1-2, parts 0,1,1: moving node 0 to part 1 gains 1.
-        let g = generate::chain(3, 1, 1);
-        let part = [0usize, 1, 1];
-        let gain = EdgeCutGain.gain(&g, 0, 0, 1, &|v| Some(part[v as usize]));
-        assert_eq!(gain, 1);
-        // Moving the middle node back to 0 gains 1 - 1 = 0.
-        let gain = EdgeCutGain.gain(&g, 1, 1, 0, &|v| Some(part[v as usize]));
-        assert_eq!(gain, 0);
-        // Out-of-scope neighbors are ignored.
-        let gain = EdgeCutGain.gain(&g, 0, 0, 1, &|_| None);
-        assert_eq!(gain, 0);
+    /// The gain of a fresh [`MakespanGain`] for `part` over `k` workers.
+    fn gain_for(g: &TaskGraph, part: &[usize], k: usize) -> MakespanGain {
+        MakespanGain::new(g, &level_profile(g), part, k, &CostModel::default())
+    }
+
+    /// Gain of moving `u` from its part to `to`, walking its neighbours:
+    /// each one in `to` heals its edge (save the edge's cost), each one
+    /// left behind in `u`'s part cuts it (pay it); edges to any other
+    /// part are cut both ways and cancel.
+    fn walk_gain(gain: &MakespanGain, g: &TaskGraph, part: &[usize], u: NodeId, to: usize) -> i64 {
+        let from = part[u as usize];
+        let preds = g.predecessors(u).iter().map(|&p| (p, gain.edge_cost(p, u)));
+        let succs = g.successors(u).iter().map(|&s| (s, gain.edge_cost(u, s)));
+        let mut edge = 0i64;
+        for (v, cost) in preds.chain(succs) {
+            if part[v as usize] == to {
+                edge += cost;
+            } else if part[v as usize] == from {
+                edge -= cost;
+            }
+        }
+        edge + gain.node_gain(u, from, to)
+    }
+
+    /// The table's gain of moving `u` from its part to `to`: what its
+    /// edges to `to` cost (healed) minus what its edges to its own part
+    /// cost (cut), plus the gain's node term — what the sweep computes.
+    fn table_gain(refiner: &Refiner<'_>, u: NodeId, to: usize) -> i64 {
+        let from = refiner.part[u as usize];
+        refiner.cut(u, to) - refiner.cut(u, from) + refiner.gain.node_gain(u, from, to)
+    }
+
+    fn recount(part: &[usize], weight: &[u64], k: usize) -> Vec<u64> {
+        let mut loads = vec![0u64; k];
+        for (u, &p) in part.iter().enumerate() {
+            loads[p] += weight[u];
+        }
+        loads
     }
 
     #[test]
@@ -741,29 +581,15 @@ mod tests {
         let g = generate::chain(64, 4, 1);
         let mut part: Vec<usize> = (0..64).map(|u| u % 2).collect(); // worst case
         let weight: Vec<u64> = g.nodes().map(|u| g.work(u)).collect();
-        let mut loads = [0u64; 2];
-        for u in g.nodes() {
-            loads[part[u as usize]] += weight[u as usize];
-        }
+        let mut loads = recount(&part, &weight, 2);
         let before = edge_cut(&apply(&g, &part));
-        let stats = refine_kway(
-            &g,
-            &mut part,
-            &weight,
-            &mut loads,
-            u64::MAX,
-            8,
-            &mut EdgeCutGain,
-        );
+        let mut gain = gain_for(&g, &part, 2);
+        let stats = refine_kway(&g, &mut part, &weight, &mut loads, u64::MAX, 8, &mut gain);
         let after = edge_cut(&apply(&g, &part));
         assert!(stats.moves > 0);
         assert!(after < before, "cut {after} !< {before}");
         // Loads stayed consistent.
-        let mut check = [0u64; 2];
-        for u in g.nodes() {
-            check[part[u as usize]] += weight[u as usize];
-        }
-        assert_eq!(check, loads);
+        assert_eq!(recount(&part, &weight, 2), loads);
     }
 
     #[test]
@@ -774,31 +600,21 @@ mod tests {
         // Cap: part 1 is already at the cap, so nothing may move into it.
         let mut part: Vec<usize> = (0..10).map(|u| usize::from(u >= 5)).collect();
         let mut loads = [5u64, 5];
-        let stats = refine_kway(&g, &mut part, &weight, &mut loads, 5, 4, &mut EdgeCutGain);
+        let mut gain = gain_for(&g, &part, 2);
+        let stats = refine_kway(&g, &mut part, &weight, &mut loads, 5, 4, &mut gain);
         assert_eq!(stats.moves, 0, "cap must block every move");
 
-        // Veto: same setup with room, but the gain's allow() rejects all.
-        struct VetoAll;
-        impl MoveGain for VetoAll {
-            fn edge_cost(&self, graph: &TaskGraph, producer: NodeId, consumer: NodeId) -> i64 {
-                EdgeCutGain.edge_cost(graph, producer, consumer)
-            }
-            fn allow(&self, _: &TaskGraph, _: NodeId, _: usize, _: usize) -> bool {
-                false
-            }
-        }
+        // Veto: same setup with room, but a one-tick quota on every level
+        // admits no node anywhere.
         let mut part: Vec<usize> = (0..10).map(|u| u % 2).collect();
         let mut loads = [5u64, 5];
-        let stats = refine_kway(
-            &g,
-            &mut part,
-            &weight,
-            &mut loads,
-            u64::MAX,
-            4,
-            &mut VetoAll,
-        );
+        let mut gain = gain_for(&g, &part, 2).with_level_quota(vec![1; 10]);
+        let stats = refine_kway(&g, &mut part, &weight, &mut loads, u64::MAX, 4, &mut gain);
         assert_eq!(stats.moves, 0, "veto must block every move");
+        // Without the quota the same sweep does move.
+        let mut gain = gain_for(&g, &part, 2);
+        let stats = refine_kway(&g, &mut part, &weight, &mut loads, u64::MAX, 4, &mut gain);
+        assert!(stats.moves > 0);
     }
 
     /// Two independent nodes (512 bytes, work 10) funneled into one sink
@@ -826,14 +642,10 @@ mod tests {
         // concentration: moving anything more onto color 0 is vetoed,
         // spreading to color 1 is allowed.
         let g = fork_with_bytes();
-        let profile = level_profile(&g);
-        let part = vec![0usize, 0, 0];
-        let cost = CostModel::default();
         let level0 = tick(&g, 0) + tick(&g, 1);
-        let quota = vec![level0, 0];
-        let mg = MakespanGain::new(&g, &profile, &part, 2, &cost).with_level_quota(quota);
-        assert!(!mg.allow(&g, 0, 1, 0), "color 0 is past the level quota");
-        assert!(mg.allow(&g, 0, 0, 1), "color 1 has quota headroom");
+        let mg = gain_for(&g, &[0, 0, 0], 2).with_level_quota(vec![level0, 0]);
+        assert!(!mg.allow(0, 0), "color 0 is past the level quota");
+        assert!(mg.allow(0, 1), "color 1 has quota headroom");
     }
 
     #[test]
@@ -842,11 +654,10 @@ mod tests {
         // funnel edge (a remote-byte loss) but more than recovers it in
         // level spread.
         let g = fork_with_bytes();
-        let profile = level_profile(&g);
-        let part = vec![0usize, 0, 0];
+        let part = [0usize, 0, 0];
         let cost = CostModel::default();
-        let mg = MakespanGain::new(&g, &profile, &part, 2, &cost);
-        let gain = mg.gain(&g, 0, 0, 1, &|v| Some(part[v as usize]));
+        let mg = gain_for(&g, &part, 2);
+        let gain = walk_gain(&mg, &g, &part, 0, 1);
         // Spread: m_from(2·722) − m_to(0) − w(722) = +722; edge: funnel
         // edge 0→sink becomes cut: −remote_excess(min(512, 512/2)) = −512.
         let w = tick(&g, 0) as i64;
@@ -855,112 +666,70 @@ mod tests {
         assert!(gain > 0, "spreading an over-concentrated level must gain");
         // Moving the sink off its predecessors' color cuts *both* funnel
         // edges with zero spread benefit: a pure loss.
-        let gain_sink = mg.gain(&g, 2, 0, 1, &|v| Some(part[v as usize]));
-        assert!(gain_sink < 0);
-    }
-
-    #[test]
-    fn makespan_gain_topology_frees_same_domain_cuts() {
-        // Four workers, two domains {0,1} and {2,3}. The sink sits with
-        // its predecessors' traffic split: under per-worker domains,
-        // moving the sink from part 1 to part 0 saves the 0→sink cut;
-        // under the paired topology parts 0 and 1 share a domain, so the
-        // edge term vanishes and only the spread term remains.
-        let g = fork_with_bytes();
-        let profile = level_profile(&g);
-        let part = vec![0usize, 0, 1];
-        let cost = CostModel::default();
-        let cut = cost.remote_excess(g.edge_traffic(0, 2)) as i64
-            + cost.remote_excess(g.edge_traffic(1, 2)) as i64;
-
-        let pw = MakespanGain::new(&g, &profile, &part, 4, &cost);
-        let g_pw = pw.gain(&g, 2, 1, 0, &|v| Some(part[v as usize]));
-
-        let paired =
-            MakespanGain::new(&g, &profile, &part, 4, &cost).with_topology(Topology::new(2, 2));
-        let g_dom = paired.gain(&g, 2, 1, 0, &|v| Some(part[v as usize]));
-        // Same spread delta, but the per-worker gain includes the edge
-        // savings and the domain-aware gain does not (the cut was already
-        // free).
-        assert_eq!(g_pw - g_dom, cut);
-
-        // A third-part neighbor matters under domains: moving the sink to
-        // part 3 (same domain as nothing holding its data) vs part 2 —
-        // both cross-worker, but the predecessors sit in domain {0,1}, so
-        // both destinations price the cut identically; while moving
-        // between 0 and 1 is free. Sanity: destination inside the data's
-        // domain is never worse than outside it.
-        let g_in = paired.gain(&g, 2, 1, 0, &|v| Some(part[v as usize]));
-        let g_out = paired.gain(&g, 2, 1, 2, &|v| Some(part[v as usize]));
-        assert!(g_in >= g_out + cut);
+        assert!(walk_gain(&mg, &g, &part, 2, 1) < 0);
     }
 
     #[test]
     fn makespan_gain_commit_tracks_level_loads() {
         let g = fork_with_bytes();
-        let profile = level_profile(&g);
-        let part = vec![0usize, 0, 0];
-        let cost = CostModel::default();
-        let mut mg = MakespanGain::new(&g, &profile, &part, 2, &cost);
+        let mut mg = gain_for(&g, &[0, 0, 0], 2);
         let w = tick(&g, 0);
         assert_eq!(mg.level_load(0, 0), 2 * w);
-        mg.commit(&g, 1, 0, 1);
+        mg.commit(1, 0, 1);
         assert_eq!(mg.level_load(0, 0), w);
         assert_eq!(mg.level_load(0, 1), w);
     }
 
     // ---- shape assertions: bad arguments fail at entry, by name ----
 
-    /// A valid 2-part refinement input over a 6-node chain.
-    fn chain_input() -> (TaskGraph, Vec<usize>, Vec<u64>, Vec<u64>) {
+    /// A valid 2-part refinement input over a 6-node chain, with its gain.
+    fn chain_input() -> (TaskGraph, Vec<usize>, Vec<u64>, Vec<u64>, MakespanGain) {
         let g = generate::chain(6, 1, 1);
-        (g, vec![0, 0, 0, 1, 1, 1], vec![1; 6], vec![3, 3])
+        let part = vec![0, 0, 0, 1, 1, 1];
+        let gain = gain_for(&g, &part, 2);
+        (g, part, vec![1; 6], vec![3, 3], gain)
     }
 
     #[test]
     #[should_panic(expected = "part: one entry per node")]
     fn makespan_gain_rejects_a_short_part() {
-        let g = fork_with_bytes();
-        MakespanGain::new(&g, &level_profile(&g), &[0, 0], 2, &CostModel::default());
+        gain_for(&fork_with_bytes(), &[0, 0], 2);
     }
 
     #[test]
     #[should_panic(expected = "part: node 1 is in part 2, but there are 2 workers")]
     fn makespan_gain_rejects_an_out_of_range_part() {
-        let g = fork_with_bytes();
-        MakespanGain::new(&g, &level_profile(&g), &[0, 2, 0], 2, &CostModel::default());
+        gain_for(&fork_with_bytes(), &[0, 2, 0], 2);
     }
 
     #[test]
     #[should_panic(expected = "quota: 1 entries for 2 levels")]
     fn makespan_gain_rejects_a_short_quota() {
-        let g = fork_with_bytes();
-        let _ = MakespanGain::new(&g, &level_profile(&g), &[0, 0, 0], 2, &CostModel::default())
-            .with_level_quota(vec![7]);
+        let _ = gain_for(&fork_with_bytes(), &[0, 0, 0], 2).with_level_quota(vec![7]);
     }
 
     #[test]
     #[should_panic(expected = "part: one entry per node")]
     fn refine_kway_rejects_a_short_part() {
-        let (g, mut part, weight, mut loads) = chain_input();
+        let (g, mut part, weight, mut loads, mut gain) = chain_input();
         part.pop();
-        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut EdgeCutGain);
+        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut gain);
     }
 
     #[test]
     #[should_panic(expected = "weight: one entry per node")]
     fn refine_kway_rejects_a_short_weight() {
-        let (g, mut part, mut weight, mut loads) = chain_input();
+        let (g, mut part, mut weight, mut loads, mut gain) = chain_input();
         weight.pop();
-        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut EdgeCutGain);
+        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut gain);
     }
 
     #[test]
     #[should_panic(expected = "part: node 5 is in part 2, but loads has 2 entries")]
     fn refine_kway_rejects_a_part_without_a_load() {
-        let (g, mut part, weight, mut loads) = chain_input();
+        let (g, mut part, weight, mut loads, mut gain) = chain_input();
         part[5] = 2;
-        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut EdgeCutGain);
+        refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut gain);
     }
 
     #[test]
@@ -968,8 +737,7 @@ mod tests {
     fn refine_kway_rejects_loads_of_another_part_count_than_the_gain() {
         // Three load slots against a gain built for two workers: a move
         // into part 2 would index the next level's row of the gain.
-        let (g, mut part, weight, _) = chain_input();
-        let mut gain = MakespanGain::new(&g, &level_profile(&g), &part, 2, &CostModel::default());
+        let (g, mut part, weight, _, mut gain) = chain_input();
         let mut loads = vec![3u64, 3, 0];
         refine_kway(&g, &mut part, &weight, &mut loads, 9, 1, &mut gain);
     }
@@ -986,7 +754,7 @@ mod tests {
         loads: &mut [u64],
         max_load: u64,
         passes: usize,
-        gain: &mut dyn MoveGain,
+        gain: &mut MakespanGain,
     ) -> usize {
         let mut total_moves = 0usize;
         let mut cands: Vec<usize> = Vec::new();
@@ -1004,11 +772,10 @@ mod tests {
                 }
                 let mut best: Option<(usize, i64)> = None;
                 for &to in &cands {
-                    if loads[to] + w > max_load || !gain.allow(graph, u, from, to) {
+                    if loads[to] + w > max_load || !gain.allow(u, to) {
                         continue;
                     }
-                    let part_ref: &[usize] = part;
-                    let g = gain.gain(graph, u, from, to, &|v| Some(part_ref[v as usize]));
+                    let g = walk_gain(gain, graph, part, u, to);
                     if g > 0 && best.map(|(_, b)| g > b).unwrap_or(true) {
                         best = Some((to, g));
                     }
@@ -1017,7 +784,7 @@ mod tests {
                     part[u as usize] = to;
                     loads[from] -= w;
                     loads[to] += w;
-                    gain.commit(graph, u, from, to);
+                    gain.commit(u, from, to);
                     moved += 1;
                 }
             }
@@ -1038,7 +805,6 @@ mod tests {
         level_of: &[u32],
         part: &[usize],
         cost: &CostModel,
-        topo: &Topology,
         u: NodeId,
         to: usize,
     ) -> i64 {
@@ -1048,8 +814,8 @@ mod tests {
         let succs = g.successors(u).iter().map(|&s| (s, g.edge_traffic(u, s)));
         for (v, bytes) in preds.chain(succs) {
             let excess = cost.remote_excess(bytes) as i64;
-            let before = !topo.same_domain(part[v as usize], from);
-            let after = !topo.same_domain(part[v as usize], to);
+            let before = part[v as usize] != from;
+            let after = part[v as usize] != to;
             edge += excess * (i64::from(before) - i64::from(after));
         }
         let tick = |v: NodeId| cost.node_ticks(g.work(v), g.footprint(v), 0).max(1) as i64;
@@ -1062,33 +828,29 @@ mod tests {
         edge + level_load(from) - level_load(to) - tick(u)
     }
 
-    /// The graph, part count and topology one proptest case runs on.
-    fn case(
-        shape: usize,
-        a: usize,
-        b: usize,
-        k_index: usize,
-        domains: usize,
-        seed: u64,
-    ) -> (TaskGraph, usize, Topology) {
+    /// The graph and part count one proptest case runs on.
+    fn case(shape: usize, a: usize, b: usize, k_index: usize, seed: u64) -> (TaskGraph, usize) {
         let g = match shape {
             0 => generate::layered_random(a, b, 4, (1, 300), 1, seed),
             _ => generate::wavefront(a, b, 1 + seed % 50, 1),
         };
-        let k = [2usize, 3, 5, 8][k_index];
-        let topo = match domains {
-            0 => Topology::per_worker(k),
-            _ => Topology::new(2, k.div_ceil(2)),
-        };
-        (g, k, topo)
+        (g, [2usize, 3, 5, 8][k_index])
     }
 
-    fn recount(part: &[usize], weight: &[u64], k: usize) -> Vec<u64> {
-        let mut loads = vec![0u64; k];
-        for (u, &p) in part.iter().enumerate() {
-            loads[p] += weight[u];
+    /// `g`'s structure with unit work and no bytes: every edge costs
+    /// nothing and every node weighs the same, so a move's gain is its
+    /// level's spread alone and most candidates tie.
+    fn tie_heavy(g: &TaskGraph) -> TaskGraph {
+        let mut b = GraphBuilder::new();
+        for _ in g.nodes() {
+            b.add_simple_node(1, Color(0), 0);
         }
-        loads
+        for u in g.nodes() {
+            for &s in g.successors(u) {
+                b.add_edge(u, s);
+            }
+        }
+        b.build().unwrap()
     }
 
     use proptest::prelude::*;
@@ -1102,19 +864,17 @@ mod tests {
             a in 2usize..7,
             b in 2usize..8,
             k_index in 0usize..4,
-            domains in 0usize..2,
             seed in 0u64..10_000,
             moves in proptest::collection::vec(0usize..1_000_000, 0..24),
         ) {
-            let (g, k, topo) = case(shape, a, b, k_index, domains, seed);
+            let (g, k) = case(shape, a, b, k_index, seed);
             let n = g.node_count();
             let profile = level_profile(&g);
             let cost = CostModel::default();
             let weight: Vec<u64> = g.nodes().map(|u| crate::node_weight(&g, u)).collect();
             let mut part: Vec<usize> = (0..n).map(|u| (u * 7 + seed as usize) % k).collect();
             let mut loads = recount(&part, &weight, k);
-            let mut gain =
-                MakespanGain::new(&g, &profile, &part, k, &cost).with_topology(topo.clone());
+            let mut gain = MakespanGain::new(&g, &profile, &part, k, &cost);
             let mut refiner = Refiner::new(&g, &mut part, &weight, &mut loads, &mut gain);
             for r in moves {
                 let (u, to) = ((r % n) as NodeId, (r / n) % k);
@@ -1127,10 +887,8 @@ mod tests {
             for u in g.nodes() {
                 let from = part[u as usize];
                 for to in (0..k).filter(|&to| to != from) {
-                    refiner.open(u);
-                    let table = refiner.gain(u, to);
-                    refiner.close(u);
-                    let defined = definition_gain(&g, &profile.level_of, part, &cost, &topo, u, to);
+                    let table = table_gain(&refiner, u, to);
+                    let defined = definition_gain(&g, &profile.level_of, part, &cost, u, to);
                     prop_assert!(
                         table == defined,
                         "node {} to part {}: table {} != definition {}",
@@ -1139,13 +897,10 @@ mod tests {
                         table,
                         defined
                     );
-                    prop_assert_eq!(
-                        table,
-                        refiner.gain.gain(&g, u, from, to, &|v| Some(part[v as usize]))
-                    );
+                    prop_assert_eq!(table, walk_gain(refiner.gain, &g, part, u, to));
                 }
                 // The live slots are the neighbours, part by part.
-                let row = &refiner.links[refiner.row[u as usize]..refiner.row[u as usize + 1]];
+                let row = refiner.row(u);
                 for p in 0..k {
                     let live = row.iter().filter(|l| l.count > 0 && l.part() == p);
                     let neighbours = g.predecessors(u).iter().chain(g.successors(u));
@@ -1168,38 +923,27 @@ mod tests {
             a in 2usize..7,
             b in 2usize..8,
             k_index in 0usize..4,
-            domains in 0usize..2,
             seed in 0u64..10_000,
             capped in 0usize..2,
         ) {
-            let (g, k, topo) = case(shape, a, b, k_index, domains, seed);
+            let (g, k) = case(shape, a, b, k_index, seed);
             let n = g.node_count();
-            let profile = level_profile(&g);
-            let cost = CostModel::default();
-            let weight: Vec<u64> = g.nodes().map(|u| crate::node_weight(&g, u)).collect();
             let start: Vec<usize> = (0..n).map(|u| (u * 7 + seed as usize) % k).collect();
-            let max_load = match capped {
-                0 => u64::MAX,
-                _ => crate::balance_limit(&g, k),
-            };
-            // The makespan gain (equal footprints: plenty of tied gains)
-            // and the unit edge-cut gain, where nearly every gain ties.
-            let make_gain = |unit: bool, part: &[usize]| -> Box<dyn MoveGain> {
-                if unit {
-                    return Box::new(EdgeCutGain);
-                }
-                let gain = MakespanGain::new(&g, &profile, part, k, &cost);
-                Box::new(gain.with_topology(topo.clone()))
-            };
-            for unit in [false, true] {
+            // The graph as generated (equal footprints: plenty of tied
+            // gains), and its tie-heavy twin, where nearly every gain ties.
+            for g in [g.clone(), tie_heavy(&g)] {
+                let weight: Vec<u64> = g.nodes().map(|u| crate::node_weight(&g, u)).collect();
+                let max_load = match capped {
+                    0 => u64::MAX,
+                    _ => crate::balance_limit(&g, k),
+                };
                 let (mut part, mut loads) = (start.clone(), recount(&start, &weight, k));
-                let mut gain = make_gain(unit, &part);
-                let stats =
-                    refine_kway(&g, &mut part, &weight, &mut loads, max_load, 4, gain.as_mut());
+                let mut gain = gain_for(&g, &part, k);
+                let stats = refine_kway(&g, &mut part, &weight, &mut loads, max_load, 4, &mut gain);
                 let (mut ref_part, mut ref_loads) = (start.clone(), recount(&start, &weight, k));
-                let mut gain = make_gain(unit, &ref_part);
+                let mut gain = gain_for(&g, &ref_part, k);
                 let ref_moves = reference_refine(
-                    &g, &mut ref_part, &weight, &mut ref_loads, max_load, 4, gain.as_mut(),
+                    &g, &mut ref_part, &weight, &mut ref_loads, max_load, 4, &mut gain,
                 );
                 prop_assert_eq!(&loads, &recount(&part, &weight, k));
                 prop_assert_eq!((part, loads, stats.moves), (ref_part, ref_loads, ref_moves));
@@ -1208,31 +952,6 @@ mod tests {
     }
 
     // ---- the cost of a call does not grow with its passes ----
-
-    /// Forwards to a [`MakespanGain`] and records which nodes moved.
-    struct Recording {
-        inner: MakespanGain,
-        moved: Vec<NodeId>,
-    }
-
-    impl MoveGain for Recording {
-        fn edge_cost(&self, graph: &TaskGraph, producer: NodeId, consumer: NodeId) -> i64 {
-            self.inner.edge_cost(graph, producer, consumer)
-        }
-        fn group_of(&self, part: usize) -> usize {
-            self.inner.group_of(part)
-        }
-        fn node_gain(&self, u: NodeId, from: usize, to: usize) -> i64 {
-            self.inner.node_gain(u, from, to)
-        }
-        fn commit(&mut self, graph: &TaskGraph, u: NodeId, from: usize, to: usize) {
-            self.inner.commit(graph, u, from, to);
-            self.moved.push(u);
-        }
-        fn parts(&self) -> Option<usize> {
-            self.inner.parts()
-        }
-    }
 
     #[test]
     fn edge_visits_are_one_setup_walk_plus_the_moved_nodes_neighbourhoods() {
@@ -1245,18 +964,37 @@ mod tests {
         let e = g.edge_count() as u64;
         assert!(e >= 100 * 4 * 256, "mean in-degree {} < 100", e / (4 * 256));
         let degree = |u: NodeId| (g.in_degree(u) + g.out_degree(u)) as u64;
-        let profile = level_profile(&g);
         let weight: Vec<u64> = g.nodes().map(|u| crate::node_weight(&g, u)).collect();
         for k in [2usize, 8] {
             let mut visits = Vec::new();
             for passes in [2usize, 16] {
-                let mut part: Vec<usize> = g.nodes().map(|u| u as usize % k).collect();
-                let mut loads = recount(&part, &weight, k);
-                let mut gain = Recording {
-                    inner: MakespanGain::new(&g, &profile, &part, k, &CostModel::default()),
-                    moved: Vec::new(),
-                };
-                let stats = refine_kway(
+                let start: Vec<usize> = g.nodes().map(|u| u as usize % k).collect();
+                let (mut part, mut loads) = (start.clone(), recount(&start, &weight, k));
+                let mut gain = gain_for(&g, &part, k);
+                // `refine_kway`'s loop, one sweep at a time: a node moves
+                // at most once per sweep, so the sweep's moves are the
+                // nodes whose part it changed.
+                let mut refiner = Refiner::new(&g, &mut part, &weight, &mut loads, &mut gain);
+                let mut around_moves = 0u64;
+                for _ in 0..passes {
+                    let before = refiner.part.to_vec();
+                    let moved = refiner.sweep(u64::MAX);
+                    let changed = g
+                        .nodes()
+                        .filter(|&u| refiner.part[u as usize] != before[u as usize]);
+                    let changed: Vec<NodeId> = changed.collect();
+                    assert_eq!(changed.len(), moved, "k={k}: a node moved twice in a sweep");
+                    around_moves += changed.iter().map(|&u| degree(u)).sum::<u64>();
+                    if moved == 0 {
+                        break;
+                    }
+                }
+                let stats = refiner.stats;
+                assert!(stats.moves > 0, "k={k}: nothing to refine");
+                // The loop above is `refine_kway`'s, visit for visit.
+                let (mut part, mut loads) = (start.clone(), recount(&start, &weight, k));
+                let mut gain = gain_for(&g, &part, k);
+                let call = refine_kway(
                     &g,
                     &mut part,
                     &weight,
@@ -1265,9 +1003,7 @@ mod tests {
                     passes,
                     &mut gain,
                 );
-                assert!(stats.moves > 0, "k={k}: nothing to refine");
-                assert_eq!(stats.moves, gain.moved.len());
-                let around_moves: u64 = gain.moved.iter().map(|&u| degree(u)).sum();
+                assert_eq!(call, stats, "k={k} passes={passes}");
                 // One commit walk per move, at most one tie-break walk.
                 assert!(
                     stats.edge_visits <= e + 2 * around_moves,

@@ -297,20 +297,15 @@ impl AutoSelect {
     /// post-pass ([`pack_domains`]) permutes the winner's colors onto
     /// domains when that improves the estimate.
     ///
-    /// Deliberately, the portfolio members themselves keep their
-    /// per-worker-domain pricing: scoring reorders and packing are
-    /// *placement-only* decisions (they choose between colorings, or
-    /// relabel one, without changing any coloring's cut structure), which
-    /// the domain-aware estimator prices faithfully. Handing the topology
-    /// to the candidates instead (e.g.
-    /// [`CpLevelAware::with_topology`]) changes the cut structure they
-    /// produce — the sweep crosses workers freely within a domain — and
-    /// while that wins on wavefront pipelines, its free intra-domain
-    /// crossings under-model the steal-discovery cost the simulator
-    /// charges for moving execution between workers, so a tuned candidate
-    /// can win the estimate yet lose the simulation on irregular
-    /// dataflow. Callers who want topology-tuned candidates can pass them
-    /// to [`new`](Self::new) explicitly.
+    /// The portfolio members never see the topology: a color is a worker,
+    /// and they price every cross-color edge as remote. Scoring reorders
+    /// and packing are *placement-only* decisions (they choose between
+    /// colorings, or relabel one, without changing any coloring's cut
+    /// structure), which the domain-aware estimator prices faithfully. A
+    /// member that crossed workers freely within a domain would change
+    /// the cut structure itself, and its free intra-domain crossings
+    /// would under-model the steal-discovery cost the simulator charges
+    /// for moving execution between workers.
     pub fn with_topology(self, topo: Topology) -> Self {
         AutoSelect {
             topology: Some(topo),

@@ -11,9 +11,10 @@
 //!   charges a cross-color dependence edge as **remote-byte bandwidth on
 //!   the consumer** ([`CostModel::remote_excess`]) plus the steal
 //!   hand-off latency ([`CostModel::cross_edge_latency`]);
-//! * the autocolor objectives (`nabbitc-autocolor`'s `MakespanGain`,
-//!   `CpLevelAware`, and the `AutoSelect` meta-assigner) optimize and
-//!   score with the same two terms.
+//! * the autocolor objectives (`nabbitc-autocolor`'s `CpLevelAware` sweep
+//!   and its `MakespanGain` refinement, which price per worker, and the
+//!   `AutoSelect` meta-assigner, which scores on the machine it is given)
+//!   optimize and score with the same two terms.
 //!
 //! Before this crate existed the workspace carried three incompatible
 //! pricings of a cross-color edge — the simulator's byte costs, the
@@ -44,7 +45,7 @@
 ///
 /// The worker pool is built on it, the simulators price accesses with
 /// it, and the cost consumers — the makespan estimator in
-/// `nabbitc-graph::analysis`, the autocolor objectives, and the domain
+/// `nabbitc-graph::analysis`, the autocolor selection, and the domain
 /// packing pass — ask it "is this worker pair remote?". The questions
 /// that take a color (`is_remote`, `domain_of_color`, `domain_colors`)
 /// are the `nabbitc_runtime::ColorDomains` extension trait: this crate
@@ -257,11 +258,11 @@ impl CostModel {
     /// reproduces the pre-domain-aware pricing.
     ///
     /// This is the one-edge form, for callers pricing edges
-    /// independently. The estimator and the `CpLevelAware` sweep
-    /// instead *accumulate* a node's cross-domain bytes and price the
-    /// total once through [`node_ticks`](Self::node_ticks) /
+    /// independently. The estimator instead *accumulates* a node's
+    /// cross-domain bytes and prices the total once through
+    /// [`node_ticks`](Self::node_ticks) /
     /// [`remote_excess`](Self::remote_excess) (one rounding per node,
-    /// not per edge), so they branch on [`Topology::same_domain`]
+    /// not per edge), so it branches on [`Topology::same_domain`]
     /// directly — the rule is the same, the rounding granularity is not.
     #[inline]
     pub fn cut_excess(&self, topo: &Topology, producer: usize, consumer: usize, bytes: u64) -> u64 {

@@ -184,34 +184,6 @@ fn domain_aware_auto_select_never_simulates_worse_than_per_worker_scoring() {
 }
 
 #[test]
-fn domain_tuned_cp_level_aware_beats_per_worker_cp_on_sw() {
-    // The domain-tuned sweep's capability pin: told the machine's real
-    // topology, CpLevelAware crosses workers freely within a domain
-    // (latency-only) and wins simulated makespan on the wavefront — the
-    // shape where spreading is everything. (AutoSelect deliberately does
-    // not tune its portfolio this way — see
-    // `AutoSelect::with_topology` — because the same freedom loses on
-    // irregular dataflow; this pin is why the tuned variant exists for
-    // explicit use.)
-    for p in [20usize, 40] {
-        let bare = registry::build_uncolored(BenchId::Sw, Scale::Small, p);
-        let topo = Topology::paper_machine().truncated(p);
-        let pw = CpLevelAware::default().assign(&bare.graph, p);
-        let dm = CpLevelAware::default()
-            .with_topology(topo)
-            .assign(&bare.graph, p);
-        let cfg = WsConfig::nabbitc(p);
-        let pw_m = simulate_ws_recolored(&bare.graph, &pw, &cfg).makespan;
-        let dm_m = simulate_ws_recolored(&bare.graph, &dm, &cfg).makespan;
-        println!("sw P={p}: per-worker cp sim={pw_m}, domain-tuned cp sim={dm_m}");
-        assert!(
-            dm_m < pw_m,
-            "P={p}: domain-tuned cp {dm_m} not below per-worker cp {pw_m}"
-        );
-    }
-}
-
-#[test]
 fn auto_select_never_worse_than_best_portfolio_member() {
     // The meta-assigner's acceptance property (ISSUE 3): on every
     // structural family, AutoSelect's *simulated* makespan is within 5%
