@@ -89,14 +89,6 @@ impl ColorSet {
         ColorSet { words }
     }
 
-    /// In-place union.
-    #[inline]
-    pub fn union_with(&mut self, other: &ColorSet) {
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-    }
-
     /// Set intersection.
     #[inline]
     pub fn intersection(&self, other: &ColorSet) -> ColorSet {

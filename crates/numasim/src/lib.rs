@@ -66,18 +66,6 @@ pub fn serial_ticks(graph: &TaskGraph, cost: &CostModel) -> u64 {
         .sum()
 }
 
-/// Serial time of a loop nest (same convention).
-pub fn serial_ticks_loops(nest: &LoopNest, cost: &CostModel) -> u64 {
-    nest.phases
-        .iter()
-        .flat_map(|p| p.iters.iter())
-        .map(|it| {
-            let bytes: u64 = it.accesses.iter().map(|a| a.bytes).sum();
-            cost.node_ticks_all_local(it.work, bytes)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod recolor_tests {
     use super::*;

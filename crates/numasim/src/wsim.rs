@@ -113,10 +113,16 @@ struct Sim<'a> {
     seq: u64,
 }
 
-/// Simulates `graph` under work stealing per `cfg`.
+/// Simulates `graph` under work stealing per `cfg`. Panics unless
+/// `cfg.topology` has a core for each of the `cfg.cores` workers.
 pub fn simulate_ws(graph: &TaskGraph, cfg: &WsConfig) -> SimResult {
     assert!(cfg.cores > 0, "need at least one core");
     let p = cfg.cores;
+    assert!(
+        cfg.topology.cores() >= p,
+        "topology with {} cores cannot place {p} workers",
+        cfg.topology.cores()
+    );
     let n = graph.node_count() as u64;
 
     let mut sim = Sim {
@@ -410,6 +416,14 @@ mod tests {
         let r = simulate_ws(&g, &WsConfig::nabbitc(8));
         assert_eq!(total_executed(&r), g.node_count() as u64);
         assert!(r.makespan > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "topology with 4 cores cannot place 8 workers")]
+    fn topology_with_fewer_cores_than_workers_panics() {
+        let mut cfg = WsConfig::nabbitc(8);
+        cfg.topology = Topology::new(1, 4);
+        simulate_ws(&generate::chain(4, 1, 1), &cfg);
     }
 
     #[test]

@@ -52,9 +52,15 @@ pub struct Team {
 }
 
 impl Team {
-    /// Spawns a team of `size` threads on `topology`.
+    /// Spawns a team of `size` threads on `topology`. Panics unless
+    /// `topology` has a core for each thread.
     pub fn new(size: usize, topology: Topology) -> Team {
         assert!(size > 0, "team needs at least one thread");
+        assert!(
+            topology.cores() >= size,
+            "topology with {} cores cannot place {size} workers",
+            topology.cores()
+        );
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 epoch: 0,
@@ -272,6 +278,12 @@ mod tests {
         for n in [0usize, 1, 3, 4, 17, 1000] {
             assert!(coverage(&team, n, Schedule::Static).iter().all(|&c| c == 1));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "topology with 4 cores cannot place 8 workers")]
+    fn topology_with_fewer_cores_than_workers_panics() {
+        let _ = Team::new(8, Topology::new(1, 4));
     }
 
     #[test]

@@ -107,15 +107,6 @@ impl StealPolicy {
         }
     }
 
-    /// NabbitC without the forced first steal (used by the Fig. 9 overhead
-    /// ablation).
-    pub fn nabbitc_unforced() -> Self {
-        StealPolicy {
-            force_first_colored: false,
-            ..Self::nabbitc()
-        }
-    }
-
     /// Whether any colored machinery is active.
     pub fn is_colored(&self) -> bool {
         self.colored_attempts > 0 || self.force_first_colored
@@ -142,8 +133,6 @@ mod tests {
     fn presets() {
         assert!(StealPolicy::nabbitc().is_colored());
         assert!(!StealPolicy::nabbit().is_colored());
-        assert!(StealPolicy::nabbitc_unforced().is_colored());
-        assert!(!StealPolicy::nabbitc_unforced().force_first_colored);
         assert_eq!(StealPolicy::default(), StealPolicy::nabbitc());
     }
 }

@@ -247,13 +247,21 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawns the worker threads. Panics if `config.workers == 0`.
+    /// Spawns the worker threads. Panics if `config.workers == 0` or if
+    /// the topology has fewer cores than workers (a worker past its last
+    /// core would own no domain, so its own data would count as remote).
     pub fn new(config: PoolConfig) -> Pool {
         assert!(config.workers > 0, "need at least one worker");
         assert!(
             config.workers <= nabbitc_color::MAX_COLORS,
             "at most {} workers supported",
             nabbitc_color::MAX_COLORS
+        );
+        assert!(
+            config.topology.cores() >= config.workers,
+            "topology with {} cores cannot place {} workers",
+            config.topology.cores(),
+            config.workers
         );
         let inner = Arc::new(PoolInner {
             deques: (0..config.workers).map(|_| ColoredDeque::new()).collect(),
@@ -564,12 +572,6 @@ impl<'a> WorkerContext<'a> {
             ctx: self,
             tasks: Vec::new(),
         }
-    }
-
-    /// Uniform random value below `n` from the worker's RNG (exposed for
-    /// randomized executors built on top).
-    pub fn rand_below(&mut self, n: usize) -> usize {
-        self.rng.next_below(n)
     }
 }
 
@@ -1244,6 +1246,12 @@ mod tests {
         let mut cfg = PoolConfig::nabbitc(1);
         cfg.workers = 0; // bypass the constructor's check
         let _ = Pool::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "topology with 4 cores cannot place 8 workers")]
+    fn topology_with_fewer_cores_than_workers_panics() {
+        let _ = Pool::new(PoolConfig::nabbitc(8).with_topology(Topology::new(1, 4)));
     }
 
     #[test]

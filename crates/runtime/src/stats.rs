@@ -213,11 +213,6 @@ impl PoolStats {
         total as f64 / self.workers.len() as f64 / 1e9
     }
 
-    /// Total colored steal attempts across workers.
-    pub fn total_colored_attempts(&self) -> u64 {
-        self.workers.iter().map(|w| w.colored_steal_attempts).sum()
-    }
-
     /// Total successful steals across workers.
     pub fn total_successful_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.successful_steals()).sum()

@@ -13,7 +13,7 @@
 //! simulated schedulers against this bound with fitted constants.
 
 use crate::{EdgeTraffic, NodeId, TaskGraph};
-use nabbitc_color::{Color, ColorSet};
+use nabbitc_color::Color;
 use nabbitc_cost::{CostModel, Topology};
 use std::collections::HashMap;
 use std::hint::select_unpredictable;
@@ -83,51 +83,6 @@ pub fn analyze(g: &TaskGraph) -> GraphAnalysis {
     }
 }
 
-/// Per-color work distribution — how much node work is assigned to each
-/// color. A perfectly colored regular benchmark distributes work evenly;
-/// PageRank's power-law blocks do not, which is exactly why static
-/// scheduling loses there (§V-A).
-#[derive(Debug, Clone, Default)]
-pub struct ColorWorkProfile {
-    /// Work per color.
-    pub work_by_color: HashMap<Color, u64>,
-    /// Node count per color.
-    pub nodes_by_color: HashMap<Color, u64>,
-}
-
-impl ColorWorkProfile {
-    /// Colors present in the graph.
-    pub fn colors(&self) -> ColorSet {
-        self.work_by_color.keys().copied().collect()
-    }
-
-    /// Load imbalance factor: `max work per color / mean work per color`.
-    /// 1.0 means perfectly balanced across colors.
-    pub fn imbalance(&self) -> f64 {
-        if self.work_by_color.is_empty() {
-            return 1.0;
-        }
-        let max = *self.work_by_color.values().max().expect("nonempty") as f64;
-        let sum: u64 = self.work_by_color.values().sum();
-        let mean = sum as f64 / self.work_by_color.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-}
-
-/// Computes the per-color work distribution.
-pub fn color_profile(g: &TaskGraph) -> ColorWorkProfile {
-    let mut p = ColorWorkProfile::default();
-    for u in g.nodes() {
-        *p.work_by_color.entry(g.color(u)).or_insert(0) += g.work(u);
-        *p.nodes_by_color.entry(g.color(u)).or_insert(0) += 1;
-    }
-    p
-}
-
 /// Number of dependence edges whose endpoints carry different colors —
 /// the quantity the autocolor assigners minimize. Every cut edge is a
 /// potential remote predecessor read under the §V-B metric (the successor
@@ -154,9 +109,8 @@ pub fn edge_cut_fraction(g: &TaskGraph) -> f64 {
 }
 
 /// Work balance of a coloring over an explicit machine size, counting
-/// colors with no nodes (unlike [`ColorWorkProfile`], which only sees
-/// colors that occur — a coloring that leaves workers idle must show up as
-/// imbalance here).
+/// colors with no nodes — a coloring that leaves workers idle must show up
+/// as imbalance here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColorBalance {
     /// Heaviest color's work.
@@ -643,18 +597,6 @@ mod tests {
         let a = analyze(&g);
         assert_eq!(completion_lower_bound(&a, 1), 18.0); // max(T1=17, T_inf=18)
         assert_eq!(completion_lower_bound(&a, 100), a.t_inf as f64);
-    }
-
-    #[test]
-    fn color_profile_imbalance() {
-        let mut b = GraphBuilder::new();
-        b.add_simple_node(30, Color(0), 0);
-        b.add_simple_node(10, Color(1), 0);
-        b.add_edge(0, 1);
-        let p = color_profile(&b.build().unwrap());
-        assert_eq!(p.work_by_color[&Color(0)], 30);
-        assert!((p.imbalance() - 1.5).abs() < 1e-12);
-        assert!(p.colors().contains(Color(1)));
     }
 
     #[test]

@@ -78,14 +78,6 @@ impl Trace {
         max - min
     }
 
-    /// Number of distinct workers that executed at least one node.
-    pub fn workers_used(&self) -> usize {
-        let mut w: Vec<usize> = self.events.iter().map(|e| e.worker).collect();
-        w.sort_unstable();
-        w.dedup();
-        w.len()
-    }
-
     /// Per-worker utilization summary over the trace's makespan.
     pub fn utilization(&self) -> UtilizationSummary {
         let mut by_worker: std::collections::BTreeMap<usize, (u64, u64)> = Default::default();
@@ -132,14 +124,6 @@ pub struct UtilizationSummary {
 }
 
 impl UtilizationSummary {
-    /// Mean utilization across participating workers.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 0.0;
-        }
-        self.workers.iter().map(|w| w.utilization).sum::<f64>() / self.workers.len() as f64
-    }
-
     /// Load-imbalance factor: max worker busy time / mean busy time
     /// (1.0 = perfectly balanced).
     pub fn imbalance(&self) -> f64 {
@@ -336,7 +320,6 @@ mod tests {
             ],
         };
         assert_eq!(t.makespan(), 30);
-        assert_eq!(t.workers_used(), 2);
     }
 
     #[test]
@@ -370,7 +353,6 @@ mod tests {
         assert_eq!(u.workers[0].nodes, 2);
         assert!((u.workers[0].utilization - 1.0).abs() < 1e-12);
         assert!((u.workers[1].utilization - 0.5).abs() < 1e-12);
-        assert!((u.mean_utilization() - 0.75).abs() < 1e-12);
         // max busy 20, mean 15 -> imbalance 4/3.
         assert!((u.imbalance() - 20.0 / 15.0).abs() < 1e-12);
     }
@@ -378,7 +360,7 @@ mod tests {
     #[test]
     fn empty_trace_utilization() {
         let u = Trace::default().utilization();
-        assert_eq!(u.mean_utilization(), 0.0);
+        assert!(u.workers.is_empty());
         assert_eq!(u.imbalance(), 1.0);
     }
 

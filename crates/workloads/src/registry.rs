@@ -67,15 +67,6 @@ impl BenchId {
             BenchId::Swn2 => "swn2",
         }
     }
-
-    /// Whether the benchmark is irregular (the PageRank family), where the
-    /// paper compares against both OpenMP schedules.
-    pub fn is_irregular(self) -> bool {
-        matches!(
-            self,
-            BenchId::PageUk2002 | BenchId::PageTwitter2010 | BenchId::PageUk2007
-        )
-    }
 }
 
 /// A built benchmark: its task graph for a given worker count. The
