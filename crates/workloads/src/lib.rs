@@ -36,6 +36,8 @@
 
 pub mod cg;
 pub mod fdtd;
+#[cfg(test)]
+mod fnv;
 pub mod heat;
 pub mod life;
 pub mod mg;

@@ -307,6 +307,67 @@ mod tests {
         }
     }
 
+    /// FNV-1a over a graph as [`crate::fnv::graph`] hashes it, then
+    /// every node's footprint.
+    fn graph_pin(g: &TaskGraph) -> u64 {
+        let mut h = crate::fnv::Fnv::new();
+        h.eat(crate::fnv::graph(g));
+        g.nodes().for_each(|u| h.eat(g.footprint(u)));
+        h.finish()
+    }
+
+    /// Every Table I graph at `Scale::Small` for 2 and 8 workers, and
+    /// heat at `Scale::Medium` for 2: as built, after `strip_colors`, and
+    /// recolored round-robin. Nothing that stores a graph differently may
+    /// move a node's work, color, footprint, edges, accesses or order.
+    #[test]
+    fn every_benchmark_graph_is_pinned() {
+        use nabbitc_color::Color;
+        let graphs = BenchId::all()
+            .into_iter()
+            .flat_map(|id| [(id, Scale::Small, 2), (id, Scale::Small, 8)])
+            .chain([(BenchId::Heat, Scale::Medium, 2)]);
+        #[rustfmt::skip]
+        let pins: [[u64; 3]; 21] = [
+            [0xb916_8c58_f750_a47d, 0xe5f6_fb43_313c_f4f4, 0xd26e_9766_fdd7_60ad], // cg Small P = 2
+            [0xb901_a103_ceb2_8aa2, 0xe5f6_fb43_313c_f4f4, 0x80f1_4462_64da_a45d], // cg Small P = 8
+            [0xdac4_fc9c_ac4a_1ff3, 0x8b1f_c8bc_9831_8ca5, 0xdee2_892b_b3ac_ae5f], // mg Small P = 2
+            [0x8d6e_1973_ccc0_f791, 0x8b1f_c8bc_9831_8ca5, 0xb57b_eb50_0361_91b5], // mg Small P = 8
+            [0xf0c6_814b_4672_8079, 0x3e7a_11d7_2b6f_5278, 0x60a1_2370_f793_d7f1], // heat Small P = 2
+            [0x8a38_b344_52dc_44f9, 0x3e7a_11d7_2b6f_5278, 0x6222_2141_fa51_8802], // heat Small P = 8
+            [0x2fcd_bf31_c726_f894, 0x140e_3e6c_7087_5e11, 0x565e_290b_631b_813e], // fdtd Small P = 2
+            [0xca1c_15b8_7d83_09cb, 0x140e_3e6c_7087_5e11, 0x861f_d876_5a79_80f8], // fdtd Small P = 8
+            [0x9a93_575c_7c5e_7442, 0x4b28_cb98_3fdd_3ce2, 0x836d_d01f_f578_4633], // life Small P = 2
+            [0xd06e_6561_2fee_a5f6, 0x4b28_cb98_3fdd_3ce2, 0x8d8a_e87f_5843_2547], // life Small P = 8
+            [0x1040_bc22_8454_f9fb, 0x37b3_cfec_11c2_7a6c, 0x1525_757f_d94c_63fd], // page-uk-2002 Small P = 2
+            [0xe303_0f1f_540b_221e, 0x37b3_cfec_11c2_7a6c, 0x87e1_769a_3443_2f4e], // page-uk-2002 Small P = 8
+            [0xd4df_75eb_b4f8_a665, 0x8706_1733_5aba_4750, 0x4cfb_5675_2791_a738], // page-twitter-2010 Small P = 2
+            [0x8c28_a337_b8dd_55bd, 0x8706_1733_5aba_4750, 0xa7af_680c_926c_e58d], // page-twitter-2010 Small P = 8
+            [0xfd4d_bba9_2fa1_899f, 0x375d_6e92_8fda_b90e, 0x911c_2572_3271_0891], // page-uk-2007-05 Small P = 2
+            [0x6b0f_3095_c113_d0b6, 0x375d_6e92_8fda_b90e, 0xfea8_ea89_d384_de01], // page-uk-2007-05 Small P = 8
+            [0xe987_5179_abbb_3ae5, 0xc210_ebdc_914d_74f9, 0xad0c_b56f_25c5_d61d], // sw Small P = 2
+            [0x8873_999d_2f17_5716, 0xc210_ebdc_914d_74f9, 0xd4c4_b1e4_0250_da3d], // sw Small P = 8
+            [0x8ef0_d9c8_b98d_8944, 0xab8e_e3a5_844c_3611, 0x1bc1_952c_a55c_a101], // swn2 Small P = 2
+            [0x92d9_e632_6d61_2512, 0xab8e_e3a5_844c_3611, 0x7b67_331e_5963_a266], // swn2 Small P = 8
+            [0xa1c0_2349_6600_17d7, 0x09ff_cc4b_bdd9_7a9e, 0x91e0_3552_fabe_3ded], // heat Medium P = 2
+        ];
+        for ((id, scale, p), pin) in graphs.zip(pins) {
+            let hand = build(id, scale, p).graph;
+            let mut stripped = hand.clone();
+            stripped.strip_colors();
+            let round_robin: Vec<Color> =
+                hand.nodes().map(|u| Color::from(u as usize % p)).collect();
+            let hashes =
+                [hand.clone(), stripped, hand.recolored(&round_robin)].map(|g| graph_pin(&g));
+            assert_eq!(
+                hashes,
+                pin,
+                "{} {scale:?} P = {p}: {hashes:#018x?}",
+                id.name()
+            );
+        }
+    }
+
     #[test]
     fn pagerank_variants_differ_in_skew() {
         let uk = build_pagerank(BenchId::PageUk2002, Scale::Small);

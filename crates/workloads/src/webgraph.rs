@@ -239,20 +239,26 @@ pub fn generate(params: &WebGraphParams) -> WebGraph {
 pub(crate) mod tests {
     use super::*;
 
-    /// FNV-1a over the graph, each value fed as a little-endian u64: the
-    /// vertex count, then `out_off`, `out_adj`, `in_off` and `in_adj`.
+    /// FNV-1a over the arrays the graph keeps, each value fed as a
+    /// little-endian u64: the vertex count, then `out_off`, `in_off` and
+    /// `in_adj`.
     pub(crate) fn fnv(g: &WebGraph) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(g.nv as u64);
-        for values in [&g.out_off, &g.out_adj, &g.in_off, &g.in_adj] {
-            values.iter().for_each(|&x| eat(u64::from(x)));
+        let mut h = crate::fnv::Fnv::new();
+        h.eat(g.nv as u64);
+        for values in [&g.out_off, &g.in_off, &g.in_adj] {
+            values.iter().for_each(|&x| h.eat(u64::from(x)));
         }
-        h
+        h.finish()
+    }
+
+    /// [`fnv`] with `out_adj` fed after `out_off`.
+    pub(crate) fn fnv_all(g: &WebGraph) -> u64 {
+        let mut h = crate::fnv::Fnv::new();
+        h.eat(g.nv as u64);
+        for values in [&g.out_off, &g.out_adj, &g.in_off, &g.in_adj] {
+            values.iter().for_each(|&x| h.eat(u64::from(x)));
+        }
+        h.finish()
     }
 
     /// Every preset at seeds 1 and 7 and at its own seed: the degree
@@ -261,21 +267,59 @@ pub(crate) mod tests {
     /// generate it anyway.
     #[test]
     fn the_preset_graphs_are_pinned() {
-        let pins: [(WebGraphParams, u64, u64); 7] = [
-            (WebGraphParams::uk2002(), 1, 0x1f82_0ce2_bda6_e73e),
-            (WebGraphParams::uk2002(), 7, 0x220a_7c5d_58f8_b1b9),
-            (WebGraphParams::uk2002(), 0x0002_2002, 0x3751_8e7f_66e1_9dda),
-            (WebGraphParams::twitter2010(), 1, 0x3f57_a9ac_e2c1_db07),
-            (WebGraphParams::twitter2010(), 7, 0x1f2e_0f5b_f81c_58f0),
+        let pins: [(WebGraphParams, u64, u64, u64); 7] = [
+            (
+                WebGraphParams::uk2002(),
+                1,
+                0x1f82_0ce2_bda6_e73e,
+                0x38e0_a1d3_885f_1fea,
+            ),
+            (
+                WebGraphParams::uk2002(),
+                7,
+                0x220a_7c5d_58f8_b1b9,
+                0x11a0_8b13_3349_1651,
+            ),
+            (
+                WebGraphParams::uk2002(),
+                0x0002_2002,
+                0x3751_8e7f_66e1_9dda,
+                0xb156_6765_bee6_ebd6,
+            ),
+            (
+                WebGraphParams::twitter2010(),
+                1,
+                0x3f57_a9ac_e2c1_db07,
+                0xac6d_4f29_033c_dd49,
+            ),
+            (
+                WebGraphParams::twitter2010(),
+                7,
+                0x1f2e_0f5b_f81c_58f0,
+                0x8836_a9bb_343f_4456,
+            ),
             (
                 WebGraphParams::twitter2010(),
                 0x0020_2010,
                 0xc08f_61d7_5776_4661,
+                0x458c_61b5_e167_fb01,
             ),
-            (WebGraphParams::uk2007(), 0x2007_0005, 0xec13_b036_5f6b_8d6b),
+            (
+                WebGraphParams::uk2007(),
+                0x2007_0005,
+                0xec13_b036_5f6b_8d6b,
+                0x1d1d_37a9_4585_5a95,
+            ),
         ];
-        for (preset, seed, pin) in pins {
-            let hash = fnv(&generate(&WebGraphParams { seed, ..preset }));
+        for (preset, seed, pin_all, pin) in pins {
+            let g = generate(&WebGraphParams { seed, ..preset });
+            let hash = fnv_all(&g);
+            assert_eq!(
+                hash, pin_all,
+                "nv {} seed {seed:#x}: {hash:#018x}",
+                preset.nv
+            );
+            let hash = fnv(&g);
             assert_eq!(hash, pin, "nv {} seed {seed:#x}: {hash:#018x}", preset.nv);
         }
     }
