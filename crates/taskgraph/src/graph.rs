@@ -2,33 +2,43 @@
 //!
 //! A [`TaskGraph`] is two things, and only one of them is ever copied:
 //!
-//! * the **structure** — per-node work and footprint, the successor and
-//!   predecessor CSR and the topological order. It is fixed by
-//!   [`GraphBuilder::build`], immutable from then on and held behind one
-//!   `Arc`: every clone and every recoloring of a graph reads the same
+//! * the **structure** — per-node work and home, per-home footprint, the
+//!   successor and predecessor CSR and the topological order. It is fixed
+//!   by [`GraphBuilder::build`], immutable from then on and held behind
+//!   one `Arc`: every clone and every recoloring of a graph reads the same
 //!   arrays ([`TaskGraph::shares_structure_with`]). Everything that prices
 //!   or profiles a graph without looking at colors — [`EdgeTraffic`],
 //!   [`level_profile`](crate::analysis::level_profile),
-//!   [`TaskGraph::footprint`] — depends on the structure alone and is
-//!   therefore invariant under recoloring, re-homing and localizing;
+//!   [`TaskGraph::footprint`], [`TaskGraph::home`] — depends on the
+//!   structure alone and is therefore invariant under recoloring,
+//!   re-homing and localizing;
 //! * the **coloring layer** — one [`Color`] per node (the paper's
 //!   `color()` method of a node: a hint laid over an unchanged graph) and
-//!   the per-node access lists that say where the node's bytes live. A
-//!   layer is private to its `TaskGraph`: [`recolor`](TaskGraph::recolor),
+//!   the access lists that say where the nodes' bytes live. A layer is
+//!   private to its `TaskGraph`: [`recolor`](TaskGraph::recolor),
 //!   [`strip_colors`](TaskGraph::strip_colors) and
 //!   [`localize_accesses`](TaskGraph::localize_accesses) on one clone
 //!   leave every other clone as it was.
 //!
-//! Access lists come in two kinds. *Given* lists — the builder's, or the
-//! one-region lists of [`localize_accesses`](TaskGraph::localize_accesses)
-//! — are stored. The lists of an *edge-traffic-homed* graph
-//! ([`TaskGraph::recolored`], [`TaskGraph::rehome_edge_traffic`]) are a
-//! function of structure and colors, so recoloring stores nothing: they
-//! are built by the first [`TaskGraph::accesses`] read (once, also under
-//! concurrent readers) and belong to that (structure, colors) pair only —
-//! the next re-homing drops them. The executors read colors and never
-//! accesses, so a graph that is colored, run and dropped never pays for
-//! lists only the NUMA simulator and the linter look at.
+//! A node's *home* is the data block it works on. A node added with
+//! [`GraphBuilder::add_node`] is a home of its own; one added with
+//! [`GraphBuilder::add_node_at`] works on an earlier node's block, as the
+//! time steps of an iterated stencil or PageRank revisit the same blocks.
+//! Homes say *which* data a node touches. *Re-homing*, below, is a
+//! different thing: it gives a block's bytes an owner color, that is,
+//! says *where* the data lives.
+//!
+//! Access lists come in two kinds. *Given* lists are stored: the
+//! builder's, once per home, or the one-region lists of
+//! [`localize_accesses`](TaskGraph::localize_accesses), once per node. The
+//! lists of an *edge-traffic-homed* graph ([`TaskGraph::recolored`],
+//! [`TaskGraph::rehome_edge_traffic`]) are a function of structure and
+//! colors, so recoloring stores nothing: they are built per node by the
+//! first [`TaskGraph::accesses`] read (once, also under concurrent
+//! readers) and belong to that (structure, colors) pair only — the next
+//! re-homing drops them. The executors read colors and never accesses,
+//! so a graph that is colored, run and dropped never pays for lists only
+//! the NUMA simulator and the linter look at.
 
 use nabbitc_color::Color;
 use std::sync::{Arc, OnceLock};
@@ -87,15 +97,20 @@ impl std::error::Error for GraphError {}
 
 /// Mutable builder for [`TaskGraph`].
 ///
-/// Nodes are added with their work estimate, color, and memory footprint;
-/// edges are added as `(pred, succ)` pairs. [`GraphBuilder::build`] verifies
+/// Nodes are added with their work estimate, color, and either their
+/// access list or an earlier node whose home they share; edges are added
+/// as `(pred, succ)` pairs. [`GraphBuilder::build`] verifies
 /// acyclicity and produces the immutable CSR form.
 #[derive(Default, Clone)]
 pub struct GraphBuilder {
     work: Vec<u64>,
     color: Vec<Color>,
+    /// Each node's home, numbered in the order the homes were added.
+    home: Vec<u32>,
+    /// Each home's access list.
     accesses: Vec<Vec<NodeAccess>>,
-    /// Total bytes of each access list, summed while the list is in hand.
+    /// Total bytes of each home's access list, summed while the list is
+    /// in hand.
     footprint: Vec<u64>,
     edges: Vec<(NodeId, NodeId)>,
 }
@@ -111,23 +126,45 @@ impl GraphBuilder {
         GraphBuilder {
             work: Vec::with_capacity(nodes),
             color: Vec::with_capacity(nodes),
-            accesses: Vec::with_capacity(nodes),
-            footprint: Vec::with_capacity(nodes),
+            home: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
+            ..GraphBuilder::default()
         }
     }
 
-    /// Adds a node and returns its id.
+    /// Adds a node that is its own home and returns its id.
     ///
     /// `work` is the node's computational cost in abstract work units
     /// (`W(u)` in the paper); `color` its locality hint; `accesses` the
     /// memory regions it touches.
     pub fn add_node(&mut self, work: u64, color: Color, accesses: Vec<NodeAccess>) -> NodeId {
+        self.home.push(self.accesses.len() as u32);
+        self.footprint.push(accesses.iter().map(|a| a.bytes).sum());
+        self.accesses.push(accesses);
+        self.push_node(work, color)
+    }
+
+    /// Adds a node that works on the data of the earlier node `home` — a
+    /// later time step over the same block — and returns its id. The node
+    /// takes `home`'s home, and with it its footprint and access list,
+    /// which are stored once for both.
+    ///
+    /// Panics if `home` is not a node yet.
+    pub fn add_node_at(&mut self, work: u64, color: Color, home: NodeId) -> NodeId {
+        let Some(&home) = self.home.get(home as usize) else {
+            panic!(
+                "add_node_at: home {home} is not a node of a builder holding {} nodes",
+                self.node_count()
+            );
+        };
+        self.home.push(home);
+        self.push_node(work, color)
+    }
+
+    fn push_node(&mut self, work: u64, color: Color) -> NodeId {
         let id = self.work.len() as NodeId;
         self.work.push(work);
         self.color.push(color);
-        self.footprint.push(accesses.iter().map(|a| a.bytes).sum());
-        self.accesses.push(accesses);
         id
     }
 
@@ -279,6 +316,7 @@ impl GraphBuilder {
 
         let mut structure = Structure {
             work: self.work,
+            home: self.home,
             footprint: self.footprint,
             succ_off,
             succ_adj,
@@ -294,7 +332,7 @@ impl GraphBuilder {
         Ok(TaskGraph {
             structure: Arc::new(structure),
             color: self.color,
-            accesses: OnceLock::from(Arc::new(self.accesses)),
+            accesses: OnceLock::from(Arc::new(AccessLists::PerHome(self.accesses))),
         })
     }
 }
@@ -331,7 +369,10 @@ fn duplicate_edges<'a>(
 /// shared by every clone and recoloring of the graph.
 struct Structure {
     work: Vec<u64>,
-    /// Total bytes each node touches, however its lists split them.
+    /// Each node's home.
+    home: Vec<u32>,
+    /// Total bytes each home's nodes touch, however their lists split
+    /// them.
     footprint: Vec<u64>,
     succ_off: Vec<u32>,
     succ_adj: Vec<NodeId>,
@@ -384,8 +425,12 @@ impl Structure {
     }
 }
 
-/// Every node's access list, indexed by [`NodeId`].
-type AccessLists = Vec<Vec<NodeAccess>>;
+/// A layer's access lists: the builder's, one per home, or lists derived
+/// for the layer, one per node.
+enum AccessLists {
+    PerHome(Vec<Vec<NodeAccess>>),
+    PerNode(Vec<Vec<NodeAccess>>),
+}
 
 /// A task graph in CSR form: one immutable, shared structure under one
 /// coloring layer (see the module docs).
@@ -436,7 +481,10 @@ impl TaskGraph {
     /// safe under concurrent readers); later calls are a load.
     #[inline]
     pub fn accesses(&self, u: NodeId) -> &[NodeAccess] {
-        &self.access_lists()[u as usize]
+        match &**self.access_lists() {
+            AccessLists::PerHome(lists) => &lists[self.home(u) as usize],
+            AccessLists::PerNode(lists) => &lists[u as usize],
+        }
     }
 
     fn access_lists(&self) -> &Arc<AccessLists> {
@@ -539,7 +587,21 @@ impl TaskGraph {
     /// Total bytes touched by a node, however its access list splits them.
     #[inline]
     pub fn footprint(&self, u: NodeId) -> u64 {
-        self.structure.footprint[u as usize]
+        self.structure.footprint[self.home(u) as usize]
+    }
+
+    /// The home of a node: the data block it works on. Nodes added with
+    /// [`GraphBuilder::add_node`] are their own homes, and homes are
+    /// numbered densely from 0 in the order they were added.
+    #[inline]
+    pub fn home(&self, u: NodeId) -> u32 {
+        self.structure.home[u as usize]
+    }
+
+    /// Number of homes: the graph's data blocks.
+    #[inline]
+    pub fn home_count(&self) -> usize {
+        self.structure.footprint.len()
     }
 
     /// Erases all coloring information: every node becomes `Color(0)` and
@@ -606,7 +668,7 @@ impl TaskGraph {
         let colors = self.color.iter().map(|c| c.0 as usize + 1).max();
         let mut owned = vec![0u64; colors.unwrap_or(0)];
         let mut owners: Vec<Color> = Vec::new();
-        let mut rehomed = AccessLists::with_capacity(n);
+        let mut rehomed = Vec::with_capacity(n);
         for u in 0..n as NodeId {
             let mut push = |owner: Color, bytes: u64| {
                 if bytes == 0 {
@@ -631,7 +693,7 @@ impl TaskGraph {
             });
             rehomed.push(regions.collect());
         }
-        rehomed
+        AccessLists::PerNode(rehomed)
     }
 
     /// Re-homes every node's accesses to the node's *current* color,
@@ -644,16 +706,17 @@ impl TaskGraph {
     /// *simulations* use [`rehome_edge_traffic`](Self::rehome_edge_traffic)
     /// instead, which keeps dependence edges carrying byte traffic.
     pub fn localize_accesses(&mut self) {
-        let lists = (0..self.node_count())
-            .map(|u| match self.structure.footprint[u] {
+        let lists = self
+            .nodes()
+            .map(|u| match self.footprint(u) {
                 0 => Vec::new(),
                 bytes => vec![NodeAccess {
-                    owner: self.color[u],
+                    owner: self.color(u),
                     bytes,
                 }],
             })
             .collect();
-        self.accesses = OnceLock::from(Arc::new(lists));
+        self.accesses = OnceLock::from(Arc::new(AccessLists::PerNode(lists)));
     }
 }
 
@@ -906,7 +969,7 @@ mod tests {
             .collect()
     }
 
-    fn panic_message(f: impl FnOnce() -> TaskGraph) -> String {
+    fn panic_message<T: std::fmt::Debug>(f: impl FnOnce() -> T) -> String {
         let err =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must be refused");
         err.downcast_ref::<String>().cloned().unwrap_or_default()
@@ -1027,6 +1090,64 @@ mod tests {
             !diamond().shares_structure_with(&g),
             "two builds, one structure"
         );
+    }
+
+    #[test]
+    fn a_node_added_at_a_home_reads_that_homes_list_in_every_layer() {
+        let mut b = GraphBuilder::new();
+        let halo = |owner| NodeAccess { owner, bytes: 8 };
+        let first = b.add_node(1, Color(0), vec![halo(Color(0)), halo(Color(1))]);
+        b.add_simple_node(2, Color(1), 100);
+        let later = b.add_node_at(3, Color(0), first);
+        let again = b.add_node_at(4, Color(0), later);
+        b.add_edge(first, later);
+        b.add_edge(later, again);
+        let g = b.build().unwrap();
+        assert_eq!(g.home_count(), 2);
+        assert_eq!([0, 1, 2, 3].map(|u| g.home(u)), [0, 1, 0, 0]);
+        assert_eq!([0, 1, 2, 3].map(|u| g.footprint(u)), [16, 100, 16, 16]);
+        assert_eq!(g.work(again), 4);
+        // One stored list, read through either node.
+        assert_eq!(g.accesses(again), &[halo(Color(0)), halo(Color(1))]);
+        assert_eq!(g.accesses(again).as_ptr(), g.accesses(first).as_ptr());
+
+        // Colorings are layers: every one keeps the homes, and the lists
+        // derived for a layer are its nodes' own.
+        let mut stripped = g.clone();
+        stripped.strip_colors();
+        let recolored = g.recolored(&[Color(1), Color(0), Color(1), Color(0)]);
+        for layer in [&stripped, &recolored] {
+            assert_eq!(
+                g.nodes().map(|u| layer.home(u)).collect::<Vec<_>>(),
+                [0, 1, 0, 0]
+            );
+            assert_eq!(layer.home_count(), 2);
+        }
+        assert_eq!(
+            stripped.accesses(again),
+            &[NodeAccess {
+                owner: Color(0),
+                bytes: 16
+            }]
+        );
+        // Node 3 reads all 16 bytes from its predecessor, colored 1.
+        assert_eq!(
+            recolored.accesses(again),
+            &[NodeAccess {
+                owner: Color(1),
+                bytes: 16
+            }]
+        );
+    }
+
+    #[test]
+    fn a_home_that_is_not_a_node_yet_is_refused_at_the_call() {
+        let mut b = GraphBuilder::new();
+        b.add_simple_node(1, Color(0), 8);
+        let msg = panic_message(|| b.clone().add_node_at(1, Color(0), 1));
+        assert!(msg.contains("home 1") && msg.contains("1 nodes"), "{msg}");
+        let msg = panic_message(|| GraphBuilder::new().add_node_at(1, Color(0), 0));
+        assert!(msg.contains("home 0") && msg.contains("0 nodes"), "{msg}");
     }
 
     #[test]
@@ -1265,6 +1386,7 @@ mod tests {
         };
         let mut s = Structure {
             work: b.work.clone(),
+            home: b.home.clone(),
             footprint: b.footprint.clone(),
             succ_off: offsets(&succ),
             succ_adj: succ.concat(),

@@ -71,18 +71,24 @@ fn accesses(shape: &FdtdShape, b: usize, p: usize, halo_left: bool) -> Vec<NodeA
 
 /// Task graph: phase nodes `E(t,b)` at layer `2t`, `H(t,b)` at `2t+1`.
 /// `E(t,b)` reads `H(t-1, b-1..=b)`; `H(t,b)` reads `E(t, b..=b+1)`.
+/// `E(0,b)` and `H(0,b)` are the homes of block `b`'s E and H nodes at
+/// every later step.
 pub fn graph_from_shape(shape: &FdtdShape, p: usize) -> TaskGraph {
     let blocks = shape.blocks;
     let mut gb = GraphBuilder::with_capacity(shape.nodes(), shape.nodes() * 2);
-    for _t in 0..shape.steps {
-        for layer in 0..2 {
+    let id = |layer: usize, b: usize| (layer * blocks + b) as NodeId;
+    for t in 0..shape.steps {
+        for field in 0..2 {
             for b in 0..blocks {
                 let own = Color::from(block_owner(b, blocks, p));
-                gb.add_node(shape.work, own, accesses(shape, b, p, layer == 0));
+                if t == 0 {
+                    gb.add_node(shape.work, own, accesses(shape, b, p, field == 0));
+                } else {
+                    gb.add_node_at(shape.work, own, id(field, b));
+                }
             }
         }
     }
-    let id = |layer: usize, b: usize| (layer * blocks + b) as NodeId;
     for t in 0..shape.steps {
         let e_layer = 2 * t;
         let h_layer = 2 * t + 1;

@@ -127,17 +127,18 @@ impl LifeProblem {
         let steps = self.steps;
         let bytes = (self.rows / blocks * self.cols) as u64;
         let mut gb = GraphBuilder::with_capacity(steps * blocks, steps * blocks * 3 + steps * 2);
-        for _t in 0..steps {
+        let work = (9 * self.rows / blocks * self.cols) as u64;
+        let id = |t: usize, b: usize| (t * blocks + b) as NodeId;
+        for t in 0..steps {
             for b in 0..blocks {
                 let own = Color::from(crate::util::block_owner(b, blocks, p));
-                gb.add_node(
-                    (9 * self.rows / blocks * self.cols) as u64,
-                    own,
-                    vec![NodeAccess { owner: own, bytes }],
-                );
+                if t == 0 {
+                    gb.add_node(work, own, vec![NodeAccess { owner: own, bytes }]);
+                } else {
+                    gb.add_node_at(work, own, id(0, b));
+                }
             }
         }
-        let id = |t: usize, b: usize| (t * blocks + b) as NodeId;
         for t in 1..steps {
             for b in 0..blocks {
                 let mut preds = vec![b, (b + blocks - 1) % blocks, (b + 1) % blocks];

@@ -307,6 +307,27 @@ mod tests {
         }
     }
 
+    /// The iterated benchmarks revisit each data block at every step, so
+    /// a block is one home (fdtd's one per field, E or H); the others'
+    /// nodes are their own homes.
+    #[test]
+    fn iterated_benchmarks_have_one_home_per_block() {
+        for id in BenchId::all() {
+            let g = build(id, Scale::Small, 8).graph;
+            let steps = match id {
+                BenchId::Heat | BenchId::Fdtd | BenchId::Life => 5,
+                BenchId::PageUk2002 | BenchId::PageTwitter2010 | BenchId::PageUk2007 => 10,
+                BenchId::Cg | BenchId::Mg | BenchId::Sw | BenchId::Swn2 => 1,
+            };
+            assert_eq!(g.home_count() * steps, g.node_count(), "{}", id.name());
+            // The first step's nodes are the homes, in block order.
+            for u in g.nodes() {
+                let home = u as usize % g.home_count();
+                assert_eq!(g.home(u) as usize, home, "{} node {u}", id.name());
+            }
+        }
+    }
+
     /// FNV-1a over a graph as [`crate::fnv::graph`] hashes it, then
     /// every node's footprint.
     fn graph_pin(g: &TaskGraph) -> u64 {

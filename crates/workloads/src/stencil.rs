@@ -61,14 +61,19 @@ fn accesses(shape: &StencilShape, b: usize, p: usize) -> Vec<NodeAccess> {
     a
 }
 
-/// Builds the task graph for `p` workers (= colors).
+/// Builds the task graph for `p` workers (= colors). Block `b`'s node at
+/// step 0 is the home of the block's nodes at every later step.
 pub fn graph(shape: &StencilShape, p: usize) -> TaskGraph {
     assert!(shape.iters > 0 && shape.blocks > 0 && p > 0);
     let mut gb = GraphBuilder::with_capacity(shape.nodes(), shape.nodes() * 3);
-    for _t in 0..shape.iters {
+    for t in 0..shape.iters {
         for b in 0..shape.blocks {
             let color = Color::from(block_owner(b, shape.blocks, p));
-            gb.add_node(shape.work, color, accesses(shape, b, p));
+            if t == 0 {
+                gb.add_node(shape.work, color, accesses(shape, b, p));
+            } else {
+                gb.add_node_at(shape.work, color, id(shape, 0, b));
+            }
         }
     }
     for t in 1..shape.iters {
