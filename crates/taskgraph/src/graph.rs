@@ -122,13 +122,18 @@ impl GraphBuilder {
     }
 
     /// Creates a builder with room for `nodes` nodes and `edges` edges.
+    ///
+    /// There is room for as many homes as nodes: the room only the homes
+    /// use is written, so a graph whose steps share homes pays for the
+    /// rest in address space, not in resident memory.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         GraphBuilder {
             work: Vec::with_capacity(nodes),
             color: Vec::with_capacity(nodes),
             home: Vec::with_capacity(nodes),
+            accesses: Vec::with_capacity(nodes),
+            footprint: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            ..GraphBuilder::default()
         }
     }
 

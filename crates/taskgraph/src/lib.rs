@@ -4,8 +4,8 @@
 //! and whose edges are dependences (§II of the paper). This crate provides:
 //!
 //! * [`TaskGraph`] — a CSR representation in two parts: an immutable
-//!   *structure* (per-node work and home — the data block a node works
-//!   on —, per-home footprints, both adjacencies, the topological order)
+//!   *structure* (per-node work and *home*, the data block a node works
+//!   on; per-home footprints; both adjacencies; the topological order)
 //!   that every clone and recoloring of a graph shares,
 //!   and a per-graph *coloring layer* — the locality [`Color`] of each
 //!   node and the memory-access lists used by the NUMA simulator and the
