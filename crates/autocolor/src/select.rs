@@ -241,6 +241,10 @@ impl Default for AutoSelect {
     /// selection tests use — and would cost every selection their
     /// `assign` and estimate; the tests keep them as baselines the
     /// two-member selection must never lose to.
+    /// [`RoundRobin`](crate::RoundRobin) is left out too, although it
+    /// does win: it beats `auto` in three rows of that table (`sw` at
+    /// P = 20 and 40, `page-uk-2002` at P = 40). Adding it is an open
+    /// change to the selection, not a settled exclusion.
     fn default() -> Self {
         AutoSelect::with_default_portfolio(CostModel::default())
     }
