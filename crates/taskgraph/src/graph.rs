@@ -1490,4 +1490,181 @@ mod tests {
             "a kind went untested: {seen:?}"
         );
     }
+
+    /// A builder filled by a random script, and what every node's list,
+    /// home and footprint must read after `build`: one `Vec` per node,
+    /// the home's list copied to each node added at it.
+    struct Script {
+        builder: GraphBuilder,
+        lists: Vec<Vec<NodeAccess>>,
+        homes: Vec<u32>,
+    }
+
+    /// 1–30 nodes: `add_node` with 0–4 accesses, zero-byte regions
+    /// included, or `add_node_at` a random earlier node. The first and the
+    /// last node are each an empty list in about one script in three, and
+    /// about one list in five in the middle is empty. Forward edges only,
+    /// each at most once.
+    fn random_script(rng: &mut rand::rngs::StdRng) -> Script {
+        use rand::Rng;
+        let n = rng.gen_range(1..=30usize);
+        let (empty_first, empty_last) = (rng.gen_range(0..3u32) == 0, rng.gen_range(0..3u32) == 0);
+        let mut s = Script {
+            builder: GraphBuilder::new(),
+            lists: Vec::new(),
+            homes: Vec::new(),
+        };
+        for u in 0..n {
+            let color = Color(rng.gen_range(0..4u16));
+            let work = rng.gen_range(0..100u64);
+            let forced_empty = (u == 0 && empty_first) || (u + 1 == n && empty_last);
+            if !forced_empty && u > 0 && rng.gen_range(0..3u32) == 0 {
+                let at = rng.gen_range(0..u);
+                s.builder.add_node_at(work, color, at as NodeId);
+                s.lists.push(s.lists[at].clone());
+                s.homes.push(s.homes[at]);
+                continue;
+            }
+            let len = if forced_empty || rng.gen_range(0..5u32) == 0 {
+                0
+            } else {
+                rng.gen_range(1..=4usize)
+            };
+            let list: Vec<NodeAccess> = (0..len)
+                .map(|_| NodeAccess {
+                    owner: Color(rng.gen_range(0..4u16)),
+                    bytes: [0, 1, 8, 1000][rng.gen_range(0..4usize)],
+                })
+                .collect();
+            s.builder.add_node(work, color, list.clone());
+            s.homes.push(s.homes.iter().max().map_or(0, |&h| h + 1));
+            s.lists.push(list);
+        }
+        for v in 1..n {
+            for u in 0..v {
+                if rng.gen_range(0..4u32) == 0 {
+                    s.builder.add_edge(u as NodeId, v as NodeId);
+                }
+            }
+        }
+        s
+    }
+
+    /// The edge-traffic-homed lists of `g` under `colors`, written out by
+    /// the definition ([`TaskGraph::rehome_edge_traffic`]) with a search
+    /// per region.
+    fn rehomed_by_search(g: &TaskGraph, colors: &[Color]) -> Vec<Vec<NodeAccess>> {
+        g.nodes()
+            .map(|u| {
+                let mut acc: Vec<NodeAccess> = Vec::new();
+                let mut push = |owner: Color, bytes: u64| {
+                    if bytes == 0 {
+                        return;
+                    }
+                    match acc.iter_mut().find(|a| a.owner == owner) {
+                        Some(a) => a.bytes += bytes,
+                        None => acc.push(NodeAccess { owner, bytes }),
+                    }
+                };
+                let mut inbound = 0;
+                for &p in g.predecessors(u) {
+                    inbound += g.edge_traffic(p, u);
+                    push(colors[p as usize], g.edge_traffic(p, u));
+                }
+                push(colors[u as usize], g.footprint(u) - inbound);
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_layer_reads_the_lists_homes_and_footprints_its_script_gave() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xf1a7_4cc5);
+        // Scripts whose first, last, and some middle home has an empty list.
+        let mut seen = [0usize; 3];
+        for case in 0..500 {
+            let s = random_script(&mut rng);
+            let g = s.builder.build().expect("forward edges only");
+            let n = g.node_count();
+            let home_lists: Vec<&Vec<NodeAccess>> = (0..n)
+                .filter(|&u| u == 0 || s.homes[u] > s.homes[..u].iter().copied().max().unwrap())
+                .map(|u| &s.lists[u])
+                .collect();
+            let last = home_lists.len() - 1;
+            seen[0] += usize::from(home_lists[0].is_empty());
+            seen[1] += usize::from(last > 0 && home_lists[last].is_empty());
+            seen[2] += usize::from(home_lists[1..last.max(1)].iter().any(|l| l.is_empty()));
+            let footprints: Vec<u64> = s
+                .lists
+                .iter()
+                .map(|l| l.iter().map(|a| a.bytes).sum())
+                .collect();
+            let structure = |layer: &TaskGraph, what: &str| {
+                for u in layer.nodes() {
+                    let i = u as usize;
+                    assert_eq!(
+                        layer.home(u),
+                        s.homes[i],
+                        "case {case}, {what}: home of {u}"
+                    );
+                    assert_eq!(
+                        layer.footprint(u),
+                        footprints[i],
+                        "case {case}, {what}: footprint of {u}"
+                    );
+                }
+                let homes = s.homes.iter().max().map_or(0, |&h| h as usize + 1);
+                assert_eq!(layer.home_count(), homes, "case {case}, {what}");
+            };
+            let lists = |layer: &TaskGraph| -> Vec<Vec<NodeAccess>> {
+                layer.nodes().map(|u| layer.accesses(u).to_vec()).collect()
+            };
+
+            structure(&g, "built");
+            assert_eq!(lists(&g), s.lists, "case {case}: built");
+
+            let mut stripped = g.clone();
+            stripped.strip_colors();
+            structure(&stripped, "stripped");
+            let localized: Vec<Vec<NodeAccess>> = footprints
+                .iter()
+                .map(|&bytes| match bytes {
+                    0 => Vec::new(),
+                    bytes => vec![NodeAccess {
+                        owner: Color(0),
+                        bytes,
+                    }],
+                })
+                .collect();
+            assert_eq!(lists(&stripped), localized, "case {case}: stripped");
+
+            let colors: Vec<Color> = (0..n).map(|_| Color(rng.gen_range(0..4u16))).collect();
+            let recolored = g.recolored(&colors);
+            structure(&recolored, "recolored");
+            assert_eq!(
+                lists(&recolored),
+                rehomed_by_search(&g, &colors),
+                "case {case}: recolored"
+            );
+
+            // `recolor` keeps the lists it finds: those re-homed under the
+            // builder's colors.
+            let built: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
+            let mut rehomed = g.clone();
+            rehomed.rehome_edge_traffic();
+            rehomed.recolor(|u, _| colors[u as usize]);
+            structure(&rehomed, "re-homed, then recolored");
+            assert_eq!(
+                lists(&rehomed),
+                rehomed_by_search(&g, &built),
+                "case {case}: re-homed, then recolored"
+            );
+            assert!(g.nodes().all(|u| rehomed.color(u) == colors[u as usize]));
+        }
+        assert!(
+            seen.iter().all(|&k| k >= 50),
+            "a kind went untested: {seen:?}"
+        );
+    }
 }
