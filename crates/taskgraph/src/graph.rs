@@ -28,15 +28,17 @@
 //! different thing: it gives a block's bytes an owner color, that is,
 //! says *where* the data lives.
 //!
-//! Access lists come in two kinds. *Given* lists are stored: the
-//! builder's, once per home, or the one-region lists of
-//! [`localize_accesses`](TaskGraph::localize_accesses), once per node. The
-//! lists of an *edge-traffic-homed* graph ([`TaskGraph::recolored`],
+//! A layer stores its access lists back to back in one array, with `u32`
+//! row ends like the CSR's offsets, so no list is a heap allocation of
+//! its own. Lists come in two kinds. *Given* lists are stored: the
+//! builder's, one row per home, or the one-region lists of
+//! [`localize_accesses`](TaskGraph::localize_accesses), one row per node.
+//! The lists of an *edge-traffic-homed* graph ([`TaskGraph::recolored`],
 //! [`TaskGraph::rehome_edge_traffic`]) are a function of structure and
-//! colors, so recoloring stores nothing: they are built per node by the
-//! first [`TaskGraph::accesses`] read (once, also under concurrent
-//! readers) and belong to that (structure, colors) pair only — the next
-//! re-homing drops them. The executors read colors and never accesses,
+//! colors, so recoloring stores nothing: they are built, one row per
+//! node, by the first [`TaskGraph::accesses`] read (once, also under
+//! concurrent readers) and belong to that (structure, colors) pair only —
+//! the next re-homing drops them. The executors read colors and never accesses,
 //! so a graph that is colored, run and dropped never pays for lists only
 //! the NUMA simulator and the linter look at.
 
@@ -107,8 +109,8 @@ pub struct GraphBuilder {
     color: Vec<Color>,
     /// Each node's home, numbered in the order the homes were added.
     home: Vec<u32>,
-    /// Each home's access list.
-    accesses: Vec<Vec<NodeAccess>>,
+    /// Each home's access list, one row per home.
+    accesses: FlatLists,
     /// Total bytes of each home's access list, summed while the list is
     /// in hand.
     footprint: Vec<u64>,
@@ -123,15 +125,17 @@ impl GraphBuilder {
 
     /// Creates a builder with room for `nodes` nodes and `edges` edges.
     ///
-    /// There is room for as many homes as nodes: the room only the homes
-    /// use is written, so a graph whose steps share homes pays for the
-    /// rest in address space, not in resident memory.
+    /// There is room for as many homes as nodes, and for as many access
+    /// list entries: the room only the homes use is written, so a graph
+    /// whose steps share homes pays for the rest in address space, not in
+    /// resident memory. Lists longer than one entry per node on average
+    /// grow the one entry array, a few times per graph.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         GraphBuilder {
             work: Vec::with_capacity(nodes),
             color: Vec::with_capacity(nodes),
             home: Vec::with_capacity(nodes),
-            accesses: Vec::with_capacity(nodes),
+            accesses: FlatLists::with_capacity(nodes, nodes),
             footprint: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
         }
@@ -141,11 +145,18 @@ impl GraphBuilder {
     ///
     /// `work` is the node's computational cost in abstract work units
     /// (`W(u)` in the paper); `color` its locality hint; `accesses` the
-    /// memory regions it touches.
-    pub fn add_node(&mut self, work: u64, color: Color, accesses: Vec<NodeAccess>) -> NodeId {
-        self.home.push(self.accesses.len() as u32);
-        self.footprint.push(accesses.iter().map(|a| a.bytes).sum());
-        self.accesses.push(accesses);
+    /// memory regions it touches, from any iterator — an array, a `Vec`
+    /// or a generator's iterator. The list is copied into the graph's one
+    /// access array, so the caller keeps nothing alive for it.
+    pub fn add_node(
+        &mut self,
+        work: u64,
+        color: Color,
+        accesses: impl IntoIterator<Item = NodeAccess>,
+    ) -> NodeId {
+        self.home.push(to_u32("home", self.footprint.len()));
+        let list = self.accesses.push(accesses);
+        self.footprint.push(list.iter().map(|a| a.bytes).sum());
         self.push_node(work, color)
     }
 
@@ -167,7 +178,7 @@ impl GraphBuilder {
     }
 
     fn push_node(&mut self, work: u64, color: Color) -> NodeId {
-        let id = self.work.len() as NodeId;
+        let id = to_u32("node id", self.work.len());
         self.work.push(work);
         self.color.push(color);
         id
@@ -178,7 +189,7 @@ impl GraphBuilder {
         self.add_node(
             work,
             color,
-            vec![NodeAccess {
+            [NodeAccess {
                 owner: color,
                 bytes,
             }],
@@ -342,6 +353,17 @@ impl GraphBuilder {
     }
 }
 
+/// `value` as the `u32` a graph stores it in. Panics past `u32::MAX`,
+/// naming `counter` and `value`, where a cast would wrap silently.
+fn to_u32(counter: &str, value: usize) -> u32 {
+    u32::try_from(value).unwrap_or_else(|_| {
+        panic!(
+            "GraphBuilder: {counter} {value} does not fit a u32 (at most {})",
+            u32::MAX
+        )
+    })
+}
+
 /// The one duplicate-edge detector, behind [`GraphBuilder::check`] and
 /// [`GraphBuilder::build`]: every `(row, column)` pair `rows` holds more
 /// than once, once per pair, in sorted order. Row `r` is the `r`-th item
@@ -430,11 +452,50 @@ impl Structure {
     }
 }
 
-/// A layer's access lists: the builder's, one per home, or lists derived
-/// for the layer, one per node.
+/// Access lists stored back to back in one array: row `r` is
+/// `entries[off[r]..off[r + 1]]`, the layout of the CSR adjacency.
+#[derive(Clone)]
+struct FlatLists {
+    entries: Vec<NodeAccess>,
+    off: Vec<u32>,
+}
+
+impl Default for FlatLists {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
+}
+
+impl FlatLists {
+    /// No rows yet, with room for `rows` rows of `entries` entries in all.
+    fn with_capacity(rows: usize, entries: usize) -> Self {
+        let mut off = Vec::with_capacity(rows + 1);
+        off.push(0);
+        FlatLists {
+            entries: Vec::with_capacity(entries),
+            off,
+        }
+    }
+
+    /// Appends `row` as the next row and returns it.
+    fn push(&mut self, row: impl IntoIterator<Item = NodeAccess>) -> &[NodeAccess] {
+        let start = self.entries.len();
+        self.entries.extend(row);
+        self.off.push(to_u32("access list end", self.entries.len()));
+        &self.entries[start..]
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &[NodeAccess] {
+        &self.entries[self.off[r] as usize..self.off[r + 1] as usize]
+    }
+}
+
+/// A layer's access lists: the builder's, one row per home, or lists
+/// derived for the layer, one row per node.
 enum AccessLists {
-    PerHome(Vec<Vec<NodeAccess>>),
-    PerNode(Vec<Vec<NodeAccess>>),
+    PerHome(FlatLists),
+    PerNode(FlatLists),
 }
 
 /// A task graph in CSR form: one immutable, shared structure under one
@@ -487,8 +548,8 @@ impl TaskGraph {
     #[inline]
     pub fn accesses(&self, u: NodeId) -> &[NodeAccess] {
         match &**self.access_lists() {
-            AccessLists::PerHome(lists) => &lists[self.home(u) as usize],
-            AccessLists::PerNode(lists) => &lists[u as usize],
+            AccessLists::PerHome(lists) => lists.row(self.home(u) as usize),
+            AccessLists::PerNode(lists) => lists.row(u as usize),
         }
     }
 
@@ -673,7 +734,7 @@ impl TaskGraph {
         let colors = self.color.iter().map(|c| c.0 as usize + 1).max();
         let mut owned = vec![0u64; colors.unwrap_or(0)];
         let mut owners: Vec<Color> = Vec::new();
-        let mut rehomed = Vec::with_capacity(n);
+        let mut rehomed = FlatLists::with_capacity(n, n);
         for u in 0..n as NodeId {
             let mut push = |owner: Color, bytes: u64| {
                 if bytes == 0 {
@@ -692,11 +753,10 @@ impl TaskGraph {
             }
             // The cap in the traffic model guarantees inbound ≤ footprint.
             push(self.color[u as usize], self.footprint(u) - inbound);
-            let regions = owners.drain(..).map(|owner| NodeAccess {
+            rehomed.push(owners.drain(..).map(|owner| NodeAccess {
                 owner,
                 bytes: std::mem::take(&mut owned[owner.0 as usize]),
-            });
-            rehomed.push(regions.collect());
+            }));
         }
         AccessLists::PerNode(rehomed)
     }
@@ -711,16 +771,15 @@ impl TaskGraph {
     /// *simulations* use [`rehome_edge_traffic`](Self::rehome_edge_traffic)
     /// instead, which keeps dependence edges carrying byte traffic.
     pub fn localize_accesses(&mut self) {
-        let lists = self
-            .nodes()
-            .map(|u| match self.footprint(u) {
-                0 => Vec::new(),
-                bytes => vec![NodeAccess {
-                    owner: self.color(u),
-                    bytes,
-                }],
-            })
-            .collect();
+        let n = self.node_count();
+        let mut lists = FlatLists::with_capacity(n, n);
+        for u in self.nodes() {
+            let bytes = self.footprint(u);
+            lists.push((bytes > 0).then(|| NodeAccess {
+                owner: self.color(u),
+                bytes,
+            }));
+        }
         self.accesses = OnceLock::from(Arc::new(AccessLists::PerNode(lists)));
     }
 }
@@ -1153,6 +1212,19 @@ mod tests {
         assert!(msg.contains("home 1") && msg.contains("1 nodes"), "{msg}");
         let msg = panic_message(|| GraphBuilder::new().add_node_at(1, Color(0), 0));
         assert!(msg.contains("home 0") && msg.contains("0 nodes"), "{msg}");
+    }
+
+    #[test]
+    fn a_counter_past_u32_max_is_refused_naming_it_and_its_value() {
+        // The builder's node ids, homes and access list ends all pass
+        // through `to_u32`; a four-billion-node graph is not needed to
+        // see it refuse.
+        assert_eq!(to_u32("home", u32::MAX as usize), u32::MAX);
+        for counter in ["node id", "home", "access list end"] {
+            let msg = panic_message(|| to_u32(counter, u32::MAX as usize + 1));
+            assert!(msg.contains(&format!("{counter} 4294967296")), "{msg}");
+            assert!(msg.contains("4294967295"), "{msg}");
+        }
     }
 
     #[test]

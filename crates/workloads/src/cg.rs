@@ -56,22 +56,17 @@ pub fn graph_from_shape(s: &CgShape, p: usize) -> TaskGraph {
     let mut gb = GraphBuilder::with_capacity(s.nodes(), 4 * blocks);
     // Layer 0: matvec_b.
     for b in 0..blocks {
-        let mut acc = vec![NodeAccess {
+        let x = |q: usize| NodeAccess {
+            owner: own(q),
+            bytes: s.vec_bytes / 4,
+        };
+        let block = NodeAccess {
             owner: own(b),
             bytes: s.nnz_per_block * 12 + s.vec_bytes,
-        }];
-        if b > 0 {
-            acc.push(NodeAccess {
-                owner: own(b - 1),
-                bytes: s.vec_bytes / 4,
-            });
-        }
-        if b + 1 < blocks {
-            acc.push(NodeAccess {
-                owner: own(b + 1),
-                bytes: s.vec_bytes / 4,
-            });
-        }
+        };
+        let left = b.checked_sub(1).map(x);
+        let right = (b + 1 < blocks).then(|| x(b + 1));
+        let acc = [Some(block), left, right].into_iter().flatten();
         gb.add_node(s.nnz_per_block * 2, own(b), acc);
     }
     // Layer 1: dot_b (p·q partial).
@@ -79,20 +74,20 @@ pub fn graph_from_shape(s: &CgShape, p: usize) -> TaskGraph {
         gb.add_node(
             s.vec_bytes / 4,
             own(b),
-            vec![NodeAccess {
+            [NodeAccess {
                 owner: own(b),
                 bytes: s.vec_bytes * 2,
             }],
         );
     }
     // Reduce node.
-    let reduce = gb.add_node(blocks as u64 * 8, Color::from(0usize), vec![]);
+    let reduce = gb.add_node(blocks as u64 * 8, Color::from(0usize), []);
     // Layer 2: axpy_b.
     for b in 0..blocks {
         gb.add_node(
             s.vec_bytes / 2,
             own(b),
-            vec![NodeAccess {
+            [NodeAccess {
                 owner: own(b),
                 bytes: s.vec_bytes * 3,
             }],

@@ -49,24 +49,25 @@ pub fn shape(scale_div: usize) -> FdtdShape {
     }
 }
 
-fn accesses(shape: &FdtdShape, b: usize, p: usize, halo_left: bool) -> Vec<NodeAccess> {
-    let own = Color::from(block_owner(b, shape.blocks, p));
-    let mut a = vec![NodeAccess {
-        owner: own,
-        bytes: shape.block_bytes,
-    }];
+fn accesses(
+    shape: &FdtdShape,
+    b: usize,
+    p: usize,
+    halo_left: bool,
+) -> impl Iterator<Item = NodeAccess> {
+    let region = |q: usize, bytes: u64| NodeAccess {
+        owner: Color::from(block_owner(q, shape.blocks, p)),
+        bytes,
+    };
     let nb = if halo_left {
         b.checked_sub(1)
     } else {
         (b + 1 < shape.blocks).then_some(b + 1)
     };
-    if let Some(nb) = nb {
-        a.push(NodeAccess {
-            owner: Color::from(block_owner(nb, shape.blocks, p)),
-            bytes: shape.halo_bytes,
-        });
-    }
-    a
+    let halo = nb.map(|nb| region(nb, shape.halo_bytes));
+    [Some(region(b, shape.block_bytes)), halo]
+        .into_iter()
+        .flatten()
 }
 
 /// Task graph: phase nodes `E(t,b)` at layer `2t`, `H(t,b)` at `2t+1`.
@@ -126,7 +127,7 @@ pub fn loops(scale_div: usize, p: usize) -> LoopNest {
                     iters: (0..s.blocks)
                         .map(|b| IterDesc {
                             work: s.work,
-                            accesses: accesses(&s, b, p, e_phase),
+                            accesses: accesses(&s, b, p, e_phase).collect(),
                         })
                         .collect(),
                 })

@@ -133,7 +133,7 @@ impl LifeProblem {
             for b in 0..blocks {
                 let own = Color::from(crate::util::block_owner(b, blocks, p));
                 if t == 0 {
-                    gb.add_node(work, own, vec![NodeAccess { owner: own, bytes }]);
+                    gb.add_node(work, own, [NodeAccess { owner: own, bytes }]);
                 } else {
                     gb.add_node_at(work, own, id(0, b));
                 }

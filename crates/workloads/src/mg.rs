@@ -135,20 +135,14 @@ pub fn graph_from_plan(plan: &MgPlan, p: usize) -> TaskGraph {
         let (work, bytes) = plan.block_cost(ph, blocks);
         for b in 0..blocks {
             let own = Color::from(block_owner(b, blocks, p));
-            let mut acc = vec![NodeAccess { owner: own, bytes }];
-            if b > 0 {
-                acc.push(NodeAccess {
-                    owner: Color::from(block_owner(b - 1, blocks, p)),
-                    bytes: 32,
-                });
-            }
-            if b + 1 < blocks {
-                acc.push(NodeAccess {
-                    owner: Color::from(block_owner(b + 1, blocks, p)),
-                    bytes: 32,
-                });
-            }
-            gb.add_node(work, own, acc);
+            let halo = |q: usize| NodeAccess {
+                owner: Color::from(block_owner(q, blocks, p)),
+                bytes: 32,
+            };
+            let left = b.checked_sub(1).map(halo);
+            let right = (b + 1 < blocks).then(|| halo(b + 1));
+            let acc = [Some(NodeAccess { owner: own, bytes }), left, right];
+            gb.add_node(work, own, acc.into_iter().flatten());
         }
     }
     for k in 1..plan.phases.len() {

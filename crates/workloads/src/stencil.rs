@@ -40,25 +40,15 @@ fn id(shape: &StencilShape, t: usize, b: usize) -> NodeId {
 }
 
 /// Accesses of block `b`: own block + two halos.
-fn accesses(shape: &StencilShape, b: usize, p: usize) -> Vec<NodeAccess> {
-    let own = Color::from(block_owner(b, shape.blocks, p));
-    let mut a = vec![NodeAccess {
-        owner: own,
-        bytes: shape.block_bytes,
-    }];
-    if b > 0 {
-        a.push(NodeAccess {
-            owner: Color::from(block_owner(b - 1, shape.blocks, p)),
-            bytes: shape.halo_bytes,
-        });
-    }
-    if b + 1 < shape.blocks {
-        a.push(NodeAccess {
-            owner: Color::from(block_owner(b + 1, shape.blocks, p)),
-            bytes: shape.halo_bytes,
-        });
-    }
-    a
+fn accesses(shape: &StencilShape, b: usize, p: usize) -> impl Iterator<Item = NodeAccess> {
+    let region = |q: usize, bytes: u64| NodeAccess {
+        owner: Color::from(block_owner(q, shape.blocks, p)),
+        bytes,
+    };
+    let own = region(b, shape.block_bytes);
+    let left = b.checked_sub(1).map(|q| region(q, shape.halo_bytes));
+    let right = (b + 1 < shape.blocks).then(|| region(b + 1, shape.halo_bytes));
+    [Some(own), left, right].into_iter().flatten()
 }
 
 /// Builds the task graph for `p` workers (= colors). Block `b`'s node at
@@ -98,7 +88,7 @@ pub fn loops(shape: &StencilShape, p: usize) -> LoopNest {
                 iters: (0..shape.blocks)
                     .map(|b| IterDesc {
                         work: shape.work,
-                        accesses: accesses(shape, b, p),
+                        accesses: accesses(shape, b, p).collect(),
                     })
                     .collect(),
             })
@@ -174,9 +164,9 @@ mod tests {
     #[test]
     fn boundary_blocks_have_one_halo() {
         let s = shape();
-        assert_eq!(accesses(&s, 0, 8).len(), 2);
-        assert_eq!(accesses(&s, s.blocks - 1, 8).len(), 2);
-        assert_eq!(accesses(&s, 3, 8).len(), 3);
+        assert_eq!(accesses(&s, 0, 8).count(), 2);
+        assert_eq!(accesses(&s, s.blocks - 1, 8).count(), 2);
+        assert_eq!(accesses(&s, 3, 8).count(), 3);
     }
 
     #[test]

@@ -76,25 +76,27 @@ pub fn shape_swn2(scale_div: usize) -> SwShape {
 /// under row blocking, but real bytes the anti-diagonal recurrence
 /// reads). These byte footprints are what the bandwidth-aware cost layer
 /// prices when a coloring cuts the wavefront's dependence edges.
-fn tile_accesses(shape: &SwShape, i: usize, j: usize, tr: usize, p: usize) -> Vec<NodeAccess> {
+fn tile_accesses(
+    shape: &SwShape,
+    i: usize,
+    j: usize,
+    tr: usize,
+    p: usize,
+) -> impl Iterator<Item = NodeAccess> {
     let own = Color::from(block_owner(i, tr, p));
-    let mut acc = vec![NodeAccess {
+    let tile = NodeAccess {
         owner: own,
         bytes: shape.tile_bytes,
-    }];
-    if i > 0 {
-        acc.push(NodeAccess {
-            owner: Color::from(block_owner(i - 1, tr, p)),
-            bytes: shape.border_bytes,
-        });
-    }
-    if j > 0 {
-        acc.push(NodeAccess {
-            owner: own,
-            bytes: shape.border_bytes,
-        });
-    }
-    acc
+    };
+    let above = (i > 0).then(|| NodeAccess {
+        owner: Color::from(block_owner(i - 1, tr, p)),
+        bytes: shape.border_bytes,
+    });
+    let left = (j > 0).then_some(NodeAccess {
+        owner: own,
+        bytes: shape.border_bytes,
+    });
+    [Some(tile), above, left].into_iter().flatten()
 }
 
 /// Task graph: tiles colored by tile-row owner (rows of the DP matrix are
@@ -136,7 +138,7 @@ pub fn loops_from_shape(shape: &SwShape, p: usize) -> LoopNest {
             if d >= i && d - i < tc {
                 iters.push(IterDesc {
                     work: shape.work,
-                    accesses: tile_accesses(shape, i, d - i, tr, p),
+                    accesses: tile_accesses(shape, i, d - i, tr, p).collect(),
                 });
             }
         }
