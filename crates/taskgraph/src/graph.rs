@@ -29,8 +29,8 @@
 //! says *where* the data lives.
 //!
 //! A layer stores its access lists back to back in one array, with `u32`
-//! row ends like the CSR's offsets, so no list is a heap allocation of
-//! its own. Lists come in two kinds. *Given* lists are stored: the
+//! row offsets like the CSR adjacency's, so no list is a heap allocation
+//! of its own. Lists come in two kinds. *Given* lists are stored: the
 //! builder's, one row per home, or the one-region lists of
 //! [`localize_accesses`](TaskGraph::localize_accesses), one row per node.
 //! The lists of an *edge-traffic-homed* graph ([`TaskGraph::recolored`],
@@ -38,9 +38,9 @@
 //! colors, so recoloring stores nothing: they are built, one row per
 //! node, by the first [`TaskGraph::accesses`] read (once, also under
 //! concurrent readers) and belong to that (structure, colors) pair only —
-//! the next re-homing drops them. The executors read colors and never accesses,
-//! so a graph that is colored, run and dropped never pays for lists only
-//! the NUMA simulator and the linter look at.
+//! the next re-homing drops them. The executors read colors and never
+//! accesses, so a graph that is colored, run and dropped never pays for
+//! lists only the NUMA simulator and the linter look at.
 
 use nabbitc_color::Color;
 use std::sync::{Arc, OnceLock};
@@ -125,17 +125,20 @@ impl GraphBuilder {
 
     /// Creates a builder with room for `nodes` nodes and `edges` edges.
     ///
-    /// There is room for as many homes as nodes, and for as many access
-    /// list entries: the room only the homes use is written, so a graph
-    /// whose steps share homes pays for the rest in address space, not in
-    /// resident memory. Lists longer than one entry per node on average
-    /// grow the one entry array, a few times per graph.
+    /// There is room for as many homes as nodes: the room only the homes
+    /// use is written, so a graph whose steps share homes pays for the
+    /// rest in address space, not in resident memory. The access lists'
+    /// one entry array is not reserved, since its length is not known
+    /// here: grown from empty it is extended in place, while a reservation
+    /// sized by a guess mapped fresh pages on every build (glibc on Linux:
+    /// 768 page faults per sw-wavefront build with one entry per node
+    /// reserved, against 4 growing from empty).
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         GraphBuilder {
             work: Vec::with_capacity(nodes),
             color: Vec::with_capacity(nodes),
             home: Vec::with_capacity(nodes),
-            accesses: FlatLists::with_capacity(nodes, nodes),
+            accesses: FlatLists::with_capacity(nodes, 0),
             footprint: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
         }
