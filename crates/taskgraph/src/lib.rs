@@ -9,8 +9,10 @@
 //!   that every clone and recoloring of a graph shares,
 //!   and a per-graph *coloring layer* — the locality [`Color`] of each
 //!   node and the memory-access lists used by the NUMA simulator and the
-//!   remote-access accounting. The paper's colors are a hint laid over an
-//!   unchanged Nabbit task graph, and so they are here:
+//!   remote-access accounting, stored back to back in one array per
+//!   layer (one row per home as built, one per node when derived), so no
+//!   list is a heap allocation of its own. The paper's colors are a hint
+//!   laid over an unchanged Nabbit task graph, and so they are here:
 //!   [`TaskGraph::recolored`] copies colors, nothing else. Work,
 //!   footprints, degrees, [`EdgeTraffic`] and the level profile are
 //!   invariant under recoloring; the access lists of a graph whose colors
