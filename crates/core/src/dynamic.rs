@@ -33,10 +33,17 @@
 //! handles them through that table's safe methods.
 //!
 //! What this module owns is discovery — `init_node`: the predecessor
-//! scan, the init bias, registration. A node that became ready is handed
-//! to the `compute_and_notify` loop of `exec.rs`, the same loop
-//! [`StaticExecutor`](crate::StaticExecutor) runs, here over the hash
-//! table as its node store.
+//! scan, the init bias, registration through one slot per predecessor
+//! that the table hands the scanning worker from its own arena. A node
+//! that became ready is handed to the `compute_and_notify` loop of
+//! `exec.rs`, the same loop [`StaticExecutor`](crate::StaticExecutor)
+//! runs, here over the hash table as its node store.
+//!
+//! The paper's "recursively process" is a loop here, as in `exec.rs`: a
+//! scan that created one predecessor carries on with it, and one that
+//! created several spawns them and carries on with the item
+//! [`spawn_colors`] leaves to this worker, so
+//! discovery runs in constant stack depth on chains and combs alike.
 //!
 //! All predecessor and successor batches flow through
 //! [`crate::spawn::spawn_colors`], making this NabbitC when
@@ -171,7 +178,7 @@ impl<S: TaskSpec> DynamicExecutor<S> {
     pub fn execute(&self, sink: S::Key) -> RunReport {
         let store = OnDemand {
             spec: self.spec.clone(),
-            table: NodeTable::new(),
+            table: NodeTable::new(self.pool.workers()),
         };
         let sink_color = self.spec.color(&sink);
         let (sink_node, _) = store.table.get_or_create(&sink, sink_color);
@@ -204,10 +211,10 @@ fn init_node<S: TaskSpec>(
     mut node: NodeRef<S::Key>,
 ) {
     let OnDemand { spec, table } = &run.store;
-    // Chain-shaped graphs discover one new predecessor per node; iterate
-    // on that case instead of recursing so discovery depth is unbounded.
-    // The batch buffer is shared by the iterations: following a chain pops
-    // its one item back out, and only a spawn gives the buffer away.
+    // Each iteration scans one node and carries on with the one item the
+    // scan leaves to this worker (see the module docs). The batch buffer
+    // is shared by the iterations: following a chain pops its one item
+    // back out, and only a spawn gives the buffer away.
     let mut batch: Vec<Work<S::Key>> = Vec::new();
     loop {
         let this = table.node(node);
@@ -220,17 +227,17 @@ fn init_node<S: TaskSpec>(
 
         // Bias +1 while scanning so the node cannot fire mid-scan; start
         // from the full predecessor count and decrement for each
-        // already-computed one.
-        table.begin_scan(node, preds.len());
+        // already-computed one. One registration slot per predecessor.
+        let slots = table.begin_scan(node, preds.len(), ctx.worker_id());
 
         let mut satisfied: i64 = 0;
-        for (slot, pk) in preds.iter().enumerate() {
+        for (pk, slot) in preds.iter().zip(slots) {
             let color = spec.color(pk);
             let (pred, created) = table.get_or_create(pk, color);
             // Register interest (try_init_compute): in one CAS, either we
             // are on the predecessor's successor list or it is already
             // computed (dependence satisfied).
-            if !table.register(node, slot, pred) {
+            if !table.register(slot, pred) {
                 satisfied += 1;
             }
             if created {
@@ -248,20 +255,21 @@ fn init_node<S: TaskSpec>(
                 color: this.color,
             }));
         }
-        match batch.len() {
+        let next = match batch.len() {
             0 => return,
-            1 => match batch.pop().expect("len checked") {
-                Work::Init(pred, _) => node = pred,
-                Work::Compute(ready) => return compute_and_notify(run, ctx, ready.node),
-            },
+            1 => batch.pop(),
             _ => {
                 let run = run.clone();
                 let process = move |ctx: &mut WorkerContext<'_>, work| match work {
                     Work::Init(pred, _) => init_node(&run, ctx, pred),
                     Work::Compute(ready) => compute_and_notify(&run, ctx, ready.node),
                 };
-                return spawn_colors(ctx, batch, Arc::new(process));
+                spawn_colors(ctx, std::mem::take(&mut batch), Arc::new(process))
             }
+        };
+        match next.expect("a non-empty batch leaves one item") {
+            Work::Init(pred, _) => node = pred,
+            Work::Compute(ready) => return compute_and_notify(run, ctx, ready.node),
         }
     }
 }

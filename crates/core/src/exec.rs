@@ -4,9 +4,11 @@
 //! Both executors run the same routine on a ready node — count its §V-B
 //! accesses, run its body, mark it computed, notify the nodes that waited
 //! for it, and either stop (nothing became ready), carry on with the one
-//! node that did (the paper's "recursively execute that node", iterated so
-//! a chain cannot overflow the stack) or hand the several that did to
-//! [`spawn_colors`] — and differ only in where a node's
+//! node that did (the paper's "recursively execute that node") or hand the
+//! several that did to [`spawn_colors`] and carry on with the one it leaves
+//! to this worker. Carrying on is an iteration, not a call, so neither a
+//! chain nor a comb (a chain releasing a leaf at every step) can overflow
+//! the stack however long it is. The executors differ only in where a node's
 //! [`JoinCounter`](crate::JoinCounter) and successor list live. That
 //! difference is the [`NodeStore`] trait: `static_exec.rs` implements it
 //! as a dense table over a pre-built `TaskGraph`, every node discovered
@@ -122,20 +124,26 @@ pub(crate) fn compute_and_notify<S: NodeStore>(
         run.store.compute(node, me);
         run.executed.add(me);
         run.store.complete(node, &mut ready);
-        match ready.len() {
+        node = match ready.len() {
             0 => return,
-            1 => node = ready.pop().expect("len checked").node,
-            _ => return spawn_ready(run, ctx, ready),
-        }
+            1 => ready.pop().expect("len checked").node,
+            _ => {
+                spawn_ready(run, ctx, std::mem::take(&mut ready))
+                    .expect("a batch of several leaves one node")
+                    .node
+            }
+        };
     }
 }
 
-/// Releases a batch of ready nodes through the color-aware spawner.
+/// Releases a batch of ready nodes through the color-aware spawner and
+/// returns the one it leaves to this worker, which the caller runs next.
+#[must_use = "the returned node is the caller's to run"]
 pub(crate) fn spawn_ready<S: NodeStore>(
     run: &Arc<Run<S>>,
     ctx: &mut WorkerContext<'_>,
     ready: Vec<Ready<S::Node>>,
-) {
+) -> Option<Ready<S::Node>> {
     let run = run.clone();
     spawn_colors(
         ctx,
@@ -143,5 +151,5 @@ pub(crate) fn spawn_ready<S: NodeStore>(
         Arc::new(move |ctx: &mut WorkerContext<'_>, r: Ready<S::Node>| {
             compute_and_notify(&run, ctx, r.node);
         }),
-    );
+    )
 }

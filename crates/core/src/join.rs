@@ -61,6 +61,11 @@ pub struct JoinCounter {
     count: AtomicI64,
 }
 
+/// The count of a counter whose scan has not begun. No armed count is
+/// negative, so [`JoinCounter::begin_scan`] tells a first scan from any
+/// later one by what it replaces.
+const UNSCANNED: i64 = -1;
+
 impl Default for JoinCounter {
     fn default() -> Self {
         Self::new()
@@ -68,10 +73,11 @@ impl Default for JoinCounter {
 }
 
 impl JoinCounter {
-    /// A counter for a freshly created, not-yet-scanned node.
+    /// A counter for a freshly created, not-yet-scanned node; it reads
+    /// −1 until [`begin_scan`](Self::begin_scan) arms it.
     pub fn new() -> Self {
         JoinCounter {
-            count: AtomicI64::new(0),
+            count: AtomicI64::new(UNSCANNED),
         }
     }
 
@@ -90,16 +96,23 @@ impl JoinCounter {
     /// Arms the counter for a predecessor scan over `preds` dependences:
     /// full count plus the init bias that keeps the node from firing
     /// before [`end_scan`](Self::end_scan).
+    ///
+    /// # Panics
+    ///
+    /// If the counter was armed before — mid-scan, waiting or computed: a
+    /// node is scanned exactly once.
     pub fn begin_scan(&self, preds: usize) {
-        // ORDERING count.store: SeqCst — seeds preds+1 (the init bias) before
+        // ORDERING count.swap: SeqCst — seeds preds+1 (the init bias) before
         // the node is published to any predecessor's successor list; it races
-        // nothing but anchors the decrement chain — the nabbitc_weak_join cfg
-        // drops the bias and downgrades this to Relaxed, which this
-        // annotation rejects
+        // nothing but anchors the decrement chain, and its read is the
+        // scanned-once check (an xchg on x86, as a SeqCst store is) — the
+        // nabbitc_weak_join cfg drops the bias and downgrades this to Relaxed,
+        // which this annotation rejects
         #[cfg(not(nabbitc_weak_join))]
-        self.count.store(preds as i64 + 1, Ordering::SeqCst);
+        let before = self.count.swap(preds as i64 + 1, Ordering::SeqCst);
         #[cfg(nabbitc_weak_join)]
-        self.count.store(preds as i64, Ordering::Relaxed);
+        let before = self.count.swap(preds as i64, Ordering::Relaxed);
+        assert_eq!(before, UNSCANNED, "a node is scanned exactly once");
     }
 
     /// Releases `satisfied` already-computed dependences plus the init
@@ -107,7 +120,7 @@ impl JoinCounter {
     /// the counter to zero — the caller owns the compute.
     pub fn end_scan(&self, satisfied: i64) -> bool {
         // ORDERING count.fetch_sub: AcqRel; pairs notify::count.fetch_sub,
-        // begin_scan::count.store — releases the bias plus already-satisfied
+        // begin_scan::count.swap — releases the bias plus already-satisfied
         // dependences in one RMW; Acquire on the firing decrement synchronizes
         // with every predecessor's Release in the chain — the
         // nabbitc_weak_join cfg downgrades this to Relaxed, rejected here
@@ -121,7 +134,7 @@ impl JoinCounter {
     /// One dependence satisfied by a completing predecessor. Returns
     /// `true` iff this was the last one — the caller owns the compute.
     pub fn notify(&self) -> bool {
-        // ORDERING count.fetch_sub: AcqRel; pairs begin_scan::count.store,
+        // ORDERING count.fetch_sub: AcqRel; pairs begin_scan::count.swap,
         // notify::count.fetch_sub — per-predecessor decrement, the one
         // successor-release site of both node stores (the on-demand table's
         // drained waiters and the dense store's graph successors, whose
@@ -341,6 +354,26 @@ mod tests {
         let j = JoinCounter::new();
         j.begin_scan(0);
         assert!(j.end_scan(0));
+    }
+
+    #[test]
+    fn a_second_scan_fails_loudly_whatever_the_count() {
+        let second_scan_panics = |j: &JoinCounter| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| j.begin_scan(1))).is_err()
+        };
+        // Mid-scan, waiting on a predecessor, and computed (count zero).
+        let mid_scan = JoinCounter::new();
+        mid_scan.begin_scan(1);
+        assert!(second_scan_panics(&mid_scan));
+        let waiting = JoinCounter::new();
+        waiting.begin_scan(1);
+        assert!(!waiting.end_scan(0));
+        assert!(second_scan_panics(&waiting));
+        let computed = JoinCounter::new();
+        computed.begin_scan(0);
+        assert!(computed.end_scan(0));
+        assert_eq!(computed.pending(), 0);
+        assert!(second_scan_panics(&computed));
     }
 
     #[test]

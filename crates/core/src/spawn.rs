@@ -17,6 +17,13 @@
 //! If the worker's color is absent, the batch is processed in its original
 //! order — "a worker does not stall even if it can not find the work of its
 //! color" (§III).
+//!
+//! The one item the splits leave to the spawning worker is returned, not
+//! processed: the executors' loops take it as their next node, so a graph
+//! that releases two nodes per step (a comb: a spine with a leaf at every
+//! level) runs in constant stack depth instead of one frame per level. A
+//! stolen half has no loop to return to and processes its item itself, at
+//! the top of its own task.
 
 use nabbitc_color::{Color, ColorSet};
 use nabbitc_runtime::{SpawnBatch, WorkerContext};
@@ -50,26 +57,32 @@ pub fn gather_colors<I: ColoredItem>(items: Vec<I>) -> Vec<(Color, Vec<I>)> {
 
 /// Color-aware batch spawn: the paper's `spawn_colors` entry point.
 ///
-/// `process` is invoked exactly once per item, on whichever worker ends up
-/// owning it after the color-guided splits and any steals.
-pub fn spawn_colors<I, F>(ctx: &mut WorkerContext<'_>, items: Vec<I>, process: Arc<F>)
+/// Every item but one becomes stealable work: `process` is invoked exactly
+/// once per such item, on whichever worker ends up owning it after the
+/// color-guided splits and any steals. The remaining item — of the
+/// worker's own color when the batch has one — is returned for the caller
+/// to process next (`None` only for an empty batch).
+#[must_use = "the returned item is the caller's to process"]
+pub fn spawn_colors<I, F>(ctx: &mut WorkerContext<'_>, items: Vec<I>, process: Arc<F>) -> Option<I>
 where
     I: ColoredItem,
     F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
 {
-    let groups = gather_colors(items);
-    spawn_color_groups(ctx, groups, process);
+    spawn_color_groups(ctx, gather_colors(items), &process)
 }
 
 fn colors_of<I: ColoredItem>(groups: &[(Color, Vec<I>)]) -> ColorSet {
     groups.iter().map(|g| g.0).collect()
 }
 
+/// Queues every group's stealable pieces and returns the one item left to
+/// the calling worker.
 fn spawn_color_groups<I, F>(
     ctx: &mut WorkerContext<'_>,
     mut groups: Vec<(Color, Vec<I>)>,
-    process: Arc<F>,
-) where
+    process: &Arc<F>,
+) -> Option<I>
+where
     I: ColoredItem,
     F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
 {
@@ -85,7 +98,7 @@ fn spawn_color_groups<I, F>(
             0 => break None,
             1 => {
                 let (color, nodes) = groups.pop().expect("len checked");
-                break halve_into(&mut batch, color, nodes, &process);
+                break halve_into(&mut batch, color, nodes, process);
             }
             _ => {
                 let mid = groups.len() / 2;
@@ -105,16 +118,16 @@ fn spawn_color_groups<I, F>(
                 let second_colors = colors_of(&second);
                 let p2 = process.clone();
                 batch.add(second_colors, move |ctx| {
-                    spawn_color_groups(ctx, second, p2);
+                    if let Some(item) = spawn_color_groups(ctx, second, &p2) {
+                        p2(ctx, item);
+                    }
                 });
                 groups = first;
             }
         }
     };
     batch.publish();
-    if let Some(item) = inline {
-        process(ctx, item);
-    }
+    inline
 }
 
 /// Parallel-for over same-colored nodes: the paper's `spawn_nodes`.
@@ -168,6 +181,19 @@ mod tests {
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// `spawn_colors`, then the item it leaves to the caller — what the
+    /// executors' loops do with it.
+    fn spawn_and_process<I, F>(ctx: &mut WorkerContext<'_>, items: Vec<I>, process: F)
+    where
+        I: ColoredItem,
+        F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
+    {
+        let process = Arc::new(process);
+        if let Some(item) = spawn_colors(ctx, items, process.clone()) {
+            process(ctx, item);
+        }
+    }
+
     #[test]
     fn gather_groups_by_color_sorted() {
         let items = vec![
@@ -210,12 +236,12 @@ mod tests {
             let items: Vec<(u32, Color)> =
                 (0..N as u32).map(|i| (i, Color((i % 4) as u16))).collect();
             let c3 = c2.clone();
-            spawn_colors(
+            spawn_and_process(
                 ctx,
                 items,
-                Arc::new(move |_ctx: &mut WorkerContext<'_>, item: (u32, Color)| {
+                move |_ctx: &mut WorkerContext<'_>, item: (u32, Color)| {
                     c3[item.0 as usize].fetch_add(1, Ordering::SeqCst);
-                }),
+                },
             );
         });
         for (i, c) in counts.iter().enumerate() {
@@ -235,12 +261,12 @@ mod tests {
             // Worker 0 has color 0; give it items of colors 0..4.
             let items: Vec<(u32, Color)> = (0..16u32).map(|i| (i, Color((i % 4) as u16))).collect();
             let o3 = o2.clone();
-            spawn_colors(
+            spawn_and_process(
                 ctx,
                 items,
-                Arc::new(move |_ctx: &mut WorkerContext<'_>, item: (u32, Color)| {
+                move |_ctx: &mut WorkerContext<'_>, item: (u32, Color)| {
                     o3.lock().push(item);
-                }),
+                },
             );
         });
         let order = order.lock();
@@ -261,13 +287,9 @@ mod tests {
         pool.run(ColorSet::all(1), move |ctx| {
             let items: Vec<(u32, Color)> = (0..8u32).map(|i| (i, Color(5))).collect();
             let n3 = n2.clone();
-            spawn_colors(
-                ctx,
-                items,
-                Arc::new(move |_ctx: &mut WorkerContext<'_>, _| {
-                    n3.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
+            spawn_and_process(ctx, items, move |_ctx: &mut WorkerContext<'_>, _| {
+                n3.fetch_add(1, Ordering::SeqCst);
+            });
         });
         assert_eq!(n.load(Ordering::SeqCst), 8);
     }
@@ -282,13 +304,9 @@ mod tests {
             let items: Vec<(u32, Color)> =
                 (0..N as u32).map(|i| (i, Color((i % 8) as u16))).collect();
             let t3 = t2.clone();
-            spawn_colors(
-                ctx,
-                items,
-                Arc::new(move |_ctx: &mut WorkerContext<'_>, _| {
-                    t3.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
+            spawn_and_process(ctx, items, move |_ctx: &mut WorkerContext<'_>, _| {
+                t3.fetch_add(1, Ordering::SeqCst);
+            });
         });
         assert_eq!(total.load(Ordering::SeqCst), N);
     }

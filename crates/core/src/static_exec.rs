@@ -18,7 +18,7 @@
 //! paper's baseline which runs the same task graph under plain Cilk
 //! stealing).
 
-use crate::exec::{spawn_ready, NodeStore, Ready, Run};
+use crate::exec::{compute_and_notify, spawn_ready, NodeStore, Ready, Run};
 use crate::join::JoinCounter;
 use crate::metrics::RemoteCounters;
 use crate::report::RunReport;
@@ -231,7 +231,11 @@ impl StaticExecutor {
             store,
             self.options.count_remote,
             sources.iter().map(|s| s.color).collect(),
-            move |run, ctx| spawn_ready(run, ctx, sources),
+            move |run, ctx| {
+                if let Some(first) = spawn_ready(run, ctx, sources) {
+                    compute_and_notify(run, ctx, first.node);
+                }
+            },
         );
         debug_assert_eq!(report.nodes_executed, n as u64);
         if let Some(ts) = store.trace {

@@ -25,22 +25,30 @@
 //!   stays where it was created until the table — which lives exactly as
 //!   long as the run — is dropped; there is no per-node allocation or
 //!   reference count.
+//! * **Registration slots live in per-worker chunk arenas.** A scanned
+//!   node needs one [`Link`] per predecessor, pushed onto that
+//!   predecessor's successor list. The worker that scans the node takes
+//!   them, contiguous, from its own arena (one uncontended lock per
+//!   worker, sized from the pool); a scan wider than a chunk gets a chunk
+//!   of its own. The table owns the arenas, so a slot, like a node, stays
+//!   in place until the run ends: it is never freed on the thread that
+//!   drains it, and discovery allocates per chunk, not per node.
 //!
 //! The table's safe methods are the only way to create or follow a
-//! [`NodeRef`]; the invariant they rest on is that nodes and their link
-//! slots outlive every task of the run, because the run's state owns the
-//! table and is dropped only after the pool's job barrier.
+//! [`NodeRef`] or to spend a registration [`Slot`]; the invariant they
+//! rest on is that nodes and slots outlive every task of the run, because
+//! the run's state owns the table and is dropped only after the pool's
+//! job barrier.
 //!
 //! [`TaskSpec`]: crate::TaskSpec
 
 use crate::join::{Drain, JoinCounter, Link, SuccessorList};
 use crossbeam_utils::CachePadded;
 use nabbitc_color::Color;
-use nabbitc_runtime::sync::RwLock;
+use nabbitc_runtime::sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ptr::NonNull;
-use std::sync::OnceLock;
 
 /// Shard groups, one per color (colors beyond wrap around).
 const GROUPS: usize = 32;
@@ -48,7 +56,7 @@ const GROUPS: usize = 32;
 /// monochrome graph) still spread over this many locks.
 const WAYS: usize = 8;
 
-/// Nodes in a shard's first chunk; each further chunk doubles up to
+/// Values in an arena's first chunk; each further chunk doubles up to
 /// [`MAX_CHUNK`], so a shard holding a handful of nodes costs a few KiB
 /// and a large one allocates rarely.
 const FIRST_CHUNK: usize = 32;
@@ -62,9 +70,6 @@ pub(crate) struct Node<K> {
     pub(crate) join: JoinCounter,
     /// Who waits for this node; closed once it is computed.
     succ: SuccessorList<NodeRef<K>>,
-    /// This node's registration slots, one per predecessor, allocated by
-    /// the one worker that initialises it.
-    links: OnceLock<Box<[Link<NodeRef<K>>]>>,
     /// The previously created node of this shard whose key has the same
     /// 64-bit hash, if any.
     same_hash: Option<NodeRef<K>>,
@@ -94,8 +99,9 @@ impl<K> Copy for NodeRef<K> {}
 // lifetime (`NodeTable::node` is the only dereference and yields `&Node`),
 // so it may cross threads exactly when `&Node<K>` may. Every field of
 // `Node` other than the key is `Sync` by construction — `Color` is plain
-// data, `JoinCounter` and `SuccessorList` are atomics, the `OnceLock`
-// holds links made of an atomic and a `NodeRef` — which leaves `K: Sync`.
+// data, `JoinCounter` and `SuccessorList` are atomics, `same_hash` is a
+// `NodeRef` — which leaves `K: Sync`. (The links a successor list points
+// to are the table's, made of an atomic and a `NodeRef`.)
 unsafe impl<K: Sync> Send for NodeRef<K> {}
 // SAFETY: as above; `&NodeRef` gives nothing `NodeRef` (it is `Copy`) does not.
 unsafe impl<K: Sync> Sync for NodeRef<K> {}
@@ -106,15 +112,38 @@ struct Arena<T> {
 }
 
 impl<T> Arena<T> {
-    fn alloc(&mut self, value: T) -> NonNull<T> {
-        if self.chunks.last().is_none_or(|c| c.len() == c.capacity()) {
-            let capacity = (FIRST_CHUNK << self.chunks.len().min(16)).min(MAX_CHUNK);
-            self.chunks.push(Vec::with_capacity(capacity));
+    const fn new() -> Self {
+        Arena { chunks: Vec::new() }
+    }
+
+    /// The chunk to append `len` values to: the last one if they fit, else
+    /// a new one of the next size — or of exactly `len`, if that is more.
+    fn room_for(&mut self, len: usize) -> &mut Vec<T> {
+        if self
+            .chunks
+            .last()
+            .is_none_or(|c| c.capacity() - c.len() < len)
+        {
+            let size = (FIRST_CHUNK << self.chunks.len().min(16)).min(MAX_CHUNK);
+            self.chunks.push(Vec::with_capacity(size.max(len)));
         }
-        let chunk = self.chunks.last_mut().expect("a chunk was just ensured");
+        self.chunks.last_mut().expect("a chunk was just ensured")
+    }
+
+    fn alloc(&mut self, value: T) -> NonNull<T> {
+        let chunk = self.room_for(1);
         // Below capacity, so this push cannot reallocate the chunk.
         chunk.push(value);
         NonNull::from(chunk.last().expect("just pushed"))
+    }
+
+    /// `len` values made by `make`, contiguous in one chunk.
+    fn alloc_slice(&mut self, len: usize, make: impl FnMut() -> T) -> NonNull<[T]> {
+        let chunk = self.room_for(len);
+        let start = chunk.len();
+        // Within capacity, so this cannot reallocate the chunk either.
+        chunk.extend(std::iter::repeat_with(make).take(len));
+        NonNull::from(&chunk[start..])
     }
 
     fn len(&self) -> usize {
@@ -132,18 +161,44 @@ struct Shard<K> {
 /// create a predecessor with key pkey".
 pub(crate) struct NodeTable<K> {
     shards: Box<[CachePadded<RwLock<Shard<K>>>]>,
+    /// Registration slots, one arena per worker: only the scanning worker
+    /// locks its own.
+    slots: Box<[CachePadded<Mutex<SlotArena<K>>>]>,
 }
 
+/// One worker's registration slots.
+type SlotArena<K> = Arena<Link<NodeRef<K>>>;
+
+/// The registration slots of one predecessor scan, one per predecessor
+/// in list order; each is handed out once.
+pub(crate) struct Scan<'t, K>(std::slice::Iter<'t, Link<NodeRef<K>>>);
+
+impl<'t, K> Iterator for Scan<'t, K> {
+    type Item = Slot<'t, K>;
+
+    fn next(&mut self) -> Option<Slot<'t, K>> {
+        self.0.next().map(Slot)
+    }
+}
+
+/// One registration slot, spent by [`NodeTable::register`]. Neither
+/// `Copy` nor `Clone`: a slot is registered at most once by construction.
+pub(crate) struct Slot<'t, K>(&'t Link<NodeRef<K>>);
+
 impl<K: Eq + Hash + Clone> NodeTable<K> {
-    pub(crate) fn new() -> Self {
+    /// An empty table for a run on `workers` workers.
+    pub(crate) fn new(workers: usize) -> Self {
         NodeTable {
             shards: (0..GROUPS * WAYS)
                 .map(|_| {
                     CachePadded::new(RwLock::new(Shard {
                         index: HashMap::default(),
-                        arena: Arena { chunks: Vec::new() },
+                        arena: Arena::new(),
                     }))
                 })
+                .collect(),
+            slots: (0..workers)
+                .map(|_| CachePadded::new(Mutex::new(Arena::new())))
                 .collect(),
         }
     }
@@ -168,7 +223,6 @@ impl<K: Eq + Hash + Clone> NodeTable<K> {
             color,
             join: JoinCounter::new(),
             succ: SuccessorList::new(),
-            links: OnceLock::new(),
             same_hash,
         }));
         shard.index.insert(hash, node);
@@ -206,32 +260,41 @@ impl<K> NodeTable<K> {
         self.shards.iter().map(|s| s.read().arena.len()).sum()
     }
 
-    /// Starts `waiter`'s predecessor scan over `preds` dependences:
-    /// allocates its registration slots and arms its join counter. Called
-    /// once per node, by the worker that initialises it.
-    pub(crate) fn begin_scan(&self, waiter: NodeRef<K>, preds: usize) {
-        let node = self.node(waiter);
-        let slots = (0..preds).map(|_| Link::new(waiter)).collect();
-        assert!(
-            node.links.set(slots).is_ok(),
-            "a node is initialised exactly once"
-        );
-        node.join.begin_scan(preds);
+    /// Starts `waiter`'s predecessor scan over `preds` dependences on
+    /// `worker`: arms its join counter and hands out its registration
+    /// slots, taken from `worker`'s slot arena.
+    ///
+    /// # Panics
+    ///
+    /// If `waiter` was scanned before: a node is scanned exactly once.
+    pub(crate) fn begin_scan(
+        &self,
+        waiter: NodeRef<K>,
+        preds: usize,
+        worker: usize,
+    ) -> Scan<'_, K> {
+        self.node(waiter).join.begin_scan(preds);
+        let slots = self.slots[worker]
+            .lock()
+            .alloc_slice(preds, || Link::new(waiter));
+        // SAFETY: the slice lies in a chunk of a slot arena, which never
+        // reallocates and is freed only when the table is dropped — which
+        // `&self` rules out for the returned lifetime. The arena hands out
+        // each value once, so nothing else refers to these links, and they
+        // are only ever read through shared references.
+        Scan(unsafe { slots.as_ref() }.iter())
     }
 
-    /// Registers `waiter` for `pred`'s completion through its `slot`-th
-    /// registration slot (the position of `pred` in `waiter`'s predecessor
-    /// list). `false` means `pred` is already computed.
-    pub(crate) fn register(&self, waiter: NodeRef<K>, slot: usize, pred: NodeRef<K>) -> bool {
-        let links = self.node(waiter).links.get();
-        let link = &links.expect("begin_scan allocates the slots")[slot];
-        // SAFETY: the link sits in a boxed slice owned by an arena-held
-        // node, so it stays in place until the table is dropped, after
-        // every task of the run — and with it `pred`'s list and any drain
-        // of it — is gone. Each slot is registered once: the scan visits
-        // each predecessor position once, and `begin_scan` (which makes
-        // the slots) panics on a second initialisation.
-        unsafe { self.node(pred).succ.register(link) }
+    /// Registers `slot`'s waiter for `pred`'s completion. `false` means
+    /// `pred` is already computed.
+    pub(crate) fn register(&self, slot: Slot<'_, K>, pred: NodeRef<K>) -> bool {
+        // SAFETY: the slot came from this table's `begin_scan`, the only
+        // maker of slots, so its link stays in place until the table is
+        // dropped, after every task of the run — and with it `pred`'s list
+        // and any drain of it — is gone. It is registered once: its arena
+        // handed it to one scan, the scan yielded it as one `Slot`, and a
+        // `Slot` cannot be copied and is consumed here.
+        unsafe { self.node(pred).succ.register(slot.0) }
     }
 
     /// Marks `node` computed and hands over the nodes waiting for it.
@@ -341,7 +404,7 @@ mod tests {
 
     #[test]
     fn every_later_caller_gets_the_first_creators_node() {
-        let table = NodeTable::new();
+        let table = NodeTable::new(1);
         let (a, created) = table.get_or_create(&Colliding(1), Color(0));
         assert!(created);
         // Same hash, same shard, different key: a node of its own.
@@ -360,7 +423,7 @@ mod tests {
     #[test]
     fn racing_creators_agree_on_one_node_per_key() {
         const KEYS: u32 = 5_000;
-        let table = NodeTable::new();
+        let table = NodeTable::new(1);
         let per_thread: Vec<Vec<(NodeRef<u32>, bool)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -388,7 +451,7 @@ mod tests {
 
     #[test]
     fn nodes_stay_put_while_their_shard_grows() {
-        let table = NodeTable::new();
+        let table = NodeTable::new(1);
         let refs: Vec<NodeRef<u32>> = (0..20_000u32)
             .map(|k| table.get_or_create(&k, Color(0)).0)
             .collect();
@@ -400,18 +463,115 @@ mod tests {
 
     #[test]
     fn registration_and_completion_meet_exactly_once_per_edge() {
-        let table = NodeTable::new();
+        let table = NodeTable::new(1);
         let (pred, _) = table.get_or_create(&0u32, Color(0));
         let (early, _) = table.get_or_create(&1u32, Color(1));
         let (late, _) = table.get_or_create(&2u32, Color(2));
         // `early` lists `pred` twice: two slots, two notifications.
-        table.begin_scan(early, 2);
-        assert!(table.register(early, 0, pred));
-        assert!(table.register(early, 1, pred));
+        let slots: Vec<_> = table.begin_scan(early, 2, 0).collect();
+        assert_eq!(slots.len(), 2);
+        for slot in slots {
+            assert!(table.register(slot, pred));
+        }
         assert!(!table.node(pred).is_computed());
         assert_eq!(table.complete(pred).collect::<Vec<_>>(), vec![early; 2]);
         assert!(table.node(pred).is_computed());
-        table.begin_scan(late, 1);
-        assert!(!table.register(late, 0, pred));
+        let mut slots = table.begin_scan(late, 1, 0);
+        assert!(!table.register(slots.next().expect("one slot"), pred));
+        assert!(slots.next().is_none());
+    }
+
+    /// Where `slot`'s link lives.
+    fn address(slot: &Slot<'_, u32>) -> usize {
+        slot.0 as *const Link<NodeRef<u32>> as usize
+    }
+
+    /// Scans `waiter` over `preds` dependences on `worker` and registers
+    /// every slot with `pred`; returns where the slots live.
+    fn scan_onto(
+        table: &NodeTable<u32>,
+        waiter: NodeRef<u32>,
+        preds: usize,
+        worker: usize,
+        pred: NodeRef<u32>,
+    ) -> Vec<usize> {
+        table
+            .begin_scan(waiter, preds, worker)
+            .map(|slot| {
+                let at = address(&slot);
+                assert!(table.register(slot, pred));
+                at
+            })
+            .collect()
+    }
+
+    fn contiguous(addresses: &[usize]) -> bool {
+        let step = std::mem::size_of::<Link<NodeRef<u32>>>();
+        addresses.windows(2).all(|w| w[1] == w[0] + step)
+    }
+
+    #[test]
+    fn a_scan_wider_than_a_chunk_gets_one_contiguous_slice() {
+        const WIDE: usize = 5 * MAX_CHUNK + 3;
+        let table = NodeTable::new(1);
+        let [pred, small, wide] = [0u32, 1, 2].map(|k| table.get_or_create(&k, Color(0)).0);
+        // A partly used chunk first, which the wide scan does not fit in.
+        let small_slots = scan_onto(&table, small, 3, 0, pred);
+        let wide_slots = scan_onto(&table, wide, WIDE, 0, pred);
+        assert_eq!(wide_slots.len(), WIDE);
+        assert!(contiguous(&small_slots) && contiguous(&wide_slots));
+        assert!(small_slots.iter().all(|a| !wide_slots.contains(a)));
+        // Newest registration first: every wide slot, then the small ones.
+        let mut expected = vec![wide; WIDE];
+        expected.extend([small; 3]);
+        assert_eq!(table.complete(pred).collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn scans_across_chunk_boundaries_each_get_fresh_slots() {
+        // Widths 1..=40 against first chunks of 32, 64, 128, …: many scans
+        // do not fit in what is left of the current chunk.
+        let table = NodeTable::new(2);
+        let (pred, _) = table.get_or_create(&0u32, Color(0));
+        let mut seen = std::collections::HashSet::new();
+        let mut registered = 0;
+        for k in 1..=400u32 {
+            let (waiter, _) = table.get_or_create(&k, Color(0));
+            let width = (k as usize - 1) % 40 + 1;
+            let slots = scan_onto(&table, waiter, width, (k % 2) as usize, pred);
+            assert_eq!(slots.len(), width);
+            assert!(contiguous(&slots), "scan {k}");
+            for at in slots {
+                assert!(seen.insert(at), "scan {k} was handed a slot twice");
+            }
+            registered += width;
+        }
+        let mut drained: HashMap<u32, usize> = HashMap::new();
+        for waiter in table.complete(pred) {
+            *drained.entry(table.node(waiter).key).or_default() += 1;
+        }
+        assert_eq!(drained.values().sum::<usize>(), registered);
+        for k in 1..=400u32 {
+            assert_eq!(drained[&k], (k as usize - 1) % 40 + 1, "scan {k}");
+        }
+    }
+
+    #[test]
+    fn slots_stay_put_while_their_arena_grows() {
+        let table = NodeTable::new(1);
+        let [pred, first, other] = [0u32, 1, 2].map(|k| table.get_or_create(&k, Color(0)).0);
+        // Hold the first scan's slots, unregistered, while 20 000 more
+        // are handed out on the same worker.
+        let held: Vec<_> = table.begin_scan(first, 4, 0).collect();
+        let before: Vec<usize> = held.iter().map(address).collect();
+        for k in 3..5_003u32 {
+            let (waiter, _) = table.get_or_create(&k, Color(0));
+            scan_onto(&table, waiter, 4, 0, other);
+        }
+        assert_eq!(held.iter().map(address).collect::<Vec<_>>(), before);
+        for slot in held {
+            assert!(table.register(slot, pred));
+        }
+        assert_eq!(table.complete(pred).collect::<Vec<_>>(), vec![first; 4]);
     }
 }

@@ -187,14 +187,14 @@ fn weak_join_canary_is_caught_statically() {
     // The default audit must pass (weak sites inactive)...
     assert!(audit(&scan.sites, &scan.annotations, &[]).is_empty());
     // ...and the weakened configuration must be rejected: both the
-    // bias-dropping Relaxed store and the Relaxed end_scan decrement.
+    // bias-dropping Relaxed swap and the Relaxed end_scan decrement.
     let problems = audit(&scan.sites, &scan.annotations, &["nabbitc_weak_join"]);
     let join_violations: Vec<_> = problems
         .iter()
         .filter(|p| p.contains("ordering violation") && p.contains("core/join.rs"))
         .collect();
     assert!(
-        join_violations.iter().any(|p| p.contains("store(Relaxed)"))
+        join_violations.iter().any(|p| p.contains("swap(Relaxed)"))
             && join_violations
                 .iter()
                 .any(|p| p.contains("fetch_sub(Relaxed)")),

@@ -90,6 +90,55 @@ fn a_predecessor_listed_twice_still_computes_every_node_once() {
     }
 }
 
+/// Levels of the comb tests: forty times the depth (5 000, release
+/// build) at which an executor that recursed once per level overflows a
+/// worker's stack.
+const COMB_DEPTH: u32 = 200_000;
+
+#[test]
+fn an_on_demand_comb_runs_in_constant_stack_depth() {
+    // Spine key 2k depends on spine key 2k - 2 and on its own leaf 2k + 1,
+    // so every spine scan creates two predecessors: discovery spawns at
+    // every level and carries on with the one item left to it.
+    let spec = Table::new(2 * COMB_DEPTH as usize, |k| match k {
+        0 => vec![1],
+        _ if k % 2 == 1 => vec![],
+        _ => vec![k - 2, k + 1],
+    });
+    let pool = Arc::new(Pool::new(PoolConfig::nabbitc(1)));
+    let report = DynamicExecutor::new(pool, spec.clone()).execute(2 * COMB_DEPTH - 2);
+    assert_eq!(report.nodes_executed, 2 * u64::from(COMB_DEPTH));
+    assert!(spec.counts().iter().all(|&c| c == 1));
+}
+
+#[test]
+fn a_static_comb_runs_in_constant_stack_depth() {
+    // Each spine node precedes the next spine node and one leaf, so
+    // every completion releases two nodes: a spawn at every level.
+    let n = 2 * COMB_DEPTH as usize;
+    let mut b = GraphBuilder::with_capacity(n, n);
+    for k in 0..COMB_DEPTH {
+        let spine = b.add_simple_node(1, Color(0), 64);
+        let leaf = b.add_simple_node(1, Color(1), 64);
+        if k > 0 {
+            b.add_edge(spine - 2, spine);
+        }
+        b.add_edge(spine, leaf);
+    }
+    let graph = Arc::new(b.build().expect("a comb is acyclic"));
+    let counts: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
+    let c2 = counts.clone();
+    let pool = Arc::new(Pool::new(PoolConfig::nabbitc(1)));
+    let report = StaticExecutor::new(pool).execute(
+        &graph,
+        Arc::new(move |u: NodeId, _w: usize| {
+            c2[u as usize].fetch_add(1, Ordering::SeqCst);
+        }),
+    );
+    assert_eq!(report.nodes_executed, n as u64);
+    assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+}
+
 /// A pre-built graph behind the on-demand protocol: a virtual root (key =
 /// node count) depends on every sink; bodies are empty.
 struct OnDemand(Arc<TaskGraph>);

@@ -8,14 +8,22 @@
 //! Heap allocations are counted by this binary's global allocator, per
 //! thread: a budget reads the count of the thread that ran the measured
 //! call, so tests running beside it on other threads cannot add to it.
+//! An executor budget adds the count of its pool's one worker thread,
+//! read on that thread before and after the run.
 
 use nabbitc::autocolor::{ColorAssigner, RoundRobin};
+use nabbitc::prelude::{
+    Color, ColorSet, DynamicExecutor, ExecOptions, NodeId, Pool, PoolConfig, StaticExecutor,
+    TaskGraph, TaskSpec,
+};
 use nabbitc::workloads::pagerank::PageRank;
 use nabbitc::workloads::registry;
 use nabbitc::workloads::webgraph::{self, WebGraphParams};
 use nabbitc::workloads::{BenchId, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The system allocator, counting every allocation and reallocation made
 /// on the calling thread.
@@ -69,6 +77,26 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The allocations made so far on the worker thread of `pool`, which has
+/// one: read by a job that runs there.
+fn worker_allocations(pool: &Pool) -> u64 {
+    assert_eq!(pool.workers(), 1, "one worker, so one thread to read");
+    let seen = Arc::new(AtomicU64::new(0));
+    let out = seen.clone();
+    pool.run(ColorSet::all(1), move |_| {
+        out.store(ALLOCATIONS.with(Cell::get), Ordering::SeqCst);
+    });
+    seen.load(Ordering::SeqCst)
+}
+
+/// `f`'s result and the heap allocations it made on this thread and on
+/// `pool`'s one worker (plus the few of one reading job's tail and head).
+fn allocations_with_worker<T>(pool: &Pool, f: impl FnOnce() -> T) -> (T, u64) {
+    let worker_before = worker_allocations(pool);
+    let (out, here) = allocations(f);
+    (out, here + worker_allocations(pool) - worker_before)
 }
 
 /// Checks `count` allocations over `nodes` nodes against `budget` per
@@ -185,5 +213,85 @@ fn pagerank_graph_allocates_per_block_not_per_node() {
         count,
         graph.node_count(),
         2.0,
+    );
+}
+
+/// A pre-built graph behind the on-demand protocol, as the benchmark's
+/// `heat-fine-ondemand` runs it: a virtual sink depends on every real
+/// sink, and `predecessors` copies a node's list into a fresh `Vec`.
+struct GraphSpec {
+    graph: Arc<TaskGraph>,
+    sinks: Vec<NodeId>,
+}
+
+const VIRTUAL_SINK: NodeId = NodeId::MAX;
+
+impl TaskSpec for GraphSpec {
+    type Key = NodeId;
+
+    fn predecessors(&self, &key: &NodeId) -> Vec<NodeId> {
+        if key == VIRTUAL_SINK {
+            self.sinks.clone()
+        } else {
+            self.graph.predecessors(key).to_vec()
+        }
+    }
+
+    fn color(&self, &key: &NodeId) -> Color {
+        self.graph.color(if key == VIRTUAL_SINK {
+            self.sinks[0]
+        } else {
+            key
+        })
+    }
+
+    fn compute(&self, _: &NodeId, _worker: usize) {}
+}
+
+/// The heat benchmark graph, and a 1-worker pool to run it on.
+fn heat_on_one_worker() -> (Arc<TaskGraph>, Arc<Pool>) {
+    let graph = Arc::new(registry::build(BenchId::Heat, Scale::Medium, 2).graph);
+    (graph, Arc::new(Pool::new(PoolConfig::nabbitc(1))))
+}
+
+/// On-demand execution of the heat graph (25 601 nodes with the virtual
+/// sink), §V-B counting off as in timed benchmark runs: 1.54 allocations
+/// per node, of which 0.80 are `GraphSpec::predecessors`' own `Vec`s;
+/// 2.34 when every scanned node boxed its registration slots.
+#[test]
+fn dynamic_executor_allocates_per_run_not_per_scanned_node() {
+    let (graph, pool) = heat_on_one_worker();
+    let spec = Arc::new(GraphSpec {
+        sinks: graph.sinks(),
+        graph: graph.clone(),
+    });
+    let exec = DynamicExecutor::new(pool.clone(), spec).with_remote_counting(false);
+    let (report, count) = allocations_with_worker(&pool, || exec.execute(VIRTUAL_SINK));
+    assert_eq!(report.nodes_executed, graph.node_count() as u64 + 1);
+    per_node_budget(
+        "heat Medium DynamicExecutor::execute, 1 worker",
+        count,
+        report.nodes_executed as usize,
+        1.7,
+    );
+}
+
+/// Pre-built execution of the same graph: 0.53 allocations per node
+/// (the spawned tasks of multi-node releases and their batches).
+#[test]
+fn static_executor_allocates_per_release_not_per_node() {
+    let (graph, pool) = heat_on_one_worker();
+    let exec = StaticExecutor::new(pool.clone()).with_options(ExecOptions {
+        count_remote: false,
+        ..ExecOptions::default()
+    });
+    let (report, count) =
+        allocations_with_worker(&pool, || exec.execute(&graph, Arc::new(|_u, _w| {})));
+    assert_eq!(report.nodes_executed, graph.node_count() as u64);
+    per_node_budget(
+        "heat Medium StaticExecutor::execute, 1 worker",
+        count,
+        graph.node_count(),
+        0.6,
     );
 }
