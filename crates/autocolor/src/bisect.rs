@@ -35,6 +35,7 @@
 use crate::{balance_limit, node_weight, ColorAssigner};
 use nabbitc_color::Color;
 use nabbitc_graph::{NodeId, TaskGraph};
+use std::collections::VecDeque;
 
 /// Balanced `workers`-way partitioner (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
@@ -100,25 +101,32 @@ impl Ctx<'_> {
             .filter(move |&v| self.in_subset(v))
     }
 
-    /// BFS from `start` within the subset; returns the last node reached
-    /// (an approximation of the farthest node). Restricted to `start`'s
-    /// connected component.
-    fn bfs_far(&mut self, start: NodeId) -> NodeId {
+    /// Appends `u`'s subset neighbours not yet visited in generation
+    /// `gen` to `queue`, marking them visited. A DAG lists a neighbour
+    /// once, as a predecessor or as a successor.
+    fn enqueue_unvisited(&mut self, u: NodeId, gen: u32, queue: &mut VecDeque<NodeId>) {
+        let graph = self.graph;
+        for &v in graph.predecessors(u).iter().chain(graph.successors(u)) {
+            if self.in_subset(v) && self.visited[v as usize] != gen {
+                self.visited[v as usize] = gen;
+                queue.push_back(v);
+            }
+        }
+    }
+
+    /// BFS from `start` within the `size`-node subset; returns the last
+    /// node reached (an approximation of the farthest node). Restricted
+    /// to `start`'s connected component.
+    fn bfs_far(&mut self, start: NodeId, size: usize) -> NodeId {
         self.visited_gen += 1;
         let gen = self.visited_gen;
-        let mut queue = std::collections::VecDeque::from([start]);
+        let mut queue = VecDeque::with_capacity(size);
+        queue.push_back(start);
         self.visited[start as usize] = gen;
         let mut last = start;
         while let Some(u) = queue.pop_front() {
             last = u;
-            let next: Vec<NodeId> = self
-                .neighbors(u)
-                .filter(|&v| self.visited[v as usize] != gen)
-                .collect();
-            for v in next {
-                self.visited[v as usize] = gen;
-                queue.push_back(v);
-            }
+            self.enqueue_unvisited(u, gen, &mut queue);
         }
         last
     }
@@ -149,7 +157,7 @@ impl RecursiveBisection {
         }
 
         // Pseudo-peripheral seed: farthest node from an arbitrary start.
-        let seed = ctx.bfs_far(nodes[0]);
+        let seed = ctx.bfs_far(nodes[0], nodes.len());
 
         // Grow side A around the seed until it reaches its weight target.
         ctx.visited_gen += 1;
@@ -158,7 +166,8 @@ impl RecursiveBisection {
             ctx.side[u as usize] = false;
         }
         let mut weight_a = 0u64;
-        let mut queue = std::collections::VecDeque::from([seed]);
+        let mut queue = VecDeque::with_capacity(nodes.len());
+        queue.push_back(seed);
         ctx.visited[seed as usize] = gen;
         let mut cursor = 0; // restart point for disconnected components
         while weight_a < target_a {
@@ -187,14 +196,7 @@ impl RecursiveBisection {
             };
             ctx.side[u as usize] = true;
             weight_a += ctx.weight[u as usize];
-            let next: Vec<NodeId> = ctx
-                .neighbors(u)
-                .filter(|&v| ctx.visited[v as usize] != gen)
-                .collect();
-            for v in next {
-                ctx.visited[v as usize] = gen;
-                queue.push_back(v);
-            }
+            ctx.enqueue_unvisited(u, gen, &mut queue);
         }
 
         // KL/FM-style boundary refinement under the side-local edge-cut
@@ -231,8 +233,15 @@ impl RecursiveBisection {
             }
         }
 
-        let (side_a, side_b): (Vec<NodeId>, Vec<NodeId>) =
-            nodes.into_iter().partition(|&u| ctx.side[u as usize]);
+        // Side A keeps `nodes`' buffer, side B is one allocation.
+        let mut side_b = Vec::with_capacity(nodes.len());
+        let mut side_a = nodes;
+        side_a.retain(|&u| {
+            ctx.side[u as usize] || {
+                side_b.push(u);
+                false
+            }
+        });
         // A degenerate split (everything on one side) would recurse
         // forever; fall back to a plain weight-balanced sequence split.
         if side_a.is_empty() || side_b.is_empty() {

@@ -34,14 +34,15 @@
 //!   usable offline through [`ColorAssigner`] and online through
 //!   [`OnlineAssigner`] for the on-demand executor;
 //! * [`AutoSelect`] — the meta-assigner and **default static path**: runs
-//!   a portfolio of the above (by default the two that ever win,
-//!   [`RecursiveBisection`] and [`CpLevelAware`], side by side when the
-//!   machine has a CPU for each), scores every candidate assignment with
-//!   the strict makespan estimator at the target worker count, and
-//!   returns the argmin — so callers get the per-graph winner (bisection
-//!   on stencils, level-aware on wavefronts) without choosing a strategy
-//!   themselves. See [`select`] for the shape pre-filter and
-//!   the [`SelectionReport`] benches print. If every candidate is
+//!   a portfolio of the above (by default the two node partitioners that
+//!   ever win, [`RecursiveBisection`] and [`CpLevelAware`], side by side
+//!   when the machine has a CPU for each), scores every candidate
+//!   assignment with the strict makespan estimator at the target worker
+//!   count, and returns the argmin — so callers get the per-graph winner
+//!   (bisection on stencils, level-aware on wavefronts) without choosing
+//!   a strategy themselves; where nodes share homes it first partitions
+//!   the homes. See [`select`] for the home path, the shape pre-filter
+//!   and the [`SelectionReport`] benches print. If every candidate is
 //!   disqualified, selection falls back to [`BlockContiguous`] (valid by
 //!   construction) and records the fallback instead of aborting.
 //!

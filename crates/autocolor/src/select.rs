@@ -9,24 +9,31 @@
 //! beats color-oblivious stealing *across* workload shapes needs an entry
 //! point that picks per graph. [`AutoSelect`] is that entry point:
 //!
-//! 1. **Shape pre-filter.** One [`level_profile`] pass per selection:
-//!    the [`GraphShape`] summary built from it skips candidates whose
-//!    objective is provably inert or documented-losing on the graph's
-//!    structure (see `prefilter_skips`), and the same profile is handed
-//!    to the members that run ([`ColorAssigner::assign_profiled`]), so
-//!    the level-aware member does not profile the levels a second time.
-//!    Skipped candidates never pay their `assign` cost. Unknown candidate
-//!    names are never skipped, so custom portfolios stay exact.
-//! 2. **Parallel candidacy, bounded by the machine.** The surviving
-//!    candidates are independent, so they run side by side — but on no
-//!    more threads than [`std::thread::available_parallelism`] reports,
-//!    and the calling thread runs its share of them instead of sleeping
-//!    in a `join`: the default two-member portfolio costs one spawned
-//!    thread on two or more CPUs and none on one, where the members run
-//!    one after the other in portfolio order. (The assigners are
-//!    memory-bound: more of them in flight than CPUs only stretches each
-//!    one.)
-//! 3. **Strict scoring.** Each assignment is scored with
+//! 1. **Home path.** As the paper colors a task by its input block, its
+//!    [home](TaskGraph::home), the default portfolio on a graph whose nodes
+//!    share homes first has [`RecursiveBisection`] and [`BlockContiguous`]
+//!    partition the *home graph*; each result is expanded through
+//!    `home(u)` and scored on the full graph (steps 3–4). The better one
+//!    settles the selection if its heaviest color is within 5 % of an even
+//!    share; otherwise the node portfolio runs too
+//!    ([`SelectionReport::balance_fallback`]).
+//! 2. **Shape pre-filter.** One [`level_profile`] pass per node-portfolio
+//!    run: the [`GraphShape`] summary built from it skips candidates
+//!    whose objective is provably inert or documented-losing on the
+//!    graph's structure (see `prefilter_skips`), and the same profile is
+//!    handed to the members that run ([`ColorAssigner::assign_profiled`]),
+//!    so the level-aware member does not profile the levels a second
+//!    time. Skipped candidates never pay their `assign` cost. Unknown
+//!    candidate names are never skipped, so custom portfolios stay exact.
+//! 3. **Parallel candidacy, bounded by the machine.** The members of a
+//!    round are independent, so they run side by side — but on no more
+//!    threads than [`std::thread::available_parallelism`] reports, and
+//!    the calling thread runs its share of them instead of sleeping in a
+//!    `join`: a two-member round costs one spawned thread on two or more
+//!    CPUs and none on one, where the members run one after the other in
+//!    portfolio order. (The assigners and the scoring are memory-bound:
+//!    more of them in flight than CPUs only stretches each one.)
+//! 4. **Strict scoring.** Each assignment is scored with
 //!    [`estimate_makespan_colored_strict_on`] at the target worker count
 //!    under the selection's [`CostModel`] and worker→domain
 //!    [`Topology`] — cross-color edges are priced as remote-byte
@@ -40,9 +47,10 @@
 //!    disqualified, selection falls back to [`BlockContiguous`] — valid
 //!    by construction — and records the fallback in the report instead
 //!    of aborting.
-//! 4. **Argmin.** The lowest estimate wins; ties break toward portfolio
-//!    order, keeping selection deterministic.
-//! 5. **Domain packing.** On a multi-core-per-domain topology the winner
+//! 5. **Argmin.** The lowest estimate wins; ties break toward the entry
+//!    that ran first (the home path, then portfolio order), keeping
+//!    selection deterministic.
+//! 6. **Domain packing.** On a multi-core-per-domain topology the winner
 //!    is handed to [`pack_domains`], which permutes its colors so the
 //!    heaviest-communicating pairs share a domain; the permutation is
 //!    kept only when the domain-aware estimate strictly improves
@@ -57,17 +65,24 @@
 //! `auto_select_*` tests there and in `tests/makespan_regression.rs`.
 
 use crate::domains::pack_domains;
-use crate::{BlockContiguous, ColorAssigner, CpLevelAware, RecursiveBisection};
+use crate::{
+    assignment_loads, balance_limit, BlockContiguous, ColorAssigner, CpLevelAware,
+    RecursiveBisection,
+};
 use nabbitc_color::Color;
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::analysis::{
     estimate_makespan_colored_strict_on, level_profile, InvalidColoring,
 };
-use nabbitc_graph::TaskGraph;
-use std::time::Instant;
+use nabbitc_graph::{GraphBuilder, NodeId, TaskGraph};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// One member's scored assignment, or why it was disqualified.
 type Scored = Result<(Vec<Color>, u64), InvalidColoring>;
+
+/// A member of one round and the report entry it fills.
+type Member<'a> = (usize, &'a (dyn ColorAssigner + Sync));
 
 /// A portfolio member: any [`ColorAssigner`] that can be shared with the
 /// scoped evaluation threads.
@@ -84,7 +99,8 @@ pub use nabbitc_graph::analysis::GraphShape;
 /// graph is spatially compact and serializes whole dependency levels —
 /// the failure mode `results/autocolor_vs_hand.md` pins on sw (0.45× hand
 /// at P=20 vs cp-level-aware's 1.48×) — so it cannot win the makespan
-/// there, and it is the portfolio's most expensive member to run.
+/// there, and skipping it saves its `assign` (on `pagerank-auto`'s
+/// million-edge graph about half the cost of `cp-level-aware`'s).
 fn prefilter_skips(shape: &GraphShape, name: &str) -> bool {
     match name {
         "recursive-bisection" => shape.deep_wavefront(),
@@ -97,9 +113,10 @@ fn prefilter_skips(shape: &GraphShape, name: &str) -> bool {
 pub enum CandidateOutcome {
     /// Ran and scored: the strict makespan estimate of its assignment.
     Estimated(u64),
-    /// Never ran: dropped by the shape pre-filter, or the machine was
-    /// degenerate (`workers == 1`, where every assigner is monochrome and
-    /// no candidate runs at all — [`SelectionReport::chosen`] is `None`).
+    /// Never ran: dropped by the shape pre-filter, settled by the home
+    /// path before the node portfolio ran, or the machine was degenerate
+    /// (`workers == 1`, where every assigner is monochrome and no
+    /// candidate runs at all — [`SelectionReport::chosen`] is `None`).
     Skipped,
     /// Ran, but produced an assignment with invalid or out-of-range
     /// colors; disqualified by the strict estimator.
@@ -132,10 +149,14 @@ pub struct SelectionReport {
     /// Worker→domain topology the estimator priced cut edges with
     /// ([`Topology::per_worker`] when none was supplied).
     pub topology: Topology,
-    /// Shape summary the pre-filter saw.
-    pub shape: GraphShape,
-    /// `(candidate name, outcome)` in portfolio order. When `fallback` is
-    /// set, one extra trailing entry records the fallback assigner.
+    /// Shape summary the pre-filter saw; `None` when the home path
+    /// settled the selection, so the node portfolio and its pre-filter
+    /// never ran.
+    pub shape: Option<GraphShape>,
+    /// `(candidate name, outcome)` in portfolio order; the home path's
+    /// `recursive-bisection` and `block-contiguous` follow when it ran.
+    /// When `fallback` is set, one extra trailing entry records the
+    /// fallback assigner.
     pub candidates: Vec<(&'static str, CandidateOutcome)>,
     /// What each entry of `candidates` cost, index for index (zero for a
     /// member that never ran). Members run on at most
@@ -153,6 +174,13 @@ pub struct SelectionReport {
     /// the fallback is the trailing `candidates` entry and the `chosen`
     /// one.
     pub fallback: bool,
+    /// `Some(h)` when a home-path entry won over the graph's `h` homes,
+    /// so the returned colors are constant per home.
+    pub homes: Option<usize>,
+    /// Whether the home path's better coloring was more than 5 % past an
+    /// even split, so the node portfolio ran too (the home coloring can
+    /// still win unless it broke [`balance_limit`]).
+    pub balance_fallback: bool,
     /// `Some(estimate)` when the domain-packing post-pass improved the
     /// winner: the returned colors are the packed permutation and this is
     /// their domain-aware strict estimate
@@ -175,6 +203,8 @@ impl PartialEq for SelectionReport {
             && self.candidates == other.candidates
             && self.chosen == other.chosen
             && self.fallback == other.fallback
+            && self.homes == other.homes
+            && self.balance_fallback == other.balance_fallback
             && self.packed_estimate == other.packed_estimate
     }
 }
@@ -234,9 +264,11 @@ pub struct AutoSelect {
 
 impl Default for AutoSelect {
     /// The default portfolio: the two partitioning objectives,
-    /// [`RecursiveBisection`] (edge-cut) and [`CpLevelAware`] (makespan).
-    /// [`BfsLocality`](crate::BfsLocality) and [`BlockContiguous`] are
-    /// not members: they never win — not in any row of
+    /// [`RecursiveBisection`] (edge-cut) and [`CpLevelAware`] (makespan),
+    /// after the home path (module docs), where [`BlockContiguous`] does
+    /// win (on `pagerank-auto`'s 1050 blocks). Over the nodes neither it
+    /// nor [`BfsLocality`](crate::BfsLocality) is a member: they never
+    /// win there — not in any row of
     /// `results/autocolor_vs_hand.md`, not on any graph family the
     /// selection tests use — and would cost every selection their
     /// `assign` and estimate; the tests keep them as baselines the
@@ -322,12 +354,12 @@ impl AutoSelect {
         &self.candidates
     }
 
-    /// Runs the portfolio and returns the winning assignment plus the
-    /// per-candidate report. If every candidate is disqualified (a
-    /// portfolio of only-buggy assigners), selection falls back to
-    /// [`BlockContiguous`] — always valid by construction — and records
-    /// the fallback in the report instead of aborting. Panics if
-    /// `workers == 0`.
+    /// Runs the portfolio (after the home path, module docs) and returns
+    /// the winning assignment plus the per-candidate report. If every
+    /// candidate is disqualified (a portfolio of only-buggy assigners),
+    /// selection falls back to [`BlockContiguous`] — always valid by
+    /// construction — and records the fallback in the report instead of
+    /// aborting. Panics if `workers == 0`.
     pub fn select(&self, graph: &TaskGraph, workers: usize) -> (Vec<Color>, SelectionReport) {
         assert!(workers > 0, "need at least one worker");
         let selection_started = Instant::now();
@@ -341,38 +373,31 @@ impl AutoSelect {
             "topology with {} cores cannot place {workers} workers",
             topo.cores()
         );
-        let profile = level_profile(graph);
-        let shape = GraphShape::from_profile(&profile, workers);
+        let mut report = SelectionReport {
+            workers,
+            cost: self.cost.clone(),
+            topology: topo.clone(),
+            shape: None,
+            candidates: self
+                .candidates
+                .iter()
+                .map(|c| (c.name(), CandidateOutcome::Skipped))
+                .collect(),
+            times: vec![CandidateTime::default(); self.candidates.len()],
+            chosen: None,
+            fallback: false,
+            homes: None,
+            balance_fallback: false,
+            packed_estimate: None,
+            elapsed: Duration::ZERO,
+        };
 
         // Degenerate machine: every assigner returns the monochrome
         // assignment, so there is nothing to select between.
         if workers == 1 {
-            let report = SelectionReport {
-                workers,
-                cost: self.cost.clone(),
-                topology: topo,
-                shape,
-                candidates: self
-                    .candidates
-                    .iter()
-                    .map(|c| (c.name(), CandidateOutcome::Skipped))
-                    .collect(),
-                times: vec![CandidateTime::default(); self.candidates.len()],
-                chosen: None,
-                fallback: false,
-                packed_estimate: None,
-                elapsed: selection_started.elapsed(),
-            };
+            report.shape = Some(GraphShape::of(graph, workers));
+            report.elapsed = selection_started.elapsed();
             return (vec![Color(0); graph.node_count()], report);
-        }
-
-        // Pre-filter, but never down to an empty shortlist: if the rules
-        // would drop everyone, selection degrades to exhaustive.
-        let mut shortlist: Vec<usize> = (0..self.candidates.len())
-            .filter(|&i| !prefilter_skips(&shape, self.candidates[i].name()))
-            .collect();
-        if shortlist.is_empty() {
-            shortlist = (0..self.candidates.len()).collect();
         }
 
         // The members of a round are independent and `assign` dominates
@@ -380,10 +405,23 @@ impl AutoSelect {
         // per CPU, the caller's own included: the round is cut into that
         // many contiguous runs, this thread takes the first and a scoped
         // thread each of the others. Panics inside a candidate are
-        // re-thrown on the caller's thread.
-        let score = |assigner: &dyn ColorAssigner| -> (Scored, CandidateTime) {
+        // re-thrown on the caller's thread. A member given `homes`
+        // colors the home graph, and each node takes its home's color.
+        let profile = OnceLock::new();
+        let score = |assigner: &dyn ColorAssigner, homes: Option<&TaskGraph>| {
             let started = Instant::now();
-            let colors = assigner.assign_profiled(graph, workers, &profile);
+            let colors = match homes {
+                Some(homes) => {
+                    let per_home = assigner.assign(homes, workers);
+                    let home_color = |u| per_home[graph.home(u) as usize];
+                    graph.nodes().map(home_color).collect()
+                }
+                None => assigner.assign_profiled(
+                    graph,
+                    workers,
+                    profile.get_or_init(|| level_profile(graph)),
+                ),
+            };
             let assign = started.elapsed();
             let est =
                 estimate_makespan_colored_strict_on(graph, &colors, workers, &self.cost, &topo);
@@ -394,16 +432,15 @@ impl AutoSelect {
             (est.map(|est| (colors, est)), time)
         };
         let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let evaluate = |indices: &[usize]| -> Vec<(Scored, CandidateTime)> {
-            let run = |members: &[usize]| -> Vec<(Scored, CandidateTime)> {
-                let scored = members.iter().map(|&i| score(self.candidates[i].as_ref()));
-                scored.collect()
+        let evaluate = |members: &[Member], homes: Option<&TaskGraph>| {
+            let run = |part: &[Member]| -> Vec<(Scored, CandidateTime)> {
+                part.iter().map(|&(_, m)| score(m, homes)).collect()
             };
-            let mut runs = indices.chunks(indices.len().div_ceil(cpus).max(1));
+            let mut runs = members.chunks(members.len().div_ceil(cpus).max(1));
             let own = runs.next().unwrap_or_default();
             std::thread::scope(|s| {
                 let run = &run;
-                let spawned: Vec<_> = runs.map(|members| s.spawn(move || run(members))).collect();
+                let spawned: Vec<_> = runs.map(|part| s.spawn(move || run(part))).collect();
                 let mut results = run(own);
                 for handle in spawned {
                     results.extend(
@@ -416,59 +453,108 @@ impl AutoSelect {
             })
         };
 
-        let mut outcomes: Vec<(&'static str, CandidateOutcome)> = self
-            .candidates
-            .iter()
-            .map(|c| (c.name(), CandidateOutcome::Skipped))
-            .collect();
-        let mut times = vec![CandidateTime::default(); self.candidates.len()];
-        let mut best: Option<(u64, usize, Vec<Color>)> = None; // (estimate, index, colors)
-        let mut ingest = |indices: &[usize], best: &mut Option<(u64, usize, Vec<Color>)>| {
-            for (&i, (eval, time)) in indices.iter().zip(evaluate(indices)) {
-                times[i] = time;
+        type Best = Option<(u64, usize, Vec<Color>)>; // (estimate, index, colors)
+        let mut best: Best = None;
+        let ingest = |report: &mut SelectionReport,
+                      members: &[Member],
+                      homes: Option<&TaskGraph>,
+                      best: &mut Best| {
+            for (&(i, _), (eval, time)) in members.iter().zip(evaluate(members, homes)) {
+                report.times[i] = time;
                 match eval {
                     Ok((colors, est)) => {
-                        outcomes[i].1 = CandidateOutcome::Estimated(est);
-                        // Strict `<`: ties break toward portfolio order.
-                        if best.as_ref().map(|(b, _, _)| est < *b).unwrap_or(true) {
+                        report.candidates[i].1 = CandidateOutcome::Estimated(est);
+                        // Strict `<`: ties break toward the entry run first.
+                        if best.as_ref().is_none_or(|(b, _, _)| est < *b) {
                             *best = Some((est, i, colors));
                         }
                     }
-                    Err(invalid) => outcomes[i].1 = CandidateOutcome::Rejected(invalid),
+                    Err(invalid) => report.candidates[i].1 = CandidateOutcome::Rejected(invalid),
                 }
             }
         };
-        ingest(&shortlist, &mut best);
-        if best.is_none() {
-            // Every shortlisted candidate was disqualified. A pre-filter
-            // skip is a quality heuristic, not a validity judgment, so
-            // before giving up, fall back to the candidates it skipped.
-            let rescued: Vec<usize> = (0..self.candidates.len())
-                .filter(|i| !shortlist.contains(i))
-                .collect();
-            ingest(&rescued, &mut best);
+
+        // The home path (module docs), appended to the portfolio's entries.
+        let mut settled = false;
+        let mut home_entry = None;
+        if let Some(homes) = self.default_portfolio.then(|| home_graph(graph)).flatten() {
+            let first = report.candidates.len();
+            let members: [Member; 2] = [
+                (first, &RecursiveBisection::default()),
+                (first + 1, &BlockContiguous),
+            ];
+            let skipped = members.map(|(_, m)| (m.name(), CandidateOutcome::Skipped));
+            report.candidates.extend(skipped);
+            report.times.resize(first + 2, CandidateTime::default());
+            ingest(&mut report, &members, Some(&homes), &mut best);
+            let Some((_, i, colors)) = &best else {
+                unreachable!("block-contiguous colors validly")
+            };
+            let loads = assignment_loads(graph, colors, workers);
+            let even = loads.iter().sum::<u64>().div_ceil(workers as u64);
+            let heaviest = loads.into_iter().max().unwrap_or(0);
+            settled = heaviest <= even + (even as f64 * HOME_SLACK) as u64;
+            report.balance_fallback = !settled;
+            home_entry = Some(*i);
+            if heaviest > balance_limit(graph, workers) {
+                best = None;
+            }
         }
-        let mut fallback = false;
-        if best.is_none() {
-            // Every portfolio candidate produced an invalid assignment.
-            // Rather than aborting the caller, degrade to the one
-            // assigner that cannot be invalid — BlockContiguous emits
-            // in-range colors by construction — and record the fallback.
-            let (scored, time) = score(&BlockContiguous);
-            let (colors, est) =
-                scored.expect("BlockContiguous emits in-range colors by construction");
-            outcomes.push((BlockContiguous.name(), CandidateOutcome::Estimated(est)));
-            times.push(time);
-            best = Some((est, outcomes.len() - 1, colors));
-            fallback = true;
+
+        // The node path: the portfolio colors the nodes themselves.
+        if !settled {
+            let profile = profile.get_or_init(|| level_profile(graph));
+            let shape = GraphShape::from_profile(profile, workers);
+            report.shape = Some(shape);
+            let member = |i: usize| -> Member { (i, self.candidates[i].as_ref()) };
+            // Pre-filter, but never down to an empty shortlist: if the
+            // rules would drop everyone, selection degrades to exhaustive.
+            let mut shortlist: Vec<Member> = (0..self.candidates.len())
+                .filter(|&i| !prefilter_skips(&shape, self.candidates[i].name()))
+                .map(member)
+                .collect();
+            if shortlist.is_empty() {
+                shortlist = (0..self.candidates.len()).map(member).collect();
+            }
+            ingest(&mut report, &shortlist, None, &mut best);
+            if best.is_none() {
+                // Every shortlisted candidate was disqualified. A
+                // pre-filter skip is a quality heuristic, not a validity
+                // judgment, so before giving up, fall back to the
+                // candidates it skipped.
+                let rescued: Vec<Member> = (0..self.candidates.len())
+                    .filter(|&i| shortlist.iter().all(|&(s, _)| s != i))
+                    .map(member)
+                    .collect();
+                ingest(&mut report, &rescued, None, &mut best);
+            }
+            if best.is_none() {
+                // Every portfolio candidate produced an invalid
+                // assignment. Rather than aborting the caller, degrade to
+                // the one assigner that cannot be invalid —
+                // BlockContiguous emits in-range colors by construction —
+                // and record the fallback.
+                let (scored, time) = score(&BlockContiguous, None);
+                let (colors, est) =
+                    scored.expect("BlockContiguous emits in-range colors by construction");
+                report
+                    .candidates
+                    .push((BlockContiguous.name(), CandidateOutcome::Estimated(est)));
+                report.times.push(time);
+                best = Some((est, report.candidates.len() - 1, colors));
+                report.fallback = true;
+            }
         }
         let (est, chosen, mut colors) = best.expect("fallback guarantees a winner");
+        report.chosen = Some(chosen);
+        if home_entry == Some(chosen) {
+            report.homes = Some(graph.home_count());
+        }
 
         // Domain-packing post-pass: on a multi-core-per-domain machine,
         // permuting colors onto domains is free parallelism-wise but
         // changes which cut edges cross domains. Keep the permutation
         // only when the domain-aware estimate strictly improves.
-        let mut packed_estimate = None;
         if topo.cores_per_domain() > 1 && topo.domains() > 1 {
             let packed = pack_domains(graph, &colors, workers, &topo);
             if packed != colors {
@@ -477,24 +563,75 @@ impl AutoSelect {
                         .expect("packing permutes a valid assignment");
                 if packed_est < est {
                     colors = packed;
-                    packed_estimate = Some(packed_est);
+                    report.packed_estimate = Some(packed_est);
                 }
             }
         }
-        let report = SelectionReport {
-            workers,
-            cost: self.cost.clone(),
-            topology: topo,
-            shape,
-            candidates: outcomes,
-            times,
-            chosen: Some(chosen),
-            fallback,
-            packed_estimate,
-            elapsed: selection_started.elapsed(),
-        };
+        report.elapsed = selection_started.elapsed();
         (colors, report)
     }
+}
+
+/// How far past an even share the home path's heaviest color may go and
+/// still settle a selection: past it the homes are too few or too skewed.
+const HOME_SLACK: f64 = 0.05;
+
+/// The *home graph* of `graph` (`None` if every node is its own home):
+/// one node per home with its nodes' summed work and footprint, and one
+/// edge per pair of homes a dependence joins, lower id to higher. Linear:
+/// one pass over the predecessors of each home's nodes, stamps in place
+/// of sorting.
+fn home_graph(graph: &TaskGraph) -> Option<TaskGraph> {
+    let homes = graph.home_count();
+    if homes == graph.node_count() {
+        return None;
+    }
+    let nodes = 0..graph.node_count() as NodeId;
+    let (start, by_home) = group(homes, nodes.map(|u| (graph.home(u), u)));
+    let members = |h: usize| &by_home[start[h] as usize..start[h + 1] as usize];
+    let mut stamp = vec![u32::MAX; homes];
+    let mut pairs = Vec::with_capacity(graph.edge_count());
+    for h in 0..homes as u32 {
+        stamp[h as usize] = h;
+        for &u in members(h as usize) {
+            for &p in graph.predecessors(u) {
+                let hp = graph.home(p);
+                if std::mem::replace(&mut stamp[hp as usize], h) != h {
+                    pairs.push((hp.min(h), hp.max(h)));
+                }
+            }
+        }
+    }
+    let mut gb = GraphBuilder::with_capacity(homes, pairs.len());
+    for h in 0..homes {
+        let work = members(h).iter().map(|&u| graph.work(u)).sum();
+        let bytes = members(h).iter().map(|&u| graph.footprint(u)).sum();
+        gb.add_simple_node(work, Color(0), bytes);
+    }
+    let (start, higher) = group(homes, pairs.iter().copied());
+    stamp.fill(u32::MAX);
+    for lo in 0..homes as u32 {
+        for &hi in &higher[start[lo as usize] as usize..start[lo as usize + 1] as usize] {
+            if std::mem::replace(&mut stamp[hi as usize], lo) != lo {
+                gb.add_edge(lo, hi);
+            }
+        }
+    }
+    Some(gb.build().expect("lower-to-higher edges are acyclic"))
+}
+
+/// Counting sort of `(key, value)` items, each key below `keys`: the
+/// values of key `k` are `values[start[k]..start[k + 1]]`, in item order.
+fn group(keys: usize, items: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; keys + 1];
+    items.clone().for_each(|(k, _)| start[k as usize + 1] += 1);
+    (0..keys).for_each(|k| start[k + 1] += start[k]);
+    let (mut fill, mut values) = (start.clone(), vec![0; start[keys] as usize]);
+    for (k, v) in items {
+        values[fill[k as usize] as usize] = v;
+        fill[k as usize] += 1;
+    }
+    (start, values)
 }
 
 impl AutoSelect {
@@ -611,7 +748,8 @@ mod tests {
         let (colors, rep) = sel.select(&wf, 8);
         // Deep pipeline with most weight in wide levels: bisection is
         // pre-filtered (the documented sw failure mode)…
-        assert!(rep.shape.levels > rep.shape.max_width);
+        let shape = rep.shape.expect("the node path profiles levels");
+        assert!(shape.levels > shape.max_width);
         assert!(
             matches!(
                 rep.candidates
@@ -920,6 +1058,129 @@ mod tests {
         assert!(threads.len() <= cpus, "{threads:?}");
         // The caller runs members itself instead of sleeping in `join`.
         assert!(seen.threads.contains(&std::thread::current().id()));
+    }
+
+    /// `steps` time steps over `block_work.len()` blocks, node `(t, b)`
+    /// depending on `(t - 1, b - 1..=b + 1)`; every step of block `b` works
+    /// on the block's home, at `block_work[b]`.
+    fn shared_home_stencil(steps: usize, block_work: &[u64]) -> TaskGraph {
+        let blocks = block_work.len();
+        let id = |t: usize, b: usize| (t * blocks + b) as NodeId;
+        let mut gb = GraphBuilder::new();
+        for t in 0..steps {
+            for (b, &work) in block_work.iter().enumerate() {
+                if t == 0 {
+                    gb.add_simple_node(work, Color(0), 4096);
+                } else {
+                    gb.add_node_at(work, Color(0), id(0, b));
+                }
+            }
+        }
+        for t in 1..steps {
+            for b in 0..blocks {
+                for q in b.saturating_sub(1)..(b + 2).min(blocks) {
+                    gb.add_edge(id(t - 1, q), id(t, b));
+                }
+            }
+        }
+        gb.build().expect("stencil graph is acyclic")
+    }
+
+    /// The outcome recorded for the entry named `name` at or after `from`.
+    fn outcome_of(rep: &SelectionReport, name: &str, from: usize) -> CandidateOutcome {
+        rep.candidates[from..]
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, o)| o.clone())
+            .unwrap_or_else(|| panic!("no {name} entry: {rep:?}"))
+    }
+
+    #[test]
+    fn home_graph_sums_each_home_and_joins_each_pair_once() {
+        let g = shared_home_stencil(3, &[5, 7, 9]);
+        let h = home_graph(&g).expect("the steps share homes");
+        assert_eq!(h.node_count(), 3);
+        for b in 0..3 {
+            assert_eq!(h.work(b), 3 * g.work(b), "home {b}");
+            assert_eq!(h.footprint(b), 3 * 4096, "home {b}");
+        }
+        // Blocks 0–1 and 1–2 exchange halos, 0–2 never meet; the
+        // self-dependences of a block's steps are no edge. Each pair is
+        // one edge, from the lower home to the higher.
+        assert_eq!(h.edge_count(), 2);
+        assert_eq!(h.successors(0), &[1]);
+        assert_eq!(h.successors(1), &[2]);
+        assert_eq!(h.predecessors(0), &[] as &[NodeId]);
+        // A graph whose nodes are their own homes has no home graph.
+        assert!(home_graph(&generate::iterated_stencil(3, 3, 1, 1)).is_none());
+    }
+
+    #[test]
+    fn home_path_settles_an_evenly_split_graph() {
+        let g = shared_home_stencil(6, &[10; 16]);
+        let (colors, rep) = AutoSelect::default().select(&g, 4);
+        assert_eq!(rep.homes, Some(16), "{rep:?}");
+        assert!(!rep.balance_fallback);
+        assert_eq!(rep.shape, None, "the home path profiles no levels");
+        // The portfolio's own entries never ran; the home members trail.
+        let portfolio = AutoSelect::default().candidates().len();
+        for (name, outcome) in &rep.candidates[..portfolio] {
+            assert_eq!(*outcome, CandidateOutcome::Skipped, "{name}");
+        }
+        assert!(rep.chosen.is_some_and(|i| i >= portfolio));
+        for name in ["recursive-bisection", "block-contiguous"] {
+            let outcome = outcome_of(&rep, name, portfolio);
+            assert!(matches!(outcome, CandidateOutcome::Estimated(_)), "{name}");
+        }
+        // One color per home, and the reported estimate is the returned
+        // coloring's.
+        for u in g.nodes() {
+            assert_eq!(colors[u as usize], colors[g.home(u) as usize], "node {u}");
+        }
+        assert_eq!(estimate(&g, &colors, 4, &rep.cost), rep.chosen_estimate());
+    }
+
+    #[test]
+    fn a_heavy_home_falls_back_to_the_node_portfolio() {
+        // Block 0 carries 100x the work of each other block: whichever
+        // color holds its home holds four times an even share, past
+        // `balance_limit`, so the node portfolio colors the steps apart.
+        let g = shared_home_stencil(4, &[1000, 10, 10, 10]);
+        let p = 4;
+        let (colors, rep) = AutoSelect::default().select(&g, p);
+        assert!(rep.balance_fallback, "{rep:?}");
+        assert_eq!(rep.homes, None);
+        assert!(rep.shape.is_some(), "the node path profiles levels");
+        assert!(rep.chosen.is_some_and(|i| i < rep.candidates.len() - 2));
+        let heaviest = *assignment_loads(&g, &colors, p).iter().max().unwrap();
+        assert!(heaviest <= balance_limit(&g, p));
+        // The home path ran and was recorded; the portfolio ran after it.
+        for name in ["recursive-bisection", "cp-level-aware"] {
+            assert!(
+                matches!(outcome_of(&rep, name, 0), CandidateOutcome::Estimated(_)),
+                "{name}: {rep:?}"
+            );
+        }
+        assert!(matches!(
+            outcome_of(&rep, "block-contiguous", 2),
+            CandidateOutcome::Estimated(_)
+        ));
+    }
+
+    #[test]
+    fn explicit_portfolios_and_one_worker_keep_the_node_path() {
+        let g = shared_home_stencil(6, &[10; 16]);
+        let explicit = AutoSelect::new(vec![
+            Box::new(RecursiveBisection::default()),
+            Box::new(CpLevelAware::default()),
+        ]);
+        let (colors, rep) = explicit.select(&g, 4);
+        assert_eq!((rep.homes, rep.balance_fallback), (None, false));
+        assert_eq!(rep.candidates.len(), 2, "{rep:?}");
+        assert_eq!(rep.chosen_estimate(), estimate(&g, &colors, 4, &rep.cost));
+        let (colors, rep) = AutoSelect::default().select(&g, 1);
+        assert_eq!((rep.homes, rep.balance_fallback), (None, false));
+        assert!(colors.iter().all(|&c| c == Color(0)));
     }
 
     #[test]

@@ -186,7 +186,9 @@ fn main() {
             for ((name, outcome), time) in selection.candidates.iter().zip(&selection.times) {
                 let verdict = match outcome {
                     CandidateOutcome::Estimated(e) => format!("est {e}"),
-                    CandidateOutcome::Skipped => "skipped (shape pre-filter)".to_string(),
+                    CandidateOutcome::Skipped => {
+                        "skipped (shape pre-filter or home path)".to_string()
+                    }
                     CandidateOutcome::Rejected(err) => format!("rejected: {err}"),
                 };
                 eprintln!(

@@ -71,8 +71,12 @@ impl RunReport {
 
     /// One-line human summary of the selection, or `None` when this run
     /// had none. Example:
-    /// `auto: cp-level-aware (est 1234, 4 candidates, 1.2ms)`; a fallback
-    /// selection is marked `[FALLBACK]`.
+    /// `auto: cp-level-aware (est 1234, 4 candidates, 1.2ms)`; a coloring
+    /// chosen over the graph's homes reads
+    /// `auto: block-contiguous over 1050 homes (…)`, a selection whose
+    /// balance guard fell back to the node portfolio is marked
+    /// `[BALANCE FALLBACK]`, and one whose members were all disqualified
+    /// `[FALLBACK]`.
     pub fn selection_summary(&self) -> Option<String> {
         let sel = self.selection.as_ref()?;
         Some(format_selection(sel))
@@ -83,8 +87,10 @@ impl RunReport {
 /// harnesses print (also used for [`RunReport::selection_summary`]).
 pub fn format_selection(sel: &SelectionReport) -> String {
     format!(
-        "auto: {}{} (est {}, {} candidates, {:.2?}){}",
+        "auto: {}{}{} (est {}, {} candidates, {:.2?}){}{}",
         sel.chosen_name(),
+        sel.homes
+            .map_or(String::new(), |h| format!(" over {h} homes")),
         if sel.packed_estimate.is_some() {
             " [packed]"
         } else {
@@ -93,6 +99,11 @@ pub fn format_selection(sel: &SelectionReport) -> String {
         sel.chosen_estimate(),
         sel.candidates.len(),
         sel.elapsed,
+        if sel.balance_fallback {
+            " [BALANCE FALLBACK]"
+        } else {
+            ""
+        },
         if sel.fallback { " [FALLBACK]" } else { "" },
     )
 }
@@ -109,6 +120,35 @@ mod tests {
         assert!(r.selection_summary().is_none());
         assert!(r.runtime_trace.is_none());
         assert_eq!(r.stats.total_tasks(), 0);
+    }
+
+    #[test]
+    fn selection_summary_names_homes_and_the_balance_fallback() {
+        use nabbitc_autocolor::AutoSelect;
+        use nabbitc_color::Color;
+        use nabbitc_graph::GraphBuilder;
+        // Two steps over four blocks, the second on the first's homes.
+        let mut gb = GraphBuilder::new();
+        for _ in 0..4 {
+            gb.add_simple_node(10, Color(0), 64);
+        }
+        for b in 0..4 {
+            gb.add_node_at(10, Color(0), b);
+            gb.add_edge(b, 4 + b);
+        }
+        let (_, selection) = AutoSelect::default().select(&gb.build().expect("a DAG"), 2);
+        let mut report = RunReport {
+            selection: Some(selection),
+            ..RunReport::default()
+        };
+        let line = report.selection_summary().expect("a selection");
+        assert!(line.contains(" over 4 homes"), "{line}");
+        assert!(!line.contains("FALLBACK"), "{line}");
+        let selection = report.selection.as_mut().expect("a selection");
+        (selection.homes, selection.balance_fallback) = (None, true);
+        let line = report.selection_summary().expect("a selection");
+        assert!(line.ends_with(" [BALANCE FALLBACK]"), "{line}");
+        assert!(!line.contains("homes"), "{line}");
     }
 
     #[test]

@@ -61,7 +61,10 @@
 //! both assignments with the makespan estimator for this pool's worker
 //! count, applies the winner (bisection on stencils, level-aware on
 //! wavefronts — no single objective wins both), and re-homes the data
-//! accordingly. The returned report's
+//! accordingly. On a graph whose time steps share data blocks (PageRank,
+//! the stencils) it partitions the blocks first and colors each node by
+//! its block, as the paper colors PageRank; the node portfolio then runs
+//! only if that coloring is more than 5 % unbalanced. The returned report's
 //! [`selection`](core::RunReport::selection) field is the
 //! [`SelectionReport`](autocolor::SelectionReport) saying which candidate
 //! won, what each one scored, and what the selection cost.

@@ -118,3 +118,88 @@ fn threaded_executor_runs_autocolored_benchmark_graph() {
     let limit = balance_limit(&recolored, p);
     assert!(max <= limit, "max color load {max} exceeds bound {limit}");
 }
+
+/// `AutoSelect::default()` on every registry graph whose time steps
+/// share homes (Scale::Small), scored per worker and on the truncated
+/// paper topology: the coloring stays within `balance_limit`, a coloring
+/// chosen over homes gives every node of a home one color, and its
+/// estimate is within 5 % of the better full-graph member's (recursive
+/// bisection or the level-aware sweep). Prints one row per case and
+/// checks the estimates after the last, so the log keeps the whole table
+/// of what the home path wins and gives up.
+#[test]
+fn home_path_is_balanced_constant_per_home_and_near_the_full_graph_members() {
+    use nabbitc::autocolor::{AutoSelect, CpLevelAware};
+    use nabbitc::graph::analysis::estimate_makespan_colored_strict_on;
+    let shared = [
+        BenchId::Heat,
+        BenchId::Fdtd,
+        BenchId::Life,
+        BenchId::PageUk2002,
+        BenchId::PageTwitter2010,
+        BenchId::PageUk2007,
+    ];
+    let mut over = Vec::new();
+    println!(
+        "| graph | P | topology | homes | guard | chosen | auto est | best member est | auto / best |"
+    );
+    for id in shared {
+        for p in [2usize, 8, 20, 40] {
+            let graph = registry::build_uncolored(id, Scale::Small, p).graph;
+            assert!(graph.home_count() < graph.node_count(), "{}", id.name());
+            let members = [
+                RecursiveBisection::default().assign(&graph, p),
+                CpLevelAware::default().assign(&graph, p),
+            ];
+            let topologies = [
+                ("per-worker", Topology::per_worker(p)),
+                ("paper", Topology::paper_machine().truncated(p)),
+            ];
+            for (topo_name, topo) in topologies {
+                let (colors, report) = AutoSelect::default()
+                    .with_topology(topo.clone())
+                    .select(&graph, p);
+                let case = format!("{} P={p} {topo_name}", id.name());
+                let heaviest = assignment_loads(&graph, &colors, p).into_iter().max();
+                assert!(
+                    heaviest <= Some(balance_limit(&graph, p)),
+                    "{case}: unbalanced"
+                );
+                if report.homes.is_some() {
+                    assert_eq!(report.homes, Some(graph.home_count()), "{case}");
+                    let mut per_home = vec![None; graph.home_count()];
+                    for u in graph.nodes() {
+                        let home_color =
+                            per_home[graph.home(u) as usize].get_or_insert(colors[u as usize]);
+                        assert_eq!(*home_color, colors[u as usize], "{case}: node {u}");
+                    }
+                }
+                let best = members
+                    .iter()
+                    .map(|c| {
+                        estimate_makespan_colored_strict_on(&graph, c, p, &report.cost, &topo)
+                            .expect("members color validly")
+                    })
+                    .min()
+                    .expect("two members");
+                let auto = report.chosen_estimate();
+                let ratio = auto as f64 / best as f64;
+                println!(
+                    "| {} | {p} | {topo_name} | {} | {} | {} | {auto} | {best} | {ratio:.3} |",
+                    id.name(),
+                    report.homes.map_or("-".to_string(), |h| h.to_string()),
+                    if report.balance_fallback {
+                        "fell back"
+                    } else {
+                        "settled"
+                    },
+                    report.chosen_name(),
+                );
+                if ratio > 1.05 {
+                    over.push(format!("{case}: auto {auto} > 1.05 x best member {best}"));
+                }
+            }
+        }
+    }
+    assert!(over.is_empty(), "{over:#?}");
+}

@@ -264,9 +264,9 @@ fn assignments_pinned_bit_for_bit() {
         (BenchId::Sw, 2, 0x507e83c8e1738ee4, 0x507e83c8e1738ee4),
         (BenchId::Sw, 8, 0xcdb0778436ad8f0b, 0xcdb0778436ad8f0b),
         (BenchId::Sw, 20, 0xb5aa31db68039881, 0xb5aa31db68039881),
-        (UK, 2, 0x10f75b934b2b03d4, 0x10f75b934b2b03d4),
+        (UK, 2, 0x10f75b934b2b03d4, 0x4a062c1ee1b3e025),
         (UK, 8, 0x72346b40b5b02dea, 0x72346b40b5b02dea),
-        (UK, 20, 0x80ebf00eb50768c7, 0x80ebf00eb50768c7),
+        (UK, 20, 0x80ebf00eb50768c7, 0x30a95b497a07ef85),
     ];
     for (id, p, cp_pin, auto_pin) in PINS {
         let bare = registry::build_uncolored(id, Scale::Small, p);
@@ -280,7 +280,7 @@ fn assignments_pinned_bit_for_bit() {
     const TOPO_PINS: [(BenchId, u64); 3] = [
         (BenchId::Heat, 0x78bd6e25cc82d125),
         (BenchId::Sw, 0x58f219d29e9744eb),
-        (UK, 0xc3b592347d04d0bb),
+        (UK, 0xf0f3dc0d48b3b725),
     ];
     for (id, pin) in TOPO_PINS {
         let p = 20;
@@ -335,7 +335,8 @@ fn pagerank_auto_selection_pinned_bit_for_bit() {
     // The benchmark's `pagerank-auto` input at seed 1: the uk-2007-like
     // web graph, 1050 blocks × 10 iterations, built for two workers with
     // its hand colors stripped. Both members' assignments, the selection
-    // and its estimate are pinned.
+    // and its estimate are pinned. The selection partitions the graph's
+    // 1050 block homes, and block-contiguous over them wins.
     use nabbitc::workloads::pagerank::PageRank;
     use nabbitc::workloads::webgraph::{self, WebGraphParams};
     let p = 2;
@@ -363,6 +364,8 @@ fn pagerank_auto_selection_pinned_bit_for_bit() {
     );
     assert_eq!(rb, 0x2df4edd9d2eea3dd, "recursive-bisection assignment");
     assert_eq!(cp, 0xdf8bcf49487449dc, "cp-level-aware assignment");
-    assert_eq!(auto, 0xdf8bcf49487449dc, "auto assignment");
-    assert_eq!(report.chosen_estimate(), 238_162_590);
+    assert_eq!(auto, 0xac2f4a505491a075, "auto assignment");
+    assert_eq!(report.chosen_name(), "block-contiguous");
+    assert_eq!(report.homes, Some(1050));
+    assert_eq!(report.chosen_estimate(), 233_083_112);
 }

@@ -11,7 +11,7 @@
 //! An executor budget adds the count of its pool's one worker thread,
 //! read on that thread before and after the run.
 
-use nabbitc::autocolor::{ColorAssigner, RoundRobin};
+use nabbitc::autocolor::{AutoSelect, CandidateOutcome, ColorAssigner, RoundRobin};
 use nabbitc::prelude::{
     Color, ColorSet, DynamicExecutor, ExecOptions, NodeId, Pool, PoolConfig, StaticExecutor,
     TaskGraph, TaskSpec,
@@ -213,6 +213,40 @@ fn pagerank_graph_allocates_per_block_not_per_node() {
         count,
         graph.node_count(),
         2.0,
+    );
+}
+
+/// Selection on the benchmark's `pagerank-auto` input (the PageRank graph
+/// above, colors stripped, two workers) partitions its 1050 block homes
+/// instead of its 10 500 nodes, and never runs the level-aware member:
+/// 78 allocations on the calling thread on a 2-CPU host (0.007 per node;
+/// on one CPU the second home member runs here too), against 276 when
+/// both node members ran.
+#[test]
+fn pagerank_selection_allocates_per_selection_not_per_node() {
+    let pr = PageRank {
+        web: webgraph::generate(&WebGraphParams {
+            seed: 1,
+            ..WebGraphParams::uk2007()
+        }),
+        blocks: 1050,
+        iters: 10,
+    };
+    let mut graph = pr.task_graph(2);
+    graph.strip_colors();
+    let select = AutoSelect::default();
+    let ((_, report), count) = allocations(|| select.select(&graph, 2));
+    assert_eq!(report.homes, Some(1050));
+    let cp = report
+        .candidates
+        .iter()
+        .find(|(name, _)| *name == "cp-level-aware");
+    assert_eq!(cp, Some(&("cp-level-aware", CandidateOutcome::Skipped)));
+    per_node_budget(
+        "pagerank-auto AutoSelect::select, calling thread",
+        count,
+        graph.node_count(),
+        0.01,
     );
 }
 
