@@ -47,8 +47,7 @@
 /// it, and the cost consumers — the makespan estimator in
 /// `nabbitc-graph::analysis`, the autocolor selection, and the domain
 /// packing pass — ask it "is this worker pair remote?". The questions
-/// that take a color (`is_remote`, `domain_of_color`, `domain_colors`)
-/// are the `nabbitc_runtime::ColorDomains` extension trait: this crate
+/// that take a color (`is_remote`, `domain_of_color`) are the `nabbitc_runtime::ColorDomains` extension trait: this crate
 /// has no notion of colors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {

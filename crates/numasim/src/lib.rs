@@ -7,8 +7,10 @@
 //! scheduling policies* as the threaded runtime:
 //!
 //! * [`wsim`] — work-stealing simulation with per-core colored deques,
-//!   morphing-continuation batch splitting, the K-colored-attempts-then-
-//!   random steal loop, and the forced first colored steal. With
+//!   morphing-continuation batch splitting, and the steal search of the
+//!   threaded pool itself: each core drives a
+//!   [`Thief`](nabbitc_runtime::policy::Thief) (the K-colored-attempts-
+//!   then-random loop and the forced first colored steal). With
 //!   [`StealPolicy::nabbit`](nabbitc_runtime::StealPolicy::nabbit) this is
 //!   vanilla Nabbit; with
 //!   [`StealPolicy::nabbitc`](nabbitc_runtime::StealPolicy::nabbitc) it is

@@ -5,10 +5,12 @@
 //! `spawn_colors`/`spawn_nodes` (so a steal acquires half of a color-split
 //! batch, and the first steals acquire large chunks near the root), owners
 //! pop LIFO while thieves take the oldest entry, colored steals check the
-//! top entry's color set, and the steal loop runs K colored attempts then
-//! one random attempt with a forced first colored steal whose patience is
-//! charged as [`StealPolicy::first_steal_max_declined`] says — the one
-//! statement of the rule for this simulator and for the threaded pool.
+//! top entry's color set, and each core's steal search is the threaded
+//! pool's own [`Thief`] — K colored attempts then one random attempt, after
+//! a forced first colored steal whose patience is charged as
+//! [`StealPolicy::first_steal_max_declined`] says. The simulator drives it
+//! on a virtual clock: one forced probe per event, `idle_backoff` after a
+//! round that ends in a failed random attempt.
 //!
 //! Simulated time advances through a deterministic event heap; every cost
 //! comes from the [`CostModel`]. Same graph + same config ⇒ identical
@@ -18,6 +20,7 @@ use crate::result::{CoreStats, SimRemote, SimResult};
 use nabbitc_color::{Color, ColorSet};
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::{NodeId, TaskGraph};
+use nabbitc_runtime::policy::{Attempt, Outcome, Step, Thief};
 use nabbitc_runtime::rng::XorShift64;
 use nabbitc_runtime::{ColorDomains, StealPolicy};
 use std::cmp::Reverse;
@@ -104,8 +107,7 @@ struct Sim<'a> {
     deques: Vec<VecDeque<Entry>>,
     stats: Vec<CoreStats>,
     remote: SimRemote,
-    rngs: Vec<XorShift64>,
-    first_pending: Vec<bool>,
+    thieves: Vec<Thief>,
     acquired: Vec<bool>,
     executed_total: u64,
     makespan: u64,
@@ -134,10 +136,12 @@ pub fn simulate_ws(graph: &TaskGraph, cfg: &WsConfig) -> SimResult {
         deques: (0..p).map(|_| VecDeque::new()).collect(),
         stats: vec![CoreStats::default(); p],
         remote: SimRemote::default(),
-        rngs: (0..p)
-            .map(|c| XorShift64::new(cfg.seed ^ (0x9E37_79B9u64.wrapping_mul(c as u64 + 1))))
+        thieves: (0..p)
+            .map(|c| {
+                let rng = XorShift64::new(cfg.seed ^ (0x9E37_79B9u64.wrapping_mul(c as u64 + 1)));
+                Thief::new(&cfg.policy, c, p, rng)
+            })
             .collect(),
-        first_pending: vec![cfg.policy.force_first_colored && p > 1; p],
         acquired: vec![false; p],
         executed_total: 0,
         makespan: 0,
@@ -294,87 +298,63 @@ impl<'a> Sim<'a> {
         self.schedule(t_end, c);
     }
 
+    /// One steal round of core `c` at `t`, in the order its thief draws:
+    /// while the forcing lasts, one forced probe per event; after it, the
+    /// thief's colored attempts and its random one, then `idle_backoff`.
     fn steal_round(&mut self, c: usize, t: u64) {
-        let p = self.cfg.cores;
-        let cost = &self.cfg.cost;
-        if p < 2 {
-            // Single core: nothing to steal; if work remains it is in our
-            // own deque and step() would have found it. Spin forward.
-            self.stats[c].idle += cost.idle_backoff;
-            self.schedule(t + cost.idle_backoff, c);
-            return;
-        }
-        let my = if self.cfg.policy.match_domain {
-            self.cfg
-                .topology
-                .domain_colors(self.cfg.topology.domain_of(c))
-        } else {
-            ColorSet::singleton(Color::from(c))
-        };
         let mut now = t;
-
-        if self.first_pending[c] {
-            // Forced first colored steal: one attempt per round, and only
-            // a victim whose oldest entry is of another color costs
-            // patience — an empty victim is no evidence.
-            self.stats[c].first_steal_checks += 1;
-            match self.steal_attempt(c, t, &mut now, Some(&my)) {
-                Probe::Stolen => {
-                    self.first_pending[c] = false;
-                    return;
+        loop {
+            let forcing = self.thieves[c].forcing();
+            if forcing {
+                self.stats[c].first_steal_checks += 1;
+            }
+            let Some(attempt) = self.thieves[c].attempt() else {
+                // Single core: any work left is in our own deque, where
+                // step() would have found it. Spin forward.
+                now += self.cfg.cost.idle_backoff;
+                break;
+            };
+            let outcome = self.steal_attempt(c, t, &mut now, attempt);
+            if forcing && outcome == Outcome::Declined {
+                self.stats[c].first_steal_declined += 1;
+            }
+            match self.thieves[c].report(outcome) {
+                Step::Stole => return,
+                Step::Again if !forcing => {}
+                Step::Again => break, // one forced probe per event
+                Step::Escaped => {
+                    self.stats[c].first_steal_escapes += 1;
+                    break;
                 }
-                Probe::Declined => self.stats[c].first_steal_declined += 1,
-                Probe::Empty => {}
-            }
-            if self.stats[c].first_steal_declined >= self.cfg.policy.first_steal_max_declined {
-                // Escape hatch (Table III, a single-colored source).
-                self.first_pending[c] = false;
-                self.stats[c].first_steal_escapes += 1;
-            }
-        } else {
-            for _ in 0..self.cfg.policy.colored_attempts {
-                if self.steal_attempt(c, t, &mut now, Some(&my)) == Probe::Stolen {
-                    return;
+                Step::RoundOver => {
+                    now += self.cfg.cost.idle_backoff;
+                    break;
                 }
             }
-            if self.steal_attempt(c, t, &mut now, None) == Probe::Stolen {
-                return;
-            }
-            now += cost.idle_backoff;
         }
         self.stats[c].idle += now - t;
         self.schedule(now, c);
     }
 
-    /// One steal attempt by core `c` at a random victim, `*now` ticks into
-    /// a round that began at `t`: colored (the victim's oldest entry must
-    /// intersect `accept`) or unconditional. On success the entry is
-    /// processed; whatever the outcome, `*now` has moved on by what the
-    /// attempt cost.
-    fn steal_attempt(
-        &mut self,
-        c: usize,
-        t: u64,
-        now: &mut u64,
-        accept: Option<&ColorSet>,
-    ) -> Probe {
+    /// One steal attempt by core `c`, `*now` ticks into a round that began
+    /// at `t`. On success the entry is processed; whatever the outcome,
+    /// `*now` has moved on by what the attempt cost.
+    fn steal_attempt(&mut self, c: usize, t: u64, now: &mut u64, attempt: Attempt) -> Outcome {
         let cost = &self.cfg.cost;
         *now += cost.steal_check;
         let stats = &mut self.stats[c];
-        let (attempts, steals) = match accept {
-            Some(_) => (&mut stats.colored_attempts, &mut stats.colored_steals),
-            None => (&mut stats.random_attempts, &mut stats.random_steals),
+        let (attempts, steals) = if attempt.colored {
+            (&mut stats.colored_attempts, &mut stats.colored_steals)
+        } else {
+            (&mut stats.random_attempts, &mut stats.random_steals)
         };
         *attempts += 1;
-        let v = self.rngs[c]
-            .victim(self.cfg.cores, c)
-            .expect("cores >= 2 checked by steal_round");
-        match self.deques[v].front() {
-            None => return Probe::Empty,
-            Some(front) if accept.is_some_and(|a| !front.colors().intersects(a)) => {
-                return Probe::Declined
-            }
-            Some(_) => {}
+        let v = attempt.victim;
+        let Some(front) = self.deques[v].front() else {
+            return Outcome::Empty;
+        };
+        if attempt.colored && !front.colors().intersects(self.thieves[c].accept()) {
+            return Outcome::Declined;
         }
         let entry = self.deques[v].pop_front().expect("peeked");
         *steals += 1;
@@ -384,20 +364,8 @@ impl<'a> Sim<'a> {
         // (it must not be stealable in flight, or two idle cores can
         // ping-pong it forever without either resume firing).
         self.process(c, *now, entry);
-        Probe::Stolen
+        Outcome::Stolen
     }
-}
-
-/// What one steal attempt found at its victim (the simulator's
-/// `nabbitc_runtime::Steal`, without the races).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Probe {
-    /// The victim's oldest entry was taken and processed.
-    Stolen,
-    /// The victim had work, of no color the thief accepts; left in place.
-    Declined,
-    /// The victim's deque was empty.
-    Empty,
 }
 
 #[cfg(test)]
@@ -553,6 +521,28 @@ mod tests {
     }
 
     #[test]
+    fn zero_patience_never_forces_a_probe() {
+        // A budget of zero declined probes: the forcing never starts, so
+        // no probe is forced, none declined and none escapes.
+        let g = generate::iterated_stencil(6, 200, 200, 8);
+        let mut cfg = WsConfig::nabbitc(8);
+        cfg.policy.first_steal_max_declined = 0;
+        let r = simulate_ws(&g, &cfg);
+        assert_eq!(total_executed(&r), g.node_count() as u64);
+        for core in &r.cores {
+            assert_eq!(
+                (
+                    core.first_steal_checks,
+                    core.first_steal_declined,
+                    core.first_steal_escapes
+                ),
+                (0, 0, 0)
+            );
+        }
+        assert!(r.cores.iter().map(|c| c.colored_attempts).sum::<u64>() > 0);
+    }
+
+    #[test]
     fn forced_first_steal_waits_recorded() {
         let cores = 20;
         let g = generate::iterated_stencil(6, 200, 200, cores);
@@ -572,23 +562,6 @@ mod tests {
         // A chain cannot go faster than its span.
         let serial = serial_ticks(&g, &cfg.cost);
         assert!(r.makespan >= serial);
-    }
-
-    #[test]
-    fn domain_matching_executes_and_keeps_locality() {
-        let cores = 40;
-        let g = generate::iterated_stencil(8, 400, 200, cores);
-        let mut cfg = WsConfig::nabbitc(cores);
-        cfg.policy = nabbitc_runtime::StealPolicy::nabbitc_domain();
-        let r = simulate_ws(&g, &cfg);
-        assert_eq!(total_executed(&r), g.node_count() as u64);
-        let nb = simulate_ws(&g, &WsConfig::nabbit(cores));
-        assert!(
-            r.remote.pct() < nb.remote.pct(),
-            "domain matching should still beat random stealing: {} !< {}",
-            r.remote.pct(),
-            nb.remote.pct()
-        );
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! thief's color as a predicate checked *before* the claiming CAS — the same
 //! constant-time boolean-array check the paper implements, with one less
 //! data structure to keep in sync. [`pool::Pool`] runs the worker loop with
-//! the paper's exact policy, parameterized by [`policy::StealPolicy`].
+//! the paper's exact policy, parameterized by [`policy::StealPolicy`] and
+//! stated once, as [`policy::Thief`], which the `numasim` simulator drives
+//! too.
 //!
 //! Tasks are heap-allocated closures (child stealing). A spawned batch that
 //! Cilk would express as "spawn the preferred half, leave the rest in the

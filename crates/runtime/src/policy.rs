@@ -1,4 +1,9 @@
-//! Steal policy knobs.
+//! Steal policy knobs, and [`Thief`], the one implementation of them that
+//! the threaded pool and the simulator (`numasim::wsim`) both drive.
+
+use crate::deque::Steal;
+use crate::rng::XorShift64;
+use nabbitc_color::{Color, ColorSet};
 
 /// Configuration of the steal path, §III ("Colored Steals").
 ///
@@ -15,11 +20,6 @@ pub struct StealPolicy {
     /// Number of colored steal attempts before each random attempt (the
     /// paper's "constant number"; default 4).
     pub colored_attempts: usize,
-    /// Match granularity for colored steals: exact worker color (the
-    /// paper's default), or any color in the thief's NUMA domain ("multiple
-    /// nearby cores can have the same color" — coarser matching trades a
-    /// little locality precision for more colored-steal hits).
-    pub match_domain: bool,
     /// Whether to force the first steal to be colored (NabbitC: true;
     /// vanilla Nabbit: false — along with `colored_attempts = 0` this
     /// recovers plain randomized work stealing).
@@ -35,8 +35,9 @@ pub struct StealPolicy {
     /// the victim empty (or lost a race) is no evidence about the coloring —
     /// the root is still running, the job has barely begun or is nearly
     /// over — so it is free: however long the root node runs, it cannot
-    /// spend the budget. The threaded pool (`pool.rs`) and the simulator
-    /// (`numasim::wsim`) both implement exactly this sentence.
+    /// spend the budget. A budget of zero means the forcing never starts.
+    /// [`Thief`] is the one implementation of this sentence; the threaded
+    /// pool (`pool.rs`) and the simulator (`numasim::wsim`) both drive it.
     ///
     /// The paper assumes "at least one node from each color connected to
     /// the root". Where that holds, a worker that starts a job empty-handed
@@ -55,35 +56,18 @@ pub struct StealPolicy {
 
 impl StealPolicy {
     /// NabbitC defaults: colored steals on, forced first steal on, and a
-    /// patience of `1 << 16` declined probes for it.
-    ///
-    /// The measurement behind the number (two workers on the 2-core build
-    /// host, the repo benchmark, ≈ 28 ns a declined probe, so `1 << 16` is
-    /// ≈ 1.8 ms of turning work down; `CHANGES.md`, PR 22). Where the
-    /// paper's premise holds — the `heat-*` workloads and `pagerank-auto`
-    /// have a node of every color among the sources — a worker that starts
-    /// a job empty-handed declines *nothing* (0 in ≈ 1 900 operations): it
-    /// finds the continuation of its own color on top of the root's deque,
-    /// or finds the deque empty. No bound is too small for that steal.
-    /// Where the premise fails — `sw-wavefront`'s row blocks put one color
-    /// at the single source, lint NL010 — a worker has nothing to succeed
-    /// on for the first quarter of the job, a third of the operation's
-    /// length with the other worker alone; `1 << 16` is the largest power
-    /// of two that keeps its wait under 1 % of the operation
-    /// (`exec_p50_ms` −20 % against a bound it cannot reach; `1 << 18`
-    /// measures the same within noise, `1 << 20` gives a quarter of the
-    /// gain back). The other steal the bound ends is a worker's
-    /// *late* first steal: the worker that ran the root steals for the
-    /// first time when its own color has run dry, its partner's deque full
-    /// of the other color, and declines until the job is over — medians of
-    /// 7 k–127 k probes an operation on the four workloads above, maxima
-    /// of 0.4–1.4 M (22 ms of a 165 ms operation), which no bound that
-    /// helps the wavefront exceeds; with `1 << 16` that worker helps after
-    /// 2 ms instead, and no end-to-end metric of the four moves.
+    /// patience of `1 << 16` declined probes for it (≈ 1.8 ms of turning
+    /// work down at ≈ 28 ns a probe, two workers on a 2-core host). Where
+    /// the paper's premise holds (`heat-*`, `pagerank-auto`) a worker that
+    /// starts a job empty-handed declines nothing, so no bound is too
+    /// small; where it fails (`sw-wavefront`, lint NL010) `1 << 16` is the
+    /// largest power of two that keeps the wait under 1 % of an operation,
+    /// and it also ends a worker's *late* first steal. README § *The
+    /// forced first steal waits for evidence* has the measurement, and
+    /// `CHANGES.md` the sweep of bounds behind it.
     pub fn nabbitc() -> Self {
         StealPolicy {
             colored_attempts: 4,
-            match_domain: false,
             force_first_colored: true,
             first_steal_max_declined: 1 << 16,
         }
@@ -93,23 +77,9 @@ impl StealPolicy {
     pub fn nabbit() -> Self {
         StealPolicy {
             colored_attempts: 0,
-            match_domain: false,
             force_first_colored: false,
             first_steal_max_declined: 0,
         }
-    }
-
-    /// NabbitC with domain-granularity color matching.
-    pub fn nabbitc_domain() -> Self {
-        StealPolicy {
-            match_domain: true,
-            ..Self::nabbitc()
-        }
-    }
-
-    /// Whether any colored machinery is active.
-    pub fn is_colored(&self) -> bool {
-        self.colored_attempts > 0 || self.force_first_colored
     }
 }
 
@@ -119,20 +89,288 @@ impl Default for StealPolicy {
     }
 }
 
+/// What one steal attempt found at its victim.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// The victim's oldest entry was taken.
+    Stolen,
+    /// The victim had work of no color the thief accepts, and kept it.
+    Declined,
+    /// Nothing to take (on threads, also a lost race): no evidence.
+    Empty,
+}
+
+impl<T> From<&Steal<T>> for Outcome {
+    fn from(got: &Steal<T>) -> Outcome {
+        match got {
+            Steal::Success(_) => Outcome::Stolen,
+            Steal::ColorMismatch => Outcome::Declined,
+            Steal::Empty | Steal::Retry => Outcome::Empty,
+        }
+    }
+}
+
+/// One steal attempt a [`Thief`] asks its driver to make.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Attempt {
+    /// The worker to probe; never the thief itself.
+    pub victim: usize,
+    /// Take the oldest entry only if its colors meet [`Thief::accept`].
+    pub colored: bool,
+}
+
+/// What comes after an attempt's [`Outcome`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// The attempt stole: the search is over.
+    Stole,
+    /// Keep searching.
+    Again,
+    /// That declined probe spent the forcing's last patience.
+    Escaped,
+    /// The cycle's random attempt failed: the round is over.
+    RoundOver,
+}
+
+/// One worker's steal search through one job, as a plain state machine:
+/// the accepted color (the worker's own), the victim (uniform over the
+/// others), the cycle of [`StealPolicy::colored_attempts`] colored attempts
+/// and one random one, and the forced first colored steal with its
+/// patience. The driver asks for an [`attempt`](Self::attempt), probes and
+/// [`report`](Self::report)s the outcome; counting, timing and what a
+/// stolen entry becomes are the driver's. Built afresh for every job.
+#[derive(Debug)]
+pub struct Thief {
+    me: usize,
+    workers: usize,
+    rng: XorShift64,
+    accept: ColorSet,
+    colored_attempts: usize,
+    /// Colored attempts made so far in the current cycle.
+    colored_made: usize,
+    /// Declined probes the forced first steal may still spend; 0 once it
+    /// stole or escaped, or if it never started.
+    patience_left: u64,
+}
+
+impl Thief {
+    /// The thief of worker `me` of `workers` under `policy`.
+    pub fn new(policy: &StealPolicy, me: usize, workers: usize, rng: XorShift64) -> Thief {
+        let (forced, patience) = (policy.force_first_colored, policy.first_steal_max_declined);
+        Thief {
+            me,
+            workers,
+            rng,
+            accept: ColorSet::singleton(Color::from(me)),
+            colored_attempts: policy.colored_attempts,
+            colored_made: 0,
+            patience_left: if forced && workers > 1 { patience } else { 0 },
+        }
+    }
+
+    /// The colors a colored attempt accepts.
+    pub fn accept(&self) -> &ColorSet {
+        &self.accept
+    }
+
+    /// Whether the forced first colored steal is still on: every attempt
+    /// is then a colored, forced probe.
+    pub fn forcing(&self) -> bool {
+        self.patience_left > 0
+    }
+
+    /// The next attempt, or `None` with nobody to steal from.
+    pub fn attempt(&mut self) -> Option<Attempt> {
+        let victim = self.rng.victim(self.workers, self.me)?;
+        let colored = self.forcing() || self.colored_made < self.colored_attempts;
+        Some(Attempt { victim, colored })
+    }
+
+    /// Takes the last attempt's outcome; says what comes next.
+    pub fn report(&mut self, outcome: Outcome) -> Step {
+        if self.forcing() {
+            match outcome {
+                Outcome::Stolen => self.patience_left = 0,
+                Outcome::Declined => self.patience_left -= 1,
+                Outcome::Empty => {}
+            }
+            return match outcome {
+                Outcome::Stolen => Step::Stole,
+                _ if self.forcing() => Step::Again,
+                _ => Step::Escaped,
+            };
+        }
+        if outcome == Outcome::Stolen {
+            self.colored_made = 0;
+            Step::Stole
+        } else if self.colored_made < self.colored_attempts {
+            self.colored_made += 1;
+            Step::Again
+        } else {
+            self.colored_made = 0;
+            Step::RoundOver
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn domain_preset() {
-        let p = StealPolicy::nabbitc_domain();
-        assert!(p.match_domain && p.is_colored());
+    fn presets() {
+        let (nabbitc, nabbit) = (StealPolicy::nabbitc(), StealPolicy::nabbit());
+        assert!(nabbitc.colored_attempts > 0 && nabbitc.force_first_colored);
+        assert!(nabbit.colored_attempts == 0 && !nabbit.force_first_colored);
+        assert_eq!(StealPolicy::default(), StealPolicy::nabbitc());
+    }
+
+    fn forced(colored_attempts: usize, patience: u64) -> StealPolicy {
+        StealPolicy {
+            colored_attempts,
+            force_first_colored: true,
+            first_steal_max_declined: patience,
+        }
+    }
+
+    /// Makes one attempt and reports `outcome` for it.
+    fn probe(thief: &mut Thief, outcome: Outcome) -> (Attempt, Step) {
+        let attempt = thief.attempt().expect("a victim");
+        (attempt, thief.report(outcome))
+    }
+
+    /// The kinds (colored or not) of the next `n` attempts, each reported
+    /// as `outcome`; only a random attempt may end a round.
+    fn kinds(thief: &mut Thief, n: usize, outcome: Outcome) -> Vec<bool> {
+        (0..n)
+            .map(|_| {
+                let (attempt, step) = probe(thief, outcome);
+                let want = if attempt.colored {
+                    Step::Again
+                } else {
+                    Step::RoundOver
+                };
+                assert_eq!(step, want);
+                attempt.colored
+            })
+            .collect()
+    }
+
+    /// `rounds` rounds of `k` colored attempts and one random one.
+    fn cycle(k: usize, rounds: usize) -> Vec<bool> {
+        let round = (0..=k).map(|i| i < k);
+        round.cycle().take(rounds * (k + 1)).collect()
     }
 
     #[test]
-    fn presets() {
-        assert!(StealPolicy::nabbitc().is_colored());
-        assert!(!StealPolicy::nabbit().is_colored());
-        assert_eq!(StealPolicy::default(), StealPolicy::nabbitc());
+    fn a_lost_race_is_charged_like_an_empty_deque() {
+        assert_eq!(
+            Outcome::from(&Steal::Success(Box::new(()))),
+            Outcome::Stolen
+        );
+        assert_eq!(
+            Outcome::from(&Steal::<()>::ColorMismatch),
+            Outcome::Declined
+        );
+        assert_eq!(Outcome::from(&Steal::<()>::Empty), Outcome::Empty);
+        assert_eq!(Outcome::from(&Steal::<()>::Retry), Outcome::Empty);
+    }
+
+    #[test]
+    fn forcing_ends_on_a_steal() {
+        let mut thief = Thief::new(&forced(2, 3), 0, 4, XorShift64::new(1));
+        for outcome in [Outcome::Declined, Outcome::Empty, Outcome::Declined] {
+            let (attempt, step) = probe(&mut thief, outcome);
+            assert!(attempt.colored && step == Step::Again);
+        }
+        let (attempt, step) = probe(&mut thief, Outcome::Stolen);
+        assert!(attempt.colored && step == Step::Stole);
+        assert!(!thief.forcing());
+        assert_eq!(kinds(&mut thief, 6, Outcome::Empty), cycle(2, 2));
+    }
+
+    #[test]
+    fn forcing_ends_on_the_nth_declined_probe_and_never_on_nothing() {
+        const N: u64 = 5;
+        let mut thief = Thief::new(&forced(2, N), 1, 3, XorShift64::new(2));
+        let (empty, retry) = (Steal::<()>::Empty, Steal::<()>::Retry);
+        for got in [&empty, &retry] {
+            for _ in 0..1_000 {
+                let (attempt, step) = probe(&mut thief, Outcome::from(got));
+                assert!(attempt.colored && step == Step::Again);
+            }
+        }
+        for _ in 1..N {
+            assert_eq!(probe(&mut thief, Outcome::Declined).1, Step::Again);
+            assert_eq!(probe(&mut thief, Outcome::Empty).1, Step::Again);
+            assert!(thief.forcing());
+        }
+        assert_eq!(probe(&mut thief, Outcome::Declined).1, Step::Escaped);
+        assert!(!thief.forcing());
+    }
+
+    #[test]
+    fn after_forcing_the_cycle_is_k_colored_then_one_random() {
+        let mut thief = Thief::new(&forced(3, 1), 2, 5, XorShift64::new(3));
+        assert_eq!(probe(&mut thief, Outcome::Declined).1, Step::Escaped);
+        assert_eq!(kinds(&mut thief, 12, Outcome::Empty), cycle(3, 3));
+        assert_eq!(kinds(&mut thief, 8, Outcome::Declined), cycle(3, 2));
+        // A steal mid-cycle ends the search; the next one starts afresh.
+        kinds(&mut thief, 2, Outcome::Empty);
+        assert_eq!(probe(&mut thief, Outcome::Stolen).1, Step::Stole);
+        assert_eq!(kinds(&mut thief, 4, Outcome::Empty), cycle(3, 1));
+    }
+
+    #[test]
+    fn nabbit_only_steals_at_random() {
+        let mut thief = Thief::new(&StealPolicy::nabbit(), 0, 8, XorShift64::new(4));
+        assert!(!thief.forcing());
+        assert_eq!(kinds(&mut thief, 100, Outcome::Empty), cycle(0, 100));
+        let (attempt, step) = probe(&mut thief, Outcome::Stolen);
+        assert!(!attempt.colored && step == Step::Stole);
+    }
+
+    #[test]
+    fn victims_are_the_rngs_and_never_the_thief() {
+        for workers in 2..=9 {
+            for me in 0..workers {
+                let seed = (workers * 16 + me) as u64;
+                let mut thief =
+                    Thief::new(&StealPolicy::nabbitc(), me, workers, XorShift64::new(seed));
+                let mut rng = XorShift64::new(seed);
+                for _ in 0..200 {
+                    let (attempt, _) = probe(&mut thief, Outcome::Declined);
+                    assert_ne!(attempt.victim, me);
+                    assert!(attempt.victim < workers);
+                    assert_eq!(Some(attempt.victim), rng.victim(workers, me));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_worker_thief_makes_no_attempt() {
+        let mut thief = Thief::new(&StealPolicy::nabbitc(), 0, 1, XorShift64::new(5));
+        assert!(!thief.forcing());
+        assert_eq!(thief.attempt(), None);
+    }
+
+    #[test]
+    fn a_fresh_thief_per_job_starts_a_fresh_budget() {
+        const N: u64 = 3;
+        for job in 0..3 {
+            let mut thief = Thief::new(&forced(4, N), 0, 2, XorShift64::new(job));
+            for _ in 1..N {
+                assert_eq!(probe(&mut thief, Outcome::Declined).1, Step::Again);
+            }
+            assert_eq!(probe(&mut thief, Outcome::Declined).1, Step::Escaped);
+        }
+    }
+
+    #[test]
+    fn zero_patience_never_starts_the_forcing() {
+        let mut thief = Thief::new(&forced(2, 0), 0, 4, XorShift64::new(6));
+        assert!(!thief.forcing());
+        assert_eq!(kinds(&mut thief, 6, Outcome::Declined), cycle(2, 2));
     }
 }

@@ -11,21 +11,14 @@
 //! The steal loop implements §III's policy exactly:
 //!
 //! 1. while a worker's own deque has work, pop from the bottom;
-//! 2. when empty, make [`StealPolicy::colored_attempts`] colored steal
-//!    attempts at random victims, then one unconditional random steal, and
-//!    repeat;
-//! 3. if [`StealPolicy::force_first_colored`] is set, the worker's *first*
-//!    steal of the job must be a successful colored steal; the time spent
-//!    waiting is recorded (Figure 9) as are the checks performed (the `C`
-//!    term of Theorem 1). The forcing has a patience,
-//!    [`StealPolicy::first_steal_max_declined`], per worker and per job,
-//!    and it is spent only on evidence: a probe that found stealable work
-//!    of another color and declined it (`Steal::ColorMismatch`) costs one,
-//!    a probe that found the victim empty costs nothing. A worker that
-//!    runs out gives up forcing for the rest of the job — Table III's
-//!    adversarial colorings, or a wavefront whose coloring keeps the
-//!    worker's color away from the source — and is counted in
-//!    `first_steal_escapes`.
+//! 2. when empty, steal as the worker's [`Thief`] orders — colored
+//!    attempts, then a random one, after a forced first colored steal
+//!    whose patience is spent only on declined work (see
+//!    [`StealPolicy::first_steal_max_declined`]). The thief is the one
+//!    statement of those rules, shared with the simulator; the pool adds
+//!    its clock: at most 64 forced probes a round, each after a fresh
+//!    termination check, the statistics (the forced probes are the `C`
+//!    term of Theorem 1, the wait is Figure 9's) and the trace.
 //!
 //! Every attempt of every kind is one routine (`steal_attempt`), and the
 //! deque operation under it — `steal_batch`/`steal_batch_if`, the claim
@@ -36,12 +29,11 @@
 use crate::arena::TaskArena;
 use crate::deque::{ColoredDeque, Steal};
 use crate::injector::Injector;
-use crate::policy::StealPolicy;
+use crate::policy::{Attempt, Outcome, StealPolicy, Step, Thief};
 use crate::rng::XorShift64;
 use crate::stats::{PoolStats, WorkerStats};
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::task::Task;
-use crate::topology::ColorDomains;
 use crate::trace::{RuntimeTrace, TraceConfig, TraceEventKind, Tracer};
 use crossbeam_utils::Backoff;
 use nabbitc_color::{Color, ColorSet};
@@ -184,8 +176,8 @@ impl PoolInner {
     /// (attempts, and of those the probes that declined work of another
     /// color), each saturating at the 32 bits the ring keeps.
     #[inline]
-    fn close_idle(&self, worker: usize, thief: &mut Thief) {
-        let Some(search) = thief.idle.take() else {
+    fn close_idle(&self, worker: usize, idle: &mut Option<StealSearch>) {
+        let Some(search) = idle.take() else {
             return;
         };
         if let Some(tracer) = &self.tracer {
@@ -500,13 +492,12 @@ impl Drop for Pool {
 
 /// Per-worker execution context handed to every task.
 ///
-/// Provides the worker's identity/color, spawning, and victim RNG — the
-/// surface NabbitC's `spawn_colors` machinery needs.
+/// Provides the worker's identity/color and spawning — the surface
+/// NabbitC's `spawn_colors` machinery needs.
 pub struct WorkerContext<'a> {
     inner: &'a PoolInner,
     worker: usize,
     color: Color,
-    rng: XorShift64,
     /// The worker's shell free list (owned by `worker_main`, so it
     /// persists across jobs on the same pool).
     arena: &'a mut TaskArena,
@@ -687,7 +678,10 @@ fn worker_main(inner: Arc<PoolInner>, worker: usize, seed: u64) {
         // ORDERING active.fetch_add: SeqCst — entering a job; the barrier in
         // run() counts active workers (control plane, SeqCst)
         inner.active.fetch_add(1, Ordering::SeqCst);
-        run_job_loop(&inner, worker, seed ^ seen_epoch, &mut arena);
+        // One thief per job: every job starts the forcing's budget afresh.
+        let rng = XorShift64::new(seed ^ seen_epoch);
+        let mut thief = Thief::new(&inner.policy, worker, inner.workers, rng);
+        run_job_loop(&inner, worker, &mut thief, &mut arena);
         // ORDERING active.fetch_sub: SeqCst — leaving a job; pairs with the
         // barrier's active==0 check (control plane, SeqCst)
         inner.active.fetch_sub(1, Ordering::SeqCst);
@@ -701,28 +695,15 @@ fn worker_main(inner: Arc<PoolInner>, worker: usize, seed: u64) {
 /// from hoarding roots while still amortizing the lock.
 const INJECTOR_DRAIN_BATCH: usize = 4;
 
-fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskArena) {
+fn run_job_loop(inner: &PoolInner, worker: usize, thief: &mut Thief, arena: &mut TaskArena) {
     let mut ctx = WorkerContext {
         inner,
         worker,
         color: Color::from(worker),
-        rng: XorShift64::new(seed),
         arena,
     };
-    let mut thief = Thief {
-        // Colored steals accept the worker's own color, or — with
-        // domain-granularity matching — any color in its NUMA domain.
-        accept: if inner.policy.match_domain {
-            inner
-                .topology
-                .domain_colors(inner.topology.domain_of(worker))
-        } else {
-            ColorSet::singleton(Color::from(worker))
-        },
-        first_steal_pending: inner.policy.force_first_colored,
-        first_declined: 0,
-        idle: None,
-    };
+    // The open idle episode's steal search; `None` while the worker works.
+    let mut idle: Option<StealSearch> = None;
     let stats = &inner.stats[worker];
     // ORDERING job_start_ns.load: SeqCst — reads the job start timestamp
     // published before the epoch bump (control plane)
@@ -757,7 +738,7 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
         if !inner.injector.is_empty() {
             let mut batch = inner.injector.try_pop_batch(INJECTOR_DRAIN_BATCH);
             if !batch.is_empty() {
-                inner.close_idle(worker, &mut thief);
+                inner.close_idle(worker, &mut idle);
                 record_first(&mut acquired_any);
                 backoff.reset();
                 let first = batch.remove(0);
@@ -787,12 +768,12 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
             break;
         }
 
-        if thief.idle.is_none() {
-            thief.idle = Some(StealSearch::default());
+        if idle.is_none() {
             inner.record(worker, TraceEventKind::IdleEnter, false, &none, 0);
         }
+        let search = idle.get_or_insert_with(StealSearch::default);
         let idle_started = Instant::now();
-        let got = steal_round(inner, &mut ctx, &mut thief);
+        let got = steal_round(inner, worker, thief, search);
         // ORDERING idle_ns.fetch_add: Relaxed — per-worker idle-time
         // statistic; read only after the job barrier
         stats
@@ -800,7 +781,7 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
             .fetch_add(idle_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         match got {
             Some(task) => {
-                inner.close_idle(worker, &mut thief);
+                inner.close_idle(worker, &mut idle);
                 record_first(&mut acquired_any);
                 backoff.reset();
                 execute(inner, &mut ctx, task);
@@ -815,7 +796,7 @@ fn run_job_loop(inner: &PoolInner, worker: usize, seed: u64, arena: &mut TaskAre
     }
     // Close the open idle span: the Chrome export stays balanced and the
     // last search's attempts are counted.
-    inner.close_idle(worker, &mut thief);
+    inner.close_idle(worker, &mut idle);
 
     if !acquired_any {
         // Never got work: the whole job was waiting (counts fully as
@@ -861,21 +842,6 @@ fn execute(inner: &PoolInner, ctx: &mut WorkerContext<'_>, mut task: Box<Task>) 
     }
 }
 
-/// What one worker's thief carries through one job.
-struct Thief {
-    /// The colors a colored steal accepts.
-    accept: ColorSet,
-    /// The job's forced first colored steal is still outstanding.
-    first_steal_pending: bool,
-    /// What the forcing has spent of [`StealPolicy::first_steal_max_declined`]
-    /// in *this* job — the `first_steal_declined` statistic accumulates
-    /// across the jobs of [`Pool::run`], so it cannot be the bound.
-    first_declined: u64,
-    /// The open idle episode's steal search, `None` while the worker has
-    /// work.
-    idle: Option<StealSearch>,
-}
-
 /// What the steal search of one idle episode did (the payload of the
 /// `IdleExit` that closes it).
 #[derive(Default)]
@@ -885,91 +851,73 @@ struct StealSearch {
     declined: u64,
 }
 
-/// One round of the §III steal policy. Returns quickly (bounded attempts)
-/// so the caller's termination check stays fresh.
+/// Forced probes one steal round makes at most, so that the caller's
+/// termination check stays fresh while a forcing lasts.
+const FORCED_PROBES_PER_ROUND: usize = 64;
+
+/// One round of the §III steal policy, in the order `thief` draws it.
+/// Returns quickly (bounded attempts) so the caller's termination check
+/// stays fresh.
 fn steal_round(
     inner: &PoolInner,
-    ctx: &mut WorkerContext<'_>,
+    worker: usize,
     thief: &mut Thief,
+    search: &mut StealSearch,
 ) -> Option<Box<Task>> {
-    // A 1-worker pool has nobody to steal from: `steal_attempt` would find
-    // no victim, so bail before touching the stats. This guard is
-    // load-bearing in release builds — see `XorShift64::victim`.
-    if inner.workers < 2 {
-        return None;
-    }
-
-    if thief.first_steal_pending {
-        // Forced first colored steal: only colored attempts until one
-        // succeeds or the policy's patience with declined work runs out.
-        let stats = &inner.stats[ctx.worker];
-        for _ in 0..64 {
+    let stats = &inner.stats[worker];
+    let mut forced = 0;
+    loop {
+        let forcing = thief.forcing();
+        if forcing {
             // ORDERING pending.load: Acquire; pairs execute::pending.fetch_sub
-            // — early-out of the forced-steal loop; same release-sequence
+            // — early-out of the forced probes; same release-sequence
             // argument as the run_job_loop termination check
-            if inner.pending.load(Ordering::Acquire) == 0 {
-                return None;
+            if forced == FORCED_PROBES_PER_ROUND || inner.pending.load(Ordering::Acquire) == 0 {
+                return None; // keep forcing on the next round
             }
+            forced += 1;
             // ORDERING first_steal_checks.fetch_add: Relaxed — Fig 9 counter;
             // read only after the job barrier
             stats.first_steal_checks.fetch_add(1, Ordering::Relaxed);
-            match steal_attempt(inner, ctx, thief, true) {
-                Steal::Success(task) => {
-                    thief.first_steal_pending = false;
-                    return Some(task);
-                }
-                Steal::ColorMismatch => {
-                    // The victim had work and the forcing turned it down:
-                    // the one outcome that costs patience.
-                    thief.first_declined += 1;
-                    // ORDERING first_steal_declined.fetch_add: Relaxed — Fig 9
-                    // companion counter; read only after the job barrier
-                    stats.first_steal_declined.fetch_add(1, Ordering::Relaxed);
-                }
-                // Nothing there to decline: no evidence, no charge.
-                Steal::Empty | Steal::Retry => {}
-            }
-            if thief.first_declined >= inner.policy.first_steal_max_declined {
-                // The coloring keeps this worker's color out of reach
-                // (Table III, a single-colored source): give up on the
-                // forcing so the worker can help.
-                thief.first_steal_pending = false;
+        }
+        // A 1-worker pool has nobody to steal from: no attempt, and the
+        // stats stay untouched.
+        let attempt = thief.attempt()?;
+        let got = steal_attempt(inner, worker, thief, attempt, search);
+        let outcome = Outcome::from(&got);
+        if forcing && outcome == Outcome::Declined {
+            // ORDERING first_steal_declined.fetch_add: Relaxed — Fig 9
+            // companion counter; read only after the job barrier
+            stats.first_steal_declined.fetch_add(1, Ordering::Relaxed);
+        }
+        match thief.report(outcome) {
+            Step::Stole => return got.success(),
+            Step::Again => {}
+            Step::Escaped => {
                 // ORDERING first_steal_escapes.fetch_add: Relaxed — at most one
                 // per job; read only after the job barrier
                 stats.first_steal_escapes.fetch_add(1, Ordering::Relaxed);
-                break;
             }
-        }
-        if thief.first_steal_pending {
-            return None; // keep forcing on the next round
+            Step::RoundOver => return None,
         }
     }
-
-    for _ in 0..inner.policy.colored_attempts {
-        if let Steal::Success(task) = steal_attempt(inner, ctx, thief, true) {
-            return Some(task);
-        }
-    }
-    steal_attempt(inner, ctx, thief, false).success()
 }
 
-/// One steal attempt at a random victim: `colored` (the victim's oldest
-/// entry must carry one of `thief.accept`) or unconditional. Counts it —
-/// in the statistics and in the open idle episode — lands whatever the
-/// batch moved beyond the returned task in the thief's own deque, and
-/// hands the deque's outcome back: the forced first steal needs to tell
-/// work it declined from a victim that had none. The caller has checked
-/// that the pool has a second worker.
+/// One steal attempt: colored (the victim's oldest entry must carry a
+/// color `thief` accepts) or unconditional. Counts it — in the statistics
+/// and in the idle episode's `search` — lands whatever the batch moved
+/// beyond the returned task in the worker's own deque, and hands the
+/// deque's outcome back.
 #[inline]
 fn steal_attempt(
     inner: &PoolInner,
-    ctx: &mut WorkerContext<'_>,
-    thief: &mut Thief,
-    colored: bool,
+    worker: usize,
+    thief: &Thief,
+    attempt: Attempt,
+    search: &mut StealSearch,
 ) -> Steal<Task> {
-    let me = ctx.worker;
-    let stats = &inner.stats[me];
-    let (attempts, steals) = if colored {
+    let stats = &inner.stats[worker];
+    let (attempts, steals) = if attempt.colored {
         (&stats.colored_steal_attempts, &stats.colored_steals)
     } else {
         (&stats.random_steal_attempts, &stats.random_steals)
@@ -977,17 +925,14 @@ fn steal_attempt(
     // ORDERING attempts.fetch_add: Relaxed — attempt counter of the
     // attempt's kind; read only after the job barrier
     attempts.fetch_add(1, Ordering::Relaxed);
-    let v = ctx.rng.victim(inner.workers, me).expect("workers >= 2");
-    let (victim, own) = (&inner.deques[v], &inner.deques[me]);
-    let (got, moved) = if colored {
-        victim.steal_batch_if(&thief.accept, own)
+    let (victim, own) = (&inner.deques[attempt.victim], &inner.deques[worker]);
+    let (got, moved) = if attempt.colored {
+        victim.steal_batch_if(thief.accept(), own)
     } else {
         victim.steal_batch(own)
     };
-    if let Some(search) = &mut thief.idle {
-        search.attempts += 1;
-        search.declined += matches!(got, Steal::ColorMismatch) as u64;
-    }
+    search.attempts += 1;
+    search.declined += matches!(got, Steal::ColorMismatch) as u64;
     if let Steal::Success(task) = &got {
         // ORDERING steals.fetch_add: Release — success counter of the
         // attempt's kind; Release pairs with the Acquire loads in
@@ -997,11 +942,11 @@ fn steal_attempt(
         steals.fetch_add(1, Ordering::Release);
         note_batch(stats, moved);
         inner.record(
-            me,
+            worker,
             TraceEventKind::StealSuccess,
-            colored,
+            attempt.colored,
             &task.colors,
-            v as u64,
+            attempt.victim as u64,
         );
     }
     got
@@ -1129,19 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn domain_matching_policy_completes() {
-        let topo = Topology::new(2, 4);
-        let pool = Pool::new(
-            PoolConfig::nabbitc(8)
-                .with_topology(topo)
-                .with_policy(StealPolicy::nabbitc_domain()),
-        );
-        assert_eq!(count_to(&pool, 100_000), 100_000);
-        let stats = pool.stats();
-        assert!(stats.total_tasks() > 0);
-    }
-
-    #[test]
     fn invalid_coloring_still_completes() {
         // Table III setup: every task tagged with the empty color set so
         // all colored steals fail; the escape hatch + random steals must
@@ -1160,6 +1092,37 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::SeqCst), 64);
+    }
+
+    #[test]
+    fn zero_patience_never_forces_a_probe() {
+        // A budget of zero declined probes: the forcing never starts. The
+        // root holds until another worker has made a steal attempt, which
+        // is then one of the normal cycle, not a forced probe.
+        let mut policy = StealPolicy::nabbitc();
+        policy.first_steal_max_declined = 0;
+        let pool = Arc::new(Pool::new(PoolConfig::nabbitc(2).with_policy(policy)));
+        let (p, opened) = (pool.clone(), Instant::now());
+        let job = pool.run_measured(ColorSet::all(2), move |ctx| {
+            let other = 1 - ctx.worker_id();
+            while p.stats().workers[other].steal_attempts() == 0
+                && opened.elapsed() < Duration::from_secs(5)
+            {
+                std::thread::yield_now();
+            }
+        });
+        assert!(job.stats.workers.iter().any(|w| w.steal_attempts() > 0));
+        for w in &job.stats.workers {
+            assert_eq!(
+                (
+                    w.first_steal_checks,
+                    w.first_steal_declined,
+                    w.first_steal_escapes
+                ),
+                (0, 0, 0),
+                "{w:?}"
+            );
+        }
     }
 
     #[test]

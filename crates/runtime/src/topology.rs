@@ -6,14 +6,14 @@
 //! color belongs to no worker in the accessing worker's domain.
 //!
 //! The worker→domain mapping itself is [`nabbitc_cost::Topology`], the
-//! workspace's one machine description; [`ColorDomains`] adds the three
+//! workspace's one machine description; [`ColorDomains`] adds the two
 //! questions that take a [`Color`]. They live here rather than on the
 //! type because `nabbitc-cost` does not know about colors. On the
 //! container this library runs in, physical pinning is unavailable, but
 //! the remote-access *metric* and the scheduling policies depend only on
 //! the mapping, not on actual placement.
 
-use nabbitc_color::{Color, ColorSet};
+use nabbitc_color::Color;
 use nabbitc_cost::Topology;
 
 /// Color-typed queries on a [`Topology`] (color = initializing worker id).
@@ -21,11 +21,6 @@ pub trait ColorDomains {
     /// Domain that owns data colored `c`. Invalid colors and colors past
     /// the last core belong to no domain.
     fn domain_of_color(&self, c: Color) -> Option<usize>;
-
-    /// The set of colors owned by workers in `domain`. Used by the §V-B
-    /// metric: an access is *local* if its color is in the accessing
-    /// worker's domain color set. Panics if `domain` is out of range.
-    fn domain_colors(&self, domain: usize) -> ColorSet;
 
     /// Whether an access by `worker` to data colored `data_color` is remote
     /// (crosses NUMA domains). Accesses to invalid/unowned colors count as
@@ -37,14 +32,6 @@ impl ColorDomains for Topology {
     #[inline]
     fn domain_of_color(&self, c: Color) -> Option<usize> {
         (c.is_valid() && c.index() < self.cores()).then(|| self.domain_of(c.index()))
-    }
-
-    fn domain_colors(&self, domain: usize) -> ColorSet {
-        assert!(domain < self.domains());
-        let lo = domain * self.cores_per_domain();
-        (lo..lo + self.cores_per_domain())
-            .map(Color::from)
-            .collect()
     }
 
     #[inline]
@@ -60,11 +47,12 @@ mod tests {
     #[test]
     fn domain_colors_are_contiguous() {
         let t = Topology::new(2, 3);
-        let d0 = t.domain_colors(0);
-        assert!(d0.contains(Color(0)) && d0.contains(Color(2)));
-        assert!(!d0.contains(Color(3)));
-        let d1 = t.domain_colors(1);
-        assert!(d1.contains(Color(3)) && d1.contains(Color(5)));
+        let domains: Vec<_> = (0..6u16).map(|c| t.domain_of_color(Color(c))).collect();
+        assert_eq!(
+            domains,
+            [Some(0), Some(0), Some(0), Some(1), Some(1), Some(1)]
+        );
+        assert_eq!(t.domain_of_color(Color(6)), None);
     }
 
     #[test]
@@ -101,12 +89,8 @@ mod tests {
                     assert!(t.is_remote(w, Color::from(t.cores())));
                     assert!(t.is_remote(w, Color::from(t.cores() + 7)));
                 }
-                for k in 0..d {
-                    let owned: ColorSet = (0..t.cores())
-                        .filter(|&x| t.domain_of(x) == k)
-                        .map(Color::from)
-                        .collect();
-                    assert_eq!(t.domain_colors(k), owned, "{d}x{c} domain {k}");
+                for x in 0..t.cores() {
+                    assert_eq!(t.domain_of_color(Color::from(x)), Some(t.domain_of(x)));
                 }
             }
         }
