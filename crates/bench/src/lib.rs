@@ -106,14 +106,14 @@ impl Strategy {
 /// seed-averaging the work-stealing strategies. Returns the averaged
 /// result (makespan and counters averaged element-wise where meaningful).
 pub fn run_strategy(id: BenchId, scale: Scale, p: usize, strategy: Strategy) -> SimResult {
+    let graph = registry::build(id, scale, p).graph;
     let topo = Topology::paper_machine().truncated(p);
     let cost = CostModel::default();
-    let omp = |schedule| simulate_omp(&registry::loops(id, scale, p), schedule, p, &topo, &cost);
+    let omp = |schedule| simulate_omp(&graph, schedule, p, &topo, &cost);
     match strategy {
         Strategy::OmpStatic => omp(OmpSchedule::Static),
         Strategy::OmpGuided => omp(OmpSchedule::Guided),
         Strategy::Nabbit | Strategy::NabbitC => {
-            let built = registry::build(id, scale, p);
             let mut acc: Option<SimResult> = None;
             for &seed in SEEDS.iter() {
                 let mut cfg = if strategy == Strategy::Nabbit {
@@ -122,7 +122,7 @@ pub fn run_strategy(id: BenchId, scale: Scale, p: usize, strategy: Strategy) -> 
                     WsConfig::nabbitc(p)
                 };
                 cfg.seed = seed;
-                let r = simulate_ws(&built.graph, &cfg);
+                let r = simulate_ws(&graph, &cfg);
                 acc = Some(match acc {
                     None => r,
                     Some(mut a) => {

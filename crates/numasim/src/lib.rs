@@ -15,9 +15,10 @@
 //!   vanilla Nabbit; with
 //!   [`StealPolicy::nabbitc`](nabbitc_runtime::StealPolicy::nabbitc) it is
 //!   NabbitC.
-//! * [`ompsim`] — OpenMP-style loop simulation over a [`LoopNest`]:
-//!   `static` (even contiguous blocks, stable across loops — first-touch
-//!   locality) and `guided` (shrinking chunks off a shared counter).
+//! * [`ompsim`] — OpenMP-style loop simulation of the same graphs, one
+//!   barrier-separated loop per hop-count level: `static` (even
+//!   contiguous blocks, stable across loops — first-touch locality) and
+//!   `guided` (shrinking chunks off a shared counter).
 //!
 //! Time is integer "ticks". A node's execution cost is
 //! `node_overhead + work + Σ bytes·(local or remote byte cost)` under the
@@ -30,7 +31,7 @@ pub mod result;
 pub mod wsim;
 
 pub use nabbitc_cost::CostModel;
-pub use ompsim::{simulate_omp, LoopNest, OmpSchedule, Phase};
+pub use ompsim::{simulate_omp, OmpSchedule};
 pub use result::{CoreStats, SimRemote, SimResult};
 pub use wsim::{simulate_ws, WsConfig};
 

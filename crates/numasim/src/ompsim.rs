@@ -1,11 +1,18 @@
 //! OpenMP-style loop scheduling simulation (OPENMPSTATIC / OPENMPGUIDED).
 //!
-//! OpenMP benchmarks are parallel loops with implicit barriers, not task
-//! graphs, so the simulator takes a [`LoopNest`]: a sequence of phases,
-//! each a parallel loop over per-iteration work/access descriptors.
+//! An OpenMP benchmark is a sequence of parallel loops with implicit
+//! barriers. The simulator reads that program off the same task graph the
+//! work-stealing schedulers run: one loop per *hop-count level* (a node's
+//! longest path, in edges, from a source), whose iterations are the
+//! level's nodes in `NodeId` order. Every edge points into a later level,
+//! so the barriers order every dependence. Levels by earliest start time
+//! (`nabbitc_graph::analysis::level_profile`) would not do: they split one
+//! loop wherever its nodes' predecessors carry unequal work (page-uk-2002's
+//! 10 power iterations become 19 levels). Each node is priced from its work
+//! and accesses as [`wsim`](crate::wsim) prices it.
 //!
 //! * `Static` assigns even contiguous blocks (libgomp default). On a
-//!   persistent pinned team the mapping is identical in every phase, so if
+//!   persistent pinned team the mapping is identical in every loop, so if
 //!   the data was initialized by the same static loop every block access
 //!   is local — the paper's "OpenMP achieves the maximum locality possible"
 //!   for regular applications.
@@ -14,38 +21,15 @@
 
 use crate::result::{CoreStats, SimRemote, SimResult};
 use nabbitc_cost::{CostModel, Topology};
-use nabbitc_graph::NodeAccess;
+use nabbitc_graph::{NodeId, TaskGraph};
 use nabbitc_runtime::ColorDomains;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One loop iteration's cost descriptor.
-#[derive(Clone, Debug, Default)]
-pub struct IterDesc {
-    /// Compute work units.
-    pub work: u64,
-    /// Memory accesses (owner color + bytes).
-    pub accesses: Vec<NodeAccess>,
-}
-
-/// One parallel loop (ends with an implicit barrier).
-#[derive(Clone, Debug, Default)]
-pub struct Phase {
-    /// Per-iteration descriptors.
-    pub iters: Vec<IterDesc>,
-}
-
-/// A sequence of parallel loops — the OpenMP program shape.
-#[derive(Clone, Debug, Default)]
-pub struct LoopNest {
-    /// Phases executed in order, barrier between each.
-    pub phases: Vec<Phase>,
-}
-
 /// OpenMP loop schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OmpSchedule {
-    /// Even contiguous blocks, stable across phases.
+    /// Even contiguous blocks, stable across loops.
     Static,
     /// Shrinking chunks from a shared counter.
     Guided,
@@ -70,38 +54,53 @@ pub fn static_range(n: usize, threads: usize, t: usize) -> std::ops::Range<usize
     lo..(lo + len).min(n)
 }
 
-fn iter_ticks(
-    it: &IterDesc,
+/// The graph's nodes by hop-count level, each level in `NodeId` order.
+fn hop_levels(graph: &TaskGraph) -> Vec<Vec<NodeId>> {
+    let mut level = vec![0usize; graph.node_count()];
+    for &u in graph.topo_order() {
+        for &v in graph.successors(u) {
+            level[v as usize] = level[v as usize].max(level[u as usize] + 1);
+        }
+    }
+    let mut levels = vec![Vec::new(); level.iter().max().map_or(0, |&l| l + 1)];
+    for u in graph.nodes() {
+        levels[level[u as usize]].push(u);
+    }
+    levels
+}
+
+/// Ticks of node `u` on `core`. Every access is counted (the Fig 7
+/// share), and the node itself by its color, as `wsim` counts it (the
+/// §V-B node-level share).
+fn node_ticks(
+    graph: &TaskGraph,
+    u: NodeId,
     core: usize,
     topo: &Topology,
     cost: &CostModel,
     remote: &mut SimRemote,
 ) -> u64 {
-    let my_domain = topo.domain_of(core);
+    remote.node_total += 1;
+    if topo.is_remote(core, graph.color(u)) {
+        remote.node_remote += 1;
+    }
     let (mut local, mut remote_bytes) = (0u64, 0u64);
-    for (k, a) in it.accesses.iter().enumerate() {
+    for a in graph.accesses(u) {
         remote.total += 1;
-        if k == 0 {
-            // First access = the iteration's own block (node-level view).
-            remote.node_total += 1;
-            if topo.domain_of_color(a.owner) != Some(my_domain) {
-                remote.node_remote += 1;
-            }
-        }
-        match topo.domain_of_color(a.owner) {
-            Some(d) if d == my_domain => local += a.bytes,
-            _ => {
-                remote.remote += 1;
-                remote_bytes += a.bytes;
-            }
+        if topo.is_remote(core, a.owner) {
+            remote.remote += 1;
+            remote_bytes += a.bytes;
+        } else {
+            local += a.bytes;
         }
     }
-    cost.node_ticks(it.work, local, remote_bytes)
+    cost.node_ticks(graph.work(u), local, remote_bytes)
 }
 
-/// Simulates `nest` on `cores` cores of `topology` under `schedule`.
+/// Simulates `graph` as barrier-separated OpenMP loops on `cores` cores of
+/// `topology` under `schedule`.
 pub fn simulate_omp(
-    nest: &LoopNest,
+    graph: &TaskGraph,
     schedule: OmpSchedule,
     cores: usize,
     topology: &Topology,
@@ -111,14 +110,15 @@ pub fn simulate_omp(
     let mut stats = vec![CoreStats::default(); cores];
     let mut remote = SimRemote::default();
     let mut clock = vec![0u64; cores];
+    let mut ticks = |u, t| node_ticks(graph, u, t, topology, cost, &mut remote);
 
-    for phase in &nest.phases {
-        let n = phase.iters.len();
+    for level in hop_levels(graph) {
+        let n = level.len();
         match schedule {
             OmpSchedule::Static => {
                 for (t, stat) in stats.iter_mut().enumerate() {
-                    for i in static_range(n, cores, t) {
-                        let d = iter_ticks(&phase.iters[i], t, topology, cost, &mut remote);
+                    for &u in &level[static_range(n, cores, t)] {
+                        let d = ticks(u, t);
                         clock[t] += d;
                         stat.busy += d;
                         stat.executed += 1;
@@ -134,10 +134,7 @@ pub fn simulate_omp(
                     let Reverse((at, t)) = heap.pop().expect("cores exist");
                     let take = ((n - next) / cores).max(1);
                     let chunk_end = (next + take).min(n);
-                    let mut d = 0u64;
-                    for it in &phase.iters[next..chunk_end] {
-                        d += iter_ticks(it, t, topology, cost, &mut remote);
-                    }
+                    let d: u64 = level[next..chunk_end].iter().map(|&u| ticks(u, t)).sum();
                     stats[t].busy += d;
                     stats[t].executed += (chunk_end - next) as u64;
                     next = chunk_end;
@@ -146,11 +143,11 @@ pub fn simulate_omp(
                 }
             }
         }
-        // Implicit barrier: everyone advances to the phase max.
-        let phase_end = clock.iter().copied().max().unwrap_or(0) + cost.barrier;
+        // Implicit barrier: everyone advances to the loop's max.
+        let loop_end = clock.iter().copied().max().unwrap_or(0) + cost.barrier;
         for (t, stat) in stats.iter_mut().enumerate() {
-            stat.idle += phase_end - clock[t];
-            clock[t] = phase_end;
+            stat.idle += loop_end - clock[t];
+            clock[t] = loop_end;
         }
     }
 
@@ -165,49 +162,42 @@ pub fn simulate_omp(
 mod tests {
     use super::*;
     use nabbitc_color::Color;
+    use nabbitc_graph::{generate, GraphBuilder, NodeAccess};
 
-    /// A nest whose iteration `i` accesses data owned by the static owner
-    /// of `i` — first-touch initialization by the same static loop.
-    fn first_touch_nest(phases: usize, n: usize, cores: usize, bytes: u64) -> LoopNest {
+    /// `loops` levels of `n` nodes, node `i` of a level reading data owned
+    /// by the static owner of `i` — first-touch initialization by the same
+    /// static loop — and depending on node `i` of the level before.
+    fn first_touch_graph(loops: usize, n: usize, cores: usize, bytes: u64) -> TaskGraph {
         let owner = |i: usize| {
             (0..cores)
                 .find(|&t| static_range(n, cores, t).contains(&i))
                 .expect("iteration belongs to one thread")
         };
-        LoopNest {
-            phases: (0..phases)
-                .map(|_| Phase {
-                    iters: (0..n)
-                        .map(|i| IterDesc {
-                            work: 100,
-                            accesses: vec![NodeAccess {
-                                owner: Color::from(owner(i)),
-                                bytes,
-                            }],
-                        })
-                        .collect(),
-                })
-                .collect(),
+        let mut gb = GraphBuilder::with_capacity(loops * n, loops * n);
+        for l in 0..loops {
+            for i in 0..n {
+                let color = Color::from(owner(i));
+                gb.add_simple_node(100, color, bytes);
+                if l > 0 {
+                    gb.add_edge(((l - 1) * n + i) as NodeId, (l * n + i) as NodeId);
+                }
+            }
         }
+        gb.build().expect("levels are acyclic")
     }
 
     #[test]
     fn static_first_touch_is_all_local() {
         let cores = 40;
         let topo = Topology::paper_machine().truncated(cores);
-        let nest = first_touch_nest(5, 4000, cores, 4096);
-        let r = simulate_omp(
-            &nest,
-            OmpSchedule::Static,
-            cores,
-            &topo,
-            &CostModel::default(),
-        );
+        let g = first_touch_graph(5, 4000, cores, 4096);
+        let r = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &CostModel::default());
         assert_eq!(
             r.remote.pct(),
             0.0,
             "static + first touch must be fully local"
         );
+        assert_eq!(r.remote.node_remote, 0);
         assert_eq!(r.total_executed(), 5 * 4000);
     }
 
@@ -215,14 +205,8 @@ mod tests {
     fn guided_incurs_remote_accesses() {
         let cores = 40;
         let topo = Topology::paper_machine().truncated(cores);
-        let nest = first_touch_nest(5, 4000, cores, 4096);
-        let r = simulate_omp(
-            &nest,
-            OmpSchedule::Guided,
-            cores,
-            &topo,
-            &CostModel::default(),
-        );
+        let g = first_touch_graph(5, 4000, cores, 4096);
+        let r = simulate_omp(&g, OmpSchedule::Guided, cores, &topo, &CostModel::default());
         assert!(
             r.remote.pct() > 10.0,
             "guided should lose locality: {}",
@@ -236,43 +220,39 @@ mod tests {
         // Uniform work + first-touch data: static is optimal.
         let cores = 40;
         let topo = Topology::paper_machine().truncated(cores);
-        let nest = first_touch_nest(3, 4000, cores, 4096);
+        let g = first_touch_graph(3, 4000, cores, 4096);
         let cost = CostModel::default();
-        let s = simulate_omp(&nest, OmpSchedule::Static, cores, &topo, &cost);
-        let g = simulate_omp(&nest, OmpSchedule::Guided, cores, &topo, &cost);
+        let s = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &cost);
+        let gd = simulate_omp(&g, OmpSchedule::Guided, cores, &topo, &cost);
         assert!(
-            s.makespan < g.makespan,
+            s.makespan < gd.makespan,
             "static {} vs guided {}",
             s.makespan,
-            g.makespan
+            gd.makespan
         );
     }
 
     #[test]
     fn guided_beats_static_on_skewed_work() {
-        // Heavily skewed iteration costs, data colored to one region so
-        // locality cannot save static: load balance decides.
+        // Heavily skewed iteration costs and no data, so locality cannot
+        // save static: load balance decides.
         let cores = 10;
         let topo = Topology::paper_machine().truncated(cores);
         let n = 1000;
-        let nest = LoopNest {
-            phases: vec![Phase {
-                iters: (0..n)
-                    .map(|i| IterDesc {
-                        // Last static block is 100x heavier.
-                        work: if i >= n - n / cores { 100_000 } else { 1_000 },
-                        accesses: vec![],
-                    })
-                    .collect(),
-            }],
-        };
+        let mut gb = GraphBuilder::new();
+        for i in 0..n {
+            // Last static block is 100x heavier.
+            let work = if i >= n - n / cores { 100_000 } else { 1_000 };
+            gb.add_node(work, Color(0), []);
+        }
+        let g = gb.build().expect("no edges");
         let cost = CostModel::default();
-        let s = simulate_omp(&nest, OmpSchedule::Static, cores, &topo, &cost);
-        let g = simulate_omp(&nest, OmpSchedule::Guided, cores, &topo, &cost);
+        let s = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &cost);
+        let gd = simulate_omp(&g, OmpSchedule::Guided, cores, &topo, &cost);
         assert!(
-            g.makespan < s.makespan,
+            gd.makespan < s.makespan,
             "guided {} should beat static {} under skew",
-            g.makespan,
+            gd.makespan,
             s.makespan
         );
     }
@@ -283,14 +263,14 @@ mod tests {
         let topo = Topology::uma(cores);
         let cost = CostModel::default();
         let one = simulate_omp(
-            &first_touch_nest(1, 40, cores, 0),
+            &first_touch_graph(1, 40, cores, 0),
             OmpSchedule::Static,
             cores,
             &topo,
             &cost,
         );
         let five = simulate_omp(
-            &first_touch_nest(5, 40, cores, 0),
+            &first_touch_graph(5, 40, cores, 0),
             OmpSchedule::Static,
             cores,
             &topo,
@@ -303,39 +283,92 @@ mod tests {
     fn deterministic() {
         let cores = 16;
         let topo = Topology::paper_machine().truncated(cores);
-        let nest = first_touch_nest(3, 500, cores, 1024);
+        let g = first_touch_graph(3, 500, cores, 1024);
         let cost = CostModel::default();
-        let a = simulate_omp(&nest, OmpSchedule::Guided, cores, &topo, &cost);
-        let b = simulate_omp(&nest, OmpSchedule::Guided, cores, &topo, &cost);
+        let a = simulate_omp(&g, OmpSchedule::Guided, cores, &topo, &cost);
+        let b = simulate_omp(&g, OmpSchedule::Guided, cores, &topo, &cost);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.remote, b.remote);
-    }
-
-    #[test]
-    fn empty_nest() {
-        let r = simulate_omp(
-            &LoopNest::default(),
-            OmpSchedule::Static,
-            4,
-            &Topology::uma(4),
-            &CostModel::default(),
-        );
-        assert_eq!(r.makespan, 0);
-        assert_eq!(r.total_executed(), 0);
     }
 
     #[test]
     fn more_cores_than_iterations() {
         let cores = 8;
         let topo = Topology::uma(cores);
-        let nest = first_touch_nest(1, 3, cores, 64);
-        let r = simulate_omp(
-            &nest,
-            OmpSchedule::Static,
-            cores,
-            &topo,
-            &CostModel::default(),
-        );
+        let g = first_touch_graph(1, 3, cores, 64);
+        let r = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &CostModel::default());
         assert_eq!(r.total_executed(), 3);
+    }
+
+    /// Two chains, `a0 → a1` and `b0 → b1`, with `a0` far heavier than
+    /// the rest. By earliest start time `b1` (ready at 1) and `a1` (ready
+    /// at 1000) sit in different levels, three in all; by hop count both
+    /// are one edge from a source. The program is two loops.
+    #[test]
+    fn each_hop_count_level_is_one_loop() {
+        let mut gb = GraphBuilder::new();
+        let works = [1_000, 1, 1, 1];
+        for w in works {
+            gb.add_node(w, Color(0), []);
+        }
+        gb.add_edge(0, 1);
+        gb.add_edge(2, 3);
+        let g = gb.build().expect("two chains");
+        assert_eq!(nabbitc_graph::analysis::level_profile(&g).level_count(), 3);
+        assert_eq!(hop_levels(&g), [vec![0, 2], vec![1, 3]]);
+
+        let cost = CostModel::default();
+        let ticks = |u: usize| cost.node_ticks(works[u], 0, 0);
+        let two_loops = ticks(0).max(ticks(2)) + ticks(1).max(ticks(3)) + 2 * cost.barrier;
+        let r = simulate_omp(&g, OmpSchedule::Static, 2, &Topology::uma(2), &cost);
+        assert_eq!(r.makespan, two_loops);
+    }
+
+    #[test]
+    fn node_without_accesses_counts_by_its_color() {
+        // A one-node second loop runs on thread 0 (domain 0); the node is
+        // colored into domain 1 and reads nothing.
+        let cores = 20;
+        let topo = Topology::paper_machine().truncated(cores);
+        let mut gb = GraphBuilder::new();
+        gb.add_simple_node(10, Color(0), 64);
+        gb.add_node(10, Color(15), []);
+        gb.add_edge(0, 1);
+        let g = gb.build().expect("a chain");
+        let r = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &CostModel::default());
+        assert_eq!((r.remote.node_total, r.remote.node_remote), (2, 1));
+        assert_eq!((r.remote.total, r.remote.remote), (1, 0));
+    }
+
+    #[test]
+    fn omp_static_scales() {
+        let t = |p: usize| {
+            let g = generate::iterated_stencil(3, 400, 100, p);
+            let topo = Topology::paper_machine().truncated(p);
+            simulate_omp(&g, OmpSchedule::Static, p, &topo, &CostModel::default()).makespan
+        };
+        let (t10, t40) = (t(10), t(40));
+        assert!(t40 < t10, "static should scale: {t40} !< {t10}");
+    }
+
+    #[test]
+    fn accesses_count_by_owner_and_the_node_by_its_color() {
+        // A node colored 0 that reads only thread 1's data, run by thread
+        // 1: its access is local, the node itself remote.
+        let topo = Topology::per_worker(2);
+        let mut gb = GraphBuilder::new();
+        gb.add_simple_node(10, Color(0), 64);
+        gb.add_node(
+            10,
+            Color(0),
+            [NodeAccess {
+                owner: Color(1),
+                bytes: 64,
+            }],
+        );
+        let g = gb.build().expect("two nodes");
+        let r = simulate_omp(&g, OmpSchedule::Static, 2, &topo, &CostModel::default());
+        assert_eq!((r.remote.total, r.remote.remote), (2, 0));
+        assert_eq!((r.remote.node_total, r.remote.node_remote), (2, 1));
     }
 }

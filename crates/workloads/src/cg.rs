@@ -15,8 +15,6 @@ use crate::util::{block_owner, block_range, SharedBuffer};
 use nabbitc_color::Color;
 use nabbitc_core::StaticExecutor;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
-use nabbitc_numasim::ompsim::{IterDesc, Phase};
-use nabbitc_numasim::LoopNest;
 use std::sync::Arc;
 
 /// CG shape (one iteration = 3 × blocks + 1 nodes).
@@ -107,32 +105,6 @@ pub fn graph_from_shape(s: &CgShape, p: usize) -> TaskGraph {
 /// Task graph at a scale divisor.
 pub fn graph(scale_div: usize, p: usize) -> TaskGraph {
     graph_from_shape(&shape(scale_div), p)
-}
-
-/// OpenMP loop nest: matvec loop, dot loop (+reduction barrier), axpy loop.
-pub fn loops(scale_div: usize, p: usize) -> LoopNest {
-    let s = shape(scale_div);
-    let own = |b: usize| Color::from(block_owner(b, s.blocks, p));
-    let mk = |work_of: &dyn Fn(usize) -> u64, bytes_of: &dyn Fn(usize) -> u64| Phase {
-        iters: (0..s.blocks)
-            .map(|b| IterDesc {
-                work: work_of(b),
-                accesses: vec![NodeAccess {
-                    owner: own(b),
-                    bytes: bytes_of(b),
-                }],
-            })
-            .collect(),
-    };
-    LoopNest {
-        phases: vec![
-            mk(&|_| s.nnz_per_block * 2, &|_| {
-                s.nnz_per_block * 12 + s.vec_bytes
-            }),
-            mk(&|_| s.vec_bytes / 4, &|_| s.vec_bytes * 2),
-            mk(&|_| s.vec_bytes / 2, &|_| s.vec_bytes * 3),
-        ],
-    }
 }
 
 /// A real, runnable CG instance on a banded SPD matrix

@@ -10,8 +10,6 @@ use crate::util::{block_owner, block_range, SharedBuffer};
 use nabbitc_color::Color;
 use nabbitc_core::StaticExecutor;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
-use nabbitc_numasim::ompsim::{IterDesc, Phase};
-use nabbitc_numasim::LoopNest;
 use std::sync::Arc;
 
 /// FDTD shape: `steps` timesteps × `blocks` blocks × 2 phases (E, H).
@@ -115,25 +113,6 @@ pub fn graph_from_shape(shape: &FdtdShape, p: usize) -> TaskGraph {
 /// Task graph for `p` workers at a scale divisor.
 pub fn graph(scale_div: usize, p: usize) -> TaskGraph {
     graph_from_shape(&shape(scale_div), p)
-}
-
-/// OpenMP loop nest: two phases (E, H) per timestep, barrier between.
-pub fn loops(scale_div: usize, p: usize) -> LoopNest {
-    let s = shape(scale_div);
-    LoopNest {
-        phases: (0..s.steps)
-            .flat_map(|_| {
-                [true, false].into_iter().map(move |e_phase| Phase {
-                    iters: (0..s.blocks)
-                        .map(|b| IterDesc {
-                            work: s.work,
-                            accesses: accesses(&s, b, p, e_phase).collect(),
-                        })
-                        .collect(),
-                })
-            })
-            .collect(),
-    }
 }
 
 /// A real, runnable 1-D FDTD instance.

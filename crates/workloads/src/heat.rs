@@ -10,7 +10,6 @@ use crate::stencil::{self, StencilShape};
 use crate::util::{block_range, SharedBuffer};
 use nabbitc_core::StaticExecutor;
 use nabbitc_graph::{NodeId, TaskGraph};
-use nabbitc_numasim::LoopNest;
 use std::sync::Arc;
 
 /// Simulator shape at a given scale factor (1 = paper size: 5 timesteps ×
@@ -33,11 +32,6 @@ pub fn shape(scale_div: usize) -> StencilShape {
 /// Task graph for `p` workers.
 pub fn graph(scale_div: usize, p: usize) -> TaskGraph {
     stencil::graph(&shape(scale_div), p)
-}
-
-/// OpenMP loop nest for `p` threads.
-pub fn loops(scale_div: usize, p: usize) -> LoopNest {
-    stencil::loops(&shape(scale_div), p)
 }
 
 /// A real, runnable heat-diffusion problem.

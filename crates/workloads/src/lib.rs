@@ -1,14 +1,12 @@
 //! The paper's benchmark suite (Table I), rebuilt for this reproduction.
 //!
-//! Ten memory-bound benchmarks, each available in two forms:
-//!
-//! * a **task graph** (for serial / Nabbit / NabbitC execution and the
-//!   work-stealing simulator), with per-node work, memory-access footprint,
-//!   and the paper's *majority coloring* (data distributed evenly, each
-//!   region colored by its initializing worker, each node colored by the
-//!   region holding most of its data);
-//! * a **loop nest** (for the OpenMP-static / OpenMP-guided simulator):
-//!   the same computation as barrier-separated parallel loops.
+//! Ten memory-bound benchmarks, each described once, as a **task graph**
+//! with per-node work, memory-access footprint, and the paper's *majority
+//! coloring* (data distributed evenly, each region colored by its
+//! initializing worker, each node colored by the region holding most of
+//! its data). Serial / Nabbit / NabbitC execution, the work-stealing
+//! simulator and the OpenMP-static / OpenMP-guided simulator (one
+//! barrier-separated loop per hop-count level of the graph) all read it.
 //!
 //! | id | benchmark | shape |
 //! |----|-----------|-------|

@@ -8,15 +8,13 @@
 //! makes MG interesting for dynamic schedulers.
 //!
 //! The plan (sequence of phases with per-level block counts) is shared by
-//! the graph builder, the OpenMP loop nest, and the runnable problem, so
-//! all three execute the same computation.
+//! the graph builder and the runnable problem, so both execute the same
+//! computation.
 
 use crate::util::{block_owner, block_range, SharedBuffer};
 use nabbitc_color::Color;
 use nabbitc_core::StaticExecutor;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
-use nabbitc_numasim::ompsim::{IterDesc, Phase as OmpPhase};
-use nabbitc_numasim::LoopNest;
 use std::sync::Arc;
 
 /// One multigrid phase kind.
@@ -166,31 +164,6 @@ pub fn graph_from_plan(plan: &MgPlan, p: usize) -> TaskGraph {
 /// Task graph at a scale divisor.
 pub fn graph(scale_div: usize, p: usize) -> TaskGraph {
     graph_from_plan(&shape(scale_div), p)
-}
-
-/// OpenMP loop nest: one phase per plan phase.
-pub fn loops(scale_div: usize, p: usize) -> LoopNest {
-    let plan = shape(scale_div);
-    LoopNest {
-        phases: plan
-            .phases
-            .iter()
-            .map(|&(ph, blocks)| {
-                let (work, bytes) = plan.block_cost(ph, blocks);
-                OmpPhase {
-                    iters: (0..blocks)
-                        .map(|b| IterDesc {
-                            work,
-                            accesses: vec![NodeAccess {
-                                owner: Color::from(block_owner(b, blocks, p)),
-                                bytes,
-                            }],
-                        })
-                        .collect(),
-                }
-            })
-            .collect(),
-    }
 }
 
 /// A real, runnable V-cycle for `-u'' = f` with homogeneous Dirichlet

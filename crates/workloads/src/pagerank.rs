@@ -14,18 +14,15 @@
 //! exactly "`(t, b)` waits for `(t-1, b')` for every block `b'` with edges
 //! into `b`".
 //!
-//! [`PageRank::task_graph`] builds the graph only; [`PageRank::loops`]
-//! builds the OpenMP loop nest of the same computation, on request. Each
-//! summarizes the block dependences in one pass over the in-edges and
-//! works out every block's task once for all iterations.
+//! [`PageRank::task_graph`] summarizes the block dependences in one pass
+//! over the in-edges and works out every block's task once for all
+//! iterations.
 
 use crate::util::{block_owner, block_range, SharedBuffer};
 use crate::webgraph::{self, WebGraph, WebGraphParams};
 use nabbitc_color::Color;
 use nabbitc_core::StaticExecutor;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
-use nabbitc_numasim::ompsim::{IterDesc, Phase};
-use nabbitc_numasim::LoopNest;
 use std::sync::Arc;
 
 const DAMPING: f64 = 0.85;
@@ -173,7 +170,7 @@ impl PageRank {
 
     /// Work and memory accesses of block `b`'s task in every iteration,
     /// colored for `p` workers.
-    fn block_task(&self, deps: &BlockDeps, b: usize, p: usize) -> IterDesc {
+    fn block_task(&self, deps: &BlockDeps, b: usize, p: usize) -> (u64, Vec<NodeAccess>) {
         let own = Color::from(block_owner(b, self.blocks, p));
         // The input block is "accessed regularly" (paper §V): its
         // rank/next arrays plus its in-adjacency lists all live in
@@ -190,11 +187,8 @@ impl PageRank {
                 });
             }
         }
-        IterDesc {
-            // Work ∝ edges scanned + vertices updated.
-            work: deps.in_edges[b] * 2 + deps.verts[b] as u64,
-            accesses,
-        }
+        // Work ∝ edges scanned + vertices updated.
+        (deps.in_edges[b] * 2 + deps.verts[b] as u64, accesses)
     }
 
     /// Task graph for `p` workers: `iters × blocks` nodes, colored by the
@@ -227,9 +221,9 @@ impl PageRank {
             for (b, work) in work.iter_mut().enumerate() {
                 let own = Color::from(block_owner(b, self.blocks, p));
                 if t == 0 {
-                    let task = self.block_task(&deps, b, p);
-                    *work = task.work;
-                    gb.add_node(task.work, own, task.accesses);
+                    let (w, accesses) = self.block_task(&deps, b, p);
+                    *work = w;
+                    gb.add_node(w, own, accesses);
                 } else {
                     gb.add_node_at(*work, own, id(0, b));
                 }
@@ -243,20 +237,6 @@ impl PageRank {
             }
         }
         gb.build().expect("pagerank graph is acyclic")
-    }
-
-    /// OpenMP loop nest: one phase per power iteration, one iteration per
-    /// block, first-touch block ownership.
-    pub fn loops(&self, p: usize) -> LoopNest {
-        let deps = self.deps();
-        let phase = Phase {
-            iters: (0..self.blocks)
-                .map(|b| self.block_task(&deps, b, p))
-                .collect(),
-        };
-        LoopNest {
-            phases: (0..self.iters).map(|_| phase.clone()).collect(),
-        }
     }
 
     /// Serial reference power iteration; returns the final ranks.

@@ -1,14 +1,12 @@
 //! Benchmark registry: Table I's ten benchmarks behind one interface, for
 //! the figure/table harnesses.
 //!
-//! [`build`] makes a benchmark's task graph and nothing else; [`loops`]
-//! makes the OpenMP loop nest of the same computation, for the callers
-//! that simulate OpenMP schedules. Each builds its input once (a PageRank
-//! web graph included), so a caller pays only for the form it reads.
+//! [`build`] makes a benchmark's task graph: the one description of its
+//! computation that every scheduler, the simulated OpenMP loops included,
+//! reads.
 
 use crate::{cg, fdtd, heat, life, mg, pagerank, sw};
 use nabbitc_graph::TaskGraph;
-use nabbitc_numasim::LoopNest;
 
 /// The ten benchmarks of Table I.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -69,9 +67,7 @@ impl BenchId {
     }
 }
 
-/// A built benchmark: its task graph for a given worker count. The
-/// OpenMP loop nest of the same computation is built on request by
-/// [`loops`].
+/// A built benchmark: its task graph for a given worker count.
 pub struct Built {
     /// Benchmark id.
     pub id: BenchId,
@@ -123,25 +119,6 @@ pub fn build(id: BenchId, scale: Scale, p: usize) -> Built {
         BenchId::Swn2 => sw::graph_from_shape(&sw::shape_swn2(d), p),
     };
     Built { id, graph }
-}
-
-/// Builds benchmark `id`'s OpenMP loop nest at `scale` for `p` workers:
-/// the computation [`build`]'s graph describes, as barrier-separated
-/// parallel loops, for the callers that simulate OpenMP schedules.
-pub fn loops(id: BenchId, scale: Scale, p: usize) -> LoopNest {
-    let d = scale.divisor();
-    match id {
-        BenchId::Cg => cg::loops(d, p),
-        BenchId::Mg => mg::loops(d, p),
-        BenchId::Heat => heat::loops(d, p),
-        BenchId::Fdtd => fdtd::loops(d, p),
-        BenchId::Life => life::loops(d, p),
-        BenchId::PageUk2002 | BenchId::PageTwitter2010 | BenchId::PageUk2007 => {
-            build_pagerank_for(id, scale, p).loops(p)
-        }
-        BenchId::Sw => sw::loops_from_shape(&sw::shape_sw(d), p),
-        BenchId::Swn2 => sw::loops_from_shape(&sw::shape_swn2(d), p),
-    }
 }
 
 /// Builds benchmark `id` with the hand coloring *erased*: every node is
@@ -197,9 +174,6 @@ mod tests {
                 "{} has dead work",
                 id.name()
             );
-            let loops = loops(id, Scale::Small, 8);
-            let total_loop_iters: usize = loops.phases.iter().map(|p| p.iters.len()).sum();
-            assert!(total_loop_iters > 0, "{} loop nest empty", id.name());
         }
     }
 

@@ -9,8 +9,6 @@
 use crate::util::block_owner;
 use nabbitc_color::Color;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
-use nabbitc_numasim::ompsim::{IterDesc, Phase};
-use nabbitc_numasim::{LoopNest, OmpSchedule};
 
 /// Parameters of a stencil-shaped benchmark.
 #[derive(Clone, Copy, Debug)]
@@ -78,37 +76,6 @@ pub fn graph(shape: &StencilShape, p: usize) -> TaskGraph {
     gb.build().expect("stencil graph is acyclic")
 }
 
-/// Builds the OpenMP loop nest for `p` threads: one phase per timestep,
-/// one iteration per block. Accesses use block ownership, which coincides
-/// with a first-touch static initialization loop over blocks.
-pub fn loops(shape: &StencilShape, p: usize) -> LoopNest {
-    LoopNest {
-        phases: (0..shape.iters)
-            .map(|_| Phase {
-                iters: (0..shape.blocks)
-                    .map(|b| IterDesc {
-                        work: shape.work,
-                        accesses: accesses(shape, b, p).collect(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
-/// Convenience: simulated OpenMP-static makespan for sanity tests.
-pub fn omp_static_ticks(shape: &StencilShape, p: usize) -> u64 {
-    let topo = nabbitc_runtime::Topology::paper_machine().truncated(p);
-    nabbitc_numasim::simulate_omp(
-        &loops(shape, p),
-        OmpSchedule::Static,
-        p,
-        &topo,
-        &nabbitc_numasim::CostModel::default(),
-    )
-    .makespan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,35 +118,10 @@ mod tests {
     }
 
     #[test]
-    fn loops_match_graph_work() {
-        let s = shape();
-        let nest = loops(&s, 8);
-        assert_eq!(nest.phases.len(), s.iters);
-        assert!(nest
-            .phases
-            .iter()
-            .all(|p| p.iters.len() == s.blocks && p.iters.iter().all(|i| i.work == s.work)));
-    }
-
-    #[test]
     fn boundary_blocks_have_one_halo() {
         let s = shape();
         assert_eq!(accesses(&s, 0, 8).count(), 2);
         assert_eq!(accesses(&s, s.blocks - 1, 8).count(), 2);
         assert_eq!(accesses(&s, 3, 8).count(), 3);
-    }
-
-    #[test]
-    fn omp_static_scales() {
-        let s = StencilShape {
-            iters: 3,
-            blocks: 400,
-            work: 100,
-            block_bytes: 8192,
-            halo_bytes: 64,
-        };
-        let t10 = omp_static_ticks(&s, 10);
-        let t40 = omp_static_ticks(&s, 40);
-        assert!(t40 < t10, "static should scale: {t40} !< {t10}");
     }
 }

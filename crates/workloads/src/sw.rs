@@ -12,8 +12,6 @@ use crate::util::{block_owner, block_range, SharedBuffer};
 use nabbitc_color::Color;
 use nabbitc_core::StaticExecutor;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
-use nabbitc_numasim::ompsim::{IterDesc, Phase};
-use nabbitc_numasim::LoopNest;
 use std::sync::Arc;
 
 /// Blocked Smith-Waterman shape.
@@ -125,26 +123,6 @@ pub fn graph_from_shape(shape: &SwShape, p: usize) -> TaskGraph {
         }
     }
     gb.build().expect("wavefront is acyclic")
-}
-
-/// OpenMP loop nest: one phase per anti-diagonal (the paper's wavefront
-/// OpenMP implementation, "which must synchronize at each diagonal step").
-pub fn loops_from_shape(shape: &SwShape, p: usize) -> LoopNest {
-    let (tr, tc) = (shape.tile_rows, shape.tile_cols);
-    let mut phases = Vec::with_capacity(tr + tc - 1);
-    for d in 0..tr + tc - 1 {
-        let mut iters = Vec::new();
-        for i in 0..tr {
-            if d >= i && d - i < tc {
-                iters.push(IterDesc {
-                    work: shape.work,
-                    accesses: tile_accesses(shape, i, d - i, tr, p).collect(),
-                });
-            }
-        }
-        phases.push(Phase { iters });
-    }
-    LoopNest { phases }
 }
 
 /// A real, runnable Smith-Waterman alignment.
@@ -321,6 +299,10 @@ mod tests {
 
     #[test]
     fn omp_loops_are_diagonals() {
+        // The simulated OpenMP program is one loop per anti-diagonal:
+        // with a core for every tile of the widest diagonal and uniform
+        // memory, each loop costs its slowest tile plus a barrier.
+        use nabbitc_numasim::{simulate_omp, CostModel, OmpSchedule};
         let s = SwShape {
             tile_rows: 10,
             tile_cols: 10,
@@ -328,13 +310,27 @@ mod tests {
             tile_bytes: 256,
             border_bytes: 64,
         };
-        let nest = loops_from_shape(&s, 4);
-        assert_eq!(nest.phases.len(), s.tile_rows + s.tile_cols - 1);
-        let total: usize = nest.phases.iter().map(|p| p.iters.len()).sum();
-        assert_eq!(total, s.nodes());
-        // Middle diagonal is the widest.
-        let widths: Vec<usize> = nest.phases.iter().map(|p| p.iters.len()).collect();
-        assert_eq!(*widths.iter().max().unwrap(), s.tile_rows.min(s.tile_cols));
+        let g = graph_from_shape(&s, 4);
+        let cost = CostModel::default();
+        let tile = |i: usize, j: usize| {
+            let u = (i * s.tile_cols + j) as NodeId;
+            cost.node_ticks_all_local(s.work, g.footprint(u))
+        };
+        let diagonals = s.tile_rows + s.tile_cols - 1;
+        let expect: u64 = (0..diagonals)
+            .map(|d| {
+                let rows = d.saturating_sub(s.tile_cols - 1)..=d.min(s.tile_rows - 1);
+                rows.map(|i| tile(i, d - i))
+                    .max()
+                    .expect("diagonal has tiles")
+                    + cost.barrier
+            })
+            .sum();
+        let cores = s.tile_rows.min(s.tile_cols);
+        let topo = nabbitc_runtime::Topology::uma(cores);
+        let r = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &cost);
+        assert_eq!(r.makespan, expect);
+        assert_eq!(r.total_executed(), s.nodes() as u64);
     }
 
     #[test]

@@ -74,10 +74,9 @@ fn main() {
     let serial_ticks = nabbitc::numasim::serial_ticks(&sim_pr.task_graph(1), &cost);
     for p in [10usize, 20, 40, 80] {
         let graph = sim_pr.task_graph(p);
-        let loops = sim_pr.loops(p);
         let topo = Topology::paper_machine().truncated(p);
-        let os = simulate_omp(&loops, OmpSchedule::Static, p, &topo, &cost);
-        let og = simulate_omp(&loops, OmpSchedule::Guided, p, &topo, &cost);
+        let os = simulate_omp(&graph, OmpSchedule::Static, p, &topo, &cost);
+        let og = simulate_omp(&graph, OmpSchedule::Guided, p, &topo, &cost);
         let nb = simulate_ws(&graph, &WsConfig::nabbit(p));
         let nc = simulate_ws(&graph, &WsConfig::nabbitc(p));
         println!(

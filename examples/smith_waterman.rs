@@ -46,9 +46,8 @@ fn main() {
     let serial_ticks = nabbitc::numasim::serial_ticks(&sw::graph_from_shape(&shape, 1), &cost);
     for p in [10usize, 20, 40, 80] {
         let graph = sw::graph_from_shape(&shape, p);
-        let loops = sw::loops_from_shape(&shape, p);
         let topo = Topology::paper_machine().truncated(p);
-        let omp = simulate_omp(&loops, OmpSchedule::Static, p, &topo, &cost);
+        let omp = simulate_omp(&graph, OmpSchedule::Static, p, &topo, &cost);
         let nb = simulate_ws(&graph, &WsConfig::nabbit(p));
         let nc = simulate_ws(&graph, &WsConfig::nabbitc(p));
         println!(

@@ -138,10 +138,9 @@ fn omp_static_dominates_on_regular_simulated() {
     // Fig. 6 regular panels: omp-static is the bar to clear.
     let p = 40;
     let built = registry::build(BenchId::Life, Scale::Small, p);
-    let loops = registry::loops(BenchId::Life, Scale::Small, p);
     let topo = Topology::paper_machine().truncated(p);
     let cost = CostModel::default();
-    let os = simulate_omp(&loops, OmpSchedule::Static, p, &topo, &cost);
+    let os = simulate_omp(&built.graph, OmpSchedule::Static, p, &topo, &cost);
     let nc = simulate_ws(&built.graph, &WsConfig::nabbitc(p));
     let nb = simulate_ws(&built.graph, &WsConfig::nabbit(p));
     assert!(
@@ -164,11 +163,10 @@ fn nabbitc_wins_on_irregular_simulated() {
     // to one block per core, where there is nothing for locality to win.
     let p = 80;
     let built = registry::build(BenchId::PageUk2007, Scale::Medium, p);
-    let loops = registry::loops(BenchId::PageUk2007, Scale::Medium, p);
     let topo = Topology::paper_machine().truncated(p);
     let cost = CostModel::default();
-    let os = simulate_omp(&loops, OmpSchedule::Static, p, &topo, &cost);
-    let og = simulate_omp(&loops, OmpSchedule::Guided, p, &topo, &cost);
+    let os = simulate_omp(&built.graph, OmpSchedule::Static, p, &topo, &cost);
+    let og = simulate_omp(&built.graph, OmpSchedule::Guided, p, &topo, &cost);
     let avg = |nabbit: bool| -> f64 {
         (0..3)
             .map(|seed| {

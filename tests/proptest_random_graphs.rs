@@ -180,32 +180,36 @@ proptest! {
 
     #[test]
     fn omp_simulations_cover_all_iterations(
-        phases in 1usize..6,
-        iters in 1usize..200,
+        layers in 1usize..8,
+        width in 1usize..40,
+        max_preds in 1usize..5,
         cores in 1usize..40,
-        bytes in 0u64..10_000,
+        seed in 0u64..1000,
     ) {
-        use nabbitc::numasim::ompsim::{IterDesc, Phase};
-        let nest = nabbitc::numasim::LoopNest {
-            phases: (0..phases)
-                .map(|_| Phase {
-                    iters: (0..iters)
-                        .map(|i| IterDesc {
-                            work: 10 + (i as u64 % 50),
-                            accesses: vec![NodeAccess {
-                                owner: Color::from(i % cores.max(1)),
-                                bytes,
-                            }],
-                        })
-                        .collect(),
-                })
-                .collect(),
-        };
+        // A random DAG plus one sink that reads nothing (cg's reduction
+        // node is one): each node is one loop iteration, run once, and
+        // counted once at node level whether or not it has accesses.
+        let g = generate::layered_random(layers, width, max_preds, (1, 50), cores, seed);
+        let mut b = GraphBuilder::with_capacity(g.node_count() + 1, g.edge_count() + 1);
+        for u in g.nodes() {
+            b.add_node(g.work(u), g.color(u), g.accesses(u).iter().copied());
+        }
+        let bare = b.add_node(7, Color::from(cores - 1), []);
+        for u in g.nodes() {
+            for &v in g.successors(u) {
+                b.add_edge(u, v);
+            }
+        }
+        b.add_edge(bare - 1, bare);
+        let g = b.build().expect("a DAG plus a sink");
+        let accesses: usize = g.nodes().map(|u| g.accesses(u).len()).sum();
         let topo = Topology::paper_machine().truncated(cores);
         let cost = CostModel::default();
         for sched in [OmpSchedule::Static, OmpSchedule::Guided] {
-            let r = simulate_omp(&nest, sched, cores, &topo, &cost);
-            prop_assert_eq!(r.total_executed(), (phases * iters) as u64);
+            let r = simulate_omp(&g, sched, cores, &topo, &cost);
+            prop_assert_eq!(r.total_executed(), g.node_count() as u64);
+            prop_assert_eq!(r.remote.node_total, g.node_count() as u64);
+            prop_assert_eq!(r.remote.total, accesses as u64);
         }
     }
 }
