@@ -325,19 +325,26 @@ mod tests {
     }
 
     #[test]
-    fn node_without_accesses_counts_by_its_color() {
-        // A one-node second loop runs on thread 0 (domain 0); the node is
-        // colored into domain 1 and reads nothing.
+    fn nodes_count_by_color_and_accesses_by_owner() {
+        // A chain whose second and third loops are one node each, run by
+        // thread 0 (domain 0). Both nodes are colored into domain 1: one
+        // reads nothing (as cg's reduction), one reads domain 0's data.
         let cores = 20;
         let topo = Topology::paper_machine().truncated(cores);
         let mut gb = GraphBuilder::new();
         gb.add_simple_node(10, Color(0), 64);
         gb.add_node(10, Color(15), []);
+        let local = NodeAccess {
+            owner: Color(0),
+            bytes: 64,
+        };
+        gb.add_node(10, Color(15), [local]);
         gb.add_edge(0, 1);
+        gb.add_edge(1, 2);
         let g = gb.build().expect("a chain");
         let r = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &CostModel::default());
-        assert_eq!((r.remote.node_total, r.remote.node_remote), (2, 1));
-        assert_eq!((r.remote.total, r.remote.remote), (1, 0));
+        assert_eq!((r.remote.node_total, r.remote.node_remote), (3, 2));
+        assert_eq!((r.remote.total, r.remote.remote), (2, 0));
     }
 
     #[test]
@@ -349,26 +356,5 @@ mod tests {
         };
         let (t10, t40) = (t(10), t(40));
         assert!(t40 < t10, "static should scale: {t40} !< {t10}");
-    }
-
-    #[test]
-    fn accesses_count_by_owner_and_the_node_by_its_color() {
-        // A node colored 0 that reads only thread 1's data, run by thread
-        // 1: its access is local, the node itself remote.
-        let topo = Topology::per_worker(2);
-        let mut gb = GraphBuilder::new();
-        gb.add_simple_node(10, Color(0), 64);
-        gb.add_node(
-            10,
-            Color(0),
-            [NodeAccess {
-                owner: Color(1),
-                bytes: 64,
-            }],
-        );
-        let g = gb.build().expect("two nodes");
-        let r = simulate_omp(&g, OmpSchedule::Static, 2, &topo, &CostModel::default());
-        assert_eq!((r.remote.total, r.remote.remote), (2, 0));
-        assert_eq!((r.remote.node_total, r.remote.node_remote), (2, 1));
     }
 }
