@@ -44,10 +44,10 @@ fn workspace_atomics_pass_the_committed_policy() {
 /// removing a site changes this number, and whoever does it must update
 /// the pin in the same change.
 ///
-/// 177 = runtime/ 133 + core/ 24 + parfor/ 3 + check/ 17; the split is
+/// 176 = runtime/ 133 + core/ 24 + parfor/ 2 + check/ 17; the split is
 /// asserted too, so a site moving between crates under an unchanged
 /// total is reviewed like any other.
-const GOLDEN_SITE_COUNT: usize = 177;
+const GOLDEN_SITE_COUNT: usize = 176;
 
 #[test]
 fn workspace_site_count_is_pinned() {
@@ -71,7 +71,7 @@ fn workspace_site_count_is_pinned() {
     );
     assert_eq!(
         ["runtime/", "core/", "parfor/", "check/"].map(by_crate),
-        [133, 24, 3, 17],
+        [133, 24, 2, 17],
         "per-crate split moved under an unchanged total"
     );
     // Both executors decrement through `core/join.rs`: the pre-built

@@ -16,9 +16,10 @@
 //!   [`StealPolicy::nabbitc`](nabbitc_runtime::StealPolicy::nabbitc) it is
 //!   NabbitC.
 //! * [`ompsim`] — OpenMP-style loop simulation of the same graphs, one
-//!   barrier-separated loop per hop-count level: `static` (even
-//!   contiguous blocks, stable across loops — first-touch locality) and
-//!   `guided` (shrinking chunks off a shared counter).
+//!   barrier-separated loop per hop-count level, under the threaded team's
+//!   own [`OmpSchedule`]: `static` (even contiguous blocks, stable across
+//!   loops — first-touch locality) and `guided` (shrinking chunks off a
+//!   shared counter).
 //!
 //! Time is integer "ticks". A node's execution cost is
 //! `node_overhead + work + Σ bytes·(local or remote byte cost)` under the
@@ -31,7 +32,8 @@ pub mod result;
 pub mod wsim;
 
 pub use nabbitc_cost::CostModel;
-pub use ompsim::{simulate_omp, OmpSchedule};
+pub use nabbitc_runtime::OmpSchedule;
+pub use ompsim::simulate_omp;
 pub use result::{CoreStats, SimRemote, SimResult};
 pub use wsim::{simulate_ws, WsConfig};
 

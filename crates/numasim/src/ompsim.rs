@@ -2,72 +2,30 @@
 //!
 //! An OpenMP benchmark is a sequence of parallel loops with implicit
 //! barriers. The simulator reads that program off the same task graph the
-//! work-stealing schedulers run: one loop per *hop-count level* (a node's
-//! longest path, in edges, from a source), whose iterations are the
-//! level's nodes in `NodeId` order. Every edge points into a later level,
-//! so the barriers order every dependence. Levels by earliest start time
-//! (`nabbitc_graph::analysis::level_profile`) would not do: they split one
-//! loop wherever its nodes' predecessors carry unequal work (page-uk-2002's
-//! 10 power iterations become 19 levels). Each node is priced from its work
-//! and accesses as [`wsim`](crate::wsim) prices it.
+//! work-stealing schedulers run: one loop per hop-count level
+//! ([`hop_levels`]), whose iterations are the level's nodes in `NodeId`
+//! order — the program the threaded team (`nabbitc_parfor::Team::run_graph`)
+//! runs on real threads. Each node is priced from its work and accesses as
+//! [`wsim`](crate::wsim) prices it.
+//!
+//! The schedules are [`OmpSchedule`]'s, the team's own:
 //!
 //! * `Static` assigns even contiguous blocks (libgomp default). On a
 //!   persistent pinned team the mapping is identical in every loop, so if
 //!   the data was initialized by the same static loop every block access
 //!   is local — the paper's "OpenMP achieves the maximum locality possible"
 //!   for regular applications.
-//! * `Guided` hands out `max(remaining / P, 1)`-sized chunks to whichever
-//!   thread is free first — dynamic load balance, no locality control.
+//! * `Guided` hands out [`OmpSchedule::guided_chunk`]-sized chunks to
+//!   whichever thread is free first — dynamic load balance, no locality
+//!   control.
 
 use crate::result::{CoreStats, SimRemote, SimResult};
 use nabbitc_cost::{CostModel, Topology};
+use nabbitc_graph::analysis::hop_levels;
 use nabbitc_graph::{NodeId, TaskGraph};
-use nabbitc_runtime::ColorDomains;
+use nabbitc_runtime::{ColorDomains, OmpSchedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// OpenMP loop schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OmpSchedule {
-    /// Even contiguous blocks, stable across loops.
-    Static,
-    /// Shrinking chunks from a shared counter.
-    Guided,
-}
-
-impl OmpSchedule {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            OmpSchedule::Static => "omp-static",
-            OmpSchedule::Guided => "omp-guided",
-        }
-    }
-}
-
-/// Static range of thread `t` (libgomp-style remainder distribution).
-pub fn static_range(n: usize, threads: usize, t: usize) -> std::ops::Range<usize> {
-    let base = n / threads;
-    let rem = n % threads;
-    let lo = t * base + t.min(rem);
-    let len = base + usize::from(t < rem);
-    lo..(lo + len).min(n)
-}
-
-/// The graph's nodes by hop-count level, each level in `NodeId` order.
-fn hop_levels(graph: &TaskGraph) -> Vec<Vec<NodeId>> {
-    let mut level = vec![0usize; graph.node_count()];
-    for &u in graph.topo_order() {
-        for &v in graph.successors(u) {
-            level[v as usize] = level[v as usize].max(level[u as usize] + 1);
-        }
-    }
-    let mut levels = vec![Vec::new(); level.iter().max().map_or(0, |&l| l + 1)];
-    for u in graph.nodes() {
-        levels[level[u as usize]].push(u);
-    }
-    levels
-}
 
 /// Ticks of node `u` on `core`. Every access is counted (the Fig 7
 /// share), and the node itself by its color, as `wsim` counts it (the
@@ -117,7 +75,7 @@ pub fn simulate_omp(
         match schedule {
             OmpSchedule::Static => {
                 for (t, stat) in stats.iter_mut().enumerate() {
-                    for &u in &level[static_range(n, cores, t)] {
+                    for &u in &level[OmpSchedule::static_range(n, cores, t)] {
                         let d = ticks(u, t);
                         clock[t] += d;
                         stat.busy += d;
@@ -132,8 +90,7 @@ pub fn simulate_omp(
                 let mut next = 0usize;
                 while next < n {
                     let Reverse((at, t)) = heap.pop().expect("cores exist");
-                    let take = ((n - next) / cores).max(1);
-                    let chunk_end = (next + take).min(n);
+                    let chunk_end = next + OmpSchedule::guided_chunk(n - next, cores);
                     let d: u64 = level[next..chunk_end].iter().map(|&u| ticks(u, t)).sum();
                     stats[t].busy += d;
                     stats[t].executed += (chunk_end - next) as u64;
@@ -170,7 +127,7 @@ mod tests {
     fn first_touch_graph(loops: usize, n: usize, cores: usize, bytes: u64) -> TaskGraph {
         let owner = |i: usize| {
             (0..cores)
-                .find(|&t| static_range(n, cores, t).contains(&i))
+                .find(|&t| OmpSchedule::static_range(n, cores, t).contains(&i))
                 .expect("iteration belongs to one thread")
         };
         let mut gb = GraphBuilder::with_capacity(loops * n, loops * n);

@@ -1,24 +1,14 @@
-//! Persistent thread team executing parallel-for loops.
+//! Persistent thread team running a task graph as barrier-separated loops.
 
-use crate::schedule::Schedule;
-use nabbitc_color::Color;
 use nabbitc_core::metrics::{RemoteAccessReport, RemoteCounters};
+use nabbitc_graph::analysis::hop_levels;
+use nabbitc_graph::{NodeId, TaskGraph};
 use nabbitc_runtime::sync::{AtomicUsize, Ordering};
-use nabbitc_runtime::Topology;
+use nabbitc_runtime::{OmpSchedule, Topology};
 // Condvar has no loom shim; the team's park/wake protocol stays on
 // parking_lot and is allowlisted by the lint facade-conformance pass.
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Result of one counted parallel loop.
-#[derive(Debug)]
-pub struct ForReport {
-    /// Wall-clock time of the loop (including the closing barrier).
-    pub elapsed: Duration,
-    /// Remote accesses under the §V-B metric.
-    pub remote: RemoteAccessReport,
-}
 
 type Job = dyn Fn(usize) + Sync;
 
@@ -104,99 +94,75 @@ impl Team {
         &self.topology
     }
 
+    /// Runs `graph` as the OpenMP program of it: one parallel loop per
+    /// hop-count level ([`hop_levels`]) under `schedule`, its iterations
+    /// the level's nodes in `NodeId` order, each loop closed by a barrier.
+    /// Thread `t` runs node `u` as `kernel(u, t)`, the call the task-graph
+    /// executors make with their worker id. Returns the run's §V-B count,
+    /// taken as `StaticExecutor` takes it: each node by its color, and each
+    /// of its predecessors by theirs, against the executing thread's domain.
+    pub fn run_graph<K>(
+        &self,
+        graph: &TaskGraph,
+        schedule: OmpSchedule,
+        kernel: &K,
+    ) -> RemoteAccessReport
+    where
+        K: Fn(NodeId, usize) + Sync + ?Sized,
+    {
+        let counters = RemoteCounters::new(self.topology.clone(), self.size);
+        for level in hop_levels(graph) {
+            self.parallel_for(level.len(), schedule, |i, t| {
+                let u = level[i];
+                counters.record_node(
+                    t,
+                    graph.color(u),
+                    graph.predecessors(u).iter().map(|&p| graph.color(p)),
+                );
+                kernel(u, t);
+            });
+        }
+        counters.report()
+    }
+
     /// Runs `body(iteration, thread)` for every iteration in `0..n` under
     /// `schedule`, blocking until the implicit closing barrier.
-    pub fn parallel_for<F>(&self, n: usize, schedule: Schedule, body: F)
+    fn parallel_for<F>(&self, n: usize, schedule: OmpSchedule, body: F)
     where
         F: Fn(usize, usize) + Sync,
     {
         let threads = self.size;
         let counter = AtomicUsize::new(0);
         let runner = move |t: usize| match schedule {
-            Schedule::Static => {
-                for i in Schedule::static_range(n, threads, t) {
+            OmpSchedule::Static => {
+                for i in OmpSchedule::static_range(n, threads, t) {
                     body(i, t);
                 }
             }
-            Schedule::StaticChunk(chunk) => {
-                let chunk = chunk.max(1);
-                let mut lo = t * chunk;
-                while lo < n {
-                    for i in lo..(lo + chunk).min(n) {
-                        body(i, t);
-                    }
-                    lo += threads * chunk;
+            OmpSchedule::Guided => loop {
+                // ORDERING counter.load: Relaxed — guided self-scheduling
+                // reads the cursor only to size its next chunk; the
+                // fetch_add below is the actual claim, so a stale read can
+                // only mis-size
+                let cur = counter.load(Ordering::Relaxed);
+                if cur >= n {
+                    break;
                 }
-            }
-            Schedule::Guided { min_chunk } => {
-                let min_chunk = min_chunk.max(1);
-                loop {
-                    // Grab max(remaining/threads, min_chunk) at once.
-                    let take = {
-                        // ORDERING counter.load: Relaxed — guided
-                        // self-scheduling reads the cursor only to size its
-                        // next chunk; the fetch_add below is the actual claim,
-                        // so a stale read can only mis-size
-                        let cur = counter.load(Ordering::Relaxed);
-                        if cur >= n {
-                            break;
-                        }
-                        ((n - cur) / threads).max(min_chunk)
-                    };
-                    // ORDERING counter.fetch_add: Relaxed — chunk-claim cursor
-                    // (two sites: guided + dynamic schedules); the claim needs
-                    // atomicity only — iteration data is published by the
-                    // team's mutex/condvar job handoff, not through this
-                    // counter
-                    let lo = counter.fetch_add(take, Ordering::Relaxed);
-                    if lo >= n {
-                        break;
-                    }
-                    for i in lo..(lo + take).min(n) {
-                        body(i, t);
-                    }
+                let take = OmpSchedule::guided_chunk(n - cur, threads);
+                // ORDERING counter.fetch_add: Relaxed — chunk-claim cursor;
+                // the claim needs atomicity only — iteration data is
+                // published by the team's mutex/condvar job handoff, not
+                // through this counter
+                let lo = counter.fetch_add(take, Ordering::Relaxed);
+                if lo >= n {
+                    break;
                 }
-            }
-            Schedule::Dynamic { chunk } => {
-                let chunk = chunk.max(1);
-                loop {
-                    let lo = counter.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= n {
-                        break;
-                    }
-                    for i in lo..(lo + chunk).min(n) {
-                        body(i, t);
-                    }
+                for i in lo..(lo + take).min(n) {
+                    body(i, t);
                 }
-            }
+            },
         };
         self.run_team(&runner);
-    }
-
-    /// Like [`parallel_for`](Self::parallel_for) but also counts remote
-    /// accesses: iteration `i` is an access to data colored
-    /// `iter_color(i)` by the executing thread.
-    pub fn parallel_for_counted<F, C>(
-        &self,
-        n: usize,
-        schedule: Schedule,
-        iter_color: C,
-        body: F,
-    ) -> ForReport
-    where
-        F: Fn(usize, usize) + Sync,
-        C: Fn(usize) -> Color + Sync,
-    {
-        let counters = RemoteCounters::new(self.topology.clone(), self.size);
-        let started = Instant::now();
-        self.parallel_for(n, schedule, |i, t| {
-            counters.record_node(t, iter_color(i), std::iter::empty());
-            body(i, t);
-        });
-        ForReport {
-            elapsed: started.elapsed(),
-            remote: counters.report(),
-        }
     }
 
     fn run_team(&self, job: &(dyn Fn(usize) + Sync)) {
@@ -262,9 +228,11 @@ fn team_member(shared: Arc<Shared>, t: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use nabbitc_color::Color;
+    use nabbitc_graph::{generate, GraphBuilder};
+    use std::sync::atomic::{AtomicBool, AtomicU32};
 
-    fn coverage(team: &Team, n: usize, schedule: Schedule) -> Vec<u32> {
+    fn coverage(team: &Team, n: usize, schedule: OmpSchedule) -> Vec<u32> {
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         team.parallel_for(n, schedule, |i, _t| {
             hits[i].fetch_add(1, Ordering::SeqCst);
@@ -272,11 +240,28 @@ mod tests {
         hits.into_iter().map(|h| h.into_inner()).collect()
     }
 
+    /// Two loops of `n` nodes, node `i` of each colored `color(i)`, node
+    /// `i` of the second reading node `i` of the first.
+    fn two_loops(n: usize, color: impl Fn(usize) -> Color) -> TaskGraph {
+        let mut gb = GraphBuilder::with_capacity(2 * n, n);
+        for _ in 0..2 {
+            for i in 0..n {
+                gb.add_node(1, color(i), []);
+            }
+        }
+        for i in 0..n {
+            gb.add_edge(i as NodeId, (n + i) as NodeId);
+        }
+        gb.build().expect("two levels")
+    }
+
     #[test]
     fn static_covers_every_iteration_once() {
         let team = Team::uma(4);
         for n in [0usize, 1, 3, 4, 17, 1000] {
-            assert!(coverage(&team, n, Schedule::Static).iter().all(|&c| c == 1));
+            assert!(coverage(&team, n, OmpSchedule::Static)
+                .iter()
+                .all(|&c| c == 1));
         }
     }
 
@@ -291,7 +276,7 @@ mod tests {
         let team = Team::uma(4);
         for n in [0usize, 1, 5, 100, 10_000] {
             assert!(
-                coverage(&team, n, Schedule::guided())
+                coverage(&team, n, OmpSchedule::Guided)
                     .iter()
                     .all(|&c| c == 1),
                 "n={n}"
@@ -300,32 +285,11 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_covers_every_iteration_once() {
-        let team = Team::uma(3);
-        for chunk in [1usize, 7, 100] {
-            assert!(coverage(&team, 1000, Schedule::Dynamic { chunk })
-                .iter()
-                .all(|&c| c == 1));
-        }
-    }
-
-    #[test]
-    fn static_chunk_covers_every_iteration_once() {
-        let team = Team::uma(3);
-        for chunk in [1usize, 4, 9] {
-            assert!(coverage(&team, 100, Schedule::StaticChunk(chunk))
-                .iter()
-                .all(|&c| c == 1));
-        }
-    }
-
-    #[test]
     fn more_threads_than_iterations() {
         let team = Team::uma(8);
-        assert!(coverage(&team, 3, Schedule::Static).iter().all(|&c| c == 1));
-        assert!(coverage(&team, 3, Schedule::guided())
-            .iter()
-            .all(|&c| c == 1));
+        for schedule in [OmpSchedule::Static, OmpSchedule::Guided] {
+            assert!(coverage(&team, 3, schedule).iter().all(|&c| c == 1));
+        }
     }
 
     #[test]
@@ -334,10 +298,10 @@ mod tests {
         let n = 100;
         let owner1: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
         let owner2: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        team.parallel_for(n, Schedule::Static, |i, t| {
+        team.parallel_for(n, OmpSchedule::Static, |i, t| {
             owner1[i].store(t, Ordering::SeqCst);
         });
-        team.parallel_for(n, Schedule::Static, |i, t| {
+        team.parallel_for(n, OmpSchedule::Static, |i, t| {
             owner2[i].store(t, Ordering::SeqCst);
         });
         for i in 0..n {
@@ -350,44 +314,56 @@ mod tests {
     }
 
     #[test]
+    fn run_graph_orders_every_dependence() {
+        let team = Team::uma(4);
+        let g = generate::wavefront(12, 9, 1, 4);
+        for schedule in [OmpSchedule::Static, OmpSchedule::Guided] {
+            let done: Vec<AtomicBool> = g.nodes().map(|_| AtomicBool::new(false)).collect();
+            let report = team.run_graph(&g, schedule, &|u: NodeId, _t| {
+                for &p in g.predecessors(u) {
+                    assert!(done[p as usize].load(Ordering::SeqCst), "{p} before {u}");
+                }
+                assert!(!done[u as usize].swap(true, Ordering::SeqCst), "{u} twice");
+            });
+            assert!(done.iter().all(|d| d.load(Ordering::SeqCst)));
+            assert_eq!(report.node_total, g.node_count() as u64);
+            assert_eq!(report.pred_total, g.edge_count() as u64);
+        }
+    }
+
+    #[test]
     fn static_with_matching_colors_has_zero_remote() {
-        // 2 domains x 2 threads; color iteration i by its static owner:
-        // first-touch locality => 0% remote, the OPENMPSTATIC property.
+        // 2 domains x 2 threads; color node i of each loop by its static
+        // owner: first-touch locality => 0% remote, the OPENMPSTATIC
+        // property, for the nodes and for the predecessors they read.
         let team = Team::new(4, Topology::new(2, 2));
         let n = 1000;
-        let report = team.parallel_for_counted(
-            n,
-            Schedule::Static,
-            |i| {
-                let t = (0..4)
-                    .find(|&t| Schedule::static_range(n, 4, t).contains(&i))
-                    .expect("iteration in exactly one static range");
-                Color::from(t)
-            },
-            |_i, _t| {},
-        );
-        assert_eq!(report.remote.pct_remote(), 0.0);
-        assert_eq!(report.remote.node_total, n as u64);
+        let g = two_loops(n, |i| {
+            let t = (0..4)
+                .find(|&t| OmpSchedule::static_range(n, 4, t).contains(&i))
+                .expect("iteration in exactly one static range");
+            Color::from(t)
+        });
+        let report = team.run_graph(&g, OmpSchedule::Static, &|_u, _t| {});
+        assert_eq!(report.pct_remote(), 0.0);
+        assert_eq!(report.node_total, 2 * n as u64);
+        assert_eq!(report.pred_total, n as u64);
     }
 
     #[test]
     fn guided_with_block_colors_incurs_remote() {
         // Guided scheduling ignores locality; with data block-colored to
-        // domains, some iterations will (almost surely) run remotely.
+        // domains, some nodes will (almost surely) run remotely.
         let team = Team::new(4, Topology::new(2, 2));
-        let n = 100_000;
-        let report = team.parallel_for_counted(
-            n,
-            Schedule::guided(),
-            |i| Color::from(i * 4 / n),
-            |_i, _t| {
-                std::hint::black_box(0u64);
-            },
-        );
-        assert!(report.remote.node_total == n as u64);
-        // Cannot be deterministic, but with 100k iterations and adaptive
+        let n = 50_000;
+        let g = two_loops(n, |i| Color::from(i * 4 / n));
+        let report = team.run_graph(&g, OmpSchedule::Guided, &|_u, _t| {
+            std::hint::black_box(0u64);
+        });
+        assert_eq!(report.node_total, 2 * n as u64);
+        // Cannot be deterministic, but with 100k nodes and adaptive
         // chunks the chance of a perfectly local assignment is nil.
-        assert!(report.remote.pct_remote() > 0.0);
+        assert!(report.pct_remote() > 0.0);
     }
 
     #[test]
@@ -395,7 +371,7 @@ mod tests {
         let team = Team::uma(4);
         let total = AtomicUsize::new(0);
         for _ in 0..100 {
-            team.parallel_for(50, Schedule::Static, |_i, _t| {
+            team.parallel_for(50, OmpSchedule::Static, |_i, _t| {
                 total.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -405,7 +381,7 @@ mod tests {
     #[test]
     fn zero_iterations_is_fine() {
         let team = Team::uma(2);
-        team.parallel_for(0, Schedule::Static, |_i, _t| {
+        team.parallel_for(0, OmpSchedule::Static, |_i, _t| {
             panic!("no iterations should run")
         });
     }

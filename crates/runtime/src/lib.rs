@@ -20,7 +20,8 @@
 //! data structure to keep in sync. [`pool::Pool`] runs the worker loop with
 //! the paper's exact policy, parameterized by [`policy::StealPolicy`] and
 //! stated once, as [`policy::Thief`], which the `numasim` simulator drives
-//! too.
+//! too; the OpenMP baselines' loop schedules are stated once the same way,
+//! as [`schedule::OmpSchedule`].
 //!
 //! Tasks are heap-allocated closures (child stealing). A spawned batch that
 //! Cilk would express as "spawn the preferred half, leave the rest in the
@@ -34,6 +35,7 @@ pub mod injector;
 pub mod policy;
 pub mod pool;
 pub mod rng;
+pub mod schedule;
 pub mod stats;
 pub mod sync;
 pub mod task;
@@ -45,6 +47,7 @@ pub use injector::Injector;
 pub use nabbitc_cost::Topology;
 pub use policy::StealPolicy;
 pub use pool::{JobReport, Pool, PoolConfig, SpawnBatch, WorkerContext};
+pub use schedule::OmpSchedule;
 pub use stats::{PoolStats, WorkerStatsSnapshot};
 pub use task::Task;
 // The name `benchmark/` uses for `Topology`; goes when that package is next edited.

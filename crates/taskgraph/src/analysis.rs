@@ -263,6 +263,27 @@ pub fn level_profile(g: &TaskGraph) -> LevelProfile {
     }
 }
 
+/// The graph's nodes by *hop-count level* — a node's longest path, in
+/// edges, from a source — each level in `NodeId` order. Every edge points
+/// into a later level, so running the levels one after another, each as a
+/// barrier-closed parallel loop, honours every dependence: this is the
+/// OpenMP program of a task graph, which the threaded team and the
+/// simulator both run. [`level_profile`] would not do: it splits one loop
+/// wherever its nodes' predecessors carry unequal work.
+pub fn hop_levels(g: &TaskGraph) -> Vec<Vec<NodeId>> {
+    let mut level = vec![0usize; g.node_count()];
+    for &u in g.topo_order() {
+        for &v in g.successors(u) {
+            level[v as usize] = level[v as usize].max(level[u as usize] + 1);
+        }
+    }
+    let mut levels = vec![Vec::new(); level.iter().max().map_or(0, |&l| l + 1)];
+    for u in g.nodes() {
+        levels[level[u as usize]].push(u);
+    }
+    levels
+}
+
 /// Cheap structural summary of a graph, relative to a machine size. Built
 /// from one [`level_profile`] sweep (O(V + E)), so it is far cheaper than
 /// any coloring pass or estimator run over the same graph.

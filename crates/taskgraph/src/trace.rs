@@ -1,11 +1,12 @@
 //! Execution trace recording and validation.
 //!
-//! Every scheduler in this workspace (serial, threaded Nabbit/NabbitC,
-//! parfor baselines, and the NUMA simulator) can emit a per-node execution
-//! record. The validators here assert the one property all of them must
-//! preserve: *a node executes only after all its predecessors* (§II — "a
-//! node is computed only after all its (transitive) predecessors have been
-//! computed").
+//! The threaded task-graph executor (`StaticExecutor` with `record_trace`)
+//! emits a per-node execution record, a [`Trace`]; the serial walk
+//! (`serial::execute`) returns its execution order. The validators here
+//! assert the one property both must preserve: *a node executes only after
+//! all its predecessors* (§II — "a node is computed only after all its
+//! (transitive) predecessors have been computed") — [`Trace::validate`] on
+//! a trace, [`order_respects_dependences`] on an order.
 
 use crate::{NodeId, TaskGraph};
 

@@ -11,9 +11,10 @@
 //! The runnable [`CgProblem`] does real CG math on a banded SPD matrix and
 //! checks the parallel residual against a serial reference.
 
+use crate::runner::GraphRunner;
 use crate::util::{block_owner, block_range, SharedBuffer};
 use nabbitc_color::Color;
-use nabbitc_core::StaticExecutor;
+use nabbitc_core::metrics::RemoteAccessReport;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
 use std::sync::Arc;
 
@@ -173,10 +174,14 @@ impl CgProblem {
         (x, rr)
     }
 
-    /// Task-graph CG; returns (x, ‖r‖²). One `execute` per iteration (the
-    /// scalar reduction carries across layers inside each graph).
-    pub fn run_taskgraph(&self, exec: &StaticExecutor) -> (Vec<f64>, f64) {
-        let pworkers = exec.pool().workers();
+    /// Task-graph CG under `runner`; returns (x, ‖r‖²) and the §V-B count
+    /// summed over the iterations. One graph run per iteration (the scalar
+    /// reduction carries across layers inside each graph).
+    pub fn run_taskgraph(
+        &self,
+        runner: &impl GraphRunner,
+    ) -> ((Vec<f64>, f64), RemoteAccessReport) {
+        let pworkers = runner.workers();
         let n = self.n;
         let blocks = self.blocks;
 
@@ -200,9 +205,10 @@ impl CgProblem {
         let scalars = Arc::new(SharedBuffer::new(2, 0.0f64)); // alpha, old rr
 
         let mut rr: f64 = self.b_vec().iter().map(|v| v * v).sum();
+        let mut remote = RemoteAccessReport::default();
 
         for _ in 0..self.iters {
-            // SAFETY: serial section between graph executions — no tasks
+            // SAFETY: serial section between graph runs — no tasks
             // are running, so no access races this write.
             unsafe { scalars.write(1, rr) };
             let this = CgProblem { ..*self };
@@ -214,7 +220,7 @@ impl CgProblem {
                 partials.clone(),
                 scalars.clone(),
             );
-            exec.execute(
+            let run = runner.run(
                 &graph,
                 Arc::new(move |u: NodeId, _w: usize| {
                     let u = u as usize;
@@ -266,9 +272,13 @@ impl CgProblem {
                     }
                 }),
             );
+            remote.node_total += run.node_total;
+            remote.node_remote += run.node_remote;
+            remote.pred_total += run.pred_total;
+            remote.pred_remote += run.pred_remote;
             // Scalar epilogue + direction update between iterations
             // (serial, tiny).
-            // SAFETY (both blocks below): `execute` has returned, so no
+            // SAFETY (both blocks below): the graph run has returned, so no
             // tasks are running and this thread has exclusive access.
             let rr_new: f64 = (0..blocks)
                 .map(|b| unsafe { partials.read(blocks + b) })
@@ -286,13 +296,14 @@ impl CgProblem {
         let x = Arc::try_unwrap(x)
             .unwrap_or_else(|_| panic!("x still shared"))
             .into_vec();
-        (x, rr)
+        ((x, rr), remote)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nabbitc_core::StaticExecutor;
     use nabbitc_runtime::{Pool, PoolConfig};
 
     #[test]
@@ -314,7 +325,7 @@ mod tests {
         let (xs, rrs) = p.run_serial();
         let pool = Arc::new(Pool::new(PoolConfig::nabbitc(6)));
         let exec = StaticExecutor::new(pool);
-        let (xp, rrp) = p.run_taskgraph(&exec);
+        let ((xp, rrp), _) = p.run_taskgraph(&exec);
         let rel = (rrs - rrp).abs() / rrs.max(1e-30);
         assert!(rel < 1e-9, "residuals differ: {rrs} vs {rrp}");
         for i in 0..p.n {

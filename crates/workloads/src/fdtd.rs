@@ -6,9 +6,10 @@
 //! 20480 blocks; here each timestep contributes E and H rows so blocks
 //! count is half per phase).
 
+use crate::runner::GraphRunner;
 use crate::util::{block_owner, block_range, SharedBuffer};
 use nabbitc_color::Color;
-use nabbitc_core::StaticExecutor;
+use nabbitc_core::metrics::RemoteAccessReport;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
 use std::sync::Arc;
 
@@ -162,9 +163,13 @@ impl FdtdProblem {
         (e, h)
     }
 
-    /// Task-graph execution; returns final (e, h).
-    pub fn run_taskgraph(&self, exec: &StaticExecutor) -> (Vec<f64>, Vec<f64>) {
-        let p = exec.pool().workers();
+    /// Runs the task graph under `runner`; returns final (e, h) and the
+    /// run's §V-B count.
+    pub fn run_taskgraph(
+        &self,
+        runner: &impl GraphRunner,
+    ) -> ((Vec<f64>, Vec<f64>), RemoteAccessReport) {
+        let p = runner.workers();
         let s = FdtdShape {
             steps: self.steps,
             blocks: self.blocks,
@@ -181,7 +186,7 @@ impl FdtdProblem {
 
         let e2 = e.clone();
         let h2 = h.clone();
-        exec.execute(
+        let remote = runner.run(
             &graph,
             Arc::new(move |u: NodeId, _w: usize| {
                 let layer = u as usize / blocks;
@@ -217,13 +222,14 @@ impl FdtdProblem {
         let h = Arc::try_unwrap(h)
             .unwrap_or_else(|_| panic!("h shared"))
             .into_vec();
-        (e, h)
+        ((e, h), remote)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nabbitc_core::StaticExecutor;
     use nabbitc_runtime::{Pool, PoolConfig};
 
     #[test]
@@ -246,7 +252,7 @@ mod tests {
         let (es, hs) = p.run_serial();
         let pool = Arc::new(Pool::new(PoolConfig::nabbitc(6)));
         let exec = StaticExecutor::new(pool);
-        let (ep, hp) = p.run_taskgraph(&exec);
+        let ((ep, hp), _) = p.run_taskgraph(&exec);
         for i in 0..p.n {
             assert!(
                 (es[i] - ep[i]).abs() < 1e-12,

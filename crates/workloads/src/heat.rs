@@ -6,9 +6,10 @@
 //! a serial reference, and a task-graph execution whose result must match
 //! the reference bit-for-bit (Jacobi is deterministic).
 
+use crate::runner::GraphRunner;
 use crate::stencil::{self, StencilShape};
 use crate::util::{block_range, SharedBuffer};
-use nabbitc_core::StaticExecutor;
+use nabbitc_core::metrics::RemoteAccessReport;
 use nabbitc_graph::{NodeId, TaskGraph};
 use std::sync::Arc;
 
@@ -55,24 +56,6 @@ impl HeatProblem {
             steps: 6,
             blocks: 16,
         }
-    }
-
-    /// Initial grid (hot stripe in the middle): exposed so OpenMP-style
-    /// runners (see [`crate::omp`]) start from the same state.
-    pub fn init_grid(&self) -> Vec<f64> {
-        self.init()
-    }
-
-    /// One Jacobi row update through a raw reader — public for the OpenMP
-    /// baseline runners.
-    pub fn step_row_at(
-        &self,
-        read_at: impl Fn(usize) -> f64,
-        dst: &mut [f64],
-        r: usize,
-        row0: usize,
-    ) {
-        self.step_row(read_at, dst, r, row0)
     }
 
     fn init(&self) -> Vec<f64> {
@@ -133,12 +116,13 @@ impl HeatProblem {
         stencil::graph(&shape, p)
     }
 
-    /// Executes on the task-graph executor; returns the final grid and
-    /// asserts nothing (callers compare against [`run_serial`]).
+    /// Runs the task graph under `runner`; returns the final grid and the
+    /// run's §V-B count, and asserts nothing (callers compare against
+    /// [`run_serial`]).
     ///
     /// [`run_serial`]: Self::run_serial
-    pub fn run_taskgraph(&self, exec: &StaticExecutor) -> Vec<f64> {
-        let p = exec.pool().workers();
+    pub fn run_taskgraph(&self, runner: &impl GraphRunner) -> (Vec<f64>, RemoteAccessReport) {
+        let p = runner.workers();
         let graph = Arc::new(self.task_graph(p));
         let blocks = self.blocks;
         let steps = self.steps;
@@ -151,7 +135,7 @@ impl HeatProblem {
         let this = HeatProblem { ..*self };
         let a = buf_a.clone();
         let b = buf_b.clone();
-        exec.execute(
+        let remote = runner.run(
             &graph,
             Arc::new(move |u: NodeId, _w: usize| {
                 let t = u as usize / blocks;
@@ -179,13 +163,14 @@ impl HeatProblem {
         let final_buf = if steps % 2 == 1 { buf_b } else { buf_a };
         let final_buf = Arc::try_unwrap(final_buf)
             .unwrap_or_else(|_| panic!("buffer still shared after execution"));
-        final_buf.into_vec()
+        (final_buf.into_vec(), remote)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nabbitc_core::StaticExecutor;
     use nabbitc_runtime::{Pool, PoolConfig};
 
     #[test]
@@ -200,7 +185,7 @@ mod tests {
         let serial = p.run_serial();
         let pool = Arc::new(Pool::new(PoolConfig::nabbitc(4)));
         let exec = StaticExecutor::new(pool);
-        let par = p.run_taskgraph(&exec);
+        let (par, _) = p.run_taskgraph(&exec);
         assert_eq!(serial.len(), par.len());
         for (i, (s, q)) in serial.iter().zip(par.iter()).enumerate() {
             assert!(
@@ -216,7 +201,7 @@ mod tests {
         let serial = p.run_serial();
         let pool = Arc::new(Pool::new(PoolConfig::nabbit(6)));
         let exec = StaticExecutor::new(pool);
-        let par = p.run_taskgraph(&exec);
+        let (par, _) = p.run_taskgraph(&exec);
         for (s, q) in serial.iter().zip(par.iter()) {
             assert!((s - q).abs() < 1e-12);
         }

@@ -30,7 +30,10 @@
 //! [`registry`] exposes the whole suite to the figure/table harnesses;
 //! modules with a `Problem` type (heat, life, fdtd, sw, pagerank, cg, mg)
 //! also provide *real runnable kernels* with serial reference checks, used
-//! by the examples and integration tests.
+//! by the examples and integration tests. Each kernel is written once, as
+//! a node kernel of the problem's task graph, and runs under either
+//! [`GraphRunner`]: the task-graph executor (Nabbit / NabbitC) or the
+//! OpenMP-style team (static / guided loops over the graph's levels).
 
 pub mod cg;
 pub mod fdtd;
@@ -39,12 +42,13 @@ mod fnv;
 pub mod heat;
 pub mod life;
 pub mod mg;
-pub mod omp;
 pub mod pagerank;
 pub mod registry;
+pub mod runner;
 pub mod stencil;
 pub mod sw;
 pub mod util;
 pub mod webgraph;
 
 pub use registry::{BenchId, Built, Scale};
+pub use runner::GraphRunner;

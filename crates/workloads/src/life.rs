@@ -5,9 +5,10 @@
 //! runnable [`LifeProblem`] checks task-graph execution against a serial
 //! reference exactly (cell states are integers, so equality is exact).
 
+use crate::runner::GraphRunner;
 use crate::stencil::{self, StencilShape};
 use crate::util::{block_range, SharedBuffer};
-use nabbitc_core::StaticExecutor;
+use nabbitc_core::metrics::RemoteAccessReport;
 use nabbitc_graph::{NodeId, TaskGraph};
 use std::sync::Arc;
 
@@ -54,17 +55,6 @@ impl LifeProblem {
             blocks: 12,
             seed: 2024,
         }
-    }
-
-    /// Initial random board — public for the OpenMP baseline runners.
-    pub fn init_board(&self) -> Vec<u8> {
-        self.init()
-    }
-
-    /// One life-rule evaluation through a raw reader — public for the
-    /// OpenMP baseline runners.
-    pub fn next_cell_at(&self, read_at: impl Fn(usize) -> u8, r: usize, c: usize) -> u8 {
-        self.next_cell(read_at, r, c)
     }
 
     fn init(&self) -> Vec<u8> {
@@ -146,9 +136,10 @@ impl LifeProblem {
         gb.build().expect("life graph is acyclic")
     }
 
-    /// Task-graph execution; returns the final board.
-    pub fn run_taskgraph(&self, exec: &StaticExecutor) -> Vec<u8> {
-        let p = exec.pool().workers();
+    /// Runs the task graph under `runner`; returns the final board and the
+    /// run's §V-B count.
+    pub fn run_taskgraph(&self, runner: &impl GraphRunner) -> (Vec<u8>, RemoteAccessReport) {
+        let p = runner.workers();
         let graph = Arc::new(self.task_graph(p));
         let (rows, cols, blocks, steps) = (self.rows, self.cols, self.blocks, self.steps);
 
@@ -158,7 +149,7 @@ impl LifeProblem {
         let this = LifeProblem { ..*self };
         let a = buf_a.clone();
         let b = buf_b.clone();
-        exec.execute(
+        let remote = runner.run(
             &graph,
             Arc::new(move |u: NodeId, _w: usize| {
                 let t = u as usize / blocks;
@@ -185,15 +176,17 @@ impl LifeProblem {
         );
 
         let final_buf = if steps % 2 == 1 { buf_b } else { buf_a };
-        Arc::try_unwrap(final_buf)
+        let board = Arc::try_unwrap(final_buf)
             .unwrap_or_else(|_| panic!("buffer still shared"))
-            .into_vec()
+            .into_vec();
+        (board, remote)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nabbitc_core::StaticExecutor;
     use nabbitc_runtime::{Pool, PoolConfig};
 
     #[test]
@@ -207,7 +200,7 @@ mod tests {
         let serial = p.run_serial();
         let pool = Arc::new(Pool::new(PoolConfig::nabbitc(6)));
         let exec = StaticExecutor::new(pool);
-        let par = p.run_taskgraph(&exec);
+        let (par, _) = p.run_taskgraph(&exec);
         assert_eq!(serial, par);
     }
 

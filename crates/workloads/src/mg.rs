@@ -11,9 +11,10 @@
 //! the graph builder and the runnable problem, so both execute the same
 //! computation.
 
+use crate::runner::GraphRunner;
 use crate::util::{block_owner, block_range, SharedBuffer};
 use nabbitc_color::Color;
-use nabbitc_core::StaticExecutor;
+use nabbitc_core::metrics::RemoteAccessReport;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
 use std::sync::Arc;
 
@@ -299,9 +300,10 @@ impl MgProblem {
         Self::extract_u0(lv, self.plan.n0)
     }
 
-    /// Task-graph execution; returns `u` at level 0.
-    pub fn run_taskgraph(&self, exec: &StaticExecutor) -> Vec<f64> {
-        let p = exec.pool().workers();
+    /// Runs the task graph under `runner`; returns `u` at level 0 and the
+    /// run's §V-B count.
+    pub fn run_taskgraph(&self, runner: &impl GraphRunner) -> (Vec<f64>, RemoteAccessReport) {
+        let p = runner.workers();
         let graph = Arc::new(graph_from_plan(&self.plan, p));
         let lv = Arc::new(self.levels());
         let plan = Arc::new(self.plan.clone());
@@ -316,7 +318,7 @@ impl MgProblem {
         let decode = Arc::new(decode);
 
         let (lv2, plan2, dec2) = (lv.clone(), plan.clone(), decode.clone());
-        exec.execute(
+        let remote = runner.run(
             &graph,
             Arc::new(move |u: NodeId, _w: usize| {
                 let (k, b) = dec2[u as usize];
@@ -329,7 +331,7 @@ impl MgProblem {
         );
 
         let lv = Arc::try_unwrap(lv).unwrap_or_else(|_| panic!("levels still shared"));
-        Self::extract_u0(lv, self.plan.n0)
+        (Self::extract_u0(lv, self.plan.n0), remote)
     }
 
     /// Residual norm ‖f + u'' ‖₂ at level 0 (boundary-aware).
@@ -351,6 +353,7 @@ impl MgProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nabbitc_core::StaticExecutor;
     use nabbitc_runtime::{Pool, PoolConfig};
 
     #[test]
@@ -380,7 +383,7 @@ mod tests {
         let serial = p.run_serial();
         let pool = Arc::new(Pool::new(PoolConfig::nabbitc(6)));
         let exec = StaticExecutor::new(pool);
-        let par = p.run_taskgraph(&exec);
+        let (par, _) = p.run_taskgraph(&exec);
         for i in 0..p.plan.n0 {
             assert!(
                 (serial[i] - par[i]).abs() < 1e-12,

@@ -18,10 +18,11 @@
 //! over the in-edges and works out every block's task once for all
 //! iterations.
 
+use crate::runner::GraphRunner;
 use crate::util::{block_owner, block_range, SharedBuffer};
 use crate::webgraph::{self, WebGraph, WebGraphParams};
 use nabbitc_color::Color;
-use nabbitc_core::StaticExecutor;
+use nabbitc_core::metrics::RemoteAccessReport;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
 use std::sync::Arc;
 
@@ -258,9 +259,10 @@ impl PageRank {
         rank
     }
 
-    /// Task-graph execution; returns the final ranks.
-    pub fn run_taskgraph(&self, exec: &StaticExecutor) -> Vec<f64> {
-        let p = exec.pool().workers();
+    /// Runs the task graph under `runner`; returns the final ranks and the
+    /// run's §V-B count.
+    pub fn run_taskgraph(&self, runner: &impl GraphRunner) -> (Vec<f64>, RemoteAccessReport) {
+        let p = runner.workers();
         let graph = Arc::new(self.task_graph(p));
         let nv = self.web.nv;
         let blocks = self.blocks;
@@ -272,7 +274,7 @@ impl PageRank {
 
         let r2 = rank.clone();
         let n2 = next.clone();
-        exec.execute(
+        let remote = runner.run(
             &graph,
             Arc::new(move |u: NodeId, _w: usize| {
                 let t = u as usize / blocks;
@@ -300,9 +302,10 @@ impl PageRank {
         );
 
         let final_buf = if iters % 2 == 1 { next } else { rank };
-        Arc::try_unwrap(final_buf)
+        let ranks = Arc::try_unwrap(final_buf)
             .unwrap_or_else(|_| panic!("rank buffer still shared"))
-            .into_vec()
+            .into_vec();
+        (ranks, remote)
     }
 
     /// Per-block work imbalance factor (max/mean edge count) — the
@@ -322,6 +325,7 @@ impl PageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nabbitc_core::StaticExecutor;
     use nabbitc_runtime::{Pool, PoolConfig};
 
     #[test]
@@ -351,7 +355,7 @@ mod tests {
         let serial = pr.run_serial();
         let pool = Arc::new(Pool::new(PoolConfig::nabbitc(6)));
         let exec = StaticExecutor::new(pool);
-        let par = pr.run_taskgraph(&exec);
+        let (par, _) = pr.run_taskgraph(&exec);
         for (i, (s, q)) in serial.iter().zip(par.iter()).enumerate() {
             assert!(
                 (s - q).abs() < 1e-12,

@@ -8,9 +8,10 @@
 //! 160×160 = 25 600 nodes); `swn2` the n² variant (1024×1024 tiles,
 //! 128×128 = 16 384 nodes).
 
+use crate::runner::GraphRunner;
 use crate::util::{block_owner, block_range, SharedBuffer};
 use nabbitc_color::Color;
-use nabbitc_core::StaticExecutor;
+use nabbitc_core::metrics::RemoteAccessReport;
 use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
 use std::sync::Arc;
 
@@ -209,9 +210,10 @@ impl SwProblem {
         graph_from_shape(&shape, p)
     }
 
-    /// Task-graph execution; returns the DP matrix.
-    pub fn run_taskgraph(&self, exec: &StaticExecutor) -> Vec<i32> {
-        let p = exec.pool().workers();
+    /// Runs the task graph under `runner`; returns the DP matrix and the
+    /// run's §V-B count.
+    pub fn run_taskgraph(&self, runner: &impl GraphRunner) -> (Vec<i32>, RemoteAccessReport) {
+        let p = runner.workers();
         let graph = Arc::new(self.task_graph(p));
         let (a, b) = self.seqs();
         let (n, m, tn, tm) = (self.n, self.m, self.tiles_n, self.tiles_m);
@@ -222,7 +224,7 @@ impl SwProblem {
         let b = Arc::new(b);
 
         let h2 = h.clone();
-        exec.execute(
+        let remote = runner.run(
             &graph,
             Arc::new(move |u: NodeId, _w: usize| {
                 let ti = u as usize / tm;
@@ -251,15 +253,17 @@ impl SwProblem {
             }),
         );
 
-        Arc::try_unwrap(h)
+        let h = Arc::try_unwrap(h)
             .unwrap_or_else(|_| panic!("matrix still shared"))
-            .into_vec()
+            .into_vec();
+        (h, remote)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nabbitc_core::StaticExecutor;
     use nabbitc_runtime::{Pool, PoolConfig};
 
     #[test]
@@ -274,7 +278,7 @@ mod tests {
         let serial = p.run_serial();
         let pool = Arc::new(Pool::new(PoolConfig::nabbitc(6)));
         let exec = StaticExecutor::new(pool);
-        let par = p.run_taskgraph(&exec);
+        let (par, _) = p.run_taskgraph(&exec);
         assert_eq!(serial, par);
         assert!(SwProblem::best_score(&serial) > 0);
     }

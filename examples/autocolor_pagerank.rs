@@ -82,10 +82,7 @@ fn main() {
 
     // Hand coloring: the graph as the workload built it.
     let hand = Arc::new(pr.task_graph(workers));
-    let hand_ranks = pr.run_taskgraph(&exec);
-    // Re-execute through the same path to get the remote report for the
-    // hand graph (run_taskgraph hides it).
-    let hand_report = exec.execute(&hand, Arc::new(|_u, _w| {})).remote;
+    let (hand_ranks, hand_report) = pr.run_taskgraph(&exec);
     print_row(
         "hand (majority)",
         &hand,

@@ -32,7 +32,7 @@ fn main() {
         let pool = Arc::new(Pool::new(cfg));
         let exec = StaticExecutor::new(pool);
         let t = std::time::Instant::now();
-        let result = problem.run_taskgraph(&exec);
+        let (result, _) = problem.run_taskgraph(&exec);
         let dt = t.elapsed();
         let max_err = serial
             .iter()

@@ -1,18 +1,35 @@
-//! Real threaded three-way comparison on PageRank: task-graph NabbitC vs
-//! OpenMP-style static and guided loop teams, all verified against the
-//! serial reference and compared on the §V-B locality metric plus
-//! load-balance (trace utilization).
+//! Real threaded three-way comparison on PageRank: the same task graph and
+//! node kernel run under NabbitC and as OpenMP-style static and guided
+//! loops on a pinned team. Each run is verified against the serial
+//! reference and reports its own §V-B remote-access count.
 //!
 //! Run with: `cargo run --release --example openmp_comparison`
 
-use nabbitc::core::{ExecOptions, StaticExecutor};
-use nabbitc::parfor::{Schedule, Team};
+use nabbitc::core::RemoteAccessReport;
 use nabbitc::prelude::*;
-use nabbitc::workloads::omp::pagerank_parfor;
 use nabbitc::workloads::pagerank::PageRank;
 use nabbitc::workloads::webgraph::WebGraphParams;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Times `run`, checks its ranks against `serial` and prints its report.
+fn measure(name: &str, serial: &[f64], run: impl FnOnce() -> (Vec<f64>, RemoteAccessReport)) {
+    let t = Instant::now();
+    let (ranks, remote) = run();
+    let dt = t.elapsed();
+    let max_err = serial
+        .iter()
+        .zip(ranks.iter())
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f64, f64::max);
+    assert!(max_err < 1e-12, "{name} diverged from serial: {max_err}");
+    println!(
+        "{name:<10} : {dt:>10.2?}   remote {:>5.1}% of {} accesses (nodes {:>5.1}%)",
+        remote.pct_remote(),
+        remote.total(),
+        100.0 * remote.node_remote as f64 / remote.node_total.max(1) as f64,
+    );
+}
 
 fn main() {
     let pr = PageRank::new(
@@ -34,14 +51,6 @@ fn main() {
         pr.imbalance()
     );
     let serial = pr.run_serial();
-    let check = |name: &str, result: &[f64]| {
-        let max_err = serial
-            .iter()
-            .zip(result.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_err < 1e-12, "{name} diverged from serial: {max_err}");
-    };
 
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -49,46 +58,20 @@ fn main() {
         .min(8);
     let topo = Topology::new(2, workers.div_ceil(2));
 
-    // Task-graph NabbitC with trace recording for load-balance analysis.
     let pool = Arc::new(Pool::new(
         PoolConfig::nabbitc(workers).with_topology(topo.clone()),
     ));
-    let exec = StaticExecutor::new(pool).with_options(ExecOptions {
-        record_trace: true,
-        count_remote: true,
-        ..ExecOptions::default()
-    });
-    let t = Instant::now();
-    let ranks = pr.run_taskgraph(&exec);
-    let dt = t.elapsed();
-    check("nabbitc", &ranks);
-    // Re-run through execute() to grab a report (run_taskgraph consumed it).
-    let graph = Arc::new(pr.task_graph(workers));
-    let report = exec.execute(&graph, Arc::new(|_u, _w| {}));
-    let util = report.trace.utilization();
-    println!(
-        "nabbitc      : {dt:?}   remote {:>5.1}%   load imbalance {:.2}x",
-        report.remote.pct_remote(),
-        util.imbalance()
-    );
+    let exec = StaticExecutor::new(pool);
+    measure("nabbitc", &serial, || pr.run_taskgraph(&exec));
 
-    // OpenMP-style loops on a pinned team.
     let team = Team::new(workers, topo);
-    for (name, sched) in [
-        ("omp-static ", Schedule::Static),
-        ("omp-guided ", Schedule::guided()),
-    ] {
-        let t = Instant::now();
-        let run = pagerank_parfor(&pr, &team, sched);
-        let dt = t.elapsed();
-        check(name, &run.result);
-        println!(
-            "{name} : {dt:?}   remote {:>5.1}% (block executions)",
-            run.remote.pct_remote()
-        );
+    for schedule in [OmpSchedule::Static, OmpSchedule::Guided] {
+        measure(schedule.name(), &serial, || {
+            pr.run_taskgraph(&(&team, schedule))
+        });
     }
 
-    println!("\nAll three agree with the serial reference bit-for-bit.");
+    println!("\nAll three agree with the serial reference (within 1e-12).");
     println!("The paper's story: static = locality but poor balance on skewed blocks;");
     println!("guided = balance but no locality; NabbitC = both, via colored steals.");
 }

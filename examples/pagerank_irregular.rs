@@ -42,7 +42,7 @@ fn main() {
     let pool = Arc::new(Pool::new(PoolConfig::nabbitc(workers)));
     let exec = StaticExecutor::new(pool);
     let t = std::time::Instant::now();
-    let par = pr.run_taskgraph(&exec);
+    let (par, _) = pr.run_taskgraph(&exec);
     println!(
         "nabbitc ({workers} workers): {:?} for {} power iterations",
         t.elapsed(),

@@ -31,7 +31,7 @@ fn main() {
     let pool = Arc::new(Pool::new(PoolConfig::nabbitc(workers)));
     let exec = StaticExecutor::new(pool);
     let t = std::time::Instant::now();
-    let par = problem.run_taskgraph(&exec);
+    let (par, _) = problem.run_taskgraph(&exec);
     println!("nabbitc ({workers} workers): {:?}", t.elapsed());
     assert_eq!(serial, par, "DP matrices must match exactly");
 

@@ -15,11 +15,11 @@
 //! | [`cost`] | `nabbitc-cost` | the [`CostModel`](cost::CostModel) every layer prices schedules with — simulator, estimator, autocolor objectives — and [`Topology`](cost::Topology), the one machine description |
 //! | [`graph`] | `nabbitc-graph` | task graphs, generators, work/span + edge-cut analysis, trace validation |
 //! | [`autocolor`] | `nabbitc-autocolor` | automatic coloring: [`ColorAssigner`](autocolor::ColorAssigner) strategies from round-robin to recursive bisection, the [`AutoSelect`](autocolor::AutoSelect) meta-assigner that picks the best strategy per graph, plus online coloring for dynamic specs |
-//! | [`runtime`] | `nabbitc-runtime` | colored Chase–Lev deques, the worker pool, steal policies |
+//! | [`runtime`] | `nabbitc-runtime` | colored Chase–Lev deques, the worker pool, steal policies, the OpenMP loop schedules |
 //! | [`core`] | `nabbitc-core` | Nabbit/NabbitC executors (one `compute_and_notify` core, two node stores), morphing-continuation spawning, §V-B metrics |
-//! | [`parfor`] | `nabbitc-parfor` | OpenMP-like static/guided/dynamic baselines |
+//! | [`parfor`] | `nabbitc-parfor` | the OpenMP static/guided baselines on real threads: a pinned team running a task graph's hop-count levels as barrier-closed loops |
 //! | [`numasim`] | `nabbitc-numasim` | deterministic 8×10-core NUMA simulator (regenerates the paper's figures) |
-//! | [`workloads`] | `nabbitc-workloads` | the Table I benchmark suite, runnable + simulated, with uncolored variants for autocolor |
+//! | [`workloads`] | `nabbitc-workloads` | the Table I benchmark suite, runnable + simulated, with uncolored variants for autocolor; each runnable kernel runs under either [`GraphRunner`](workloads::GraphRunner) |
 //!
 //! ## Quickstart
 //!
@@ -253,11 +253,10 @@ pub mod prelude {
     };
     pub use nabbitc_cost::Topology;
     pub use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};
-    pub use nabbitc_numasim::{
-        simulate_omp, simulate_ws, CostModel, OmpSchedule, SimResult, WsConfig,
-    };
-    pub use nabbitc_parfor::{Schedule, Team};
+    pub use nabbitc_numasim::{simulate_omp, simulate_ws, CostModel, SimResult, WsConfig};
+    pub use nabbitc_parfor::Team;
     pub use nabbitc_runtime::{
-        ColorDomains, Pool, PoolConfig, RuntimeTrace, StealPolicy, TraceConfig,
+        ColorDomains, OmpSchedule, Pool, PoolConfig, RuntimeTrace, StealPolicy, TraceConfig,
     };
+    pub use nabbitc_workloads::GraphRunner;
 }

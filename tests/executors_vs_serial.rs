@@ -1,6 +1,7 @@
 //! End-to-end correctness: every Table I benchmark's task graph executes
 //! under both scheduler policies with all dependences respected, and the
-//! runnable kernels produce results identical to their serial references.
+//! runnable kernels produce their serial references under the NabbitC
+//! executor and under the OpenMP-style team with both schedules.
 
 use nabbitc::core::{ExecOptions, StaticExecutor};
 use nabbitc::graph::trace::order_respects_dependences;
@@ -13,11 +14,14 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+fn two_domains(workers: usize) -> Topology {
+    Topology::new(2, workers.div_ceil(2).max(1))
+}
+
 fn traced_executor(workers: usize, policy: StealPolicy) -> StaticExecutor {
-    let topo = Topology::new(2, workers.div_ceil(2).max(1));
     let pool = Arc::new(Pool::new(
         PoolConfig::nabbitc(workers)
-            .with_topology(topo)
+            .with_topology(two_domains(workers))
             .with_policy(policy),
     ));
     StaticExecutor::new(pool).with_options(ExecOptions {
@@ -86,6 +90,28 @@ fn serial_executor_order_is_valid_on_all_benchmarks() {
     }
 }
 
+/// Runs `$check` with `$runner` bound to each runner of a workload on
+/// `$workers` threads over two domains: the NabbitC executor, then the
+/// OpenMP-style team under each schedule.
+macro_rules! on_every_runner {
+    ($workers:expr, |$runner:ident| $check:expr) => {{
+        let $runner = &traced_executor($workers, StealPolicy::nabbitc());
+        $check;
+        let team = Team::new($workers, two_domains($workers));
+        for schedule in [OmpSchedule::Static, OmpSchedule::Guided] {
+            let $runner = &(&team, schedule);
+            $check;
+        }
+    }};
+}
+
+fn assert_close(serial: &[f64], par: &[f64]) {
+    assert_eq!(serial.len(), par.len());
+    for (i, (s, q)) in serial.iter().zip(par.iter()).enumerate() {
+        assert!((s - q).abs() < 1e-12, "[{i}]: serial {s} vs {q}");
+    }
+}
+
 #[test]
 fn heat_kernel_matches_serial_on_both_policies() {
     let p = HeatProblem {
@@ -95,13 +121,9 @@ fn heat_kernel_matches_serial_on_both_policies() {
         blocks: 20,
     };
     let serial = p.run_serial();
-    for policy in [StealPolicy::nabbitc(), StealPolicy::nabbit()] {
-        let exec = traced_executor(6, policy);
-        let par = p.run_taskgraph(&exec);
-        for (s, q) in serial.iter().zip(par.iter()) {
-            assert!((s - q).abs() < 1e-12);
-        }
-    }
+    let exec = traced_executor(6, StealPolicy::nabbit());
+    assert_close(&serial, &p.run_taskgraph(&exec).0);
+    on_every_runner!(6, |r| assert_close(&serial, &p.run_taskgraph(r).0));
 }
 
 #[test]
@@ -114,8 +136,7 @@ fn life_kernel_matches_serial() {
         seed: 7,
     };
     let serial = p.run_serial();
-    let exec = traced_executor(8, StealPolicy::nabbitc());
-    assert_eq!(serial, p.run_taskgraph(&exec));
+    on_every_runner!(8, |r| assert_eq!(serial, p.run_taskgraph(r).0));
 }
 
 #[test]
@@ -126,23 +147,18 @@ fn fdtd_kernel_matches_serial() {
         blocks: 32,
     };
     let (es, hs) = p.run_serial();
-    let exec = traced_executor(6, StealPolicy::nabbitc());
-    let (ep, hp) = p.run_taskgraph(&exec);
-    for i in 0..p.n {
-        assert!((es[i] - ep[i]).abs() < 1e-12);
-        assert!((hs[i] - hp[i]).abs() < 1e-12);
-    }
+    on_every_runner!(6, |r| {
+        let ((ep, hp), _) = p.run_taskgraph(r);
+        assert_close(&es, &ep);
+        assert_close(&hs, &hp);
+    });
 }
 
 #[test]
 fn pagerank_kernel_matches_serial() {
     let pr = PageRank::small();
     let serial = pr.run_serial();
-    let exec = traced_executor(8, StealPolicy::nabbitc());
-    let par = pr.run_taskgraph(&exec);
-    for (s, q) in serial.iter().zip(par.iter()) {
-        assert!((s - q).abs() < 1e-12);
-    }
+    on_every_runner!(8, |r| assert_close(&serial, &pr.run_taskgraph(r).0));
 }
 
 #[test]
@@ -154,8 +170,8 @@ fn sw_kernel_matches_serial() {
         tiles_m: 16,
         seed: 3,
     };
-    let exec = traced_executor(6, StealPolicy::nabbitc());
-    assert_eq!(p.run_serial(), p.run_taskgraph(&exec));
+    let serial = p.run_serial();
+    on_every_runner!(6, |r| assert_eq!(serial, p.run_taskgraph(r).0));
 }
 
 #[test]
@@ -167,12 +183,11 @@ fn cg_kernel_matches_serial() {
         iters: 3,
     };
     let (xs, rrs) = p.run_serial();
-    let exec = traced_executor(6, StealPolicy::nabbitc());
-    let (xp, rrp) = p.run_taskgraph(&exec);
-    assert!((rrs - rrp).abs() / rrs.max(1e-30) < 1e-9);
-    for i in 0..p.n {
-        assert!((xs[i] - xp[i]).abs() < 1e-9 * xs[i].abs().max(1.0));
-    }
+    on_every_runner!(6, |r| {
+        let ((xp, rrp), _) = p.run_taskgraph(r);
+        assert!((rrs - rrp).abs() / rrs.max(1e-30) < 1e-9);
+        assert_close(&xs, &xp);
+    });
 }
 
 #[test]
@@ -182,11 +197,7 @@ fn mg_kernel_matches_serial() {
         plan: plan(2047, 8, 24),
     };
     let serial = p.run_serial();
-    let exec = traced_executor(6, StealPolicy::nabbitc());
-    let par = p.run_taskgraph(&exec);
-    for i in 0..serial.len() {
-        assert!((serial[i] - par[i]).abs() < 1e-12);
-    }
+    on_every_runner!(6, |r| assert_close(&serial, &p.run_taskgraph(r).0));
 }
 
 #[test]

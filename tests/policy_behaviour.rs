@@ -156,6 +156,52 @@ fn omp_static_dominates_on_regular_simulated() {
 }
 
 #[test]
+fn team_and_simulator_run_the_same_static_program() {
+    // One program, two clocks: the threaded team and `simulate_omp` read
+    // the same hop-count levels and split them by the same static rule,
+    // so on a 2-domain machine every thread runs the nodes its simulated
+    // core runs, and both count them alike under §V-B.
+    let p = 6;
+    let topo = Topology::new(2, p / 2);
+    let team = Team::new(p, topo.clone());
+    for id in [BenchId::Heat, BenchId::PageUk2002] {
+        let graph = registry::build(id, Scale::Small, p).graph;
+        let sim = simulate_omp(&graph, OmpSchedule::Static, p, &topo, &CostModel::default());
+        let ran: Vec<AtomicU64> = (0..p).map(|_| AtomicU64::new(0)).collect();
+        let remote = team.run_graph(&graph, OmpSchedule::Static, &|_u, t| {
+            ran[t].fetch_add(1, Ordering::Relaxed);
+        });
+        let ran: Vec<u64> = ran.into_iter().map(AtomicU64::into_inner).collect();
+        let simulated: Vec<u64> = sim.cores.iter().map(|c| c.executed).collect();
+        assert_eq!(ran, simulated, "{}: nodes per thread", id.name());
+        assert_eq!(
+            (remote.node_total, remote.node_remote),
+            (sim.remote.node_total, sim.remote.node_remote),
+            "{}: node-level count",
+            id.name()
+        );
+    }
+}
+
+#[test]
+fn static_locality_beats_guided_on_numa_team() {
+    // The §V-B story on real threads, over heat's graph: static keeps each
+    // block on the thread its color names (no node runs remotely); guided
+    // hands blocks to whichever thread is free.
+    let p = 8;
+    let team = Team::new(p, Topology::new(2, p / 2));
+    let graph = registry::build(BenchId::Heat, Scale::Small, p).graph;
+    let run = |schedule| team.run_graph(&graph, schedule, &|_u, _t| {});
+    let (st, gd) = (run(OmpSchedule::Static), run(OmpSchedule::Guided));
+    assert_eq!(st.node_total, graph.node_count() as u64);
+    assert_eq!(st.node_remote, 0, "static must run every node at home");
+    assert!(
+        gd.node_remote > 0,
+        "guided should run some nodes outside their color's domain"
+    );
+}
+
+#[test]
 fn nabbitc_wins_on_irregular_simulated() {
     // Fig. 6 page panels: NabbitC beats omp-static (imbalance), omp-guided
     // (locality), and Nabbit (locality) at scale. Medium scale gives the
