@@ -27,9 +27,10 @@ use nabbitc_runtime::{ColorDomains, OmpSchedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Ticks of node `u` on `core`. Every access is counted (the Fig 7
-/// share), and the node itself by its color, as `wsim` counts it (the
-/// §V-B node-level share).
+/// Ticks of node `u` on `core`, bytes priced by their owner's domain.
+/// Counts §V-B as `wsim` and the threaded executors and team count it:
+/// the node by its color and each predecessor by its color, against the
+/// core's domain.
 fn node_ticks(
     graph: &TaskGraph,
     u: NodeId,
@@ -39,14 +40,20 @@ fn node_ticks(
     remote: &mut SimRemote,
 ) -> u64 {
     remote.node_total += 1;
+    remote.total += 1;
     if topo.is_remote(core, graph.color(u)) {
         remote.node_remote += 1;
+        remote.remote += 1;
+    }
+    for &p in graph.predecessors(u) {
+        remote.total += 1;
+        if topo.is_remote(core, graph.color(p)) {
+            remote.remote += 1;
+        }
     }
     let (mut local, mut remote_bytes) = (0u64, 0u64);
     for a in graph.accesses(u) {
-        remote.total += 1;
         if topo.is_remote(core, a.owner) {
-            remote.remote += 1;
             remote_bytes += a.bytes;
         } else {
             local += a.bytes;
@@ -283,9 +290,11 @@ mod tests {
 
     #[test]
     fn nodes_count_by_color_and_accesses_by_owner() {
-        // A chain whose second and third loops are one node each, run by
-        // thread 0 (domain 0). Both nodes are colored into domain 1: one
-        // reads nothing (as cg's reduction), one reads domain 0's data.
+        // A chain whose three loops are one node each, run by thread 0
+        // (domain 0). The second and third nodes are colored into domain
+        // 1: one reads nothing (as cg's reduction), one reads domain 0's
+        // data. §V-B counts each node and each predecessor by color; the
+        // bytes are priced by their owner, so every byte is local.
         let cores = 20;
         let topo = Topology::paper_machine().truncated(cores);
         let mut gb = GraphBuilder::new();
@@ -299,9 +308,13 @@ mod tests {
         gb.add_edge(0, 1);
         gb.add_edge(1, 2);
         let g = gb.build().expect("a chain");
-        let r = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &CostModel::default());
+        let cost = CostModel::default();
+        let r = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &cost);
         assert_eq!((r.remote.node_total, r.remote.node_remote), (3, 2));
-        assert_eq!((r.remote.total, r.remote.remote), (2, 0));
+        // Predecessors: node 0 (color 0, local) and node 1 (color 15).
+        assert_eq!((r.remote.total, r.remote.remote), (5, 3));
+        let all_local = 2 * cost.node_ticks(10, 64, 0) + cost.node_ticks(10, 0, 0);
+        assert_eq!(r.makespan, all_local + 3 * cost.barrier);
     }
 
     #[test]

@@ -175,9 +175,19 @@ fn team_and_simulator_run_the_same_static_program() {
         let simulated: Vec<u64> = sim.cores.iter().map(|c| c.executed).collect();
         assert_eq!(ran, simulated, "{}: nodes per thread", id.name());
         assert_eq!(
-            (remote.node_total, remote.node_remote),
-            (sim.remote.node_total, sim.remote.node_remote),
-            "{}: node-level count",
+            (
+                remote.total(),
+                remote.remote(),
+                remote.node_total,
+                remote.node_remote
+            ),
+            (
+                sim.remote.total,
+                sim.remote.remote,
+                sim.remote.node_total,
+                sim.remote.node_remote
+            ),
+            "{}: §V-B count",
             id.name()
         );
     }
