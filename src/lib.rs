@@ -258,5 +258,4 @@ pub mod prelude {
     pub use nabbitc_runtime::{
         ColorDomains, OmpSchedule, Pool, PoolConfig, RuntimeTrace, StealPolicy, TraceConfig,
     };
-    pub use nabbitc_workloads::GraphRunner;
 }
