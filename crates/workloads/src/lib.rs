@@ -52,3 +52,58 @@ pub mod webgraph;
 
 pub use registry::{BenchId, Built, Scale};
 pub use runner::GraphRunner;
+
+/// The OpenMP-style baselines: heat, life and PageRank run their one node
+/// kernel under the team's static and guided loops, equal to serial.
+#[cfg(test)]
+mod omp {
+    mod tests {
+        use crate::heat::HeatProblem;
+        use crate::life::LifeProblem;
+        use crate::pagerank::PageRank;
+        use nabbitc_parfor::Team;
+        use nabbitc_runtime::OmpSchedule;
+
+        fn assert_close(serial: &[f64], par: &[f64]) {
+            assert_eq!(serial.len(), par.len());
+            for (s, q) in serial.iter().zip(par.iter()) {
+                assert!((s - q).abs() < 1e-12, "serial {s} vs {q}");
+            }
+        }
+
+        #[test]
+        fn heat_static_matches_serial() {
+            let p = HeatProblem::small();
+            let team = Team::uma(4);
+            let (run, _) = p.run_taskgraph(&(&team, OmpSchedule::Static));
+            assert_close(&p.run_serial(), &run);
+        }
+
+        #[test]
+        fn heat_guided_matches_serial() {
+            let p = HeatProblem::small();
+            let team = Team::uma(5);
+            let (run, _) = p.run_taskgraph(&(&team, OmpSchedule::Guided));
+            assert_close(&p.run_serial(), &run);
+        }
+
+        #[test]
+        fn life_static_matches_serial_exactly() {
+            let p = LifeProblem::small();
+            let team = Team::uma(4);
+            let (run, _) = p.run_taskgraph(&(&team, OmpSchedule::Static));
+            assert_eq!(p.run_serial(), run);
+        }
+
+        #[test]
+        fn pagerank_static_and_guided_match_serial() {
+            let pr = PageRank::small();
+            let serial = pr.run_serial();
+            let team = Team::uma(6);
+            for schedule in [OmpSchedule::Static, OmpSchedule::Guided] {
+                let (run, _) = pr.run_taskgraph(&(&team, schedule));
+                assert_close(&serial, &run);
+            }
+        }
+    }
+}
