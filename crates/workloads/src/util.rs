@@ -125,10 +125,14 @@ impl<T> SharedBuffer<T> {
 /// at the cap `n - 1`). `powf` errs by at most an ulp or so (≈ 2e-16
 /// relative), far inside the margin, so the table never disagrees with
 /// the formula it caches. Undecided buckets, where the sample changes
-/// inside the bucket, and every `u` outside `[0, 1)` (NaN included) fall
-/// back to the closed form. Most draws of a head-heavy law land in
-/// decided buckets: the web-graph generator's near-link law (n = 512,
-/// α = 1.8) falls back on ≈ 4 % of uniform draws.
+/// inside the bucket, fall back to the closed form. Most draws of a
+/// head-heavy law land in decided buckets: the web-graph generator's
+/// near-link law (n = 512, α = 1.8) falls back on ≈ 4 % of uniform draws.
+///
+/// A draw is a raw 64-bit random word, not a float: `u` is its top 53
+/// bits as a fraction, the uniform `f64` that `rand`'s `gen::<f64>()`
+/// makes of the same word, so its bucket is the word's top 12 bits and a
+/// decided draw converts nothing to floating point.
 pub struct PowerLaw {
     n: usize,
     exponent: f64,
@@ -136,8 +140,10 @@ pub struct PowerLaw {
 }
 
 impl PowerLaw {
+    /// Bits of a draw that index the sample table.
+    const BUCKET_BITS: u32 = 12;
     /// Buckets of the sample table.
-    const BUCKETS: usize = 4096;
+    const BUCKETS: usize = 1 << Self::BUCKET_BITS;
     /// Relative widening of each bucket edge's `powf` value before the
     /// bucket is decided.
     const MARGIN: f64 = 1e-9;
@@ -167,24 +173,21 @@ impl PowerLaw {
         law
     }
 
-    /// Samples with the uniform `u ∈ [0, 1)`; any other `u` is clamped
-    /// into `[1e-12, 1 - 1e-12]` as the closed form does.
+    /// Samples with the uniform `u ∈ [0, 1)` whose 53 bits are the top 53
+    /// of the random word `bits`.
     #[inline]
-    pub fn sample(&self, u: f64) -> usize {
-        // The range test comes first so that NaN, which an `as` cast would
-        // saturate to bucket 0, never indexes the table. The index is
-        // exact: scaling by a power of two only moves the exponent.
-        if (0.0..1.0).contains(&u) {
-            let entry = self.table[(u * Self::BUCKETS as f64) as usize];
-            if entry != Self::FALLBACK {
-                return entry as usize;
-            }
+    pub fn sample(&self, bits: u64) -> usize {
+        // floor(u · 4096) for u = (bits >> 11) / 2^53.
+        let entry = self.table[(bits >> (64 - Self::BUCKET_BITS)) as usize];
+        if entry != Self::FALLBACK {
+            return entry as usize;
         }
-        self.closed_form(u)
+        self.closed_form(uniform(bits))
     }
 
     /// Inverse CDF of the continuous power law on [1, ∞), shifted to
-    /// 0-base and capped at `n - 1`.
+    /// 0-base and capped at `n - 1`; any `u` outside `[1e-12, 1 - 1e-12]`
+    /// is clamped into it.
     fn closed_form(&self, u: f64) -> usize {
         self.cap(self.power(u) - 1.0)
     }
@@ -198,6 +201,12 @@ impl PowerLaw {
     fn cap(&self, x: f64) -> usize {
         (x as usize).min(self.n - 1)
     }
+}
+
+/// The uniform `u ∈ [0, 1)` of the random word `bits`: its top 53 bits as
+/// a fraction, as `rand`'s `gen::<f64>()` makes it.
+fn uniform(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Splits `n` items into `blocks` contiguous blocks; returns block `b`'s
@@ -267,34 +276,46 @@ mod tests {
         let pl_heavy_tail = PowerLaw::new(100_000, 1.5);
         let pl_light_tail = PowerLaw::new(100_000, 3.0);
         let mut rng = StdRng::seed_from_u64(7);
-        let us: Vec<f64> = (0..50_000).map(|_| rng.gen()).collect();
-        let big = |pl: &PowerLaw| us.iter().filter(|&&u| pl.sample(u) > 1000).count();
+        let words: Vec<u64> = (0..50_000).map(|_| rng.gen()).collect();
+        let big = |pl: &PowerLaw| words.iter().filter(|&&w| pl.sample(w) > 1000).count();
         assert!(big(&pl_heavy_tail) > 10 * big(&pl_light_tail).max(1));
+    }
+
+    /// A draw is the word `rand` makes its `f64` of: both streams stay in
+    /// step, and the fractions agree bit for bit.
+    #[test]
+    fn uniform_is_rands_f64_of_the_same_word() {
+        let mut words = StdRng::seed_from_u64(5);
+        let mut floats = StdRng::seed_from_u64(5);
+        for _ in 0..10_000 {
+            let u = uniform(words.gen());
+            assert_eq!(u.to_bits(), floats.gen::<f64>().to_bits());
+        }
     }
 
     #[test]
     fn table_equals_the_closed_form() {
         let mut rng = StdRng::seed_from_u64(4096);
-        let random: Vec<f64> = (0..100_000).map(|_| rng.gen()).collect();
+        let random: Vec<u64> = (0..100_000).map(|_| rng.gen()).collect();
+        // One step of the 53-bit fraction.
+        let ulp = 1u64 << 11;
         let specials = [
-            0.0,
-            1e-13,
-            1e-12,
-            1.0 - 1e-12,
-            1.0 - f64::EPSILON / 2.0, // the largest f64 below 1
-            1.0,
-            1.5,
-            -0.5,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
+            0,
+            ulp,
+            // u just below, at and just above the closed form's clamp.
+            ((1e-12 * (1u64 << 53) as f64) as u64 - 1) << 11,
+            ((1e-12 * (1u64 << 53) as f64) as u64) << 11,
+            ((1e-12 * (1u64 << 53) as f64) as u64 + 1) << 11,
+            u64::MAX - ulp,
+            u64::MAX,
         ];
-        // Every bucket edge and its two neighbouring f64 values.
-        let edges = (0..=PowerLaw::BUCKETS).flat_map(|i| {
-            let b = (i as f64 / PowerLaw::BUCKETS as f64).to_bits();
-            [b.wrapping_sub(1), b, b + 1].map(f64::from_bits)
+        // Every bucket edge, the fractions on either side of it, and the
+        // lowest and highest word of the edge's fraction.
+        let edges = (1..PowerLaw::BUCKETS as u64).flat_map(|i| {
+            let w = i << (64 - PowerLaw::BUCKET_BITS);
+            [w - ulp, w - 1, w, w + ulp - 1, w + ulp]
         });
-        let us: Vec<f64> = edges.chain(specials).chain(random).collect();
+        let words: Vec<u64> = edges.chain(specials).chain(random).collect();
         // Includes every law the web-graph presets build: degrees (n
         // 45 000 / 102 500 / 262 500 at α 2.4 / 1.7 / 2.4), hubs (16 at
         // α 2.2 / 1.8) and near links (87 / 200 / 512 at α 1.8).
@@ -315,8 +336,9 @@ mod tests {
         for n in ns {
             for alpha in [1.05, 1.5, 1.7, 1.8, 2.2, 2.4, 3.0, 8.0] {
                 let pl = PowerLaw::new(n, alpha);
-                for &u in &us {
-                    assert_eq!(pl.sample(u), pl.closed_form(u), "n {n} α {alpha} u {u:e}");
+                for &w in &words {
+                    let u = uniform(w);
+                    assert_eq!(pl.sample(w), pl.closed_form(u), "n {n} α {alpha} u {u:e}");
                 }
             }
         }

@@ -16,9 +16,17 @@
 //! invariant every optimisation of [`generate`] keeps: one stream, first
 //! `nv` draws for the out-degrees, then exactly three draws per edge in
 //! source order — the locality test, then either the near offset and its
-//! direction or the hub and the position inside it. Moving one draw
+//! direction or the hub and the position inside it. A draw is one 64-bit
+//! word of the stream whether it is read as a float, a bit or a table
+//! index (`PowerLaw::sample` reads the word itself). Moving one draw
 //! changes every graph after it, which the preset pins in this module's
-//! tests and in `pagerank`'s would catch.
+//! tests and in `pagerank`'s would catch, and so would the oracle test
+//! against the generator's earlier, branchy draw.
+//!
+//! The out-degrees are drawn first, so the out-list is allocated at its
+//! exact length before any edge is drawn, and each target's in-degree is
+//! counted as its edge is drawn. The transpose then reads the out-list
+//! once, to scatter the sources into the in-lists.
 
 use crate::util::PowerLaw;
 use rand::rngs::StdRng;
@@ -130,63 +138,16 @@ impl WebGraph {
 const HUBS: usize = 16;
 
 /// Generates a graph.
+///
+/// One pass draws the edges into an out-list of exact length and counts
+/// each target's in-degree as the edge is drawn; one more pass over that
+/// list scatters the sources into the in-lists.
 pub fn generate(params: &WebGraphParams) -> WebGraph {
-    let nv = params.nv;
-    let (out_off, out_adj) = out_lists(params);
-
-    // Transpose.
-    let ne = out_adj.len();
-    let mut in_off = vec![0u32; nv + 1];
-    for &t in &out_adj {
-        in_off[t as usize + 1] += 1;
-    }
-    for i in 0..nv {
-        in_off[i + 1] += in_off[i];
-    }
-    let mut in_adj = vec![0u32; ne];
-    let mut cur = in_off.clone();
-    for v in 0..nv {
-        for &t in &out_adj[out_off[v] as usize..out_off[v + 1] as usize] {
-            in_adj[cur[t as usize] as usize] = v as u32;
-            cur[t as usize] += 1;
-        }
-    }
-
-    WebGraph {
-        nv,
-        out_off,
-        in_off,
-        in_adj,
-    }
-}
-
-/// The graph's out-edges in CSR form, offsets then targets, as drawn.
-fn out_lists(params: &WebGraphParams) -> (Vec<u32>, Vec<u32>) {
     let nv = params.nv;
     assert!(nv > 1);
     let mut rng = StdRng::seed_from_u64(params.seed);
-
-    // Out-degrees: power law scaled to hit the requested average.
-    let deg_law = PowerLaw::new(nv.min(1 << 22), params.out_alpha);
-    let mut degs: Vec<usize> = (0..nv).map(|_| deg_law.sample(rng.gen()) + 1).collect();
-    let sum: usize = degs.iter().sum();
-    let want = nv * params.avg_deg;
-    // Hit the requested average without distorting the tail: if the raw
-    // mean is too low, add a uniform base degree (tail untouched); if too
-    // high (very heavy tails), scale down multiplicatively.
-    if sum < want {
-        let base = (want - sum) / nv;
-        let mut extra = (want - sum) % nv;
-        for d in degs.iter_mut() {
-            *d += base + usize::from(extra > 0);
-            extra = extra.saturating_sub(1);
-        }
-    } else if sum > want {
-        let scale = want as f64 / sum as f64;
-        for d in degs.iter_mut() {
-            *d = ((*d as f64 * scale).round() as usize).max(1);
-        }
-    }
+    let out_off = out_offsets(params, &mut rng);
+    let ne = out_off[nv] as usize;
 
     // Global links go to hub regions (popular hosts): a power-law choice
     // of hub, uniform within the hub's id window. This reproduces the two
@@ -208,19 +169,25 @@ fn out_lists(params: &WebGraphParams) -> (Vec<u32>, Vec<u32>) {
             x
         }
     };
-    let mut out_off = Vec::with_capacity(nv + 1);
-    let mut out_adj: Vec<u32> = Vec::with_capacity(want + nv);
-    out_off.push(0u32);
-    for (v, &d) in degs.iter().enumerate() {
-        for _ in 0..d {
+    let mut out_adj = vec![0u32; ne];
+    // Target t's in-degree is counted at t + 2, so that after the prefix
+    // sum `in_off[t + 1]` is where t's in-list starts; the scatter then
+    // advances it to where the list ends, which is `in_off`'s entry for
+    // t + 1, and the last, spare entry is dropped.
+    let mut in_off = vec![0u32; nv + 2];
+    let mut rows = &mut out_adj[..];
+    for v in 0..nv {
+        let (row, rest) = rows.split_at_mut((out_off[v + 1] - out_off[v]) as usize);
+        rows = rest;
+        for target in row {
             let mut t = if rng.gen::<f64>() < params.locality {
-                // Local link: small signed offset from the source.
+                // Local link: small signed offset from the source. Both
+                // candidates are computed and the direction draw picks
+                // one, which a branch would mispredict half the time.
                 let off = near_law.sample(rng.gen()) + 1;
-                if rng.gen::<bool>() {
-                    wrap(v + off)
-                } else {
-                    wrap(v + nv - wrap(off))
-                }
+                let ahead = wrap(v + off);
+                let behind = wrap(v + nv - off);
+                std::hint::select_unpredictable(rng.gen::<bool>(), ahead, behind)
             } else {
                 // At most 15·(nv/16) + nv/64 - 1 < nv: no wraparound.
                 let hub = hub_law.sample(rng.gen());
@@ -229,11 +196,69 @@ fn out_lists(params: &WebGraphParams) -> (Vec<u32>, Vec<u32>) {
             if t == v {
                 t = wrap(t + 1); // no self loops
             }
-            out_adj.push(t as u32);
+            *target = t as u32;
+            in_off[t + 2] += 1;
         }
-        out_off.push(out_adj.len() as u32);
     }
-    (out_off, out_adj)
+
+    // Transpose: sources in ascending order within each in-list.
+    for i in 2..nv + 2 {
+        in_off[i] += in_off[i - 1];
+    }
+    let mut in_adj = vec![0u32; ne];
+    for v in 0..nv {
+        for &t in &out_adj[out_off[v] as usize..out_off[v + 1] as usize] {
+            let slot = &mut in_off[t as usize + 1];
+            in_adj[*slot as usize] = v as u32;
+            *slot += 1;
+        }
+    }
+    in_off.pop();
+
+    WebGraph {
+        nv,
+        out_off,
+        in_off,
+        in_adj,
+    }
+}
+
+/// The out-edge offsets: the first `nv` draws of `rng` are the
+/// out-degrees, adjusted to the requested average and summed in place.
+fn out_offsets(params: &WebGraphParams, rng: &mut StdRng) -> Vec<u32> {
+    let nv = params.nv;
+    // Out-degrees: power law scaled to hit the requested average. A sample
+    // is below 2^22, so a degree fits a `u32`.
+    let deg_law = PowerLaw::new(nv.min(1 << 22), params.out_alpha);
+    let mut out_off = vec![0u32; nv + 1];
+    let degs = &mut out_off[1..];
+    for d in degs.iter_mut() {
+        *d = deg_law.sample(rng.gen()) as u32 + 1;
+    }
+    let sum: usize = degs.iter().map(|&d| d as usize).sum();
+    let want = nv * params.avg_deg;
+    // Hit the requested average without distorting the tail: if the raw
+    // mean is too low, add a uniform base degree (tail untouched); if too
+    // high (very heavy tails), scale down multiplicatively.
+    if sum < want {
+        let base = u32::try_from((want - sum) / nv).expect("degree fits u32");
+        let mut extra = (want - sum) % nv;
+        for d in degs.iter_mut() {
+            *d += base + u32::from(extra > 0);
+            extra = extra.saturating_sub(1);
+        }
+    } else if sum > want {
+        let scale = want as f64 / sum as f64;
+        for d in degs.iter_mut() {
+            *d = ((f64::from(*d) * scale).round() as u32).max(1);
+        }
+    }
+    for v in 0..nv {
+        out_off[v + 1] = out_off[v]
+            .checked_add(out_off[v + 1])
+            .expect("edge count fits u32");
+    }
+    out_off
 }
 
 #[cfg(test)]
@@ -277,6 +302,122 @@ pub(crate) mod tests {
         }
     }
 
+    /// The out-lists as the generator drew them before its draw was made
+    /// branch-free: the direction draw picks a branch, the out-list grows
+    /// by `push`, and the degrees are `usize`. Kept as the oracle of
+    /// [`generate`].
+    fn reference_out_lists(params: &WebGraphParams) -> (Vec<u32>, Vec<u32>) {
+        let nv = params.nv;
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let deg_law = PowerLaw::new(nv.min(1 << 22), params.out_alpha);
+        let mut degs: Vec<usize> = (0..nv).map(|_| deg_law.sample(rng.gen()) + 1).collect();
+        let sum: usize = degs.iter().sum();
+        let want = nv * params.avg_deg;
+        if sum < want {
+            let base = (want - sum) / nv;
+            let mut extra = (want - sum) % nv;
+            for d in degs.iter_mut() {
+                *d += base + usize::from(extra > 0);
+                extra = extra.saturating_sub(1);
+            }
+        } else if sum > want {
+            let scale = want as f64 / sum as f64;
+            for d in degs.iter_mut() {
+                *d = ((*d as f64 * scale).round() as usize).max(1);
+            }
+        }
+        let hub_law = PowerLaw::new(HUBS, params.target_alpha);
+        let hub_width = (nv / 64).max(1);
+        let hub_stride = nv / HUBS;
+        let near_law = PowerLaw::new((nv / 512).max(2), 1.8);
+        let mut out_off = vec![0u32];
+        let mut out_adj = Vec::new();
+        for (v, &d) in degs.iter().enumerate() {
+            for _ in 0..d {
+                let mut t = if rng.gen::<f64>() < params.locality {
+                    let off = near_law.sample(rng.gen()) + 1;
+                    if rng.gen::<bool>() {
+                        (v + off) % nv
+                    } else {
+                        (v + nv - off % nv) % nv
+                    }
+                } else {
+                    let hub = hub_law.sample(rng.gen());
+                    hub * hub_stride + rng.gen_range(0..hub_width)
+                };
+                if t == v {
+                    t = (t + 1) % nv;
+                }
+                out_adj.push(t as u32);
+            }
+            out_off.push(out_adj.len() as u32);
+        }
+        (out_off, out_adj)
+    }
+
+    /// [`reference_out_lists`] transposed through a copy of the in-list
+    /// offsets used as cursors.
+    fn reference(params: &WebGraphParams) -> WebGraph {
+        let nv = params.nv;
+        let (out_off, out_adj) = reference_out_lists(params);
+        let mut in_off = vec![0u32; nv + 1];
+        for &t in &out_adj {
+            in_off[t as usize + 1] += 1;
+        }
+        for i in 0..nv {
+            in_off[i + 1] += in_off[i];
+        }
+        let mut in_adj = vec![0u32; out_adj.len()];
+        let mut cur = in_off.clone();
+        for v in 0..nv {
+            for &t in &out_adj[out_off[v] as usize..out_off[v + 1] as usize] {
+                in_adj[cur[t as usize] as usize] = v as u32;
+                cur[t as usize] += 1;
+            }
+        }
+        WebGraph {
+            nv,
+            out_off,
+            in_off,
+            in_adj,
+        }
+    }
+
+    /// `generate` and the branchy reference agree array for array: every
+    /// preset at seeds 1 and 7, and small graphs where an offset can reach
+    /// `nv` (nv 2 and 3), most links are global, or the degrees are scaled
+    /// down.
+    #[test]
+    fn generate_matches_the_branchy_reference() {
+        let small = |nv, avg_deg, out_alpha, locality| WebGraphParams {
+            nv,
+            avg_deg,
+            out_alpha,
+            target_alpha: 1.8,
+            locality,
+            seed: 0,
+        };
+        let presets = [
+            WebGraphParams::uk2002(),
+            WebGraphParams::twitter2010(),
+            WebGraphParams::uk2007(),
+            small(2, 3, 2.0, 0.9),
+            small(3, 2, 2.0, 0.9),
+            small(1500, 9, 2.0, 0.5),
+            small(1500, 1, 1.2, 0.8),
+        ];
+        for preset in presets {
+            for seed in [1, 7] {
+                let p = WebGraphParams { seed, ..preset };
+                let (got, want) = (generate(&p), reference(&p));
+                let what = format!("nv {} seed {seed}", p.nv);
+                assert_eq!(got.out_off, want.out_off, "{what}: out_off");
+                assert_eq!(got.in_off, want.in_off, "{what}: in_off");
+                assert_eq!(got.in_adj, want.in_adj, "{what}: in_adj");
+            }
+        }
+    }
+
     #[test]
     fn deterministic() {
         let p = WebGraphParams {
@@ -307,7 +448,7 @@ pub(crate) mod tests {
         let g = generate(&p);
         // Every out-edge drawn appears as an in-edge, and the out-degrees
         // kept are the ones drawn.
-        let (out_off, out_adj) = out_lists(&p);
+        let (out_off, out_adj) = reference_out_lists(&p);
         assert_eq!(g.out_off, out_off);
         let mut fwd: Vec<(u32, u32)> = Vec::new();
         for v in 0..g.nv {

@@ -193,6 +193,28 @@ fn fdtd_graph_allocates_per_graph_not_per_node() {
     small_build_budget(BenchId::Fdtd, 0.02);
 }
 
+/// The benchmark's web graph (uk-2007-05 at seed 1: 262 500 pages,
+/// 3 675 000 links) is drawn into arrays sized before the draw: 7
+/// allocations per call (the three power laws' sample tables, the out-
+/// and in-offsets, the out-list and the in-list), none per page or link.
+#[test]
+fn webgraph_allocates_per_call_not_per_vertex_or_edge() {
+    let params = WebGraphParams {
+        seed: 1,
+        ..WebGraphParams::uk2007()
+    };
+    let (web, count) = allocations(|| webgraph::generate(&params));
+    println!(
+        "uk-2007 webgraph::generate: {count} allocations for {} vertices and {} edges (budget 7)",
+        web.nv,
+        web.ne()
+    );
+    assert!(
+        count <= 7,
+        "webgraph::generate: {count} allocations, budget 7"
+    );
+}
+
 /// The benchmark's PageRank input (uk-2007-05 at seed 1, 1050 blocks × 10
 /// iterations) repeats each block's task every iteration: 1.51
 /// allocations per node, nearly all in the once-per-block dependence
