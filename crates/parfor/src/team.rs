@@ -8,6 +8,8 @@ use nabbitc_runtime::{OmpSchedule, Topology};
 // Condvar has no loom shim; the team's park/wake protocol stays on
 // parking_lot and is allowlisted by the lint facade-conformance pass.
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 type Job = dyn Fn(usize) + Sync;
@@ -19,6 +21,9 @@ struct State {
     /// `parallel_for` frame, which cannot return until `remaining == 0`.
     job: Option<&'static Job>,
     remaining: usize,
+    /// The first panic of a member running the current job, re-raised by
+    /// the submitter once every member has reported.
+    panic: Option<Box<dyn Any + Send>>,
     shutdown: bool,
 }
 
@@ -56,6 +61,7 @@ impl Team {
                 epoch: 0,
                 job: None,
                 remaining: 0,
+                panic: None,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -101,6 +107,8 @@ impl Team {
     /// executors make with their worker id. Returns the run's §V-B count,
     /// taken as `StaticExecutor` takes it: each node by its color, and each
     /// of its predecessors by theirs, against the executing thread's domain.
+    /// A panicking kernel's first panic is re-raised when its loop has
+    /// closed; later levels do not run, and the team stays usable.
     pub fn run_graph<K>(
         &self,
         graph: &TaskGraph,
@@ -126,7 +134,9 @@ impl Team {
     }
 
     /// Runs `body(iteration, thread)` for every iteration in `0..n` under
-    /// `schedule`, blocking until the implicit closing barrier.
+    /// `schedule`, blocking until the implicit closing barrier. If `body`
+    /// panics, the first panic is re-raised here once every thread has
+    /// left the loop, and the team stays usable.
     fn parallel_for<F>(&self, n: usize, schedule: OmpSchedule, body: F)
     where
         F: Fn(usize, usize) + Sync,
@@ -184,6 +194,10 @@ impl Team {
             self.shared.done_cv.wait(&mut st);
         }
         st.job = None;
+        if let Some(payload) = st.panic.take() {
+            drop(st);
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -214,9 +228,14 @@ fn team_member(shared: Arc<Shared>, t: usize) {
             seen = st.epoch;
             st.job.expect("epoch bumped without a job")
         };
-        job(t);
+        // A panicking job still reports, or the submitter would wait for
+        // it forever.
+        let outcome = catch_unwind(AssertUnwindSafe(|| job(t)));
         {
             let mut st = shared.state.lock();
+            if let Err(payload) = outcome {
+                st.panic.get_or_insert(payload);
+            }
             st.remaining -= 1;
             if st.remaining == 0 {
                 shared.done_cv.notify_all();
@@ -230,7 +249,9 @@ mod tests {
     use super::*;
     use nabbitc_color::Color;
     use nabbitc_graph::{generate, GraphBuilder};
-    use std::sync::atomic::{AtomicBool, AtomicU32};
+    use std::sync::atomic::AtomicU32;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn coverage(team: &Team, n: usize, schedule: OmpSchedule) -> Vec<u32> {
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
@@ -315,26 +336,19 @@ mod tests {
 
     #[test]
     fn run_graph_orders_every_dependence() {
-        // A panic on a team thread would hang the team, so the kernel only
-        // records what it saw and the test asserts afterwards.
         let team = Team::uma(4);
         let g = generate::wavefront(12, 9, 1, 4);
         for schedule in [OmpSchedule::Static, OmpSchedule::Guided] {
             let runs: Vec<AtomicU32> = g.nodes().map(|_| AtomicU32::new(0)).collect();
-            let early = AtomicBool::new(false);
             let report = team.run_graph(&g, schedule, &|u: NodeId, _t| {
-                if g.predecessors(u)
-                    .iter()
-                    .any(|&p| runs[p as usize].load(Ordering::SeqCst) == 0)
-                {
-                    early.store(true, Ordering::SeqCst);
-                }
+                assert!(
+                    g.predecessors(u)
+                        .iter()
+                        .all(|&p| runs[p as usize].load(Ordering::SeqCst) == 1),
+                    "node {u} ran before a predecessor"
+                );
                 runs[u as usize].fetch_add(1, Ordering::SeqCst);
             });
-            assert!(
-                !early.load(Ordering::SeqCst),
-                "a node ran before a predecessor"
-            );
             assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
             assert_eq!(report.node_total, g.node_count() as u64);
             assert_eq!(report.pred_total, g.edge_count() as u64);
@@ -386,6 +400,64 @@ mod tests {
             });
         }
         assert_eq!(total.load(Ordering::SeqCst), 5000);
+    }
+
+    /// Runs `call` on `team` on a helper thread and returns the team with
+    /// the call's outcome. A call still running after a fixed wait fails
+    /// the test: the team has hung.
+    fn outcome_of(
+        team: Team,
+        call: impl FnOnce(&Team) + Send + 'static,
+    ) -> (Team, std::thread::Result<()>) {
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let result = catch_unwind(AssertUnwindSafe(|| call(&team)));
+            let _ = done.send((team, result));
+        });
+        outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the call did not return: the team hung")
+    }
+
+    fn panic_message(payload: &(dyn Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("")
+    }
+
+    #[test]
+    fn parallel_for_reraises_a_panic_and_the_team_survives() {
+        for schedule in [OmpSchedule::Static, OmpSchedule::Guided] {
+            let (team, outcome) = outcome_of(Team::uma(4), move |team| {
+                team.parallel_for(100, schedule, |i, _t| {
+                    if i % 7 == 3 {
+                        panic!("iteration {i} fails");
+                    }
+                });
+            });
+            let payload = outcome.expect_err("the panic must reach the caller");
+            assert!(panic_message(&*payload).ends_with(" fails"));
+            assert!(coverage(&team, 100, schedule).iter().all(|&c| c == 1));
+        }
+    }
+
+    #[test]
+    fn run_graph_reraises_a_kernel_panic_and_the_team_survives() {
+        let g = Arc::new(generate::wavefront(12, 9, 1, 4));
+        let graph = g.clone();
+        let (team, outcome) = outcome_of(Team::uma(4), move |team| {
+            team.run_graph(&graph, OmpSchedule::Guided, &|u: NodeId, _t| {
+                if u == 40 {
+                    panic!("boom");
+                }
+            });
+        });
+        let payload = outcome.expect_err("the panic must reach the caller");
+        assert_eq!(panic_message(&*payload), "boom");
+        let report = team.run_graph(&g, OmpSchedule::Static, &|_u, _t| {});
+        assert_eq!(report.node_total, g.node_count() as u64);
     }
 
     #[test]
