@@ -27,10 +27,8 @@ use nabbitc_runtime::{ColorDomains, OmpSchedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Ticks of node `u` on `core`, bytes priced by their owner's domain.
-/// Counts §V-B as `wsim` and the threaded executors and team count it:
-/// the node by its color and each predecessor by its color, against the
-/// core's domain.
+/// Ticks of node `u` on `core`, bytes priced by their owner's domain;
+/// counts the node in `remote` ([`SimRemote::record_node`]).
 fn node_ticks(
     graph: &TaskGraph,
     u: NodeId,
@@ -39,18 +37,7 @@ fn node_ticks(
     cost: &CostModel,
     remote: &mut SimRemote,
 ) -> u64 {
-    remote.node_total += 1;
-    remote.total += 1;
-    if topo.is_remote(core, graph.color(u)) {
-        remote.node_remote += 1;
-        remote.remote += 1;
-    }
-    for &p in graph.predecessors(u) {
-        remote.total += 1;
-        if topo.is_remote(core, graph.color(p)) {
-            remote.remote += 1;
-        }
-    }
+    remote.record_node(graph, u, core, topo);
     let (mut local, mut remote_bytes) = (0u64, 0u64);
     for a in graph.accesses(u) {
         if topo.is_remote(core, a.owner) {

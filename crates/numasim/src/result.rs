@@ -1,5 +1,9 @@
 //! Simulation results.
 
+use nabbitc_cost::Topology;
+use nabbitc_graph::{NodeId, TaskGraph};
+use nabbitc_runtime::ColorDomains;
+
 /// Per-core simulated statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -52,6 +56,30 @@ pub struct SimRemote {
 }
 
 impl SimRemote {
+    /// Counts node `u` of `graph` run on `core` of `topo`, the §V-B way
+    /// the threaded executors and team count it: the node by its color and
+    /// each predecessor by its color, against the core's domain.
+    pub(crate) fn record_node(
+        &mut self,
+        graph: &TaskGraph,
+        u: NodeId,
+        core: usize,
+        topo: &Topology,
+    ) {
+        self.node_total += 1;
+        self.total += 1;
+        if topo.is_remote(core, graph.color(u)) {
+            self.node_remote += 1;
+            self.remote += 1;
+        }
+        for &p in graph.predecessors(u) {
+            self.total += 1;
+            if topo.is_remote(core, graph.color(p)) {
+                self.remote += 1;
+            }
+        }
+    }
+
     /// Percentage remote — the Figure 7 y-axis.
     pub fn pct(&self) -> f64 {
         if self.total == 0 {

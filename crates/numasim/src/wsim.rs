@@ -263,19 +263,7 @@ impl<'a> Sim<'a> {
         }
         let dur = self.cfg.cost.node_ticks(g.work(u), local, remote_bytes);
 
-        // §V-B metric: the node itself + each predecessor's output.
-        self.remote.total += 1;
-        self.remote.node_total += 1;
-        if topo.is_remote(c, g.color(u)) {
-            self.remote.remote += 1;
-            self.remote.node_remote += 1;
-        }
-        for &p in g.predecessors(u) {
-            self.remote.total += 1;
-            if topo.is_remote(c, g.color(p)) {
-                self.remote.remote += 1;
-            }
-        }
+        self.remote.record_node(g, u, c, topo);
 
         self.stats[c].executed += 1;
         self.stats[c].busy += dur;
