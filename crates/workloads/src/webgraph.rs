@@ -21,7 +21,7 @@
 //! index (`PowerLaw::sample` reads the word itself). Moving one draw
 //! changes every graph after it, which the preset pins in this module's
 //! tests and in `pagerank`'s would catch, and so would the oracle test
-//! against the generator's earlier, branchy draw.
+//! against a branchy reference draw.
 //!
 //! The out-degrees are drawn first, so the out-list is allocated at its
 //! exact length before any edge is drawn, and each target's in-degree is
@@ -184,6 +184,8 @@ pub fn generate(params: &WebGraphParams) -> WebGraph {
                 // Local link: small signed offset from the source. Both
                 // candidates are computed and the direction draw picks
                 // one, which a branch would mispredict half the time.
+                // Each is wrapped on its own: `wrap` compiles to a branch,
+                // predictable per candidate but not after the pick.
                 let off = near_law.sample(rng.gen()) + 1;
                 let ahead = wrap(v + off);
                 let behind = wrap(v + nv - off);
@@ -302,10 +304,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// The out-lists as the generator drew them before its draw was made
-    /// branch-free: the direction draw picks a branch, the out-list grows
-    /// by `push`, and the degrees are `usize`. Kept as the oracle of
-    /// [`generate`].
+    /// The out-lists drawn the straightforward way, as the oracle of
+    /// [`generate`]: the degrees are `usize`, the direction draw picks a
+    /// branch, the out-list grows by `push`, and wraparound is `%`.
     fn reference_out_lists(params: &WebGraphParams) -> (Vec<u32>, Vec<u32>) {
         let nv = params.nv;
         let mut rng = StdRng::seed_from_u64(params.seed);
