@@ -495,10 +495,10 @@ mod tests {
                     colors == cp.assign_pricing::<PredWalk>(&g, p, &level_profile(&g)),
                     "p={}", p
                 );
-                // Handed the profile a selection took for its shape
-                // pre-filter, the member assigns what it does alone.
-                let alone = crate::AutoSelect::new(vec![Box::new(cp.clone())]);
-                prop_assert!(alone.select(&g, p).0 == colors, "selected: p={}", p);
+                // Handed the profile a selection took for its shape rule,
+                // the member assigns what it does alone.
+                let profiled = cp.assign_profiled(&g, p, &level_profile(&g));
+                prop_assert!(profiled == colors, "profiled: p={}", p);
             }
         }
     }

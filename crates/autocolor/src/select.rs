@@ -7,24 +7,24 @@
 //! where the cut *is* the makespan. No single objective — edge-cut or
 //! level-spread — wins both, so the paper's claim that locality coloring
 //! beats color-oblivious stealing *across* workload shapes needs an entry
-//! point that picks per graph. [`AutoSelect`] is that entry point:
+//! point that picks per graph. [`AutoSelect`] is that entry point, and it
+//! runs two fixed rounds:
 //!
 //! 1. **Home path.** As the paper colors a task by its input block, its
-//!    [home](TaskGraph::home), the default portfolio on a graph whose nodes
-//!    share homes first has [`RecursiveBisection`] and [`BlockContiguous`]
-//!    partition the *home graph*; each result is expanded through
-//!    `home(u)` and scored on the full graph (steps 3–4). The better one
-//!    settles the selection if its heaviest color is within 5 % of an even
-//!    share; otherwise the node portfolio runs too
-//!    ([`SelectionReport::balance_fallback`]).
-//! 2. **Shape pre-filter.** One [`level_profile`] pass per node-portfolio
-//!    run: the [`GraphShape`] summary built from it skips candidates
-//!    whose objective is provably inert or documented-losing on the
-//!    graph's structure (see `prefilter_skips`), and the same profile is
-//!    handed to the members that run ([`ColorAssigner::assign_profiled`]),
-//!    so the level-aware member does not profile the levels a second
-//!    time. Skipped candidates never pay their `assign` cost. Unknown
-//!    candidate names are never skipped, so custom portfolios stay exact.
+//!    [home](TaskGraph::home), on a graph whose nodes share homes
+//!    [`RecursiveBisection`] and [`BlockContiguous`] first partition the
+//!    *home graph*; each result is expanded through `home(u)` and scored
+//!    on the full graph (steps 3–4). The better one settles the selection
+//!    if its heaviest color is within 5 % of an even share; otherwise the
+//!    node path runs too ([`SelectionReport::balance_fallback`]).
+//! 2. **Node path, with one shape rule.** [`RecursiveBisection`] and
+//!    [`CpLevelAware`] (priced by [`AutoSelect::cost`]) color the nodes,
+//!    handed the one [`level_profile`] the selection takes
+//!    ([`ColorAssigner::assign_profiled`]). On a deep wavefront
+//!    ([`GraphShape::deep_wavefront`]) the bisection is skipped unpaid:
+//!    its cut-minimal partition serializes whole dependency levels — the
+//!    failure `results/autocolor_vs_hand.md` pins on sw (0.45× hand at
+//!    P=20 vs cp-level-aware's 1.48×) — so it cannot win there.
 //! 3. **Parallel candidacy, bounded by the machine.** The members of a
 //!    round are independent, so they run side by side — but on no more
 //!    threads than [`std::thread::available_parallelism`] reports, and
@@ -43,10 +43,9 @@
 //!    applies only to *cross-domain* edges. An assignment that fails
 //!    validity is *disqualified*: scoring a color no worker owns would
 //!    price a buggy assigner on a larger machine than the real one and
-//!    could let it win the selection. If *every* candidate is
-//!    disqualified, selection falls back to [`BlockContiguous`] — valid
-//!    by construction — and records the fallback in the report instead
-//!    of aborting.
+//!    could let it win the selection. If no candidate scores, `select`
+//!    panics naming each rejection rather than substituting a coloring
+//!    nobody chose.
 //! 5. **Argmin.** The lowest estimate wins; ties break toward the entry
 //!    that ran first (the home path, then portfolio order), keeping
 //!    selection deterministic.
@@ -84,29 +83,10 @@ type Scored = Result<(Vec<Color>, u64), InvalidColoring>;
 /// A member of one round and the report entry it fills.
 type Member<'a> = (usize, &'a (dyn ColorAssigner + Sync));
 
-/// A portfolio member: any [`ColorAssigner`] that can be shared with the
-/// scoped evaluation threads.
-pub type Candidate = Box<dyn ColorAssigner + Send + Sync>;
+/// A node-path member, and whether a deep wavefront skips it.
+type NodeMember<'a> = (&'a (dyn ColorAssigner + Sync), bool);
 
 pub use nabbitc_graph::analysis::GraphShape;
-
-/// Whether the pre-filter skips the candidate named `name` on `shape`.
-/// The rule is a conservative heuristic grounded in pinned results, not a
-/// theorem; candidates the rule does not recognize are never skipped.
-///
-/// `recursive-bisection` is skipped on deep wavefront pipelines
-/// ([`GraphShape::deep_wavefront`]): the cut-minimal partition of such a
-/// graph is spatially compact and serializes whole dependency levels —
-/// the failure mode `results/autocolor_vs_hand.md` pins on sw (0.45× hand
-/// at P=20 vs cp-level-aware's 1.48×) — so it cannot win the makespan
-/// there, and skipping it saves its `assign` (on `pagerank-auto`'s
-/// million-edge graph about half the cost of `cp-level-aware`'s).
-fn prefilter_skips(shape: &GraphShape, name: &str) -> bool {
-    match name {
-        "recursive-bisection" => shape.deep_wavefront(),
-        _ => false,
-    }
-}
 
 /// What happened to one portfolio member during a selection.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,8 +135,6 @@ pub struct SelectionReport {
     pub shape: Option<GraphShape>,
     /// `(candidate name, outcome)` in portfolio order; the home path's
     /// `recursive-bisection` and `block-contiguous` follow when it ran.
-    /// When `fallback` is set, one extra trailing entry records the
-    /// fallback assigner.
     pub candidates: Vec<(&'static str, CandidateOutcome)>,
     /// What each entry of `candidates` cost, index for index (zero for a
     /// member that never ran). Members run on at most
@@ -169,11 +147,6 @@ pub struct SelectionReport {
     /// Index into `candidates` of the winner; `None` only for the
     /// degenerate machines (`workers == 1`) where no candidate ran.
     pub chosen: Option<usize>,
-    /// Whether every portfolio candidate was disqualified and selection
-    /// fell back to [`BlockContiguous`] (always valid by construction);
-    /// the fallback is the trailing `candidates` entry and the `chosen`
-    /// one.
-    pub fallback: bool,
     /// `Some(h)` when a home-path entry won over the graph's `h` homes,
     /// so the returned colors are constant per home.
     pub homes: Option<usize>,
@@ -202,7 +175,6 @@ impl PartialEq for SelectionReport {
             && self.shape == other.shape
             && self.candidates == other.candidates
             && self.chosen == other.chosen
-            && self.fallback == other.fallback
             && self.homes == other.homes
             && self.balance_fallback == other.balance_fallback
             && self.packed_estimate == other.packed_estimate
@@ -238,15 +210,32 @@ impl SelectionReport {
 /// The meta-assigner (see module docs): evaluates a portfolio of
 /// candidate assigners — side by side where the machine has the CPUs —
 /// and returns the assignment with the lowest strict makespan estimate.
+/// Built with `default()`, then [`with_cost_model`](Self::with_cost_model)
+/// and [`with_topology`](Self::with_topology).
+///
+/// The portfolio is the two partitioning objectives, [`RecursiveBisection`]
+/// (edge-cut) and [`CpLevelAware`] (makespan), after the home path, where
+/// [`BlockContiguous`] does win (on `pagerank-auto`'s 1050 blocks). Over
+/// the nodes neither it nor [`BfsLocality`](crate::BfsLocality) is a
+/// member: they never win there — not in any row of
+/// `results/autocolor_vs_hand.md`, not on any graph family the selection
+/// tests use — and would cost every selection their `assign` and
+/// estimate; the tests keep them as baselines the two-member selection
+/// must never lose to. [`RoundRobin`](crate::RoundRobin) is left out too,
+/// although it does win: it beats `auto` in three rows of that table
+/// (`sw` at P = 20 and 40, `page-uk-2002` at P = 40). Adding it is an open
+/// change to the selection, not a settled exclusion.
+#[derive(Default)]
+#[non_exhaustive]
 pub struct AutoSelect {
-    /// The cost model every candidate is scored with — node ticks over
-    /// work and footprint, plus the two cross-color edge terms
-    /// (remote-byte bandwidth on the consumer's execution, steal latency
-    /// on its ready time). Replaces the old hand-calibrated
-    /// `cross_penalty_frac`: because the bandwidth term scales with the
-    /// bytes an edge actually moves, memory-bound stencils and
-    /// latency-bound wavefronts rank correctly under the *same* model,
-    /// with nothing left to tune.
+    /// The cost model every assignment is scored with and
+    /// [`CpLevelAware`] optimizes under — node ticks over work and
+    /// footprint, plus the two cross-color edge terms (remote-byte
+    /// bandwidth on the consumer's execution, steal latency on its ready
+    /// time). Replaces the old hand-calibrated `cross_penalty_frac`:
+    /// because the bandwidth term scales with the bytes an edge actually
+    /// moves, memory-bound stencils and latency-bound wavefronts rank
+    /// correctly under the *same* model, with nothing left to tune.
     pub cost: CostModel,
     /// The worker→domain topology candidates are scored against. `None`
     /// (the default) prices every worker as its own domain — the
@@ -255,75 +244,14 @@ pub struct AutoSelect {
     /// machine (the paper's 8×10), where same-domain cut edges are free
     /// and the domain-packing post-pass runs on the winner.
     pub topology: Option<Topology>,
-    candidates: Vec<Candidate>,
-    /// Whether `candidates` is the default portfolio, in which case
-    /// [`with_cost_model`](Self::with_cost_model) rebuilds it so the
-    /// cost-model-driven members optimize under the new model too.
-    default_portfolio: bool,
-}
-
-impl Default for AutoSelect {
-    /// The default portfolio: the two partitioning objectives,
-    /// [`RecursiveBisection`] (edge-cut) and [`CpLevelAware`] (makespan),
-    /// after the home path (module docs), where [`BlockContiguous`] does
-    /// win (on `pagerank-auto`'s 1050 blocks). Over the nodes neither it
-    /// nor [`BfsLocality`](crate::BfsLocality) is a member: they never
-    /// win there — not in any row of
-    /// `results/autocolor_vs_hand.md`, not on any graph family the
-    /// selection tests use — and would cost every selection their
-    /// `assign` and estimate; the tests keep them as baselines the
-    /// two-member selection must never lose to.
-    /// [`RoundRobin`](crate::RoundRobin) is left out too, although it
-    /// does win: it beats `auto` in three rows of that table (`sw` at
-    /// P = 20 and 40, `page-uk-2002` at P = 40). Adding it is an open
-    /// change to the selection, not a settled exclusion.
-    fn default() -> Self {
-        AutoSelect::with_default_portfolio(CostModel::default())
-    }
 }
 
 impl AutoSelect {
-    /// The default portfolio priced end to end by `cost`: the scoring
-    /// *and* the candidates that optimize under a cost model
-    /// ([`CpLevelAware`]'s sweep and refinement) use the same machine.
+    /// Replaces the cost model (builder style): the scoring *and*
+    /// [`CpLevelAware`]'s sweep and refinement price the same machine.
     /// Panics on invalid bandwidth terms.
-    pub fn with_default_portfolio(cost: CostModel) -> Self {
-        cost.assert_valid();
-        let mut sel = AutoSelect::new(vec![
-            Box::new(RecursiveBisection::default()),
-            Box::new(CpLevelAware::default().with_cost_model(cost.clone())),
-        ]);
-        sel.cost = cost;
-        sel.default_portfolio = true;
-        sel
-    }
-
-    /// A meta-assigner over an explicit portfolio (portfolio order is the
-    /// deterministic tie-break). Panics if `candidates` is empty.
-    pub fn new(candidates: Vec<Candidate>) -> Self {
-        assert!(!candidates.is_empty(), "portfolio must not be empty");
-        AutoSelect {
-            cost: CostModel::default(),
-            topology: None,
-            candidates,
-            default_portfolio: false,
-        }
-    }
-
-    /// Replaces the cost model (builder style). Panics on invalid
-    /// bandwidth terms. On the default portfolio this re-prices the whole
-    /// pipeline — the cost-model-driven candidates are rebuilt with the
-    /// new model, so they optimize for the same machine the scoring
-    /// prices. An explicit [`new`](Self::new) portfolio keeps its
-    /// members' own models (they may be deliberately heterogeneous); only
-    /// the scoring changes.
     pub fn with_cost_model(self, cost: CostModel) -> Self {
         cost.assert_valid();
-        if self.default_portfolio {
-            let mut sel = AutoSelect::with_default_portfolio(cost);
-            sel.topology = self.topology.clone();
-            return sel;
-        }
         AutoSelect { cost, ..self }
     }
 
@@ -349,18 +277,27 @@ impl AutoSelect {
         }
     }
 
-    /// The portfolio, in tie-break order.
-    pub fn candidates(&self) -> &[Candidate] {
-        &self.candidates
+    /// Runs the home path and the node path (module docs) and returns the
+    /// winning assignment plus the per-member report. Panics if `workers
+    /// == 0`.
+    pub fn select(&self, graph: &TaskGraph, workers: usize) -> (Vec<Color>, SelectionReport) {
+        let level_aware = CpLevelAware::default().with_cost_model(self.cost.clone());
+        let nodes: [NodeMember; 2] = [
+            (&RecursiveBisection::default(), true),
+            (&level_aware, false),
+        ];
+        self.select_among(graph, workers, &nodes)
     }
 
-    /// Runs the portfolio (after the home path, module docs) and returns
-    /// the winning assignment plus the per-candidate report. If every
-    /// candidate is disqualified (a portfolio of only-buggy assigners),
-    /// selection falls back to [`BlockContiguous`] — always valid by
-    /// construction — and records the fallback in the report instead of
-    /// aborting. Panics if `workers == 0`.
-    pub fn select(&self, graph: &TaskGraph, workers: usize) -> (Vec<Color>, SelectionReport) {
+    /// [`select`](Self::select) with `nodes` as the node path's members,
+    /// in tie-break order. Panics, naming each rejection, if no member
+    /// scores.
+    fn select_among(
+        &self,
+        graph: &TaskGraph,
+        workers: usize,
+        nodes: &[NodeMember],
+    ) -> (Vec<Color>, SelectionReport) {
         assert!(workers > 0, "need at least one worker");
         let selection_started = Instant::now();
         self.cost.assert_valid();
@@ -378,14 +315,12 @@ impl AutoSelect {
             cost: self.cost.clone(),
             topology: topo.clone(),
             shape: None,
-            candidates: self
-                .candidates
+            candidates: nodes
                 .iter()
-                .map(|c| (c.name(), CandidateOutcome::Skipped))
+                .map(|(m, _)| (m.name(), CandidateOutcome::Skipped))
                 .collect(),
-            times: vec![CandidateTime::default(); self.candidates.len()],
+            times: vec![CandidateTime::default(); nodes.len()],
             chosen: None,
-            fallback: false,
             homes: None,
             balance_fallback: false,
             packed_estimate: None,
@@ -474,10 +409,10 @@ impl AutoSelect {
             }
         };
 
-        // The home path (module docs), appended to the portfolio's entries.
+        // The home path (module docs), appended to the node path's entries.
         let mut settled = false;
         let mut home_entry = None;
-        if let Some(homes) = self.default_portfolio.then(|| home_graph(graph)).flatten() {
+        if let Some(homes) = home_graph(graph) {
             let first = report.candidates.len();
             let members: [Member; 2] = [
                 (first, &RecursiveBisection::default()),
@@ -501,51 +436,29 @@ impl AutoSelect {
             }
         }
 
-        // The node path: the portfolio colors the nodes themselves.
+        // The node path: the portfolio colors the nodes themselves, but
+        // for the members a deep wavefront skips.
         if !settled {
             let profile = profile.get_or_init(|| level_profile(graph));
             let shape = GraphShape::from_profile(profile, workers);
             report.shape = Some(shape);
-            let member = |i: usize| -> Member { (i, self.candidates[i].as_ref()) };
-            // Pre-filter, but never down to an empty shortlist: if the
-            // rules would drop everyone, selection degrades to exhaustive.
-            let mut shortlist: Vec<Member> = (0..self.candidates.len())
-                .filter(|&i| !prefilter_skips(&shape, self.candidates[i].name()))
-                .map(member)
+            let run: Vec<Member> = (0..nodes.len())
+                .filter(|&i| !(nodes[i].1 && shape.deep_wavefront()))
+                .map(|i| (i, nodes[i].0))
                 .collect();
-            if shortlist.is_empty() {
-                shortlist = (0..self.candidates.len()).map(member).collect();
-            }
-            ingest(&mut report, &shortlist, None, &mut best);
-            if best.is_none() {
-                // Every shortlisted candidate was disqualified. A
-                // pre-filter skip is a quality heuristic, not a validity
-                // judgment, so before giving up, fall back to the
-                // candidates it skipped.
-                let rescued: Vec<Member> = (0..self.candidates.len())
-                    .filter(|&i| shortlist.iter().all(|&(s, _)| s != i))
-                    .map(member)
-                    .collect();
-                ingest(&mut report, &rescued, None, &mut best);
-            }
-            if best.is_none() {
-                // Every portfolio candidate produced an invalid
-                // assignment. Rather than aborting the caller, degrade to
-                // the one assigner that cannot be invalid —
-                // BlockContiguous emits in-range colors by construction —
-                // and record the fallback.
-                let (scored, time) = score(&BlockContiguous, None);
-                let (colors, est) =
-                    scored.expect("BlockContiguous emits in-range colors by construction");
-                report
-                    .candidates
-                    .push((BlockContiguous.name(), CandidateOutcome::Estimated(est)));
-                report.times.push(time);
-                best = Some((est, report.candidates.len() - 1, colors));
-                report.fallback = true;
-            }
+            ingest(&mut report, &run, None, &mut best);
         }
-        let (est, chosen, mut colors) = best.expect("fallback guarantees a winner");
+        let Some((est, chosen, mut colors)) = best else {
+            let rejections: Vec<String> = report
+                .candidates
+                .iter()
+                .filter_map(|(name, outcome)| match outcome {
+                    CandidateOutcome::Rejected(invalid) => Some(format!("{name}: {invalid}")),
+                    _ => None,
+                })
+                .collect();
+            panic!("no member scored: {}", rejections.join("; "));
+        };
         report.chosen = Some(chosen);
         if home_entry == Some(chosen) {
             report.homes = Some(graph.home_count());
@@ -673,7 +586,7 @@ mod tests {
     /// meta-machinery — the reference `select` must argmin against: the
     /// two-member selection is never worse than the best of the four.
     fn portfolio_estimates(g: &TaskGraph, workers: usize, cost: &CostModel) -> Vec<(String, u64)> {
-        let four: [Candidate; 4] = [
+        let four: [Box<dyn ColorAssigner>; 4] = [
             Box::new(RecursiveBisection::default()),
             Box::new(CpLevelAware::default()),
             Box::new(BfsLocality::default()),
@@ -784,35 +697,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn invalid_candidates_are_disqualified_not_scored() {
-        /// A buggy assigner: colors everything for a machine twice the
-        /// requested size. Scored as if those workers existed it would
-        /// look *faster* than any honest candidate on an
-        /// independent-task graph.
-        struct DoubleWide;
-        impl ColorAssigner for DoubleWide {
-            fn name(&self) -> &'static str {
-                "double-wide"
-            }
-            fn assign(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
-                graph
-                    .nodes()
-                    .map(|u| Color::from(u as usize % (2 * workers)))
-                    .collect()
-            }
+    /// A buggy assigner: colors everything for a machine twice the
+    /// requested size. Scored as if those workers existed it would look
+    /// *faster* than any honest member on an independent-task graph.
+    struct DoubleWide;
+    impl ColorAssigner for DoubleWide {
+        fn name(&self) -> &'static str {
+            "double-wide"
         }
-        let g = generate::independent(64, 50, 1);
-        let sel = AutoSelect::new(vec![Box::new(DoubleWide), Box::new(BlockContiguous)]);
-        let (colors, rep) = sel.select(&g, 2);
-        assert!(assignment_is_valid(&colors, 2));
-        assert_eq!(rep.chosen_name(), "block-contiguous");
-        match &rep.candidates[0].1 {
-            CandidateOutcome::Rejected(err) => assert_eq!(err.workers, 2),
-            o => panic!("double-wide should be rejected, got {o:?}"),
+        fn assign(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
+            graph
+                .nodes()
+                .map(|u| Color::from(u as usize % (2 * workers)))
+                .collect()
         }
     }
 
+    /// A buggy assigner whose every color is `Color::INVALID`.
     struct AlwaysInvalid;
     impl ColorAssigner for AlwaysInvalid {
         fn name(&self) -> &'static str {
@@ -824,69 +725,53 @@ mod tests {
     }
 
     #[test]
-    fn all_invalid_portfolio_falls_back_to_block_contiguous() {
-        // A portfolio of only-buggy assigners must not abort the caller:
-        // selection degrades to BlockContiguous (valid by construction)
-        // and says so in the report.
-        let g = generate::chain(4, 1, 1);
-        let (colors, rep) = AutoSelect::new(vec![Box::new(AlwaysInvalid)]).select(&g, 2);
+    fn invalid_candidates_are_disqualified_not_scored() {
+        let g = generate::independent(64, 50, 1);
+        let members: [NodeMember; 2] = [(&DoubleWide, false), (&BlockContiguous, false)];
+        let (colors, rep) = AutoSelect::default().select_among(&g, 2, &members);
         assert!(assignment_is_valid(&colors, 2));
-        assert!(rep.fallback);
         assert_eq!(rep.chosen_name(), "block-contiguous");
-        assert_eq!(rep.candidates.len(), 2, "{rep:?}");
-        assert!(matches!(rep.candidates[0].1, CandidateOutcome::Rejected(_)));
-        assert!(matches!(
-            rep.candidates[1].1,
-            CandidateOutcome::Estimated(_)
-        ));
-        // The returned colors are BlockContiguous's, at its estimate.
-        assert_eq!(colors, BlockContiguous.assign(&g, 2));
-        assert_eq!(rep.chosen_estimate(), estimate(&g, &colors, 2, &rep.cost));
-    }
-
-    #[test]
-    fn prefiltered_candidates_are_rescued_when_the_shortlist_is_disqualified() {
-        // A pre-filter skip is a quality heuristic, not a validity
-        // judgment: on a deep wavefront the filter drops bisection, and
-        // if everything left turns out buggy, selection must fall back
-        // to the skipped candidate instead of panicking.
-        let g = generate::wavefront(16, 16, 4, 1);
-        let sel = AutoSelect::new(vec![
-            Box::new(RecursiveBisection::default()),
-            Box::new(AlwaysInvalid),
-        ]);
-        let (colors, rep) = sel.select(&g, 4);
-        assert_eq!(rep.chosen_name(), "recursive-bisection", "{rep:?}");
-        assert!(assignment_is_valid(&colors, 4));
-        assert!(matches!(rep.candidates[1].1, CandidateOutcome::Rejected(_)));
+        match &rep.candidates[0].1 {
+            CandidateOutcome::Rejected(err) => assert_eq!(err.workers, 2),
+            o => panic!("double-wide should be rejected, got {o:?}"),
+        }
     }
 
     #[test]
     fn single_worker_is_monochrome_without_running_candidates() {
-        let g = generate::wavefront(6, 6, 1, 1);
-        let (colors, rep) = AutoSelect::default().select(&g, 1);
-        assert!(colors.iter().all(|&c| c == Color(0)));
-        assert_eq!(rep.chosen, None);
-        assert_eq!(rep.chosen_name(), "monochrome");
-        assert!(rep
-            .candidates
-            .iter()
-            .all(|(_, o)| matches!(o, CandidateOutcome::Skipped)));
+        // Shared homes or not: one worker takes neither path.
+        for g in [
+            generate::wavefront(6, 6, 1, 1),
+            shared_home_stencil(6, &[10; 16]),
+        ] {
+            let (colors, rep) = AutoSelect::default().select(&g, 1);
+            assert!(colors.iter().all(|&c| c == Color(0)));
+            assert_eq!(rep.chosen, None);
+            assert_eq!(rep.chosen_name(), "monochrome");
+            assert_eq!((rep.homes, rep.balance_fallback), (None, false));
+            assert!(rep
+                .candidates
+                .iter()
+                .all(|(_, o)| matches!(o, CandidateOutcome::Skipped)));
+        }
     }
 
     #[test]
     fn with_cost_model_reprices_the_default_portfolio() {
-        // On the default portfolio, with_cost_model must be equivalent to
-        // building the portfolio under that model — the cost-model-driven
-        // candidates optimize for the machine the scoring prices.
+        // The scoring and the level-aware member price the same machine:
+        // on a deep wavefront, where the bisection is skipped, the
+        // selection returns the colors of a `CpLevelAware` built under
+        // that model, not those of the default one.
         let heavy = CostModel::default().with_remote_ratio(8.0);
         let g = generate::wavefront(16, 16, 4, 1);
-        let a = AutoSelect::default()
+        let (colors, rep) = AutoSelect::default()
             .with_cost_model(heavy.clone())
             .select(&g, 4);
-        let b = AutoSelect::with_default_portfolio(heavy.clone()).select(&g, 4);
-        assert_eq!(a, b);
-        assert_eq!(a.1.cost, heavy);
+        assert_eq!(rep.chosen_name(), "cp-level-aware", "{rep:?}");
+        let member = CpLevelAware::default().with_cost_model(heavy.clone());
+        assert_eq!(colors, member.assign(&g, 4));
+        assert_ne!(colors, CpLevelAware::default().assign(&g, 4));
+        assert_eq!(rep.cost, heavy);
         // Builder state set before the re-pricing survives it.
         let topo = Topology::new(2, 2);
         let sel = AutoSelect::default()
@@ -910,21 +795,6 @@ mod tests {
         let mut other = rep.clone();
         other.times[1].assign += Duration::from_secs(1);
         assert_eq!(rep, other, "wall times are not a selection decision");
-        // The fallback entry is timed like any other.
-        let (_c, rep) = AutoSelect::new(vec![Box::new(AlwaysInvalid)]).select(&g, 2);
-        assert!(rep.fallback);
-        assert_eq!(rep.times.len(), rep.candidates.len());
-    }
-
-    #[test]
-    fn non_fallback_selections_report_no_fallback() {
-        let g = generate::wavefront(12, 12, 4, 1);
-        let (_c, rep) = AutoSelect::default().select(&g, 4);
-        assert!(!rep.fallback);
-        assert_eq!(
-            rep.candidates.len(),
-            AutoSelect::default().candidates().len()
-        );
     }
 
     #[test]
@@ -980,8 +850,8 @@ mod tests {
         }
         let g = generate::chain(64, 2, 1); // heavy chain: all traffic serial
         let topo = Topology::new(2, 2);
-        let sel = AutoSelect::new(vec![Box::new(DomainHostile)]).with_topology(topo.clone());
-        let (colors, rep) = sel.select(&g, 4);
+        let sel = AutoSelect::default().with_topology(topo.clone());
+        let (colors, rep) = sel.select_among(&g, 4, &[(&DomainHostile, false)]);
         // The packing pass re-labeled the quarters so chain neighbors
         // share domains where possible.
         assert!(rep.packed_estimate.is_some(), "{rep:?}");
@@ -996,18 +866,41 @@ mod tests {
 
     #[test]
     fn default_portfolio_is_the_two_winners() {
-        let sel = AutoSelect::default();
-        let names: Vec<_> = sel.candidates().iter().map(|c| c.name()).collect();
-        assert_eq!(names, ["recursive-bisection", "cp-level-aware"]);
-        // Re-pricing rebuilds the same two.
-        let heavy = sel.with_cost_model(CostModel::default().with_remote_ratio(8.0));
-        let names: Vec<_> = heavy.candidates().iter().map(|c| c.name()).collect();
-        assert_eq!(names, ["recursive-bisection", "cp-level-aware"]);
-        // Id-blocking is not a member, but it is the all-invalid fallback.
-        let g = generate::chain(4, 1, 1);
-        let (_c, rep) = AutoSelect::new(vec![Box::new(AlwaysInvalid)]).select(&g, 2);
-        assert!(rep.fallback);
-        assert_eq!(rep.chosen_name(), "block-contiguous");
+        // The node path's two members, then the home path's two.
+        let node_path = ["recursive-bisection", "cp-level-aware"];
+        let both = [
+            node_path.as_slice(),
+            &["recursive-bisection", "block-contiguous"],
+        ]
+        .concat();
+        let heavy = CostModel::default().with_remote_ratio(8.0);
+        for sel in [
+            AutoSelect::default(),
+            AutoSelect::default().with_cost_model(heavy),
+        ] {
+            let names = |g: &TaskGraph| -> Vec<&str> {
+                let (_c, rep) = sel.select(g, 2);
+                rep.candidates.iter().map(|(name, _)| *name).collect()
+            };
+            assert_eq!(names(&generate::chain(4, 1, 1)), node_path);
+            assert_eq!(names(&shared_home_stencil(2, &[10; 4])), both);
+        }
+    }
+
+    #[test]
+    fn select_panics_naming_each_rejection_when_no_member_scores() {
+        let g = generate::independent(8, 50, 1);
+        let members: [NodeMember; 2] = [(&AlwaysInvalid, false), (&DoubleWide, false)];
+        let select = || AutoSelect::default().select_among(&g, 2, &members);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(select))
+            .expect_err("no member scored, so nothing may be returned");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.starts_with("no member scored: "), "{msg}");
+        assert!(msg.contains("always-invalid: node 0 carries"), "{msg}");
+        assert!(
+            msg.contains("double-wide: node 2 carries color c2"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -1040,10 +933,9 @@ mod tests {
         }
         let seen = Arc::new(Mutex::new(Seen::default()));
         let g = generate::layered_random(12, 64, 8, (1, 300), 1, 5);
-        let members: Vec<Candidate> = (0..4)
-            .map(|_| Box::new(Counting(seen.clone())) as _)
-            .collect();
-        let (colors, rep) = AutoSelect::new(members).select(&g, 4);
+        let counting: Vec<Counting> = (0..4).map(|_| Counting(seen.clone())).collect();
+        let members: Vec<NodeMember> = counting.iter().map(|m| (m as _, false)).collect();
+        let (colors, rep) = AutoSelect::default().select_among(&g, 4, &members);
         assert!(assignment_is_valid(&colors, 4));
         assert_eq!(rep.chosen, Some(0), "equal estimates: portfolio order");
         let seen = seen.lock().expect("no member panicked");
@@ -1122,8 +1014,8 @@ mod tests {
         assert_eq!(rep.homes, Some(16), "{rep:?}");
         assert!(!rep.balance_fallback);
         assert_eq!(rep.shape, None, "the home path profiles no levels");
-        // The portfolio's own entries never ran; the home members trail.
-        let portfolio = AutoSelect::default().candidates().len();
+        // The node path's entries never ran; the home members trail.
+        let portfolio = 2;
         for (name, outcome) in &rep.candidates[..portfolio] {
             assert_eq!(*outcome, CandidateOutcome::Skipped, "{name}");
         }
@@ -1165,22 +1057,6 @@ mod tests {
             outcome_of(&rep, "block-contiguous", 2),
             CandidateOutcome::Estimated(_)
         ));
-    }
-
-    #[test]
-    fn explicit_portfolios_and_one_worker_keep_the_node_path() {
-        let g = shared_home_stencil(6, &[10; 16]);
-        let explicit = AutoSelect::new(vec![
-            Box::new(RecursiveBisection::default()),
-            Box::new(CpLevelAware::default()),
-        ]);
-        let (colors, rep) = explicit.select(&g, 4);
-        assert_eq!((rep.homes, rep.balance_fallback), (None, false));
-        assert_eq!(rep.candidates.len(), 2, "{rep:?}");
-        assert_eq!(rep.chosen_estimate(), estimate(&g, &colors, 4, &rep.cost));
-        let (colors, rep) = AutoSelect::default().select(&g, 1);
-        assert_eq!((rep.homes, rep.balance_fallback), (None, false));
-        assert!(colors.iter().all(|&c| c == Color(0)));
     }
 
     #[test]

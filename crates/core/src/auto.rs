@@ -59,8 +59,7 @@ impl StaticExecutor {
     /// valid simulator and linter input; reuse it when executing
     /// repeatedly, selection is the expensive part. The report's
     /// [`selection`](RunReport::selection) says which candidate won and
-    /// why (including the fallback flag and the selection's own
-    /// wall-clock cost), and
+    /// why (including the selection's own wall-clock cost), and
     /// [`coloring_elapsed`](RunReport::coloring_elapsed) is the time
     /// before the first node could run: selection, laying the winner
     /// over the graph, and the [`ExecOptions::lint`](crate::ExecOptions)
@@ -71,7 +70,7 @@ impl StaticExecutor {
         K: Fn(NodeId, usize) + Send + Sync + 'static,
     {
         let coloring_started = Instant::now();
-        let mut select = AutoSelect::with_default_portfolio(self.options().cost.clone());
+        let mut select = AutoSelect::default().with_cost_model(self.options().cost.clone());
         if let Some(topo) = &self.options().topology {
             select = select.with_topology(topo.clone());
         }
@@ -260,7 +259,6 @@ mod tests {
             }),
         );
         let selection = report.selection.as_ref().expect("execute_auto selects");
-        assert!(!selection.fallback);
         assert!(report.coloring_elapsed.expect("coloring timed") >= selection.elapsed);
         assert!(report.selection_summary().is_some());
         assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));

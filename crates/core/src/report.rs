@@ -45,7 +45,7 @@ pub struct RunReport {
     /// when the pool was built with tracing enabled
     /// ([`TraceConfig`](nabbitc_runtime::TraceConfig)), `None` otherwise.
     pub runtime_trace: Option<RuntimeTrace>,
-    /// Which autocolor candidate won, the fallback flag, the scoring
+    /// Which autocolor candidate won, over homes or nodes, the scoring
     /// cost, and each candidate's own `assign` and scoring wall time
     /// (`SelectionReport::times`: which member was the selection's long
     /// pole) — populated by
@@ -73,10 +73,9 @@ impl RunReport {
     /// had none. Example:
     /// `auto: cp-level-aware (est 1234, 4 candidates, 1.2ms)`; a coloring
     /// chosen over the graph's homes reads
-    /// `auto: block-contiguous over 1050 homes (…)`, a selection whose
-    /// balance guard fell back to the node portfolio is marked
-    /// `[BALANCE FALLBACK]`, and one whose members were all disqualified
-    /// `[FALLBACK]`.
+    /// `auto: block-contiguous over 1050 homes (…)`, and a selection whose
+    /// balance guard fell back to the node path is marked
+    /// `[BALANCE FALLBACK]`.
     pub fn selection_summary(&self) -> Option<String> {
         let sel = self.selection.as_ref()?;
         Some(format_selection(sel))
@@ -87,7 +86,7 @@ impl RunReport {
 /// harnesses print (also used for [`RunReport::selection_summary`]).
 pub fn format_selection(sel: &SelectionReport) -> String {
     format!(
-        "auto: {}{}{} (est {}, {} candidates, {:.2?}){}{}",
+        "auto: {}{}{} (est {}, {} candidates, {:.2?}){}",
         sel.chosen_name(),
         sel.homes
             .map_or(String::new(), |h| format!(" over {h} homes")),
@@ -104,7 +103,6 @@ pub fn format_selection(sel: &SelectionReport) -> String {
         } else {
             ""
         },
-        if sel.fallback { " [FALLBACK]" } else { "" },
     )
 }
 

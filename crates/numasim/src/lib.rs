@@ -43,7 +43,7 @@ use nabbitc_graph::TaskGraph;
 /// Simulates `graph` under an alternative coloring — `colors[u]` becomes
 /// node `u`'s color *and* its data placement: each node's footprint is
 /// re-homed under the edge-traffic model
-/// ([`TaskGraph::rehome_edge_traffic`]), so a node owns (first-touch
+/// ([`TaskGraph::recolored`]), so a node owns (first-touch
 /// initializes) its data but reads its predecessors' outputs from *their*
 /// colors' regions. A cross-color dependence edge whose endpoints land in
 /// different NUMA domains therefore carries real remote-byte traffic —
@@ -141,7 +141,7 @@ mod recolor_tests {
         // member — picking by estimate must not cost more than 5% of
         // simulated makespan. (The registry workloads get the same check
         // in `tests/makespan_regression.rs` at the workspace root.)
-        use nabbitc_autocolor::AutoSelect;
+        use nabbitc_autocolor::{AutoSelect, ColorAssigner, CpLevelAware, RecursiveBisection};
         let p = 8;
         let cfg = WsConfig::nabbitc(p);
         for (family, g) in [
@@ -152,11 +152,11 @@ mod recolor_tests {
                 generate::layered_random(10, 32, 3, (50, 400), 1, 42),
             ),
         ] {
-            let sel = AutoSelect::default();
-            let (colors, report) = sel.select(&g, p);
+            let (colors, report) = AutoSelect::default().select(&g, p);
             let auto_sim = simulate_ws_recolored(&g, &colors, &cfg).makespan;
-            let best_sim = sel
-                .candidates()
+            let members: [&dyn ColorAssigner; 2] =
+                [&RecursiveBisection::default(), &CpLevelAware::default()];
+            let best_sim = members
                 .iter()
                 .map(|c| simulate_ws_recolored(&g, &c.assign(&g, p), &cfg).makespan)
                 .min()
