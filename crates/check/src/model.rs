@@ -694,8 +694,7 @@ pub fn run_injector_progress(workers: usize) {
 /// through the job condvar afterwards). What must still hold under the
 /// Release/Acquire mirror protocol: the task is never taken twice, and
 /// it is either taken by a worker or still drainable afterwards — never
-/// lost. The final drain goes through `try_pop_batch`, covering the
-/// batched mirror store too.
+/// lost.
 pub fn run_injector_racing_push(workers: usize) {
     let inj: Arc<Injector<u64>> = Arc::new(Injector::new());
     let handles: Vec<_> = (0..workers)
@@ -710,9 +709,9 @@ pub fn run_injector_racing_push(workers: usize) {
         .filter_map(|h| h.join().expect("worker panicked"))
         .collect();
     assert!(taken.len() <= 1, "W2 violation: injector task taken twice");
-    let leftover = inj.try_pop_batch(4);
+    let leftover = inj.try_pop();
     assert_eq!(
-        taken.len() + leftover.len(),
+        taken.len() + usize::from(leftover.is_some()),
         1,
         "W1 violation: injector task lost"
     );

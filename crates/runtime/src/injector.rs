@@ -72,23 +72,10 @@ impl<T> Injector<T> {
         v
     }
 
-    /// Dequeues up to `max` values from the front in FIFO order, under a
-    /// single lock acquisition and one mirror store — the batch analogue
-    /// of [`try_pop`](Self::try_pop) for the workers' drain path.
-    pub fn try_pop_batch(&self, max: usize) -> Vec<T> {
-        let mut q = self.queue.lock();
-        let n = q.len().min(max);
-        let out: Vec<T> = q.drain(..n).collect();
-        // ORDERING len.store: Release — one mirror update for the whole
-        // drained batch, under the lock; same hint contract
-        self.len.store(q.len(), Ordering::Release);
-        out
-    }
-
     /// Lock-free length hint (exact once all concurrent ops retire).
     pub fn len(&self) -> usize {
         // ORDERING len.load: Acquire; pairs push::len.store,
-        // try_pop::len.store, try_pop_batch::len.store — idle-path hint probe
+        // try_pop::len.store — idle-path hint probe
         // polled every worker round; Acquire (from SeqCst) pairs with the
         // Release mirror stores — the hint-only contract above needs nothing
         // stronger, and this load is hot enough to care
@@ -119,19 +106,5 @@ mod tests {
         assert!(inj.is_empty());
         assert_eq!(inj.try_pop(), None);
         assert!(inj.is_empty());
-    }
-
-    #[test]
-    fn batch_pop_preserves_fifo_and_mirror() {
-        let inj: Injector<u32> = Injector::new();
-        for i in 0..5 {
-            inj.push(i);
-        }
-        assert_eq!(inj.try_pop_batch(3), vec![0, 1, 2]);
-        assert_eq!(inj.len(), 2);
-        // Asking for more than available drains what exists.
-        assert_eq!(inj.try_pop_batch(10), vec![3, 4]);
-        assert!(inj.is_empty());
-        assert_eq!(inj.try_pop_batch(4), Vec::<u32>::new());
     }
 }

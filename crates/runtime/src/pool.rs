@@ -690,11 +690,6 @@ fn worker_main(inner: Arc<PoolInner>, worker: usize, seed: u64) {
     }
 }
 
-/// How many injector entries one drain takes at once. The injector holds
-/// at most a handful of root tasks, so a small batch keeps one worker
-/// from hoarding roots while still amortizing the lock.
-const INJECTOR_DRAIN_BATCH: usize = 4;
-
 fn run_job_loop(inner: &PoolInner, worker: usize, thief: &mut Thief, arena: &mut TaskArena) {
     let mut ctx = WorkerContext {
         inner,
@@ -732,25 +727,17 @@ fn run_job_loop(inner: &PoolInner, worker: usize, thief: &mut Thief, arena: &mut
             execute(inner, &mut ctx, task);
         }
 
-        // The root injector (start of the job). Batch the drain: one lock
-        // round trip moves every waiting root; the first runs now, the
-        // rest land in the local deque where other workers can steal them.
+        // The root injector (start of the job): it holds at most the one
+        // root `submit` pushed, taken by the check-then-pop round that
+        // `run_injector_progress` model-checks.
         if !inner.injector.is_empty() {
-            let mut batch = inner.injector.try_pop_batch(INJECTOR_DRAIN_BATCH);
-            if !batch.is_empty() {
+            if let Some(root) = inner.injector.try_pop() {
                 inner.close_idle(worker, &mut idle);
                 record_first(&mut acquired_any);
                 backoff.reset();
-                let first = batch.remove(0);
-                for task in batch {
-                    let colors = task.colors;
-                    let (task, hit) = ctx.arena.adopt(task);
-                    note_arena(&inner.stats[worker], hit);
-                    inner.deques[worker].push(task, colors);
-                }
-                let (first, hit) = ctx.arena.adopt(first);
+                let (root, hit) = ctx.arena.adopt(root);
                 note_arena(&inner.stats[worker], hit);
-                execute(inner, &mut ctx, first);
+                execute(inner, &mut ctx, root);
                 continue;
             }
         }
