@@ -20,14 +20,12 @@ pub struct StealPolicy {
     /// Number of colored steal attempts before each random attempt (the
     /// paper's "constant number"; default 4).
     pub colored_attempts: usize,
-    /// Whether to force the first steal to be colored (NabbitC: true;
-    /// vanilla Nabbit: false — along with `colored_attempts = 0` this
+    /// Patience of the forced first colored steal: how many *declined*
+    /// probes a worker spends on it — per worker, per job; a reused pool
+    /// starts every job's count at zero — before it falls back to the
+    /// normal policy (colored attempts, then a random one). Zero turns the
+    /// forcing off (vanilla Nabbit: along with `colored_attempts = 0` this
     /// recovers plain randomized work stealing).
-    pub force_first_colored: bool,
-    /// Escape hatch for the forced first steal: how many *declined* probes
-    /// a worker spends on it — per worker, per job; a reused pool starts
-    /// every job's count at zero — before it falls back to the normal
-    /// policy (colored attempts, then a random one).
     ///
     /// A probe is declined when the victim had stealable work and its
     /// oldest entry did not carry one of the thief's colors: work the
@@ -35,7 +33,7 @@ pub struct StealPolicy {
     /// the victim empty (or lost a race) is no evidence about the coloring —
     /// the root is still running, the job has barely begun or is nearly
     /// over — so it is free: however long the root node runs, it cannot
-    /// spend the budget. A budget of zero means the forcing never starts.
+    /// spend the budget.
     /// [`Thief`] is the one implementation of this sentence; the threaded
     /// pool (`pool.rs`) and the simulator (`numasim::wsim`) both drive it.
     ///
@@ -68,7 +66,6 @@ impl StealPolicy {
     pub fn nabbitc() -> Self {
         StealPolicy {
             colored_attempts: 4,
-            force_first_colored: true,
             first_steal_max_declined: 1 << 16,
         }
     }
@@ -77,7 +74,6 @@ impl StealPolicy {
     pub fn nabbit() -> Self {
         StealPolicy {
             colored_attempts: 0,
-            force_first_colored: false,
             first_steal_max_declined: 0,
         }
     }
@@ -156,7 +152,7 @@ pub struct Thief {
 impl Thief {
     /// The thief of worker `me` of `workers` under `policy`.
     pub fn new(policy: &StealPolicy, me: usize, workers: usize, rng: XorShift64) -> Thief {
-        let (forced, patience) = (policy.force_first_colored, policy.first_steal_max_declined);
+        let patience = policy.first_steal_max_declined;
         Thief {
             me,
             workers,
@@ -164,7 +160,7 @@ impl Thief {
             accept: ColorSet::singleton(Color::from(me)),
             colored_attempts: policy.colored_attempts,
             colored_made: 0,
-            patience_left: if forced && workers > 1 { patience } else { 0 },
+            patience_left: if workers > 1 { patience } else { 0 },
         }
     }
 
@@ -220,15 +216,14 @@ mod tests {
     #[test]
     fn presets() {
         let (nabbitc, nabbit) = (StealPolicy::nabbitc(), StealPolicy::nabbit());
-        assert!(nabbitc.colored_attempts > 0 && nabbitc.force_first_colored);
-        assert!(nabbit.colored_attempts == 0 && !nabbit.force_first_colored);
+        assert!(nabbitc.colored_attempts > 0 && nabbitc.first_steal_max_declined > 0);
+        assert!(nabbit.colored_attempts == 0 && nabbit.first_steal_max_declined == 0);
         assert_eq!(StealPolicy::default(), StealPolicy::nabbitc());
     }
 
     fn forced(colored_attempts: usize, patience: u64) -> StealPolicy {
         StealPolicy {
             colored_attempts,
-            force_first_colored: true,
             first_steal_max_declined: patience,
         }
     }
