@@ -30,21 +30,19 @@
 //!   one color ([`RecursiveBisection`]'s failure mode), it keeps every
 //!   anti-diagonal feeding all workers and wins the schedule despite
 //!   cutting more edges;
-//! * [`DynamicAffinity`] — predecessor-majority voting with a load cap;
-//!   usable offline through [`ColorAssigner`] and online through
-//!   [`OnlineAssigner`] for the on-demand executor;
 //! * [`AutoSelect`] — the meta-assigner and **default static path**: runs
-//!   a portfolio of the above (by default the two node partitioners that
-//!   ever win, [`RecursiveBisection`] and [`CpLevelAware`], side by side
-//!   when the machine has a CPU for each), scores every candidate
-//!   assignment with the strict makespan estimator at the target worker
-//!   count, and returns the argmin — so callers get the per-graph winner
-//!   (bisection on stencils, level-aware on wavefronts) without choosing
-//!   a strategy themselves; where nodes share homes it first partitions
-//!   the homes. See [`select`] for the home path, the shape pre-filter
-//!   and the [`SelectionReport`] benches print. If every candidate is
-//!   disqualified, selection falls back to [`BlockContiguous`] (valid by
-//!   construction) and records the fallback instead of aborting.
+//!   the two node partitioners that ever win, [`RecursiveBisection`] and
+//!   [`CpLevelAware`] (side by side when the machine has a CPU for each),
+//!   scores every assignment with the strict makespan estimator at the
+//!   target worker count, and returns the argmin — so callers get the
+//!   per-graph winner (bisection on stencils, level-aware on wavefronts)
+//!   without choosing a strategy themselves; where nodes share homes it
+//!   first partitions the homes. See [`select`] for the home path, the
+//!   shape pre-filter and the [`SelectionReport`] benches print.
+//!
+//! The on-demand executor, which sees no graph up front, colors keys as
+//! it discovers them with [`OnlineAssigner`] (predecessor-majority voting
+//! with a load cap).
 //!
 //! **Selection is domain-aware; members price per worker.** Under a
 //! machine topology (`nabbitc_cost::Topology`, e.g. the paper's 8-domain
@@ -75,7 +73,7 @@
 //! [`apply_assignment`] (in place) and [`autocolor`] (assign, then
 //! recolor) are that one call. The layer's colors are also its data
 //! placement under the edge-traffic model
-//! ([`TaskGraph::rehome_edge_traffic`]): the worker that owns a node
+//! ([`TaskGraph::edge_traffic`]): the worker that owns a node
 //! first-touch initializes its data (the paper's "each worker initializes
 //! a unique region"), and the node's reads of its predecessors' outputs
 //! are placed at the predecessors' colors — so cross-color dependence
@@ -91,7 +89,7 @@
 //!    (never [`Color::INVALID`], which Table III shows degenerates
 //!    NabbitC);
 //! 2. **balance** (the weight-aware strategies: [`BfsLocality`],
-//!    [`RecursiveBisection`], [`CpLevelAware`], [`DynamicAffinity`]) —
+//!    [`RecursiveBisection`], [`CpLevelAware`]) —
 //!    max per-color load ≤ 2 × `max(total/workers, wmax)`, the
 //!    greedy-scheduling bound (see [`balance_limit`]). The id-based
 //!    baselines ignore weights by design and meet the bound only on
@@ -115,7 +113,7 @@ pub use bfs::BfsLocality;
 pub use bisect::RecursiveBisection;
 pub use cplevel::CpLevelAware;
 pub use domains::{inter_domain_traffic, pack_domains};
-pub use online::{DynamicAffinity, OnlineAssigner};
+pub use online::OnlineAssigner;
 pub use select::{AutoSelect, CandidateOutcome, CandidateTime, GraphShape, SelectionReport};
 
 use nabbitc_color::Color;
@@ -189,7 +187,7 @@ pub fn assignment_loads(graph: &TaskGraph, colors: &[Color], workers: usize) -> 
 
 /// Applies an assignment to a graph in place ([`TaskGraph::recolored`],
 /// assigned back): sets every node's color and re-homes its accesses
-/// under the edge-traffic model ([`TaskGraph::rehome_edge_traffic`]) —
+/// under the edge-traffic model ([`TaskGraph::edge_traffic`]) —
 /// each node's data is first-touch placed at its new color, and its reads
 /// of predecessor outputs are priced at the predecessors' colors, the
 /// same placement the NUMA simulator and the bandwidth-aware makespan
@@ -208,9 +206,8 @@ pub fn autocolor(graph: &TaskGraph, assigner: &dyn ColorAssigner, workers: usize
     graph.recolored(&assigner.assign(graph, workers))
 }
 
-/// Every static strategy (including [`DynamicAffinity`]'s offline replay
-/// and the [`AutoSelect`] meta-assigner, last), boxed, for sweeps in
-/// benches and tests.
+/// Every static strategy (the [`AutoSelect`] meta-assigner last), boxed,
+/// for sweeps in benches and tests.
 pub fn all_strategies() -> Vec<Box<dyn ColorAssigner>> {
     vec![
         Box::new(RoundRobin),
@@ -218,7 +215,6 @@ pub fn all_strategies() -> Vec<Box<dyn ColorAssigner>> {
         Box::new(BfsLocality::default()),
         Box::new(RecursiveBisection::default()),
         Box::new(CpLevelAware::default()),
-        Box::new(DynamicAffinity::default()),
         Box::new(AutoSelect::default()),
     ]
 }

@@ -16,15 +16,8 @@
 //! unless the color already carries more than its capped share of the
 //! keys seen so far, in which case the key spills to the least-loaded
 //! color (which is also where hintless, predecessor-less keys land).
-//!
-//! [`DynamicAffinity`] is the same policy replayed over a static
-//! [`TaskGraph`] in topological order, which makes it comparable (through
-//! [`ColorAssigner`]) with the offline strategies in benches — it is the
-//! "what you give up by not seeing the future" data point.
 
-use crate::{balance_limit, node_weight, ColorAssigner};
 use nabbitc_color::Color;
-use nabbitc_graph::TaskGraph;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::RwLock;
@@ -33,16 +26,11 @@ use std::sync::RwLock;
 /// better balance, looser means longer affinity chains.
 const CAP_SLACK: f64 = 1.2;
 
-/// Shared voting core: picks a color for one item given its predecessors'
-/// colors, current per-color loads, and a load cap for the preferred
-/// color.
-fn vote(pred_colors: &[usize], loads: &[u64], item_load: u64, cap: u64) -> usize {
+/// The voting core: picks a color for one key given its voters' colors,
+/// current per-color key counts, and a cap on the preferred color's count
+/// once it takes the key.
+fn vote(pred_colors: &[usize], loads: &[u64], cap: u64) -> usize {
     let workers = loads.len();
-    // Real assert, not debug_assert: every public entry already rejects
-    // workers == 0, but this is the last line of defense before the
-    // `min_by_key(...).expect` below would panic with a message that
-    // names neither the contract nor the caller.
-    assert!(workers > 0, "need at least one worker");
     let mut counts = vec![0u32; workers];
     let mut best: Option<usize> = None;
     for &c in pred_colors {
@@ -56,7 +44,7 @@ fn vote(pred_colors: &[usize], loads: &[u64], item_load: u64, cap: u64) -> usize
         }
     }
     match best {
-        Some(c) if loads[c] + item_load <= cap => c,
+        Some(c) if loads[c] < cap => c,
         _ => (0..workers).min_by_key(|&c| loads[c]).expect("workers > 0"),
     }
 }
@@ -142,7 +130,7 @@ impl<K: Eq + Hash + Clone> OnlineAssigner<K> {
         // any color from ever taking a second key).
         let even = (st.total + 1).div_ceil(self.workers as u64);
         let cap = ((even as f64 * CAP_SLACK).ceil() as u64).max(even + 1);
-        let chosen = vote(&votes, &st.loads, 1, cap);
+        let chosen = vote(&votes, &st.loads, cap);
         let color = Color::from(chosen);
         st.assigned.insert(key.clone(), color);
         st.loads[chosen] += 1;
@@ -172,44 +160,9 @@ impl<K: Eq + Hash + Clone> OnlineAssigner<K> {
     }
 }
 
-/// The online policy as a static [`ColorAssigner`]: replays the graph in
-/// topological order through the same predecessor-majority vote, with
-/// loads measured in node weight.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DynamicAffinity {} // no knobs; built with `default()` like its siblings
-
-impl ColorAssigner for DynamicAffinity {
-    fn name(&self) -> &'static str {
-        "dynamic-affinity"
-    }
-
-    fn assign(&self, graph: &TaskGraph, workers: usize) -> Vec<Color> {
-        assert!(workers > 0, "need at least one worker");
-        let total: u64 = graph.nodes().map(|u| node_weight(graph, u)).sum();
-        let cap = ((total as f64 / workers as f64) * CAP_SLACK).ceil() as u64;
-        let cap = cap.min(balance_limit(graph, workers));
-        let mut colors = vec![Color(0); graph.node_count()];
-        let mut loads = vec![0u64; workers];
-        for &u in graph.topo_order() {
-            let pred_colors: Vec<usize> = graph
-                .predecessors(u)
-                .iter()
-                .map(|&p| colors[p as usize].index())
-                .collect();
-            let w = node_weight(graph, u);
-            let chosen = vote(&pred_colors, &loads, w, cap);
-            colors[u as usize] = Color::from(chosen);
-            loads[chosen] += w;
-        }
-        colors
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{assignment_is_valid, assignment_loads};
-    use nabbitc_graph::generate;
 
     #[test]
     fn online_is_idempotent_per_key() {
@@ -284,27 +237,5 @@ mod tests {
     #[should_panic(expected = "need at least one worker")]
     fn zero_worker_online_assigner_panics() {
         let _: OnlineAssigner<u32> = OnlineAssigner::new(0);
-    }
-
-    #[test]
-    fn static_replay_valid_and_balanced() {
-        let g = generate::layered_random(10, 20, 3, (1, 300), 1, 17);
-        for workers in [2usize, 4, 8] {
-            let colors = DynamicAffinity::default().assign(&g, workers);
-            assert!(assignment_is_valid(&colors, workers));
-            let max = *assignment_loads(&g, &colors, workers).iter().max().unwrap();
-            assert!(max <= balance_limit(&g, workers), "p={workers}");
-        }
-    }
-
-    #[test]
-    fn static_replay_inherits_chain_colors() {
-        let g = generate::chain(40, 1, 1);
-        let colors = DynamicAffinity::default().assign(&g, 2);
-        let changes = colors.windows(2).filter(|w| w[0] != w[1]).count();
-        assert!(
-            changes <= 2,
-            "chain should mostly inherit: {changes} changes"
-        );
     }
 }

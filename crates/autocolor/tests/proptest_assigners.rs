@@ -6,7 +6,7 @@
 
 use nabbitc_autocolor::{
     assignment_is_valid, assignment_loads, balance_limit, BfsLocality, ColorAssigner, CpLevelAware,
-    DynamicAffinity, RecursiveBisection,
+    RecursiveBisection,
 };
 use nabbitc_graph::analysis::{level_profile, level_serialization};
 use nabbitc_graph::generate;
@@ -51,10 +51,7 @@ proptest! {
     ) {
         let g = generate::layered_random(layers, width, 2, (1, work_hi), 4, seed);
         let limit = balance_limit(&g, workers);
-        let cp = CpLevelAware::default();
-        let strategies: [&dyn ColorAssigner; 3] =
-            [&BfsLocality::default(), &DynamicAffinity::default(), &cp];
-        for s in strategies {
+        for s in [&BfsLocality::default() as &dyn ColorAssigner, &CpLevelAware::default()] {
             let colors = s.assign(&g, workers);
             prop_assert!(assignment_is_valid(&colors, workers), "{} invalid", s.name());
             let max = assignment_loads(&g, &colors, workers)

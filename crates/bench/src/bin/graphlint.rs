@@ -15,7 +15,7 @@
 //!   --coloring NAME      coloring(s) to lint (repeatable; default auto;
 //!                        hand | auto | round-robin | block-contiguous |
 //!                        bfs-locality | recursive-bisection |
-//!                        cp-level-aware | dynamic-affinity)
+//!                        cp-level-aware)
 //!   --workers P          machine size(s) to lint for (repeatable;
 //!                        default 20)
 //!   --json               machine-readable JSON array (schema versioned,

@@ -78,68 +78,6 @@ impl Trace {
         let max = self.events.iter().map(|e| e.end).max().unwrap_or(0);
         max - min
     }
-
-    /// Per-worker utilization summary over the trace's makespan.
-    pub fn utilization(&self) -> UtilizationSummary {
-        let mut by_worker: std::collections::BTreeMap<usize, (u64, u64)> = Default::default();
-        for e in &self.events {
-            let w = by_worker.entry(e.worker).or_insert((0, 0));
-            w.0 += e.end - e.start; // busy
-            w.1 += 1; // nodes
-        }
-        let makespan = self.makespan().max(1);
-        let workers: Vec<WorkerUtilization> = by_worker
-            .into_iter()
-            .map(|(worker, (busy, nodes))| WorkerUtilization {
-                worker,
-                busy,
-                nodes,
-                utilization: busy as f64 / makespan as f64,
-            })
-            .collect();
-        UtilizationSummary { makespan, workers }
-    }
-}
-
-/// One worker's share of a trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkerUtilization {
-    /// Worker id.
-    pub worker: usize,
-    /// Total busy time.
-    pub busy: u64,
-    /// Nodes executed.
-    pub nodes: u64,
-    /// Busy time / makespan.
-    pub utilization: f64,
-}
-
-/// Per-worker utilization over a trace — the load-balance view of an
-/// execution (the complement to the locality metrics).
-#[derive(Debug, Clone, PartialEq)]
-pub struct UtilizationSummary {
-    /// Trace makespan.
-    pub makespan: u64,
-    /// Per-worker rows, sorted by worker id.
-    pub workers: Vec<WorkerUtilization>,
-}
-
-impl UtilizationSummary {
-    /// Load-imbalance factor: max worker busy time / mean busy time
-    /// (1.0 = perfectly balanced).
-    pub fn imbalance(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 1.0;
-        }
-        let max = self.workers.iter().map(|w| w.busy).max().expect("nonempty") as f64;
-        let mean =
-            self.workers.iter().map(|w| w.busy).sum::<u64>() as f64 / self.workers.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
 }
 
 /// Validation failures.
@@ -321,48 +259,6 @@ mod tests {
             ],
         };
         assert_eq!(t.makespan(), 30);
-    }
-
-    #[test]
-    fn utilization_summary() {
-        let t = Trace {
-            events: vec![
-                TraceEvent {
-                    node: 0,
-                    worker: 0,
-                    start: 0,
-                    end: 10,
-                },
-                TraceEvent {
-                    node: 1,
-                    worker: 0,
-                    start: 10,
-                    end: 20,
-                },
-                TraceEvent {
-                    node: 2,
-                    worker: 1,
-                    start: 0,
-                    end: 10,
-                },
-            ],
-        };
-        let u = t.utilization();
-        assert_eq!(u.makespan, 20);
-        assert_eq!(u.workers.len(), 2);
-        assert_eq!(u.workers[0].busy, 20);
-        assert_eq!(u.workers[0].nodes, 2);
-        assert!((u.workers[0].utilization - 1.0).abs() < 1e-12);
-        assert!((u.workers[1].utilization - 0.5).abs() < 1e-12);
-        // max busy 20, mean 15 -> imbalance 4/3.
-        assert!((u.imbalance() - 20.0 / 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_trace_utilization() {
-        let u = Trace::default().utilization();
-        assert!(u.workers.is_empty());
-        assert_eq!(u.imbalance(), 1.0);
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //! wavefronts — no single objective wins both), and re-homes the data
 //! accordingly. On a graph whose time steps share data blocks (PageRank,
 //! the stencils) it partitions the blocks first and colors each node by
-//! its block, as the paper colors PageRank; the node portfolio then runs
+//! its block, as the paper colors PageRank; the node path then runs
 //! only if that coloring is more than 5 % unbalanced. The returned report's
 //! [`selection`](core::RunReport::selection) field is the
 //! [`SelectionReport`](autocolor::SelectionReport) saying which candidate
@@ -244,7 +244,7 @@ pub use nabbitc_workloads as workloads;
 pub mod prelude {
     pub use nabbitc_autocolor::{
         autocolor, AutoSelect, BfsLocality, BlockContiguous, ColorAssigner, CpLevelAware,
-        DynamicAffinity, RecursiveBisection, RoundRobin, SelectionReport,
+        RecursiveBisection, RoundRobin, SelectionReport,
     };
     pub use nabbitc_color::{Color, ColorSet};
     pub use nabbitc_core::{
