@@ -10,15 +10,14 @@
 //!   or profiles a graph without looking at colors — [`EdgeTraffic`],
 //!   [`level_profile`](crate::analysis::level_profile),
 //!   [`TaskGraph::footprint`], [`TaskGraph::home`] — depends on the
-//!   structure alone and is therefore invariant under recoloring,
-//!   re-homing and localizing;
+//!   structure alone and is therefore invariant under recoloring and
+//!   re-homing;
 //! * the **coloring layer** — one [`Color`] per node (the paper's
 //!   `color()` method of a node: a hint laid over an unchanged graph) and
 //!   the access lists that say where the nodes' bytes live. A layer is
-//!   private to its `TaskGraph`: [`recolor`](TaskGraph::recolor),
-//!   [`strip_colors`](TaskGraph::strip_colors) and
-//!   [`localize_accesses`](TaskGraph::localize_accesses) on one clone
-//!   leave every other clone as it was.
+//!   private to its `TaskGraph`: [`recolor`](TaskGraph::recolor) and
+//!   [`strip_colors`](TaskGraph::strip_colors) on one clone leave every
+//!   other clone as it was.
 //!
 //! A node's *home* is the data block it works on. A node added with
 //! [`GraphBuilder::add_node`] is a home of its own; one added with
@@ -30,17 +29,15 @@
 //!
 //! A layer stores its access lists back to back in one array, with `u32`
 //! row offsets like the CSR adjacency's, so no list is a heap allocation
-//! of its own. Lists come in two kinds. *Given* lists are stored: the
-//! builder's, one row per home, or the one-region lists of
-//! [`localize_accesses`](TaskGraph::localize_accesses), one row per node.
-//! The lists of an *edge-traffic-homed* graph ([`TaskGraph::recolored`],
-//! [`TaskGraph::rehome_edge_traffic`]) are a function of structure and
-//! colors, so recoloring stores nothing: they are built, one row per
-//! node, by the first [`TaskGraph::accesses`] read (once, also under
-//! concurrent readers) and belong to that (structure, colors) pair only —
-//! the next re-homing drops them. The executors read colors and never
-//! accesses, so a graph that is colored, run and dropped never pays for
-//! lists only the NUMA simulator and the linter look at.
+//! of its own. Lists come in two kinds. *Given* lists are the builder's,
+//! stored one row per home. The lists of an *edge-traffic-homed* graph
+//! ([`TaskGraph::recolored`], [`TaskGraph::strip_colors`]) are a function
+//! of structure and colors, so recoloring stores nothing: they are built,
+//! one row per node, by the first [`TaskGraph::accesses`] read (once,
+//! also under concurrent readers) and belong to that (structure, colors)
+//! pair only — the next re-homing drops them. The executors read colors
+//! and never accesses, so a graph that is colored, run and dropped never
+//! pays for lists only the NUMA simulator and the linter look at.
 
 use nabbitc_color::Color;
 use std::sync::{Arc, OnceLock};
@@ -515,8 +512,8 @@ pub struct TaskGraph {
     color: Vec<Color>,
     /// The access lists. Unset means edge-traffic-homed under the current
     /// colors and not read yet ([`Self::edge_traffic_homed`] fills it); once
-    /// set, the lists stay what they are until the next re-homing or
-    /// localizing, whatever the colors do.
+    /// set, the lists stay what they are until the next re-homing,
+    /// whatever the colors do.
     accesses: OnceLock<Arc<AccessLists>>,
 }
 
@@ -626,11 +623,21 @@ impl TaskGraph {
 
     /// This graph under another coloring: a new layer over the same
     /// structure whose colors are `colors` and whose data is re-homed to
-    /// them under the edge-traffic model — what a clone followed by
-    /// [`recolor`](Self::recolor) and
-    /// [`rehome_edge_traffic`](Self::rehome_edge_traffic) yields, for the
-    /// price of copying `colors` (the lists are built if and when they
-    /// are read). `self` is untouched.
+    /// them under the [`edge_traffic`](Self::edge_traffic) model, for the
+    /// price of copying `colors`. `self` is untouched.
+    ///
+    /// Each node reads its predecessors' outputs from the predecessors'
+    /// regions and the rest of its footprint from its own region
+    /// (first-touch by the owning worker). Total bytes per node are
+    /// preserved, so serial baselines are unaffected; only the
+    /// local/remote split changes. This is the placement model behind
+    /// every recolored simulation (`nabbitc-numasim::simulate_ws_recolored`)
+    /// and applied assignment: a cross-color dependence edge carries real
+    /// remote-byte traffic, as the bandwidth-aware makespan estimator
+    /// charges. The lists — a region per owner color, predecessors'
+    /// colors in adjacency order and then the node's own, each listed
+    /// where it first gets bytes — are built by the first
+    /// [`accesses`](Self::accesses) read.
     ///
     /// Colors become data placement here, so all of them must name a
     /// region: panics, before anything is built, if `colors` is not one
@@ -675,10 +682,13 @@ impl TaskGraph {
 
     /// Erases all coloring information: every node becomes `Color(0)` and
     /// its accesses are re-homed there — the canonical "user handed us an
-    /// uncolored graph" form consumed by the autocolor assigners.
+    /// uncolored graph" form consumed by the autocolor assigners. Under
+    /// one color the edge-traffic lists ([`recolored`](Self::recolored))
+    /// hold one region per node, `Color(0)` with the node's whole
+    /// footprint (none for an empty footprint), built when first read.
     pub fn strip_colors(&mut self) {
         self.color.fill(Color(0));
-        self.localize_accesses();
+        self.accesses = OnceLock::new();
     }
 
     /// Bytes assumed to travel along the dependence edge `p -> u`: the
@@ -688,11 +698,10 @@ impl TaskGraph {
     /// This is the workspace's shared *edge-traffic model* — the bytes a
     /// cross-color edge moves across domains, priced by
     /// `nabbitc_cost::CostModel::remote_excess` in the makespan
-    /// estimator, the autocolor refinement gain, and (through
-    /// [`rehome_edge_traffic`](Self::rehome_edge_traffic)) the NUMA
-    /// simulator. The cap guarantees `Σ_p edge_traffic(p, u) ≤
-    /// footprint(u)`, so a node's inbound traffic never exceeds the bytes
-    /// it actually touches.
+    /// estimator, the autocolor refinement gain, and (through the access
+    /// lists of [`recolored`](Self::recolored)) the NUMA simulator. The
+    /// cap guarantees `Σ_p edge_traffic(p, u) ≤ footprint(u)`, so a
+    /// node's inbound traffic never exceeds the bytes it actually touches.
     ///
     /// One-edge convenience over [`EdgeTraffic`], which defines the model
     /// and is what anything that walks edges builds once instead.
@@ -702,32 +711,9 @@ impl TaskGraph {
             .min(NodeShares::of(self, u).in_share)
     }
 
-    /// Re-homes every node's accesses under its *current* color using the
-    /// [`edge_traffic`](Self::edge_traffic) model: each node reads its
-    /// predecessors' outputs from the predecessors' regions and the rest
-    /// of its footprint from its own region (first-touch by the owning
-    /// worker). Total bytes per node are preserved, so serial baselines
-    /// are unaffected; only the local/remote split changes.
-    ///
-    /// This is the placement model behind every recolored simulation
-    /// (`nabbitc-numasim::simulate_ws_recolored`) and applied assignment:
-    /// it makes a cross-color dependence edge carry real remote-byte
-    /// traffic, matching what the bandwidth-aware makespan estimator
-    /// charges — simulator and estimator price the same model. Compare
-    /// [`localize_accesses`](Self::localize_accesses), which models a
-    /// placement with no inter-node reads at all.
-    ///
-    /// The call itself only drops the lists held so far; the re-homed
-    /// ones — a region per owner color, predecessors' colors in adjacency
-    /// order and then the node's own, each listed where it first gets
-    /// bytes — are built by the first [`accesses`](Self::accesses) read.
-    pub fn rehome_edge_traffic(&mut self) {
-        self.accesses = OnceLock::new();
-    }
-
     /// The access lists of this graph read as one whose colors are its
-    /// data placement ([`rehome_edge_traffic`](Self::rehome_edge_traffic)
-    /// states the model and the order of a list's entries).
+    /// data placement ([`recolored`](Self::recolored) states the model and
+    /// the order of a list's entries).
     fn edge_traffic_homed(&self) -> AccessLists {
         let traffic = EdgeTraffic::of(self);
         let n = self.node_count();
@@ -763,28 +749,6 @@ impl TaskGraph {
         }
         AccessLists::PerNode(rehomed)
     }
-
-    /// Re-homes every node's accesses to the node's *current* color,
-    /// merging them into one region of the same total size.
-    ///
-    /// This models first-touch placement under a fresh coloring with no
-    /// inter-node reads: the worker that owns a node initializes and
-    /// exclusively touches the data. It is the canonical "uncolored
-    /// graph" form ([`strip_colors`](Self::strip_colors)); recolored
-    /// *simulations* use [`rehome_edge_traffic`](Self::rehome_edge_traffic)
-    /// instead, which keeps dependence edges carrying byte traffic.
-    pub fn localize_accesses(&mut self) {
-        let n = self.node_count();
-        let mut lists = FlatLists::with_capacity(n, n);
-        for u in self.nodes() {
-            let bytes = self.footprint(u);
-            lists.push((bytes > 0).then(|| NodeAccess {
-                owner: self.color(u),
-                bytes,
-            }));
-        }
-        self.accesses = OnceLock::from(Arc::new(AccessLists::PerNode(lists)));
-    }
 }
 
 /// One node's terms of the edge-traffic model: the share of its
@@ -807,8 +771,8 @@ impl NodeShares {
 
 /// Per-node view of the edge-traffic model ([`TaskGraph::edge_traffic`]),
 /// built once in O(V) so that edge walks — the makespan
-/// estimator, the autocolor sweep and refinement gain,
-/// [`TaskGraph::rehome_edge_traffic`], the traffic matrices and the
+/// estimator, the autocolor sweep and refinement gain, the access lists
+/// of [`TaskGraph::recolored`], the traffic matrices and the
 /// hot-edge lint — price an edge with two loads and a `min` instead of
 /// two divisions.
 ///
@@ -1046,10 +1010,10 @@ mod tests {
     fn recoloring_builds_no_lists_and_the_first_read_builds_them_once() {
         let g = diamond();
         let colors = [Color(1), Color(0), Color(1), Color(0)];
-        let mut rehomed = g.clone();
-        rehomed.rehome_edge_traffic();
+        let mut stripped = g.clone();
+        stripped.strip_colors();
         let recolored = Arc::new(g.recolored(&colors));
-        assert!(rehomed.accesses.get().is_none(), "re-homing built lists");
+        assert!(stripped.accesses.get().is_none(), "stripping built lists");
         assert!(recolored.accesses.get().is_none(), "recoloring built lists");
         assert!(g.accesses.get().is_some(), "the builder's lists are given");
 
@@ -1113,14 +1077,9 @@ mod tests {
         recolored.recolor(|_, c| Color(c.0 + 4));
         let mut stripped = base.clone();
         stripped.strip_colors();
-        let mut localized = base.clone();
-        localized.localize_accesses();
-        let mut rehomed = base.clone();
-        rehomed.recolor(|u, _| Color(u as u16));
-        rehomed.rehome_edge_traffic();
         let again = base.recolored(&[Color(2); 4]);
 
-        for other in [&recolored, &stripped, &localized, &rehomed, &again, &unread] {
+        for other in [&recolored, &stripped, &again, &unread] {
             assert!(other.shares_structure_with(&g));
         }
         assert_eq!(layer(&g), given, "the input moved");
@@ -1140,19 +1099,16 @@ mod tests {
             assert_eq!(recolored.color(u), Color(base.color(u).0 + 4));
             assert_eq!(recolored.accesses(u), base.accesses(u));
             assert_eq!(stripped.color(u), Color(0));
-            assert!(stripped.accesses(u).iter().all(|a| a.owner == Color(0)));
-            assert_eq!(localized.color(u), base.color(u));
             assert_eq!(
-                localized.accesses(u),
+                stripped.accesses(u),
                 &[NodeAccess {
-                    owner: base.color(u),
+                    owner: Color(0),
                     bytes: 64
                 }]
             );
+            assert_eq!(again.color(u), Color(2));
+            assert!(again.accesses(u).iter().all(|a| a.owner == Color(2)));
         }
-        // In place or as a new layer, re-homing is one path.
-        let by_id: Vec<Color> = g.nodes().map(|u| Color(u as u16)).collect();
-        assert_eq!(layer(&rehomed), layer(&g.recolored(&by_id)));
         assert!(
             !diamond().shares_structure_with(&g),
             "two builds, one structure"
@@ -1231,7 +1187,7 @@ mod tests {
     }
 
     #[test]
-    fn localize_accesses_rehomes_to_node_color() {
+    fn strip_colors_rehomes_each_footprint_to_color_zero() {
         let mut b = GraphBuilder::new();
         b.add_node(
             1,
@@ -1249,11 +1205,11 @@ mod tests {
         );
         b.add_node(1, Color(3), vec![]);
         let mut g = b.build().unwrap();
-        g.localize_accesses();
+        g.strip_colors();
         assert_eq!(
             g.accesses(0),
             &[NodeAccess {
-                owner: Color(2),
+                owner: Color(0),
                 bytes: 128
             }]
         );
@@ -1302,10 +1258,10 @@ mod tests {
         for (p, u) in [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (3, 4)] {
             b.add_edge(p, u);
         }
-        let mut g = b.build().unwrap();
+        let g = b.build().unwrap();
         let before = EdgeTraffic::of(&g);
-        g.rehome_edge_traffic();
-        g.rehome_edge_traffic(); // idempotent on footprints and degrees
+        let built: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
+        let g = g.recolored(&built);
         let after = EdgeTraffic::of(&g);
         for u in g.nodes() {
             for &p in g.predecessors(u) {
@@ -1317,8 +1273,8 @@ mod tests {
 
     #[test]
     fn rehome_edge_traffic_preserves_footprint_and_prices_cross_reads() {
-        let mut g = diamond(); // colors 0,1,2,3; footprints 64 each
-        g.rehome_edge_traffic();
+        // The diamond's own colors 0,1,2,3; footprints 64 each.
+        let g = diamond().recolored(&[Color(0), Color(1), Color(2), Color(3)]);
         for u in g.nodes() {
             assert_eq!(g.footprint(u), 64, "total bytes preserved at {u}");
         }
@@ -1360,8 +1316,10 @@ mod tests {
         b.add_simple_node(1, Color(1), 400);
         b.add_edge(0, 2);
         b.add_edge(1, 2);
-        let mut g = b.build().unwrap();
-        g.rehome_edge_traffic();
+        let g = b
+            .build()
+            .unwrap()
+            .recolored(&[Color(0), Color(0), Color(1)]);
         assert_eq!(
             g.accesses(2),
             &[
@@ -1626,7 +1584,7 @@ mod tests {
     }
 
     /// The edge-traffic-homed lists of `g` under `colors`, written out by
-    /// the definition ([`TaskGraph::rehome_edge_traffic`]) with a search
+    /// the definition ([`TaskGraph::recolored`]) with a search
     /// per region.
     fn rehomed_by_search(g: &TaskGraph, colors: &[Color]) -> Vec<Vec<NodeAccess>> {
         g.nodes()
@@ -1726,8 +1684,7 @@ mod tests {
             // `recolor` keeps the lists it finds: those re-homed under the
             // builder's colors.
             let built: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
-            let mut rehomed = g.clone();
-            rehomed.rehome_edge_traffic();
+            let mut rehomed = g.recolored(&built);
             rehomed.recolor(|u, _| colors[u as usize]);
             structure(&rehomed, "re-homed, then recolored");
             assert_eq!(

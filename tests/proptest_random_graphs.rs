@@ -96,9 +96,7 @@ proptest! {
         max_preds in 0usize..6,
         seed in 0u64..10_000,
     ) {
-        // Any forward DAG; footprints include zero and odd sizes, and
-        // some colors are the one no worker has (Table III's coloring
-        // reaches `rehome_edge_traffic` through `simulate_ws_recolored`).
+        // Any forward DAG; footprints include zero and odd sizes.
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move |below: u64| {
             rng ^= rng << 13;
@@ -107,13 +105,8 @@ proptest! {
             rng % below
         };
         let mut b = GraphBuilder::new();
-        for u in 0..nodes {
-            // Node 0 is invalid in every case and precedes node 1 below,
-            // so a node whose predecessor carries `INVALID` always exists.
-            let color = match u == 0 || next(5) == 0 {
-                true => Color::INVALID,
-                false => Color(next(colors as u64) as u16),
-            };
+        for _ in 0..nodes {
+            let color = Color(next(colors as u64) as u16);
             b.add_simple_node(1, color, [0, 7, 64, 600, 4096][next(5) as usize]);
         }
         b.add_edge(0, 1);
@@ -125,7 +118,7 @@ proptest! {
                 b.add_edge(p as NodeId, u as NodeId);
             }
         }
-        let mut g = b.build().expect("forward edges, no duplicates");
+        let g = b.build().expect("forward edges, no duplicates");
         // The definition: predecessors' colors in adjacency order, then
         // the node's own; an owner is listed where it first gets bytes.
         let expected: Vec<Vec<NodeAccess>> = g
@@ -151,7 +144,8 @@ proptest! {
                 acc
             })
             .collect();
-        g.rehome_edge_traffic();
+        let built: Vec<Color> = g.nodes().map(|u| g.color(u)).collect();
+        let g = g.recolored(&built);
         for u in g.nodes() {
             prop_assert_eq!(g.accesses(u), &expected[u as usize][..]);
         }

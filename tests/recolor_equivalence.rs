@@ -3,8 +3,8 @@
 //!
 //! Until PR 23 a recoloring *was* a second graph: clone both CSRs, set the
 //! colors, walk every edge to write each node's re-homed access list.
-//! [`TaskGraph::recolored`] and [`TaskGraph::rehome_edge_traffic`] now
-//! share the structure and derive the lists on first read. The old design
+//! [`TaskGraph::recolored`] now shares the structure and derives the
+//! lists on first read. The old design
 //! is kept here as the reference ([`deep_copy_recolored`]: a fresh build
 //! with the lists written out by the definition), and every reader of a
 //! recolored graph — accessors, the edge-traffic view, the makespan
@@ -148,22 +148,12 @@ fn assert_reads_alike(layered: &TaskGraph, copy: &TaskGraph, workers: usize, wha
     }
 }
 
-/// `g` under `colors` by each shared-structure route, against the copy.
+/// `g` under `colors` as a layer over its structure, against the copy.
 fn assert_recoloring_equivalent(g: &TaskGraph, colors: &[Color], workers: usize, what: &str) {
     let copy = deep_copy_recolored(g, colors);
-    let mut in_place = g.clone();
-    in_place.recolor(|u, _| colors[u as usize]);
-    in_place.rehome_edge_traffic();
-    let mut routes = vec![("recolor + rehome_edge_traffic", in_place)];
-    // Colors that name no region are a hint (Table III), never a
-    // placement `recolored` accepts.
-    if colors.iter().all(|c| c.is_valid()) {
-        routes.push(("recolored", g.recolored(colors)));
-    }
-    for (route, layered) in &routes {
-        assert!(layered.shares_structure_with(g), "{what}: {route} copied");
-        assert_reads_alike(layered, &copy, workers, &format!("{what}, {route}"));
-    }
+    let layered = g.recolored(colors);
+    assert!(layered.shares_structure_with(g), "{what}: copied");
+    assert_reads_alike(&layered, &copy, workers, what);
 }
 
 #[test]
@@ -223,10 +213,13 @@ proptest! {
 
         let valid: Vec<Color> = (0..nodes).map(|_| Color(next(workers as u64) as u16)).collect();
         assert_recoloring_equivalent(&g, &valid, workers, "valid colors");
-        // Node 0 always has a consumer: a colorless producer.
+        // Node 0 always has a consumer: a colorless producer. Colors that
+        // name no region are a hint (Table III), never a placement, so
+        // the layer is refused rather than homed anywhere.
         let mut colorless = valid;
         colorless[0] = Color::INVALID;
         colorless[next(nodes as u64) as usize] = Color::INVALID;
-        assert_recoloring_equivalent(&g, &colorless, workers, "a colorless node");
+        let layered = std::panic::catch_unwind(|| g.recolored(&colorless));
+        prop_assert!(layered.is_err(), "a colorless node was placed");
     }
 }
