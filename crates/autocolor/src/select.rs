@@ -739,21 +739,30 @@ mod tests {
 
     #[test]
     fn single_worker_is_monochrome_without_running_candidates() {
-        // Shared homes or not: one worker takes neither path.
-        for g in [
-            generate::wavefront(6, 6, 1, 1),
-            shared_home_stencil(6, &[10; 16]),
-        ] {
-            let (colors, rep) = AutoSelect::default().select(&g, 1);
-            assert!(colors.iter().all(|&c| c == Color(0)));
-            assert_eq!(rep.chosen, None);
-            assert_eq!(rep.chosen_name(), "monochrome");
-            assert_eq!((rep.homes, rep.balance_fallback), (None, false));
-            assert!(rep
-                .candidates
-                .iter()
-                .all(|(_, o)| matches!(o, CandidateOutcome::Skipped)));
-        }
+        let g = generate::wavefront(6, 6, 1, 1);
+        let (colors, rep) = AutoSelect::default().select(&g, 1);
+        assert!(colors.iter().all(|&c| c == Color(0)));
+        assert_eq!(rep.chosen, None);
+        assert_eq!(rep.chosen_name(), "monochrome");
+        assert!(rep
+            .candidates
+            .iter()
+            .all(|(_, o)| matches!(o, CandidateOutcome::Skipped)));
+    }
+
+    #[test]
+    fn explicit_portfolios_and_one_worker_keep_the_node_path() {
+        // One worker keeps even a shared-home graph off the home path:
+        // neither path runs and no home entry is reported.
+        let g = shared_home_stencil(6, &[10; 16]);
+        let (colors, rep) = AutoSelect::default().select(&g, 1);
+        assert!(colors.iter().all(|&c| c == Color(0)));
+        assert_eq!(rep.chosen_name(), "monochrome");
+        assert_eq!((rep.homes, rep.balance_fallback), (None, false));
+        assert!(rep
+            .candidates
+            .iter()
+            .all(|(_, o)| matches!(o, CandidateOutcome::Skipped)));
     }
 
     #[test]
