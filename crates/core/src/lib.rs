@@ -30,11 +30,11 @@
 //!   scan on the on-demand path, at construction on the pre-built one)
 //!   and the on-demand path's [`SuccessorList`].
 //!
-//! Both executors route every batch spawn through [`spawn`] —
-//! `gather_colors` + `spawn_colors`, the *morphing continuation* mechanism
-//! of §III: batches are recursively split by color so the spawning worker
-//! dives into its own color's sub-batch while the other colors sit in
-//! stealable tasks tagged with exactly their color sets.
+//! Both executors route every batch spawn through [`spawn::spawn_colors`],
+//! the *morphing continuation* of §III: the runtime's
+//! [`Batch`](nabbitc_runtime::morph::Batch) splits a batch by color so the
+//! spawning worker dives into its own color's sub-batch, and [`spawn`]
+//! publishes the other halves as tasks tagged with exactly their colors.
 //!
 //! [`metrics`] implements the paper's §V-B node-granularity remote-access
 //! accounting; [`coloring`] the Correct / Bad (Table II) / Invalid

@@ -50,29 +50,23 @@ impl RemoteCounters {
         node_color: Color,
         pred_colors: impl IntoIterator<Item = Color>,
     ) {
+        let count = self.topology.count_node(worker, node_color, pred_colors);
         let c = &self.workers[worker];
         // ORDERING node_total.fetch_add: Relaxed — NUMA-remoteness counter
         // aggregated after the run; atomicity only
         c.node_total.fetch_add(1, Relaxed);
-        if self.topology.is_remote(worker, node_color) {
+        if count.remote {
             // ORDERING node_remote.fetch_add: Relaxed — NUMA-remoteness
             // counter aggregated after the run; atomicity only
             c.node_remote.fetch_add(1, Relaxed);
         }
-        let (mut pt, mut pr) = (0u64, 0u64);
-        for pc in pred_colors {
-            pt += 1;
-            if self.topology.is_remote(worker, pc) {
-                pr += 1;
-            }
-        }
-        if pt > 0 {
+        if count.preds > 0 {
             // ORDERING pred_total.fetch_add: Relaxed — per-predecessor traffic
             // counter aggregated after the run; atomicity only
-            c.pred_total.fetch_add(pt, Relaxed);
+            c.pred_total.fetch_add(count.preds, Relaxed);
             // ORDERING pred_remote.fetch_add: Relaxed — per-predecessor
             // traffic counter aggregated after the run; atomicity only
-            c.pred_remote.fetch_add(pr, Relaxed);
+            c.pred_remote.fetch_add(count.preds_remote, Relaxed);
         }
     }
 

@@ -1,58 +1,28 @@
-//! `gather_colors` + `spawn_colors` — morphing continuations (§III, Fig. 3).
+//! `spawn_colors` — morphing continuations (§III, Fig. 3) on the pool.
 //!
-//! When Nabbit spawns a batch of nodes (predecessors during exploration,
-//! successors during notification) it is oblivious to order. NabbitC
-//! instead:
+//! Nabbit spawns a batch of nodes (predecessors during exploration,
+//! successors during notification) in any order. NabbitC splits it by
+//! color with the runtime's [`Batch`], the one statement of Fig. 3 that the
+//! simulator drives too; this module publishes every half the spawning
+//! worker does not keep as a task tagged with the half's colors, which
+//! splits again on whichever worker takes it.
 //!
-//! 1. groups the batch by color (`gather_colors`, Fig. 4);
-//! 2. recursively splits the color groups in half, *swapping* the halves so
-//!    the spawning worker's own color lands in the half it processes
-//!    immediately while the other half becomes a stealable task tagged with
-//!    exactly its colors (`spawn_colors`, Fig. 3) — the morphing
-//!    continuation;
-//! 3. within a single color, splits recursively like a parallel-for
-//!    (`spawn_nodes`), each stealable piece tagged with the singleton
-//!    color.
-//!
-//! If the worker's color is absent, the batch is processed in its original
-//! order — "a worker does not stall even if it can not find the work of its
-//! color" (§III).
-//!
-//! The one item the splits leave to the spawning worker is returned, not
+//! The one item the split leaves to the spawning worker is returned, not
 //! processed: the executors' loops take it as their next node, so a graph
 //! that releases two nodes per step (a comb: a spine with a leaf at every
 //! level) runs in constant stack depth instead of one frame per level. A
 //! stolen half has no loop to return to and processes its item itself, at
 //! the top of its own task.
 
-use nabbitc_color::{Color, ColorSet};
-use nabbitc_runtime::{SpawnBatch, WorkerContext};
+use nabbitc_color::Color;
+use nabbitc_runtime::morph::Batch;
+use nabbitc_runtime::WorkerContext;
 use std::sync::Arc;
 
 /// Work items routed through color-aware spawning.
 pub trait ColoredItem: Send + 'static {
     /// The item's locality color.
     fn color(&self) -> Color;
-}
-
-impl ColoredItem for (u32, Color) {
-    fn color(&self) -> Color {
-        self.1
-    }
-}
-
-/// Groups `items` by color, preserving encounter order within each group
-/// and ordering groups by color — the paper's `gather_colors` (Fig. 4).
-pub fn gather_colors<I: ColoredItem>(items: Vec<I>) -> Vec<(Color, Vec<I>)> {
-    let mut groups: Vec<(Color, Vec<I>)> = Vec::new();
-    for item in items {
-        let c = item.color();
-        match groups.binary_search_by_key(&c, |g| g.0) {
-            Ok(i) => groups[i].1.push(item),
-            Err(i) => groups.insert(i, (c, vec![item])),
-        }
-    }
-    groups
 }
 
 /// Color-aware batch spawn: the paper's `spawn_colors` entry point.
@@ -68,118 +38,53 @@ where
     I: ColoredItem,
     F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
 {
-    spawn_color_groups(ctx, gather_colors(items), &process)
+    split(ctx, Batch::gather(items, I::color), &process)
 }
 
-fn colors_of<I: ColoredItem>(groups: &[(Color, Vec<I>)]) -> ColorSet {
-    groups.iter().map(|g| g.0).collect()
-}
-
-/// Queues every group's stealable pieces and returns the one item left to
-/// the calling worker.
-fn spawn_color_groups<I, F>(
-    ctx: &mut WorkerContext<'_>,
-    mut groups: Vec<(Color, Vec<I>)>,
-    process: &Arc<F>,
-) -> Option<I>
+/// Splits `batch` for this worker, publishing every half it does not keep
+/// as one spawn batch — a single bottom store and Release fence for the
+/// whole release, in the deque order of spawning one at a time — and
+/// returns the item it keeps.
+fn split<I, F>(ctx: &mut WorkerContext<'_>, batch: Batch<I>, process: &Arc<F>) -> Option<I>
 where
     I: ColoredItem,
     F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
 {
-    // Every stealable piece this release creates — color-group halves and
-    // same-color node halves alike — goes into one batch, published with
-    // a single bottom store and Release fence instead of one per spawn.
-    // The deque order is identical to spawning one at a time, so the
-    // morphing-continuation guarantees are unchanged.
-    let c_p = ctx.color();
-    let mut batch = ctx.spawn_batch();
-    let inline = loop {
-        match groups.len() {
-            0 => break None,
-            1 => {
-                let (color, nodes) = groups.pop().expect("len checked");
-                break halve_into(&mut batch, color, nodes, process);
+    let mine = ctx.color();
+    let mut spawn = ctx.spawn_batch();
+    let kept = batch.split(mine, |half| {
+        let process = process.clone();
+        spawn.add(half.colors(), move |ctx| {
+            if let Some(item) = split(ctx, half, &process) {
+                process(ctx, item);
             }
-            _ => {
-                let mid = groups.len() / 2;
-                let mut second: Vec<_> = groups.split_off(mid);
-                let mut first = groups;
-                // Morph: make sure the worker's own color is in the half
-                // it will process immediately (the paper swaps when c_p
-                // is in the second half; equivalently we swap it into
-                // `first`).
-                if second.iter().any(|g| g.0 == c_p) {
-                    std::mem::swap(&mut first, &mut second);
-                }
-                // cilkrts_set_next_colors(second.keys()) + cilk_spawn:
-                // the continuation carrying the non-preferred colors
-                // becomes a stealable task tagged with exactly those
-                // colors.
-                let second_colors = colors_of(&second);
-                let p2 = process.clone();
-                batch.add(second_colors, move |ctx| {
-                    if let Some(item) = spawn_color_groups(ctx, second, &p2) {
-                        p2(ctx, item);
-                    }
-                });
-                groups = first;
-            }
-        }
-    };
-    batch.publish();
-    inline
-}
-
-/// Parallel-for over same-colored nodes: the paper's `spawn_nodes`.
-fn spawn_nodes<I, F>(ctx: &mut WorkerContext<'_>, color: Color, nodes: Vec<I>, process: Arc<F>)
-where
-    I: ColoredItem,
-    F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
-{
-    let mut batch = ctx.spawn_batch();
-    let inline = halve_into(&mut batch, color, nodes, &process);
-    batch.publish();
-    if let Some(item) = inline {
-        process(ctx, item);
-    }
-}
-
-/// Queues the stealable halves of `nodes` (each tagged with the singleton
-/// color) and returns the one item the caller processes inline.
-fn halve_into<I, F>(
-    batch: &mut SpawnBatch<'_, '_>,
-    color: Color,
-    mut nodes: Vec<I>,
-    process: &Arc<F>,
-) -> Option<I>
-where
-    I: ColoredItem,
-    F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
-{
-    loop {
-        match nodes.len() {
-            0 => return None,
-            1 => return Some(nodes.pop().expect("len checked")),
-            _ => {
-                let mid = nodes.len() / 2;
-                let second = nodes.split_off(mid);
-                let p2 = process.clone();
-                let cs = ColorSet::singleton(color);
-                batch.add(cs, move |ctx| {
-                    spawn_nodes(ctx, color, second, p2);
-                });
-                // Iterative recursion into the first half.
-            }
-        }
-    }
+        });
+    });
+    spawn.publish();
+    kept
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nabbitc_color::ColorSet;
     use nabbitc_runtime::{Pool, PoolConfig};
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl ColoredItem for (u32, Color) {
+        fn color(&self) -> Color {
+            self.1
+        }
+    }
+
+    /// The color groups `spawn_colors` splits `items` into.
+    fn gather_colors(items: Vec<(u32, Color)>) -> Vec<(Color, Vec<(u32, Color)>)> {
+        match Batch::gather(items, |i| i.1) {
+            Batch::Groups(groups) => groups,
+            Batch::Nodes(..) => unreachable!("gather returns groups"),
+        }
+    }
 
     /// `spawn_colors`, then the item it leaves to the caller — what the
     /// executors' loops do with it.
@@ -214,7 +119,7 @@ mod tests {
 
     #[test]
     fn gather_empty() {
-        let groups = gather_colors(Vec::<(u32, Color)>::new());
+        let groups = gather_colors(Vec::new());
         assert!(groups.is_empty());
     }
 

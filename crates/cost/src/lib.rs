@@ -152,7 +152,7 @@ pub struct CostModel {
     pub steal_check: u64,
     /// Additional cost of transferring a stolen entry.
     pub steal_transfer: u64,
-    /// Cost of one batch split in `spawn_colors`/`spawn_nodes`.
+    /// Cost of one pushed half of a morphing split (`spawn_colors`).
     pub split: u64,
     /// Idle back-off after a fully failed steal round.
     pub idle_backoff: u64,

@@ -6,11 +6,12 @@
 //! instead. The simulator executes the *same task graphs* under the *same
 //! scheduling policies* as the threaded runtime:
 //!
-//! * [`wsim`] — work-stealing simulation with per-core colored deques,
-//!   morphing-continuation batch splitting, and the steal search of the
-//!   threaded pool itself: each core drives a
-//!   [`Thief`](nabbitc_runtime::policy::Thief) (the K-colored-attempts-
-//!   then-random loop and the forced first colored steal). With
+//! * [`wsim`] — work-stealing simulation with per-core colored deques and
+//!   the threaded pool's own rules: each core splits releases with the
+//!   morphing continuation's [`Batch`](nabbitc_runtime::morph::Batch) and
+//!   steals through a [`Thief`](nabbitc_runtime::policy::Thief) (the
+//!   K-colored-attempts-then-random loop and the forced first colored
+//!   steal). With
 //!   [`StealPolicy::nabbit`](nabbitc_runtime::StealPolicy::nabbit) this is
 //!   vanilla Nabbit; with
 //!   [`StealPolicy::nabbitc`](nabbitc_runtime::StealPolicy::nabbitc) it is
@@ -38,7 +39,33 @@ pub use result::{CoreStats, SimRemote, SimResult};
 pub use wsim::{simulate_ws, WsConfig};
 
 use nabbitc_color::Color;
-use nabbitc_graph::TaskGraph;
+use nabbitc_cost::Topology;
+use nabbitc_graph::{NodeId, TaskGraph};
+use nabbitc_runtime::ColorDomains;
+
+/// Ticks of node `u` on `core`, bytes priced by their owner's domain;
+/// adds the node's §V-B count to `remote`. Both simulators price and
+/// count every node through this.
+pub(crate) fn node_ticks(
+    graph: &TaskGraph,
+    u: NodeId,
+    core: usize,
+    topo: &Topology,
+    cost: &CostModel,
+    remote: &mut SimRemote,
+) -> u64 {
+    let preds = graph.predecessors(u).iter().map(|&p| graph.color(p));
+    remote.add(topo.count_node(core, graph.color(u), preds));
+    let (mut local, mut remote_bytes) = (0u64, 0u64);
+    for a in graph.accesses(u) {
+        if topo.is_remote(core, a.owner) {
+            remote_bytes += a.bytes;
+        } else {
+            local += a.bytes;
+        }
+    }
+    cost.node_ticks(graph.work(u), local, remote_bytes)
+}
 
 /// Simulates `graph` under an alternative coloring — `colors[u]` becomes
 /// node `u`'s color *and* its data placement: each node's footprint is

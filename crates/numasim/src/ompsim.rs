@@ -19,35 +19,14 @@
 //!   whichever thread is free first — dynamic load balance, no locality
 //!   control.
 
+use crate::node_ticks;
 use crate::result::{CoreStats, SimRemote, SimResult};
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::analysis::hop_levels;
-use nabbitc_graph::{NodeId, TaskGraph};
-use nabbitc_runtime::{ColorDomains, OmpSchedule};
+use nabbitc_graph::TaskGraph;
+use nabbitc_runtime::OmpSchedule;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Ticks of node `u` on `core`, bytes priced by their owner's domain;
-/// counts the node in `remote` ([`SimRemote::record_node`]).
-fn node_ticks(
-    graph: &TaskGraph,
-    u: NodeId,
-    core: usize,
-    topo: &Topology,
-    cost: &CostModel,
-    remote: &mut SimRemote,
-) -> u64 {
-    remote.record_node(graph, u, core, topo);
-    let (mut local, mut remote_bytes) = (0u64, 0u64);
-    for a in graph.accesses(u) {
-        if topo.is_remote(core, a.owner) {
-            remote_bytes += a.bytes;
-        } else {
-            local += a.bytes;
-        }
-    }
-    cost.node_ticks(graph.work(u), local, remote_bytes)
-}
 
 /// Simulates `graph` as barrier-separated OpenMP loops on `cores` cores of
 /// `topology` under `schedule`.
@@ -113,7 +92,7 @@ pub fn simulate_omp(
 mod tests {
     use super::*;
     use nabbitc_color::Color;
-    use nabbitc_graph::{generate, GraphBuilder, NodeAccess};
+    use nabbitc_graph::{generate, GraphBuilder, NodeAccess, NodeId};
 
     /// `loops` levels of `n` nodes, node `i` of a level reading data owned
     /// by the static owner of `i` — first-touch initialization by the same

@@ -1,8 +1,6 @@
 //! Simulation results.
 
-use nabbitc_cost::Topology;
-use nabbitc_graph::{NodeId, TaskGraph};
-use nabbitc_runtime::ColorDomains;
+use nabbitc_runtime::NodeCount;
 
 /// Per-core simulated statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,28 +54,15 @@ pub struct SimRemote {
 }
 
 impl SimRemote {
-    /// Counts node `u` of `graph` run on `core` of `topo`, the §V-B way
-    /// the threaded executors and team count it: the node by its color and
-    /// each predecessor by its color, against the core's domain.
-    pub(crate) fn record_node(
-        &mut self,
-        graph: &TaskGraph,
-        u: NodeId,
-        core: usize,
-        topo: &Topology,
-    ) {
+    /// Adds one node's §V-B count
+    /// ([`count_node`](nabbitc_runtime::ColorDomains::count_node)), as the
+    /// threaded executors and team do.
+    pub(crate) fn add(&mut self, count: NodeCount) {
+        let node_remote = u64::from(count.remote);
         self.node_total += 1;
-        self.total += 1;
-        if topo.is_remote(core, graph.color(u)) {
-            self.node_remote += 1;
-            self.remote += 1;
-        }
-        for &p in graph.predecessors(u) {
-            self.total += 1;
-            if topo.is_remote(core, graph.color(p)) {
-                self.remote += 1;
-            }
-        }
+        self.node_remote += node_remote;
+        self.total += 1 + count.preds;
+        self.remote += node_remote + count.preds_remote;
     }
 
     /// Percentage remote — the Figure 7 y-axis.

@@ -1,12 +1,14 @@
 //! Work-stealing simulation (Nabbit / NabbitC).
 //!
 //! Faithful to the threaded runtime at the level that matters for the
-//! paper's figures: per-core deques hold *batches* that split exactly like
-//! `spawn_colors`/`spawn_nodes` (so a steal acquires half of a color-split
-//! batch, and the first steals acquire large chunks near the root), owners
-//! pop LIFO while thieves take the oldest entry, colored steals check the
-//! top entry's color set, and each core's steal search is the threaded
-//! pool's own [`Thief`] — K colored attempts then one random attempt, after
+//! paper's figures: per-core deques hold the runtime's own morphing
+//! [`Batch`]es, split by the same [`Batch::split`] that `spawn_colors`
+//! drives on the pool, one `cost.split` per pushed half (so a steal
+//! acquires half of a color-split batch, and the first steals acquire
+//! large chunks near the root), owners pop LIFO while thieves take the
+//! oldest entry, colored steals check the top entry's color set, and each
+//! core's steal search is the threaded pool's own [`Thief`] — K colored
+//! attempts then one random attempt, after
 //! a forced first colored steal whose patience is charged as
 //! [`StealPolicy::first_steal_max_declined`] says. The simulator drives it
 //! on a virtual clock: one forced probe per event, `idle_backoff` after a
@@ -16,13 +18,15 @@
 //! comes from the [`CostModel`]. Same graph + same config ⇒ identical
 //! result, which makes the figure harnesses reproducible.
 
+use crate::node_ticks;
 use crate::result::{CoreStats, SimRemote, SimResult};
-use nabbitc_color::{Color, ColorSet};
+use nabbitc_color::Color;
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::{NodeId, TaskGraph};
+use nabbitc_runtime::morph::Batch;
 use nabbitc_runtime::policy::{Attempt, Outcome, Step, Thief};
 use nabbitc_runtime::rng::XorShift64;
-use nabbitc_runtime::{ColorDomains, StealPolicy};
+use nabbitc_runtime::StealPolicy;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -65,46 +69,18 @@ impl WsConfig {
     }
 }
 
-/// A deque entry: a color-grouped batch or a run of same-colored nodes —
-/// the two levels of the paper's Fig. 3 recursion.
-#[derive(Clone, Debug)]
-enum Entry {
-    Batch(Vec<(Color, Vec<NodeId>)>),
-    Nodes(Color, Vec<NodeId>),
-}
-
-impl Entry {
-    fn colors(&self) -> ColorSet {
-        match self {
-            Entry::Batch(groups) => groups.iter().map(|g| g.0).collect(),
-            Entry::Nodes(c, _) => ColorSet::singleton(*c),
-        }
-    }
-}
-
-fn make_batch(graph: &TaskGraph, mut nodes: Vec<NodeId>) -> Entry {
-    nodes.sort_unstable_by_key(|&u| (graph.color(u), u));
-    let mut groups: Vec<(Color, Vec<NodeId>)> = Vec::new();
-    for u in nodes {
-        let c = graph.color(u);
-        match groups.last_mut() {
-            Some(g) if g.0 == c => g.1.push(u),
-            _ => groups.push((c, vec![u])),
-        }
-    }
-    if groups.len() == 1 {
-        let (c, v) = groups.pop().expect("one group");
-        Entry::Nodes(c, v)
-    } else {
-        Entry::Batch(groups)
-    }
+/// A release of `nodes` as the executors hand it to `spawn_colors`, in
+/// node-id order within each color.
+fn release(graph: &TaskGraph, mut nodes: Vec<NodeId>) -> Batch<NodeId> {
+    nodes.sort_unstable();
+    Batch::gather(nodes, |&u| graph.color(u))
 }
 
 struct Sim<'a> {
     graph: &'a TaskGraph,
     cfg: &'a WsConfig,
     join: Vec<u32>,
-    deques: Vec<VecDeque<Entry>>,
+    deques: Vec<VecDeque<Batch<NodeId>>>,
     stats: Vec<CoreStats>,
     remote: SimRemote,
     thieves: Vec<Thief>,
@@ -152,7 +128,7 @@ pub fn simulate_ws(graph: &TaskGraph, cfg: &WsConfig) -> SimResult {
     // The root: all sources, color-grouped, handed to core 0 ("one worker
     // starts out with executing the root node").
     let sources = graph.sources();
-    sim.deques[0].push_back(make_batch(graph, sources));
+    sim.deques[0].push_back(release(graph, sources));
 
     for c in 0..p {
         sim.schedule(0, c);
@@ -192,78 +168,38 @@ impl<'a> Sim<'a> {
     }
 
     fn step(&mut self, c: usize, t: u64) {
-        if let Some(entry) = self.deques[c].pop_back() {
-            self.process(c, t, entry);
+        if let Some(batch) = self.deques[c].pop_back() {
+            self.process(c, t, batch);
         } else {
             self.steal_round(c, t);
         }
     }
 
-    /// Splits an entry down to one node (pushing the halves, exactly the
-    /// spawn_colors/spawn_nodes order), executes the node, and notifies its
-    /// successors at completion time.
-    fn process(&mut self, c: usize, mut t: u64, entry: Entry) {
+    /// Splits a batch down to one node ([`Batch::split`], pushing each
+    /// half it does not keep at `cost.split`), executes the node, and
+    /// notifies its successors at completion time.
+    fn process(&mut self, c: usize, t: u64, batch: Batch<NodeId>) {
         if !self.acquired[c] {
             self.acquired[c] = true;
             self.stats[c].first_work = t;
         }
-        let my = Color::from(c);
-        let mut cur = entry;
-        loop {
-            match cur {
-                Entry::Batch(mut groups) => {
-                    if groups.len() == 1 {
-                        let (col, v) = groups.pop().expect("one group");
-                        cur = Entry::Nodes(col, v);
-                        continue;
-                    }
-                    t += self.cfg.cost.split;
-                    self.stats[c].busy += self.cfg.cost.split;
-                    let mid = groups.len() / 2;
-                    let mut second = groups.split_off(mid);
-                    let mut first = groups;
-                    if second.iter().any(|g| g.0 == my) {
-                        std::mem::swap(&mut first, &mut second);
-                    }
-                    // The continuation (non-preferred colors) is pushed
-                    // first: oldest among this core's new entries, so
-                    // thieves reach it first.
-                    self.deques[c].push_back(Entry::Batch(second));
-                    cur = Entry::Batch(first);
-                }
-                Entry::Nodes(col, mut v) => {
-                    if v.len() == 1 {
-                        let u = v.pop().expect("one node");
-                        self.execute(c, t, u);
-                        return;
-                    }
-                    t += self.cfg.cost.split;
-                    self.stats[c].busy += self.cfg.cost.split;
-                    let mid = v.len() / 2;
-                    let second = v.split_off(mid);
-                    self.deques[c].push_back(Entry::Nodes(col, second));
-                    cur = Entry::Nodes(col, v);
-                }
-            }
-        }
+        let deque = &mut self.deques[c];
+        let mut halves = 0;
+        let u = batch
+            .split(Color::from(c), |half| {
+                deque.push_back(half);
+                halves += 1;
+            })
+            .expect("a queued batch is never empty");
+        let split = halves * self.cfg.cost.split;
+        self.stats[c].busy += split;
+        self.execute(c, t + split, u);
     }
 
     fn execute(&mut self, c: usize, t: u64, u: NodeId) {
         let g = self.graph;
-        let topo = &self.cfg.topology;
-        let my_domain = topo.domain_of(c);
-
-        // Price the node's accesses local/remote.
-        let (mut local, mut remote_bytes) = (0u64, 0u64);
-        for a in g.accesses(u) {
-            match topo.domain_of_color(a.owner) {
-                Some(d) if d == my_domain => local += a.bytes,
-                _ => remote_bytes += a.bytes,
-            }
-        }
-        let dur = self.cfg.cost.node_ticks(g.work(u), local, remote_bytes);
-
-        self.remote.record_node(g, u, c, topo);
+        let cfg = self.cfg;
+        let dur = node_ticks(g, u, c, &cfg.topology, &cfg.cost, &mut self.remote);
 
         self.stats[c].executed += 1;
         self.stats[c].busy += dur;
@@ -280,8 +216,7 @@ impl<'a> Sim<'a> {
             }
         }
         if !ready.is_empty() {
-            let batch = make_batch(g, ready);
-            self.deques[c].push_back(batch);
+            self.deques[c].push_back(release(g, ready));
         }
         self.schedule(t_end, c);
     }
@@ -325,7 +260,7 @@ impl<'a> Sim<'a> {
     }
 
     /// One steal attempt by core `c`, `*now` ticks into a round that began
-    /// at `t`. On success the entry is processed; whatever the outcome,
+    /// at `t`. On success the batch is processed; whatever the outcome,
     /// `*now` has moved on by what the attempt cost.
     fn steal_attempt(&mut self, c: usize, t: u64, now: &mut u64, attempt: Attempt) -> Outcome {
         let cost = &self.cfg.cost;
@@ -344,14 +279,14 @@ impl<'a> Sim<'a> {
         if attempt.colored && !front.colors().intersects(self.thieves[c].accept()) {
             return Outcome::Declined;
         }
-        let entry = self.deques[v].pop_front().expect("peeked");
+        let batch = self.deques[v].pop_front().expect("peeked");
         *steals += 1;
         *now += cost.steal_transfer;
         stats.idle += *now - t;
-        // The stolen entry is in the thief's hands — process it directly
+        // The stolen batch is in the thief's hands — process it directly
         // (it must not be stealable in flight, or two idle cores can
         // ping-pong it forever without either resume firing).
-        self.process(c, *now, entry);
+        self.process(c, *now, batch);
         Outcome::Stolen
     }
 }

@@ -20,8 +20,9 @@
 //! data structure to keep in sync. [`pool::Pool`] runs the worker loop with
 //! the paper's exact policy, parameterized by [`policy::StealPolicy`] and
 //! stated once, as [`policy::Thief`], which the `numasim` simulator drives
-//! too; the OpenMP baselines' loop schedules are stated once the same way,
-//! as [`schedule::OmpSchedule`].
+//! too; the morphing continuation's split (Fig. 3) is stated once the same
+//! way, as [`morph::Batch`], and so are the OpenMP baselines' loop
+//! schedules, as [`schedule::OmpSchedule`].
 //!
 //! Tasks are heap-allocated closures (child stealing). A spawned batch that
 //! Cilk would express as "spawn the preferred half, leave the rest in the
@@ -32,6 +33,7 @@
 mod arena;
 pub mod deque;
 pub mod injector;
+pub mod morph;
 pub mod policy;
 pub mod pool;
 pub mod rng;
@@ -52,7 +54,7 @@ pub use stats::{PoolStats, WorkerStatsSnapshot};
 pub use task::Task;
 // The name `benchmark/` uses for `Topology`; goes when that package is next edited.
 pub use nabbitc_cost::Topology as NumaTopology;
-pub use topology::ColorDomains;
+pub use topology::{ColorDomains, NodeCount};
 pub use trace::{
     RuntimeTrace, TraceConfig, TraceEventKind, TraceRecord, WorkerTrace, WorkerTraceSummary,
 };

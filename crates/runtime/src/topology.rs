@@ -6,7 +6,7 @@
 //! color belongs to no worker in the accessing worker's domain.
 //!
 //! The worker→domain mapping itself is [`nabbitc_cost::Topology`], the
-//! workspace's one machine description; [`ColorDomains`] adds the two
+//! workspace's one machine description; [`ColorDomains`] adds the
 //! questions that take a [`Color`]. They live here rather than on the
 //! type because `nabbitc-cost` does not know about colors. On the
 //! container this library runs in, physical pinning is unavailable, but
@@ -26,6 +26,37 @@ pub trait ColorDomains {
     /// (crosses NUMA domains). Accesses to invalid/unowned colors count as
     /// remote, matching the conservative reading of the paper's metric.
     fn is_remote(&self, worker: usize, data_color: Color) -> bool;
+
+    /// The §V-B count of one node colored `node`, whose predecessors are
+    /// colored `preds`, run by `worker`: the node's own data and each
+    /// predecessor's output are one access each.
+    fn count_node(
+        &self,
+        worker: usize,
+        node: Color,
+        preds: impl IntoIterator<Item = Color>,
+    ) -> NodeCount {
+        let mut count = NodeCount {
+            remote: self.is_remote(worker, node),
+            ..NodeCount::default()
+        };
+        for p in preds {
+            count.preds += 1;
+            count.preds_remote += u64::from(self.is_remote(worker, p));
+        }
+        count
+    }
+}
+
+/// One node's §V-B count ([`ColorDomains::count_node`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeCount {
+    /// Whether the node itself ran outside its color's domain.
+    pub remote: bool,
+    /// Predecessors read.
+    pub preds: u64,
+    /// Of those, predecessors whose color is remote.
+    pub preds_remote: u64,
 }
 
 impl ColorDomains for Topology {

@@ -52,13 +52,6 @@ pub fn execute<F: FnMut(NodeId)>(g: &TaskGraph, mut kernel: F) -> Vec<NodeId> {
     order
 }
 
-/// Total serial cost: `Σ W(u)` plus a unit per edge checked — the measured
-/// analogue of `T1`.
-pub fn serial_cost(g: &TaskGraph) -> u64 {
-    let work: u64 = g.nodes().map(|u| g.work(u)).sum();
-    work + g.edge_count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,11 +89,5 @@ mod tests {
         let g = generate::wavefront(10, 10, 1, 4);
         let order = execute(&g, |_| {});
         assert!(order_respects_dependences(&g, &order));
-    }
-
-    #[test]
-    fn serial_cost_matches_t1() {
-        let g = generate::chain(10, 5, 1);
-        assert_eq!(serial_cost(&g), 50 + 9);
     }
 }

@@ -71,13 +71,6 @@ impl Trace {
         }
         Ok(())
     }
-
-    /// Makespan: `max end - min start` (zero for empty traces).
-    pub fn makespan(&self) -> u64 {
-        let min = self.events.iter().map(|e| e.start).min().unwrap_or(0);
-        let max = self.events.iter().map(|e| e.end).max().unwrap_or(0);
-        max - min
-    }
 }
 
 /// Validation failures.
@@ -238,27 +231,6 @@ mod tests {
             }],
         };
         assert_eq!(t.validate(&g), Err(TraceError::NegativeDuration(0)));
-    }
-
-    #[test]
-    fn makespan_and_workers() {
-        let t = Trace {
-            events: vec![
-                TraceEvent {
-                    node: 0,
-                    worker: 3,
-                    start: 10,
-                    end: 20,
-                },
-                TraceEvent {
-                    node: 1,
-                    worker: 5,
-                    start: 15,
-                    end: 40,
-                },
-            ],
-        };
-        assert_eq!(t.makespan(), 30);
     }
 
     #[test]

@@ -133,11 +133,6 @@ pub fn build_uncolored(id: BenchId, scale: Scale, p: usize) -> Built {
     built
 }
 
-/// Builds a PageRank instance for tests/examples (no worker-count floor).
-pub fn build_pagerank(id: BenchId, scale: Scale) -> pagerank::PageRank {
-    build_pagerank_for(id, scale, 1)
-}
-
 fn build_pagerank_for(id: BenchId, scale: Scale, p: usize) -> pagerank::PageRank {
     use crate::webgraph::WebGraphParams;
     let d = scale.divisor();
@@ -365,8 +360,8 @@ mod tests {
 
     #[test]
     fn pagerank_variants_differ_in_skew() {
-        let uk = build_pagerank(BenchId::PageUk2002, Scale::Small);
-        let tw = build_pagerank(BenchId::PageTwitter2010, Scale::Small);
+        let uk = build_pagerank_for(BenchId::PageUk2002, Scale::Small, 1);
+        let tw = build_pagerank_for(BenchId::PageTwitter2010, Scale::Small, 1);
         assert!(
             tw.imbalance() > uk.imbalance(),
             "twitter {} should be more imbalanced than uk {}",
