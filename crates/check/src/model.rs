@@ -550,12 +550,18 @@ pub fn run_successor_list(registrants: usize) {
 /// (never enqueued) and W2 (double compute) in join-counter form — and
 /// the thread whose decrement it was sees every predecessor's output,
 /// written before that predecessor's own decrement. Under `--cfg
-/// nabbitc_weak_join` (bias dropped, scan-side orderings Relaxed) a
-/// predecessor finishing between the scanning consumer's registration
-/// and its `end_scan` zeroes the counter for the producer *and* leaves
-/// zero for `end_scan` to observe — both enqueue, and the explorer must
-/// find it.
-pub fn run_join_protocol(preds: usize, arming: Arming) {
+/// nabbitc_weak_join` (bias dropped, `end_scan` Relaxed) a predecessor
+/// finishing between the scanning consumer's registration and its
+/// `end_scan` zeroes the counter for the producer *and* leaves zero for
+/// `end_scan` to observe — both enqueue, and the explorer must find it.
+/// Under `--cfg nabbitc_weak_fire` a producer whose `notify` reads 2
+/// fires through the fast path and leaves 1, which `end_scan` then reads
+/// as its own share — both enqueue again.
+///
+/// Returns how the one enqueue happened, so that a caller can check that
+/// the exploration reached each way: the scanner's `end_scan` or a
+/// producer's `notify`, through the fast path's load or through the RMW.
+pub fn run_join_protocol(preds: usize, arming: Arming) -> JoinFiring {
     use loom::sync::atomic::{AtomicUsize, Ordering};
     use nabbitc_core::{JoinCounter, Link, SuccessorList};
 
@@ -611,16 +617,23 @@ pub fn run_join_protocol(preds: usize, arming: Arming) {
                 let _slots = links;
                 outputs[i].store(1, Ordering::Relaxed);
                 let waiters = if scanned { lists[i].close().count() } else { 1 };
+                let mut fired = None;
                 for _waiter in 0..waiters {
-                    if join.notify() {
+                    if let Some(by_load) = join.notify_by_load() {
                         fire();
+                        fired = Some(JoinFiring {
+                            by_scanner: false,
+                            by_load,
+                        });
                     }
                 }
+                fired
             })
         })
         .collect();
 
     // Consumer (the model's root thread): the predecessor scan.
+    let mut firing = None;
     if scanned {
         let mut satisfied: i64 = 0;
         for (list, link) in lists.iter().zip(links.iter()) {
@@ -632,13 +645,17 @@ pub fn run_join_protocol(preds: usize, arming: Arming) {
                 satisfied += 1;
             }
         }
-        if join.end_scan(satisfied) {
+        if let Some(by_load) = join.end_scan_by_load(satisfied) {
             fire();
+            firing = Some(JoinFiring {
+                by_scanner: true,
+                by_load,
+            });
         }
     }
 
     for p in producers {
-        p.join().expect("producer panicked");
+        firing = p.join().expect("producer panicked").or(firing);
     }
     let n = enqueues.load(Ordering::Relaxed);
     assert!(n != 0, "W1 violation: join-counter node never enqueued");
@@ -647,6 +664,16 @@ pub fn run_join_protocol(preds: usize, arming: Arming) {
         "W2 violation: join-counter node enqueued {n} times (double compute)"
     );
     assert_eq!(join.pending(), 0, "join counter nonzero after quiescence");
+    firing.expect("the one enqueue was recorded")
+}
+
+/// How [`run_join_protocol`]'s one enqueue happened.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct JoinFiring {
+    /// The scanner's `end_scan` fired (else a producer's `notify`).
+    pub by_scanner: bool,
+    /// It fired through the fast path's load (else through the RMW).
+    pub by_load: bool,
 }
 
 /// How [`run_join_protocol`]'s consumer gets its count.

@@ -13,16 +13,19 @@
     not(nabbitc_weak_batch),
     not(nabbitc_weak_push_batch),
     not(nabbitc_weak_join),
-    not(nabbitc_weak_close)
+    not(nabbitc_weak_close),
+    not(nabbitc_weak_fire)
 ))]
 
 use loom::model::{explore, Options};
 use nabbitc_check::model::{
     check_accounting, check_linearizable, run_colored_batch_prefix, run_injector_progress,
     run_injector_racing_push, run_join_protocol, run_pending_protocol, run_push_batch_publication,
-    run_scenario, run_steal_batch_races_owner_pops, run_successor_list, Arming, ScenarioCfg,
+    run_scenario, run_steal_batch_races_owner_pops, run_successor_list, Arming, JoinFiring,
+    ScenarioCfg,
 };
 use nabbitc_check::spec::Op;
+use std::collections::HashSet;
 
 fn run_cfg(cfg: ScenarioCfg, linearize: bool) {
     let opts = Options::from_env();
@@ -268,37 +271,65 @@ fn pending_protocol_relaxed_orderings_are_sound() {
     assert!(report.completed > 0);
 }
 
-#[test]
-fn join_counter_enqueues_exactly_once_one_pred() {
-    // The dynamic protocol's init-bias arbitration: one predecessor
-    // racing the scanning worker. Exactly one of `notify` / `end_scan`
-    // may reach zero on every interleaving.
+/// Explores `run_join_protocol(preds, arming)` and returns every way its
+/// one enqueue happened across the interleavings.
+fn join_firings(preds: usize, arming: Arming) -> HashSet<JoinFiring> {
+    let mut seen = HashSet::new();
     let report = explore(Options::from_env(), || {
-        run_join_protocol(1, Arming::Scanned)
+        seen.insert(run_join_protocol(preds, arming));
     });
     if let Some(v) = report.violation {
         panic!(
-            "join protocol violated after {} executions: {} (trail {:?})",
+            "join protocol ({arming:?}, {preds} predecessors) violated after {} executions: {} \
+             (trail {:?})",
             report.iterations, v.message, v.trail
         );
     }
     assert!(report.completed > 0);
+    seen
+}
+
+/// `(by_scanner, by_load)` as a [`JoinFiring`].
+fn firing(by_scanner: bool, by_load: bool) -> JoinFiring {
+    JoinFiring {
+        by_scanner,
+        by_load,
+    }
+}
+
+#[test]
+fn join_counter_enqueues_exactly_once_one_pred() {
+    // The dynamic protocol's init-bias arbitration: one predecessor
+    // racing the scanning worker. Exactly one of `notify` / `end_scan`
+    // may reach zero on every interleaving — and each may, through its
+    // fast path's load or through its RMW.
+    let seen = join_firings(1, Arming::Scanned);
+    for by_scanner in [true, false] {
+        for by_load in [true, false] {
+            assert!(
+                seen.contains(&firing(by_scanner, by_load)),
+                "no interleaving fired with {:?}; saw {seen:?}",
+                firing(by_scanner, by_load)
+            );
+        }
+    }
 }
 
 #[test]
 fn join_counter_enqueues_exactly_once_two_preds() {
     // Two producers extend the AcqRel decrement chain (release sequence)
-    // the firing decrement must synchronize with.
-    let report = explore(Options::from_env(), || {
-        run_join_protocol(2, Arming::Scanned)
-    });
-    if let Some(v) = report.violation {
-        panic!(
-            "join protocol violated after {} executions: {} (trail {:?})",
-            report.iterations, v.message, v.trail
+    // the firing decrement must synchronize with, whichever way it fires.
+    let seen = join_firings(2, Arming::Scanned);
+    for f in [
+        firing(true, true),
+        firing(false, true),
+        firing(false, false),
+    ] {
+        assert!(
+            seen.contains(&f),
+            "no interleaving fired with {f:?}; saw {seen:?}"
         );
     }
-    assert!(report.completed > 0);
 }
 
 #[test]
@@ -306,19 +337,17 @@ fn armed_join_counter_fires_exactly_once_and_sees_every_notifier() {
     // The pre-built-graph executor's arming: the counter is born holding
     // the in-degree, there is no scanner, and k predecessors each write
     // their output and notify once. Exactly one notify reaches zero, and
-    // it observes every predecessor's write.
+    // it observes every predecessor's write — through the load when the
+    // others have all decremented, through the RMW when one raced it.
     for preds in [2, 3] {
-        let report = explore(Options::from_env(), || {
-            run_join_protocol(preds, Arming::Armed)
-        });
-        if let Some(v) = report.violation {
-            panic!(
-                "armed join protocol ({preds} notifiers) violated after {} executions: {} \
-                 (trail {:?})",
-                report.iterations, v.message, v.trail
+        let seen = join_firings(preds, Arming::Armed);
+        for by_load in [true, false] {
+            assert!(
+                seen.contains(&firing(false, by_load)),
+                "{preds} notifiers: no interleaving fired with by_load = {by_load}; \
+                 saw {seen:?}"
             );
         }
-        assert!(report.completed > 0);
     }
 }
 

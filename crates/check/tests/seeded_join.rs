@@ -1,12 +1,13 @@
 //! Harness sensitivity proof for the join-counter protocol: with the
 //! deliberately seeded bug (`--cfg nabbitc_weak_join` drops the +1 init
-//! bias and downgrades the scan-side operations to `Relaxed` in
+//! bias and downgrades `end_scan`'s decrement to `Relaxed` in
 //! `nabbitc_core::join`), the checker must *find* the double-enqueue —
 //! a W2 violation: a predecessor finishing between the consumer's
 //! registration and its `end_scan` zeroes the counter for the producer
 //! and leaves zero for `end_scan` to observe, so both enqueue the
-//! compute. The same downgrade is caught statically by the
-//! `nabbitc-lint` atomics audit (`weak_join_canary_is_caught_statically`).
+//! compute. The downgrade is caught statically too, by the `nabbitc-lint`
+//! atomics audit (`weak_join_canary_is_caught_statically`); the dropped
+//! bias, a value and not an ordering, only by this test.
 //!
 //! Run with:
 //! ```sh
@@ -21,7 +22,7 @@ use nabbitc_check::model::{run_join_protocol, Arming};
 #[test]
 fn weakened_join_counter_is_caught_as_w2_double_enqueue() {
     let report = explore(Options::from_env(), || {
-        run_join_protocol(1, Arming::Scanned)
+        run_join_protocol(1, Arming::Scanned);
     });
     let v = report
         .violation

@@ -49,7 +49,7 @@
 //! [`crate::spawn::spawn_colors`], making this NabbitC when
 //! the pool steals by color.
 
-use crate::exec::{compute_and_notify, NodeStore, Ready, Run};
+use crate::exec::{compute_and_notify, NodeStore, Ready, Run, RunRef};
 use crate::metrics::RemoteCounters;
 use crate::report::RunReport;
 use crate::spawn::{spawn_colors, ColoredItem};
@@ -206,7 +206,7 @@ impl<S: TaskSpec> DynamicExecutor<S> {
 /// The paper's `init_node_and_compute` (Fig. 4): discover predecessors,
 /// create or register with each, then release the init bias.
 fn init_node<S: TaskSpec>(
-    run: &Arc<Run<OnDemand<S>>>,
+    run: RunRef<OnDemand<S>>,
     ctx: &mut WorkerContext<'_>,
     mut node: NodeRef<S::Key>,
 ) {
@@ -214,7 +214,7 @@ fn init_node<S: TaskSpec>(
     // Each iteration scans one node and carries on with the one item the
     // scan leaves to this worker (see the module docs). The batch buffer
     // is shared by the iterations: following a chain pops its one item
-    // back out, and only a spawn gives the buffer away.
+    // back out, and a spawn drains it.
     let mut batch: Vec<Work<S::Key>> = Vec::new();
     loop {
         let this = table.node(node);
@@ -228,7 +228,9 @@ fn init_node<S: TaskSpec>(
         // Bias +1 while scanning so the node cannot fire mid-scan; start
         // from the full predecessor count and decrement for each
         // already-computed one. One registration slot per predecessor.
-        let slots = table.begin_scan(node, preds.len(), ctx.worker_id());
+        // SAFETY: this thread is worker `ctx.worker_id()` of the pool the
+        // table was sized for, running a task of the table's run.
+        let slots = unsafe { table.begin_scan(node, preds.len(), ctx.worker_id()) };
 
         let mut satisfied: i64 = 0;
         for (pk, slot) in preds.iter().zip(slots) {
@@ -259,12 +261,11 @@ fn init_node<S: TaskSpec>(
             0 => return,
             1 => batch.pop(),
             _ => {
-                let run = run.clone();
                 let process = move |ctx: &mut WorkerContext<'_>, work| match work {
-                    Work::Init(pred, _) => init_node(&run, ctx, pred),
-                    Work::Compute(ready) => compute_and_notify(&run, ctx, ready.node),
+                    Work::Init(pred, _) => init_node(run, ctx, pred),
+                    Work::Compute(ready) => compute_and_notify(run, ctx, ready.node),
                 };
-                spawn_colors(ctx, std::mem::take(&mut batch), Arc::new(process))
+                spawn_colors(ctx, batch.drain(..), process)
             }
         };
         match next.expect("a non-empty batch leaves one item") {

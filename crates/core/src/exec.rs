@@ -20,14 +20,17 @@
 //! job boundary: the pool's statistics and event rings are reset, the job
 //! run and both snapshotted inside a single [`Pool::run_measured`] call,
 //! so a [`RunReport`] describes its own run even when several threads
-//! execute on one pool.
+//! execute on one pool. The run lives in `execute`'s frame for the length
+//! of the job, and tasks reach it through a [`RunRef`], a plain pointer:
+//! spawning a task touches no reference count.
 
 use crate::metrics::{RemoteCounters, WorkerCounts};
 use crate::report::RunReport;
 use crate::spawn::{spawn_colors, ColoredItem};
 use nabbitc_color::{Color, ColorSet};
 use nabbitc_runtime::{Pool, WorkerContext};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::ptr::NonNull;
 
 /// Where a run's nodes live: how to run one, and whom its completion makes
 /// ready.
@@ -79,21 +82,18 @@ impl<S: NodeStore> Run<S> {
         store: S,
         count_remote: bool,
         root_colors: ColorSet,
-        root: impl FnOnce(&Arc<Self>, &mut WorkerContext<'_>) + Send + 'static,
+        root: impl FnOnce(RunRef<S>, &mut WorkerContext<'_>) + Send + 'static,
     ) -> (RunReport, S) {
         let workers = pool.workers();
-        let run = Arc::new(Run {
+        let run = Run {
             store,
             remote: count_remote.then(|| RemoteCounters::new(pool.topology().clone(), workers)),
             executed: WorkerCounts::new(workers),
-        });
-        let job = {
-            let run = run.clone();
-            pool.run_measured(root_colors, move |ctx| root(&run, ctx))
         };
-        // Every task held a clone; the job returns only when all are gone.
-        let run = Arc::try_unwrap(run)
-            .unwrap_or_else(|_| panic!("executor state leaked past job completion"));
+        let job = {
+            let run = RunRef(NonNull::from(&run));
+            pool.run_measured(root_colors, move |ctx| root(run, ctx))
+        };
         let report = RunReport {
             elapsed: job.elapsed,
             nodes_executed: run.executed.total(),
@@ -106,15 +106,55 @@ impl<S: NodeStore> Run<S> {
     }
 }
 
+/// How the tasks of one job reach its [`Run`]: a pointer to the run in
+/// [`Run::execute`]'s frame, copied into every task, with no reference
+/// count to touch.
+///
+/// It is sound for the reason a `store.rs` `NodeRef` is: the run outlives
+/// every task that holds one. `Pool::run_measured` returns — normally,
+/// or unwinding with a task's panic — only once the job's pending count
+/// is zero, that is once every task of the job has run or panicked (the
+/// pool catches a task's panic and counts the task done like any other),
+/// and `execute` moves or drops the run only after that.
+pub(crate) struct RunRef<S>(NonNull<Run<S>>);
+
+// By hand: the derives would ask for `S: Copy`.
+impl<S> Clone for RunRef<S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<S> Copy for RunRef<S> {}
+
+// SAFETY: a `RunRef` is a shared reference to a `Run<S>` in all but
+// lifetime (`deref` is its only use and yields `&Run`), so it may cross
+// threads exactly when `&Run<S>` may: `S: NodeStore` is `Sync`, and the
+// counters are atomics.
+unsafe impl<S: NodeStore> Send for RunRef<S> {}
+// SAFETY: as above; `&RunRef` gives nothing `RunRef` (it is `Copy`) does not.
+unsafe impl<S: NodeStore> Sync for RunRef<S> {}
+
+impl<S> Deref for RunRef<S> {
+    type Target = Run<S>;
+
+    fn deref(&self) -> &Run<S> {
+        // SAFETY: made only by `Run::execute`, pointing at the run in its
+        // frame, and held only by the job's tasks, which all end before
+        // the job returns (see the type's docs); the run is never handed
+        // out mutably while the job runs.
+        unsafe { self.0.as_ref() }
+    }
+}
+
 /// The paper's `compute_and_notify`: run the node, mark it computed,
 /// notify its waiters, release the ones that became ready.
 pub(crate) fn compute_and_notify<S: NodeStore>(
-    run: &Arc<Run<S>>,
+    run: RunRef<S>,
     ctx: &mut WorkerContext<'_>,
     mut node: S::Node,
 ) {
     // One buffer for all iterations: following a chain pops its one item
-    // back out, and only a spawn gives the buffer away.
+    // back out, and a spawn drains it.
     let mut ready = Vec::new();
     loop {
         let me = ctx.worker_id();
@@ -128,7 +168,7 @@ pub(crate) fn compute_and_notify<S: NodeStore>(
             0 => return,
             1 => ready.pop().expect("len checked").node,
             _ => {
-                spawn_ready(run, ctx, std::mem::take(&mut ready))
+                spawn_ready(run, ctx, ready.drain(..))
                     .expect("a batch of several leaves one node")
                     .node
             }
@@ -140,16 +180,15 @@ pub(crate) fn compute_and_notify<S: NodeStore>(
 /// returns the one it leaves to this worker, which the caller runs next.
 #[must_use = "the returned node is the caller's to run"]
 pub(crate) fn spawn_ready<S: NodeStore>(
-    run: &Arc<Run<S>>,
+    run: RunRef<S>,
     ctx: &mut WorkerContext<'_>,
-    ready: Vec<Ready<S::Node>>,
+    ready: impl IntoIterator<Item = Ready<S::Node>>,
 ) -> Option<Ready<S::Node>> {
-    let run = run.clone();
     spawn_colors(
         ctx,
         ready,
-        Arc::new(move |ctx: &mut WorkerContext<'_>, r: Ready<S::Node>| {
-            compute_and_notify(&run, ctx, r.node);
-        }),
+        move |ctx: &mut WorkerContext<'_>, r: Ready<S::Node>| {
+            compute_and_notify(run, ctx, r.node);
+        },
     )
 }

@@ -5,7 +5,7 @@
 //! (`begin_scan`), so the node cannot fire mid-scan no matter how fast
 //! predecessors complete. Each completing predecessor decrements once
 //! (`notify`); the scanning worker releases the bias together with the
-//! already-satisfied dependences in one RMW (`end_scan`). Whichever
+//! already-satisfied dependences in one decrement (`end_scan`). Whichever
 //! decrement reaches zero owns the compute — exactly one of them can,
 //! which is the exactly-once enqueue guarantee the `nabbitc-check` join
 //! scenario verifies over all bounded interleavings. On the pre-built
@@ -13,18 +13,37 @@
 //! in-degree (`armed`) and `notify` is its only operation — the same
 //! decrement chain without the scanner, checked by the same scenario.
 //!
-//! Orderings: a `SeqCst` init store seeds a chain of `AcqRel`
-//! decrements, so the compute observes every predecessor's writes; each
-//! site's `// ORDERING` comment below gives its pairing and reason.
+//! A decrement that finds the counter holding exactly its own share —
+//! 1 for `notify`, the satisfied dependences plus the bias for `end_scan`
+//! — is the last one: every other holder of a share has already taken
+//! it off, so no thread can write the counter again. It fires with a
+//! load and a plain store of zero instead of a lock-prefixed RMW. Only
+//! when other shares are still outstanding does it pay the RMW, whose
+//! result decides the race as before.
+//!
+//! Orderings: the count is armed with a `Relaxed` store, which reaches
+//! every notifier through the registration CAS that publishes the node
+//! (or, armed, through the job's start); the decrements form an `AcqRel`
+//! release sequence, and the fast paths' `Acquire` load reads its last
+//! value, so whichever decrement fires observes every predecessor's
+//! writes. Each site's `// ORDERING` comment below gives its pairing and
+//! reason.
 //!
 //! Under `--cfg nabbitc_weak_join` (a seeded-bug canary, set via
 //! `RUSTFLAGS` like the runtime's `nabbitc_weak_pop`) the bias is
-//! dropped and the scan-side operations are downgraded to `Relaxed`:
-//! a predecessor finishing mid-scan can then bring the counter to zero
+//! dropped and `end_scan`'s decrement is downgraded to `Relaxed`: a
+//! predecessor finishing mid-scan can then bring the counter to zero
 //! *and* the scanner's `end_scan` still observes zero — both enqueue,
-//! the W2 double-compute the checker must catch. The same downgrade is
+//! the W2 double-compute the checker must catch. The downgrade is
 //! rejected statically by the `nabbitc-lint` atomics audit, which checks
 //! this file's sites cfg-aware against their `// ORDERING` annotations.
+//!
+//! Under `--cfg nabbitc_weak_fire` (the canary for the fast paths)
+//! `notify`'s fast path forgets the scan's bias: a notifier that reads 2
+//! fires, taking the other unit for a bias that `end_scan` is about to
+//! release, and leaves it in the counter — so `end_scan` then finds its
+//! own share and fires too: the W2 double enqueue, which the checker must
+//! catch. No ordering changes, so only the checker can.
 //!
 //! # The successor list
 //!
@@ -63,8 +82,19 @@ pub struct JoinCounter {
 
 /// The count of a counter whose scan has not begun. No armed count is
 /// negative, so [`JoinCounter::begin_scan`] tells a first scan from any
-/// later one by what it replaces.
+/// later one by what it finds.
 const UNSCANNED: i64 = -1;
+
+/// How a decrement that fired got the counter to zero: seen by the model
+/// checker, which asserts that its scenarios reach both.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fired {
+    /// The counter held exactly the caller's share: a load and a store.
+    Load,
+    /// Other shares were outstanding when the caller looked: the RMW's
+    /// result decided it.
+    Rmw,
+}
 
 impl Default for JoinCounter {
     fn default() -> Self {
@@ -95,55 +125,108 @@ impl JoinCounter {
 
     /// Arms the counter for a predecessor scan over `preds` dependences:
     /// full count plus the init bias that keeps the node from firing
-    /// before [`end_scan`](Self::end_scan).
+    /// before [`end_scan`](Self::end_scan). Only the node's creator scans
+    /// it, before publishing it to any predecessor.
     ///
     /// # Panics
     ///
     /// If the counter was armed before — mid-scan, waiting or computed: a
     /// node is scanned exactly once.
     pub fn begin_scan(&self, preds: usize) {
-        // ORDERING count.swap: SeqCst — seeds preds+1 (the init bias) before
-        // the node is published to any predecessor's successor list; it races
-        // nothing but anchors the decrement chain, and its read is the
-        // scanned-once check (an xchg on x86, as a SeqCst store is) — the
-        // nabbitc_weak_join cfg drops the bias and downgrades this to Relaxed,
-        // which this annotation rejects
-        #[cfg(not(nabbitc_weak_join))]
-        let before = self.count.swap(preds as i64 + 1, Ordering::SeqCst);
-        #[cfg(nabbitc_weak_join)]
-        let before = self.count.swap(preds as i64, Ordering::Relaxed);
+        // ORDERING count.load: Relaxed — the scanned-once check: the creator
+        // reads the count it was born with; no other thread writes it before
+        // the scan publishes the node
+        let before = self.count.load(Ordering::Relaxed);
         assert_eq!(before, UNSCANNED, "a node is scanned exactly once");
+        #[cfg(not(nabbitc_weak_join))]
+        let armed = preds as i64 + 1;
+        #[cfg(nabbitc_weak_join)]
+        let armed = preds as i64;
+        // ORDERING count.store: Relaxed — seeds preds+1 (the init bias): the
+        // node reaches no notifier before the registration CAS (Release) that
+        // publishes it, which orders this store before every decrement
+        self.count.store(armed, Ordering::Relaxed);
     }
 
     /// Releases `satisfied` already-computed dependences plus the init
     /// bias in one decrement. Returns `true` iff this decrement brought
     /// the counter to zero — the caller owns the compute.
     pub fn end_scan(&self, satisfied: i64) -> bool {
-        // ORDERING count.fetch_sub: AcqRel; pairs notify::count.fetch_sub,
-        // begin_scan::count.swap — releases the bias plus already-satisfied
-        // dependences in one RMW; Acquire on the firing decrement synchronizes
-        // with every predecessor's Release in the chain — the
-        // nabbitc_weak_join cfg downgrades this to Relaxed, rejected here
+        self.end_scan_fired(satisfied).is_some()
+    }
+
+    /// [`end_scan`](Self::end_scan), telling how it fired.
+    #[inline]
+    pub(crate) fn end_scan_fired(&self, satisfied: i64) -> Option<Fired> {
+        // The scanner's share: the satisfied dependences and the bias.
+        let share = satisfied + 1;
+        // ORDERING count.load: Acquire; pairs notify_fired::count.fetch_sub —
+        // the fast path: reading exactly the scanner's share means every
+        // registered predecessor has notified, and reading the last RMW of
+        // the release sequence synchronizes with each of them
         #[cfg(not(nabbitc_weak_join))]
-        let ready = self.count.fetch_sub(satisfied + 1, Ordering::AcqRel) == satisfied + 1;
+        let alone = self.count.load(Ordering::Acquire) == share;
         #[cfg(nabbitc_weak_join)]
-        let ready = self.count.fetch_sub(satisfied, Ordering::Relaxed) == satisfied;
-        ready
+        let alone = false;
+        if alone {
+            // ORDERING count.store: Relaxed — no one else holds a share, so no
+            // thread writes the counter again; zero keeps `pending()` reading 0
+            // on a computed node
+            self.count.store(0, Ordering::Relaxed);
+            return Some(Fired::Load);
+        }
+        // ORDERING count.fetch_sub: AcqRel; pairs notify_fired::count.fetch_sub
+        // — releases the bias plus already-satisfied dependences in one RMW
+        // while notifiers are still outstanding; Acquire on the firing
+        // decrement synchronizes with every predecessor's Release in the
+        // chain — the nabbitc_weak_join cfg drops the bias and downgrades this
+        // to Relaxed, rejected here
+        #[cfg(not(nabbitc_weak_join))]
+        let fired = self.count.fetch_sub(share, Ordering::AcqRel) == share;
+        #[cfg(nabbitc_weak_join)]
+        let fired = self.count.fetch_sub(share - 1, Ordering::Relaxed) == share - 1;
+        fired.then_some(Fired::Rmw)
     }
 
     /// One dependence satisfied by a completing predecessor. Returns
     /// `true` iff this was the last one — the caller owns the compute.
     pub fn notify(&self) -> bool {
-        // ORDERING count.fetch_sub: AcqRel; pairs begin_scan::count.swap,
-        // notify::count.fetch_sub — per-predecessor decrement, the one
-        // successor-release site of both node stores (the on-demand table's
-        // drained waiters and the dense store's graph successors, whose
-        // counter is born armed with the in-degree and sees no other
-        // operation): Release publishes the predecessor's computed effects
-        // into the release sequence (including its own prior decrements, hence
-        // the self pair), Acquire on the firing decrement observes them all —
-        // run_join_protocol checks both armings
-        self.count.fetch_sub(1, Ordering::AcqRel) == 1
+        self.notify_fired().is_some()
+    }
+
+    /// [`notify`](Self::notify), telling how it fired.
+    #[inline]
+    pub(crate) fn notify_fired(&self) -> Option<Fired> {
+        // ORDERING count.load: Acquire; pairs notify_fired::count.fetch_sub,
+        // end_scan_fired::count.fetch_sub — the fast path: reading 1 means the
+        // caller's is the only share left, and reading the last RMW of the
+        // release sequence synchronizes with every earlier decrement
+        let count = self.count.load(Ordering::Acquire);
+        #[cfg(not(nabbitc_weak_fire))]
+        let alone = count == 1;
+        #[cfg(nabbitc_weak_fire)]
+        let alone = count == 1 || count == 2;
+        if alone {
+            // ORDERING count.store: Relaxed — no one else holds a share, so no
+            // thread writes the counter again; zero keeps `pending()` reading 0
+            // on a computed node
+            #[cfg(not(nabbitc_weak_fire))]
+            self.count.store(0, Ordering::Relaxed);
+            #[cfg(nabbitc_weak_fire)]
+            self.count.store(count - 1, Ordering::Relaxed);
+            return Some(Fired::Load);
+        }
+        // ORDERING count.fetch_sub: AcqRel; pairs notify_fired::count.fetch_sub,
+        // end_scan_fired::count.fetch_sub — per-predecessor decrement while
+        // other shares are outstanding, the one successor-release site of both
+        // node stores (the on-demand table's drained waiters and the dense
+        // store's graph successors, whose counter is born armed with the
+        // in-degree and sees no other operation): Release publishes the
+        // predecessor's computed effects into the release sequence (including
+        // its own prior decrements, hence the self pair), Acquire on the
+        // firing decrement observes them all — run_join_protocol checks both
+        // armings
+        (self.count.fetch_sub(1, Ordering::AcqRel) == 1).then_some(Fired::Rmw)
     }
 
     /// Current count (diagnostics; a computed node must read zero).
@@ -151,6 +234,22 @@ impl JoinCounter {
         // ORDERING count.load: SeqCst — diagnostics read (a computed node must
         // show zero); off the hot path
         self.count.load(Ordering::SeqCst)
+    }
+}
+
+/// What the model checker sees of a decrement: whether it fired, and how.
+#[cfg(nabbitc_check)]
+impl JoinCounter {
+    /// [`notify`](Self::notify): `None` if it did not fire, else whether
+    /// it fired through the load (`true`) or the RMW.
+    pub fn notify_by_load(&self) -> Option<bool> {
+        self.notify_fired().map(|f| f == Fired::Load)
+    }
+
+    /// [`end_scan`](Self::end_scan): `None` if it did not fire, else
+    /// whether it fired through the load (`true`) or the RMW.
+    pub fn end_scan_by_load(&self, satisfied: i64) -> Option<bool> {
+        self.end_scan_fired(satisfied).map(|f| f == Fired::Load)
     }
 }
 

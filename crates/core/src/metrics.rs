@@ -15,22 +15,24 @@
 use crossbeam_utils::CachePadded;
 use nabbitc_color::Color;
 use nabbitc_cost::Topology;
-use nabbitc_runtime::sync::{AtomicU64, Ordering::Relaxed};
+use nabbitc_runtime::sync::OwnedCounter;
 use nabbitc_runtime::ColorDomains;
 
-/// Per-worker live counters.
+/// Per-worker live counters, on one cache line: only their worker writes
+/// them.
 #[derive(Default)]
 struct WorkerCounters {
-    node_total: CachePadded<AtomicU64>,
-    node_remote: CachePadded<AtomicU64>,
-    pred_total: CachePadded<AtomicU64>,
-    pred_remote: CachePadded<AtomicU64>,
+    node_total: OwnedCounter,
+    node_remote: OwnedCounter,
+    pred_total: OwnedCounter,
+    pred_remote: OwnedCounter,
 }
 
-/// Concurrent remote-access counters for a pool of workers.
+/// Remote-access counters for a pool of workers: each worker records
+/// into its own, and anyone may read the report.
 pub struct RemoteCounters {
     topology: Topology,
-    workers: Vec<WorkerCounters>,
+    workers: Vec<CachePadded<WorkerCounters>>,
 }
 
 impl RemoteCounters {
@@ -38,12 +40,15 @@ impl RemoteCounters {
     pub fn new(topology: Topology, workers: usize) -> Self {
         RemoteCounters {
             topology,
-            workers: (0..workers).map(|_| WorkerCounters::default()).collect(),
+            workers: (0..workers).map(|_| CachePadded::default()).collect(),
         }
     }
 
     /// Records the execution of a node colored `node_color` whose
-    /// predecessors have colors `pred_colors`, by `worker`.
+    /// predecessors have colors `pred_colors`, by `worker`. Each
+    /// worker's counts have one writer: call this from `worker`'s own
+    /// thread (or from one thread for all workers); two threads recording
+    /// for one worker at once lose counts.
     pub fn record_node(
         &self,
         worker: usize,
@@ -52,21 +57,13 @@ impl RemoteCounters {
     ) {
         let count = self.topology.count_node(worker, node_color, pred_colors);
         let c = &self.workers[worker];
-        // ORDERING node_total.fetch_add: Relaxed — NUMA-remoteness counter
-        // aggregated after the run; atomicity only
-        c.node_total.fetch_add(1, Relaxed);
+        c.node_total.add(1);
         if count.remote {
-            // ORDERING node_remote.fetch_add: Relaxed — NUMA-remoteness
-            // counter aggregated after the run; atomicity only
-            c.node_remote.fetch_add(1, Relaxed);
+            c.node_remote.add(1);
         }
         if count.preds > 0 {
-            // ORDERING pred_total.fetch_add: Relaxed — per-predecessor traffic
-            // counter aggregated after the run; atomicity only
-            c.pred_total.fetch_add(count.preds, Relaxed);
-            // ORDERING pred_remote.fetch_add: Relaxed — per-predecessor
-            // traffic counter aggregated after the run; atomicity only
-            c.pred_remote.fetch_add(count.preds_remote, Relaxed);
+            c.pred_total.add(count.preds);
+            c.pred_remote.add(count.preds_remote);
         }
     }
 
@@ -74,18 +71,10 @@ impl RemoteCounters {
     pub fn report(&self) -> RemoteAccessReport {
         let mut r = RemoteAccessReport::default();
         for w in &self.workers {
-            // ORDERING node_total.load: Relaxed — post-run aggregation; the
-            // counters are quiescent once the job barrier passed
-            r.node_total += w.node_total.load(Relaxed);
-            // ORDERING node_remote.load: Relaxed — post-run aggregation over
-            // quiescent counters
-            r.node_remote += w.node_remote.load(Relaxed);
-            // ORDERING pred_total.load: Relaxed — post-run aggregation over
-            // quiescent counters
-            r.pred_total += w.pred_total.load(Relaxed);
-            // ORDERING pred_remote.load: Relaxed — post-run aggregation over
-            // quiescent counters
-            r.pred_remote += w.pred_remote.load(Relaxed);
+            r.node_total += w.node_total.get();
+            r.node_remote += w.node_remote.get();
+            r.pred_total += w.pred_total.get();
+            r.pred_remote += w.pred_remote.get();
         }
         r
     }
@@ -97,7 +86,7 @@ impl RemoteCounters {
 /// executors report [`RunReport::nodes_executed`](crate::RunReport) from
 /// this.
 pub(crate) struct WorkerCounts {
-    slots: Box<[CachePadded<AtomicU64>]>,
+    slots: Box<[CachePadded<OwnedCounter>]>,
 }
 
 impl WorkerCounts {
@@ -107,19 +96,14 @@ impl WorkerCounts {
         }
     }
 
-    /// One more node executed by `worker`.
+    /// One more node executed by `worker`, on `worker`'s own thread.
     pub(crate) fn add(&self, worker: usize) {
-        // ORDERING slots.fetch_add: Relaxed — per-worker executed-node counter
-        // (both executors), written by its worker only and read after the job
-        // barrier; atomicity only
-        self.slots[worker].fetch_add(1, Relaxed);
+        self.slots[worker].add(1);
     }
 
     /// Sum over workers; exact once the job that counted has returned.
     pub(crate) fn total(&self) -> u64 {
-        // ORDERING slot.load: Relaxed — post-run sum over quiescent per-worker
-        // counters; the pool's job barrier orders every add before it
-        self.slots.iter().map(|slot| slot.load(Relaxed)).sum()
+        self.slots.iter().map(|slot| slot.get()).sum()
     }
 }
 

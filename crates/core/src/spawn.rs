@@ -17,7 +17,6 @@
 use nabbitc_color::Color;
 use nabbitc_runtime::morph::Batch;
 use nabbitc_runtime::WorkerContext;
-use std::sync::Arc;
 
 /// Work items routed through color-aware spawning.
 pub trait ColoredItem: Send + 'static {
@@ -32,30 +31,37 @@ pub trait ColoredItem: Send + 'static {
 /// color-guided splits and any steals. The remaining item — of the
 /// worker's own color when the batch has one — is returned for the caller
 /// to process next (`None` only for an empty batch).
+///
+/// `process` is copied into every task it spawns, so a spawn costs no
+/// allocation and no reference count: it should capture handles, not
+/// state.
 #[must_use = "the returned item is the caller's to process"]
-pub fn spawn_colors<I, F>(ctx: &mut WorkerContext<'_>, items: Vec<I>, process: Arc<F>) -> Option<I>
+pub fn spawn_colors<I, F>(
+    ctx: &mut WorkerContext<'_>,
+    items: impl IntoIterator<Item = I>,
+    process: F,
+) -> Option<I>
 where
     I: ColoredItem,
-    F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
+    F: Fn(&mut WorkerContext<'_>, I) + Copy + Send + 'static,
 {
-    split(ctx, Batch::gather(items, I::color), &process)
+    split(ctx, Batch::gather(items, I::color), process)
 }
 
 /// Splits `batch` for this worker, publishing every half it does not keep
 /// as one spawn batch — a single bottom store and Release fence for the
 /// whole release, in the deque order of spawning one at a time — and
 /// returns the item it keeps.
-fn split<I, F>(ctx: &mut WorkerContext<'_>, batch: Batch<I>, process: &Arc<F>) -> Option<I>
+fn split<I, F>(ctx: &mut WorkerContext<'_>, batch: Batch<I>, process: F) -> Option<I>
 where
     I: ColoredItem,
-    F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
+    F: Fn(&mut WorkerContext<'_>, I) + Copy + Send + 'static,
 {
     let mine = ctx.color();
     let mut spawn = ctx.spawn_batch();
     let kept = batch.split(mine, |half| {
-        let process = process.clone();
         spawn.add(half.colors(), move |ctx| {
-            if let Some(item) = split(ctx, half, &process) {
+            if let Some(item) = split(ctx, half, process) {
                 process(ctx, item);
             }
         });
@@ -82,8 +88,14 @@ mod tests {
     fn gather_colors(items: Vec<(u32, Color)>) -> Vec<(Color, Vec<(u32, Color)>)> {
         match Batch::gather(items, |i| i.1) {
             Batch::Groups(groups) => groups,
-            Batch::Nodes(..) => unreachable!("gather returns groups"),
+            Batch::Nodes(..) | Batch::One(..) => unreachable!("gather returns groups"),
         }
+    }
+
+    /// State a copyable `process` closure can capture: leaked, a few
+    /// bytes per test.
+    fn shared<T>(value: T) -> &'static T {
+        Box::leak(Box::new(value))
     }
 
     /// `spawn_colors`, then the item it leaves to the caller — what the
@@ -91,10 +103,9 @@ mod tests {
     fn spawn_and_process<I, F>(ctx: &mut WorkerContext<'_>, items: Vec<I>, process: F)
     where
         I: ColoredItem,
-        F: Fn(&mut WorkerContext<'_>, I) + Send + Sync + 'static,
+        F: Fn(&mut WorkerContext<'_>, I) + Copy + Send + 'static,
     {
-        let process = Arc::new(process);
-        if let Some(item) = spawn_colors(ctx, items, process.clone()) {
+        if let Some(item) = spawn_colors(ctx, items, process) {
             process(ctx, item);
         }
     }
@@ -135,17 +146,15 @@ mod tests {
     fn every_item_processed_exactly_once() {
         let pool = Pool::new(PoolConfig::nabbitc(4));
         const N: usize = 10_000;
-        let counts: Arc<Vec<AtomicUsize>> = Arc::new((0..N).map(|_| AtomicUsize::new(0)).collect());
-        let c2 = counts.clone();
+        let counts = shared((0..N).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
         pool.run(ColorSet::all(4), move |ctx| {
             let items: Vec<(u32, Color)> =
                 (0..N as u32).map(|i| (i, Color((i % 4) as u16))).collect();
-            let c3 = c2.clone();
             spawn_and_process(
                 ctx,
                 items,
                 move |_ctx: &mut WorkerContext<'_>, item: (u32, Color)| {
-                    c3[item.0 as usize].fetch_add(1, Ordering::SeqCst);
+                    counts[item.0 as usize].fetch_add(1, Ordering::SeqCst);
                 },
             );
         });
@@ -160,17 +169,15 @@ mod tests {
         // color must be fully processed before any other color — the
         // morphing-continuation guarantee.
         let pool = Pool::new(PoolConfig::nabbitc(1));
-        let order: Arc<Mutex<Vec<(u32, Color)>>> = Arc::new(Mutex::new(Vec::new()));
-        let o2 = order.clone();
+        let order: &Mutex<Vec<(u32, Color)>> = shared(Mutex::new(Vec::new()));
         pool.run(ColorSet::all(1), move |ctx| {
             // Worker 0 has color 0; give it items of colors 0..4.
             let items: Vec<(u32, Color)> = (0..16u32).map(|i| (i, Color((i % 4) as u16))).collect();
-            let o3 = o2.clone();
             spawn_and_process(
                 ctx,
                 items,
                 move |_ctx: &mut WorkerContext<'_>, item: (u32, Color)| {
-                    o3.lock().push(item);
+                    order.lock().push(item);
                 },
             );
         });
@@ -187,13 +194,11 @@ mod tests {
     fn absent_color_does_not_stall() {
         // Worker color not present in the batch: items still processed.
         let pool = Pool::new(PoolConfig::nabbitc(1));
-        let n = Arc::new(AtomicUsize::new(0));
-        let n2 = n.clone();
+        let n = shared(AtomicUsize::new(0));
         pool.run(ColorSet::all(1), move |ctx| {
             let items: Vec<(u32, Color)> = (0..8u32).map(|i| (i, Color(5))).collect();
-            let n3 = n2.clone();
             spawn_and_process(ctx, items, move |_ctx: &mut WorkerContext<'_>, _| {
-                n3.fetch_add(1, Ordering::SeqCst);
+                n.fetch_add(1, Ordering::SeqCst);
             });
         });
         assert_eq!(n.load(Ordering::SeqCst), 8);
@@ -203,14 +208,12 @@ mod tests {
     fn large_multicolor_batch_under_contention() {
         let pool = Pool::new(PoolConfig::nabbitc(8));
         const N: usize = 50_000;
-        let total = Arc::new(AtomicUsize::new(0));
-        let t2 = total.clone();
+        let total = shared(AtomicUsize::new(0));
         pool.run(ColorSet::all(8), move |ctx| {
             let items: Vec<(u32, Color)> =
                 (0..N as u32).map(|i| (i, Color((i % 8) as u16))).collect();
-            let t3 = t2.clone();
             spawn_and_process(ctx, items, move |_ctx: &mut WorkerContext<'_>, _| {
-                t3.fetch_add(1, Ordering::SeqCst);
+                total.fetch_add(1, Ordering::SeqCst);
             });
         });
         assert_eq!(total.load(Ordering::SeqCst), N);

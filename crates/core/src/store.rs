@@ -28,24 +28,27 @@
 //! * **Registration slots live in per-worker chunk arenas.** A scanned
 //!   node needs one [`Link`] per predecessor, pushed onto that
 //!   predecessor's successor list. The worker that scans the node takes
-//!   them, contiguous, from its own arena (one uncontended lock per
-//!   worker, sized from the pool); a scan wider than a chunk gets a chunk
-//!   of its own. The table owns the arenas, so a slot, like a node, stays
-//!   in place until the run ends: it is never freed on the thread that
-//!   drains it, and discovery allocates per chunk, not per node.
+//!   them, contiguous, from its own arena (one per worker, sized from the
+//!   pool, touched by no other thread and so taken without a lock); a
+//!   scan wider than a chunk gets a chunk of its own. The table owns the
+//!   arenas, so a slot, like a node, stays in place until the run ends:
+//!   it is never freed on the thread that drains it, and discovery
+//!   allocates per chunk, not per node.
 //!
-//! The table's safe methods are the only way to create or follow a
+//! The table's methods are the only way to create or follow a
 //! [`NodeRef`] or to spend a registration [`Slot`]; the invariant they
 //! rest on is that nodes and slots outlive every task of the run, because
 //! the run's state owns the table and is dropped only after the pool's
-//! job barrier.
+//! job barrier. The one `unsafe fn`, `begin_scan`, adds what a lock would
+//! otherwise enforce: its caller is the scanning worker's own thread.
 //!
 //! [`TaskSpec`]: crate::TaskSpec
 
 use crate::join::{Drain, JoinCounter, Link, SuccessorList};
 use crossbeam_utils::CachePadded;
 use nabbitc_color::Color;
-use nabbitc_runtime::sync::{Mutex, RwLock};
+use nabbitc_runtime::sync::RwLock;
+use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ptr::NonNull;
@@ -162,12 +165,21 @@ struct Shard<K> {
 pub(crate) struct NodeTable<K> {
     shards: Box<[CachePadded<RwLock<Shard<K>>>]>,
     /// Registration slots, one arena per worker: only the scanning worker
-    /// locks its own.
-    slots: Box<[CachePadded<Mutex<SlotArena<K>>>]>,
+    /// touches its own.
+    slots: Box<[CachePadded<WorkerOwned<SlotArena<K>>>]>,
 }
 
 /// One worker's registration slots.
 type SlotArena<K> = Arena<Link<NodeRef<K>>>;
+
+/// A value only one worker's thread ever touches, shared through the
+/// table without a lock.
+struct WorkerOwned<T>(UnsafeCell<T>);
+
+// SAFETY: the value is only reached through `NodeTable::begin_scan`,
+// whose caller is the one thread of the worker that owns it; sending the
+// table to another thread moves at most ownership of `T`, hence `T: Send`.
+unsafe impl<T: Send> Sync for WorkerOwned<T> {}
 
 /// The registration slots of one predecessor scan, one per predecessor
 /// in list order; each is handed out once.
@@ -198,7 +210,7 @@ impl<K: Eq + Hash + Clone> NodeTable<K> {
                 })
                 .collect(),
             slots: (0..workers)
-                .map(|_| CachePadded::new(Mutex::new(Arena::new())))
+                .map(|_| CachePadded::new(WorkerOwned(UnsafeCell::new(Arena::new()))))
                 .collect(),
         }
     }
@@ -206,14 +218,13 @@ impl<K: Eq + Hash + Clone> NodeTable<K> {
     /// The node for `key`, created if this is the first request for it.
     /// Returns `(node, created_by_us)`; among racing callers exactly one
     /// creates, and everyone gets that creator's node.
+    ///
+    /// One write lock per call, found or created: a read probe first would
+    /// save nothing on the found path (a read lock is as many atomic
+    /// read-modify-writes as a write lock) and double the created one.
     pub(crate) fn get_or_create(&self, key: &K, color: Color) -> (NodeRef<K>, bool) {
         let hash = hash_of(key);
-        let shard = &self.shards[shard_of(color, hash)];
-        let found = self.find(&shard.read(), hash, key);
-        if let Some(found) = found {
-            return (found, false);
-        }
-        let mut shard = shard.write();
+        let mut shard = self.shards[shard_of(color, hash)].write();
         if let Some(found) = self.find(&shard, hash, key) {
             return (found, false);
         }
@@ -267,16 +278,23 @@ impl<K> NodeTable<K> {
     /// # Panics
     ///
     /// If `waiter` was scanned before: a node is scanned exactly once.
-    pub(crate) fn begin_scan(
+    ///
+    /// # Safety
+    ///
+    /// The caller must be `worker`'s own thread — no other thread may
+    /// scan on `worker`'s arena while this call runs.
+    pub(crate) unsafe fn begin_scan(
         &self,
         waiter: NodeRef<K>,
         preds: usize,
         worker: usize,
     ) -> Scan<'_, K> {
         self.node(waiter).join.begin_scan(preds);
-        let slots = self.slots[worker]
-            .lock()
-            .alloc_slice(preds, || Link::new(waiter));
+        // SAFETY: by this function's contract the calling thread is the
+        // only one to reach `worker`'s arena, and the `&mut` ends with
+        // this statement.
+        let arena = unsafe { &mut *self.slots[worker].0.get() };
+        let slots = arena.alloc_slice(preds, || Link::new(waiter));
         // SAFETY: the slice lies in a chunk of a slot arena, which never
         // reallocates and is freed only when the table is dropped — which
         // `&self` rules out for the returned lifetime. The arena hands out
@@ -468,7 +486,7 @@ mod tests {
         let (early, _) = table.get_or_create(&1u32, Color(1));
         let (late, _) = table.get_or_create(&2u32, Color(2));
         // `early` lists `pred` twice: two slots, two notifications.
-        let slots: Vec<_> = table.begin_scan(early, 2, 0).collect();
+        let slots: Vec<_> = scan(&table, early, 2, 0).collect();
         assert_eq!(slots.len(), 2);
         for slot in slots {
             assert!(table.register(slot, pred));
@@ -476,9 +494,22 @@ mod tests {
         assert!(!table.node(pred).is_computed());
         assert_eq!(table.complete(pred).collect::<Vec<_>>(), vec![early; 2]);
         assert!(table.node(pred).is_computed());
-        let mut slots = table.begin_scan(late, 1, 0);
+        let mut slots = scan(&table, late, 1, 0);
         assert!(!table.register(slots.next().expect("one slot"), pred));
         assert!(slots.next().is_none());
+    }
+
+    /// `begin_scan` from the test's one thread, which plays every worker
+    /// in turn.
+    fn scan<'t>(
+        table: &'t NodeTable<u32>,
+        waiter: NodeRef<u32>,
+        preds: usize,
+        worker: usize,
+    ) -> Scan<'t, u32> {
+        // SAFETY: the tests scan from one thread only, so no two scans on
+        // one worker's arena overlap.
+        unsafe { table.begin_scan(waiter, preds, worker) }
     }
 
     /// Where `slot`'s link lives.
@@ -495,8 +526,7 @@ mod tests {
         worker: usize,
         pred: NodeRef<u32>,
     ) -> Vec<usize> {
-        table
-            .begin_scan(waiter, preds, worker)
+        scan(table, waiter, preds, worker)
             .map(|slot| {
                 let at = address(&slot);
                 assert!(table.register(slot, pred));
@@ -562,7 +592,7 @@ mod tests {
         let [pred, first, other] = [0u32, 1, 2].map(|k| table.get_or_create(&k, Color(0)).0);
         // Hold the first scan's slots, unregistered, while 20 000 more
         // are handed out on the same worker.
-        let held: Vec<_> = table.begin_scan(first, 4, 0).collect();
+        let held: Vec<_> = scan(&table, first, 4, 0).collect();
         let before: Vec<usize> = held.iter().map(address).collect();
         for k in 3..5_003u32 {
             let (waiter, _) = table.get_or_create(&k, Color(0));

@@ -37,7 +37,7 @@
 //!
 //! ```text
 //! // ORDERING bottom.load: Acquire; pairs push::fence.fence,
-//! // push_batch::fence.fence — synchronizes with the owner's push
+//! // publish::fence.fence — synchronizes with the owner's push
 //! // publication so the observed range is consistent
 //! ```
 //!

@@ -20,7 +20,7 @@ use nabbitc_lint::{
 /// refactor drops the real count below this, either atomics were
 /// genuinely removed (update the floor) or the scanner went blind (the
 /// bug this assertion exists to catch).
-const MIN_SITES: usize = 150;
+const MIN_SITES: usize = 120;
 
 #[test]
 fn workspace_atomics_pass_the_committed_policy() {
@@ -44,10 +44,10 @@ fn workspace_atomics_pass_the_committed_policy() {
 /// removing a site changes this number, and whoever does it must update
 /// the pin in the same change.
 ///
-/// 175 = runtime/ 132 + core/ 24 + parfor/ 2 + check/ 17; the split is
+/// 132 = runtime/ 94 + core/ 19 + parfor/ 2 + check/ 17; the split is
 /// asserted too, so a site moving between crates under an unchanged
 /// total is reviewed like any other.
-const GOLDEN_SITE_COUNT: usize = 175;
+const GOLDEN_SITE_COUNT: usize = 132;
 
 #[test]
 fn workspace_site_count_is_pinned() {
@@ -71,7 +71,7 @@ fn workspace_site_count_is_pinned() {
     );
     assert_eq!(
         ["runtime/", "core/", "parfor/", "check/"].map(by_crate),
-        [132, 24, 2, 17],
+        [94, 19, 2, 17],
         "per-crate split moved under an unchanged total"
     );
     // Both executors decrement through `core/join.rs`: the pre-built
@@ -203,19 +203,20 @@ fn weak_join_canary_is_caught_statically() {
 
     // The default audit must pass (weak sites inactive)...
     assert!(audit(&scan.sites, &scan.annotations, &[]).is_empty());
-    // ...and the weakened configuration must be rejected: both the
-    // bias-dropping Relaxed swap and the Relaxed end_scan decrement.
+    // ...and the weakened configuration must be rejected: its Relaxed
+    // end_scan decrement. (Dropping the bias changes the value
+    // `begin_scan` stores, not an ordering — begin_scan's store is Relaxed
+    // by design — so that half is the model checker's to catch.)
     let problems = audit(&scan.sites, &scan.annotations, &["nabbitc_weak_join"]);
     let join_violations: Vec<_> = problems
         .iter()
         .filter(|p| p.contains("ordering violation") && p.contains("core/join.rs"))
         .collect();
     assert!(
-        join_violations.iter().any(|p| p.contains("swap(Relaxed)"))
-            && join_violations
-                .iter()
-                .any(|p| p.contains("fetch_sub(Relaxed)")),
-        "weak-join canary not fully flagged; problems were:\n  {}",
+        join_violations
+            .iter()
+            .any(|p| p.contains("end_scan_fired::count.fetch_sub(Relaxed)")),
+        "weak-join canary not flagged; problems were:\n  {}",
         problems.join("\n  ")
     );
 }

@@ -29,6 +29,10 @@ pub(crate) struct TaskArena {
     // allocation so the next spawn can reuse it (clippy would unbox).
     #[allow(clippy::vec_box)]
     free: Vec<Box<Task>>,
+    /// The worker's spawn-batch buffer, empty between batches: a
+    /// [`SpawnBatch`](crate::SpawnBatch) takes it and hands it back, so
+    /// publishing a batch allocates nothing once it has grown.
+    pub(crate) batch: Vec<(Box<Task>, ColorSet)>,
     /// Shells served from the free list.
     pub(crate) hits: u64,
     /// Shells that had to be allocated.

@@ -233,6 +233,18 @@ impl<T> ColoredDeque<T> {
     /// order: thieves see `values[0]` first, the owner pops the last
     /// entry first.
     pub fn push_batch(&self, values: Vec<(Box<T>, ColorSet)>) {
+        self.publish(values.into_iter());
+    }
+
+    /// Owner: [`push_batch`](Self::push_batch) of everything in `values`,
+    /// leaving it empty with its capacity — the pool's spawn batches
+    /// reuse one buffer.
+    pub(crate) fn push_drain(&self, values: &mut Vec<(Box<T>, ColorSet)>) {
+        self.publish(values.drain(..));
+    }
+
+    /// The batched push itself, over the entries in order.
+    fn publish(&self, values: impl ExactSizeIterator<Item = (Box<T>, ColorSet)>) {
         let n = values.len() as isize;
         if n == 0 {
             return;
@@ -263,7 +275,7 @@ impl<T> ColoredDeque<T> {
         // store-buffer FIFO order).
         #[cfg(nabbitc_weak_push_batch)]
         self.bottom.store(b + n, Ordering::Relaxed);
-        for (i, (value, colors)) in values.into_iter().enumerate() {
+        for (i, (value, colors)) in values.enumerate() {
             let slot = buf.slot(b + i as isize);
             for (w, v) in slot.colors.iter().zip(colors.to_words()) {
                 // ORDERING w.store: Relaxed — color-array writes for the whole
@@ -411,7 +423,7 @@ impl<T> ColoredDeque<T> {
         // nabbitc_weak_batch canary)
         fence(Ordering::SeqCst);
         // ORDERING bottom.load: Acquire; pairs push::fence.fence,
-        // push_batch::fence.fence — two sites (initial + per-claim
+        // publish::fence.fence — two sites (initial + per-claim
         // revalidation); synchronizes with the owner's push publication so
         // each claim checks a current range, never the stale initial window
         let mut b = self.bottom.load(Ordering::Acquire);

@@ -25,6 +25,8 @@ pub enum Batch<T> {
     Groups(Vec<(Color, Vec<T>)>),
     /// One color's items, split like a parallel-for.
     Nodes(Color, Vec<T>),
+    /// One item: a half of a two-item split, pushed without a `Vec`.
+    One(Color, T),
 }
 
 impl<T> Batch<T> {
@@ -46,7 +48,7 @@ impl<T> Batch<T> {
     pub fn colors(&self) -> ColorSet {
         match self {
             Batch::Groups(groups) => groups.iter().map(|g| g.0).collect(),
-            Batch::Nodes(c, _) => ColorSet::singleton(*c),
+            Batch::Nodes(c, _) | Batch::One(c, _) => ColorSet::singleton(*c),
         }
     }
 
@@ -55,10 +57,23 @@ impl<T> Batch<T> {
     /// takes them (the continuation first, so thieves reach it first);
     /// the item it keeps — of color `mine` whenever the batch holds one —
     /// is returned, `None` only for an empty batch.
+    ///
+    /// Two groups split into two [`Nodes`](Batch::Nodes) halves and two
+    /// items into two [`One`](Batch::One)s, with no `Vec` allocated for
+    /// the halves; the halves, their order and their items are those of
+    /// halving the `Vec`s.
     pub fn split(self, mine: Color, mut push: impl FnMut(Batch<T>)) -> Option<T> {
         let mut batch = self;
         loop {
             batch = match batch {
+                Batch::Groups(mut groups) if groups.len() == 2 => {
+                    let (mut keep, mut give) = (groups.swap_remove(0), groups.swap_remove(0));
+                    if give.0 == mine {
+                        std::mem::swap(&mut keep, &mut give);
+                    }
+                    push(Batch::Nodes(give.0, give.1));
+                    Batch::Nodes(keep.0, keep.1)
+                }
                 Batch::Groups(mut groups) if groups.len() > 1 => {
                     let mut second = groups.split_off(groups.len() / 2);
                     // Morph: the worker keeps the half holding its color
@@ -73,12 +88,18 @@ impl<T> Batch<T> {
                     let (color, nodes) = groups.pop()?;
                     Batch::Nodes(color, nodes)
                 }
+                Batch::Nodes(color, mut nodes) if nodes.len() == 2 => {
+                    let second = nodes.pop().expect("two items");
+                    push(Batch::One(color, second));
+                    Batch::One(color, nodes.pop().expect("two items"))
+                }
                 Batch::Nodes(color, mut nodes) if nodes.len() > 1 => {
                     let second = nodes.split_off(nodes.len() / 2);
                     push(Batch::Nodes(color, second));
                     Batch::Nodes(color, nodes)
                 }
                 Batch::Nodes(_, mut nodes) => return nodes.pop(),
+                Batch::One(_, item) => return Some(item),
             };
         }
     }
@@ -106,6 +127,7 @@ mod tests {
             let items: ColorSet = match &half {
                 Batch::Groups(groups) => groups.iter().flat_map(|g| &g.1).map(|i| i.1).collect(),
                 Batch::Nodes(_, nodes) => nodes.iter().map(|i| i.1).collect(),
+                Batch::One(_, item) => ColorSet::singleton(item.1),
             };
             assert!(!items.is_empty(), "no empty half is pushed");
             assert_eq!(
@@ -126,10 +148,33 @@ mod tests {
         assert_eq!(
             pushed,
             [
-                Batch::Groups(vec![(Color(0), vec![(0, Color(0)), (2, Color(0))])]),
-                Batch::Nodes(Color(1), vec![(3, Color(1))]),
+                Batch::Nodes(Color(0), vec![(0, Color(0)), (2, Color(0))]),
+                Batch::One(Color(1), (3, Color(1))),
             ]
         );
+    }
+
+    #[test]
+    fn three_groups_halve_as_groups_and_odd_nodes_as_nodes() {
+        let items: Vec<(u32, Color)> = (0..9).map(|i| (i, Color((i % 3) as u16))).collect();
+        let mut pushed = Vec::new();
+        let kept = Batch::gather(items, |i| i.1).split(Color(0), |h| pushed.push(h));
+        assert_eq!(kept, Some((0, Color(0))));
+        assert_eq!(
+            pushed,
+            [
+                Batch::Groups(vec![
+                    (Color(1), vec![(1, Color(1)), (4, Color(1)), (7, Color(1))]),
+                    (Color(2), vec![(2, Color(2)), (5, Color(2)), (8, Color(2))]),
+                ]),
+                Batch::Nodes(Color(0), vec![(3, Color(0)), (6, Color(0))]),
+            ]
+        );
+        // A pushed pair splits into a one-item half and the item kept.
+        let mut again = Vec::new();
+        let last = pushed.pop().expect("two halves");
+        assert_eq!(last.split(Color(5), |h| again.push(h)), Some((3, Color(0))));
+        assert_eq!(again, [Batch::One(Color(0), (6, Color(0)))]);
     }
 
     proptest! {

@@ -559,10 +559,10 @@ impl<'a> WorkerContext<'a> {
     /// instead of paying each per spawn. The batch becomes visible to
     /// thieves atomically, oldest entry first.
     pub fn spawn_batch(&mut self) -> SpawnBatch<'_, 'a> {
-        SpawnBatch {
-            ctx: self,
-            tasks: Vec::new(),
-        }
+        // The worker's one batch buffer: emptied by the last publish, its
+        // capacity kept, so a batch allocates only when it outgrows it.
+        let tasks = std::mem::take(&mut self.arena.batch);
+        SpawnBatch { ctx: self, tasks }
     }
 }
 
@@ -612,14 +612,15 @@ impl SpawnBatch<'_, '_> {
 impl Drop for SpawnBatch<'_, '_> {
     fn drop(&mut self) {
         let n = self.tasks.len();
-        if n == 0 {
-            return;
+        if n > 0 {
+            // ORDERING pending.fetch_add: Relaxed — SpawnBatch::drop counts the
+            // whole batch before the deque publishes its tasks in one batch; same
+            // publish-before-decrement argument as `WorkerContext::spawn`
+            self.ctx.inner.pending.fetch_add(n, Ordering::Relaxed);
+            self.ctx.inner.deques[self.ctx.worker].push_drain(&mut self.tasks);
         }
-        // ORDERING pending.fetch_add: Relaxed — SpawnBatch::drop counts the
-        // whole batch before its single push_batch publishes the tasks; same
-        // publish-before-decrement argument as `WorkerContext::spawn`
-        self.ctx.inner.pending.fetch_add(n, Ordering::Relaxed);
-        self.ctx.inner.deques[self.ctx.worker].push_batch(std::mem::take(&mut self.tasks));
+        // Hand the emptied buffer back for the worker's next batch.
+        self.ctx.arena.batch = std::mem::take(&mut self.tasks);
     }
 }
 
@@ -627,14 +628,9 @@ impl Drop for SpawnBatch<'_, '_> {
 #[inline]
 fn note_arena(stats: &WorkerStats, hit: bool) {
     if hit {
-        // ORDERING arena_hits.fetch_add: Relaxed — reporting-only arena
-        // counter mirrored from the worker-owned free list; read after the job
-        // barrier
-        stats.arena_hits.fetch_add(1, Ordering::Relaxed);
+        stats.arena_hits.add(1);
     } else {
-        // ORDERING arena_misses.fetch_add: Relaxed — reporting-only arena
-        // counter; read after the job barrier
-        stats.arena_misses.fetch_add(1, Ordering::Relaxed);
+        stats.arena_misses.add(1);
     }
 }
 
@@ -643,15 +639,8 @@ fn note_arena(stats: &WorkerStats, hit: bool) {
 #[inline]
 fn note_batch(stats: &WorkerStats, moved: usize) {
     if moved > 0 {
-        // ORDERING batch_steals.fetch_add: Relaxed — reporting-only batching
-        // counter with no cross-counter invariant (unlike the Release
-        // steal-success counters); read after the job barrier
-        stats.batch_steals.fetch_add(1, Ordering::Relaxed);
-        // ORDERING batch_stolen_tasks.fetch_add: Relaxed — reporting-only
-        // batching counter; read after the job barrier
-        stats
-            .batch_stolen_tasks
-            .fetch_add(moved as u64 + 1, Ordering::Relaxed);
+        stats.batch_steals.add(1);
+        stats.batch_stolen_tasks.add(moved as u64 + 1);
     }
 }
 
@@ -711,11 +700,7 @@ fn run_job_loop(inner: &PoolInner, worker: usize, thief: &mut Thief, arena: &mut
         if !*acquired_any {
             *acquired_any = true;
             let now = inner.origin.elapsed().as_nanos() as u64;
-            // ORDERING first_work_wait_ns.store: Relaxed — per-worker latency
-            // statistic; read only after the job barrier
-            stats
-                .first_work_wait_ns
-                .store(now.saturating_sub(job_start), Ordering::Relaxed);
+            stats.first_work_wait_ns.set(now.saturating_sub(job_start));
         }
     };
 
@@ -761,11 +746,7 @@ fn run_job_loop(inner: &PoolInner, worker: usize, thief: &mut Thief, arena: &mut
         let search = idle.get_or_insert_with(StealSearch::default);
         let idle_started = Instant::now();
         let got = steal_round(inner, worker, thief, search);
-        // ORDERING idle_ns.fetch_add: Relaxed — per-worker idle-time
-        // statistic; read only after the job barrier
-        stats
-            .idle_ns
-            .fetch_add(idle_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        stats.idle_ns.add(idle_started.elapsed().as_nanos() as u64);
         match got {
             Some(task) => {
                 inner.close_idle(worker, &mut idle);
@@ -791,18 +772,12 @@ fn run_job_loop(inner: &PoolInner, worker: usize, thief: &mut Thief, arena: &mut
         // `worker_main` takes this worker out of `active`, so whoever
         // quiesces before reading — `run_measured` does — reads it.
         let now = inner.origin.elapsed().as_nanos() as u64;
-        stats
-            .first_work_wait_ns
-            .store(now.saturating_sub(job_start), Ordering::Relaxed);
+        stats.first_work_wait_ns.set(now.saturating_sub(job_start));
     }
 }
 
 fn execute(inner: &PoolInner, ctx: &mut WorkerContext<'_>, mut task: Box<Task>) {
-    // ORDERING tasks_executed.fetch_add: Relaxed — per-worker counter; read
-    // only after the job barrier
-    inner.stats[ctx.worker]
-        .tasks_executed
-        .fetch_add(1, Ordering::Relaxed);
+    inner.stats[ctx.worker].tasks_executed.add(1);
     let (id, colors) = (task.id, task.colors);
     inner.record(ctx.worker, TraceEventKind::ExecBegin, false, &colors, id);
     let result = catch_unwind(AssertUnwindSafe(|| task.run(ctx)));
@@ -863,9 +838,7 @@ fn steal_round(
                 return None; // keep forcing on the next round
             }
             forced += 1;
-            // ORDERING first_steal_checks.fetch_add: Relaxed — Fig 9 counter;
-            // read only after the job barrier
-            stats.first_steal_checks.fetch_add(1, Ordering::Relaxed);
+            stats.first_steal_checks.add(1);
         }
         // A 1-worker pool has nobody to steal from: no attempt, and the
         // stats stay untouched.
@@ -873,18 +846,12 @@ fn steal_round(
         let got = steal_attempt(inner, worker, thief, attempt, search);
         let outcome = Outcome::from(&got);
         if forcing && outcome == Outcome::Declined {
-            // ORDERING first_steal_declined.fetch_add: Relaxed — Fig 9
-            // companion counter; read only after the job barrier
-            stats.first_steal_declined.fetch_add(1, Ordering::Relaxed);
+            stats.first_steal_declined.add(1);
         }
         match thief.report(outcome) {
             Step::Stole => return got.success(),
             Step::Again => {}
-            Step::Escaped => {
-                // ORDERING first_steal_escapes.fetch_add: Relaxed — at most one
-                // per job; read only after the job barrier
-                stats.first_steal_escapes.fetch_add(1, Ordering::Relaxed);
-            }
+            Step::Escaped => stats.first_steal_escapes.add(1),
             Step::RoundOver => return None,
         }
     }
@@ -909,9 +876,7 @@ fn steal_attempt(
     } else {
         (&stats.random_steal_attempts, &stats.random_steals)
     };
-    // ORDERING attempts.fetch_add: Relaxed — attempt counter of the
-    // attempt's kind; read only after the job barrier
-    attempts.fetch_add(1, Ordering::Relaxed);
+    attempts.add(1);
     let (victim, own) = (&inner.deques[attempt.victim], &inner.deques[worker]);
     let (got, moved) = if attempt.colored {
         victim.steal_batch_if(thief.accept(), own)
@@ -921,12 +886,9 @@ fn steal_attempt(
     search.attempts += 1;
     search.declined += matches!(got, Steal::ColorMismatch) as u64;
     if let Steal::Success(task) = &got {
-        // ORDERING steals.fetch_add: Release — success counter of the
-        // attempt's kind; Release pairs with the Acquire loads in
-        // `WorkerStats::snapshot`: a snapshot that sees this success also
-        // sees the attempt increment above, so steals <= attempts holds per
-        // kind in any racy snapshot
-        steals.fetch_add(1, Ordering::Release);
+        // Stored after the attempt, so a racy snapshot never shows more
+        // successes than attempts (see `WorkerStats::snapshot`).
+        steals.add(1);
         note_batch(stats, moved);
         inner.record(
             worker,

@@ -9,128 +9,96 @@
 //! charged), and whether the worker ran out of that patience and gave up
 //! forcing (`first_steal_escapes`).
 
-use crate::sync::{
-    AtomicU64,
-    Ordering::{Acquire, Relaxed},
-};
+use crate::sync::OwnedCounter;
 use crossbeam_utils::CachePadded;
 
-/// Live atomic counters for one worker (runtime-internal).
+/// Live counters for one worker (runtime-internal). Each is written by
+/// its worker's thread only ([`OwnedCounter`]) and reset by the pool
+/// between jobs, while the workers are parked.
 #[derive(Default)]
 pub(crate) struct WorkerStats {
-    pub tasks_executed: CachePadded<AtomicU64>,
-    pub colored_steal_attempts: CachePadded<AtomicU64>,
-    pub colored_steals: CachePadded<AtomicU64>,
-    pub random_steal_attempts: CachePadded<AtomicU64>,
-    pub random_steals: CachePadded<AtomicU64>,
+    pub tasks_executed: CachePadded<OwnedCounter>,
+    pub colored_steal_attempts: CachePadded<OwnedCounter>,
+    pub colored_steals: CachePadded<OwnedCounter>,
+    pub random_steal_attempts: CachePadded<OwnedCounter>,
+    pub random_steals: CachePadded<OwnedCounter>,
     /// Colored checks made while satisfying the forced first steal (the
     /// quantity `C` in Theorem 1): every forced probe, whatever it found.
-    pub first_steal_checks: CachePadded<AtomicU64>,
+    pub first_steal_checks: CachePadded<OwnedCounter>,
     /// Of those checks, the ones that found stealable work of another
     /// color and declined it — what
     /// [`StealPolicy::first_steal_max_declined`](crate::StealPolicy::first_steal_max_declined)
     /// is charged.
-    pub first_steal_declined: CachePadded<AtomicU64>,
+    pub first_steal_declined: CachePadded<OwnedCounter>,
     /// Jobs in which this worker ran out of that patience and gave up
     /// forcing (0 or 1 per job).
-    pub first_steal_escapes: CachePadded<AtomicU64>,
+    pub first_steal_escapes: CachePadded<OwnedCounter>,
     /// Nanoseconds from job start until this worker first acquired work.
-    pub first_work_wait_ns: CachePadded<AtomicU64>,
+    pub first_work_wait_ns: CachePadded<OwnedCounter>,
     /// Total nanoseconds spent in the steal loop (idle).
-    pub idle_ns: CachePadded<AtomicU64>,
+    pub idle_ns: CachePadded<OwnedCounter>,
     /// Successful steals that claimed more than one task (steal-half
     /// batching took effect).
-    pub batch_steals: CachePadded<AtomicU64>,
+    pub batch_steals: CachePadded<OwnedCounter>,
     /// Total tasks claimed by those batched steals (kept + moved local).
-    pub batch_stolen_tasks: CachePadded<AtomicU64>,
+    pub batch_stolen_tasks: CachePadded<OwnedCounter>,
     /// Task-shell requests served from the worker's arena free list.
-    pub arena_hits: CachePadded<AtomicU64>,
+    pub arena_hits: CachePadded<OwnedCounter>,
     /// Task-shell requests that fell through to the allocator.
-    pub arena_misses: CachePadded<AtomicU64>,
+    pub arena_misses: CachePadded<OwnedCounter>,
 }
 
 impl WorkerStats {
-    pub(crate) fn reset(&self) {
-        // ORDERING tasks_executed.store: Relaxed — reset happens between jobs
-        // while workers are parked; atomicity only
-        self.tasks_executed.store(0, Relaxed);
-        // ORDERING colored_steal_attempts.store: Relaxed — quiescent reset; atomicity only
-        self.colored_steal_attempts.store(0, Relaxed);
-        // ORDERING colored_steals.store: Relaxed — quiescent reset; atomicity only
-        self.colored_steals.store(0, Relaxed);
-        // ORDERING random_steal_attempts.store: Relaxed — quiescent reset; atomicity only
-        self.random_steal_attempts.store(0, Relaxed);
-        // ORDERING random_steals.store: Relaxed — quiescent reset; atomicity only
-        self.random_steals.store(0, Relaxed);
-        // ORDERING first_steal_checks.store: Relaxed — quiescent reset; atomicity only
-        self.first_steal_checks.store(0, Relaxed);
-        // ORDERING first_steal_declined.store: Relaxed — quiescent reset; atomicity only
-        self.first_steal_declined.store(0, Relaxed);
-        // ORDERING first_steal_escapes.store: Relaxed — quiescent reset; atomicity only
-        self.first_steal_escapes.store(0, Relaxed);
-        // ORDERING first_work_wait_ns.store: Relaxed — quiescent reset; atomicity only
-        self.first_work_wait_ns.store(0, Relaxed);
-        // ORDERING idle_ns.store: Relaxed — quiescent reset; atomicity only
-        self.idle_ns.store(0, Relaxed);
-        // ORDERING batch_steals.store: Relaxed — quiescent reset; atomicity only
-        self.batch_steals.store(0, Relaxed);
-        // ORDERING batch_stolen_tasks.store: Relaxed — quiescent reset; atomicity only
-        self.batch_stolen_tasks.store(0, Relaxed);
-        // ORDERING arena_hits.store: Relaxed — quiescent reset; atomicity only
-        self.arena_hits.store(0, Relaxed);
-        // ORDERING arena_misses.store: Relaxed — quiescent reset; atomicity only
-        self.arena_misses.store(0, Relaxed);
+    /// Every counter of the worker, in one order for `reset`.
+    fn all(&self) -> [&OwnedCounter; 14] {
+        [
+            &self.tasks_executed,
+            &self.colored_steal_attempts,
+            &self.colored_steals,
+            &self.random_steal_attempts,
+            &self.random_steals,
+            &self.first_steal_checks,
+            &self.first_steal_declined,
+            &self.first_steal_escapes,
+            &self.first_work_wait_ns,
+            &self.idle_ns,
+            &self.batch_steals,
+            &self.batch_stolen_tasks,
+            &self.arena_hits,
+            &self.arena_misses,
+        ]
     }
 
+    /// Zeroes every counter; the pool calls it between jobs, with the
+    /// workers parked.
+    pub(crate) fn reset(&self) {
+        for counter in self.all() {
+            counter.set(0);
+        }
+    }
+
+    /// A copy of the counters, safe to take mid-run. A success count is
+    /// read before the attempt count of its kind: the worker stores the
+    /// attempt before the success, so a snapshot never shows more steals
+    /// than attempts (see [`OwnedCounter::set`]).
     pub(crate) fn snapshot(&self) -> WorkerStatsSnapshot {
-        // ORDERING colored_steals.load: Acquire; pairs
-        // runtime/pool.rs::steal_attempt::steals.fetch_add — read before
-        // the attempt counters; Acquire pairs with the Release increments so a
-        // racy snapshot never shows steals > attempts: each success increment
-        // is a Release that happens after its own attempt increment on the
-        // same worker thread, so any success this snapshot observes implies
-        // the matching attempt is visible too, per kind
-        let colored_steals = self.colored_steals.load(Acquire);
-        // ORDERING random_steals.load: Acquire; pairs
-        // runtime/pool.rs::steal_attempt::steals.fetch_add — read before
-        // the attempt counters; pairs with the Release increments
-        let random_steals = self.random_steals.load(Acquire);
+        let colored_steals = self.colored_steals.get();
+        let random_steals = self.random_steals.get();
         WorkerStatsSnapshot {
-            // ORDERING tasks_executed.load: Relaxed — monotone counter;
-            // snapshot tolerates slight staleness
-            tasks_executed: self.tasks_executed.load(Relaxed),
-            // ORDERING colored_steal_attempts.load: Relaxed — read after the
-            // Acquire on successes; may only overshoot, preserving the
-            // invariant
-            colored_steal_attempts: self.colored_steal_attempts.load(Relaxed),
+            tasks_executed: self.tasks_executed.get(),
+            colored_steal_attempts: self.colored_steal_attempts.get(),
             colored_steals,
-            // ORDERING random_steal_attempts.load: Relaxed — read after the
-            // Acquire on successes; may only overshoot
-            random_steal_attempts: self.random_steal_attempts.load(Relaxed),
+            random_steal_attempts: self.random_steal_attempts.get(),
             random_steals,
-            // ORDERING first_steal_checks.load: Relaxed — heuristic counter; staleness is fine
-            first_steal_checks: self.first_steal_checks.load(Relaxed),
-            // ORDERING first_steal_declined.load: Relaxed — Fig 9 companion
-            // counter; staleness is fine
-            first_steal_declined: self.first_steal_declined.load(Relaxed),
-            // ORDERING first_steal_escapes.load: Relaxed — written at most once
-            // per job; staleness is fine
-            first_steal_escapes: self.first_steal_escapes.load(Relaxed),
-            // ORDERING first_work_wait_ns.load: Relaxed — latency statistic
-            // written once per job before the barrier
-            first_work_wait_ns: self.first_work_wait_ns.load(Relaxed),
-            // ORDERING idle_ns.load: Relaxed — idle-time statistic; staleness is fine
-            idle_ns: self.idle_ns.load(Relaxed),
-            // ORDERING batch_steals.load: Relaxed — reporting-only batching
-            // counter; no cross-counter invariant to preserve
-            batch_steals: self.batch_steals.load(Relaxed),
-            // ORDERING batch_stolen_tasks.load: Relaxed — reporting-only
-            // batching counter; staleness is fine
-            batch_stolen_tasks: self.batch_stolen_tasks.load(Relaxed),
-            // ORDERING arena_hits.load: Relaxed — reporting-only arena counter; staleness is fine
-            arena_hits: self.arena_hits.load(Relaxed),
-            // ORDERING arena_misses.load: Relaxed — reporting-only arena counter; staleness is fine
-            arena_misses: self.arena_misses.load(Relaxed),
+            first_steal_checks: self.first_steal_checks.get(),
+            first_steal_declined: self.first_steal_declined.get(),
+            first_steal_escapes: self.first_steal_escapes.get(),
+            first_work_wait_ns: self.first_work_wait_ns.get(),
+            idle_ns: self.idle_ns.get(),
+            batch_steals: self.batch_steals.get(),
+            batch_stolen_tasks: self.batch_stolen_tasks.get(),
+            arena_hits: self.arena_hits.get(),
+            arena_misses: self.arena_misses.get(),
         }
     }
 }
@@ -241,9 +209,9 @@ mod tests {
     #[test]
     fn snapshot_roundtrip() {
         let s = WorkerStats::default();
-        s.tasks_executed.store(5, Relaxed);
-        s.colored_steals.store(2, Relaxed);
-        s.random_steals.store(1, Relaxed);
+        s.tasks_executed.add(5);
+        s.colored_steals.add(2);
+        s.random_steals.add(1);
         let snap = s.snapshot();
         assert_eq!(snap.tasks_executed, 5);
         assert_eq!(snap.successful_steals(), 3);

@@ -271,3 +271,115 @@ fn concurrent_executions_on_one_pool_each_report_their_own_run() {
         }
     });
 }
+
+/// Leaves of the fan graphs below; the middle one panics.
+const FAN: u32 = 512;
+const PANICKING_LEAF: u32 = FAN / 2;
+
+/// A node body that counts itself, spins long enough that the fan's
+/// other leaves are still queued when the middle one panics, and panics
+/// on that one.
+fn fan_body(bodies: &AtomicU32, leaf: u32) {
+    bodies.fetch_add(1, Ordering::SeqCst);
+    let mut x = leaf as u64;
+    for _ in 0..2_000 {
+        x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+    }
+    if leaf == PANICKING_LEAF {
+        panic!("leaf {leaf} panics with its siblings in flight");
+    }
+}
+
+/// `execute` re-raises a node's panic only after every task of the job
+/// has run — every body but the ones that wait for the panicking node —
+/// and no body runs after it returns: the run the tasks point into is
+/// gone then. `expected` bodies must have run by the return.
+fn panics_after_the_whole_job(bodies: &AtomicU32, expected: u32, execute: impl FnOnce()) {
+    let panic = catch_unwind(AssertUnwindSafe(execute)).expect_err("the node's panic re-raises");
+    let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert_eq!(message, "a task panicked during Pool::run");
+    assert_eq!(
+        bodies.load(Ordering::SeqCst),
+        expected,
+        "bodies run by the return"
+    );
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    assert_eq!(
+        bodies.load(Ordering::SeqCst),
+        expected,
+        "a body ran after the return"
+    );
+}
+
+#[test]
+fn a_static_panic_returns_after_its_siblings_and_the_pool_runs_on() {
+    let pool = Arc::new(Pool::new(PoolConfig::nabbitc(2)));
+    // A source releasing FAN leaves at once: one split batch of tasks.
+    let mut b = GraphBuilder::new();
+    let root = b.add_simple_node(1, Color(0), 0);
+    for leaf in 1..=FAN {
+        let u = b.add_simple_node(1, Color((leaf % 2) as u16), 0);
+        b.add_edge(root, u);
+    }
+    let graph = Arc::new(b.build().expect("a fan is a DAG"));
+    let bodies = Arc::new(AtomicU32::new(0));
+    let exec = StaticExecutor::new(pool.clone());
+    let counted = bodies.clone();
+    panics_after_the_whole_job(&bodies, FAN + 1, || {
+        exec.execute(&graph, Arc::new(move |u: NodeId, _w| fan_body(&counted, u)));
+    });
+
+    // The next job on the pool is clean.
+    let clean = Arc::new(AtomicU32::new(0));
+    let counted = clean.clone();
+    let report = exec.execute(
+        &graph,
+        Arc::new(move |_u: NodeId, _w| {
+            counted.fetch_add(1, Ordering::SeqCst);
+        }),
+    );
+    assert_eq!(report.nodes_executed, FAN as u64 + 1);
+    assert_eq!(clean.load(Ordering::SeqCst), FAN + 1);
+}
+
+/// A sink over FAN leaves, discovered on demand; leaf `PANICKING_LEAF`
+/// panics.
+struct Fan {
+    bodies: AtomicU32,
+}
+
+impl TaskSpec for Fan {
+    type Key = u32;
+    fn predecessors(&self, &k: &u32) -> Vec<u32> {
+        if k == 0 {
+            (1..=FAN).collect()
+        } else {
+            Vec::new()
+        }
+    }
+    fn color(&self, &k: &u32) -> Color {
+        Color((k % 2) as u16)
+    }
+    fn compute(&self, &k: &u32, _worker: usize) {
+        fan_body(&self.bodies, k);
+    }
+}
+
+#[test]
+fn an_on_demand_panic_returns_after_its_siblings_and_the_pool_runs_on() {
+    let pool = Arc::new(Pool::new(PoolConfig::nabbitc(2)));
+    let fan = Arc::new(Fan {
+        bodies: AtomicU32::new(0),
+    });
+    let exec = DynamicExecutor::new(pool.clone(), fan.clone());
+    // Every leaf runs; the sink, which waits for the panicking one, not.
+    panics_after_the_whole_job(&fan.bodies, FAN, || {
+        exec.execute(0);
+    });
+
+    // The next job on the pool is clean.
+    let chain = Table::new(10, |k| if k == 0 { vec![] } else { vec![k - 1] });
+    let report = DynamicExecutor::new(pool, chain.clone()).execute(9);
+    assert_eq!(report.nodes_executed, 10);
+    assert_eq!(chain.counts(), vec![1; 10]);
+}

@@ -311,9 +311,11 @@ fn heat_on_one_worker() -> (Arc<TaskGraph>, Arc<Pool>) {
 }
 
 /// On-demand execution of the heat graph (25 601 nodes with the virtual
-/// sink), §V-B counting off as in timed benchmark runs: 1.54 allocations
+/// sink), §V-B counting off as in timed benchmark runs: 1.34 allocations
 /// per node, of which 0.80 are `GraphSpec::predecessors`' own `Vec`s;
-/// 2.34 when every scanned node boxed its registration slots.
+/// 1.54 when every multi-item release boxed its task closure and
+/// allocated its spawn batch and one-item halves, 2.34 when every scanned
+/// node also boxed its registration slots.
 #[test]
 fn dynamic_executor_allocates_per_run_not_per_scanned_node() {
     let (graph, pool) = heat_on_one_worker();
@@ -328,12 +330,15 @@ fn dynamic_executor_allocates_per_run_not_per_scanned_node() {
         "heat Medium DynamicExecutor::execute, 1 worker",
         count,
         report.nodes_executed as usize,
-        1.7,
+        1.40,
     );
 }
 
-/// Pre-built execution of the same graph: 0.53 allocations per node
-/// (the spawned tasks of multi-node releases and their batches).
+/// Pre-built execution of the same graph: 0.32 allocations per node,
+/// mostly the color groups `Batch::gather` builds for multi-node
+/// releases; 0.53 when
+/// every such release also boxed its task closure and allocated its spawn
+/// batch and its one-item halves.
 #[test]
 fn static_executor_allocates_per_release_not_per_node() {
     let (graph, pool) = heat_on_one_worker();
@@ -348,6 +353,6 @@ fn static_executor_allocates_per_release_not_per_node() {
         "heat Medium StaticExecutor::execute, 1 worker",
         count,
         graph.node_count(),
-        0.6,
+        0.35,
     );
 }
