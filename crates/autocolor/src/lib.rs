@@ -7,9 +7,9 @@
 //! single biggest usability cliff of the scheme — every new workload needs
 //! a bespoke data-distribution argument before NabbitC can help it.
 //!
-//! This crate removes the cliff: given any [`TaskGraph`] (or, online, any
-//! stream of dynamically discovered task keys) it infers a coloring
-//! automatically. All strategies sit behind one [`ColorAssigner`] trait:
+//! This crate removes the cliff: given any [`TaskGraph`] it infers a
+//! coloring automatically. All strategies sit behind one [`ColorAssigner`]
+//! trait:
 //!
 //! * [`RoundRobin`] — `color(u) = u mod workers`; the locality-oblivious
 //!   baseline every smarter strategy must beat;
@@ -39,10 +39,6 @@
 //!   without choosing a strategy themselves; where nodes share homes it
 //!   first partitions the homes. See [`select`] for the home path, the
 //!   shape pre-filter and the [`SelectionReport`] benches print.
-//!
-//! The on-demand executor, which sees no graph up front, colors keys as
-//! it discovers them with [`OnlineAssigner`] (predecessor-majority voting
-//! with a load cap).
 //!
 //! **Selection is domain-aware; members price per worker.** Under a
 //! machine topology (`nabbitc_cost::Topology`, e.g. the paper's 8-domain
@@ -104,7 +100,6 @@ pub mod bfs;
 pub mod bisect;
 pub mod cplevel;
 pub mod domains;
-pub mod online;
 pub mod refine;
 pub mod select;
 
@@ -113,7 +108,6 @@ pub use bfs::BfsLocality;
 pub use bisect::RecursiveBisection;
 pub use cplevel::CpLevelAware;
 pub use domains::{inter_domain_traffic, pack_domains};
-pub use online::OnlineAssigner;
 pub use select::{AutoSelect, CandidateOutcome, CandidateTime, GraphShape, SelectionReport};
 
 use nabbitc_color::Color;

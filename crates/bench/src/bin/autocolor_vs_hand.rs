@@ -82,7 +82,7 @@ fn row_for(
         f1(cut_pct),
         f2(balance),
         f2(lvl_ser),
-        f1(r.remote.pct()),
+        f1(r.remote.pct_remote()),
         f2(hand_makespan as f64 / r.makespan as f64),
     ]);
 }

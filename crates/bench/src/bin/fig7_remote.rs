@@ -32,9 +32,9 @@ fn main() {
             rep.row(&[
                 id.name().to_string(),
                 p.to_string(),
-                f1(nc.remote.pct()),
-                f1(nb.remote.pct()),
-                f1(os.remote.pct()),
+                f1(nc.remote.pct_remote()),
+                f1(nb.remote.pct_remote()),
+                f1(os.remote.pct_remote()),
                 f1(nc.remote.pct_nodes()),
                 f1(nb.remote.pct_nodes()),
             ]);

@@ -127,10 +127,7 @@ pub fn run_strategy(id: BenchId, scale: Scale, p: usize, strategy: Strategy) -> 
                     None => r,
                     Some(mut a) => {
                         a.makespan += r.makespan;
-                        a.remote.total += r.remote.total;
-                        a.remote.remote += r.remote.remote;
-                        a.remote.node_total += r.remote.node_total;
-                        a.remote.node_remote += r.remote.node_remote;
+                        a.remote += r.remote;
                         for (ac, rc) in a.cores.iter_mut().zip(r.cores.iter()) {
                             ac.colored_steals += rc.colored_steals;
                             ac.random_steals += rc.random_steals;

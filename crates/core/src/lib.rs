@@ -16,7 +16,7 @@
 //!   problem configuration). `static_exec` owns the *dense* store: one
 //!   [`JoinCounter`] per node, armed with its in-degree up front, the
 //!   graph's own successor lists, the optional per-node trace; plus the
-//!   options ([`ExecOptions`], [`LintGate`]).
+//!   options ([`ExecOptions`]).
 //! * [`dynamic`] provides the full on-demand Nabbit protocol: the
 //!   computation is *specified* by a sink key plus a predecessor function
 //!   ([`TaskSpec`]); nodes are created lazily as they are discovered,
@@ -38,22 +38,10 @@
 //!
 //! [`metrics`] implements the paper's §V-B node-granularity remote-access
 //! accounting; [`coloring`] the Correct / Bad (Table II) / Invalid
-//! (Table III) coloring strategies; [`auto`] hooks the
-//! `nabbitc-autocolor` subsystem into both executors so graphs and specs
-//! without hand-written colors still schedule locality-aware.
-//!
-//! # Pre-flight schedule linting
-//!
-//! [`ExecOptions::lint`] turns `execute_auto` into a gated pipeline: with
-//! [`LintGate::Report`] the inferred coloring is run through the
-//! `nabbitc-lint` graph/schedule detectors before any task executes and
-//! the findings ride along on [`RunReport::lint`]; the
-//! [`LintGate::DenyErrors`] / [`LintGate::DenyWarnings`] gates make a
-//! degenerate schedule (serialized wide levels, out-of-range colors,
-//! starved workers, ...) a hard stop instead of a slow run. Linting is
-//! opt-in and priced with the same [`ExecOptions::cost`] /
-//! [`ExecOptions::topology`] the selection scored with, so the gate sees
-//! the machine the scheduler sees.
+//! (Table III) coloring strategies; [`auto`] is the one hook into the
+//! `nabbitc-autocolor` subsystem,
+//! [`execute_auto`](StaticExecutor::execute_auto), so graphs without
+//! hand-written colors still schedule locality-aware.
 
 pub mod auto;
 pub mod coloring;
@@ -66,7 +54,6 @@ pub mod spawn;
 pub mod static_exec;
 mod store;
 
-pub use auto::AutoColoredSpec;
 pub use coloring::ColoringMode;
 pub use dynamic::{DynamicExecutor, TaskSpec};
 pub use join::{JoinCounter, Link, SuccessorList};

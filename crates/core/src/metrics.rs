@@ -18,6 +18,10 @@ use nabbitc_cost::Topology;
 use nabbitc_runtime::sync::OwnedCounter;
 use nabbitc_runtime::ColorDomains;
 
+// What `RemoteCounters::report` returns; defined beside the count it
+// sums, so the simulators report the same type.
+pub use nabbitc_runtime::RemoteAccessReport;
+
 /// Per-worker live counters, on one cache line: only their worker writes
 /// them.
 #[derive(Default)]
@@ -104,40 +108,6 @@ impl WorkerCounts {
     /// Sum over workers; exact once the job that counted has returned.
     pub(crate) fn total(&self) -> u64 {
         self.slots.iter().map(|slot| slot.get()).sum()
-    }
-}
-
-/// Aggregated remote-access counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RemoteAccessReport {
-    /// Nodes executed.
-    pub node_total: u64,
-    /// Nodes executed outside their color's domain.
-    pub node_remote: u64,
-    /// Predecessor accesses checked.
-    pub pred_total: u64,
-    /// Predecessor accesses crossing domains.
-    pub pred_remote: u64,
-}
-
-impl RemoteAccessReport {
-    /// Total accesses considered.
-    pub fn total(&self) -> u64 {
-        self.node_total + self.pred_total
-    }
-
-    /// Remote accesses.
-    pub fn remote(&self) -> u64 {
-        self.node_remote + self.pred_remote
-    }
-
-    /// Percentage of accesses that were remote — the Figure 7 y-axis.
-    pub fn pct_remote(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            100.0 * self.remote() as f64 / self.total() as f64
-        }
     }
 }
 

@@ -51,11 +51,6 @@ pub struct RunReport {
     /// pole) — populated by
     /// [`execute_auto`](crate::StaticExecutor::execute_auto) only.
     pub selection: Option<SelectionReport>,
-    /// Pre-flight schedule lint findings over the executed coloring —
-    /// populated by [`execute_auto`](crate::StaticExecutor::execute_auto)
-    /// when [`ExecOptions::lint`](crate::ExecOptions) is a gate other
-    /// than [`LintGate::Off`](crate::LintGate), `None` otherwise.
-    pub lint: Option<nabbitc_lint::LintReport>,
 }
 
 impl RunReport {

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 /// Execution options. [`Default`] is what [`StaticExecutor::new`] runs
 /// with: no per-node trace, §V-B counting on, the default cost model, no
-/// topology, no lint gate.
+/// topology.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
     /// Record a full execution trace (adds per-node clock reads + a lock).
@@ -54,15 +54,7 @@ pub struct ExecOptions {
     /// `Topology::paper_machine().truncated(p)` to select for the paper
     /// machine.
     pub topology: Option<nabbitc_cost::Topology>,
-    /// Pre-flight schedule linting for
-    /// [`execute_auto`](StaticExecutor::execute_auto): with a gate other
-    /// than [`LintGate::Off`], the inferred coloring is run through
-    /// [`nabbitc_lint::lint_graph`] (priced with this options struct's
-    /// `cost` and `topology`) before any task executes, and the report is
-    /// attached to [`RunReport::lint`](crate::RunReport::lint). The
-    /// denying gates turn findings into panics, for harnesses that want
-    /// a hard stop on a degenerate schedule. Plain `execute` never lints
-    /// — the caller's own coloring is taken as intended.
+    /// Does nothing: [`LintGate`] has one value. See there.
     pub lint: LintGate,
 }
 
@@ -78,21 +70,17 @@ impl Default for ExecOptions {
     }
 }
 
-/// What [`execute_auto`](StaticExecutor::execute_auto) does with schedule
-/// lint findings (see [`ExecOptions::lint`]).
+/// A stub with one value, kept only because the repo benchmark builds
+/// [`ExecOptions`] as a struct literal that names `lint: LintGate::Off`.
+/// It goes, with [`ExecOptions::lint`], in the same edit to the benchmark
+/// that moves `execute_auto` out of this crate. No executor lints: a
+/// caller who wants a schedule checked runs `nabbitc-lint`'s `lint_graph`
+/// on the recolored graph `execute_auto` returns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LintGate {
-    /// No linting (the default): zero pre-flight cost.
+    /// The only value.
     #[default]
     Off,
-    /// Lint and attach the report to the [`RunReport`]; never fails.
-    Report,
-    /// Lint, attach, and panic if any
-    /// [`Error`](nabbitc_lint::Severity::Error) finding is present.
-    DenyErrors,
-    /// Lint, attach, and panic if any finding of severity
-    /// [`Warn`](nabbitc_lint::Severity::Warn) or worse is present.
-    DenyWarnings,
 }
 
 /// The dense node store: a pre-built graph, every node already discovered.

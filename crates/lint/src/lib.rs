@@ -24,9 +24,10 @@
 //!
 //! Reports render human-readable ([`LintReport::render`]) and
 //! machine-readable ([`LintReport::to_json`], schema versioned by
-//! [`LINT_SCHEMA_VERSION`]). The linter is wired into the execution
-//! facade as an opt-in pre-flight gate (see `nabbitc_core`'s
-//! `ExecOptions`) and into the `graphlint` CLI in `nabbitc-bench`.
+//! [`LINT_SCHEMA_VERSION`]). No executor calls the linter: the
+//! `graphlint` CLI in `nabbitc-bench` runs it over the workload corpus,
+//! and a caller who wants an inferred schedule checked lints the graph
+//! `execute_auto` returns.
 //!
 //! # Workspace concurrency audit
 //!

@@ -35,13 +35,13 @@ pub mod wsim;
 pub use nabbitc_cost::CostModel;
 pub use nabbitc_runtime::OmpSchedule;
 pub use ompsim::simulate_omp;
-pub use result::{CoreStats, SimRemote, SimResult};
+pub use result::{CoreStats, SimResult};
 pub use wsim::{simulate_ws, WsConfig};
 
 use nabbitc_color::Color;
 use nabbitc_cost::Topology;
 use nabbitc_graph::{NodeId, TaskGraph};
-use nabbitc_runtime::ColorDomains;
+use nabbitc_runtime::{ColorDomains, RemoteAccessReport};
 
 /// Ticks of node `u` on `core`, bytes priced by their owner's domain;
 /// adds the node's §V-B count to `remote`. Both simulators price and
@@ -52,7 +52,7 @@ pub(crate) fn node_ticks(
     core: usize,
     topo: &Topology,
     cost: &CostModel,
-    remote: &mut SimRemote,
+    remote: &mut RemoteAccessReport,
 ) -> u64 {
     let preds = graph.predecessors(u).iter().map(|&p| graph.color(p));
     remote.add(topo.count_node(core, graph.color(u), preds));
@@ -252,10 +252,10 @@ mod recolor_tests {
         let r_hand = simulate_ws_recolored(&g, &hand, &cfg);
         let r_scrambled = simulate_ws_recolored(&g, &scrambled, &cfg);
         assert!(
-            r_scrambled.remote.pct() >= r_hand.remote.pct(),
+            r_scrambled.remote.pct_remote() >= r_hand.remote.pct_remote(),
             "scrambled {} < hand {}",
-            r_scrambled.remote.pct(),
-            r_hand.remote.pct()
+            r_scrambled.remote.pct_remote(),
+            r_hand.remote.pct_remote()
         );
     }
 }

@@ -20,11 +20,11 @@
 //!   control.
 
 use crate::node_ticks;
-use crate::result::{CoreStats, SimRemote, SimResult};
+use crate::result::{CoreStats, SimResult};
 use nabbitc_cost::{CostModel, Topology};
 use nabbitc_graph::analysis::hop_levels;
 use nabbitc_graph::TaskGraph;
-use nabbitc_runtime::OmpSchedule;
+use nabbitc_runtime::{OmpSchedule, RemoteAccessReport};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -39,7 +39,7 @@ pub fn simulate_omp(
 ) -> SimResult {
     assert!(cores > 0, "need at least one core");
     let mut stats = vec![CoreStats::default(); cores];
-    let mut remote = SimRemote::default();
+    let mut remote = RemoteAccessReport::default();
     let mut clock = vec![0u64; cores];
     let mut ticks = |u, t| node_ticks(graph, u, t, topology, cost, &mut remote);
 
@@ -123,7 +123,7 @@ mod tests {
         let g = first_touch_graph(5, 4000, cores, 4096);
         let r = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &CostModel::default());
         assert_eq!(
-            r.remote.pct(),
+            r.remote.pct_remote(),
             0.0,
             "static + first touch must be fully local"
         );
@@ -138,9 +138,9 @@ mod tests {
         let g = first_touch_graph(5, 4000, cores, 4096);
         let r = simulate_omp(&g, OmpSchedule::Guided, cores, &topo, &CostModel::default());
         assert!(
-            r.remote.pct() > 10.0,
+            r.remote.pct_remote() > 10.0,
             "guided should lose locality: {}",
-            r.remote.pct()
+            r.remote.pct_remote()
         );
         assert_eq!(r.total_executed(), 5 * 4000);
     }
@@ -278,7 +278,7 @@ mod tests {
         let r = simulate_omp(&g, OmpSchedule::Static, cores, &topo, &cost);
         assert_eq!((r.remote.node_total, r.remote.node_remote), (3, 2));
         // Predecessors: node 0 (color 0, local) and node 1 (color 15).
-        assert_eq!((r.remote.total, r.remote.remote), (5, 3));
+        assert_eq!((r.remote.total(), r.remote.remote()), (5, 3));
         let all_local = 2 * cost.node_ticks(10, 64, 0) + cost.node_ticks(10, 0, 0);
         assert_eq!(r.makespan, all_local + 3 * cost.barrier);
     }

@@ -1,6 +1,6 @@
 //! Simulation results.
 
-use nabbitc_runtime::NodeCount;
+use nabbitc_runtime::RemoteAccessReport;
 
 /// Per-core simulated statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,52 +38,6 @@ impl CoreStats {
     }
 }
 
-/// Remote-access accounting (§V-B metric at node granularity).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimRemote {
-    /// Accesses checked (node executions + predecessor reads).
-    pub total: u64,
-    /// Of those, accesses whose data lives in another NUMA domain.
-    pub remote: u64,
-    /// Node executions only (subset of `total`).
-    pub node_total: u64,
-    /// Node executions outside their color's domain — the component the
-    /// scheduler can actually control (predecessor remoteness is fixed by
-    /// the graph's block structure).
-    pub node_remote: u64,
-}
-
-impl SimRemote {
-    /// Adds one node's §V-B count
-    /// ([`count_node`](nabbitc_runtime::ColorDomains::count_node)), as the
-    /// threaded executors and team do.
-    pub(crate) fn add(&mut self, count: NodeCount) {
-        let node_remote = u64::from(count.remote);
-        self.node_total += 1;
-        self.node_remote += node_remote;
-        self.total += 1 + count.preds;
-        self.remote += node_remote + count.preds_remote;
-    }
-
-    /// Percentage remote — the Figure 7 y-axis.
-    pub fn pct(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            100.0 * self.remote as f64 / self.total as f64
-        }
-    }
-
-    /// Percentage of *node executions* run outside their home domain.
-    pub fn pct_nodes(&self) -> f64 {
-        if self.node_total == 0 {
-            0.0
-        } else {
-            100.0 * self.node_remote as f64 / self.node_total as f64
-        }
-    }
-}
-
 /// Result of one simulation run.
 #[derive(Clone, Debug, Default)]
 pub struct SimResult {
@@ -91,8 +45,8 @@ pub struct SimResult {
     pub makespan: u64,
     /// Per-core statistics.
     pub cores: Vec<CoreStats>,
-    /// Remote-access accounting.
-    pub remote: SimRemote,
+    /// Remote-access accounting (§V-B metric at node granularity).
+    pub remote: RemoteAccessReport,
 }
 
 impl SimResult {
@@ -152,18 +106,18 @@ mod tests {
                     ..Default::default()
                 },
             ],
-            remote: SimRemote {
-                total: 10,
-                remote: 4,
+            remote: RemoteAccessReport {
                 node_total: 2,
                 node_remote: 1,
+                pred_total: 8,
+                pred_remote: 3,
             },
         };
         assert_eq!(r.total_executed(), 10);
         assert_eq!(r.avg_successful_steals(), 1.5);
         assert_eq!(r.avg_first_work(), 15.0);
         assert_eq!(r.speedup(100), 2.0);
-        assert!((r.remote.pct() - 40.0).abs() < 1e-12);
+        assert!((r.remote.pct_remote() - 40.0).abs() < 1e-12);
     }
 
     #[test]
@@ -171,6 +125,6 @@ mod tests {
         let r = SimResult::default();
         assert_eq!(r.avg_successful_steals(), 0.0);
         assert_eq!(r.speedup(100), 0.0);
-        assert_eq!(r.remote.pct(), 0.0);
+        assert_eq!(r.remote.pct_remote(), 0.0);
     }
 }

@@ -54,7 +54,7 @@ pub use stats::{PoolStats, WorkerStatsSnapshot};
 pub use task::Task;
 // The name `benchmark/` uses for `Topology`; goes when that package is next edited.
 pub use nabbitc_cost::Topology as NumaTopology;
-pub use topology::{ColorDomains, NodeCount};
+pub use topology::{ColorDomains, NodeCount, RemoteAccessReport};
 pub use trace::{
     RuntimeTrace, TraceConfig, TraceEventKind, TraceRecord, WorkerTrace, WorkerTraceSummary,
 };

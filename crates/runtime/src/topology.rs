@@ -12,6 +12,9 @@
 //! container this library runs in, physical pinning is unavailable, but
 //! the remote-access *metric* and the scheduling policies depend only on
 //! the mapping, not on actual placement.
+//!
+//! [`ColorDomains::count_node`] counts one node; [`RemoteAccessReport`]
+//! sums those counts, in the one vocabulary every clock reports.
 
 use nabbitc_color::Color;
 use nabbitc_cost::Topology;
@@ -57,6 +60,70 @@ pub struct NodeCount {
     pub preds: u64,
     /// Of those, predecessors whose color is remote.
     pub preds_remote: u64,
+}
+
+/// §V-B counts summed over a run, or over any set of nodes: each node's
+/// own data and each predecessor read are one access. The threaded
+/// executors, the OpenMP team and both simulators all report this.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RemoteAccessReport {
+    /// Nodes executed.
+    pub node_total: u64,
+    /// Nodes executed outside their color's domain — the component the
+    /// scheduler controls (predecessor remoteness is fixed by the graph's
+    /// coloring).
+    pub node_remote: u64,
+    /// Predecessor accesses checked.
+    pub pred_total: u64,
+    /// Predecessor accesses crossing domains.
+    pub pred_remote: u64,
+}
+
+impl RemoteAccessReport {
+    /// Adds one node's count ([`ColorDomains::count_node`]).
+    pub fn add(&mut self, count: NodeCount) {
+        self.node_total += 1;
+        self.node_remote += u64::from(count.remote);
+        self.pred_total += count.preds;
+        self.pred_remote += count.preds_remote;
+    }
+
+    /// Total accesses considered.
+    pub fn total(&self) -> u64 {
+        self.node_total + self.pred_total
+    }
+
+    /// Remote accesses.
+    pub fn remote(&self) -> u64 {
+        self.node_remote + self.pred_remote
+    }
+
+    /// Percentage of accesses that were remote — the Figure 7 y-axis.
+    pub fn pct_remote(&self) -> f64 {
+        pct(self.remote(), self.total())
+    }
+
+    /// Percentage of node executions run outside their color's domain.
+    pub fn pct_nodes(&self) -> f64 {
+        pct(self.node_remote, self.node_total)
+    }
+}
+
+impl std::ops::AddAssign for RemoteAccessReport {
+    fn add_assign(&mut self, other: Self) {
+        self.node_total += other.node_total;
+        self.node_remote += other.node_remote;
+        self.pred_total += other.pred_total;
+        self.pred_remote += other.pred_remote;
+    }
+}
+
+fn pct(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        100.0 * part as f64 / whole as f64
+    }
 }
 
 impl ColorDomains for Topology {
@@ -105,6 +172,22 @@ mod tests {
                 assert!(!t.is_remote(w, Color(c)));
             }
         }
+    }
+
+    #[test]
+    fn report_sums_node_counts() {
+        let t = Topology::new(2, 2);
+        let mut a = RemoteAccessReport::default();
+        a.add(t.count_node(0, Color(1), [Color(2), Color(3)]));
+        let mut b = RemoteAccessReport::default();
+        b.add(t.count_node(3, Color(0), [Color(2)]));
+        a += b;
+        assert_eq!((a.node_total, a.node_remote), (2, 1));
+        assert_eq!((a.pred_total, a.pred_remote), (3, 2));
+        assert_eq!((a.total(), a.remote()), (5, 3));
+        assert!((a.pct_remote() - 60.0).abs() < 1e-12);
+        assert_eq!(a.pct_nodes(), 50.0);
+        assert_eq!(RemoteAccessReport::default().pct_nodes(), 0.0);
     }
 
     #[test]

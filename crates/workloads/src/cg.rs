@@ -272,10 +272,7 @@ impl CgProblem {
                     }
                 }),
             );
-            remote.node_total += run.node_total;
-            remote.node_remote += run.node_remote;
-            remote.pred_total += run.pred_total;
-            remote.pred_remote += run.pred_remote;
+            remote += run;
             // Scalar epilogue + direction update between iterations
             // (serial, tiny).
             // SAFETY (both blocks below): the graph run has returned, so no

@@ -117,20 +117,20 @@ fn main() {
     println!(
         "{:>20}: remote {:>5.1}%  makespan {:>9}",
         "hand (majority)",
-        hand_r.remote.pct(),
+        hand_r.remote.pct_remote(),
         hand_r.makespan
     );
     println!(
         "{:>20}: remote {:>5.1}%  makespan {:>9} ({:.2}x vs hand)",
         "recursive-bisection",
-        auto_r.remote.pct(),
+        auto_r.remote.pct_remote(),
         auto_r.makespan,
         hand_r.makespan as f64 / auto_r.makespan as f64
     );
     println!(
         "{:>20}: remote {:>5.1}%  makespan {:>9} ({:.2}x vs hand)",
         "round-robin",
-        rr_r.remote.pct(),
+        rr_r.remote.pct_remote(),
         rr_r.makespan,
         hand_r.makespan as f64 / rr_r.makespan as f64
     );

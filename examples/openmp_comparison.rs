@@ -27,7 +27,7 @@ fn measure(name: &str, serial: &[f64], run: impl FnOnce() -> (Vec<f64>, RemoteAc
         "{name:<10} : {dt:>10.2?}   remote {:>5.1}% of {} accesses (nodes {:>5.1}%)",
         remote.pct_remote(),
         remote.total(),
-        100.0 * remote.node_remote as f64 / remote.node_total.max(1) as f64,
+        remote.pct_nodes(),
     );
 }
 

@@ -14,10 +14,11 @@
 //! | [`color`] | `nabbitc-color` | [`Color`](color::Color), constant-time [`ColorSet`](color::ColorSet) |
 //! | [`cost`] | `nabbitc-cost` | the [`CostModel`](cost::CostModel) every layer prices schedules with — simulator, estimator, autocolor objectives — and [`Topology`](cost::Topology), the one machine description |
 //! | [`graph`] | `nabbitc-graph` | task graphs, generators, work/span + edge-cut analysis, trace validation |
-//! | [`autocolor`] | `nabbitc-autocolor` | automatic coloring: [`ColorAssigner`](autocolor::ColorAssigner) strategies from round-robin to recursive bisection, the [`AutoSelect`](autocolor::AutoSelect) meta-assigner that picks the best strategy per graph, plus online coloring for dynamic specs |
+//! | [`autocolor`] | `nabbitc-autocolor` | automatic coloring: [`ColorAssigner`](autocolor::ColorAssigner) strategies from round-robin to recursive bisection, the [`AutoSelect`](autocolor::AutoSelect) meta-assigner that picks the best strategy per graph |
 //! | [`runtime`] | `nabbitc-runtime` | colored Chase–Lev deques, the worker pool, steal policies, the OpenMP loop schedules |
 //! | [`core`] | `nabbitc-core` | Nabbit/NabbitC executors (one `compute_and_notify` core, two node stores), morphing-continuation spawning, §V-B metrics |
 //! | [`parfor`] | `nabbitc-parfor` | the OpenMP static/guided baselines on real threads: a pinned team running a task graph's hop-count levels as barrier-closed loops |
+//! | [`lint`] | `nabbitc-lint` | the graph/schedule linter ([`lint_graph`](lint::lint_graph), `NL0xx` codes) — e.g. over the graph `execute_auto` returns — and the workspace atomics audit |
 //! | [`numasim`] | `nabbitc-numasim` | deterministic 8×10-core NUMA simulator (regenerates the paper's figures) |
 //! | [`workloads`] | `nabbitc-workloads` | the Table I benchmark suite, runnable + simulated, with uncolored variants for autocolor; each runnable kernel runs under either [`GraphRunner`](workloads::GraphRunner) |
 //!
@@ -235,6 +236,7 @@ pub use nabbitc_color as color;
 pub use nabbitc_core as core;
 pub use nabbitc_cost as cost;
 pub use nabbitc_graph as graph;
+pub use nabbitc_lint as lint;
 pub use nabbitc_numasim as numasim;
 pub use nabbitc_parfor as parfor;
 pub use nabbitc_runtime as runtime;
@@ -248,8 +250,7 @@ pub mod prelude {
     };
     pub use nabbitc_color::{Color, ColorSet};
     pub use nabbitc_core::{
-        AutoColoredSpec, ColoringMode, DynamicExecutor, ExecOptions, RunReport, StaticExecutor,
-        TaskSpec,
+        ColoringMode, DynamicExecutor, ExecOptions, RunReport, StaticExecutor, TaskSpec,
     };
     pub use nabbitc_cost::Topology;
     pub use nabbitc_graph::{GraphBuilder, NodeAccess, NodeId, TaskGraph};

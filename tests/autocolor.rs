@@ -8,7 +8,8 @@ use nabbitc::autocolor::{
     ColorAssigner, RecursiveBisection, RoundRobin,
 };
 use nabbitc::graph::analysis::edge_cut;
-use nabbitc::graph::TaskGraph;
+use nabbitc::graph::{generate, TaskGraph};
+use nabbitc::lint::{lint_graph, LintConfig, LintReport, Severity};
 use nabbitc::numasim::{simulate_ws_recolored, WsConfig};
 use nabbitc::prelude::*;
 use nabbitc::workloads::registry;
@@ -82,10 +83,10 @@ fn autocolored_simulation_executes_everything_and_prices_placement() {
     let hand_colors: Vec<Color> = hand.graph.nodes().map(|u| hand.graph.color(u)).collect();
     let hand_r = simulate_ws_recolored(&hand.graph, &hand_colors, &WsConfig::nabbitc(p));
     assert!(
-        auto.remote.pct() <= hand_r.remote.pct() + 5.0,
+        auto.remote.pct_remote() <= hand_r.remote.pct_remote() + 5.0,
         "auto remote {}% way above hand {}%",
-        auto.remote.pct(),
-        hand_r.remote.pct()
+        auto.remote.pct_remote(),
+        hand_r.remote.pct_remote()
     );
 }
 
@@ -117,6 +118,43 @@ fn threaded_executor_runs_autocolored_benchmark_graph() {
         .expect("p > 0");
     let limit = balance_limit(&recolored, p);
     assert!(max <= limit, "max color load {max} exceeds bound {limit}");
+}
+
+/// Lints the graph `execute_auto` ran, priced as its selection was (the
+/// executor's `cost` and `topology`): how a caller checks a schedule.
+fn lint_auto_run(graph: &TaskGraph, workers: usize) -> LintReport {
+    let pool = Arc::new(Pool::new(PoolConfig::nabbitc(workers)));
+    let exec = StaticExecutor::new(pool);
+    let (report, recolored) = exec.execute_auto(graph, Arc::new(|_u, _w| {}));
+    let opts = exec.options();
+    let diags = lint_graph(
+        &recolored,
+        workers,
+        &opts.cost,
+        opts.topology.as_ref(),
+        &LintConfig::default(),
+    );
+    let selection = report.selection.as_ref().expect("execute_auto selects");
+    LintReport::new("execute_auto", selection.chosen_name(), workers, diags)
+}
+
+#[test]
+fn execute_auto_schedule_of_a_wavefront_lints_without_errors() {
+    let lint = lint_auto_run(&generate::wavefront(16, 16, 2, 1), 4);
+    assert!(!lint.has_errors(), "{}", lint.render());
+}
+
+#[test]
+fn execute_auto_schedule_of_a_chain_lints_as_too_narrow() {
+    // A chain is width 1 on a 4-worker pool: NL007, a warning.
+    let lint = lint_auto_run(&generate::chain(64, 2, 1), 4);
+    let nl007 = lint.diagnostics.iter().find(|d| d.code == "NL007");
+    assert_eq!(
+        nl007.map(|d| d.severity),
+        Some(Severity::Warn),
+        "{}",
+        lint.render()
+    );
 }
 
 /// `AutoSelect::default()` on every registry graph whose time steps

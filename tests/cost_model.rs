@@ -464,11 +464,11 @@ fn recolored_simulation_and_estimator_price_the_same_placement() {
     // Splitting one branch pays remote bytes in the simulator; the
     // monochrome placement is all-local.
     assert!(
-        simulate_ws_recolored(&g, &split, &cfg).remote.pct() > 0.0,
+        simulate_ws_recolored(&g, &split, &cfg).remote.pct_remote() > 0.0,
         "split placement must show remote traffic"
     );
     assert_eq!(
-        simulate_ws_recolored(&g, &mono, &cfg).remote.pct(),
+        simulate_ws_recolored(&g, &mono, &cfg).remote.pct_remote(),
         0.0,
         "monochrome placement is all-local"
     );

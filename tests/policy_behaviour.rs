@@ -61,11 +61,11 @@ fn simulator_remote_ordering_nabbitc_vs_nabbit() {
         let nc = simulate_ws(&built.graph, &WsConfig::nabbitc(p));
         let nb = simulate_ws(&built.graph, &WsConfig::nabbit(p));
         assert!(
-            nc.remote.pct() < nb.remote.pct(),
+            nc.remote.pct_remote() < nb.remote.pct_remote(),
             "{}: NabbitC {:.1}% !< Nabbit {:.1}%",
             id.name(),
-            nc.remote.pct(),
-            nb.remote.pct()
+            nc.remote.pct_remote(),
+            nb.remote.pct_remote()
         );
     }
 }
@@ -105,7 +105,7 @@ fn simulator_bad_coloring_no_better_than_correct() {
         good.makespan
     );
     assert!(
-        bad.remote.pct() > good.remote.pct(),
+        bad.remote.pct_remote() > good.remote.pct_remote(),
         "bad coloring must increase remote accesses"
     );
 }
@@ -174,22 +174,7 @@ fn team_and_simulator_run_the_same_static_program() {
         let ran: Vec<u64> = ran.into_iter().map(AtomicU64::into_inner).collect();
         let simulated: Vec<u64> = sim.cores.iter().map(|c| c.executed).collect();
         assert_eq!(ran, simulated, "{}: nodes per thread", id.name());
-        assert_eq!(
-            (
-                remote.total(),
-                remote.remote(),
-                remote.node_total,
-                remote.node_remote
-            ),
-            (
-                sim.remote.total,
-                sim.remote.remote,
-                sim.remote.node_total,
-                sim.remote.node_remote
-            ),
-            "{}: §V-B count",
-            id.name()
-        );
+        assert_eq!(remote, sim.remote, "{}: §V-B count", id.name());
     }
 }
 

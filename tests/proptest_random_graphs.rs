@@ -162,7 +162,7 @@ proptest! {
         let nb = simulate_ws(&g, &WsConfig::nabbit(8));
         prop_assert_eq!(nc.total_executed(), nb.total_executed());
         // The §V-B denominator (nodes + preds) is schedule-independent.
-        prop_assert_eq!(nc.remote.total, nb.remote.total);
+        prop_assert_eq!(nc.remote.total(), nb.remote.total());
     }
 }
 
@@ -203,7 +203,7 @@ proptest! {
             let r = simulate_omp(&g, sched, cores, &topo, &cost);
             prop_assert_eq!(r.total_executed(), g.node_count() as u64);
             prop_assert_eq!(r.remote.node_total, g.node_count() as u64);
-            prop_assert_eq!(r.remote.total, (g.node_count() + g.edge_count()) as u64);
+            prop_assert_eq!(r.remote.total(), (g.node_count() + g.edge_count()) as u64);
         }
     }
 }
