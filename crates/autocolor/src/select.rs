@@ -523,11 +523,20 @@ fn home_graph(graph: &TaskGraph) -> Option<TaskGraph> {
     }
     let (start, higher) = group(homes, pairs.iter().copied());
     stamp.fill(u32::MAX);
+    pairs.clear();
     for lo in 0..homes as u32 {
         for &hi in &higher[start[lo as usize] as usize..start[lo as usize + 1] as usize] {
             if std::mem::replace(&mut stamp[hi as usize], lo) != lo {
-                gb.add_edge(lo, hi);
+                pairs.push((hi, lo));
             }
+        }
+    }
+    // Regrouped by the higher home, lower homes ascending in each: the
+    // builder takes them in place, in the order it always stored.
+    let (start, lower) = group(homes, pairs.iter().copied());
+    for hi in 0..homes {
+        for &lo in &lower[start[hi] as usize..start[hi + 1] as usize] {
+            gb.add_edge(lo, hi as u32);
         }
     }
     Some(gb.build().expect("lower-to-higher edges are acyclic"))
@@ -539,11 +548,14 @@ fn group(keys: usize, items: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u
     let mut start = vec![0u32; keys + 1];
     items.clone().for_each(|(k, _)| start[k as usize + 1] += 1);
     (0..keys).for_each(|k| start[k + 1] += start[k]);
-    let (mut fill, mut values) = (start.clone(), vec![0; start[keys] as usize]);
+    // Each key's start is its cursor, left at the next key's start.
+    let mut values = vec![0; start[keys] as usize];
     for (k, v) in items {
-        values[fill[k as usize] as usize] = v;
-        fill[k as usize] += 1;
+        values[start[k as usize] as usize] = v;
+        start[k as usize] += 1;
     }
+    start.rotate_right(1);
+    start[0] = 0;
     (start, values)
 }
 
@@ -1014,6 +1026,54 @@ mod tests {
         assert_eq!(h.predecessors(0), &[] as &[NodeId]);
         // A graph whose nodes are their own homes has no home graph.
         assert!(home_graph(&generate::iterated_stencil(3, 3, 1, 1)).is_none());
+    }
+
+    #[test]
+    fn home_graph_lists_lower_homes_in_ascending_order_whatever_the_walk() {
+        // Five blocks over three steps, block b reading blocks b + 1 and
+        // b + 2 (mod 5): a one-way home dependence, so the predecessor
+        // walk meets home 3's lower homes as 1, 2, 0.
+        let (blocks, steps) = (5, 3);
+        let id = |t: usize, b: usize| (t * blocks + b) as NodeId;
+        let mut gb = GraphBuilder::new();
+        for t in 0..steps {
+            for b in 0..blocks {
+                if t == 0 {
+                    gb.add_simple_node(1, Color(0), 64);
+                } else {
+                    gb.add_node_at(1, Color(0), id(0, b));
+                }
+            }
+        }
+        for t in 1..steps {
+            for b in 0..blocks {
+                for q in [b, (b + 1) % blocks, (b + 2) % blocks] {
+                    gb.add_edge(id(t - 1, q), id(t, b));
+                }
+            }
+        }
+        let h = home_graph(&gb.build().unwrap()).expect("the steps share homes");
+        // The reference: each joined pair once, added lower-home-major.
+        let mut pairs: Vec<(NodeId, NodeId)> = (0..blocks)
+            .flat_map(|b| [1, 2].map(|d| ((b + d) % blocks, b)))
+            .map(|(p, b)| (p.min(b) as NodeId, p.max(b) as NodeId))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut rb = GraphBuilder::new();
+        for _ in 0..blocks {
+            rb.add_simple_node(steps as u64, Color(0), 64 * steps as u64);
+        }
+        for (lo, hi) in pairs {
+            rb.add_edge(lo, hi);
+        }
+        let reference = rb.build().unwrap();
+        assert_eq!(h.predecessors(3), &[0, 1, 2]);
+        for v in h.nodes() {
+            assert_eq!(h.predecessors(v), reference.predecessors(v), "home {v}");
+            assert_eq!(h.successors(v), reference.successors(v), "home {v}");
+        }
+        assert_eq!(h.topo_order(), reference.topo_order());
     }
 
     #[test]

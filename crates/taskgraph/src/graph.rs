@@ -38,6 +38,15 @@
 //! pair only — the next re-homing drops them. The executors read colors
 //! and never accesses, so a graph that is colored, run and dropped never
 //! pays for lists only the NUMA simulator and the linter look at.
+//!
+//! A [`GraphBuilder`] stores an edge as 4 bytes in its successor's
+//! *predecessor row*, in place while edges arrive successor-major (by
+//! ascending successor, both ends already nodes), as the stencil,
+//! wavefront and PageRank generators add them. From the first edge that
+//! does not, edges are *parked* in arrival order; `build` appends them to
+//! their rows, then derives the successor CSR: 8 bytes per edge in all.
+//! Predecessor rows keep arrival order; successor rows ascend by
+//! successor id, which is arrival order for a successor-major build.
 
 use nabbitc_color::Color;
 use std::sync::{Arc, OnceLock};
@@ -98,7 +107,8 @@ impl std::error::Error for GraphError {}
 ///
 /// Nodes are added with their work estimate, color, and either their
 /// access list or an earlier node whose home they share; edges are added
-/// as `(pred, succ)` pairs. [`GraphBuilder::build`] verifies
+/// as `(pred, succ)` pairs, into predecessor rows (see the module docs
+/// for the cost and the row order). [`GraphBuilder::build`] verifies
 /// acyclicity and produces the immutable CSR form.
 #[derive(Default, Clone)]
 pub struct GraphBuilder {
@@ -111,7 +121,12 @@ pub struct GraphBuilder {
     /// Total bytes of each home's access list, summed while the list is
     /// in hand.
     footprint: Vec<u64>,
-    edges: Vec<(NodeId, NodeId)>,
+    /// Where each opened predecessor row starts in `pred_adj`; the last
+    /// one runs to its end. At most `u32::MAX` edges go in place.
+    pred_off: Vec<u32>,
+    pred_adj: Vec<NodeId>,
+    /// Every edge from the first that could not go in place, in order.
+    parked: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
@@ -120,7 +135,8 @@ impl GraphBuilder {
         Self::default()
     }
 
-    /// Creates a builder with room for `nodes` nodes and `edges` edges.
+    /// Creates a builder with room for `nodes` nodes and `edges` edges,
+    /// in one buffer that `build` fills with both CSRs' rows.
     ///
     /// There is room for as many homes as nodes: the room only the homes
     /// use is written, so a graph whose steps share homes pays for the
@@ -137,7 +153,9 @@ impl GraphBuilder {
             home: Vec::with_capacity(nodes),
             accesses: FlatLists::with_capacity(nodes, 0),
             footprint: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(edges),
+            pred_off: Vec::with_capacity(nodes + 1),
+            pred_adj: Vec::with_capacity(2 * edges),
+            parked: Vec::new(),
         }
     }
 
@@ -198,7 +216,17 @@ impl GraphBuilder {
 
     /// Declares that `succ` depends on `pred` (an edge `pred -> succ`).
     pub fn add_edge(&mut self, pred: NodeId, succ: NodeId) {
-        self.edges.push((pred, succ));
+        let (len, rows) = (self.pred_adj.len(), succ as usize + 1);
+        if self.parked.is_empty()
+            && (pred.max(succ) as usize) < self.work.len()
+            && rows >= self.pred_off.len()
+            && len < u32::MAX as usize
+        {
+            self.pred_off.resize(rows, len as u32);
+            self.pred_adj.push(pred);
+        } else {
+            self.parked.push((pred, succ));
+        }
     }
 
     /// Number of nodes added so far.
@@ -220,24 +248,24 @@ impl GraphBuilder {
     ///
     /// `build` fails with exactly the first entry of this list whenever
     /// it is non-empty, so collecting front ends (`graphlint`) and the
-    /// fail-fast builder always agree on error priority. Both find
-    /// duplicates with the one detector `build` runs on its CSR, so this
-    /// costs O(V + E) and copies no edge list. Out-of-range endpoints get
-    /// rows of their own past the last node, numbered in id order (a
-    /// binary search each, on the error path only).
+    /// fail-fast builder always agree on error priority. Both run the one
+    /// duplicate detector on the predecessor rows: O(V + E) with no copy
+    /// of the edge list, only of the parked edges, grouped by row.
+    /// Out-of-range endpoints (parked edges only) get rows of their own
+    /// past the last node, numbered in id order (a binary search each).
     pub fn check(&self) -> Vec<GraphError> {
         let mut errors = Vec::new();
-        let n = self.work.len();
+        let (n, m) = (self.work.len(), self.pred_adj.len() + self.parked.len());
         if n == 0 {
             errors.push(GraphError::Empty);
         }
         // The CSR stores offsets as u32: an edge count past u32::MAX would
         // wrap the prefix sums and silently truncate adjacency.
-        if self.edges.len() > u32::MAX as usize {
-            errors.push(GraphError::TooManyEdges(self.edges.len()));
+        if m > u32::MAX as usize {
+            errors.push(GraphError::TooManyEdges(m));
         }
         let mut unknown = Vec::new();
-        for &(u, v) in &self.edges {
+        for &(u, v) in &self.parked {
             for end in [u, v] {
                 if end as usize >= n {
                     errors.push(GraphError::InvalidNode(end));
@@ -258,19 +286,10 @@ impl GraphBuilder {
             }
         };
         let rows = n + unknown.len();
-        let mut off = vec![0usize; rows + 1];
-        for &(u, _) in &self.edges {
-            off[row(u) + 1] += 1;
-        }
-        for r in 0..rows {
-            off[r + 1] += off[r];
-        }
-        let mut adj = vec![0 as NodeId; self.edges.len()];
-        let mut cur = off.clone();
-        for &(u, v) in &self.edges {
-            adj[cur[row(u)]] = row(v) as NodeId;
-            cur[row(u)] += 1;
-        }
+        let mut off = self.pred_off.clone();
+        off.resize(rows + 1, self.pred_adj.len() as u32);
+        let parked = self.parked.iter().map(|&(u, v)| (row(v), row(u) as NodeId));
+        let (at, extra) = group(rows, parked);
         let id = |r: NodeId| {
             if (r as usize) < n {
                 r
@@ -278,7 +297,9 @@ impl GraphBuilder {
                 unknown[r as usize - n]
             }
         };
-        let duplicates = duplicate_edges((0..rows).map(|r| &adj[off[r]..off[r + 1]]), rows);
+        let in_place = |r: usize| &self.pred_adj[off[r] as usize..off[r + 1] as usize];
+        let rows = (0..rows).map(|r| in_place(r).iter().chain(&extra[at[r]..at[r + 1]]));
+        let duplicates = duplicate_edges(rows, n + unknown.len());
         errors.extend(
             duplicates
                 .into_iter()
@@ -290,60 +311,59 @@ impl GraphBuilder {
     /// Finalizes the graph, checking edge validity and acyclicity.
     ///
     /// Fails with the first error [`check`](Self::check) collects; use
-    /// `check` to see all of them at once. Validation rides on the CSR
-    /// being built, O(V + E) in all: endpoints are checked in the pass
-    /// that counts degrees, duplicates by the detector `check` shares,
-    /// run over the finished successor rows.
+    /// `check` to see all of them at once. O(V + E) in all: parked edges'
+    /// endpoints are checked before they join their rows, and duplicates
+    /// found by the detector `check` shares.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
-        let n = self.work.len();
-        let m = self.edges.len();
+        let (n, m) = (self.work.len(), self.pred_adj.len() + self.parked.len());
         if n == 0 {
             return Err(GraphError::Empty);
         }
         if m > u32::MAX as usize {
             return Err(GraphError::TooManyEdges(m));
         }
-
-        // CSR for successors and predecessors.
+        let mut ends = self.parked.iter().flat_map(|&(u, v)| [u, v]);
+        if let Some(end) = ends.find(|&end| end as usize >= n) {
+            return Err(GraphError::InvalidNode(end));
+        }
+        let (mut pred_off, mut pred_adj) = (self.pred_off, self.pred_adj);
+        pred_off.resize(n + 1, pred_adj.len() as u32);
+        if !self.parked.is_empty() {
+            // One stable counting pass appends the parked edges to their rows.
+            let row = |v: usize| &pred_adj[pred_off[v] as usize..pred_off[v + 1] as usize];
+            let rows = (0..n).flat_map(|v| row(v).iter().map(move |&u| (v, u)));
+            let parked = self.parked.iter().map(|&(u, v)| (v as usize, u));
+            let (start, rows) = group(n, rows.chain(parked));
+            (pred_off, pred_adj) = (start.into_iter().map(|o| o as u32).collect(), rows);
+        }
+        let pred_row = |v: usize| &pred_adj[pred_off[v] as usize..pred_off[v + 1] as usize];
+        if let Some(&(u, v)) = duplicate_edges((0..n).map(pred_row), n).first() {
+            return Err(GraphError::DuplicateEdge(u, v));
+        }
+        // Successor rows, after the predecessor rows; a start is its row's cursor.
         let mut succ_off = vec![0u32; n + 1];
-        let mut pred_off = vec![0u32; n + 1];
-        for &(u, v) in &self.edges {
-            if u.max(v) as usize >= n {
-                let first = if u as usize >= n { u } else { v };
-                return Err(GraphError::InvalidNode(first));
+        pred_adj.iter().for_each(|&u| succ_off[u as usize + 1] += 1);
+        (0..n).for_each(|u| succ_off[u + 1] += succ_off[u]);
+        pred_adj.resize(2 * m, 0);
+        let (pred, succ) = pred_adj.split_at_mut(m);
+        for v in 0..n {
+            for &u in &pred[pred_off[v] as usize..pred_off[v + 1] as usize] {
+                succ[succ_off[u as usize] as usize] = v as NodeId;
+                succ_off[u as usize] += 1;
             }
-            succ_off[u as usize + 1] += 1;
-            pred_off[v as usize + 1] += 1;
         }
-        for i in 0..n {
-            succ_off[i + 1] += succ_off[i];
-            pred_off[i + 1] += pred_off[i];
-        }
-        let mut succ_adj = vec![0 as NodeId; m];
-        let mut pred_adj = vec![0 as NodeId; m];
-        let mut succ_cur = succ_off.clone();
-        let mut pred_cur = pred_off.clone();
-        for &(u, v) in &self.edges {
-            succ_adj[succ_cur[u as usize] as usize] = v;
-            succ_cur[u as usize] += 1;
-            pred_adj[pred_cur[v as usize] as usize] = u;
-            pred_cur[v as usize] += 1;
-        }
+        succ_off.rotate_right(1);
+        succ_off[0] = 0;
 
         let mut structure = Structure {
             work: self.work,
             home: self.home,
             footprint: self.footprint,
             succ_off,
-            succ_adj,
             pred_off,
-            pred_adj,
+            adj: pred_adj,
             topo: Vec::new(),
         };
-        let rows = (0..n as NodeId).map(|u| structure.successors(u));
-        if let Some(&(u, v)) = duplicate_edges(rows, n).first() {
-            return Err(GraphError::DuplicateEdge(u, v));
-        }
         structure.topo = structure.compute_topo_order()?;
         Ok(TaskGraph {
             structure: Arc::new(structure),
@@ -364,16 +384,30 @@ fn to_u32(counter: &str, value: usize) -> u32 {
     })
 }
 
+/// Counting sort of `(key, value)` items, each key below `keys`: the
+/// values of key `k` are `values[start[k]..start[k + 1]]`, in item order.
+fn group(keys: usize, items: impl Iterator<Item = (usize, u32)> + Clone) -> (Vec<usize>, Vec<u32>) {
+    let mut start = vec![0; keys + 1];
+    items.clone().for_each(|(k, _)| start[k + 1] += 1);
+    (0..keys).for_each(|k| start[k + 1] += start[k]);
+    let (mut fill, mut values) = (start.clone(), vec![0; start[keys]]);
+    items.for_each(|(k, v)| {
+        values[fill[k]] = v;
+        fill[k] += 1;
+    });
+    (start, values)
+}
+
 /// The one duplicate-edge detector, behind [`GraphBuilder::check`] and
-/// [`GraphBuilder::build`]: every `(row, column)` pair `rows` holds more
-/// than once, once per pair, in sorted order. Row `r` is the `r`-th item
-/// of `rows`, and every column is below `columns`.
+/// [`GraphBuilder::build`]: every edge the predecessor rows hold more
+/// than once, once per edge, as sorted `(pred, succ)` pairs. Row `r` is
+/// the `r`-th item of `rows`, and every predecessor is below `columns`.
 ///
-/// O(rows + columns + E) with no copy of the pairs: a row stamps each
-/// column it holds with its own index, so a column already carrying the
-/// stamp is a repeat. Only the repeats found are sorted.
-fn duplicate_edges<'a>(
-    rows: impl Iterator<Item = &'a [NodeId]>,
+/// O(rows + columns + E) with no copy of the edges: a row stamps each
+/// predecessor it holds with its own index, so a predecessor already
+/// carrying the stamp is a repeat. Only the repeats found are sorted.
+fn duplicate_edges<'a, R: IntoIterator<Item = &'a NodeId>>(
+    rows: impl Iterator<Item = R>,
     columns: usize,
 ) -> Vec<(NodeId, NodeId)> {
     // The first stamp is no row's: row u32::MAX would need every u32 id.
@@ -383,7 +417,7 @@ fn duplicate_edges<'a>(
         let r = r as NodeId;
         for &c in row {
             if std::mem::replace(&mut stamp[c as usize], r) == r {
-                repeats.push((r, c));
+                repeats.push((c, r));
             }
         }
     }
@@ -402,9 +436,9 @@ struct Structure {
     /// them.
     footprint: Vec<u64>,
     succ_off: Vec<u32>,
-    succ_adj: Vec<NodeId>,
     pred_off: Vec<u32>,
-    pred_adj: Vec<NodeId>,
+    /// Predecessor rows, then successor rows, in the builder's one buffer.
+    adj: Vec<NodeId>,
     topo: Vec<NodeId>,
 }
 
@@ -412,13 +446,13 @@ impl Structure {
     #[inline]
     fn successors(&self, u: NodeId) -> &[NodeId] {
         let (a, b) = (self.succ_off[u as usize], self.succ_off[u as usize + 1]);
-        &self.succ_adj[a as usize..b as usize]
+        &self.adj[self.adj.len() / 2..][a as usize..b as usize]
     }
 
     #[inline]
     fn predecessors(&self, u: NodeId) -> &[NodeId] {
         let (a, b) = (self.pred_off[u as usize], self.pred_off[u as usize + 1]);
-        &self.pred_adj[a as usize..b as usize]
+        &self.adj[a as usize..b as usize]
     }
 
     fn compute_topo_order(&self) -> Result<Vec<NodeId>, GraphError> {
@@ -527,7 +561,7 @@ impl TaskGraph {
     /// Number of edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.structure.succ_adj.len()
+        self.structure.adj.len() / 2
     }
 
     /// Work `W(u)` of a node.
@@ -1356,18 +1390,19 @@ mod tests {
         assert_eq!(g.footprint(0), 128);
     }
 
-    /// `check` with duplicates found by sorting a copy of the edge list:
-    /// the reference `check` must equal entry for entry.
-    fn check_by_sorting(b: &GraphBuilder) -> Vec<GraphError> {
+    /// `check` with duplicates found by sorting a copy of `edges`, the
+    /// edges `b` was given: the reference `check` must equal entry for
+    /// entry.
+    fn check_by_sorting(b: &GraphBuilder, edges: &[(NodeId, NodeId)]) -> Vec<GraphError> {
         let mut errors = Vec::new();
         let n = b.work.len();
         if n == 0 {
             errors.push(GraphError::Empty);
         }
-        if b.edges.len() > u32::MAX as usize {
-            errors.push(GraphError::TooManyEdges(b.edges.len()));
+        if edges.len() > u32::MAX as usize {
+            errors.push(GraphError::TooManyEdges(edges.len()));
         }
-        for &(u, v) in &b.edges {
+        for &(u, v) in edges {
             if u as usize >= n {
                 errors.push(GraphError::InvalidNode(u));
             }
@@ -1375,7 +1410,7 @@ mod tests {
                 errors.push(GraphError::InvalidNode(v));
             }
         }
-        let mut sorted = b.edges.clone();
+        let mut sorted = edges.to_vec();
         sorted.sort_unstable();
         for w in sorted.windows(2) {
             if w[0] == w[1] {
@@ -1394,25 +1429,34 @@ mod tests {
     fn csr(s: &Structure) -> Csr {
         [
             s.succ_off.clone(),
-            s.succ_adj.clone(),
+            s.adj[s.adj.len() / 2..].to_vec(),
             s.pred_off.clone(),
-            s.pred_adj.clone(),
+            s.adj[..s.adj.len() / 2].to_vec(),
             s.topo.clone(),
         ]
     }
 
     /// `build` over the sort-based check: fail with its first entry, else
-    /// fill the CSR edge by edge and order it topologically.
-    fn build_by_sorting(b: &GraphBuilder) -> Result<Csr, GraphError> {
-        if let Some(first) = check_by_sorting(b).into_iter().next() {
+    /// fill the CSR edge by edge, each row in arrival order, successor
+    /// rows sorted if `ascending` (the builder's contract), and order it
+    /// topologically.
+    fn build_by_sorting(
+        b: &GraphBuilder,
+        edges: &[(NodeId, NodeId)],
+        ascending: bool,
+    ) -> Result<Csr, GraphError> {
+        if let Some(first) = check_by_sorting(b, edges).into_iter().next() {
             return Err(first);
         }
         let n = b.work.len();
         let mut succ: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut pred: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &(u, v) in &b.edges {
+        for &(u, v) in edges {
             succ[u as usize].push(v);
             pred[v as usize].push(u);
+        }
+        if ascending {
+            succ.iter_mut().for_each(|row| row.sort_unstable());
         }
         let offsets = |rows: &[Vec<NodeId>]| {
             std::iter::once(0)
@@ -1427,22 +1471,21 @@ mod tests {
             home: b.home.clone(),
             footprint: b.footprint.clone(),
             succ_off: offsets(&succ),
-            succ_adj: succ.concat(),
             pred_off: offsets(&pred),
-            pred_adj: pred.concat(),
+            adj: [pred.concat(), succ.concat()].concat(),
             topo: Vec::new(),
         };
         s.topo = s.compute_topo_order()?;
         Ok(csr(&s))
     }
 
-    /// A random builder of 0–40 nodes. About one builder in three each
-    /// may have edges with an endpoint past the last node or near
-    /// `u32::MAX`; backward edges and self-loops (cycles; the others are
-    /// kept forward); edges added two or three times, invalid ones
-    /// included, the copies scattered; and edges grouped by either
-    /// endpoint instead of shuffled.
-    fn random_builder(rng: &mut rand::rngs::StdRng) -> GraphBuilder {
+    /// A random builder of 0–40 nodes, and the edges it was given, in
+    /// order. About one builder in three each may have edges with an
+    /// endpoint past the last node or near `u32::MAX`; backward edges and
+    /// self-loops (cycles; the others are kept forward); edges added two
+    /// or three times, invalid ones included, the copies scattered; and
+    /// edges grouped by either endpoint instead of shuffled.
+    fn random_builder(rng: &mut rand::rngs::StdRng) -> (GraphBuilder, Vec<(NodeId, NodeId)>) {
         use rand::Rng;
         let n = rng.gen_range(0..=40u32);
         let mut flaw = || rng.gen_range(0..3u32) == 0;
@@ -1485,10 +1528,10 @@ mod tests {
             1 => edges.sort_by_key(|&(_, v)| v),
             _ => {}
         }
-        for (u, v) in edges {
+        for &(u, v) in &edges {
             b.add_edge(u, v);
         }
-        b
+        (b, edges)
     }
 
     #[test]
@@ -1496,15 +1539,22 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x0dd_ed9e);
         // Built; and failed with a cycle, no nodes, an invalid endpoint, a
-        // duplicate; and checks listing a duplicate with an invalid end.
-        let mut seen = [0usize; 6];
+        // duplicate; and checks listing a duplicate with an invalid end;
+        // and built successor-major.
+        let mut seen = [0usize; 7];
         for case in 0..4000 {
-            let b = random_builder(&mut rng);
-            let expected = check_by_sorting(&b);
-            assert_eq!(b.check(), expected, "case {case}: edges {:?}", b.edges);
-            let reference = build_by_sorting(&b);
+            let (b, edges) = random_builder(&mut rng);
+            let expected = check_by_sorting(&b, &edges);
+            assert_eq!(b.check(), expected, "case {case}: edges {edges:?}");
+            let reference = build_by_sorting(&b, &edges, true);
             let built = b.clone().build().map(|g| csr(&g.structure));
-            assert_eq!(built, reference, "case {case}: edges {:?}", b.edges);
+            assert_eq!(built, reference, "case {case}: edges {edges:?}");
+            // Successor-major, every row in arrival order is ascending.
+            if edges.windows(2).all(|w| w[0].1 <= w[1].1) {
+                let arrival = build_by_sorting(&b, &edges, false);
+                assert_eq!(built, arrival, "case {case}: edges {edges:?}");
+                seen[6] += usize::from(arrival.is_ok() && edges.len() > 1);
+            }
             seen[match reference {
                 Ok(_) => 0,
                 Err(GraphError::Cycle(_)) => 1,
@@ -1522,6 +1572,28 @@ mod tests {
             seen.iter().all(|&k| k >= 50),
             "a kind went untested: {seen:?}"
         );
+    }
+
+    #[test]
+    fn predecessor_rows_keep_arrival_order_across_in_place_and_parked_edges() {
+        let mut b = GraphBuilder::new();
+        for _ in 0..4 {
+            b.add_simple_node(1, Color(0), 8);
+        }
+        b.add_edge(2, 3);
+        b.add_edge(0, 3);
+        b.add_edge(0, 1); // below the open row: parked from here on
+        b.add_edge(4, 3); // 4 is not a node yet
+        b.add_simple_node(1, Color(0), 8);
+        b.add_edge(1, 3);
+        assert_eq!((b.pred_adj.len(), b.parked.len()), (2, 3));
+        assert!(b.check().is_empty());
+        let g = b.build().unwrap();
+        assert_eq!(g.predecessors(3), &[2, 0, 4, 1]);
+        assert_eq!(g.predecessors(1), &[0]);
+        assert_eq!(g.successors(0), &[1, 3]);
+        assert_eq!(g.successors(4), &[3]);
+        assert_eq!(g.topo_order(), &[0, 2, 4, 1, 3]);
     }
 
     /// A builder filled by a random script, and what every node's list,
